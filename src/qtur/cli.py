@@ -39,7 +39,6 @@ from .sweeps import (
 from .trajectories import (
     PathWeights,
     SeedPolicy,
-    ensemble_entropies,
     estimate,
     record_observable,
     sample_ensemble,
@@ -178,11 +177,13 @@ def _cmd_trajectories(args) -> int:
         coherent=args.coherent, workers=args.workers,
     )
     entropies = None
-    discarded = 0
     if model.has_entropy_weights:
-        pw = PathWeights(model, rho0, args.tau)
-        entropies, discarded = ensemble_entropies(pw, records)
-    est = estimate(records, obs, entropies=entropies, n_discarded=discarded)
+        entropies, keep = PathWeights(model, rho0, args.tau).entropies(records)
+        est = estimate(
+            records, obs, entropies=entropies[keep], n_discarded=int(np.count_nonzero(~keep))
+        )
+    else:
+        est = estimate(records, obs)
     print(f"trajectories: {n} (seed {seed})")
     print(f"mean: {est.mean:.12g} ± {est.stderr_mean:.3g}")
     print(f"variance: {est.variance:.12g} ± {est.stderr_variance:.3g}")
@@ -191,13 +192,14 @@ def _cmd_trajectories(args) -> int:
     exact = counting_moments(model, rho0, obs, args.tau, coherent=True)
     print(f"exact mean: {exact.mean:.12g}   exact variance: {exact.variance:.12g}")
     if args.out:
-        _dump_records(args.out, records, obs, model, rho0)
+        _dump_records(args.out, records, obs, entropies)
         print(f"wrote {args.out}")
     return 0
 
 
-def _dump_records(path, records, obs, model, rho0) -> None:
-    pw = PathWeights(model, rho0, records[0].horizon) if model.has_entropy_weights else None
+def _dump_records(path, records, obs, entropies) -> None:
+    """Record CSV; ``entropies`` holds per-record values, nan where a record
+    was discarded, or is None when the model carries no entropy weights."""
     kmax = max((r.n_jumps for r in records), default=0)
     header = (
         ["run_index", "K"]
@@ -209,13 +211,10 @@ def _dump_records(path, records, obs, model, rho0) -> None:
     for idx, rec in enumerate(records):
         times = [format_cell(t) for t, _ in rec.jumps] + [""] * (kmax - rec.n_jumps)
         chans = [str(m) for _, m in rec.jumps] + [""] * (kmax - rec.n_jumps)
-        if pw is not None:
-            try:
-                entropy = format_cell(pw.entropy(rec))
-            except Exception:
-                entropy = ""
-        else:
+        if entropies is None or np.isnan(entropies[idx]):
             entropy = ""
+        else:
+            entropy = format_cell(entropies[idx])
         lines.append(
             ",".join(
                 [str(idx), str(rec.n_jumps)]

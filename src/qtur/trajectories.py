@@ -9,6 +9,16 @@ Since Gamma = sum_m L_m^dag L_m is Hermitian, the whole sampler runs in
 its eigenbasis where D(t) is diagonal and the survival norm is a plain
 exponential sum.
 
+The sampler is chunked: it steps a whole chunk of trajectories at once,
+one array row per trajectory, and bisects the waiting times of every row
+still short of the horizon together. Each row goes through exactly the
+arithmetic a lone trajectory would (stacked matmuls reach the same BLAS
+kernel as one matrix-vector product), so a record does not depend on the
+chunk it was sampled in. Path pricing runs the same way, over groups of
+records with equal jump counts. Sampler and pricer share one
+:class:`Unravelling` context: the decay eigenbasis, the rotated jump
+operators, the Hamiltonian eigensystem and the endpoint spectra.
+
 By default the Hamiltonian is dropped (the jump statistics are identical
 with and without it, which the test suite verifies rather than assumes);
 ``coherent=True`` samples with the full non-Hermitian propagator instead,
@@ -24,8 +34,11 @@ is ln q_i(0) - ln q_i'(tau) + sum_j ds_{m_j}, the per-trajectory entropy
 production.
 
 Reproducibility: trajectory k derives its own 64-bit seed from
-(master_seed, k) through the splitmix64 finalizer, so ensembles are
-bit-identical for any worker count and merge order is fixed.
+(master_seed, k) through the splitmix64 finalizer and reads its own PCG64
+stream in a fixed order (initial label; a waiting-time and a channel
+uniform per jump; the last waiting-time uniform; the final label), so
+ensembles are bit-identical for any worker count and chunking, and merge
+order is fixed.
 """
 
 from __future__ import annotations
@@ -49,6 +62,13 @@ from .operators import (
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 BISECTION_REL_TOL = 1e-9
+BISECTION_MAX_STEPS = 200
+CHUNK = 1024  # trajectories stepped together
+UNIFORM_BLOCK = 16  # uniforms read ahead per trajectory: a record of up to 6 jumps
+# Smallest ensemble split across worker processes. On two cores, pool
+# start-up and shipping records back outweigh the ~30 us a chunked
+# trajectory costs below about 2000 trajectories.
+POOL_MIN = 2000
 
 
 class ZeroProbabilityLabelError(ValueError):
@@ -98,19 +118,132 @@ class TrajectoryRecord:
         return len(self.jumps)
 
 
-def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
-    """Inverse-CDF draw; explicit so the stream layout stays frozen."""
-    x = rng.random() * p.sum()
-    acc = 0.0
-    for k, pk in enumerate(p):
-        acc += pk
-        if x < acc:
-            return k
-    return len(p) - 1
+class _Uniforms:
+    """One PCG64 stream per row, read ahead UNIFORM_BLOCK doubles at a time.
+
+    Row b reads ``Generator(PCG64(seeds[b])).random()`` in order. A block
+    ``random(k)`` holds the same doubles as k single draws, so each row
+    reads exactly the stream of a trajectory sampled on its own. A row
+    that runs out seeds its stream again and advances it past the doubles
+    already read, so no generator is kept per row.
+    """
+
+    def __init__(self, seeds):
+        n = len(seeds)
+        self._seeds = list(seeds)
+        self._buffer = np.empty((n, 0))
+        self._read = np.zeros(n, dtype=np.intp)
+        self._filled = np.zeros(n, dtype=np.intp)
+        self._extend(np.arange(n))
+
+    def next(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform of each of the (distinct) ``rows``."""
+        read = self._read[rows]
+        short = rows[read == self._filled[rows]]
+        if short.size:
+            self._extend(short)
+        self._read[rows] = read + 1
+        return self._buffer[rows, read]
+
+    def _extend(self, rows: np.ndarray) -> None:
+        start = self._filled[rows]
+        width = self._buffer.shape[1]
+        need = start.max(initial=0) + UNIFORM_BLOCK
+        if need > width:
+            grown = np.empty((len(self._seeds), max(need, 2 * width)))
+            grown[:, :width] = self._buffer
+            self._buffer = grown
+        for row, col in zip(rows.tolist(), start.tolist()):
+            stream = np.random.PCG64(self._seeds[row])
+            stream.advance(col)  # one 64-bit draw per double
+            block = np.random.Generator(stream).random(UNIFORM_BLOCK)
+            self._buffer[row, col : col + UNIFORM_BLOCK] = block
+        self._filled[rows] = start + UNIFORM_BLOCK
 
 
-class TrajectorySampler:
-    """Precomputed sampling context for one (model, rho0, tau) triple."""
+def _inverse_cdf(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise inverse-CDF draw from the weights ``p`` (one row or one per u).
+
+    Returns the first k with u * sum(p) < p_0 + ... + p_k, else the last
+    index: the comparisons of a sequential scan, so the stream layout
+    stays frozen.
+    """
+    below = (u * p.sum(axis=-1))[:, None] < np.cumsum(p, axis=-1)
+    return np.where(below.any(axis=1), below.argmax(axis=1), p.shape[-1] - 1)
+
+
+def _row_norms(phi: np.ndarray) -> np.ndarray:
+    """Row-wise 2-norms, accumulated the way ``np.linalg.norm`` does one vector."""
+    re, im = phi.real, phi.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def _matvec(ops: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Row b of the result is ops[b] @ phi[b] (ops may be one shared matrix)."""
+    return (ops @ phi[:, :, None])[:, :, 0]
+
+
+class Unravelling:
+    """Shared context of one (model, rho0, tau) triple.
+
+    Holds the decay eigenbasis, where the no-jump damping is diagonal; the
+    jump operators and their norms L^dag L rotated into it; the
+    Hamiltonian eigensystem for coherent stretches; and the spectral
+    decompositions of rho0 and of the Hamiltonian-free state at tau.
+    """
+
+    def __init__(self, model: LindbladModel, rho0: np.ndarray, tau: float):
+        if tau < 0:
+            raise ValueError("tau must be nonnegative")
+        self.model = model
+        self.tau = float(tau)
+        d = model.dim
+
+        g, w = np.linalg.eigh(model.total_decay())
+        if g.min() < -1e-10:
+            raise ModelValidationError(f"decay operator has negative eigenvalue {g.min():.3e}")
+        self._decay_rates = np.clip(g, 0.0, None)
+        ops = [dagger(w) @ c.L @ w for c in model.channels]
+        self._jump_ops = np.array(ops, complex).reshape(-1, d, d)
+        self._jump_norms = np.array([dagger(lt) @ lt for lt in ops], complex).reshape(-1, d, d)
+
+        start = spectral_decompose(np.asarray(rho0, complex))
+        gen0 = build_generator(model, coherent=False)
+        final = spectral_decompose(propagate(gen0, rho0, tau)) if tau > 0 else start
+        self.q0 = start.probabilities
+        self.qtau = final.probabilities
+        self._states0 = dagger(w) @ start.vectors
+        self._states_tau = dagger(w) @ final.vectors
+
+        eps, e = np.linalg.eigh(model.H)
+        self._h_eigs = eps
+        self._h_transform = dagger(w) @ e
+        u_tau = (e * np.exp(-1j * eps * tau)) @ dagger(e)
+        # bras of the horizon basis in the decay basis; coherent sampling
+        # measures in the basis rotated by U(tau)
+        self._final_projectors = {
+            False: dagger(final.vectors) @ w,
+            True: dagger(u_tau @ final.vectors) @ w,
+        }
+
+    def _propagate(self, phi: np.ndarray, dt: np.ndarray, rotate: bool) -> np.ndarray:
+        """Row b of phi through D(dt[b]) and, when ``rotate``, U(dt[b])."""
+        phi = np.exp(-self._decay_rates * dt[:, None] / 2.0) * phi
+        if rotate:
+            c = self._h_transform
+            phases = c * np.exp(-1j * self._h_eigs * dt[:, None])[:, None, :]
+            phi = _matvec(phases, _matvec(dagger(c), phi))
+        return phi
+
+
+class TrajectorySampler(Unravelling):
+    """Chunked sampler over an unravelling context.
+
+    ``sample(seed)`` is the one call that yields a record. An ensemble
+    first calls ``read_ahead(seeds)``, which steps those trajectories
+    together as one chunk, and then takes each record with ``sample``;
+    a seed not read ahead is stepped as a chunk of one.
+    """
 
     def __init__(
         self,
@@ -119,109 +252,100 @@ class TrajectorySampler:
         tau: float,
         coherent: bool = False,
     ):
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
-        self.model = model
-        self.tau = float(tau)
+        super().__init__(model, rho0, tau)
         self.coherent = bool(coherent)
+        self._ahead: dict = {}  # seed -> record stepped but not yet handed out
 
-        gamma = model.total_decay()
-        g, w = np.linalg.eigh(gamma)
-        if g.min() < -1e-10:
-            raise ModelValidationError(f"decay operator has negative eigenvalue {g.min():.3e}")
-        self._decay_rates = np.clip(g, 0.0, None)
-        self._decay_basis = w
+    def _survival(self, amp_sq: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """Row-wise no-jump probability sum_i |phi_i|^2 exp(-g_i dt)."""
+        decay = np.exp(-self._decay_rates * dt[:, None])
+        return (amp_sq[:, None, :] @ decay[:, :, None])[:, 0, 0]
 
-        # Channels expressed in the decay eigenbasis, where the no-jump
-        # damping is diagonal.
-        self._jump_ops = [dagger(w) @ c.L @ w for c in model.channels]
-        self._jump_norms = [dagger(lt) @ lt for lt in self._jump_ops]
-
-        start = spectral_decompose(np.asarray(rho0, complex))
-        self.initial_probabilities = start.probabilities
-        self._initial_states = dagger(w) @ start.vectors
-
-        gen0 = build_generator(model, coherent=False)
-        final = spectral_decompose(propagate(gen0, rho0, tau)) if tau > 0 else start
-        self.final_probabilities = final.probabilities
-        final_vectors = final.vectors
-
-        if self.coherent:
-            eps, e = np.linalg.eigh(model.H)
-            c = dagger(w) @ e
-            self._rotation = lambda dt: (c * np.exp(-1j * eps * dt)) @ dagger(c)
-            u_tau = (e * np.exp(-1j * eps * tau)) @ dagger(e)
-            final_vectors = u_tau @ final_vectors
-        else:
-            self._rotation = None
-        self._final_projectors = dagger(final_vectors) @ w
-
-    def _survival(self, amplitudes_sq: np.ndarray):
-        rates = self._decay_rates
-
-        def s(dt: float) -> float:
-            return float(amplitudes_sq @ np.exp(-rates * dt))
-
-        return s
-
-    def _locate_jump(self, surv, u: float, hi: float) -> float:
-        lo = 0.0
-        for _ in range(200):
+    def _locate_jumps(self, amp_sq: np.ndarray, u: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Row-wise bisection of survival(dt) = u on (0, hi], each row
+        stopping once its bracket is within BISECTION_REL_TOL of hi."""
+        lo = np.zeros_like(hi)
+        out = np.empty_like(hi)
+        rows = np.arange(hi.size)
+        for _ in range(BISECTION_MAX_STEPS):
+            if not rows.size:
+                return out
             mid = 0.5 * (lo + hi)
-            if surv(mid) >= u:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= BISECTION_REL_TOL * hi:
-                return 0.5 * (lo + hi)
-        raise RuntimeError("survival bisection did not converge")
+            above = self._survival(amp_sq, mid) >= u
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+            done = hi - lo <= BISECTION_REL_TOL * hi
+            if done.any():
+                out[rows[done]] = 0.5 * (lo[done] + hi[done])
+                todo = ~done
+                rows, lo, hi, amp_sq, u = rows[todo], lo[todo], hi[todo], amp_sq[todo], u[todo]
+        if rows.size:
+            raise RuntimeError("survival bisection did not converge")
+        return out
+
+    def _jump_probabilities(self, phi: np.ndarray) -> np.ndarray:
+        """Row-wise max(<phi|L_m^dag L_m|phi>, 0) for every channel m."""
+        weighted = self._jump_norms @ phi[:, None, :, None]
+        overlap = phi.conj()[:, None, None, :] @ weighted
+        return np.maximum(overlap[:, :, 0, 0].real, 0.0)
 
     def sample(self, seed: int) -> TrajectoryRecord:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        label0 = _draw(rng, self.initial_probabilities)
-        phi = self._initial_states[:, label0].copy()
+        record = self._ahead.pop(seed, None)
+        return record if record is not None else self._step([seed])[0]
 
-        t = 0.0
-        jumps = []
-        while True:
-            phi = phi / np.linalg.norm(phi)
-            amp_sq = np.abs(phi) ** 2
-            surv = self._survival(amp_sq)
-            if surv(0.0) > 1.0 + 1e-9:
+    def read_ahead(self, seeds) -> None:
+        """Step the trajectories of ``seeds`` together, for ``sample`` to hand out."""
+        self._ahead.update(zip(seeds, self._step(seeds)))
+
+    def _step(self, seeds) -> list[TrajectoryRecord]:
+        """One record per seed, all trajectories stepped together."""
+        n = len(seeds)
+        uniforms = _Uniforms(seeds)
+        every = np.arange(n)
+        label0 = _inverse_cdf(uniforms.next(every), self.q0)
+        phi = np.ascontiguousarray(self._states0[:, label0].T)
+        t = np.zeros(n)
+        jumps = [[] for _ in range(n)]
+
+        live = every
+        while live.size:
+            psi = phi[live]
+            psi = psi / _row_norms(psi)[:, None]
+            amp_sq = np.abs(psi) ** 2
+            if np.any(self._survival(amp_sq, np.zeros(live.size)) > 1.0 + 1e-9):
                 raise ModelValidationError("state norm increased during no-jump evolution")
-            remaining = self.tau - t
-            u = rng.random()
-            if u == 0.0 or surv(remaining) >= u:
-                phi = np.exp(-self._decay_rates * remaining / 2.0) * phi
-                if self.coherent:
-                    phi = self._rotation(remaining) @ phi
-                break
-            dt = self._locate_jump(surv, u, remaining)
-            # keep jump times strictly increasing even if dt underflows
-            t = t + dt if t + dt > t else float(np.nextafter(t, np.inf))
-            phi = np.exp(-self._decay_rates * dt / 2.0) * phi
-            if self.coherent:
-                phi = self._rotation(dt) @ phi
-            probs = np.array(
-                [max(float(np.real(phi.conj() @ (m @ phi))), 0.0) for m in self._jump_norms]
-            )
-            if probs.sum() <= 0.0:
-                raise ModelValidationError("no channel has positive jump probability")
-            channel = _draw(rng, probs)
-            phi = self._jump_ops[channel] @ phi
-            jumps.append((t, channel))
+            remaining = self.tau - t[live]
+            u = uniforms.next(live)
+            jump = (u != 0.0) & ~(self._survival(amp_sq, remaining) >= u)
+            dt = remaining.copy()
+            dt[jump] = self._locate_jumps(amp_sq[jump], u[jump], remaining[jump])
+            psi = self._propagate(psi, dt, self.coherent)
 
-        overlaps = np.abs(self._final_projectors @ phi) ** 2
-        s = overlaps.sum()
-        if s <= 0.0:
+            hit = live[jump]
+            if hit.size:
+                before = t[hit]
+                after = before + dt[jump]
+                # keep jump times strictly increasing even if dt underflows
+                t[hit] = np.where(after > before, after, np.nextafter(before, np.inf))
+                probs = self._jump_probabilities(psi[jump])
+                if np.any(probs.sum(axis=1) <= 0.0):
+                    raise ModelValidationError("no channel has positive jump probability")
+                channels = _inverse_cdf(uniforms.next(hit), probs)
+                psi[jump] = _matvec(self._jump_ops[channels], psi[jump])
+                for row, time, m in zip(hit.tolist(), t[hit].tolist(), channels.tolist()):
+                    jumps[row].append((time, m))
+            phi[live] = psi
+            live = hit
+
+        overlaps = np.abs(_matvec(self._final_projectors[self.coherent], phi)) ** 2
+        total = overlaps.sum(axis=1)
+        if np.any(total <= 0.0):
             raise ModelValidationError("final state has no overlap with the horizon basis")
-        label1 = _draw(rng, overlaps / s)
-        return TrajectoryRecord(
-            jumps=tuple(jumps),
-            initial_label=label0,
-            final_label=label1,
-            horizon=self.tau,
-        )
+        label1 = _inverse_cdf(uniforms.next(every), overlaps / total[:, None])
+        return [
+            TrajectoryRecord(jumps=tuple(j), initial_label=a, final_label=b, horizon=self.tau)
+            for j, a, b in zip(jumps, label0.tolist(), label1.tolist())
+        ]
 
 
 def sample_trajectory(
@@ -248,15 +372,20 @@ def resolve_workers(workers: int | None = None) -> int:
 _WORKER_SAMPLER: TrajectorySampler | None = None
 
 
-def _init_worker(model, rho0, tau, coherent):
+def _init_worker(sampler):
     global _WORKER_SAMPLER
-    _WORKER_SAMPLER = TrajectorySampler(model, rho0, tau, coherent=coherent)
+    _WORKER_SAMPLER = sampler
+
+
+def _sample_range(sampler: TrajectorySampler, master_seed: int, lo: int, hi: int):
+    policy = SeedPolicy(master_seed)
+    seeds = [policy.trajectory_seed(i) for i in range(lo, hi)]
+    sampler.read_ahead(seeds)
+    return [sampler.sample(s) for s in seeds]
 
 
 def _sample_chunk(args):
-    lo, hi, master_seed = args
-    policy = SeedPolicy(master_seed)
-    return [_WORKER_SAMPLER.sample(policy.trajectory_seed(i)) for i in range(lo, hi)]
+    return _sample_range(_WORKER_SAMPLER, *args)
 
 
 def sample_ensemble(
@@ -270,20 +399,18 @@ def sample_ensemble(
 ) -> list[TrajectoryRecord]:
     """Sample ``n`` records; identical output for every worker count.
 
-    Trajectory i always consumes seed policy.trajectory_seed(i); chunks
-    are merged back in index order.
+    Trajectory i always consumes seed policy.trajectory_seed(i), whatever
+    chunk steps it; chunks are merged back in index order.
     """
-    workers = resolve_workers(workers)
-    if workers == 1 or n < 256:
-        sampler = TrajectorySampler(model, rho0, tau, coherent=coherent)
-        return [sampler.sample(policy.trajectory_seed(i)) for i in range(n)]
-
-    chunk = max(64, (n + 4 * workers - 1) // (4 * workers))
-    tasks = [(lo, min(lo + chunk, n), policy.master_seed) for lo in range(0, n, chunk)]
-    with multiprocessing.Pool(
-        workers, initializer=_init_worker, initargs=(model, rho0, tau, coherent)
-    ) as pool:
-        chunks = pool.map(_sample_chunk, tasks)
+    workers = resolve_workers(workers) if n >= POOL_MIN else 1
+    sampler = TrajectorySampler(model, rho0, tau, coherent=coherent)
+    chunk = max(1, min(CHUNK, -(-n // workers)))
+    tasks = [(policy.master_seed, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    if workers == 1:
+        chunks = [_sample_range(sampler, *task) for task in tasks]
+    else:
+        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(sampler,)) as pool:
+            chunks = pool.map(_sample_chunk, tasks)
     return [rec for part in chunks for rec in part]
 
 
@@ -310,84 +437,72 @@ class PathDensityPair:
     predicted_backward: float
 
 
-class PathWeights:
-    """Batch evaluator for path densities and per-record entropies.
+def _by_jump_count(records):
+    """Yield (indices, jump times, channels) for groups of at most CHUNK
+    records with the same jump count K; times and channels are (len(indices), K)."""
+    groups = {}
+    for i, rec in enumerate(records):
+        groups.setdefault(rec.n_jumps, []).append(i)
+    for k, members in groups.items():
+        for lo in range(0, len(members), CHUNK):
+            idx = members[lo : lo + CHUNK]
+            jumps = np.array([records[i].jumps for i in idx], dtype=float).reshape(len(idx), k, 2)
+            yield np.array(idx), jumps[:, :, 0], jumps[:, :, 1].astype(np.intp)
 
-    Precomputes the decay eigenbasis and the endpoint spectral
-    decompositions of the Hamiltonian-free evolution once, then prices
-    individual records in O(K) small matrix products.
+
+def _intervals(times: np.ndarray, horizons) -> np.ndarray:
+    """Row-wise stretches between 0, the jump times (n, K) and the horizon."""
+    bounds = np.zeros((len(times), times.shape[1] + 2))
+    bounds[:, 1:-1] = times
+    bounds[:, -1] = horizons
+    return bounds[:, 1:] - bounds[:, :-1]
+
+
+class PathWeights(Unravelling):
+    """Path densities and per-record entropies over an unravelling context.
+
+    The batch methods price records in groups of equal jump count; the
+    per-record methods are batches of one.
     """
 
-    def __init__(self, model: LindbladModel, rho0: np.ndarray, tau: float):
-        self.model = model
-        self.tau = float(tau)
-        gamma = model.total_decay()
-        g, w = np.linalg.eigh(gamma)
-        self._decay_rates = np.clip(g, 0.0, None)
-        self._basis = w
-        self._jump_ops = [dagger(w) @ c.L @ w for c in model.channels]
+    def _thread(self, intervals, channels, start, rotate: bool) -> np.ndarray:
+        """Rows of ``start`` through the stretches ``intervals`` (n, K + 1)
+        with the jumps ``channels`` (n, K) between them."""
+        phi = np.ascontiguousarray(start)
+        for k in range(channels.shape[1]):
+            phi = self._propagate(phi, intervals[:, k], rotate)
+            phi = _matvec(self._jump_ops[channels[:, k]], phi)
+        return self._propagate(phi, intervals[:, -1], rotate)
 
-        start = spectral_decompose(np.asarray(rho0, complex))
-        gen0 = build_generator(model, coherent=False)
-        final = spectral_decompose(propagate(gen0, rho0, tau)) if tau > 0 else start
-        self.q0 = start.probabilities
-        self.qtau = final.probabilities
-        self._states0 = dagger(w) @ start.vectors
-        self._states_tau = dagger(w) @ final.vectors
+    def _thread_one(self, times, channels, start, horizon: float) -> np.ndarray:
+        """One Hamiltonian-free path: a batch of one for :meth:`_thread`."""
+        intervals = _intervals(np.array([times], dtype=float).reshape(1, -1), horizon)
+        channels = np.array([channels], dtype=np.intp).reshape(1, -1)
+        return self._thread(intervals, channels, start[None, :], False)[0]
 
-        eps, e = np.linalg.eigh(model.H)
-        c = dagger(w) @ e
-        self._h_eigs = eps
-        self._h_transform = c
+    def forward_density(self, record: TrajectoryRecord) -> float:
+        phi = self._thread_one(
+            [t for t, _ in record.jumps],
+            [m for _, m in record.jumps],
+            self._states0[:, record.initial_label],
+            record.horizon,
+        )
+        amp = self._states_tau[:, record.final_label].conj() @ phi
+        return float(self.q0[record.initial_label] * np.abs(amp) ** 2)
 
-    def _damp(self, phi: np.ndarray, dt: float) -> np.ndarray:
-        return np.exp(-self._decay_rates * dt / 2.0) * phi
-
-    def _rotate(self, phi: np.ndarray, dt: float) -> np.ndarray:
-        c = self._h_transform
-        return (c * np.exp(-1j * self._h_eigs * dt)) @ (dagger(c) @ phi)
-
-    def _thread(self, intervals, channels, start_vec, with_rotation: bool) -> np.ndarray:
-        phi = start_vec.copy()
-        for dt, m in zip(intervals[:-1], channels):
-            phi = self._damp(phi, dt)
-            if with_rotation:
-                phi = self._rotate(phi, dt)
-            phi = self._jump_ops[m] @ phi
-        phi = self._damp(phi, intervals[-1])
-        if with_rotation:
-            phi = self._rotate(phi, intervals[-1])
-        return phi
-
-    @staticmethod
-    def _forward_sequence(record: TrajectoryRecord):
-        times = [t for t, _ in record.jumps]
-        channels = [m for _, m in record.jumps]
-        bounds = [0.0] + times + [record.horizon]
-        intervals = [b - a for a, b in zip(bounds[:-1], bounds[1:])]
-        return intervals, channels
-
-    def _backward_sequence(self, record: TrajectoryRecord):
-        times = [record.horizon - t for t, _ in reversed(record.jumps)]
+    def backward_density(self, record: TrajectoryRecord) -> float:
         channels = []
         for _, m in reversed(record.jumps):
             partner = self.model.channels[m].partner
             if partner is None:
                 raise ModelValidationError(f"channel {m} is unpaired; no reverse path exists")
             channels.append(partner)
-        bounds = [0.0] + times + [record.horizon]
-        intervals = [b - a for a, b in zip(bounds[:-1], bounds[1:])]
-        return intervals, channels
-
-    def forward_density(self, record: TrajectoryRecord) -> float:
-        intervals, channels = self._forward_sequence(record)
-        phi = self._thread(intervals, channels, self._states0[:, record.initial_label], False)
-        amp = self._states_tau[:, record.final_label].conj() @ phi
-        return float(self.q0[record.initial_label] * np.abs(amp) ** 2)
-
-    def backward_density(self, record: TrajectoryRecord) -> float:
-        intervals, channels = self._backward_sequence(record)
-        phi = self._thread(intervals, channels, self._states_tau[:, record.final_label], False)
+        phi = self._thread_one(
+            [record.horizon - t for t, _ in reversed(record.jumps)],
+            channels,
+            self._states_tau[:, record.final_label],
+            record.horizon,
+        )
         amp = self._states0[:, record.initial_label].conj() @ phi
         return float(self.qtau[record.final_label] * np.abs(amp) ** 2)
 
@@ -406,6 +521,26 @@ class PathWeights:
     def entropy(self, record: TrajectoryRecord) -> float:
         return record_entropy(self.model, record, self.q0, self.qtau)
 
+    def entropies(self, records) -> tuple[np.ndarray, np.ndarray]:
+        """Per-record entropies and the mask of records kept.
+
+        A record whose labels hit clipped weights is not kept; its value
+        is nan. Kept values equal :meth:`entropy` bit for bit.
+        """
+        ds = self.model.entropy_weights()
+        values = np.full(len(records), np.nan)
+        keep = np.zeros(len(records), dtype=bool)
+        for idx, _, channels in _by_jump_count(records):
+            p_start = self.q0[[records[i].initial_label for i in idx]]
+            p_end = self.qtau[[records[i].final_label for i in idx]]
+            ok = ~((p_start <= EIGENVALUE_CLIP) | (p_end <= EIGENVALUE_CLIP))
+            total = np.zeros(len(idx))
+            for k in range(channels.shape[1]):
+                total = total + ds[channels[:, k]]
+            values[idx[ok]] = np.log(p_start[ok]) - np.log(p_end[ok]) + total[ok]
+            keep[idx] = ok
+        return values, keep
+
     def path_norms(self, record: TrajectoryRecord) -> tuple[float, float]:
         """Squared path norms without final projection.
 
@@ -413,11 +548,20 @@ class PathWeights:
         full no-jump propagator; unitarity makes them equal whenever the
         eigenoperator condition holds.
         """
-        intervals, channels = self._forward_sequence(record)
-        start = self._states0[:, record.initial_label]
-        damped = self._thread(intervals, channels, start, False)
-        full = self._thread(intervals, channels, start, True)
-        return float(np.vdot(damped, damped).real), float(np.vdot(full, full).real)
+        damped, full = self.path_norms_batch([record])
+        return float(damped[0]), float(full[0])
+
+    def path_norms_batch(self, records) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`path_norms` of every record, as two arrays."""
+        damped = np.empty(len(records))
+        full = np.empty(len(records))
+        for idx, times, channels in _by_jump_count(records):
+            intervals = _intervals(times, [records[i].horizon for i in idx])
+            start = self._states0[:, [records[i].initial_label for i in idx]].T
+            for out, rotate in ((damped, False), (full, True)):
+                phi = self._thread(intervals, channels, start, rotate)
+                out[idx] = (phi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0].real
+        return damped, full
 
 
 def forward_backward_densities(
@@ -443,13 +587,8 @@ def record_entropy(
 
 def ensemble_entropies(pw: PathWeights, records) -> tuple[np.ndarray, int]:
     """Per-record entropies; records with clipped labels are dropped and counted."""
-    values, discarded = [], 0
-    for rec in records:
-        try:
-            values.append(pw.entropy(rec))
-        except ZeroProbabilityLabelError:
-            discarded += 1
-    return np.asarray(values, dtype=float), discarded
+    values, keep = pw.entropies(records)
+    return values[keep], int(np.count_nonzero(~keep))
 
 
 @dataclass(frozen=True)

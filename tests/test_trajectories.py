@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from qtur import trajectories
 from qtur.counting import CountingObservable, counting_moments
 from qtur.engine import build_generator, steady_state, survival_probability
-from qtur.operators import LindbladModel
+from qtur.operators import LindbladModel, ModelValidationError
 from qtur.trajectories import (
+    UNIFORM_BLOCK,
     PathWeights,
     SeedPolicy,
     TrajectoryRecord,
+    TrajectorySampler,
     ZeroProbabilityLabelError,
     ensemble_entropies,
     estimate,
@@ -19,7 +22,7 @@ from qtur.trajectories import (
     sample_trajectory,
     splitmix64,
 )
-from conftest import ground_state
+from conftest import ground_state, rotate_model
 
 
 class TestSeedPolicy:
@@ -91,9 +94,10 @@ class TestSampling:
         b = sample_trajectory(da_generic, rho, 2.0, 99)
         assert a == b
 
-    def test_determinism_across_worker_counts(self, ep_generic):
+    def test_determinism_across_worker_counts(self, ep_generic, monkeypatch):
         rho = steady_state(build_generator(ep_generic, coherent=True))
         serial = sample_ensemble(ep_generic, rho, 1.0, 600, SeedPolicy(3), workers=1)
+        monkeypatch.setattr(trajectories, "POOL_MIN", 0)  # split even a small ensemble
         parallel = sample_ensemble(ep_generic, rho, 1.0, 600, SeedPolicy(3), workers=2)
         assert serial == parallel
 
@@ -125,6 +129,191 @@ class TestSampling:
         k_inc = [r.n_jumps for r in inc]
         k_coh = [r.n_jumps for r in coh]
         assert ks_2samp(k_inc, k_coh).pvalue > 1e-3
+
+
+# Records of SeedPolicy(2026) trajectories 0-3 at tau = 1.5 from the
+# stationary state, as the scalar (one trajectory at a time) sampler drew
+# them: (index, jumps, initial label, final label). It drew the same
+# records with and without the Hamiltonian on both models.
+GOLDEN_RECORDS = {
+    "ep": [
+        (0, ((0.14492048854299355, 4), (0.22645492640619297, 3)), 2, 1),
+        (1, ((0.6150771879474632, 2), (1.4977139308962157, 1)), 1, 2),
+        (2, ((0.29722258375841193, 0), (1.4540843503405878, 1)), 2, 2),
+        (3, ((0.41712753736646846, 1), (1.073383387908971, 4)), 0, 0),
+    ],
+    "da": [
+        (0, ((0.11859241318597924, 2), (0.2583657351696982, 1)), 1, 1),
+        (1, ((0.7169945620698854, 1), (1.2583845214691616, 0)), 0, 0),
+        (2, ((0.23963582285796292, 0),), 1, 0),
+        (3, ((0.7150757781928405, 1), (1.3706642654499528, 2)), 0, 0),
+    ],
+}
+
+# SeedPolicy(2026) trajectory 0 of ep_generic from |g> at tau = 12: 17 jumps
+# need 3 + 2 * 17 uniforms, past the block read ahead per trajectory.
+GOLDEN_LONG_RECORD = (
+    (
+        (0.1877531302452553, 5), (0.2641169661842354, 4), (2.7486609617689552, 3),
+        (3.633247635770887, 2), (3.774979139815628, 1), (4.757881800343126, 0),
+        (5.766294839892552, 1), (6.083906341303572, 0), (6.418138334707271, 3),
+        (6.517820221441922, 2), (7.424448776907451, 1), (8.097446662489814, 0),
+        (8.349540978032262, 3), (8.753757857045976, 0), (9.273766036365332, 3),
+        (9.616579358399852, 0), (9.78410760985536, 3),
+    ),
+    0,
+    1,
+)
+
+
+def stepped_together(sampler: TrajectorySampler, seeds) -> list:
+    """The records of ``seeds``, stepped as one chunk and handed out by ``sample``."""
+    sampler.read_ahead(seeds)
+    return [sampler.sample(s) for s in seeds]
+
+
+class TestChunkedSampler:
+    @pytest.mark.parametrize("coherent", [False, True])
+    @pytest.mark.parametrize("name", ["ep", "da"])
+    def test_golden_records(self, name, coherent, ep_generic, da_generic):
+        model = ep_generic if name == "ep" else da_generic
+        rho = steady_state(build_generator(model, coherent=True))
+        records = sample_ensemble(
+            model, rho, 1.5, 4, SeedPolicy(2026), coherent=coherent, workers=1
+        )
+        expected = [
+            TrajectoryRecord(jumps, i0, i1, 1.5) for _, jumps, i0, i1 in GOLDEN_RECORDS[name]
+        ]
+        # exact float equality on every jump time
+        assert records == expected
+        single = sample_trajectory(
+            model, rho, 1.5, SeedPolicy(2026).trajectory_seed(2), coherent=coherent
+        )
+        assert single == expected[2]
+
+    def test_long_record_reads_past_the_uniform_block(self, ep_generic):
+        jumps, i0, i1 = GOLDEN_LONG_RECORD
+        assert 3 + 2 * len(jumps) > UNIFORM_BLOCK
+        sampler = TrajectorySampler(ep_generic, ground_state(), 12.0)
+        seeds = [SeedPolicy(2026).trajectory_seed(i) for i in range(40)]
+        records = stepped_together(sampler, seeds)
+        assert records[0] == TrajectoryRecord(jumps, i0, i1, 12.0)
+        # rows extended at different times still read their own streams
+        assert max(r.n_jumps for r in records) > len(jumps)
+        assert [sampler.sample(s) for s in seeds[:5]] == records[:5]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 255, 257, 1000])
+    def test_records_do_not_depend_on_chunking(self, ep_generic, monkeypatch, n, workers):
+        rho = ground_state()
+        policy = SeedPolicy(31)
+        sampler = TrajectorySampler(ep_generic, rho, 1.0)
+        whole = stepped_together(sampler, [policy.trajectory_seed(i) for i in range(n)])
+        monkeypatch.setattr(trajectories, "CHUNK", 128)
+        monkeypatch.setattr(trajectories, "POOL_MIN", 0)
+        assert sample_ensemble(ep_generic, rho, 1.0, n, policy, workers=workers) == whole
+        for i in {0, n // 2, n - 1}:
+            assert sampler.sample(policy.trajectory_seed(i)) == whole[i]
+
+    def test_uniform_rows_follow_their_own_streams(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds += [SeedPolicy(5).trajectory_seed(i) for i in range(50)]
+        uniforms = trajectories._Uniforms(seeds)
+        drawn = [[] for _ in seeds]
+        for step in range(4 * UNIFORM_BLOCK):
+            # a shifting subset of rows, so rows run out of their blocks at different reads
+            rows = np.arange(step % 3, len(seeds), 2)
+            for row, u in zip(rows.tolist(), uniforms.next(rows).tolist()):
+                drawn[row].append(u)
+        for seed, row in zip(seeds, drawn):
+            assert len(row) > UNIFORM_BLOCK
+            assert row == np.random.Generator(np.random.PCG64(seed)).random(len(row)).tolist()
+
+    def test_repeated_seed_gives_the_same_record(self, ep_generic):
+        sampler = TrajectorySampler(ep_generic, ground_state(), 1.0)
+        seed = SeedPolicy(8).trajectory_seed(0)
+        lone = sampler.sample(seed)
+        assert stepped_together(sampler, [seed, 5, seed]) == [lone, sampler.sample(5), lone]
+
+    def test_norm_increase_raises(self, ep_generic, monkeypatch):
+        norms = trajectories._row_norms
+        monkeypatch.setattr(trajectories, "_row_norms", lambda phi: 0.5 * norms(phi))
+        with pytest.raises(ModelValidationError, match="norm increased"):
+            sample_trajectory(ep_generic, ground_state(), 1.0, 3)
+
+    def test_no_positive_channel_raises(self, ep_generic):
+        sampler = TrajectorySampler(ep_generic, ground_state(), 5.0)
+        sampler._jump_norms = np.zeros_like(sampler._jump_norms)
+        with pytest.raises(ModelValidationError, match="no channel"):
+            sampler.read_ahead([SeedPolicy(1).trajectory_seed(i) for i in range(20)])
+
+    def test_zero_final_overlap_raises(self, ep_generic):
+        sampler = TrajectorySampler(ep_generic, ground_state(), 1.0)
+        sampler._final_projectors = {
+            k: np.zeros_like(v) for k, v in sampler._final_projectors.items()
+        }
+        with pytest.raises(ModelValidationError, match="no overlap"):
+            sampler.sample(4)
+
+    def test_bisection_step_limit_raises(self, ep_generic, monkeypatch):
+        monkeypatch.setattr(trajectories, "BISECTION_MAX_STEPS", 5)
+        sampler = TrajectorySampler(ep_generic, ground_state(), 5.0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            sampler.read_ahead([SeedPolicy(1).trajectory_seed(i) for i in range(20)])
+
+
+def reference_path_norms(pw: PathWeights, record: TrajectoryRecord) -> tuple:
+    """Record-at-a-time loop with one-vector arithmetic: the reference the
+    batched pricing must reproduce exactly."""
+    c = pw._h_transform
+
+    def stretch(phi, dt, rotate):
+        phi = np.exp(-pw._decay_rates * dt / 2.0) * phi
+        if rotate:
+            phi = (c * np.exp(-1j * pw._h_eigs * dt)) @ (c.conj().T @ phi)
+        return phi
+
+    bounds = [0.0] + [t for t, _ in record.jumps] + [record.horizon]
+    intervals = [b - a for a, b in zip(bounds[:-1], bounds[1:])]
+    norms = []
+    for rotate in (False, True):
+        phi = pw._states0[:, record.initial_label].copy()
+        for dt, (_, m) in zip(intervals, record.jumps):
+            phi = pw._jump_ops[m] @ stretch(phi, dt, rotate)
+        phi = stretch(phi, intervals[-1], rotate)
+        norms.append(float(np.vdot(phi, phi).real))
+    return tuple(norms)
+
+
+class TestBatchedPricing:
+    def test_path_norms_match_reference_loop(self, ep_generic):
+        model = rotate_model(ep_generic, np.random.default_rng(4))
+        rho = steady_state(build_generator(model, coherent=True))
+        records = sample_ensemble(model, rho, 2.0, 300, SeedPolicy(19), workers=1)
+        assert len({r.n_jumps for r in records}) > 3
+        pw = PathWeights(model, rho, 2.0)
+        expected = [reference_path_norms(pw, r) for r in records]
+        damped, full = pw.path_norms_batch(records)
+        assert list(zip(damped.tolist(), full.tolist())) == expected
+        assert [pw.path_norms(r) for r in records[:20]] == expected[:20]
+
+    def test_entropies_match_per_record(self, ep_generic):
+        rho0 = ground_state()
+        records = sample_ensemble(ep_generic, rho0, 1.0, 300, SeedPolicy(23), workers=1)
+        # q0 of |g> puts zero weight on labels 1 and 2
+        clipped = TrajectoryRecord(((0.5, 1),), initial_label=1, final_label=0, horizon=1.0)
+        records.insert(7, clipped)
+        pw = PathWeights(ep_generic, rho0, 1.0)
+        values, keep = pw.entropies(records)
+        assert keep.sum() == len(records) - 1 and not keep[7] and np.isnan(values[7])
+        for rec, value, kept in zip(records, values, keep):
+            if kept:
+                assert value == pw.entropy(rec)
+            else:
+                with pytest.raises(ZeroProbabilityLabelError):
+                    pw.entropy(rec)
+        kept_values, discarded = ensemble_entropies(pw, records)
+        assert discarded == 1 and np.array_equal(kept_values, values[keep])
 
 
 class TestPathDensities:
