@@ -6,7 +6,9 @@ precondition held. The inequalities themselves are exact, so a bound fed
 by exact statistics is "satisfied" only within 1e-9 slack; Monte Carlo
 inputs widen the tolerance to three propagated standard errors so noise
 cannot manufacture violations. A failed precondition marks the report
-not applicable (``satisfied is None``) rather than violated.
+not applicable (``satisfied is None``) rather than violated; so does a
+mean that is rounding noise, |mean| <= DEGENERATE_REL_TOL max|w| A(tau),
+for which the ratio of variance to squared mean is undefined.
 
 Bound inventory:
 
@@ -33,12 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import CountingObservable, MomentResult, ThermoCurve, mean_rate
+from .counting import CountingObservable, MomentResult, ThermoCurve, _half_windows, mean_rate
 from .engine import survival_probability
 from .operators import LindbladModel
 
 EXACT_TOL = 1e-9
 MC_SIGMAS = 3.0
+DEGENERATE_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,23 @@ def _finish(name, lhs, rhs, inputs, extra=None, stderr_lhs=None, precondition_ok
     )
 
 
+def observable_scale(obs: CountingObservable, activity: float) -> float:
+    """max_m |w_m| A(tau): the size of the largest mean the observable can reach."""
+    return max((abs(w) for w in obs.weights), default=0.0) * activity
+
+
+def _not_applicable(name, value, scale, inputs, message) -> BoundReport | None:
+    """The report of a bound whose mean ``value`` is rounding noise at the
+    observable's ``scale`` (neither side evaluated), else None. A zero
+    scale (all weights zero, or no jumps) leaves nothing to compare
+    against: a nonpositive value then raises ``message``."""
+    if value > DEGENERATE_REL_TOL * scale:
+        return None
+    if scale == 0.0:
+        raise ValueError(message)
+    return _finish(name, math.nan, math.nan, inputs, {"scale": scale}, precondition_ok=False)
+
+
 def inverse_x_tanh_x(y: float) -> float:
     """The h with h tanh(h) = y, for y >= 0; residual <= 1e-12 max(1, y).
 
@@ -176,7 +196,8 @@ def half_angle_integral(curve: ThermoCurve, t1: float, t2: float) -> float:
 
     The substitution t = u^2 removes the integrable 1/sqrt(t) endpoint
     singularity (A grows linearly from zero), after which a trapezoid on
-    the transformed grid is accurate — and exact at stationarity.
+    the transformed grid is accurate — and exact at stationarity. A(u^2)
+    is interpolated linearly between the curve's exact samples.
     """
     if t2 <= t1:
         return 0.0
@@ -210,19 +231,30 @@ def tur_activity_integral(
     curve: ThermoCurve,
     t1: float,
     t2: float,
+    scale: float,
 ) -> BoundReport:
     """Windowed activity bound between two horizons t1 < t2.
 
     lhs = ((sqrt Var_2 + sqrt Var_1) / (E_2 - E_1))^2, rhs = cot^2 of the
-    half angle integral; applies only while that angle stays below pi/2.
+    half angle integral; applies only while that angle stays below pi/2
+    and the mean grows by more than rounding noise at ``scale``
+    (:func:`observable_scale`).
     """
+    angle = half_angle_integral(curve, t1, t2)
+    inputs = {
+        "mean_1": _mean_stat(moments_1),
+        "mean_2": _mean_stat(moments_2),
+        "variance_1": _variance_stat(moments_1),
+        "variance_2": _variance_stat(moments_2),
+        "half_angle": InputStat.exact(angle),
+    }
     de = moments_2.mean - moments_1.mean
-    if de <= 0:
-        raise ValueError("mean at the later horizon must exceed the earlier one")
+    message = "mean at the later horizon must exceed the earlier one"
+    if skipped := _not_applicable("activity_window_bound", de, scale, inputs, message):
+        return skipped
     s1 = math.sqrt(max(moments_1.variance, 0.0))
     s2 = math.sqrt(max(moments_2.variance, 0.0))
     lhs = ((s1 + s2) / de) ** 2
-    angle = half_angle_integral(curve, t1, t2)
     precondition_ok = angle <= math.pi / 2 + 1e-12
     tangent = math.tan(angle)
     rhs = tangent**-2 if tangent != 0.0 else math.inf
@@ -238,13 +270,6 @@ def tur_activity_integral(
                     var_terms += (2 * lhs / de * m.stderr_mean) ** 2
         stderr_lhs = math.sqrt(var_terms)
 
-    inputs = {
-        "mean_1": _mean_stat(moments_1),
-        "mean_2": _mean_stat(moments_2),
-        "variance_1": _variance_stat(moments_1),
-        "variance_2": _variance_stat(moments_2),
-        "half_angle": InputStat.exact(angle),
-    }
     return _finish(
         "activity_window_bound",
         lhs,
@@ -267,21 +292,25 @@ def kur_differential(
     """Rate-form bound Var / (tau d_tau E)^2 >= 1 / A(tau).
 
     The mean growth rate is evaluated exactly from the state at tau; at
-    stationarity this is the relative-variance form with A = a tau.
+    stationarity this is the relative-variance form with A = a tau. The
+    bound does not apply when tau d_tau E is rounding noise at the
+    observable's scale max|w| A(tau).
     """
     dmean = mean_rate(model, rho_tau, obs)
-    if dmean == 0.0:
-        raise ValueError("mean growth rate vanishes; the bound is undefined")
-    lhs = moments.variance / (tau * dmean) ** 2
-    rhs = 1.0 / activity_total
-    stderr_lhs = None
-    if moments.method == "monte_carlo" and moments.stderr_variance:
-        stderr_lhs = moments.stderr_variance / (tau * dmean) ** 2
+    scale = observable_scale(obs, activity_total)
     inputs = {
         "variance": _variance_stat(moments),
         "mean_growth_rate": InputStat.exact(dmean),
         "activity": InputStat.exact(activity_total),
     }
+    message = "mean growth rate vanishes; the bound is undefined"
+    if skipped := _not_applicable("activity_rate_bound", abs(tau * dmean), scale, inputs, message):
+        return skipped
+    lhs = moments.variance / (tau * dmean) ** 2
+    rhs = 1.0 / activity_total
+    stderr_lhs = None
+    if moments.method == "monte_carlo" and moments.stderr_variance:
+        stderr_lhs = moments.stderr_variance / (tau * dmean) ** 2
     return _finish("activity_rate_bound", lhs, rhs, inputs, stderr_lhs=stderr_lhs)
 
 
@@ -365,13 +394,9 @@ def windowed_gamma(
     tau: float,
     coherent: bool = True,
 ) -> float:
-    """gamma(tau) from exact windowed variances at tau/2."""
-    from .counting import counting_moments
-
-    half = tau / 2.0
-    first = counting_moments(model, rho0, obs.with_window((0.0, half)), tau, coherent)
-    second = counting_moments(model, rho0, obs.with_window((half, tau)), tau, coherent)
-    total = counting_moments(model, rho0, obs.with_window((0.0, tau)), tau, coherent)
+    """gamma(tau) from exact windowed variances at tau/2, all three from
+    one block exponential over tau/2."""
+    first, second, total = _half_windows(model, rho0, obs, tau, coherent)
     return gamma_factor(first.variance, second.variance, total.variance)
 
 
@@ -400,15 +425,24 @@ def ep_tur(
     var_j: InputStat,
     gamma: float,
     sigma: float,
+    scale: float,
 ) -> BoundReport:
     """Entropy-production bound R >= csch^2(h(Sigma/2)) >= 2/(e^Sigma - 1).
 
     R = gamma Var[J]/E[J]^2; pass gamma = 1 for the stationary form. The
     report also carries the inverted bound on Sigma and the equivalent
-    arctanh/arcsinh representations.
+    arctanh/arcsinh representations. It is not applicable when E[J] is
+    rounding noise at ``scale`` (:func:`observable_scale`).
     """
-    if mean_j.value == 0.0:
-        raise ValueError("mean current vanishes; the bound is undefined")
+    inputs = {
+        "mean_current": mean_j,
+        "variance_current": var_j,
+        "entropy_production": InputStat.exact(sigma),
+    }
+    message = "mean current vanishes; the bound is undefined"
+    mean = abs(mean_j.value)
+    if skipped := _not_applicable("entropy_production_bound", mean, scale, inputs, message):
+        return skipped
     ratio = gamma * var_j.value / mean_j.value**2
     rhs_strong = csch_squared_bound(sigma)
     rhs_weak = 2.0 / math.expm1(sigma) if sigma > 0 else math.inf
@@ -426,11 +460,6 @@ def ep_tur(
         "arctanh_form": math.atanh(1.0 / math.sqrt(ratio + 1.0)) if ratio > 0 else math.inf,
         "arcsinh_form": math.asinh(1.0 / math.sqrt(ratio)) if ratio > 0 else math.inf,
         "gamma": gamma,
-    }
-    inputs = {
-        "mean_current": mean_j,
-        "variance_current": var_j,
-        "entropy_production": InputStat.exact(sigma),
     }
     return _finish("entropy_production_bound", ratio, rhs_strong, inputs, extra, stderr_lhs)
 

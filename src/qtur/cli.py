@@ -40,7 +40,6 @@ from .trajectories import (
     PathWeights,
     SeedPolicy,
     estimate,
-    record_observable,
     sample_ensemble,
 )
 
@@ -192,14 +191,15 @@ def _cmd_trajectories(args) -> int:
     exact = counting_moments(model, rho0, obs, args.tau, coherent=True)
     print(f"exact mean: {exact.mean:.12g}   exact variance: {exact.variance:.12g}")
     if args.out:
-        _dump_records(args.out, records, obs, entropies)
+        _dump_records(args.out, records, est.values, entropies)
         print(f"wrote {args.out}")
     return 0
 
 
-def _dump_records(path, records, obs, entropies) -> None:
-    """Record CSV; ``entropies`` holds per-record values, nan where a record
-    was discarded, or is None when the model carries no entropy weights."""
+def _dump_records(path, records, values, entropies) -> None:
+    """Record CSV; ``values`` holds each record's observable, ``entropies``
+    per-record values, nan where a record was discarded, or is None when
+    the model carries no entropy weights."""
     kmax = max((r.n_jumps for r in records), default=0)
     header = (
         ["run_index", "K"]
@@ -223,7 +223,7 @@ def _dump_records(path, records, obs, entropies) -> None:
                 + [
                     str(rec.initial_label),
                     str(rec.final_label),
-                    format_cell(record_observable(rec, obs)),
+                    format_cell(values[idx]),
                     entropy,
                 ]
             )
@@ -242,14 +242,14 @@ def _cmd_bounds(args) -> int:
 
     mom = counting_moments(model, rho0, obs, tau, coherent=coherent)
     curve = activity_curve(model, rho0, tau, coherent=coherent)
+    scale = bounds_mod.observable_scale(obs, curve.activity[-1])
     gen = build_generator(model, coherent=coherent)
     rho_tau = propagate(gen, rho0, tau)
     reports.append(
         bounds_mod.kur_differential(model, rho_tau, obs, tau, curve.activity[-1], mom)
     )
     half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent)
-    if mom.mean > half.mean:
-        reports.append(bounds_mod.tur_activity_integral(half, mom, curve, tau / 2.0, tau))
+    reports.append(bounds_mod.tur_activity_integral(half, mom, curve, tau / 2.0, tau, scale))
     reports.append(bounds_mod.survival_bound_check(model, rho0, tau))
     if model.has_entropy_weights:
         sigma = entropy_production(model, rho0, tau, coherent=coherent)
@@ -260,6 +260,7 @@ def _cmd_bounds(args) -> int:
                 bounds_mod.InputStat.exact(mom.variance),
                 gamma,
                 sigma,
+                scale,
             )
         )
 

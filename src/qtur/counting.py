@@ -1,21 +1,24 @@
-"""Exact moments of counting observables and thermodynamic rate curves.
+"""Exact moments of counting observables and exact thermodynamic curves.
 
-The first two moments of a weighted jump count come from an augmented
-linear system rather than counting-field finite differences: stacking
-(rho, rho1, rho2) and integrating
+Every time integral comes from one kernel: the exponential of the
+generator L augmented with what is integrated against it (C. F. Van Loan,
+IEEE Trans. Autom. Control 23, 1978). For rows R,
+
+    exp(t [[L, 0], [R, 0]]) (vec rho0, 0) = (vec rho(t), int_0^t R vec rho),
+
+so the activity row a = sum_m vec(L_m^dag L_m)^dag and the entropy row
+s = sum_m ds_m vec(L_m^dag L_m)^dag give A(t) and the environment entropy
+flow exactly, and stepping the block along a uniform grid samples both
+curves exactly. Moments of a weighted jump count put the superoperator
+J_w rho = sum_m w_m L_m rho L_m^dag in place of rows:
 
     d rho  / dt = L rho
     d rho1 / dt = L rho1 + J_c rho
     d rho2 / dt = L rho2 + 2 J_c rho1 + J_c2 rho
 
-with J_w rho = sum_m w_m L_m rho L_m^dag gives mean = Tr rho1(tau) and
-second moment = Tr rho2(tau) exactly (the block-triangular generator is
-exponentiated per window segment, with the source blocks active only
-inside the observation window). No step-size tuning enters anywhere.
-
-Activity and entropy-flow curves integrate the instantaneous jump rates
-with a composite trapezoid on a configurable grid (default 2048 points;
-the integrands are smooth and the generators cheap to step).
+gives mean = Tr rho1(tau) and second moment = Tr rho2(tau). Before the
+observation window only rho evolves; after it the traces stay put (L
+preserves the trace), so integration stops at the window end.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .engine import build_generator, sandwich, step_propagator, unvec, vec
+from .engine import build_generator, sandwich, unvec, vec
 from .operators import (
     LindbladModel,
     ModelValidationError,
@@ -33,7 +36,7 @@ from .operators import (
     von_neumann_trace_term,
 )
 
-DEFAULT_GRID = 2048
+DEFAULT_GRID = 2048  # activity-curve samples; half_angle_integral interpolates them
 
 
 @dataclass(frozen=True)
@@ -102,11 +105,13 @@ class MomentResult:
 
 @dataclass(frozen=True)
 class ThermoCurve:
-    """Jump-rate curves on a time grid.
+    """Jump-rate curves sampled exactly on a uniform time grid.
 
     ``activity_rate``/``activity`` are the instantaneous and integrated
-    total jump rates; the entropy fields are present only when every
-    channel carries an entropy change.
+    total jump rates a(t_k) and A(t_k); the entropy fields (rate and
+    integrated environment flow) are present only when every channel
+    carries an entropy change. Only rounding separates the samples from
+    the true values.
     """
 
     times: np.ndarray
@@ -128,6 +133,28 @@ def _weighted_jump_superop(model: LindbladModel, weights) -> np.ndarray:
     return out
 
 
+def _moment_block(model: LindbladModel, gen: np.ndarray, weights) -> np.ndarray:
+    j1 = _weighted_jump_superop(model, weights)
+    j2 = _weighted_jump_superop(model, [w * w for w in weights])
+    zero = np.zeros_like(gen)
+    return np.block([[gen, zero, zero], [j1, gen, zero], [j2, 2 * j1, gen]])
+
+
+def _moments(y: np.ndarray, dim: int) -> MomentResult:
+    n = dim * dim
+    tr = vec(np.eye(dim)).conj()
+    mean = float(np.real(tr @ y[n : 2 * n]))
+    second = float(np.real(tr @ y[2 * n :]))
+    return MomentResult(mean=mean, second_moment=second, variance=second - mean * mean)
+
+
+def _check(model: LindbladModel, obs: CountingObservable, tau: float) -> None:
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    if len(obs.weights) != model.n_channels:
+        raise ValueError("weight vector length does not match the channel count")
+
+
 def counting_moments(
     model: LindbladModel,
     rho0: np.ndarray,
@@ -136,30 +163,32 @@ def counting_moments(
     coherent: bool = True,
 ) -> MomentResult:
     """Exact mean/variance of the windowed count up to ``tau``."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if len(obs.weights) != model.n_channels:
-        raise ValueError("weight vector length does not match the channel count")
+    _check(model, obs, tau)
     t_a, t_b = obs.resolved_window(tau)
-
     gen = build_generator(model, coherent=coherent).matrix
     n = gen.shape[0]
-    j1 = _weighted_jump_superop(model, obs.weights)
-    j2 = _weighted_jump_superop(model, [w * w for w in obs.weights])
-
-    zero = np.zeros_like(gen)
-    active = np.block([[gen, zero, zero], [j1, gen, zero], [j2, 2 * j1, gen]])
-    idle = np.block([[gen, zero, zero], [zero, gen, zero], [zero, zero, gen]])
-
     y = np.zeros(3 * n, dtype=complex)
-    y[:n] = vec(rho0)
-    for lo, hi, block in ((0.0, t_a, idle), (t_a, t_b, active), (t_b, tau, idle)):
-        if hi > lo:
-            y = expm(block * (hi - lo)) @ y
-    tr = vec(np.eye(model.dim)).conj()
-    mean = float(np.real(tr @ y[n : 2 * n]))
-    second = float(np.real(tr @ y[2 * n :]))
-    return MomentResult(mean=mean, second_moment=second, variance=second - mean * mean)
+    y[:n] = expm(gen * t_a) @ vec(rho0) if t_a > 0 else vec(rho0)
+    if t_b > t_a:
+        y = expm(_moment_block(model, gen, obs.weights) * (t_b - t_a)) @ y
+    return _moments(y, model.dim)
+
+
+def _half_windows(model, rho0, obs, tau: float, coherent: bool) -> tuple:
+    """Moments over [0, tau/2], [tau/2, tau] and [0, tau] from one block
+    exponential E over tau/2: E y0, E (rho(tau/2), 0, 0) and E E y0, with
+    y0 = (rho0, 0, 0). ``obs.window`` is ignored."""
+    _check(model, obs, tau)
+    gen = build_generator(model, coherent=coherent).matrix
+    n = gen.shape[0]
+    step = expm(_moment_block(model, gen, obs.weights) * (tau / 2.0))
+    first = np.zeros(3 * n, dtype=complex)
+    first[:n] = vec(rho0)
+    first = step @ first
+    restart = np.zeros_like(first)
+    restart[:n] = first[:n]
+    second, total = (step @ np.stack([restart, first], axis=1)).T
+    return tuple(_moments(y, model.dim) for y in (first, second, total))
 
 
 def mean_rate(model: LindbladModel, rho_t: np.ndarray, obs: CountingObservable) -> float:
@@ -180,43 +209,27 @@ def channel_rates(model: LindbladModel, rho_t: np.ndarray) -> np.ndarray:
     )
 
 
-def _rate_curves(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    tau: float,
-    n_grid: int,
-    coherent: bool,
-    entropy_weights: np.ndarray | None,
-):
-    if tau > 0 and n_grid < 2:
-        raise ValueError("a positive horizon needs at least two grid points")
-    gen = build_generator(model, coherent=coherent)
-    times = np.linspace(0.0, tau, n_grid)
-    step = step_propagator(gen, times[1] - times[0]) if n_grid > 1 else None
-    ops = [dagger(c.L) @ c.L for c in model.channels]
-
-    a_rate = np.empty(n_grid)
-    s_rate = np.empty(n_grid) if entropy_weights is not None else None
-    x = vec(rho0)
-    rho_tau = unvec(x)
-    for k in range(n_grid):
-        rho = unvec(x)
-        rates = np.array([float(np.real(np.trace(op @ rho))) for op in ops])
-        a_rate[k] = rates.sum()
-        if s_rate is not None:
-            s_rate[k] = float(entropy_weights @ rates)
-        if k == n_grid - 1:
-            rho_tau = rho
-        elif step is not None:
-            x = step @ x
-    return times, a_rate, s_rate, rho_tau
-
-
-def _cumtrapz(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    if len(times) > 1:
-        out[1:] = np.cumsum(np.diff(times) * (values[1:] + values[:-1]) / 2.0)
-    return out
+def _samples(model, weight_rows, rho0, h: float, steps: int, coherent: bool):
+    """Rates r_j vec rho(t_k) and integrals int_0^t_k r_j vec rho, as
+    (steps + 1, j) arrays with t_k = k h, where r_j vec rho = sum_m w_jm
+    Tr[L_m^dag L_m rho]; plus vec rho(steps h). The Van Loan block's
+    exponential over h is applied once per step."""
+    if h < 0:
+        raise ValueError("tau must be nonnegative")
+    gen = build_generator(model, coherent=coherent).matrix
+    n = gen.shape[0]
+    ops = [vec(dagger(c.L) @ c.L).conj() for c in model.channels]
+    rows = np.atleast_2d(weight_rows) @ np.reshape(ops, (len(ops), n))
+    k = rows.shape[0]
+    block = np.zeros((n + k, n + k), dtype=complex)
+    block[:n, :n] = gen
+    block[n:, :n] = rows
+    step = expm(block * h)
+    y = np.zeros((steps + 1, n + k), dtype=complex)
+    y[0, :n] = vec(rho0)
+    for i in range(steps):
+        y[i + 1] = step @ y[i]
+    return (y[:, :n] @ rows.T).real, np.array(y[:, n:].real), y[-1, :n]
 
 
 def activity_curve(
@@ -226,21 +239,21 @@ def activity_curve(
     n_grid: int = DEFAULT_GRID,
     coherent: bool = True,
 ) -> ThermoCurve:
-    """Instantaneous and integrated total jump rate on [0, tau].
-
-    When the model carries entropy weights the entropy-flow curves come
-    along for free.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    ds = model.entropy_weights() if model.has_entropy_weights else None
-    times, a_rate, s_rate, _ = _rate_curves(model, rho0, tau, n_grid, coherent, ds)
+    """Exact total jump rate and its integral at ``n_grid`` uniform times
+    over [0, tau], with the entropy-flow curves when the model has ds."""
+    if n_grid < 2:
+        raise ValueError("an activity curve needs at least two grid points")
+    weights = [np.ones(model.n_channels)]
+    if model.has_entropy_weights:
+        weights.append(model.entropy_weights())
+    rates, flows, _ = _samples(model, weights, rho0, tau / (n_grid - 1), n_grid - 1, coherent)
+    entropy = len(weights) > 1
     return ThermoCurve(
-        times=times,
-        activity_rate=a_rate,
-        activity=_cumtrapz(times, a_rate),
-        entropy_rate=s_rate,
-        entropy_flow=None if s_rate is None else _cumtrapz(times, s_rate),
+        times=np.linspace(0.0, tau, n_grid),
+        activity_rate=rates[:, 0],
+        activity=flows[:, 0],
+        entropy_rate=rates[:, 1] if entropy else None,
+        entropy_flow=flows[:, 1] if entropy else None,
     )
 
 
@@ -248,18 +261,16 @@ def entropy_production(
     model: LindbladModel,
     rho0: np.ndarray,
     tau: float,
-    n_grid: int = DEFAULT_GRID,
     coherent: bool = True,
 ) -> float:
     """Total entropy production over [0, tau].
 
     System term Tr[rho(0) ln rho(0)] - Tr[rho(tau) ln rho(tau)] plus the
-    integrated environment entropy flow. Requires ds on every channel.
+    environment entropy flow, both from one exponential of the block
+    [[L, 0], [s, 0]] tau. Requires ds on every channel.
     """
-    ds = model.entropy_weights()
-    times, _, s_rate, rho_tau = _rate_curves(model, rho0, tau, n_grid, coherent, ds)
-    flow = float(np.trapezoid(s_rate, times))
-    return von_neumann_trace_term(rho0) - von_neumann_trace_term(rho_tau) + flow
+    _, flows, x = _samples(model, model.entropy_weights(), rho0, tau, 1, coherent)
+    return von_neumann_trace_term(rho0) - von_neumann_trace_term(unvec(x)) + float(flows[-1, 0])
 
 
 def entropy_production_rate(model: LindbladModel, rho: np.ndarray) -> float:

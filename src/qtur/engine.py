@@ -119,13 +119,6 @@ def propagate(gen: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def step_propagator(gen: Liouvillian, dt: float) -> np.ndarray:
-    """exp(L dt) for repeated application along a uniform grid."""
-    if dt < 0:
-        raise ValueError("step must be nonnegative")
-    return expm(gen.matrix * dt)
-
-
 def steady_state(gen: Liouvillian) -> np.ndarray:
     """Unique trace-one null state of the generator.
 

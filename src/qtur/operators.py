@@ -1,6 +1,8 @@
 """Dense operator algebra, model containers and structural validation.
 
-Everything operates on small dense complex matrices (dimension <= ~64).
+Everything operates on small dense complex matrices. The wall is the
+d^2 x d^2 superoperator: on 2 cores exact moments take 5 to 7 s at
+d = 24, and at d = 64 their 3 d^2 block would need about 2.4 GB.
 Operators and density matrices are plain ``numpy`` arrays; the model layer
 below adds the structure a monitored open system needs:
 

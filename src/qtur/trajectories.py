@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -474,49 +474,60 @@ class PathWeights(Unravelling):
             phi = _matvec(self._jump_ops[channels[:, k]], phi)
         return self._propagate(phi, intervals[:, -1], rotate)
 
-    def _thread_one(self, times, channels, start, horizon: float) -> np.ndarray:
-        """One Hamiltonian-free path: a batch of one for :meth:`_thread`."""
-        intervals = _intervals(np.array([times], dtype=float).reshape(1, -1), horizon)
-        channels = np.array([channels], dtype=np.intp).reshape(1, -1)
-        return self._thread(intervals, channels, start[None, :], False)[0]
+    def _path_densities(self, records, backward: bool) -> np.ndarray:
+        """Forward densities of every record or, with ``backward``, the
+        densities of the records run backwards through partner channels."""
+        partners = np.array([-1 if c.partner is None else c.partner for c in self.model.channels])
+        out = np.empty(len(records))
+        for idx, times, channels in _by_jump_count(records):
+            horizons = np.array([records[i].horizon for i in idx])
+            start = self._states0[:, [records[i].initial_label for i in idx]].T
+            end = self._states_tau[:, [records[i].final_label for i in idx]].T
+            weight = self.q0[[records[i].initial_label for i in idx]]
+            if backward:
+                unpaired = channels[partners[channels] < 0]
+                if unpaired.size:
+                    raise ModelValidationError(
+                        f"channel {unpaired[0]} is unpaired; no reverse path exists"
+                    )
+                times, channels = horizons[:, None] - times[:, ::-1], partners[channels[:, ::-1]]
+                start, end = end, start
+                weight = self.qtau[[records[i].final_label for i in idx]]
+            phi = self._thread(_intervals(times, horizons), channels, start, False)
+            amp = (end.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0]
+            out[idx] = weight * np.abs(amp) ** 2
+        return out
 
     def forward_density(self, record: TrajectoryRecord) -> float:
-        phi = self._thread_one(
-            [t for t, _ in record.jumps],
-            [m for _, m in record.jumps],
-            self._states0[:, record.initial_label],
-            record.horizon,
-        )
-        amp = self._states_tau[:, record.final_label].conj() @ phi
-        return float(self.q0[record.initial_label] * np.abs(amp) ** 2)
+        return float(self._path_densities([record], False)[0])
 
     def backward_density(self, record: TrajectoryRecord) -> float:
-        channels = []
-        for _, m in reversed(record.jumps):
-            partner = self.model.channels[m].partner
-            if partner is None:
-                raise ModelValidationError(f"channel {m} is unpaired; no reverse path exists")
-            channels.append(partner)
-        phi = self._thread_one(
-            [record.horizon - t for t, _ in reversed(record.jumps)],
-            channels,
-            self._states_tau[:, record.final_label],
-            record.horizon,
-        )
-        amp = self._states0[:, record.initial_label].conj() @ phi
-        return float(self.qtau[record.final_label] * np.abs(amp) ** 2)
+        return float(self._path_densities([record], True)[0])
+
+    def densities_batch(self, records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Forward, backward and predicted backward densities of every
+        record, as three arrays; the prediction is nan where the initial
+        label has clipped weight."""
+        forward = self._path_densities(records, False)
+        backward = self._path_densities(records, True)
+        ds = self.model.entropy_weights()
+        total_ds = np.array([sum(ds[m] for _, m in rec.jumps) for rec in records], dtype=float)
+        q0 = self.q0[[rec.initial_label for rec in records]]
+        qt = self.qtau[[rec.final_label for rec in records]]
+        predicted = np.full(len(records), np.nan)
+        ok = q0 > EIGENVALUE_CLIP
+        predicted[ok] = np.exp(-total_ds[ok]) * (qt[ok] / q0[ok]) * forward[ok]
+        return forward, backward, predicted
 
     def densities(self, record: TrajectoryRecord) -> PathDensityPair:
-        p = self.forward_density(record)
-        q = self.backward_density(record)
-        ds = self.model.entropy_weights()
-        total_ds = sum(ds[m] for _, m in record.jumps)
-        q0 = self.q0[record.initial_label]
-        qt = self.qtau[record.final_label]
-        if q0 <= EIGENVALUE_CLIP:
+        forward, backward, predicted = self.densities_batch([record])
+        if np.isnan(predicted[0]):
             raise ZeroProbabilityLabelError("initial label has zero weight")
-        predicted = float(np.exp(-total_ds) * (qt / q0) * p)
-        return PathDensityPair(forward=p, backward=q, predicted_backward=predicted)
+        return PathDensityPair(
+            forward=float(forward[0]),
+            backward=float(backward[0]),
+            predicted_backward=float(predicted[0]),
+        )
 
     def entropy(self, record: TrajectoryRecord) -> float:
         return record_entropy(self.model, record, self.q0, self.qtau)
@@ -597,6 +608,7 @@ class EnsembleEstimate:
 
     Absolute moments E|N|^r are reported for each requested order; the
     entropy fields appear when per-record entropies were attached.
+    ``values`` keeps the observable of every record, in record order.
     """
 
     n: int
@@ -609,6 +621,7 @@ class EnsembleEstimate:
     entropy_mean: float | None = None
     entropy_stderr: float | None = None
     n_discarded: int = 0
+    values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_moment_result(self) -> MomentResult:
         """The first two moments in the shape the bound evaluators take."""
@@ -665,4 +678,5 @@ def estimate(
         entropy_mean=entropy_mean,
         entropy_stderr=entropy_stderr,
         n_discarded=n_discarded,
+        values=values,
     )

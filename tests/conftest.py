@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qtur import build_da_model, build_ep_model, build_poisson_model
 from qtur.operators import LindbladModel
+
+# Examples that run matrix exponentials take a variable time on a loaded
+# machine, so no property test has a per-example deadline.
+settings.register_profile("qtur", deadline=None)
+settings.load_profile("qtur")
 
 
 def da_steady_state_closed_form(g1, g2, g3, g4) -> np.ndarray:

@@ -156,14 +156,13 @@ def test_criterion_07_entropy_equals_kl():
     records = sample_ensemble(model, rho, tau, n, SeedPolicy(707), workers=2)
     pw = PathWeights(model, rho, tau)
 
-    worst_ratio = 0.0
-    for rec in records:
-        d = pw.densities(rec)
-        worst_ratio = max(
-            worst_ratio,
-            abs(d.backward - d.predicted_backward)
-            / max(d.backward, d.predicted_backward, 1e-300),
+    _, backward, predicted = pw.densities_batch(records)
+    worst_ratio = float(
+        np.max(
+            np.abs(backward - predicted) / np.maximum(np.maximum(backward, predicted), 1e-300),
+            initial=0.0,
         )
+    )
 
     entropies, discarded = ensemble_entropies(pw, records)
     kl = float(entropies.mean())

@@ -65,7 +65,7 @@ class TestActivityWindowBound:
         rate, t1, t2 = 0.7, 1.0, 2.0
         curve = activity_curve(poisson, scalar_one, t2, n_grid=512)
         rep = tur_activity_integral(
-            poisson_moments(rate, t1), poisson_moments(rate, t2), curve, t1, t2
+            poisson_moments(rate, t1), poisson_moments(rate, t2), curve, t1, t2, scale=0.0
         )
         lhs_ref = ((math.sqrt(rate * t2) + math.sqrt(rate * t1)) / (rate * (t2 - t1))) ** 2
         angle_ref = math.sqrt(rate) * (math.sqrt(t2) - math.sqrt(t1))
@@ -77,7 +77,7 @@ class TestActivityWindowBound:
         rate, tau = 0.7, 2.0
         curve = activity_curve(poisson, scalar_one, tau, n_grid=512)
         zero = MomentResult(mean=0.0, second_moment=0.0, variance=0.0)
-        rep = tur_activity_integral(zero, poisson_moments(rate, tau), curve, 0.0, tau)
+        rep = tur_activity_integral(zero, poisson_moments(rate, tau), curve, 0.0, tau, scale=0.0)
         # relative variance against cot^2 of sqrt(activity)
         assert rep.lhs == pytest.approx(1.0 / (rate * tau), rel=1e-12)
         assert rep.rhs == pytest.approx(math.tan(math.sqrt(rate * tau)) ** -2, rel=1e-9)
@@ -87,7 +87,7 @@ class TestActivityWindowBound:
         rate, tau = 0.7, 9.0  # sqrt(rate * tau) > pi/2
         curve = activity_curve(poisson, scalar_one, tau, n_grid=512)
         zero = MomentResult(mean=0.0, second_moment=0.0, variance=0.0)
-        rep = tur_activity_integral(zero, poisson_moments(rate, tau), curve, 0.0, tau)
+        rep = tur_activity_integral(zero, poisson_moments(rate, tau), curve, 0.0, tau, scale=0.0)
         assert not rep.precondition_ok
         assert rep.satisfied is None
 
@@ -95,7 +95,7 @@ class TestActivityWindowBound:
         curve = activity_curve(poisson, scalar_one, 1.0, n_grid=64)
         with pytest.raises(ValueError, match="exceed"):
             tur_activity_integral(
-                poisson_moments(0.7, 1.0), poisson_moments(0.7, 1.0), curve, 0.5, 1.0
+                poisson_moments(0.7, 1.0), poisson_moments(0.7, 1.0), curve, 0.5, 1.0, scale=0.0
             )
 
     def test_steady_state_triple_satisfied(self, da_generic):
@@ -105,7 +105,7 @@ class TestActivityWindowBound:
         m1 = counting_moments(da_generic, rho, obs, t1)
         m2 = counting_moments(da_generic, rho, obs, t2)
         curve = activity_curve(da_generic, rho, t2, n_grid=512)
-        rep = tur_activity_integral(m1, m2, curve, t1, t2)
+        rep = tur_activity_integral(m1, m2, curve, t1, t2, scale=0.0)
         assert rep.precondition_ok and rep.satisfied
 
 
@@ -227,6 +227,37 @@ class TestMomentRatioBounds:
             )
 
 
+class TestDegenerateMeans:
+    """A mean that is rounding noise at the observable's scale max|w| A(tau)
+    makes a bound not applicable instead of satisfied at a huge lhs."""
+
+    def test_rate_bound_on_stationary_current(self, ep_generic):
+        # net flux into |g>, which vanishes at stationarity
+        rho = steady_state(build_generator(ep_generic, coherent=True))
+        obs = CountingObservable((1.0, -1.0, 1.0, -1.0, 1.0, -1.0), antisymmetric=True)
+        tau = 1.0
+        mom = counting_moments(ep_generic, rho, obs, tau)
+        activity = activity_curve(ep_generic, rho, tau).activity[-1]
+        rep = kur_differential(ep_generic, rho, obs, tau, activity, mom)
+        assert rep.satisfied is None and not rep.precondition_ok
+        assert math.isnan(rep.lhs) and math.isnan(rep.rhs)
+        assert rep.extra["scale"] == pytest.approx(activity)
+
+    def test_ep_bound_below_noise_floor(self):
+        for mean in (0.0, 1e-16, -3e-12):
+            rep = ep_tur(InputStat.exact(mean), InputStat.exact(0.4), 1.0, 0.5, scale=1.2)
+            assert rep.satisfied is None and not rep.precondition_ok
+        resolved = ep_tur(InputStat.exact(1e-6), InputStat.exact(0.4), 1.0, 0.5, scale=1.2)
+        assert resolved.precondition_ok and resolved.satisfied
+
+    def test_window_bound_without_growth(self, poisson, scalar_one):
+        curve = activity_curve(poisson, scalar_one, 1.0, n_grid=64)
+        flat = poisson_moments(0.7, 1.0)
+        rep = tur_activity_integral(flat, flat, curve, 0.5, 1.0, scale=0.7)
+        assert rep.satisfied is None and not rep.precondition_ok
+        assert rep.inputs["half_angle"].value > 0
+
+
 class TestGammaFactor:
     def test_poisson_independent_increments(self, poisson, scalar_one):
         g = windowed_gamma(poisson, scalar_one, CountingObservable((1.0,)), 2.0)
@@ -280,7 +311,9 @@ class TestEntropyProductionBound:
         tau = 1.0
         mom = counting_moments(ep_generic, rho, obs, tau)
         sigma = entropy_production_rate(ep_generic, rho) * tau
-        rep = ep_tur(InputStat.exact(mom.mean), InputStat.exact(mom.variance), 1.0, sigma)
+        rep = ep_tur(
+            InputStat.exact(mom.mean), InputStat.exact(mom.variance), 1.0, sigma, scale=0.0
+        )
         assert rep.satisfied
         assert rep.rhs >= rep.extra["rhs_weak"] - 1e-12
         assert abs(rep.extra["arctanh_form"] - rep.extra["arcsinh_form"]) <= 1e-12
@@ -332,6 +365,7 @@ class TestEntropyProductionBound:
             InputStat.monte_carlo(1.0, 0.08),
             1.0,
             2.0,
+            scale=0.0,
         )
         assert rep.tol > 1e-9
 
@@ -361,7 +395,7 @@ class TestBoundReport:
         assert a.lhs == b.lhs and a.rhs == b.rhs and a.slack == b.slack
 
     def test_lhs_recomputable_from_stored_inputs(self):
-        rep = ep_tur(InputStat.exact(0.7), InputStat.exact(0.9), 1.3, 2.0)
+        rep = ep_tur(InputStat.exact(0.7), InputStat.exact(0.9), 1.3, 2.0, scale=0.0)
         mean = rep.inputs["mean_current"].value
         var = rep.inputs["variance_current"].value
         assert rep.lhs == rep.extra["gamma"] * var / mean**2

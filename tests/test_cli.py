@@ -1,13 +1,27 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtur.cli import main
 from qtur.models import build_ep_model, save_model
 
+README_EP = ("--builtin", "ep", "--rates", "0.7,0.3,0.5,0.4,0.6,0.2")
+
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def bounds_reports(*argv) -> tuple[int, list]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run_cli("bounds", *argv)
+    return code, [json.loads(line) for line in buf.getvalue().splitlines()]
 
 
 class TestSteadyState:
@@ -62,6 +76,12 @@ class TestTrajectories:
         assert header[:2] == ["run_index", "K"]
         assert header[-4:] == ["i", "i_prime", "N_value", "entropy_value"]
         assert len(lines) == 121
+        # the default current weighs decays (even channels) +1, excitations -1
+        kmax = (len(header) - 6) // 2
+        for line in lines[1:]:
+            cells = line.split(",")
+            channels = [int(m) for m in cells[2 + kmax : 2 + 2 * kmax] if m]
+            assert float(cells[-2]) == sum(1 if m % 2 == 0 else -1 for m in channels)
 
     def test_reports_exact_comparison(self, capsys):
         code = run_cli(
@@ -83,6 +103,47 @@ class TestBounds:
         names = [json.loads(line)["name"] for line in out.strip().split("\n")]
         assert "survival_bound" in names
         assert "entropy_production_bound" in names
+
+    def test_readme_command_certifies_no_rounding_noise(self):
+        code, reports = bounds_reports(*README_EP, "--tau", "1")
+        assert code == 0
+        assert not [r for r in reports if r["satisfied"] and abs(r["lhs"]) > 1e12]
+        # the default current is the net flux into |g>, zero at stationarity
+        skipped = {r["name"] for r in reports if not r["precondition_ok"]}
+        assert skipped == {
+            "activity_rate_bound", "activity_window_bound", "entropy_production_bound"
+        }
+
+    @settings(max_examples=25)
+    @given(
+        decay=st.lists(st.floats(0.3, 1.0), min_size=3, max_size=3),
+        excite=st.lists(st.floats(0.05, 0.25), min_size=3, max_size=3),
+        tau=st.floats(0.2, 3.0),
+        c=st.floats(1e-2, 1e2),
+        rho0=st.sampled_from(("ground", "ss")),
+    )
+    def test_time_rescaling_changes_nothing(self, decay, excite, tau, c, rho0):
+        # every rate and omega times c, tau over c: the same process in other time units
+        rates = [g for pair in zip(decay, excite) for g in pair]
+        base = bounds_reports(*README_EP[:3], ",".join(map(repr, rates)),
+                              "--tau", repr(tau), "--rho0", rho0)
+        scaled = bounds_reports("--builtin", "ep", "--omega-e", repr(c),
+                                "--rates", ",".join(repr(c * g) for g in rates),
+                                "--tau", repr(tau / c), "--rho0", rho0)
+        assert base[0] == scaled[0] == 0
+        assert len(base[1]) == len(scaled[1])
+        for a, b in zip(base[1], scaled[1]):
+            assert (a["name"], a["satisfied"], a["precondition_ok"]) == (
+                b["name"], b["satisfied"], b["precondition_ok"]
+            )
+            for key in ("lhs", "rhs"):
+                if not math.isnan(a[key]):
+                    assert b[key] == pytest.approx(a[key], rel=1e-9)
+            for key, stat in a["inputs"].items():
+                per_time = key in ("mean_growth_rate", "initial_rate")
+                value = b["inputs"][key]["value"] / (c if per_time else 1.0)
+                # moments, A(tau), Sigma and the half angle carry no time unit
+                assert value == pytest.approx(stat["value"], rel=1e-9, abs=1e-12), key
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "bounds.csv"

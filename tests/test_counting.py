@@ -10,9 +10,10 @@ from qtur.counting import (
     entropy_production,
     entropy_production_rate,
     mean_rate,
+    _half_windows,
 )
 from qtur.engine import build_generator, propagate, steady_state
-from qtur.operators import ModelValidationError
+from qtur.operators import ModelValidationError, von_neumann_trace_term
 from conftest import (
     da_activity_split_closed_form,
     ground_state,
@@ -144,7 +145,7 @@ class TestActivityCurve:
 class TestEntropyProduction:
     def test_equilibrium_is_zero(self, ep_equilibrium):
         rho = steady_state(build_generator(ep_equilibrium, coherent=True))
-        assert entropy_production(ep_equilibrium, rho, 2.0, n_grid=256) == pytest.approx(
+        assert entropy_production(ep_equilibrium, rho, 2.0) == pytest.approx(
             0.0, abs=1e-10
         )
 
@@ -152,7 +153,7 @@ class TestEntropyProduction:
         rho = steady_state(build_generator(ep_generic, coherent=True))
         sigma = entropy_production_rate(ep_generic, rho)
         for tau in (0.5, 1.0, 2.0):
-            total = entropy_production(ep_generic, rho, tau, n_grid=512)
+            total = entropy_production(ep_generic, rho, tau)
             assert total == pytest.approx(sigma * tau, rel=1e-9, abs=1e-11)
 
     def test_matches_without_hamiltonian(self, ep_generic):
@@ -172,6 +173,72 @@ class TestEntropyProduction:
     def test_missing_entropy_weights_rejected(self, da_generic):
         with pytest.raises(ModelValidationError, match="ds"):
             entropy_production(da_generic, ground_state(), 1.0)
+
+
+def moment_route_entropy(model, rho0, tau):
+    """Sigma by an independent exact route: the mean of the ds-weighted
+    count plus the von Neumann end terms of a separately propagated state."""
+    flow = counting_moments(model, rho0, CountingObservable(model.entropy_weights()), tau).mean
+    rho_tau = propagate(build_generator(model, coherent=True), rho0, tau)
+    return von_neumann_trace_term(rho0) - von_neumann_trace_term(rho_tau) + flow
+
+
+def assert_moments_close(got, want, rel):
+    for field in ("mean", "second_moment", "variance"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=rel), field
+
+
+class TestExactKernel:
+    def test_entropy_production_matches_moment_route(self, ep_generic):
+        rng = np.random.default_rng(12)
+        for model in (ep_generic, rotate_model(ep_generic, rng)):
+            rho_ss = steady_state(build_generator(model, coherent=True))
+            for rho0, tau in ((ground_state(), 50.0), (ground_state(), 1.0), (rho_ss, 1.0)):
+                assert entropy_production(model, rho0, tau) == pytest.approx(
+                    moment_route_entropy(model, rho0, tau), rel=1e-12
+                )
+
+    def test_half_windows_match_separate_windows(self, da_generic, ep_generic):
+        rng = np.random.default_rng(31)
+        cases = (
+            (da_generic, (0.5, 1.0, 0.25, 0.75)),
+            (rotate_model(ep_generic, rng), (1.0, -0.3, 0.6, 0.2, -0.8, 0.4)),
+        )
+        for model, weights in cases:
+            rho0 = random_pure_state(3, rng)
+            obs = CountingObservable(weights)
+            tau = 1.7
+            merged = _half_windows(model, rho0, obs, tau, True)
+            windows = ((0.0, tau / 2), (tau / 2, tau), (0.0, tau))
+            separate = [counting_moments(model, rho0, obs.with_window(w), tau) for w in windows]
+            for got, want in zip(merged, separate):
+                assert_moments_close(got, want, 1e-12)
+            assert_moments_close(merged[0], counting_moments(model, rho0, obs, tau / 2), 1e-12)
+
+    def test_curve_samples_are_exact(self, ep_generic):
+        rho0, tau = ground_state(), 2.0
+        curve = activity_curve(ep_generic, rho0, tau, n_grid=257)
+        count = CountingObservable.total_count(6)
+        flow = CountingObservable(ep_generic.entropy_weights())
+        for k in (1, 100, 256):
+            t = curve.times[k]
+            assert curve.activity[k] == pytest.approx(
+                counting_moments(ep_generic, rho0, count, t).mean, rel=1e-12
+            )
+            assert curve.entropy_flow[k] == pytest.approx(
+                counting_moments(ep_generic, rho0, flow, t).mean, rel=1e-12
+            )
+        rate = mean_rate(ep_generic, propagate(build_generator(ep_generic), rho0, tau), count)
+        assert curve.activity_rate[-1] == pytest.approx(rate, rel=1e-12)
+
+    def test_final_activity_on_default_grid(self, da_generic, ep_generic):
+        for model in (da_generic, ep_generic):
+            for rho0 in (ground_state(), steady_state(build_generator(model, coherent=True))):
+                count = CountingObservable.total_count(model.n_channels)
+                total = counting_moments(model, rho0, count, 3.0)
+                assert activity_curve(model, rho0, 3.0).activity[-1] == pytest.approx(
+                    total.mean, rel=1e-12
+                )
 
 
 class TestDecompositions:

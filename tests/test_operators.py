@@ -73,7 +73,7 @@ class TestBohrFrequency:
         with pytest.raises(ModelValidationError, match="zero"):
             extract_bohr_frequency(np.eye(2), np.zeros((2, 2)))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         scale_re=st.floats(-5, 5),
         scale_im=st.floats(-5, 5),
@@ -190,7 +190,7 @@ class TestSplit:
         assert nd[2, 1] == pytest.approx(0.2, abs=1e-14)
         assert np.abs(np.diag(nd)).max() == 0.0
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 2**31))
     def test_projection_pair(self, seed):
         rng = np.random.default_rng(seed)

@@ -352,6 +352,29 @@ class TestPathDensities:
             via_ratio = np.log(d.forward / d.backward)
             assert abs(direct - via_ratio) <= 1e-9 * max(1.0, abs(direct))
 
+    def test_batch_equals_per_record(self, ep_generic):
+        rng = np.random.default_rng(41)
+        model = rotate_model(ep_generic, rng)
+        rho0 = ground_state()
+        records = sample_ensemble(model, rho0, 1.5, 600, SeedPolicy(37), workers=1)
+        # q0 of |g> puts zero weight on labels 1 and 2
+        clipped = TrajectoryRecord(((0.5, 1),), initial_label=1, final_label=0, horizon=1.5)
+        records.insert(5, clipped)
+        pw = PathWeights(model, rho0, 1.5)
+        forward, backward, predicted = pw.densities_batch(records)
+        assert np.isnan(predicted[5]) and np.isnan(predicted).sum() == 1
+        for i, rec in enumerate(records):
+            assert forward[i] == pw.forward_density(rec)
+            assert backward[i] == pw.backward_density(rec)
+            if i == 5:
+                with pytest.raises(ZeroProbabilityLabelError):
+                    pw.densities(rec)
+            else:
+                d = pw.densities(rec)
+                assert (d.forward, d.backward, d.predicted_backward) == (
+                    forward[i], backward[i], predicted[i]
+                )
+
     def test_path_norm_identity_per_record(self, ep_generic):
         rho0 = ground_state()
         records = sample_ensemble(ep_generic, rho0, 1.2, 400, SeedPolicy(29), workers=1)
