@@ -43,6 +43,7 @@ from .models import (
     build_da_model,
     build_ep_model,
     build_poisson_model,
+    default_observable,
     load_model,
     model_from_json,
     model_to_json,

@@ -8,7 +8,10 @@ inputs widen the tolerance to three propagated standard errors so noise
 cannot manufacture violations. A failed precondition marks the report
 not applicable (``satisfied is None``) rather than violated; so does a
 mean that is rounding noise, |mean| <= DEGENERATE_REL_TOL max|w| A(tau),
-for which the ratio of variance to squared mean is undefined.
+for which the ratio of variance to squared mean is undefined. The
+entropy-production bound also needs a current and an entropy production
+above the rounding noise of the terms it sums; otherwise its report says
+why it does not apply.
 
 Bound inventory:
 
@@ -37,7 +40,7 @@ import numpy as np
 
 from .counting import CountingObservable, MomentResult, ThermoCurve, _half_windows, mean_rate
 from .engine import survival_probability
-from .operators import LindbladModel
+from .operators import LindbladModel, von_neumann_trace_term
 
 EXACT_TOL = 1e-9
 MC_SIGMAS = 3.0
@@ -141,16 +144,30 @@ def observable_scale(obs: CountingObservable, activity: float) -> float:
     return max((abs(w) for w in obs.weights), default=0.0) * activity
 
 
+def entropy_scale(
+    model: LindbladModel, rho0: np.ndarray, rho_tau: np.ndarray, activity: float
+) -> float:
+    """|Tr rho0 ln rho0| + |Tr rho_tau ln rho_tau| + max_m |ds_m| A(tau): the
+    size of the terms whose sum is Sigma(tau)."""
+    flow = observable_scale(CountingObservable(model.entropy_weights()), activity)
+    return abs(von_neumann_trace_term(rho0)) + abs(von_neumann_trace_term(rho_tau)) + flow
+
+
+def _skip(name, inputs, extra) -> BoundReport:
+    """The report of a bound that does not apply: neither side evaluated."""
+    return _finish(name, math.nan, math.nan, inputs, extra, precondition_ok=False)
+
+
 def _not_applicable(name, value, scale, inputs, message) -> BoundReport | None:
     """The report of a bound whose mean ``value`` is rounding noise at the
-    observable's ``scale`` (neither side evaluated), else None. A zero
-    scale (all weights zero, or no jumps) leaves nothing to compare
-    against: a nonpositive value then raises ``message``."""
+    observable's ``scale``, else None. A zero scale (all weights zero, or
+    no jumps) leaves nothing to compare against: a nonpositive value then
+    raises ``message``."""
     if value > DEGENERATE_REL_TOL * scale:
         return None
     if scale == 0.0:
         raise ValueError(message)
-    return _finish(name, math.nan, math.nan, inputs, {"scale": scale}, precondition_ok=False)
+    return _skip(name, inputs, {"scale": scale})
 
 
 def inverse_x_tanh_x(y: float) -> float:
@@ -426,23 +443,34 @@ def ep_tur(
     gamma: float,
     sigma: float,
     scale: float,
+    *,
+    sigma_scale: float,
+    current: bool,
 ) -> BoundReport:
     """Entropy-production bound R >= csch^2(h(Sigma/2)) >= 2/(e^Sigma - 1).
 
     R = gamma Var[J]/E[J]^2; pass gamma = 1 for the stationary form. The
     report also carries the inverted bound on Sigma and the equivalent
-    arctanh/arcsinh representations. It is not applicable when E[J] is
-    rounding noise at ``scale`` (:func:`observable_scale`).
+    arctanh/arcsinh representations. It is not applicable, with the
+    reason in ``extra``, when the observable is not a ``current`` (weights
+    antisymmetric under the channel pairing), when E[J] is rounding noise
+    at ``scale`` (:func:`observable_scale`), or when Sigma is rounding
+    noise at ``sigma_scale`` (:func:`entropy_scale`).
     """
+    name = "entropy_production_bound"
     inputs = {
         "mean_current": mean_j,
         "variance_current": var_j,
         "entropy_production": InputStat.exact(sigma),
     }
+    if not current:
+        return _skip(name, inputs, {"reason": "the observable is not a current"})
     message = "mean current vanishes; the bound is undefined"
-    mean = abs(mean_j.value)
-    if skipped := _not_applicable("entropy_production_bound", mean, scale, inputs, message):
+    if skipped := _not_applicable(name, abs(mean_j.value), scale, inputs, message):
         return skipped
+    if abs(sigma) <= DEGENERATE_REL_TOL * sigma_scale:
+        reason = "entropy production is rounding noise"
+        return _skip(name, inputs, {"reason": reason, "scale": sigma_scale})
     ratio = gamma * var_j.value / mean_j.value**2
     rhs_strong = csch_squared_bound(sigma)
     rhs_weak = 2.0 / math.expm1(sigma) if sigma > 0 else math.inf
@@ -461,7 +489,7 @@ def ep_tur(
         "arcsinh_form": math.asinh(1.0 / math.sqrt(ratio)) if ratio > 0 else math.inf,
         "gamma": gamma,
     }
-    return _finish("entropy_production_bound", ratio, rhs_strong, inputs, extra, stderr_lhs)
+    return _finish(name, ratio, rhs_strong, inputs, extra, stderr_lhs)
 
 
 def survival_bound_check(model: LindbladModel, rho0: np.ndarray, tau: float) -> BoundReport:

@@ -115,12 +115,7 @@ def _weights(args, model):
                 f"{len(w)} weights for {model.n_channels} channels"
             )
         return CountingObservable(w)
-    if model.has_entropy_weights:
-        free = [1.0] * sum(1 for m, c in enumerate(model.channels) if c.partner > m)
-        return CountingObservable(
-            models_mod.antisymmetric_current_weights(model, free), antisymmetric=True
-        )
-    return CountingObservable.total_count(model.n_channels)
+    return models_mod.default_observable(model)
 
 
 def _print_matrix(label: str, m: np.ndarray) -> None:
@@ -261,6 +256,8 @@ def _cmd_bounds(args) -> int:
                 gamma,
                 sigma,
                 scale,
+                sigma_scale=bounds_mod.entropy_scale(model, rho0, rho_tau, curve.activity[-1]),
+                current=obs.is_current(model),
             )
         )
 

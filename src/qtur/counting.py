@@ -45,7 +45,8 @@ class CountingObservable:
 
     ``window=None`` means the full horizon [0, tau]. A current is a
     counting observable whose weights are exactly antisymmetric under the
-    channel pairing; use :meth:`check_antisymmetry` against a model.
+    channel pairing; use :meth:`is_current` or :meth:`check_antisymmetry`
+    against a model.
     """
 
     weights: tuple
@@ -67,6 +68,14 @@ class CountingObservable:
 
     def with_window(self, window) -> "CountingObservable":
         return CountingObservable(self.weights, window, self.antisymmetric)
+
+    def is_current(self, model: LindbladModel) -> bool:
+        """Whether :meth:`check_antisymmetry` passes against ``model``."""
+        try:
+            self.check_antisymmetry(model)
+        except ModelValidationError:
+            return False
+        return True
 
     def check_antisymmetry(self, model: LindbladModel) -> None:
         for m, c in enumerate(model.channels):
@@ -134,10 +143,16 @@ def _weighted_jump_superop(model: LindbladModel, weights) -> np.ndarray:
 
 
 def _moment_block(model: LindbladModel, gen: np.ndarray, weights) -> np.ndarray:
+    """[[L, 0, 0], [J_c, L, 0], [J_c2, 2 J_c, L]], written into one array."""
+    n = gen.shape[0]
     j1 = _weighted_jump_superop(model, weights)
-    j2 = _weighted_jump_superop(model, [w * w for w in weights])
-    zero = np.zeros_like(gen)
-    return np.block([[gen, zero, zero], [j1, gen, zero], [j2, 2 * j1, gen]])
+    block = np.zeros((3 * n, 3 * n), dtype=complex)
+    for k in range(3):
+        block[k * n : (k + 1) * n, k * n : (k + 1) * n] = gen
+    block[n : 2 * n, :n] = j1
+    block[2 * n :, :n] = _weighted_jump_superop(model, [w * w for w in weights])
+    block[2 * n :, n : 2 * n] = 2 * j1
+    return block
 
 
 def _moments(y: np.ndarray, dim: int) -> MomentResult:

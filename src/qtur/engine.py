@@ -1,9 +1,14 @@
 """Deterministic propagation: Liouvillian, steady state, no-jump family.
 
 Density matrices are column-vectorized (Fortran order), so a superoperator
-rho -> A rho B maps to the matrix kron(B.T, A). Generators here are time
-homogeneous and tiny, which makes the dense matrix exponential (scaling and
-squaring) both exact enough and cheaper to trust than ODE stepping.
+rho -> A rho B maps to the matrix kron(B.T, A). The helpers below form
+those Kronecker products as one broadcast multiply, the same elementwise
+products np.kron computes without its per-call overhead. Generators here
+are time homogeneous and tiny, which makes the dense matrix exponential
+(scaling and squaring) both exact enough and cheaper to trust than ODE
+stepping. Each model assembles its generator once per ``coherent`` flag:
+models are frozen and hold read-only arrays, so :func:`build_generator`
+memoizes the Liouvillian on the model itself.
 
 The no-jump propagator family exposes the three operators
 
@@ -54,17 +59,23 @@ def unvec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape((d, d), order="F")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same products, as one multiply."""
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
+
+
 def left_multiply(a: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(a.shape[0]), a)
+    return _kron(np.eye(a.shape[0]), a)
 
 
 def right_multiply(a: np.ndarray) -> np.ndarray:
-    return np.kron(a.T, np.eye(a.shape[0]))
+    return _kron(a.T, np.eye(a.shape[0]))
 
 
 def sandwich(a: np.ndarray) -> np.ndarray:
     """Superoperator for rho -> a rho a^dag."""
-    return np.kron(a.conj(), a)
+    return _kron(a.conj(), a)
 
 
 @dataclass(frozen=True)
@@ -86,11 +97,20 @@ class Liouvillian:
 
 
 def build_generator(model: LindbladModel, coherent: bool = True) -> Liouvillian:
-    """Assemble the (possibly Hamiltonian-free) Lindblad generator.
+    """The (possibly Hamiltonian-free) Lindblad generator of ``model``.
 
-    Trace preservation — the vectorized identity annihilates the generator
-    from the left — is asserted at build time.
+    Assembled on the first call for each ``coherent`` flag and memoized
+    on the model after that. Trace preservation — the vectorized identity
+    annihilates the generator from the left — is asserted at assembly.
     """
+    memo = model._generators
+    key = bool(coherent)
+    if key not in memo:
+        memo[key] = _assemble(model, coherent)
+    return memo[key]
+
+
+def _assemble(model: LindbladModel, coherent: bool) -> Liouvillian:
     d = model.dim
     gen = np.zeros((d * d, d * d), dtype=complex)
     if coherent:

@@ -20,6 +20,7 @@ import json
 
 import numpy as np
 
+from .counting import CountingObservable
 from .operators import EIGENOPERATOR_TOL, LindbladModel
 
 
@@ -120,6 +121,20 @@ def antisymmetric_current_weights(model: LindbladModel, free_weights) -> tuple:
     if free:
         raise ValueError("too many free weights for the channel pairs")
     return tuple(weights)
+
+
+def default_observable(model: LindbladModel) -> CountingObservable:
+    """The observable counted when no weights are given.
+
+    With every channel paired it is a current: +1 on the lower channel of
+    each pair and -1 on its partner (for the built-in ep model, the net
+    flux into |g>). Otherwise it is the total jump count.
+    """
+    if model.n_channels and all(c.partner is not None for c in model.channels):
+        pairs = sum(1 for m, c in enumerate(model.channels) if c.partner > m)
+        weights = antisymmetric_current_weights(model, [1.0] * pairs)
+        return CountingObservable(weights, antisymmetric=True)
+    return CountingObservable.total_count(model.n_channels)
 
 
 # --- JSON schema -----------------------------------------------------------

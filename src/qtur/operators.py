@@ -15,12 +15,13 @@ below adds the structure a monitored open system needs:
   ``ds_partner = -ds_m``.
 
 All containers are frozen dataclasses holding read-only arrays, so they can
-be shared freely across worker processes.
+be shared freely across worker processes. A model also memoizes its
+generators (``qtur.engine.build_generator``), which its arrays fix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,9 +132,17 @@ def extract_bohr_frequency(
     unchanged.
     """
     H = np.asarray(H, dtype=complex)
-    L = np.asarray(L, dtype=complex)
+    _check_hermitian(H, tol)
+    return _bohr_frequency(H, np.asarray(L, dtype=complex), tol)
+
+
+def _check_hermitian(H: np.ndarray, tol: float) -> None:
     if hermiticity_error(H) > tol * max(1.0, frobenius(H)):
         raise ModelValidationError("Hamiltonian is not Hermitian")
+
+
+def _bohr_frequency(H: np.ndarray, L: np.ndarray, tol: float) -> float:
+    """:func:`extract_bohr_frequency` for a Hamiltonian already checked."""
     norm_l = frobenius(L)
     if norm_l == 0.0:
         raise ModelValidationError("jump operator is zero")
@@ -177,6 +186,8 @@ class LindbladModel:
     H: np.ndarray
     channels: tuple[JumpChannel, ...]
     tol: float = EIGENOPERATOR_TOL
+    # coherent flag -> Liouvillian, filled by qtur.engine.build_generator
+    _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "H", _readonly(self.H))
@@ -233,6 +244,8 @@ class LindbladModel:
         if len(ds) != n or len(partners) != n:
             raise ValueError("ds/partners length must match the channel count")
 
+        if n:
+            _check_hermitian(H, tol)
         channels = []
         for m, L in enumerate(jump_ops):
             L = np.asarray(L, dtype=complex)
@@ -240,7 +253,7 @@ class LindbladModel:
                 raise ModelValidationError(
                     f"channel {m} has shape {L.shape}, Hamiltonian {H.shape}"
                 )
-            omega = extract_bohr_frequency(H, L, tol)
+            omega = _bohr_frequency(H, L, tol)
             channels.append(JumpChannel(L=L, omega=omega, ds=ds[m], partner=partners[m]))
 
         model = cls(H=H, channels=tuple(channels), tol=tol)

@@ -29,7 +29,7 @@ from .counting import (
     entropy_production,
 )
 from .engine import DegenerateSteadyStateError, build_generator, propagate, steady_state
-from .models import antisymmetric_current_weights
+from .models import antisymmetric_current_weights, default_observable
 from .operators import LindbladModel
 from .trajectories import (
     PathWeights,
@@ -62,11 +62,9 @@ class SweepConfig:
     tau_high: float = 10.0
     c_low: float | None = None
     c_high: float | None = None
-    trajectory_budget: int = 10_000
-    out: str | None = None
     workers: int | None = None
 
-    EXPERIMENTS = ("kur_sweep", "ep_sweep", "cic_suite", "bounds_report")
+    EXPERIMENTS = ("kur_sweep", "ep_sweep")
 
     def __post_init__(self):
         if self.experiment not in self.EXPERIMENTS:
@@ -292,11 +290,6 @@ def _sweep_chunk(args):
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Execute every draw, in parallel when workers allow; rows stay in
     draw order so the output is independent of scheduling."""
-    if config.experiment not in ("kur_sweep", "ep_sweep"):
-        raise ValueError(
-            f"{config.experiment!r} is not a random sweep; use run_cic_suite or "
-            "the bound evaluators directly"
-        )
     draw = _kur_draw if config.experiment == "kur_sweep" else _ep_draw
     header = KUR_HEADER if config.experiment == "kur_sweep" else EP_HEADER
     workers = resolve_workers(config.workers)
@@ -371,15 +364,6 @@ def _rel_diff(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
 
 
-def _suite_observable(model: LindbladModel) -> CountingObservable:
-    if all(c.partner is not None for c in model.channels) and model.n_channels:
-        free = [1.0] * sum(1 for m, c in enumerate(model.channels) if c.partner > m)
-        return CountingObservable(
-            antisymmetric_current_weights(model, free), antisymmetric=True
-        )
-    return CountingObservable.total_count(model.n_channels)
-
-
 def run_cic_suite(
     model: LindbladModel,
     rho0: np.ndarray,
@@ -399,7 +383,7 @@ def run_cic_suite(
     """
     rho0 = np.asarray(rho0, complex)
     checks = []
-    obs = _suite_observable(model)
+    obs = default_observable(model)
 
     with_h = counting_moments(model, rho0, obs, tau, coherent=True)
     without_h = counting_moments(model, rho0, obs, tau, coherent=False)

@@ -7,6 +7,7 @@ from qtur.bounds import (
     InputStat,
     csch_squared_bound,
     ep_lower_bound,
+    entropy_scale,
     ep_tur,
     gamma_factor,
     half_angle_integral,
@@ -24,8 +25,12 @@ from qtur.counting import (
     counting_moments,
 )
 from qtur.engine import build_generator, steady_state
+from qtur.operators import von_neumann_trace_term
 from qtur.trajectories import SeedPolicy, estimate, sample_ensemble
 from conftest import ground_state, random_ep_model
+
+# ep_tur's keywords for a current whose entropy production is no rounding noise
+CURRENT = {"sigma_scale": 0.0, "current": True}
 
 
 def poisson_moments(rate, tau) -> MomentResult:
@@ -245,10 +250,36 @@ class TestDegenerateMeans:
 
     def test_ep_bound_below_noise_floor(self):
         for mean in (0.0, 1e-16, -3e-12):
-            rep = ep_tur(InputStat.exact(mean), InputStat.exact(0.4), 1.0, 0.5, scale=1.2)
+            rep = ep_tur(InputStat.exact(mean), InputStat.exact(0.4), 1.0, 0.5, scale=1.2, **CURRENT)
             assert rep.satisfied is None and not rep.precondition_ok
-        resolved = ep_tur(InputStat.exact(1e-6), InputStat.exact(0.4), 1.0, 0.5, scale=1.2)
+        resolved = ep_tur(InputStat.exact(1e-6), InputStat.exact(0.4), 1.0, 0.5, scale=1.2, **CURRENT)
         assert resolved.precondition_ok and resolved.satisfied
+
+    def test_ep_bound_needs_a_current(self):
+        rep = ep_tur(InputStat.exact(1.2), InputStat.exact(0.4), 1.0, 0.5, scale=1.2,
+                     sigma_scale=1.0, current=False)
+        assert rep.satisfied is None and not rep.precondition_ok
+        assert math.isnan(rep.lhs) and math.isnan(rep.rhs)
+        assert rep.extra == {"reason": "the observable is not a current"}
+
+    def test_ep_bound_below_sigma_noise_floor(self):
+        # an equilibrium model started stationary: Sigma is rounding noise of either sign
+        for sigma in (0.0, -2.2e-16, 1e-17):
+            rep = ep_tur(InputStat.exact(1.2), InputStat.exact(0.4), 1.0, sigma, scale=1.2,
+                         sigma_scale=1.1, current=True)
+            assert rep.satisfied is None and not rep.precondition_ok
+            assert math.isnan(rep.lhs) and math.isnan(rep.rhs)
+            assert rep.extra == {"reason": "entropy production is rounding noise", "scale": 1.1}
+        resolved = ep_tur(InputStat.exact(1.2), InputStat.exact(0.4), 1.0, 1e-6, scale=1.2,
+                          sigma_scale=1.1, current=True)
+        assert resolved.precondition_ok and resolved.satisfied is not None
+
+    def test_entropy_scale_sums_the_term_sizes(self, ep_generic):
+        rho = steady_state(build_generator(ep_generic, coherent=True))
+        ds = np.abs(ep_generic.entropy_weights()).max()
+        vn = abs(von_neumann_trace_term(rho))
+        assert entropy_scale(ep_generic, rho, rho, 2.0) == pytest.approx(2 * vn + 2.0 * ds)
+        assert entropy_scale(ep_generic, ground_state(), rho, 0.0) == pytest.approx(vn)
 
     def test_window_bound_without_growth(self, poisson, scalar_one):
         curve = activity_curve(poisson, scalar_one, 1.0, n_grid=64)
@@ -312,7 +343,7 @@ class TestEntropyProductionBound:
         mom = counting_moments(ep_generic, rho, obs, tau)
         sigma = entropy_production_rate(ep_generic, rho) * tau
         rep = ep_tur(
-            InputStat.exact(mom.mean), InputStat.exact(mom.variance), 1.0, sigma, scale=0.0
+            InputStat.exact(mom.mean), InputStat.exact(mom.variance), 1.0, sigma, scale=0.0, **CURRENT
         )
         assert rep.satisfied
         assert rep.rhs >= rep.extra["rhs_weak"] - 1e-12
@@ -366,6 +397,7 @@ class TestEntropyProductionBound:
             1.0,
             2.0,
             scale=0.0,
+            **CURRENT,
         )
         assert rep.tol > 1e-9
 
@@ -395,7 +427,7 @@ class TestBoundReport:
         assert a.lhs == b.lhs and a.rhs == b.rhs and a.slack == b.slack
 
     def test_lhs_recomputable_from_stored_inputs(self):
-        rep = ep_tur(InputStat.exact(0.7), InputStat.exact(0.9), 1.3, 2.0, scale=0.0)
+        rep = ep_tur(InputStat.exact(0.7), InputStat.exact(0.9), 1.3, 2.0, scale=0.0, **CURRENT)
         mean = rep.inputs["mean_current"].value
         var = rep.inputs["variance_current"].value
         assert rep.lhs == rep.extra["gamma"] * var / mean**2

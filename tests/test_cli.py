@@ -3,12 +3,15 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtur.engine as engine
 from qtur.cli import main
 from qtur.models import build_ep_model, save_model
+from qtur.operators import LindbladModel
 
 README_EP = ("--builtin", "ep", "--rates", "0.7,0.3,0.5,0.4,0.6,0.2")
 
@@ -144,6 +147,48 @@ class TestBounds:
                 value = b["inputs"][key]["value"] / (c if per_time else 1.0)
                 # moments, A(tau), Sigma and the half angle carry no time unit
                 assert value == pytest.approx(stat["value"], rel=1e-9, abs=1e-12), key
+
+    @pytest.mark.parametrize("tau", ["1", "50"])
+    def test_ep_bound_skips_a_non_current(self, tau):
+        # equilibrium rates started stationary: Sigma(tau) is 0.0 at tau = 1 and
+        # -2.2e-16 at tau = 50, and the total count is not a current
+        code, reports = bounds_reports(
+            "--builtin", "ep", "--rates", "0.4,0.4,0.7,0.7,0.25,0.25",
+            "--weights", "1,1,1,1,1,1", "--tau", tau,
+        )
+        assert code == 0
+        ep = reports[-1]
+        assert ep["name"] == "entropy_production_bound"
+        assert ep["satisfied"] is None and not ep["precondition_ok"]
+        assert math.isnan(ep["lhs"]) and math.isnan(ep["rhs"])
+        assert ep["extra"] == {"reason": "the observable is not a current"}
+
+    def test_unpaired_channel_with_ds_counts_every_jump(self, tmp_path):
+        # ds set but no partner: the default observable is the total count
+        decay = np.zeros((2, 2), dtype=complex)
+        decay[0, 1] = 1.0
+        model = LindbladModel.build(np.diag([0.0, 1.0]), [decay], ds=[0.5], partners=[None])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        code, reports = bounds_reports("--model", str(path), "--rho0", "mixed", "--tau", "1")
+        assert code == 0
+        # unit weight on the decay: the rate is the excited population at tau
+        rate = reports[0]["inputs"]["mean_growth_rate"]["value"]
+        assert rate == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
+        assert reports[-1]["extra"] == {"reason": "the observable is not a current"}
+
+    @pytest.mark.parametrize("flags, built", [((), [True]), (("--incoherent",), [False, True])])
+    def test_assembles_each_generator_once(self, monkeypatch, flags, built):
+        assemble, calls = engine._assemble, []
+
+        def counted(model, coherent):
+            calls.append(coherent)
+            return assemble(model, coherent)
+
+        monkeypatch.setattr(engine, "_assemble", counted)
+        code, _ = bounds_reports(*README_EP, "--tau", "1", "--rho0", "ss", *flags)
+        assert code == 0
+        assert sorted(calls) == built
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "bounds.csv"

@@ -4,8 +4,11 @@ import pytest
 from qtur.engine import (
     DegenerateSteadyStateError,
     build_generator,
+    left_multiply,
     no_jump_family,
     propagate,
+    right_multiply,
+    sandwich,
     steady_state,
     survival_probability,
     vec,
@@ -39,6 +42,33 @@ class TestGenerator:
     def test_coherent_flag_recorded(self, da_generic):
         assert build_generator(da_generic, coherent=True).coherent
         assert not build_generator(da_generic, coherent=False).coherent
+
+    def test_one_generator_per_model_and_flag(self):
+        model = random_da_model(np.random.default_rng(5))
+        coherent = build_generator(model, coherent=True)
+        assert build_generator(model) is coherent
+        assert build_generator(model, coherent=True) is coherent
+        incoherent = build_generator(model, coherent=False)
+        assert incoherent is not coherent
+        assert build_generator(model, coherent=False) is incoherent
+
+
+class TestSuperoperatorHelpers:
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_bit_for_bit_np_kron(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        # zeros of both signs, where a different product order would show
+        a.real.flat[::3] = -0.0
+        a.imag.flat[1::4] = 0.0
+        eye = np.eye(d)
+        for got, want in (
+            (left_multiply(a), np.kron(eye, a)),
+            (right_multiply(a), np.kron(a.T, eye)),
+            (sandwich(a), np.kron(a.conj(), a)),
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPropagate:

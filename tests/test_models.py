@@ -6,13 +6,15 @@ from qtur.models import (
     build_da_model,
     build_ep_model,
     build_poisson_model,
+    default_observable,
     load_model,
     model_from_json,
     model_to_json,
     save_model,
 )
+from qtur.counting import CountingObservable
 from qtur.engine import build_generator, steady_state
-from qtur.operators import check_local_detailed_balance
+from qtur.operators import LindbladModel, check_local_detailed_balance
 from conftest import da_steady_state_closed_form
 
 
@@ -90,6 +92,24 @@ class TestCurrentWeights:
             antisymmetric_current_weights(ep_generic, [1.0])
         with pytest.raises(ValueError):
             antisymmetric_current_weights(ep_generic, [1.0] * 4)
+
+
+class TestDefaultObservable:
+    def test_paired_model_counts_a_current(self, ep_generic):
+        obs = default_observable(ep_generic)
+        assert obs.weights == (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
+        assert obs.antisymmetric and obs.is_current(ep_generic)
+
+    def test_unpaired_model_counts_every_jump(self, da_generic):
+        assert default_observable(da_generic) == CountingObservable.total_count(4)
+
+    def test_pairing_decides_not_ds(self, ep_generic):
+        h, ops = ep_generic.H, ep_generic.jump_ops()
+        paired = LindbladModel.build(h, ops, partners=[1, 0, 3, 2, 5, 4])
+        assert default_observable(paired) == default_observable(ep_generic)
+        unpaired = LindbladModel.build(h, ops, ds=ep_generic.entropy_weights())
+        assert default_observable(unpaired) == CountingObservable.total_count(6)
+        assert not default_observable(unpaired).is_current(unpaired)
 
 
 class TestJsonSchema:
