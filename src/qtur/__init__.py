@@ -68,11 +68,8 @@ from .trajectories import (
     TrajectoryRecord,
     TrajectorySampler,
     estimate,
-    forward_backward_densities,
-    record_entropy,
     record_observable,
     sample_ensemble,
-    sample_trajectory,
 )
 
 __version__ = "0.1.0"

@@ -254,8 +254,9 @@ def tur_activity_integral(
 
     lhs = ((sqrt Var_2 + sqrt Var_1) / (E_2 - E_1))^2, rhs = cot^2 of the
     half angle integral; applies only while that angle stays below pi/2
-    and the mean grows by more than rounding noise at ``scale``
-    (:func:`observable_scale`).
+    and |E_2 - E_1| exceeds rounding noise at ``scale``
+    (:func:`observable_scale`). Both sides are even in the weights, so a
+    falling mean is certified like the rising mean of the negated weights.
     """
     angle = half_angle_integral(curve, t1, t2)
     inputs = {
@@ -266,8 +267,8 @@ def tur_activity_integral(
         "half_angle": InputStat.exact(angle),
     }
     de = moments_2.mean - moments_1.mean
-    message = "mean at the later horizon must exceed the earlier one"
-    if skipped := _not_applicable("activity_window_bound", de, scale, inputs, message):
+    message = "mean does not change between the two horizons"
+    if skipped := _not_applicable("activity_window_bound", abs(de), scale, inputs, message):
         return skipped
     s1 = math.sqrt(max(moments_1.variance, 0.0))
     s2 = math.sqrt(max(moments_2.variance, 0.0))

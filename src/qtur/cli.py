@@ -31,7 +31,7 @@ from .engine import build_generator, propagate, steady_state
 from .operators import validate_density
 from .sweeps import (
     SweepConfig,
-    format_cell,
+    csv_text,
     run_cic_suite,
     run_sweep,
     write_csv,
@@ -55,11 +55,18 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rates", help="comma-separated rates for the built-in model")
 
 
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with defaults for this subcommand")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--workers", type=int, default=None)
+# the flags a subcommand may declare besides --config and the model flags
+_FLAGS = {
+    "--seed": {"type": int, "default": None},
+    "--out": {"default": None, "help": "CSV output path"},
+    "--workers": {"type": int, "default": None},
+    "--rho0": {"choices": ("ss", "ground", "mixed"), "default": None},
+    "--incoherent": {"action": "store_true", "help": "drop the Hamiltonian"},
+    "--coherent": {"action": "store_true", "help": "sample with the full propagator"},
+    "--tau": {"type": float, "required": True},
+    "--trajectories": {"type": int, "default": 10_000},
+    "--weights": {"help": "comma-separated channel weights"},
+}
 
 
 def _parse_rates(text: str | None, default):
@@ -202,29 +209,21 @@ def _dump_records(path, records, values, entropies) -> None:
         + [f"m_{j+1}" for j in range(kmax)]
         + ["i", "i_prime", "N_value", "entropy_value"]
     )
-    lines = [",".join(header)]
-    for idx, rec in enumerate(records):
-        times = [format_cell(t) for t, _ in rec.jumps] + [""] * (kmax - rec.n_jumps)
-        chans = [str(m) for _, m in rec.jumps] + [""] * (kmax - rec.n_jumps)
-        if entropies is None or np.isnan(entropies[idx]):
-            entropy = ""
-        else:
-            entropy = format_cell(entropies[idx])
-        lines.append(
-            ",".join(
-                [str(idx), str(rec.n_jumps)]
-                + times
-                + chans
-                + [
-                    str(rec.initial_label),
-                    str(rec.final_label),
-                    format_cell(values[idx]),
-                    entropy,
-                ]
+    kept = [False] * len(records) if entropies is None else (~np.isnan(entropies)).tolist()
+
+    def rows():
+        for idx, rec in enumerate(records):
+            pad = [None] * (kmax - rec.n_jumps)
+            yield (
+                [idx, rec.n_jumps]
+                + [t for t, _ in rec.jumps] + pad
+                + [m for _, m in rec.jumps] + pad
+                + [rec.initial_label, rec.final_label, values[idx]]
+                + [entropies[idx] if kept[idx] else None]
             )
-        )
+
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(header, rows()))
 
 
 def _cmd_bounds(args) -> int:
@@ -267,9 +266,7 @@ def _cmd_bounds(args) -> int:
         rows = [rep.to_csv_row() for rep in reports]
         keys = sorted({k for row in rows for k in row}, key=lambda k: (k != "name", k))
         with open(args.out, "w", newline="") as fh:
-            fh.write(",".join(keys) + "\n")
-            for row in rows:
-                fh.write(",".join(format_cell(row.get(k)) if not isinstance(row.get(k), str) else row[k] for k in keys) + "\n")
+            fh.write(csv_text(keys, [[row.get(k) for k in keys] for row in rows]))
     bad = [r for r in reports if r.satisfied is False]
     return 1 if bad else 0
 
@@ -325,55 +322,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
-        _add_common_args(p)
+    def command(name, doc, func, *flags, model=True):
+        """A subcommand that declares --config, the model flags when
+        ``model``, and exactly the ``flags`` it reads."""
+        p = sub.add_parser(name, help=doc)
+        p.add_argument("--config", help="JSON file with defaults for this subcommand")
         if model:
             _add_model_args(p)
-            p.add_argument("--rho0", choices=("ss", "ground", "mixed"), default=None)
-            p.add_argument("--incoherent", action="store_true", help="drop the Hamiltonian")
-            p.add_argument("--coherent", action="store_true", help="sample with the full propagator")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
         return p
 
-    p = common(sub.add_parser("steady-state", help="solve and print the stationary state"))
-    p.set_defaults(func=_cmd_steady_state)
-
-    p = common(sub.add_parser("evolve", help="propagate an initial state"))
+    command("steady-state", "solve and print the stationary state", _cmd_steady_state,
+            "--incoherent")
+    p = command("evolve", "propagate an initial state", _cmd_evolve, "--rho0", "--incoherent")
     p.add_argument("--t", type=float, required=True)
-    p.set_defaults(func=_cmd_evolve)
-
-    p = common(sub.add_parser("moments", help="exact counting moments"))
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--weights", help="comma-separated channel weights")
+    p = command("moments", "exact counting moments", _cmd_moments,
+                "--rho0", "--incoherent", "--tau", "--weights")
     p.add_argument("--window", help="observation window a,b")
-    p.set_defaults(func=_cmd_moments)
-
-    p = common(sub.add_parser("trajectories", help="Monte Carlo ensemble"))
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--trajectories", type=int, default=10_000)
-    p.add_argument("--weights", help="comma-separated channel weights")
-    p.set_defaults(func=_cmd_trajectories)
-
-    p = common(sub.add_parser("bounds", help="evaluate the bound battery"))
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--weights", help="comma-separated channel weights")
-    p.set_defaults(func=_cmd_bounds)
-
+    command("trajectories", "Monte Carlo ensemble", _cmd_trajectories,
+            "--seed", "--out", "--workers", "--rho0", "--coherent",
+            "--tau", "--trajectories", "--weights")
+    command("bounds", "evaluate the bound battery", _cmd_bounds,
+            "--out", "--rho0", "--incoherent", "--tau", "--weights")
     for name, experiment, doc in (
         ("sweep-kur", "kur_sweep", "random activity-bound sweep"),
         ("sweep-ep", "ep_sweep", "random entropy-bound sweep"),
     ):
-        p = common(sub.add_parser(name, help=doc), model=False)
+        p = command(name, doc, lambda a, e=experiment: _cmd_sweep(a, e),
+                    "--seed", "--out", "--workers", model=False)
         p.add_argument("--draws", type=int, default=None)
         p.add_argument("--omega-e", type=float, default=1.0)
         p.add_argument("--gamma-range", default=None, help="rate range lo,hi")
         p.add_argument("--tau-range", default=None, help="horizon range lo,hi")
-        p.set_defaults(func=lambda a, e=experiment: _cmd_sweep(a, e))
-
-    p = common(sub.add_parser("verify-cic", help="run the correspondence test battery"))
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--trajectories", type=int, default=10_000)
-    p.set_defaults(func=_cmd_verify_cic)
-
+    command("verify-cic", "run the correspondence test battery", _cmd_verify_cic,
+            "--seed", "--workers", "--rho0", "--tau", "--trajectories")
     return parser
 
 

@@ -32,7 +32,6 @@ from .engine import build_generator, sandwich, unvec, vec
 from .operators import (
     LindbladModel,
     ModelValidationError,
-    dagger,
     von_neumann_trace_term,
 )
 
@@ -109,7 +108,6 @@ class MomentResult:
     method: str = "exact"
     stderr_mean: float | None = None
     stderr_variance: float | None = None
-    n_samples: int | None = None
 
 
 @dataclass(frozen=True)
@@ -128,9 +126,6 @@ class ThermoCurve:
     activity: np.ndarray
     entropy_rate: np.ndarray | None = None
     entropy_flow: np.ndarray | None = None
-
-    def activity_at(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.activity))
 
 
 def _weighted_jump_superop(model: LindbladModel, weights) -> np.ndarray:
@@ -207,21 +202,19 @@ def _half_windows(model, rho0, obs, tau: float, coherent: bool) -> tuple:
 
 
 def mean_rate(model: LindbladModel, rho_t: np.ndarray, obs: CountingObservable) -> float:
-    """Instantaneous weighted jump rate sum_m c_m Tr[L_m rho L_m^dag]."""
-    rho_t = np.asarray(rho_t, dtype=complex)
+    """Instantaneous weighted jump rate sum_m c_m Tr[L_m rho L_m^dag],
+    summed in channel order over the nonzero weights."""
     rate = 0.0
-    for w, c in zip(obs.weights, model.channels):
+    for w, r in zip(obs.weights, channel_rates(model, rho_t)):
         if w != 0.0:
-            rate += w * np.real(np.trace(dagger(c.L) @ c.L @ rho_t))
+            rate += w * r
     return float(rate)
 
 
 def channel_rates(model: LindbladModel, rho_t: np.ndarray) -> np.ndarray:
     """Tr[L_m rho L_m^dag] for every channel."""
     rho_t = np.asarray(rho_t, dtype=complex)
-    return np.array(
-        [float(np.real(np.trace(dagger(c.L) @ c.L @ rho_t))) for c in model.channels]
-    )
+    return np.array([float(np.real(np.trace(ldl @ rho_t))) for ldl in model.jump_norms])
 
 
 def _samples(model, weight_rows, rho0, h: float, steps: int, coherent: bool):
@@ -233,7 +226,7 @@ def _samples(model, weight_rows, rho0, h: float, steps: int, coherent: bool):
         raise ValueError("tau must be nonnegative")
     gen = build_generator(model, coherent=coherent).matrix
     n = gen.shape[0]
-    ops = [vec(dagger(c.L) @ c.L).conj() for c in model.channels]
+    ops = [vec(ldl).conj() for ldl in model.jump_norms]
     rows = np.atleast_2d(weight_rows) @ np.reshape(ops, (len(ops), n))
     k = rows.shape[0]
     block = np.zeros((n + k, n + k), dtype=complex)

@@ -115,10 +115,7 @@ def _assemble(model: LindbladModel, coherent: bool) -> Liouvillian:
     gen = np.zeros((d * d, d * d), dtype=complex)
     if coherent:
         gen += -1j * (left_multiply(model.H) - right_multiply(model.H))
-    for c in model.channels:
-        if c.L.shape != (d, d):
-            raise ModelValidationError("channel dimension does not match the Hamiltonian")
-        ldl = dagger(c.L) @ c.L
+    for c, ldl in zip(model.channels, model.jump_norms):
         gen += sandwich(c.L) - 0.5 * (left_multiply(ldl) + right_multiply(ldl))
     residual = np.linalg.norm(vec(np.eye(d)).conj() @ gen)
     if residual > TRACE_PRESERVATION_TOL * max(1.0, np.linalg.norm(gen)):

@@ -21,7 +21,7 @@ import json
 import numpy as np
 
 from .counting import CountingObservable
-from .operators import EIGENOPERATOR_TOL, LindbladModel
+from .operators import LindbladModel
 
 
 def _ket(i: int, dim: int = 3) -> np.ndarray:
@@ -166,7 +166,7 @@ def model_to_json(model: LindbladModel) -> dict:
     }
 
 
-def model_from_json(obj: dict, tol: float = EIGENOPERATOR_TOL) -> LindbladModel:
+def model_from_json(obj: dict) -> LindbladModel:
     dim = int(obj["dim"])
     h = _matrix_from_json(obj["H"])
     if h.shape != (dim, dim):
@@ -176,7 +176,7 @@ def model_from_json(obj: dict, tol: float = EIGENOPERATOR_TOL) -> LindbladModel:
         ops.append(_matrix_from_json(ch["L"]))
         ds.append(ch.get("ds"))
         partners.append(ch.get("partner"))
-    return LindbladModel.build(h, ops, ds=ds, partners=partners, tol=tol)
+    return LindbladModel.build(h, ops, ds=ds, partners=partners)
 
 
 def save_model(model: LindbladModel, path) -> None:
@@ -184,6 +184,6 @@ def save_model(model: LindbladModel, path) -> None:
         json.dump(model_to_json(model), fh, indent=2)
 
 
-def load_model(path, tol: float = EIGENOPERATOR_TOL) -> LindbladModel:
+def load_model(path) -> LindbladModel:
     with open(path) as fh:
-        return model_from_json(json.load(fh), tol=tol)
+        return model_from_json(json.load(fh))

@@ -15,8 +15,9 @@ below adds the structure a monitored open system needs:
   ``ds_partner = -ds_m``.
 
 All containers are frozen dataclasses holding read-only arrays, so they can
-be shared freely across worker processes. A model also memoizes its
-generators (``qtur.engine.build_generator``), which its arrays fix.
+be shared freely across worker processes. A model also holds the stack
+of jump-rate operators L_m^dag L_m and memoizes its generators
+(``qtur.engine.build_generator``), which its arrays fix.
 """
 
 from __future__ import annotations
@@ -180,18 +181,25 @@ class LindbladModel:
     """Hamiltonian plus jump channels, validated at construction.
 
     Use :meth:`build` to derive transition frequencies and run the
-    structural checks; the raw constructor trusts its inputs.
+    structural checks; the raw constructor checks only that every channel
+    has the Hamiltonian's shape.
     """
 
     H: np.ndarray
     channels: tuple[JumpChannel, ...]
-    tol: float = EIGENOPERATOR_TOL
+    # L_m^dag L_m of every channel as one (M, d, d) stack: the jump-rate
+    # operators, formed once here and read by every rate and generator
+    jump_norms: np.ndarray = field(init=False, repr=False, compare=False)
     # coherent flag -> Liouvillian, filled by qtur.engine.build_generator
     _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "H", _readonly(self.H))
         object.__setattr__(self, "channels", tuple(self.channels))
+        if any(c.L.shape != self.H.shape for c in self.channels):
+            raise ModelValidationError("channel dimension does not match the Hamiltonian")
+        norms = np.array([dagger(c.L) @ c.L for c in self.channels], dtype=complex)
+        object.__setattr__(self, "jump_norms", _readonly(norms.reshape(-1, self.dim, self.dim)))
 
     @property
     def dim(self) -> int:
@@ -205,9 +213,6 @@ class LindbladModel:
     def has_entropy_weights(self) -> bool:
         return self.n_channels > 0 and all(c.ds is not None for c in self.channels)
 
-    def jump_ops(self) -> list[np.ndarray]:
-        return [c.L for c in self.channels]
-
     def entropy_weights(self) -> np.ndarray:
         if not self.has_entropy_weights:
             raise ModelValidationError("channel entropy changes (ds) are not set")
@@ -216,8 +221,8 @@ class LindbladModel:
     def total_decay(self) -> np.ndarray:
         """Sum of L^dag L over channels (the no-jump decay generator)."""
         gamma = np.zeros((self.dim, self.dim), dtype=complex)
-        for c in self.channels:
-            gamma += dagger(c.L) @ c.L
+        for ldl in self.jump_norms:
+            gamma += ldl
         return gamma
 
     @classmethod
@@ -228,7 +233,6 @@ class LindbladModel:
         *,
         ds=None,
         partners=None,
-        tol: float = EIGENOPERATOR_TOL,
     ) -> "LindbladModel":
         """Assemble and validate a model.
 
@@ -245,7 +249,7 @@ class LindbladModel:
             raise ValueError("ds/partners length must match the channel count")
 
         if n:
-            _check_hermitian(H, tol)
+            _check_hermitian(H, EIGENOPERATOR_TOL)
         channels = []
         for m, L in enumerate(jump_ops):
             L = np.asarray(L, dtype=complex)
@@ -253,10 +257,10 @@ class LindbladModel:
                 raise ModelValidationError(
                     f"channel {m} has shape {L.shape}, Hamiltonian {H.shape}"
                 )
-            omega = _bohr_frequency(H, L, tol)
+            omega = _bohr_frequency(H, L, EIGENOPERATOR_TOL)
             channels.append(JumpChannel(L=L, omega=omega, ds=ds[m], partner=partners[m]))
 
-        model = cls(H=H, channels=tuple(channels), tol=tol)
+        model = cls(H=H, channels=tuple(channels))
         for m, c in enumerate(model.channels):
             if c.partner is None:
                 continue
@@ -264,7 +268,7 @@ class LindbladModel:
             if not (0 <= p < n) or model.channels[p].partner != m:
                 raise ModelValidationError(f"partner map is not an involution at channel {m}")
             if c.ds is not None:
-                check = check_local_detailed_balance(model, m, tol)
+                check = check_local_detailed_balance(model, m)
                 if not check.ok:
                     raise DetailedBalanceError(f"channel {m}: {check.message}")
         return model

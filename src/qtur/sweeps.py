@@ -60,8 +60,6 @@ class SweepConfig:
     gamma_high: float = 1.0
     tau_low: float = 0.1
     tau_high: float = 10.0
-    c_low: float | None = None
-    c_high: float | None = None
     workers: int | None = None
 
     EXPERIMENTS = ("kur_sweep", "ep_sweep")
@@ -79,8 +77,6 @@ class SweepConfig:
                 raise ValueError(f"empty {what} range [{lo}, {hi}]")
 
     def weight_range(self) -> tuple[float, float]:
-        if self.c_low is not None and self.c_high is not None:
-            return self.c_low, self.c_high
         # Activity sweeps keep the mean count positive; current sweeps
         # need sign freedom before antisymmetrization.
         return (0.0, 1.0) if self.experiment == "kur_sweep" else (-1.0, 1.0)
@@ -310,22 +306,28 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 
 def format_cell(value) -> str:
+    """One CSV cell: strings as they are, None empty, bools lowercase,
+    integers exact and floats with 17 significant digits."""
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float) and np.isnan(value):
-        return "nan"
-    return f"{float(value):.17g}"
+    return f"{float(value):.17g}"  # nan prints as "nan" whatever its sign bit
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of ``rows`` under ``header``, every cell through :func:`format_cell`."""
+    lines = [",".join(header)]
+    lines += [",".join(format_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def result_to_csv(result: SweepResult) -> str:
-    lines = [",".join(result.header)]
-    for row in result.rows:
-        lines.append(",".join(format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text(result.header, result.rows)
 
 
 def write_csv(result: SweepResult, path) -> None:

@@ -71,10 +71,6 @@ UNIFORM_BLOCK = 16  # uniforms read ahead per trajectory: a record of up to 6 ju
 POOL_MIN = 2000
 
 
-class ZeroProbabilityLabelError(ValueError):
-    """A record references an eigenstate with (clipped) zero weight."""
-
-
 def splitmix64(x: int) -> int:
     """One splitmix64 finalization round (public-domain mixing constants)."""
     z = x & _MASK64
@@ -348,16 +344,6 @@ class TrajectorySampler(Unravelling):
         ]
 
 
-def sample_trajectory(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    tau: float,
-    seed: int,
-    coherent: bool = False,
-) -> TrajectoryRecord:
-    return TrajectorySampler(model, rho0, tau, coherent=coherent).sample(seed)
-
-
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count, capped by the QTUR_THREADS environment variable."""
     cap = os.environ.get("QTUR_THREADS")
@@ -424,19 +410,6 @@ def record_observable(record: TrajectoryRecord, obs: CountingObservable) -> floa
     return total
 
 
-@dataclass(frozen=True)
-class PathDensityPair:
-    """Forward and backward path densities of one record.
-
-    ``predicted_backward`` is exp(-sum ds) * (q_i'(tau)/q_i(0)) * forward,
-    the closed-form value the backward density must reproduce.
-    """
-
-    forward: float
-    backward: float
-    predicted_backward: float
-
-
 def _by_jump_count(records):
     """Yield (indices, jump times, channels) for groups of at most CHUNK
     records with the same jump count K; times and channels are (len(indices), K)."""
@@ -461,8 +434,8 @@ def _intervals(times: np.ndarray, horizons) -> np.ndarray:
 class PathWeights(Unravelling):
     """Path densities and per-record entropies over an unravelling context.
 
-    The batch methods price records in groups of equal jump count; the
-    per-record methods are batches of one.
+    Every method prices a batch of records, in groups of equal jump count;
+    a single record is a batch of one.
     """
 
     def _thread(self, intervals, channels, start, rotate: bool) -> np.ndarray:
@@ -498,16 +471,12 @@ class PathWeights(Unravelling):
             out[idx] = weight * np.abs(amp) ** 2
         return out
 
-    def forward_density(self, record: TrajectoryRecord) -> float:
-        return float(self._path_densities([record], False)[0])
-
-    def backward_density(self, record: TrajectoryRecord) -> float:
-        return float(self._path_densities([record], True)[0])
-
     def densities_batch(self, records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Forward, backward and predicted backward densities of every
-        record, as three arrays; the prediction is nan where the initial
-        label has clipped weight."""
+        record, as three arrays. The prediction is the closed form
+        exp(-sum ds) * (q_i'(tau)/q_i(0)) * forward that the backward
+        density must reproduce; it is nan where the initial label has
+        clipped weight."""
         forward = self._path_densities(records, False)
         backward = self._path_densities(records, True)
         ds = self.model.entropy_weights()
@@ -519,24 +488,12 @@ class PathWeights(Unravelling):
         predicted[ok] = np.exp(-total_ds[ok]) * (qt[ok] / q0[ok]) * forward[ok]
         return forward, backward, predicted
 
-    def densities(self, record: TrajectoryRecord) -> PathDensityPair:
-        forward, backward, predicted = self.densities_batch([record])
-        if np.isnan(predicted[0]):
-            raise ZeroProbabilityLabelError("initial label has zero weight")
-        return PathDensityPair(
-            forward=float(forward[0]),
-            backward=float(backward[0]),
-            predicted_backward=float(predicted[0]),
-        )
-
-    def entropy(self, record: TrajectoryRecord) -> float:
-        return record_entropy(self.model, record, self.q0, self.qtau)
-
     def entropies(self, records) -> tuple[np.ndarray, np.ndarray]:
-        """Per-record entropies and the mask of records kept.
+        """Per-record entropies ln q_i(0) - ln q_i'(tau) + sum_j ds_{m_j}
+        and the mask of records kept.
 
         A record whose labels hit clipped weights is not kept; its value
-        is nan. Kept values equal :meth:`entropy` bit for bit.
+        is nan.
         """
         ds = self.model.entropy_weights()
         values = np.full(len(records), np.nan)
@@ -552,18 +509,13 @@ class PathWeights(Unravelling):
             keep[idx] = ok
         return values, keep
 
-    def path_norms(self, record: TrajectoryRecord) -> tuple[float, float]:
-        """Squared path norms without final projection.
-
-        First entry threads the Hamiltonian-free contraction, second the
-        full no-jump propagator; unitarity makes them equal whenever the
-        eigenoperator condition holds.
-        """
-        damped, full = self.path_norms_batch([record])
-        return float(damped[0]), float(full[0])
-
     def path_norms_batch(self, records) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`path_norms` of every record, as two arrays."""
+        """Squared path norms of every record without final projection.
+
+        The first array threads the Hamiltonian-free contraction, the
+        second the full no-jump propagator; unitarity makes them equal
+        whenever the eigenoperator condition holds.
+        """
         damped = np.empty(len(records))
         full = np.empty(len(records))
         for idx, times, channels in _by_jump_count(records):
@@ -573,27 +525,6 @@ class PathWeights(Unravelling):
                 phi = self._thread(intervals, channels, start, rotate)
                 out[idx] = (phi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0].real
         return damped, full
-
-
-def forward_backward_densities(
-    model: LindbladModel, rho0: np.ndarray, record: TrajectoryRecord
-) -> PathDensityPair:
-    """Forward/backward densities plus the closed-form backward value."""
-    return PathWeights(model, rho0, record.horizon).densities(record)
-
-
-def record_entropy(
-    model: LindbladModel, record: TrajectoryRecord, q0: np.ndarray, qtau: np.ndarray
-) -> float:
-    """Per-record entropy: ln q_i(0) - ln q_i'(tau) + sum_j ds_{m_j}."""
-    ds = model.entropy_weights()
-    p_start = q0[record.initial_label]
-    p_end = qtau[record.final_label]
-    if p_start <= EIGENVALUE_CLIP or p_end <= EIGENVALUE_CLIP:
-        raise ZeroProbabilityLabelError(
-            f"labels ({record.initial_label}, {record.final_label}) hit clipped weights"
-        )
-    return float(np.log(p_start) - np.log(p_end) + sum(ds[m] for _, m in record.jumps))
 
 
 def ensemble_entropies(pw: PathWeights, records) -> tuple[np.ndarray, int]:
@@ -632,7 +563,6 @@ class EnsembleEstimate:
             method="monte_carlo",
             stderr_mean=self.stderr_mean,
             stderr_variance=self.stderr_variance,
-            n_samples=self.n,
         )
 
 

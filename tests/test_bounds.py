@@ -14,6 +14,7 @@ from qtur.bounds import (
     inverse_x_tanh_x,
     kur_differential,
     moment_ratio_bounds,
+    observable_scale,
     survival_bound_check,
     tur_activity_integral,
     windowed_gamma,
@@ -98,10 +99,29 @@ class TestActivityWindowBound:
 
     def test_requires_growing_mean(self, poisson, scalar_one):
         curve = activity_curve(poisson, scalar_one, 1.0, n_grid=64)
-        with pytest.raises(ValueError, match="exceed"):
+        with pytest.raises(ValueError, match="does not change"):
             tur_activity_integral(
                 poisson_moments(0.7, 1.0), poisson_moments(0.7, 1.0), curve, 0.5, 1.0, scale=0.0
             )
+
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    def test_falling_mean_reports_as_its_negation(self, ep_generic, tau):
+        # from |g> the excitations come first, so the net flux into |g> falls
+        rho0 = ground_state()
+        curve = activity_curve(ep_generic, rho0, tau, n_grid=512)
+        reports = []
+        for sign in (1.0, -1.0):
+            obs = CountingObservable(tuple(sign * w for w in (1, -1, 1, -1, 1, -1)))
+            m1 = counting_moments(ep_generic, rho0, obs, tau / 2)
+            m2 = counting_moments(ep_generic, rho0, obs, tau)
+            scale = observable_scale(obs, curve.activity[-1])
+            reports.append(tur_activity_integral(m1, m2, curve, tau / 2, tau, scale))
+        falling, rising = reports
+        assert falling.inputs["mean_2"].value < falling.inputs["mean_1"].value < 0
+        assert falling.satisfied is True and falling.precondition_ok
+        for key in ("lhs", "rhs", "slack", "tol"):
+            assert getattr(falling, key) == pytest.approx(getattr(rising, key), rel=1e-12)
+        assert (falling.satisfied, falling.extra) == (rising.satisfied, rising.extra)
 
     def test_steady_state_triple_satisfied(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))

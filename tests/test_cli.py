@@ -202,6 +202,30 @@ class TestBounds:
         assert len(lines) >= 3
 
 
+# flags a subcommand once accepted and ignored, with the arguments it requires
+REMOVED_FLAGS = {
+    "steady-state": ((), ("--seed", "--out", "--workers", "--rho0", "--coherent")),
+    "evolve": (("--t", "1"), ("--seed", "--out", "--workers", "--coherent")),
+    "moments": (("--tau", "1"), ("--seed", "--out", "--workers", "--coherent")),
+    "trajectories": (("--tau", "1"), ("--incoherent",)),
+    "bounds": (("--tau", "1"), ("--seed", "--workers", "--coherent")),
+    "verify-cic": (("--tau", "1"), ("--out", "--incoherent", "--coherent")),
+}
+FLAG_VALUES = {"--seed": ("1",), "--out": ("x.csv",), "--workers": ("1",), "--rho0": ("ss",)}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, (_, flags) in REMOVED_FLAGS.items() for f in flags],
+)
+def test_subcommand_rejects_a_flag_it_does_not_read(command, flag, capsys):
+    required = REMOVED_FLAGS[command][0]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--builtin", "da", *required, flag, *FLAG_VALUES.get(flag, ()))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestSweeps:
     def test_kur_sweep_writes_deterministic_csv(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -104,7 +104,7 @@ class TestDefaultObservable:
         assert default_observable(da_generic) == CountingObservable.total_count(4)
 
     def test_pairing_decides_not_ds(self, ep_generic):
-        h, ops = ep_generic.H, ep_generic.jump_ops()
+        h, ops = ep_generic.H, [c.L for c in ep_generic.channels]
         paired = LindbladModel.build(h, ops, partners=[1, 0, 3, 2, 5, 4])
         assert default_observable(paired) == default_observable(ep_generic)
         unpaired = LindbladModel.build(h, ops, ds=ep_generic.entropy_weights())

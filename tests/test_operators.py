@@ -100,6 +100,23 @@ class TestBohrFrequency:
             assert np.abs(model.H @ gamma - gamma @ model.H).max() < 1e-10
 
 
+class TestJumpNorms:
+    def test_stack_holds_each_channel_product(self, ep_generic):
+        norms = ep_generic.jump_norms
+        assert norms.shape == (6, 3, 3) and not norms.flags.writeable
+        for c, ldl in zip(ep_generic.channels, norms):
+            assert np.array_equal(ldl, dagger(c.L) @ c.L)
+
+    def test_channel_free_model_has_an_empty_stack(self):
+        model = LindbladModel.build(np.diag([0.0, 1.0]), [])
+        assert model.jump_norms.shape == (0, 2, 2)
+        assert not model.total_decay().any()
+
+    def test_raw_constructor_rejects_a_mismatched_channel(self, ep_generic):
+        with pytest.raises(ModelValidationError, match="dimension"):
+            LindbladModel(np.zeros((2, 2), dtype=complex), ep_generic.channels)
+
+
 class TestDetailedBalance:
     def test_rate_pair_passes(self):
         g3, g4 = 0.6, 0.25

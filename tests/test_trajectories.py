@@ -5,21 +5,17 @@ from scipy.stats import ks_2samp
 from qtur import trajectories
 from qtur.counting import CountingObservable, counting_moments
 from qtur.engine import build_generator, steady_state, survival_probability
-from qtur.operators import LindbladModel, ModelValidationError
+from qtur.operators import EIGENVALUE_CLIP, LindbladModel, ModelValidationError
 from qtur.trajectories import (
     UNIFORM_BLOCK,
     PathWeights,
     SeedPolicy,
     TrajectoryRecord,
     TrajectorySampler,
-    ZeroProbabilityLabelError,
     ensemble_entropies,
     estimate,
-    forward_backward_densities,
-    record_entropy,
     record_observable,
     sample_ensemble,
-    sample_trajectory,
     splitmix64,
 )
 from conftest import ground_state, rotate_model
@@ -75,9 +71,9 @@ class TestSampling:
     def test_channel_free_model_never_jumps(self):
         model = LindbladModel.build(np.diag([0.0, 1.0]).astype(complex), [])
         rho0 = np.diag([0.6, 0.4]).astype(complex)
+        sampler = TrajectorySampler(model, rho0, 3.0)
         for seed in range(5):
-            rec = sample_trajectory(model, rho0, 3.0, seed)
-            assert rec.n_jumps == 0
+            assert sampler.sample(seed).n_jumps == 0
 
     def test_no_jump_fraction_matches_survival(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))
@@ -90,8 +86,8 @@ class TestSampling:
 
     def test_determinism_same_seed(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))
-        a = sample_trajectory(da_generic, rho, 2.0, 99)
-        b = sample_trajectory(da_generic, rho, 2.0, 99)
+        a = TrajectorySampler(da_generic, rho, 2.0).sample(99)
+        b = TrajectorySampler(da_generic, rho, 2.0).sample(99)
         assert a == b
 
     def test_determinism_across_worker_counts(self, ep_generic, monkeypatch):
@@ -186,10 +182,8 @@ class TestChunkedSampler:
         ]
         # exact float equality on every jump time
         assert records == expected
-        single = sample_trajectory(
-            model, rho, 1.5, SeedPolicy(2026).trajectory_seed(2), coherent=coherent
-        )
-        assert single == expected[2]
+        sampler = TrajectorySampler(model, rho, 1.5, coherent=coherent)
+        assert sampler.sample(SeedPolicy(2026).trajectory_seed(2)) == expected[2]
 
     def test_long_record_reads_past_the_uniform_block(self, ep_generic):
         jumps, i0, i1 = GOLDEN_LONG_RECORD
@@ -239,7 +233,7 @@ class TestChunkedSampler:
         norms = trajectories._row_norms
         monkeypatch.setattr(trajectories, "_row_norms", lambda phi: 0.5 * norms(phi))
         with pytest.raises(ModelValidationError, match="norm increased"):
-            sample_trajectory(ep_generic, ground_state(), 1.0, 3)
+            TrajectorySampler(ep_generic, ground_state(), 1.0).sample(3)
 
     def test_no_positive_channel_raises(self, ep_generic):
         sampler = TrajectorySampler(ep_generic, ground_state(), 5.0)
@@ -285,6 +279,18 @@ def reference_path_norms(pw: PathWeights, record: TrajectoryRecord) -> tuple:
     return tuple(norms)
 
 
+def reference_entropy(pw: PathWeights, record: TrajectoryRecord) -> float | None:
+    """Scalar per-record entropy ln q_i(0) - ln q_i'(tau) + sum_j ds_{m_j}, or
+    None where a label hits clipped weight: the reference the batched
+    entropies must reproduce exactly."""
+    ds = pw.model.entropy_weights()
+    p_start = pw.q0[record.initial_label]
+    p_end = pw.qtau[record.final_label]
+    if p_start <= EIGENVALUE_CLIP or p_end <= EIGENVALUE_CLIP:
+        return None
+    return float(np.log(p_start) - np.log(p_end) + sum(ds[m] for _, m in record.jumps))
+
+
 class TestBatchedPricing:
     def test_path_norms_match_reference_loop(self, ep_generic):
         model = rotate_model(ep_generic, np.random.default_rng(4))
@@ -295,7 +301,10 @@ class TestBatchedPricing:
         expected = [reference_path_norms(pw, r) for r in records]
         damped, full = pw.path_norms_batch(records)
         assert list(zip(damped.tolist(), full.tolist())) == expected
-        assert [pw.path_norms(r) for r in records[:20]] == expected[:20]
+        # a batch of one prices a record exactly as the batch of n does
+        for rec, norms in zip(records[:20], expected):
+            one_damped, one_full = pw.path_norms_batch([rec])
+            assert (one_damped[0], one_full[0]) == norms
 
     def test_entropies_match_per_record(self, ep_generic):
         rho0 = ground_state()
@@ -307,11 +316,12 @@ class TestBatchedPricing:
         values, keep = pw.entropies(records)
         assert keep.sum() == len(records) - 1 and not keep[7] and np.isnan(values[7])
         for rec, value, kept in zip(records, values, keep):
+            reference = reference_entropy(pw, rec)
+            assert kept == (reference is not None)
             if kept:
-                assert value == pw.entropy(rec)
-            else:
-                with pytest.raises(ZeroProbabilityLabelError):
-                    pw.entropy(rec)
+                assert value == reference
+            one_value, one_keep = pw.entropies([rec])
+            assert one_keep[0] == kept and np.array_equal(one_value, [value], equal_nan=True)
         kept_values, discarded = ensemble_entropies(pw, records)
         assert discarded == 1 and np.array_equal(kept_values, values[keep])
 
@@ -321,36 +331,27 @@ class TestPathDensities:
         rho = steady_state(build_generator(ep_generic, coherent=True))
         records = sample_ensemble(ep_generic, rho, 1.0, 500, SeedPolicy(7), workers=1)
         pw = PathWeights(ep_generic, rho, 1.0)
-        for rec in records:
-            d = pw.densities(rec)
-            rel = abs(d.backward - d.predicted_backward) / max(
-                d.backward, d.predicted_backward, 1e-300
-            )
-            assert rel < 1e-9
+        _, backward, predicted = pw.densities_batch(records)
+        rel = np.abs(backward - predicted) / np.maximum(np.maximum(backward, predicted), 1e-300)
+        assert np.all(rel < 1e-9)
 
     def test_jump_free_record_ratio(self, ep_generic):
         rho = steady_state(build_generator(ep_generic, coherent=True))
         pw = PathWeights(ep_generic, rho, 1.0)
         rec = TrajectoryRecord((), initial_label=0, final_label=0, horizon=1.0)
-        d = pw.densities(rec)
+        forward, backward, _ = pw.densities_batch([rec])
         # same label at both ends: Q/P = q(tau)/q(0) = 1 at stationarity
-        assert d.backward / d.forward == pytest.approx(1.0, rel=1e-9)
-
-    def test_densities_convenience_wrapper(self, ep_generic):
-        rho = steady_state(build_generator(ep_generic, coherent=True))
-        rec = sample_trajectory(ep_generic, rho, 1.0, 12)
-        d = forward_backward_densities(ep_generic, rho, rec)
-        assert d.forward > 0 and d.backward > 0
+        assert backward[0] / forward[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_entropy_equals_log_density_ratio(self, ep_generic):
         rho = steady_state(build_generator(ep_generic, coherent=True))
         records = sample_ensemble(ep_generic, rho, 1.0, 500, SeedPolicy(13), workers=1)
         pw = PathWeights(ep_generic, rho, 1.0)
-        for rec in records:
-            d = pw.densities(rec)
-            direct = pw.entropy(rec)
-            via_ratio = np.log(d.forward / d.backward)
-            assert abs(direct - via_ratio) <= 1e-9 * max(1.0, abs(direct))
+        forward, backward, _ = pw.densities_batch(records)
+        direct, keep = pw.entropies(records)
+        assert keep.all()
+        via_ratio = np.log(forward / backward)
+        assert np.all(np.abs(direct - via_ratio) <= 1e-9 * np.maximum(1.0, np.abs(direct)))
 
     def test_batch_equals_per_record(self, ep_generic):
         rng = np.random.default_rng(41)
@@ -361,27 +362,19 @@ class TestPathDensities:
         clipped = TrajectoryRecord(((0.5, 1),), initial_label=1, final_label=0, horizon=1.5)
         records.insert(5, clipped)
         pw = PathWeights(model, rho0, 1.5)
-        forward, backward, predicted = pw.densities_batch(records)
-        assert np.isnan(predicted[5]) and np.isnan(predicted).sum() == 1
+        batch = pw.densities_batch(records)
+        assert np.isnan(batch[2][5]) and np.isnan(batch[2]).sum() == 1
+        # a batch of one prices a record exactly as the batch of n does
         for i, rec in enumerate(records):
-            assert forward[i] == pw.forward_density(rec)
-            assert backward[i] == pw.backward_density(rec)
-            if i == 5:
-                with pytest.raises(ZeroProbabilityLabelError):
-                    pw.densities(rec)
-            else:
-                d = pw.densities(rec)
-                assert (d.forward, d.backward, d.predicted_backward) == (
-                    forward[i], backward[i], predicted[i]
-                )
+            for one, whole in zip(pw.densities_batch([rec]), batch):
+                assert np.array_equal(one, whole[i : i + 1], equal_nan=True)
 
     def test_path_norm_identity_per_record(self, ep_generic):
         rho0 = ground_state()
         records = sample_ensemble(ep_generic, rho0, 1.2, 400, SeedPolicy(29), workers=1)
         pw = PathWeights(ep_generic, rho0, 1.2)
-        for rec in records:
-            damped, full = pw.path_norms(rec)
-            assert abs(damped - full) <= 1e-9 * max(damped, full)
+        damped, full = pw.path_norms_batch(records)
+        assert np.all(np.abs(damped - full) <= 1e-9 * np.maximum(damped, full))
 
     def test_kl_estimate_matches_entropy_production(self, ep_generic):
         from qtur.counting import entropy_production
@@ -405,11 +398,13 @@ class TestPathDensities:
         assert entropies.mean() >= -3 * stderr
 
     def test_zero_probability_label_rejected(self, ep_generic):
-        q0 = np.array([0.9, 0.1, 0.0])
-        qtau = np.array([0.8, 0.2, 0.0])
+        # q0 = (0.9, 0.1, 0): label 2 has zero weight at the start
+        rho0 = np.diag([0.9, 0.1, 0.0]).astype(complex)
+        pw = PathWeights(ep_generic, rho0, 1.0)
         rec = TrajectoryRecord((), initial_label=2, final_label=0, horizon=1.0)
-        with pytest.raises(ZeroProbabilityLabelError):
-            record_entropy(ep_generic, rec, q0, qtau)
+        values, keep = pw.entropies([rec])
+        assert not keep[0] and np.isnan(values[0])
+        assert np.isnan(pw.densities_batch([rec])[2][0])
 
 
 class TestEstimate:
@@ -427,7 +422,7 @@ class TestEstimate:
 
     def test_needs_two_records(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))
-        rec = sample_trajectory(da_generic, rho, 0.5, 1)
+        rec = TrajectorySampler(da_generic, rho, 0.5).sample(1)
         with pytest.raises(ValueError):
             estimate([rec], CountingObservable((1.0,) * 4))
 
