@@ -11,7 +11,9 @@ mean that is rounding noise, |mean| <= DEGENERATE_REL_TOL max|w| A(tau),
 for which the ratio of variance to squared mean is undefined. The
 entropy-production bound also needs a current and an entropy production
 above the rounding noise of the terms it sums; otherwise its report says
-why it does not apply.
+why it does not apply. That rule lives on :class:`BoundReport` itself
+(``judge``, ``skipped``, ``not_applicable``), and the random sweeps judge
+their rows with it too.
 
 Bound inventory:
 
@@ -70,7 +72,8 @@ class BoundReport:
 
     ``satisfied`` is None when the precondition failed (the bound does
     not apply); otherwise slack >= -tol decides it. ``extra`` holds
-    chained right-hand sides and companion values.
+    chained right-hand sides and companion values. Build reports through
+    the classmethods, which hold the one verdict rule.
     """
 
     name: str
@@ -82,6 +85,35 @@ class BoundReport:
     precondition_ok: bool = True
     inputs: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+
+    @classmethod
+    def judge(cls, name, lhs, rhs, inputs, extra=None, stderr_lhs=None, precondition_ok=True):
+        """The report of lhs >= rhs at tol EXACT_TOL, widened to MC_SIGMAS
+        standard errors of a Monte Carlo lhs."""
+        tol = EXACT_TOL if not stderr_lhs else max(EXACT_TOL, MC_SIGMAS * stderr_lhs)
+        slack = lhs - rhs
+        satisfied = None if not precondition_ok else bool(slack >= -tol)
+        return cls(
+            name, float(lhs), float(rhs), float(slack), satisfied, float(tol), precondition_ok,
+            inputs, extra or {},
+        )
+
+    @classmethod
+    def skipped(cls, name, inputs, extra) -> "BoundReport":
+        """The report of a bound that does not apply: neither side evaluated."""
+        return cls.judge(name, math.nan, math.nan, inputs, extra, precondition_ok=False)
+
+    @classmethod
+    def not_applicable(cls, name, value, scale, inputs, message) -> "BoundReport | None":
+        """The report of a bound whose mean ``value`` is rounding noise at the
+        observable's ``scale``, else None. A zero scale (all weights zero, or
+        no jumps) leaves nothing to compare against: a nonpositive value then
+        raises ``message``."""
+        if value > DEGENERATE_REL_TOL * scale:
+            return None
+        if scale == 0.0:
+            raise ValueError(message)
+        return cls.skipped(name, inputs, {"scale": scale})
 
     def to_json(self) -> dict:
         return {
@@ -122,23 +154,6 @@ class BoundReport:
         return json.dumps(self.to_json())
 
 
-def _finish(name, lhs, rhs, inputs, extra=None, stderr_lhs=None, precondition_ok=True):
-    tol = EXACT_TOL if not stderr_lhs else max(EXACT_TOL, MC_SIGMAS * stderr_lhs)
-    slack = lhs - rhs
-    satisfied = None if not precondition_ok else bool(slack >= -tol)
-    return BoundReport(
-        name=name,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        satisfied=satisfied,
-        tol=float(tol),
-        precondition_ok=precondition_ok,
-        inputs=inputs,
-        extra=extra or {},
-    )
-
-
 def observable_scale(obs: CountingObservable, activity: float) -> float:
     """max_m |w_m| A(tau): the size of the largest mean the observable can reach."""
     return max((abs(w) for w in obs.weights), default=0.0) * activity
@@ -151,23 +166,6 @@ def entropy_scale(
     size of the terms whose sum is Sigma(tau)."""
     flow = observable_scale(CountingObservable(model.entropy_weights()), activity)
     return abs(von_neumann_trace_term(rho0)) + abs(von_neumann_trace_term(rho_tau)) + flow
-
-
-def _skip(name, inputs, extra) -> BoundReport:
-    """The report of a bound that does not apply: neither side evaluated."""
-    return _finish(name, math.nan, math.nan, inputs, extra, precondition_ok=False)
-
-
-def _not_applicable(name, value, scale, inputs, message) -> BoundReport | None:
-    """The report of a bound whose mean ``value`` is rounding noise at the
-    observable's ``scale``, else None. A zero scale (all weights zero, or
-    no jumps) leaves nothing to compare against: a nonpositive value then
-    raises ``message``."""
-    if value > DEGENERATE_REL_TOL * scale:
-        return None
-    if scale == 0.0:
-        raise ValueError(message)
-    return _skip(name, inputs, {"scale": scale})
 
 
 def inverse_x_tanh_x(y: float) -> float:
@@ -266,9 +264,10 @@ def tur_activity_integral(
         "variance_2": _variance_stat(moments_2),
         "half_angle": InputStat.exact(angle),
     }
+    name = "activity_window_bound"
     de = moments_2.mean - moments_1.mean
     message = "mean does not change between the two horizons"
-    if skipped := _not_applicable("activity_window_bound", abs(de), scale, inputs, message):
+    if skipped := BoundReport.not_applicable(name, abs(de), scale, inputs, message):
         return skipped
     s1 = math.sqrt(max(moments_1.variance, 0.0))
     s2 = math.sqrt(max(moments_2.variance, 0.0))
@@ -288,8 +287,8 @@ def tur_activity_integral(
                     var_terms += (2 * lhs / de * m.stderr_mean) ** 2
         stderr_lhs = math.sqrt(var_terms)
 
-    return _finish(
-        "activity_window_bound",
+    return BoundReport.judge(
+        name,
         lhs,
         rhs,
         inputs,
@@ -321,15 +320,16 @@ def kur_differential(
         "mean_growth_rate": InputStat.exact(dmean),
         "activity": InputStat.exact(activity_total),
     }
+    name = "activity_rate_bound"
     message = "mean growth rate vanishes; the bound is undefined"
-    if skipped := _not_applicable("activity_rate_bound", abs(tau * dmean), scale, inputs, message):
+    if skipped := BoundReport.not_applicable(name, abs(tau * dmean), scale, inputs, message):
         return skipped
     lhs = moments.variance / (tau * dmean) ** 2
     rhs = 1.0 / activity_total
     stderr_lhs = None
     if moments.method == "monte_carlo" and moments.stderr_variance:
         stderr_lhs = moments.stderr_variance / (tau * dmean) ** 2
-    return _finish("activity_rate_bound", lhs, rhs, inputs, stderr_lhs=stderr_lhs)
+    return BoundReport.judge(name, lhs, rhs, inputs, stderr_lhs=stderr_lhs)
 
 
 def moment_ratio_bounds(
@@ -371,7 +371,7 @@ def moment_ratio_bounds(
         angle = half_angle_integral(curve, 0.0, tau)
         pre = 0.0 < angle <= math.pi / 2 + 1e-12
         rhs_sin = math.sin(angle) ** (-2) if pre else 0.0
-        sin_report = _finish(
+        sin_report = BoundReport.judge(
             "moment_ratio_sin_bound",
             lhs,
             rhs_sin,
@@ -387,7 +387,7 @@ def moment_ratio_bounds(
         if tau <= 0:
             raise ValueError("the exponential form needs tau > 0")
         rhs_exp = 1.0 / (1.0 - math.exp(-initial_rate * tau))
-        exp_report = _finish(
+        exp_report = BoundReport.judge(
             "moment_ratio_exp_bound",
             lhs,
             rhs_exp,
@@ -465,13 +465,13 @@ def ep_tur(
         "entropy_production": InputStat.exact(sigma),
     }
     if not current:
-        return _skip(name, inputs, {"reason": "the observable is not a current"})
+        return BoundReport.skipped(name, inputs, {"reason": "the observable is not a current"})
     message = "mean current vanishes; the bound is undefined"
-    if skipped := _not_applicable(name, abs(mean_j.value), scale, inputs, message):
+    if skipped := BoundReport.not_applicable(name, abs(mean_j.value), scale, inputs, message):
         return skipped
     if abs(sigma) <= DEGENERATE_REL_TOL * sigma_scale:
         reason = "entropy production is rounding noise"
-        return _skip(name, inputs, {"reason": reason, "scale": sigma_scale})
+        return BoundReport.skipped(name, inputs, {"reason": reason, "scale": sigma_scale})
     ratio = gamma * var_j.value / mean_j.value**2
     rhs_strong = csch_squared_bound(sigma)
     rhs_weak = 2.0 / math.expm1(sigma) if sigma > 0 else math.inf
@@ -490,7 +490,7 @@ def ep_tur(
         "arcsinh_form": math.asinh(1.0 / math.sqrt(ratio)) if ratio > 0 else math.inf,
         "gamma": gamma,
     }
-    return _finish(name, ratio, rhs_strong, inputs, extra, stderr_lhs)
+    return BoundReport.judge(name, ratio, rhs_strong, inputs, extra, stderr_lhs)
 
 
 def survival_bound_check(model: LindbladModel, rho0: np.ndarray, tau: float) -> BoundReport:
@@ -505,4 +505,4 @@ def survival_bound_check(model: LindbladModel, rho0: np.ndarray, tau: float) -> 
         "survival_probability": InputStat.exact(lhs),
         "initial_rate": InputStat.exact(a0),
     }
-    return _finish("survival_bound", lhs, rhs, inputs)
+    return BoundReport.judge("survival_bound", lhs, rhs, inputs)

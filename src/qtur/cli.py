@@ -2,8 +2,9 @@
 
 Subcommands: steady-state, evolve, moments, trajectories, bounds,
 sweep-kur, sweep-ep, verify-cic. Models come from --model (JSON file) or
---builtin with --rates; run parameters can also be preloaded from a JSON
---config file, with explicit flags taking precedence. The exit code is 0
+--builtin with --rates; any flag of a subcommand can also be preloaded
+from a JSON --config file, with explicit flags taking precedence and an
+undeclared key exiting 2. The exit code is 0
 exactly when every asserted check passed; expected diagonal-cost
 violations in sweeps are reported but do not fail the run. QTUR_THREADS
 caps the worker count everywhere.
@@ -87,17 +88,6 @@ def _resolve_model(args):
         return models_mod.build_ep_model(args.omega_e, *rates)
     rates = _parse_rates(args.rates, [1.0])
     return models_mod.build_poisson_model(rates[0])
-
-
-def _apply_config(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
 
 
 def _initial_state(args, model):
@@ -361,10 +351,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse ``argv``. The keys of a --config file become the subcommand's
+    defaults, so explicit flags still win; a key that the subcommand does
+    not declare exits 2."""
+    parser = build_parser()
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("--config")
+    known = pre.parse_known_args(argv)[0]
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    if known.config and known.command in commands:
+        sub = commands[known.command]
+        with open(known.config) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            sub.error(f"{known.config} does not hold a JSON object")
+        actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+        for key, value in cfg.items():
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                sub.error(f"unknown config key {key!r}")
+            action.default, action.required = value, False
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _apply_config(args)
     try:
+        args = _parse(argv)
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

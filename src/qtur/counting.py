@@ -287,21 +287,21 @@ def entropy_production_rate(model: LindbladModel, rho: np.ndarray) -> float:
     return float(ds @ channel_rates(model, rho))
 
 
-def _split_rates(model: LindbladModel, rho: np.ndarray, weights: np.ndarray):
+def rate_split(model: LindbladModel, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Channel rates of the diagonal and off-diagonal parts of ``rho``."""
     from .operators import split_diagonal_offdiagonal
 
     rho_d, rho_nd = split_diagonal_offdiagonal(rho)
-    part_d = float(weights @ channel_rates(model, rho_d))
-    part_nd = float(weights @ channel_rates(model, rho_nd))
-    return part_d, part_nd
+    return channel_rates(model, rho_d), channel_rates(model, rho_nd)
 
 
 def decompose_activity(model: LindbladModel, rho: np.ndarray) -> tuple[float, float]:
     """Split the total jump rate into diagonal / off-diagonal state parts."""
     ones = np.ones(model.n_channels)
-    return _split_rates(model, rho, ones)
+    return tuple(float(ones @ r) for r in rate_split(model, rho))
 
 
 def decompose_sigma(model: LindbladModel, rho: np.ndarray) -> tuple[float, float]:
     """Split the entropy production rate the same way (needs ds)."""
-    return _split_rates(model, rho, model.entropy_weights())
+    ds = model.entropy_weights()
+    return tuple(float(ds @ r) for r in rate_split(model, rho))

@@ -7,6 +7,12 @@ diagonal (classical) part. The point of the exercise is that the full
 cost never produces a violation while the diagonal-only cost does, which
 is what the coherent contribution buys.
 
+One draw function serves both sweeps, with a table of what differs per
+experiment. Each cost is judged by the rule of every bound report
+(:class:`~qtur.bounds.BoundReport`), so a mean that is rounding noise
+makes a row not applicable (nan sides and slack, empty verdicts). A draw
+whose steady state or observable fails validation is a flagged row.
+
 Sweeps are reproducible to the byte: draw k derives its own generator
 from (seed, k) through the same splitmix64 mixing the trajectory sampler
 uses, rows are emitted in draw order whatever the worker count, and
@@ -17,20 +23,16 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .bounds import ep_lower_bound
-from .counting import (
-    CountingObservable,
-    counting_moments,
-    decompose_activity,
-    decompose_sigma,
-    entropy_production,
-)
-from .engine import DegenerateSteadyStateError, build_generator, propagate, steady_state
-from .models import antisymmetric_current_weights, default_observable
-from .operators import LindbladModel
+from .bounds import BoundReport, ep_lower_bound, observable_scale
+from .counting import CountingObservable, counting_moments, entropy_production, rate_split
+from .engine import SteadyStateError, build_generator, propagate, steady_state
+from .models import antisymmetric_current_weights, build_da_model, build_ep_model
+from .models import default_observable
+from .operators import LindbladModel, ModelValidationError
 from .trajectories import (
     PathWeights,
     SeedPolicy,
@@ -40,9 +42,6 @@ from .trajectories import (
     sample_ensemble,
     splitmix64,
 )
-
-SLACK_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -97,12 +96,19 @@ class SweepResult:
         flags = self.column(f"satisfied_{which}")
         return sum(1 for f in flags if f is False)
 
+    def not_applicable(self, which: str) -> int:
+        """Unflagged rows whose mean is rounding noise: neither satisfied
+        nor violated."""
+        flags = zip(self.column(f"satisfied_{which}"), self.column("flagged"))
+        return sum(1 for f, flagged in flags if f is None and not flagged)
+
     def summary(self) -> str:
         lines = [f"{self.experiment}: {len(self.rows)} rows, {self.n_flagged} flagged"]
         for which in ("full", "diag"):
-            violated = self.violations(which)
-            ok = len(self.rows) - violated - self.n_flagged
-            lines.append(f"  {which} cost: {ok} satisfied, {violated} violated")
+            violated, skipped = self.violations(which), self.not_applicable(which)
+            ok = len(self.rows) - violated - skipped - self.n_flagged
+            line = f"  {which} cost: {ok} satisfied, {violated} violated"
+            lines.append(line + (f", {skipped} not applicable" if skipped else ""))
         return "\n".join(lines)
 
 
@@ -117,156 +123,118 @@ def _open_uniform(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.
     return out
 
 
-KUR_HEADER = (
-    "draw_index",
-    "gamma_1",
-    "gamma_2",
-    "gamma_3",
-    "gamma_4",
-    "tau",
-    "c_1",
-    "c_2",
-    "c_3",
-    "c_4",
-    "mean",
-    "variance",
-    "activity_rate",
-    "activity_rate_diag",
-    "activity_rate_offdiag",
-    "lhs",
-    "rhs_full",
-    "rhs_diag",
-    "slack_full",
-    "slack_diag",
-    "satisfied_full",
-    "satisfied_diag",
-    "flagged",
-)
-
-EP_HEADER = (
-    "draw_index",
-    "gamma_1",
-    "gamma_2",
-    "gamma_3",
-    "gamma_4",
-    "gamma_5",
-    "gamma_6",
-    "tau",
-    "c_1",
-    "c_2",
-    "c_3",
-    "c_4",
-    "c_5",
-    "c_6",
-    "mean_current",
-    "variance_current",
-    "sigma",
-    "sigma_diag",
-    "sigma_offdiag",
-    "lhs_full",
-    "lhs_diag",
-    "rhs",
-    "slack_full",
-    "slack_diag",
-    "satisfied_full",
-    "satisfied_diag",
-    "flagged",
-)
-
-
-def _kur_draw(config: SweepConfig, index: int):
-    from .models import build_da_model
-
-    rng = _draw_rng(config.seed, index)
-    g = _open_uniform(rng, config.gamma_low, config.gamma_high, 4)
-    tau = float(rng.uniform(config.tau_low, config.tau_high))
-    c_lo, c_hi = config.weight_range()
-    c = rng.uniform(c_lo, c_hi, 4)
-
-    model = build_da_model(config.omega_e, *g)
-    base = [index, *g, tau, *c]
-    try:
-        rho = steady_state(build_generator(model, coherent=True))
-    except DegenerateSteadyStateError:
-        return tuple(base + [np.nan] * 10 + [None, None, True])
-
-    obs = CountingObservable(tuple(c))
-    mom = counting_moments(model, rho, obs, tau)
-    a_d, a_nd = decompose_activity(model, rho)
-    a = a_d + a_nd
+def _kur_sides(mom, tau, a, a_d):
+    """Var / E^2 against 1 / (a tau), with the full and the diagonal activity a."""
     lhs = mom.variance / mom.mean**2
-    rhs_full = 1.0 / (a * tau)
-    rhs_diag = 1.0 / (a_d * tau)
-    slack_full = lhs - rhs_full
-    slack_diag = lhs - rhs_diag
-    return tuple(
-        base
-        + [
-            mom.mean,
-            mom.variance,
-            a,
-            a_d,
-            a_nd,
-            lhs,
-            rhs_full,
-            rhs_diag,
-            slack_full,
-            slack_diag,
-            slack_full >= -SLACK_TOL,
-            slack_diag >= -SLACK_TOL,
-            False,
-        ]
+    return (lhs, 1.0 / (a * tau)), (lhs, 1.0 / (a_d * tau))
+
+
+def _ep_sides(mom, tau, sigma, s_d):
+    """Sigma tau, full and diagonal, against the entropy lower bound of the current."""
+    rhs = ep_lower_bound(mom.mean, mom.variance, gamma=1.0)
+    return (sigma * tau, rhs), (s_d * tau, rhs)
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """What one sweep draws, builds and judges; :func:`_draw` does the rest.
+
+    ``current``: the weights are drawn once per channel pair and
+    antisymmetrized, else once per channel. ``cost_weights(model)`` weighs
+    the channel rates into the cost (ones: activity; ds: entropy
+    production). ``sides(mom, tau, full cost, diag cost)`` gives the
+    (lhs, rhs) of each cost, which ``columns`` names.
+    """
+
+    header: tuple
+    n_rates: int
+    build: Callable
+    current: bool
+    cost_weights: Callable
+    bound: str
+    sides: Callable
+    columns: tuple
+
+
+def _header(n_rates: int, *middle: str) -> tuple:
+    k = range(1, n_rates + 1)
+    return (
+        "draw_index", *(f"gamma_{i}" for i in k), "tau", *(f"c_{i}" for i in k), *middle,
+        "slack_full", "slack_diag", "satisfied_full", "satisfied_diag", "flagged",
     )
 
 
-def _ep_draw(config: SweepConfig, index: int):
-    from .models import build_ep_model
+_EXPERIMENTS = {
+    "kur_sweep": _Experiment(
+        header=_header(
+            4, "mean", "variance", "activity_rate", "activity_rate_diag",
+            "activity_rate_offdiag", "lhs", "rhs_full", "rhs_diag",
+        ),
+        n_rates=4,
+        build=lambda *args: build_da_model(*args),  # resolved per call, as other calls here are
+        current=False,
+        cost_weights=lambda model: np.ones(model.n_channels),
+        bound="activity_rate_bound",
+        sides=_kur_sides,
+        columns=(("lhs", "rhs_full"), ("lhs", "rhs_diag")),
+    ),
+    "ep_sweep": _Experiment(
+        header=_header(
+            6, "mean_current", "variance_current", "sigma", "sigma_diag", "sigma_offdiag",
+            "lhs_full", "lhs_diag", "rhs",
+        ),
+        n_rates=6,
+        build=lambda *args: build_ep_model(*args),
+        current=True,
+        cost_weights=LindbladModel.entropy_weights,
+        bound="entropy_production_bound",
+        sides=_ep_sides,
+        columns=(("lhs_full", "rhs"), ("lhs_diag", "rhs")),
+    ),
+}
 
+
+def _draw(config: SweepConfig, index: int):
+    """Row ``index`` of the sweep: parameters, exact stationary statistics,
+    and both costs judged by the bound reports' rule. A draw whose steady
+    state or observable fails validation is a flagged row."""
+    spec = _EXPERIMENTS[config.experiment]
     rng = _draw_rng(config.seed, index)
-    g = _open_uniform(rng, config.gamma_low, config.gamma_high, 6)
+    g = _open_uniform(rng, config.gamma_low, config.gamma_high, spec.n_rates)
     tau = float(rng.uniform(config.tau_low, config.tau_high))
-    c_lo, c_hi = config.weight_range()
-    free = rng.uniform(c_lo, c_hi, 3)
+    n_free = spec.n_rates // 2 if spec.current else spec.n_rates
+    c = rng.uniform(*config.weight_range(), n_free)
 
-    model = build_ep_model(config.omega_e, *g)
-    c = antisymmetric_current_weights(model, free)
+    model = spec.build(config.omega_e, *g)
+    if spec.current:
+        c = antisymmetric_current_weights(model, c)
     base = [index, *g, tau, *c]
     try:
         rho = steady_state(build_generator(model, coherent=True))
-    except DegenerateSteadyStateError:
+        obs = CountingObservable(tuple(c), antisymmetric=spec.current)
+        if spec.current:
+            obs.check_antisymmetry(model)
+    except (SteadyStateError, ModelValidationError):
         return tuple(base + [np.nan] * 10 + [None, None, True])
 
-    obs = CountingObservable(c, antisymmetric=True)
-    obs.check_antisymmetry(model)
     mom = counting_moments(model, rho, obs, tau)
-    s_d, s_nd = decompose_sigma(model, rho)
-    sigma = s_d + s_nd
-    lhs_full = sigma * tau
-    lhs_diag = s_d * tau
-    if mom.mean == 0.0:
-        rhs = 0.0
+    w = spec.cost_weights(model)
+    rates = rate_split(model, rho)
+    part_d, part_nd = (float(w @ r) for r in rates)
+    total = part_d + part_nd
+    scale = observable_scale(obs, float(sum(r.sum() for r in rates)) * tau)
+    message = "mean vanishes; the bound is undefined"
+    if skipped := BoundReport.not_applicable(spec.bound, abs(mom.mean), scale, {}, message):
+        reports = (skipped, skipped)
     else:
-        rhs = ep_lower_bound(mom.mean, mom.variance, gamma=1.0)
-    slack_full = lhs_full - rhs
-    slack_diag = lhs_diag - rhs
-    return tuple(
-        base
-        + [
-            mom.mean,
-            mom.variance,
-            sigma,
-            s_d,
-            s_nd,
-            lhs_full,
-            lhs_diag,
-            rhs,
-            slack_full,
-            slack_diag,
-            slack_full >= -SLACK_TOL,
-            slack_diag >= -SLACK_TOL,
-            False,
-        ]
-    )
+        sides = spec.sides(mom, tau, total, part_d)
+        reports = [BoundReport.judge(spec.bound, lhs, rhs, {}) for lhs, rhs in sides]
+    cells = {"flagged": False}
+    for which, (lhs, rhs), rep in zip(("full", "diag"), spec.columns, reports):
+        cells.update({lhs: rep.lhs, rhs: rep.rhs, f"slack_{which}": rep.slack})
+        cells[f"satisfied_{which}"] = rep.satisfied
+    row = base + [mom.mean, mom.variance, total, part_d, part_nd]
+    return tuple(row + [cells[name] for name in spec.header[len(row):]])
 
 
 _SWEEP_CONFIG: SweepConfig | None = None
@@ -279,19 +247,16 @@ def _init_sweep_worker(config: SweepConfig):
 
 def _sweep_chunk(args):
     lo, hi = args
-    draw = _kur_draw if _SWEEP_CONFIG.experiment == "kur_sweep" else _ep_draw
-    return [draw(_SWEEP_CONFIG, i) for i in range(lo, hi)]
+    return [_draw(_SWEEP_CONFIG, i) for i in range(lo, hi)]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Execute every draw, in parallel when workers allow; rows stay in
     draw order so the output is independent of scheduling."""
-    draw = _kur_draw if config.experiment == "kur_sweep" else _ep_draw
-    header = KUR_HEADER if config.experiment == "kur_sweep" else EP_HEADER
     workers = resolve_workers(config.workers)
     n = config.n_draws
     if workers == 1 or n < 64:
-        rows = [draw(config, i) for i in range(n)]
+        rows = [_draw(config, i) for i in range(n)]
     else:
         chunk = max(16, (n + 4 * workers - 1) // (4 * workers))
         tasks = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
@@ -301,7 +266,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             rows = [row for part in pool.map(_sweep_chunk, tasks) for row in part]
     flagged = sum(1 for row in rows if row[-1])
     return SweepResult(
-        experiment=config.experiment, header=header, rows=tuple(rows), n_flagged=flagged
+        experiment=config.experiment,
+        header=_EXPERIMENTS[config.experiment].header,
+        rows=tuple(rows),
+        n_flagged=flagged,
     )
 
 
@@ -479,14 +447,23 @@ def _backward_check(model, rho0, tau, obs, budget, seed, workers) -> CheckResult
 
 
 def rerun_row_check(result: SweepResult, row_index: int) -> bool:
-    """Recompute a row's satisfied flags from its own columns (audit)."""
+    """Re-judge both costs of a row from its own lhs and rhs columns by the
+    rule its draw used (audit): True when the row's sides, slack and
+    satisfied cells are the rule's, as the CSV prints them. A row whose
+    satisfied cell is empty must be a skipped report (nan sides and
+    slack); ep rows carry no activity, so the rounding-noise test itself
+    is not redone."""
     row = dict(zip(result.header, result.rows[row_index]))
     if row["flagged"]:
         return True
-    if result.experiment == "kur_sweep":
-        ok_full = (row["lhs"] - row["rhs_full"]) >= -SLACK_TOL
-        ok_diag = (row["lhs"] - row["rhs_diag"]) >= -SLACK_TOL
-    else:
-        ok_full = (row["lhs_full"] - row["rhs"]) >= -SLACK_TOL
-        ok_diag = (row["lhs_diag"] - row["rhs"]) >= -SLACK_TOL
-    return ok_full == row["satisfied_full"] and ok_diag == row["satisfied_diag"]
+    spec = _EXPERIMENTS[result.experiment]
+    for which, (lhs, rhs) in zip(("full", "diag"), spec.columns):
+        cells = (row[lhs], row[rhs], row[f"slack_{which}"], row[f"satisfied_{which}"])
+        if cells[3] is None:
+            rep = BoundReport.skipped(spec.bound, {}, {})
+        else:
+            rep = BoundReport.judge(spec.bound, cells[0], cells[1], {})
+        expected = (rep.lhs, rep.rhs, rep.slack, rep.satisfied)
+        if [format_cell(v) for v in cells] != [format_cell(v) for v in expected]:
+            return False
+    return True

@@ -7,6 +7,9 @@ they are used to check.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -99,6 +102,34 @@ def ground_state(dim: int = 3) -> np.ndarray:
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
     return rho
+
+
+def patch_nth_call(monkeypatch, module, name: str, n: int, replace) -> None:
+    """Route call ``n`` (from 0) of ``module.name`` through
+    ``replace(original, *args, **kwargs)``; every other call is unchanged."""
+    original = getattr(module, name)
+    calls = itertools.count()
+
+    def patched(*args, **kwargs):
+        if next(calls) == n:
+            return replace(original, *args, **kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def raising(error: Exception):
+    """A ``replace`` for :func:`patch_nth_call` that raises ``error``."""
+
+    def replace(original, *args, **kwargs):
+        raise error
+
+    return replace
+
+
+def zero_mean(original, *args, **kwargs):
+    """A ``replace`` for :func:`patch_nth_call`: the moments with mean 0."""
+    return dataclasses.replace(original(*args, **kwargs), mean=0.0)
 
 
 @pytest.fixture

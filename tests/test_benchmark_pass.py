@@ -17,6 +17,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import worker  # noqa: E402
+import workloads  # noqa: E402
+
+import qtur.sweeps as sweeps  # noqa: E402
+from conftest import patch_nth_call, raising, zero_mean  # noqa: E402
+from qtur.cli import main  # noqa: E402
+from qtur.engine import SteadyStateError  # noqa: E402
 
 SMALLEST = {"sweep": {"draws": 4}, "ensemble": {"n": 200}, "certify": {"dims": (3,)}}
 
@@ -30,3 +36,20 @@ def test_workload_pass_fails_no_command(workload, tmp_path, monkeypatch):
     )
     assert result["failed"] == 0, result["commands"]
     assert result["units"] > 0
+
+
+@pytest.mark.parametrize("name, experiment", [("sweep-kur", "kur_sweep"), ("sweep-ep", "ep_sweep")])
+def test_sweep_audit_accepts_every_row_kind(name, experiment, tmp_path, monkeypatch):
+    # draw 1 has no steady state (a flagged row); draw 3, the third to reach
+    # counting_moments, has a mean of rounding noise (a not-applicable row)
+    patch_nth_call(monkeypatch, sweeps, "steady_state", 1, raising(SteadyStateError("bad")))
+    patch_nth_call(monkeypatch, sweeps, "counting_moments", 2, zero_mean)
+    out = tmp_path / f"{name}.csv"
+    argv = [name, "--draws", "5", "--seed", "2", "--workers", "1", "--out", str(out)]
+    assert main(argv) == 0
+    header, rows = workloads._read_csv(out)
+    column = {key: [row[header.index(key)] for row in rows] for key in header}
+    assert column["flagged"] == ["false", "true", "false", "false", "false"]
+    assert column["satisfied_full"][1] == column["satisfied_full"][3] == ""
+    assert column["slack_full"][3] == "nan"
+    assert workloads._check_sweep(out, experiment, 5, 0, "") == {"sweeps.flagged": 1}

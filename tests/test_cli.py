@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtur.cli as cli
 import qtur.engine as engine
 from qtur.cli import main
 from qtur.models import build_ep_model, save_model
@@ -275,6 +276,61 @@ class TestConfigAndModels:
             "--out", str(out),
         ) == 0
         assert len(out.read_text().strip().split("\n")) == 9
+
+    @staticmethod
+    def _parsed(monkeypatch, tmp_path, cfg, *argv) -> dict:
+        """The arguments a subcommand receives with ``cfg`` as its --config."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        seen = {}
+
+        def record(args):
+            seen.update(vars(args))
+            return 0
+
+        monkeypatch.setattr(cli, f"_cmd_{argv[0]}", record)
+        assert run_cli(*argv, "--config", str(path)) == 0
+        return seen
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sed": 5, "rho0": "ground"}))
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("evolve", "--builtin", "da", "--t", "1", "--config", str(cfg))
+        assert exit_info.value.code == 2
+        assert "unknown config key 'sed'" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([["rho0", "ground"]]))
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("evolve", "--builtin", "da", "--t", "1", "--config", str(cfg))
+        assert exit_info.value.code == 2
+        assert "does not hold a JSON object" in capsys.readouterr().err
+
+    def test_config_sets_store_true_flag(self, monkeypatch, tmp_path):
+        cfg = {"rho0": "ground", "incoherent": True}
+        args = self._parsed(monkeypatch, tmp_path, cfg, "evolve", "--builtin", "da", "--t", "1")
+        assert args["incoherent"] is True and args["rho0"] == "ground"
+
+    def test_config_sets_flags_with_defaults(self, monkeypatch, tmp_path):
+        cfg = {"omega-e": 2.5, "trajectories": 40}
+        args = self._parsed(monkeypatch, tmp_path, cfg, "trajectories", "--tau", "1")
+        assert args["omega_e"] == 2.5 and args["trajectories"] == 40
+
+    def test_config_supplies_a_required_flag(self, monkeypatch, tmp_path):
+        args = self._parsed(monkeypatch, tmp_path, {"tau": 0.5}, "moments", "--builtin", "da")
+        assert args["tau"] == 0.5
+
+    def test_explicit_flags_beat_every_config_key(self, monkeypatch, tmp_path):
+        cfg = {"rho0": "ground", "omega_e": 2.0, "trajectories": 40, "tau": 0.5}
+        args = self._parsed(
+            monkeypatch, tmp_path, cfg, "trajectories", "--rho0", "mixed",
+            "--omega-e", "3", "--trajectories", "7", "--tau", "1",
+        )
+        assert (args["rho0"], args["omega_e"], args["trajectories"], args["tau"]) == (
+            "mixed", 3.0, 7, 1.0,
+        )
 
     def test_bad_model_path_exits_2(self):
         assert run_cli("steady-state", "--model", "/nonexistent/model.json") == 2

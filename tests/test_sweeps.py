@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+import qtur.sweeps as sweeps
 from qtur.sweeps import (
     SweepConfig,
     rerun_row_check,
@@ -11,8 +14,14 @@ from qtur.sweeps import (
     run_sweep,
     write_csv,
 )
-from qtur.engine import build_generator, steady_state
-from conftest import ground_state
+from qtur.engine import (
+    DegenerateSteadyStateError,
+    SteadyStateError,
+    build_generator,
+    steady_state,
+)
+from qtur.operators import ModelValidationError
+from conftest import ground_state, patch_nth_call, raising, zero_mean
 
 
 class TestSweepConfig:
@@ -91,6 +100,109 @@ class TestEpSweep:
     def test_rows_are_self_auditing(self):
         result = run_sweep(SweepConfig("ep_sweep", n_draws=30, seed=4, workers=1))
         assert all(rerun_row_check(result, k) for k in range(len(result.rows)))
+
+
+EXPERIMENTS = ("kur_sweep", "ep_sweep")
+
+
+def _side_columns(result, which):
+    """The lhs, rhs and slack columns of one cost."""
+    lhs = "lhs" if "lhs" in result.header else f"lhs_{which}"
+    rhs = "rhs" if "rhs" in result.header else f"rhs_{which}"
+    return lhs, rhs, f"slack_{which}"
+
+
+class TestBadDraws:
+    """One bad draw becomes a row of its own; the run goes on."""
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize(
+        "error",
+        [
+            SteadyStateError("residual too large"),
+            DegenerateSteadyStateError("two stationary states"),
+            ModelValidationError("not a density"),
+        ],
+        ids=type,
+    )
+    def test_failed_steady_state_is_flagged(self, experiment, error, monkeypatch):
+        config = SweepConfig(experiment, n_draws=6, seed=5, workers=1)
+        clean = result_to_csv(run_sweep(config)).splitlines()
+        patch_nth_call(monkeypatch, sweeps, "steady_state", 2, raising(error))
+        result = run_sweep(config)
+        row = dict(zip(result.header, result.rows[2]))
+        assert row["flagged"] is True and result.n_flagged == 1
+        assert row["satisfied_full"] is None and row["satisfied_diag"] is None
+        lines = result_to_csv(result).splitlines()
+        assert lines[:3] + lines[4:] == clean[:3] + clean[4:]
+        assert all(rerun_row_check(result, k) for k in range(len(result.rows)))
+
+    def test_non_current_observable_is_flagged(self, monkeypatch):
+        expand = sweeps.antisymmetric_current_weights
+
+        def broken(model, free):
+            return (*expand(model, free)[:-1], 0.5)
+
+        monkeypatch.setattr(sweeps, "antisymmetric_current_weights", broken)
+        result = run_sweep(SweepConfig("ep_sweep", n_draws=3, seed=5, workers=1))
+        assert result.n_flagged == 3
+        assert result.column("flagged") == [True, True, True]
+
+
+class TestNotApplicableRows:
+    """A mean that is rounding noise makes a row not applicable, as in
+    ``qtur bounds``: nan sides and slack, empty verdicts."""
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_zero_mean_row(self, experiment, monkeypatch):
+        config = SweepConfig(experiment, n_draws=8, seed=3, workers=1)
+        clean = run_sweep(config)
+        patch_nth_call(monkeypatch, sweeps, "counting_moments", 4, zero_mean)
+        result = run_sweep(config)
+        row = dict(zip(result.header, result.rows[4]))
+        assert row["flagged"] is False and result.n_flagged == 0
+        for which in ("full", "diag"):
+            assert row[f"satisfied_{which}"] is None
+            assert all(math.isnan(row[c]) for c in _side_columns(result, which))
+            assert result.not_applicable(which) == 1
+            before = clean.column(f"satisfied_{which}")
+            assert result.violations(which) == clean.violations(which) - (before[4] is False)
+        lines = result_to_csv(result).splitlines()
+        assert lines[:5] + lines[6:] == result_to_csv(clean).splitlines()[:5] + lines[6:]
+        assert all(rerun_row_check(result, k) for k in range(len(result.rows)))
+
+    def test_summary_counts_them_apart(self, monkeypatch):
+        config = SweepConfig("kur_sweep", n_draws=8, seed=3, workers=1)
+        assert "not applicable" not in run_sweep(config).summary()
+        patch_nth_call(monkeypatch, sweeps, "counting_moments", 4, zero_mean)
+        result = run_sweep(config)
+        diag_violated = result.violations("diag")
+        assert result.summary().splitlines()[1:] == [
+            "  full cost: 7 satisfied, 0 violated, 1 not applicable",
+            f"  diag cost: {7 - diag_violated} satisfied, {diag_violated} violated, "
+            "1 not applicable",
+        ]
+
+
+class TestRowAudit:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("column", ["slack_full", "slack_diag"])
+    def test_tampered_slack_fails(self, experiment, column):
+        result = run_sweep(SweepConfig(experiment, n_draws=3, seed=8, workers=1))
+        k = result.header.index(column)
+        row = list(result.rows[1])
+        row[k] = np.nextafter(row[k], math.inf)
+        tampered = dataclasses.replace(result, rows=(result.rows[0], tuple(row), result.rows[2]))
+        assert rerun_row_check(result, 1)
+        assert not rerun_row_check(tampered, 1)
+        assert rerun_row_check(tampered, 0) and rerun_row_check(tampered, 2)
+
+    def test_tampered_verdict_fails(self):
+        result = run_sweep(SweepConfig("kur_sweep", n_draws=2, seed=8, workers=1))
+        k = result.header.index("satisfied_full")
+        for forged in (not result.rows[0][k], None):
+            row = result.rows[0][:k] + (forged,) + result.rows[0][k + 1 :]
+            assert not rerun_row_check(dataclasses.replace(result, rows=(row,)), 0)
 
 
 # SHA-256 of the CSV of a 64-draw, seed-42 sweep, as written before the
