@@ -413,8 +413,10 @@ def windowed_gamma(
     coherent: bool = True,
 ) -> float:
     """gamma(tau) from exact windowed variances at tau/2, all three from
-    one block exponential over tau/2."""
-    first, second, total = _half_windows(model, rho0, obs, tau, coherent)
+    one block exponential over tau/2. That exponential is the model's
+    memoised step, so after ``counting_moments`` at tau/2 with the same
+    weights and flag this takes matrix-vector products only."""
+    first, second, total, _ = _half_windows(model, rho0, obs, tau, coherent)
     return gamma_factor(first.variance, second.variance, total.variance)
 
 

@@ -22,6 +22,7 @@ from . import bounds as bounds_mod
 from . import models as models_mod
 from .counting import (
     CountingObservable,
+    _half_windows,
     activity_curve,
     counting_moments,
     decompose_activity,
@@ -224,20 +225,20 @@ def _cmd_bounds(args) -> int:
     coherent = not args.incoherent
     reports = []
 
-    mom = counting_moments(model, rho0, obs, tau, coherent=coherent)
+    # the one moment-block exponential, over tau/2; every other window and
+    # rho(tau) are matrix-vector products with the step it memoises
+    half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent)
+    _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent)
     curve = activity_curve(model, rho0, tau, coherent=coherent)
     scale = bounds_mod.observable_scale(obs, curve.activity[-1])
-    gen = build_generator(model, coherent=coherent)
-    rho_tau = propagate(gen, rho0, tau)
     reports.append(
         bounds_mod.kur_differential(model, rho_tau, obs, tau, curve.activity[-1], mom)
     )
-    half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent)
     reports.append(bounds_mod.tur_activity_integral(half, mom, curve, tau / 2.0, tau, scale))
     reports.append(bounds_mod.survival_bound_check(model, rho0, tau))
     if model.has_entropy_weights:
         sigma = entropy_production(model, rho0, tau, coherent=coherent)
-        gamma = bounds_mod.windowed_gamma(model, rho0, obs, tau, coherent=coherent)
+        gamma = bounds_mod.gamma_factor(half.variance, second.variance, mom.variance)
         reports.append(
             bounds_mod.ep_tur(
                 bounds_mod.InputStat.exact(mom.mean),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .engine import build_generator, sandwich, unvec, vec
+from .engine import build_generator, propagated_state, sandwich, unvec, vec
 from .operators import (
     LindbladModel,
     ModelValidationError,
@@ -165,6 +165,23 @@ def _check(model: LindbladModel, obs: CountingObservable, tau: float) -> None:
         raise ValueError("weight vector length does not match the channel count")
 
 
+def _step(model: LindbladModel, weights, h: float, coherent: bool) -> np.ndarray:
+    """E = exp(h B) of the moment block B of ``weights``, read-only.
+
+    The model keeps the last E in one slot keyed by (coherent, weights,
+    h), so it never holds more than one 3d^2-square matrix; a call with
+    another key recomputes E and replaces it."""
+    key = (bool(coherent), tuple(weights), h)
+    slot = model._moment_step
+    if key not in slot:
+        gen = build_generator(model, coherent=coherent).matrix
+        step = expm(_moment_block(model, gen, weights) * h)
+        step.setflags(write=False)
+        slot.clear()
+        slot[key] = step
+    return slot[key]
+
+
 def counting_moments(
     model: LindbladModel,
     rho0: np.ndarray,
@@ -175,30 +192,35 @@ def counting_moments(
     """Exact mean/variance of the windowed count up to ``tau``."""
     _check(model, obs, tau)
     t_a, t_b = obs.resolved_window(tau)
-    gen = build_generator(model, coherent=coherent).matrix
-    n = gen.shape[0]
+    n = model.dim**2
     y = np.zeros(3 * n, dtype=complex)
-    y[:n] = expm(gen * t_a) @ vec(rho0) if t_a > 0 else vec(rho0)
+    if t_a > 0:
+        y[:n] = expm(build_generator(model, coherent=coherent).matrix * t_a) @ vec(rho0)
+    else:
+        y[:n] = vec(rho0)
     if t_b > t_a:
-        y = expm(_moment_block(model, gen, obs.weights) * (t_b - t_a)) @ y
+        y = _step(model, obs.weights, t_b - t_a, coherent) @ y
     return _moments(y, model.dim)
 
 
 def _half_windows(model, rho0, obs, tau: float, coherent: bool) -> tuple:
-    """Moments over [0, tau/2], [tau/2, tau] and [0, tau] from one block
-    exponential E over tau/2: E y0, E (rho(tau/2), 0, 0) and E E y0, with
-    y0 = (rho0, 0, 0). ``obs.window`` is ignored."""
+    """Moments over [0, tau/2], [tau/2, tau] and [0, tau], and rho(tau),
+    from the block exponential E over tau/2: E y0, E (rho(tau/2), 0, 0)
+    and E E y0, with y0 = (rho0, 0, 0); rho(tau) is the top d^2 entries
+    of E E y0. E is the model's memoised step, so after
+    ``counting_moments(model, rho0, obs, tau / 2, coherent)`` no further
+    exponential is taken. ``obs.window`` is ignored."""
     _check(model, obs, tau)
-    gen = build_generator(model, coherent=coherent).matrix
-    n = gen.shape[0]
-    step = expm(_moment_block(model, gen, obs.weights) * (tau / 2.0))
+    n = model.dim**2
+    step = _step(model, obs.weights, tau / 2.0, coherent)
     first = np.zeros(3 * n, dtype=complex)
     first[:n] = vec(rho0)
     first = step @ first
     restart = np.zeros_like(first)
     restart[:n] = first[:n]
     second, total = (step @ np.stack([restart, first], axis=1)).T
-    return tuple(_moments(y, model.dim) for y in (first, second, total))
+    moments = tuple(_moments(y, model.dim) for y in (first, second, total))
+    return moments + (propagated_state(total[:n]),)
 
 
 def mean_rate(model: LindbladModel, rho_t: np.ndarray, obs: CountingObservable) -> float:

@@ -128,7 +128,13 @@ def propagate(gen: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError(f"propagation time must be nonnegative, got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
-    out = unvec(expm(gen.matrix * t) @ vec(rho0))
+    return propagated_state(expm(gen.matrix * t) @ vec(rho0))
+
+
+def propagated_state(x: np.ndarray) -> np.ndarray:
+    """The density matrix of a propagated vector ``x``: the Hermitian part
+    of unvec(x), validated at 1e-8."""
+    out = unvec(x)
     out = (out + dagger(out)) / 2.0
     check = validate_density(out, 1e-8)
     if not check.ok:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import qtur.counting
 from qtur import build_da_model, build_ep_model, build_poisson_model
 from qtur.operators import LindbladModel
 
@@ -91,6 +92,23 @@ def random_ep_model(rng: np.random.Generator, omega_e: float = 1.0) -> LindbladM
     return build_ep_model(omega_e, *open_uniform(rng, 6))
 
 
+def ladder_model(dim: int, rng: np.random.Generator, entropy: bool = True) -> LindbladModel:
+    """H = diag of seeded levels with a lowering and a raising channel on
+    every rung; with ``entropy`` each pair carries ds = ln(down / up)."""
+    energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.8, 1.2, dim - 1))])
+    ops, ds, partners = [], [], []
+    for k in range(dim - 1):
+        down, up = rng.uniform(0.5, 1.5), rng.uniform(0.1, 0.5)
+        lower = np.zeros((dim, dim), dtype=complex)
+        lower[k, k + 1] = np.sqrt(down)
+        ops += [lower, np.sqrt(up / down) * lower.T]
+        ds += [float(np.log(down / up)), -float(np.log(down / up))]
+        partners += [2 * k + 1, 2 * k]
+    if not entropy:
+        return LindbladModel.build(np.diag(energies), ops)
+    return LindbladModel.build(np.diag(energies), ops, ds=ds, partners=partners)
+
+
 def open_uniform(rng: np.random.Generator, n: int):
     out = rng.uniform(0.0, 1.0, n)
     while np.any(out <= 0.0):
@@ -116,6 +134,20 @@ def patch_nth_call(monkeypatch, module, name: str, n: int, replace) -> None:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, patched)
+
+
+def record_exponentials(monkeypatch) -> list:
+    """Patch ``qtur.counting.expm`` to append the shape of every matrix it
+    exponentiates to the returned list."""
+    shapes = []
+    original = qtur.counting.expm
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(qtur.counting, "expm", recorded)
+    return shapes
 
 
 def raising(error: Exception):

@@ -36,6 +36,11 @@ def test_workload_pass_fails_no_command(workload, tmp_path, monkeypatch):
     )
     assert result["failed"] == 0, result["commands"]
     assert result["units"] > 0
+    if workload == "certify":
+        # the benchmark sees block work only through counting_moments' hook
+        metrics = result["layers"]
+        assert metrics["counting.counting_moments.max_block_dim"] == 27
+        assert metrics["bounds.reports"] >= 3
 
 
 @pytest.mark.parametrize("name, experiment", [("sweep-kur", "kur_sweep"), ("sweep-ep", "ep_sweep")])

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import qtur.cli as cli
 import qtur.engine as engine
 from qtur.cli import main
-from qtur.models import build_ep_model, save_model
+from qtur.models import build_da_model, build_ep_model, save_model
 from qtur.operators import LindbladModel
+from conftest import ladder_model, record_exponentials, rotate_model
 
 README_EP = ("--builtin", "ep", "--rates", "0.7,0.3,0.5,0.4,0.6,0.2")
 
@@ -149,6 +150,35 @@ class TestBounds:
                 # moments, A(tau), Sigma and the half angle carry no time unit
                 assert value == pytest.approx(stat["value"], rel=1e-9, abs=1e-12), key
 
+    @settings(max_examples=30)
+    @given(
+        kind=st.sampled_from(("da", "ep")),
+        rates=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+        tau=st.floats(0.2, 3.0),
+        rho0=st.sampled_from(("ss", "mixed")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdicts_survive_a_change_of_basis(self, kind, rates, tau, rho0, seed,
+                                                 tmp_path_factory):
+        build = build_ep_model if kind == "ep" else build_da_model
+        model = build(1.0, *rates[: 6 if kind == "ep" else 4])
+        runs = []
+        for m in (model, rotate_model(model, np.random.default_rng(seed))):
+            path = tmp_path_factory.mktemp("basis") / "model.json"
+            save_model(m, path)
+            runs.append(bounds_reports("--model", str(path), "--tau", repr(tau), "--rho0", rho0))
+        (code_a, base), (code_b, rotated) = runs
+        assert code_a == code_b and len(base) == len(rotated)
+        for a, b in zip(base, rotated):
+            assert (a["name"], a["precondition_ok"]) == (b["name"], b["precondition_ok"])
+            assert (a["satisfied"] is None) == (b["satisfied"] is None), a["name"]
+            sides = [abs(a[k]) for k in ("lhs", "rhs") if math.isfinite(a[k])]
+            if a["satisfied"] is not None and abs(a["slack"]) > 1e-9 * max(sides, default=0.0):
+                assert a["satisfied"] == b["satisfied"], a["name"]
+            for key in ("lhs", "rhs"):
+                if math.isfinite(a[key]):
+                    assert b[key] == pytest.approx(a[key], rel=1e-9), (a["name"], key)
+
     @pytest.mark.parametrize("tau", ["1", "50"])
     def test_ep_bound_skips_a_non_current(self, tau):
         # equilibrium rates started stationary: Sigma(tau) is 0.0 at tau = 1 and
@@ -190,6 +220,31 @@ class TestBounds:
         code, _ = bounds_reports(*README_EP, "--tau", "1", "--rho0", "ss", *flags)
         assert code == 0
         assert sorted(calls) == built
+
+    @pytest.mark.parametrize("case", ["readme", "unit_ladder", "stationary_ladder"])
+    def test_takes_one_block_exponential(self, case, monkeypatch, tmp_path):
+        if case == "readme":
+            dim, argv = 3, (*README_EP, "--tau", "1")
+        else:
+            dim, unit = 4, case == "unit_ladder"
+            path = tmp_path / "ladder.json"
+            save_model(ladder_model(dim, np.random.default_rng(3), entropy=not unit), path)
+            argv = ("--model", str(path), "--tau", "2")
+            argv += ("--rho0", "ground", "--weights", ",".join(["1"] * 6)) if unit else (
+                "--rho0", "ss"
+            )
+        shapes = record_exponentials(monkeypatch)
+        horizons, moments = [], cli.counting_moments
+
+        def counted(model, rho0, obs, tau, **kwargs):
+            horizons.append(tau)
+            return moments(model, rho0, obs, tau, **kwargs)
+
+        monkeypatch.setattr(cli, "counting_moments", counted)
+        code, reports = bounds_reports(*argv)
+        assert code == 0 and len(reports) >= 3
+        assert shapes.count((3 * dim * dim, 3 * dim * dim)) == 1
+        assert horizons == [float(argv[argv.index("--tau") + 1]) / 2]
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -252,6 +307,17 @@ class TestVerifyCic:
         assert code == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_equilibrium_kl_check_ignores_rounding_noise(self, capsys):
+        # both sides of the KL check are rounding noise here: -7.4e-18 ± 1.1e-17
+        # against an exact Sigma of -2.2e-16
+        code = run_cli(
+            "verify-cic", "--builtin", "ep", "--rates", "0.4,0.4,0.7,0.7,0.25,0.25",
+            "--tau", "1", "--trajectories", "2000", "--seed", "3",
+        )
+        out = capsys.readouterr().out
+        assert "[PASS] kl_matches_entropy_production" in out
+        assert code == 0 and "[FAIL]" not in out
 
 
 class TestConfigAndModels:

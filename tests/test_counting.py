@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,11 @@ from qtur.operators import ModelValidationError, von_neumann_trace_term
 from conftest import (
     da_activity_split_closed_form,
     ground_state,
+    ladder_model,
     random_da_model,
     random_ep_model,
     random_pure_state,
+    record_exponentials,
     rotate_model,
 )
 
@@ -239,6 +243,44 @@ class TestExactKernel:
                 assert activity_curve(model, rho0, 3.0).activity[-1] == pytest.approx(
                     total.mean, rel=1e-12
                 )
+
+
+class TestMemoisedStep:
+    def test_one_block_held_at_any_number_of_horizons(self):
+        model = ladder_model(8, np.random.default_rng(5))
+        obs = CountingObservable(model.entropy_weights())
+        for tau in np.linspace(0.1, 2.0, 20):
+            counting_moments(model, ground_state(8), obs, tau)
+        assert len(model._moment_step) == 1
+        assert next(iter(model._moment_step.values())).shape == (3 * 64, 3 * 64)
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_windows_from_the_step_match_fresh_moments(
+        self, coherent, da_generic, ep_generic, monkeypatch
+    ):
+        rng = np.random.default_rng(17)
+        cases = (
+            (da_generic, (0.5, 1.0, 0.25, 0.75), (1.0, 0.0, -0.5, 0.3)),
+            (ep_generic, (1.0, -1.0, 0.5, -0.5, 0.2, -0.2), (1.0,) * 6),
+            (rotate_model(ep_generic, rng), (1.0, -0.3, 0.6, 0.2, -0.8, 0.4), (0.0,) * 5 + (1.0,)),
+        )
+        windows = ((0.0, 0.85), (0.85, 1.7), (0.0, 1.7))
+        shapes = record_exponentials(monkeypatch)
+        for model, weights, other in cases:
+            rho0 = random_pure_state(3, rng)
+            for flag, w in ((coherent, weights), (not coherent, weights), (coherent, other)):
+                obs = CountingObservable(w)
+                fresh = dataclasses.replace(model)  # equal arrays, empty memos
+                want = [counting_moments(fresh, rho0, obs.with_window(v), 1.7, flag) for v in windows]
+                counting_moments(model, rho0, CountingObservable(weights), 0.85, coherent)
+                shapes.clear()
+                *got, rho_tau = _half_windows(model, rho0, obs, 1.7, flag)
+                # the step just taken serves its own flag and weights only
+                assert len(shapes) == (0 if (flag, w) == (coherent, weights) else 1)
+                for g, v in zip(got, want):
+                    assert_moments_close(g, v, 1e-12)
+                gen = build_generator(fresh, coherent=flag)
+                np.testing.assert_allclose(rho_tau, propagate(gen, rho0, 1.7), rtol=0, atol=1e-12)
 
 
 class TestDecompositions:
