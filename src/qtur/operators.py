@@ -1,10 +1,13 @@
 """Dense operator algebra, model containers and structural validation.
 
 Everything operates on small dense complex matrices. The wall is the
-d^2 x d^2 superoperator: on 2 cores one ``qtur bounds`` call on a d = 24
-ladder, whose one 3 d^2 = 1728-square block exponential dominates, takes
-7.2 to 7.7 s at a peak RSS of 442 MB, and at d = 64 that block alone
-would need about 2.4 GB.
+d^2 x d^2 superoperator. From ``qtur.counting.ACTION_MIN_DIM`` up the
+3 d^2-square moment block is never formed, so with one BLAS thread one
+``qtur bounds`` call on a ladder (ground state, tau = 2) takes 2.5 to
+3.2 s at a peak RSS of 125 MB at d = 24, and 10.1 to 11.0 s at 259 MB at
+d = 32. What costs most there is d^2-square: the activity curve's
+(d^2 + 2)-square exponential and its 2047 steps (about 3.4 s and most of
+the RSS at d = 32), then the generator assembly (about 3.4 s).
 Operators and density matrices are plain ``numpy`` arrays; the model layer
 below adds the structure a monitored open system needs:
 
@@ -195,8 +198,9 @@ class LindbladModel:
     jump_norms: np.ndarray = field(init=False, repr=False, compare=False)
     # coherent flag -> Liouvillian, filled by qtur.engine.build_generator
     _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (coherent, weights, h) -> exp(h B) of the moment block B; one entry at
-    # most, filled by qtur.counting.counting_moments and its half windows
+    # (coherent, weights, h) -> exp(h B) of the moment block B or, from
+    # qtur.counting.ACTION_MIN_DIM up, (coherent, weights) -> the d^2-square
+    # pieces of B; one entry at most, filled by qtur.counting._act
     _moment_step: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

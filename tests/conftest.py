@@ -109,6 +109,21 @@ def ladder_model(dim: int, rng: np.random.Generator, entropy: bool = True) -> Li
     return LindbladModel.build(np.diag(energies), ops, ds=ds, partners=partners)
 
 
+def random_eigenoperator_model(dim: int, rng: np.random.Generator) -> LindbladModel:
+    """A generic diagonal H with jumps L_m = sqrt(gamma_m) |i><j| between
+    seeded pairs of distinct levels (each an eigenoperator of H), the
+    whole model then rotated by a random unitary."""
+    energies = np.sort(rng.uniform(-2.0, 2.0, dim))
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
+    chosen = rng.choice(len(pairs), size=int(rng.integers(dim, 2 * dim + 1)), replace=False)
+    ops = []
+    for k in sorted(chosen):
+        op = np.zeros((dim, dim), dtype=complex)
+        op[pairs[k]] = np.sqrt(rng.uniform(0.1, 1.0))
+        ops.append(op)
+    return rotate_model(LindbladModel.build(np.diag(energies), ops), rng)
+
+
 def open_uniform(rng: np.random.Generator, n: int):
     out = rng.uniform(0.0, 1.0, n)
     while np.any(out <= 0.0):

@@ -22,9 +22,16 @@ import workloads  # noqa: E402
 import qtur.sweeps as sweeps  # noqa: E402
 from conftest import patch_nth_call, raising, zero_mean  # noqa: E402
 from qtur.cli import main  # noqa: E402
+from qtur.counting import ACTION_MIN_DIM  # noqa: E402
 from qtur.engine import SteadyStateError  # noqa: E402
 
-SMALLEST = {"sweep": {"draws": 4}, "ensemble": {"n": 200}, "certify": {"dims": (3,)}}
+# certify's second ladder sits at ACTION_MIN_DIM, so the benchmark's own
+# output checks also run on the block action
+SMALLEST = {
+    "sweep": {"draws": 4},
+    "ensemble": {"n": 200},
+    "certify": {"dims": (3, ACTION_MIN_DIM)},
+}
 
 
 @pytest.mark.parametrize("workload", sorted(SMALLEST))
@@ -39,7 +46,7 @@ def test_workload_pass_fails_no_command(workload, tmp_path, monkeypatch):
     if workload == "certify":
         # the benchmark sees block work only through counting_moments' hook
         metrics = result["layers"]
-        assert metrics["counting.counting_moments.max_block_dim"] == 27
+        assert metrics["counting.counting_moments.max_block_dim"] == 3 * ACTION_MIN_DIM**2
         assert metrics["bounds.reports"] >= 3
 
 

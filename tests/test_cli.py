@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import qtur.cli as cli
 import qtur.engine as engine
 from qtur.cli import main
+from qtur.counting import ACTION_MIN_DIM
 from qtur.models import build_da_model, build_ep_model, save_model
 from qtur.operators import LindbladModel
 from conftest import ladder_model, record_exponentials, rotate_model
@@ -221,18 +222,25 @@ class TestBounds:
         assert code == 0
         assert sorted(calls) == built
 
-    @pytest.mark.parametrize("case", ["readme", "unit_ladder", "stationary_ladder"])
+    @pytest.mark.parametrize(
+        "case",
+        ["readme", "unit_ladder", "stationary_ladder", "unit_ladder_action",
+         "stationary_ladder_action"],
+    )
     def test_takes_one_block_exponential(self, case, monkeypatch, tmp_path):
+        # below ACTION_MIN_DIM one 3d^2-square exponential, from it up none;
+        # besides it only the activity curve's, with a row per curve (no
+        # (d^2 + 1)-square one for Sigma)
+        unit = case.startswith("unit_ladder")
         if case == "readme":
             dim, argv = 3, (*README_EP, "--tau", "1")
         else:
-            dim, unit = 4, case == "unit_ladder"
+            dim = ACTION_MIN_DIM if case.endswith("_action") else 4
             path = tmp_path / "ladder.json"
             save_model(ladder_model(dim, np.random.default_rng(3), entropy=not unit), path)
             argv = ("--model", str(path), "--tau", "2")
-            argv += ("--rho0", "ground", "--weights", ",".join(["1"] * 6)) if unit else (
-                "--rho0", "ss"
-            )
+            ones = ",".join(["1"] * (2 * dim - 2))
+            argv += ("--rho0", "ground", "--weights", ones) if unit else ("--rho0", "ss")
         shapes = record_exponentials(monkeypatch)
         horizons, moments = [], cli.counting_moments
 
@@ -243,7 +251,9 @@ class TestBounds:
         monkeypatch.setattr(cli, "counting_moments", counted)
         code, reports = bounds_reports(*argv)
         assert code == 0 and len(reports) >= 3
-        assert shapes.count((3 * dim * dim, 3 * dim * dim)) == 1
+        block, curve = 3 * dim * dim, dim * dim + (1 if unit else 2)
+        assert shapes.count((block, block)) == (1 if dim < ACTION_MIN_DIM else 0)
+        assert [s for s in shapes if s != (block, block)] == [(curve, curve)]
         assert horizons == [float(argv[argv.index("--tau") + 1]) / 2]
 
     def test_csv_output(self, tmp_path):

@@ -1,9 +1,14 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+import qtur.counting as counting
 from qtur.counting import (
+    ACTION_MIN_DIM,
     CountingObservable,
     activity_curve,
     counting_moments,
@@ -21,6 +26,7 @@ from conftest import (
     ground_state,
     ladder_model,
     random_da_model,
+    random_eigenoperator_model,
     random_ep_model,
     random_pure_state,
     record_exponentials,
@@ -247,12 +253,20 @@ class TestExactKernel:
 
 class TestMemoisedStep:
     def test_one_block_held_at_any_number_of_horizons(self):
-        model = ladder_model(8, np.random.default_rng(5))
-        obs = CountingObservable(model.entropy_weights())
-        for tau in np.linspace(0.1, 2.0, 20):
-            counting_moments(model, ground_state(8), obs, tau)
-        assert len(model._moment_step) == 1
-        assert next(iter(model._moment_step.values())).shape == (3 * 64, 3 * 64)
+        # one dense 3d^2-square step below ACTION_MIN_DIM; from it up, one
+        # entry of d^2-square pieces and no 3d^2-row array at all
+        for dim in (ACTION_MIN_DIM - 1, 8):
+            model = ladder_model(dim, np.random.default_rng(5))
+            obs = CountingObservable(model.entropy_weights())
+            for tau in np.linspace(0.1, 2.0, 20):
+                counting_moments(model, ground_state(dim), obs, tau)
+            assert len(model._moment_step) == 1
+            (held,) = model._moment_step.values()
+            if dim < ACTION_MIN_DIM:
+                assert held.shape == (3 * dim**2, 3 * dim**2)
+            else:
+                arrays = [a for a in held if isinstance(a, np.ndarray)]
+                assert arrays and all(a.shape == (dim**2, dim**2) for a in arrays)
 
     @pytest.mark.parametrize("coherent", [True, False])
     def test_windows_from_the_step_match_fresh_moments(
@@ -333,3 +347,73 @@ class TestObservableValidation:
     def test_reversed_window_rejected(self):
         with pytest.raises(ValueError, match="reversed"):
             CountingObservable((1.0,), window=(2.0, 1.0))
+
+
+def _weights_with_zeros(rng, n_channels):
+    weights = rng.normal(size=n_channels)
+    weights[rng.random(n_channels) < 0.3] = 0.0
+    weights[rng.integers(n_channels)] = 0.0
+    return tuple(weights)
+
+
+def _block_norm(model, weights, coherent):
+    gen = build_generator(model, coherent=coherent).matrix
+    block = counting._moment_block(model, gen, weights)
+    return block, np.abs(block).sum(axis=0).max()
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.integers(4, 8)
+# h ||B||_1 from 0.1 to about 500, so the action takes up to ~50 steps
+LOG_SCALES = st.floats(np.log(0.1), np.log(500.0))
+
+
+class TestBlockAction:
+    @settings(max_examples=25)
+    @given(seed=SEEDS, dim=DIMS, coherent=st.booleans(), log_scale=LOG_SCALES)
+    def test_action_matches_dense_exponential(self, seed, dim, coherent, log_scale):
+        rng = np.random.default_rng(seed)
+        model = random_eigenoperator_model(dim, rng)
+        weights = _weights_with_zeros(rng, model.n_channels)
+        block, norm = _block_norm(model, weights, coherent)
+        h = np.exp(log_scale) / norm
+        y = rng.normal(size=(3 * dim * dim, 2)) + 1j * rng.normal(size=(3 * dim * dim, 2))
+        # every drawn dimension takes the action
+        with mock.patch.object(counting, "ACTION_MIN_DIM", 4):
+            got = counting._act(model, weights, h, coherent, y)
+        want = expm(h * block) @ y
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=25)
+    @given(seed=SEEDS, dim=DIMS, log_scale=LOG_SCALES, start=st.floats(0.05, 0.9))
+    def test_moments_match_without_hamiltonian_beyond_three_levels(
+        self, seed, dim, log_scale, start
+    ):
+        # the Hamiltonian-free equivalence beyond the 3-level models, on
+        # both sides of ACTION_MIN_DIM, over windows that open after t = 0
+        rng = np.random.default_rng(seed)
+        model = random_eigenoperator_model(dim, rng)
+        weights = _weights_with_zeros(rng, model.n_channels)
+        _, norm = _block_norm(model, weights, True)
+        tau = float(np.exp(log_scale) / norm)
+        obs = CountingObservable(weights, window=(start * tau, tau))
+        rho0 = random_pure_state(dim, rng)
+        a = counting_moments(model, rho0, obs, tau, coherent=True)
+        b = counting_moments(model, rho0, obs, tau, coherent=False)
+        assert a.mean == pytest.approx(b.mean, rel=1e-8, abs=1e-10)
+        assert a.variance == pytest.approx(b.variance, rel=1e-8, abs=1e-10)
+
+    def test_action_repeats_bit_for_bit_and_leaves_numpy_rng_alone(self):
+        model = ladder_model(ACTION_MIN_DIM, np.random.default_rng(8))
+        weights = model.entropy_weights()
+        y = np.zeros(3 * ACTION_MIN_DIM**2, dtype=complex)
+        y[0] = 1.0
+        state = np.random.get_state()
+        first = counting._act(model, weights, 3.0, True, y)
+        fresh = dataclasses.replace(model)  # equal arrays, empty memos
+        for again in (counting._act(model, weights, 3.0, True, y),
+                      counting._act(fresh, weights, 3.0, True, y)):
+            assert again.tobytes() == first.tobytes()
+        after = np.random.get_state()
+        assert after[0] == state[0] and np.array_equal(after[1], state[1])
+        assert after[2:] == state[2:]
