@@ -27,9 +27,10 @@ from .counting import (
     counting_moments,
     decompose_activity,
     entropy_production_rate,
+    sigma_from,
 )
 from .engine import build_generator, propagate, steady_state
-from .operators import validate_density, von_neumann_trace_term
+from .operators import validate_density
 from .sweeps import (
     SweepConfig,
     csv_text,
@@ -225,10 +226,10 @@ def _cmd_bounds(args) -> int:
     reports = []
 
     # the one moment-block step, over tau/2: every other window and rho(tau)
-    # reuse what it memoises (a dense step, or from counting.ACTION_MIN_DIM up
-    # the block's d^2-square pieces); Sigma(tau) is Tr rho0 ln rho0 -
-    # Tr rho(tau) ln rho(tau) plus the curve's entropy flow, so the activity
-    # curve takes the only other exponential
+    # reuse what it memoises (a dense step, or the block's d^2-square pieces
+    # where counting._act applies it to vectors); Sigma(tau) comes from
+    # rho(tau) and the curve's entropy flow, so the activity curve takes the
+    # only other exponential
     half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent)
     _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent)
     curve = activity_curve(model, rho0, tau, coherent=coherent)
@@ -239,11 +240,7 @@ def _cmd_bounds(args) -> int:
     reports.append(bounds_mod.tur_activity_integral(half, mom, curve, tau / 2.0, tau, scale))
     reports.append(bounds_mod.survival_bound_check(model, rho0, tau))
     if model.has_entropy_weights:
-        sigma = (
-            von_neumann_trace_term(rho0)
-            - von_neumann_trace_term(rho_tau)
-            + float(curve.entropy_flow[-1])
-        )
+        sigma = sigma_from(rho0, rho_tau, curve.entropy_flow[-1])
         gamma = bounds_mod.gamma_factor(half.variance, second.variance, mom.variance)
         reports.append(
             bounds_mod.ep_tur(

@@ -22,15 +22,18 @@ preserves the trace), so integration stops at the window end.
 
 That moment block B = [[L, 0, 0], [J_c, L, 0], [J_c2, 2 J_c, L]] is
 3 d^2 square. Below ``ACTION_MIN_DIM`` its dense exponential is taken
-once per step length and applied to vectors. From ``ACTION_MIN_DIM`` up
-no 3 d^2 matrix is formed: exp(h B) acts on vectors through the
-truncated Taylor series of Al-Mohy and Higham (SIAM J. Sci. Comput. 33,
-2011, Algorithm 3.2), with B applied block by block from the d^2-square
-pieces L, J_c and J_c2. Degree and step count come from the exact 1-norm
-of B - mu I, so the result repeats bit for bit. scipy's
-``expm_multiply`` on a LinearOperator would estimate that norm with
-``onenormest``, which draws from numpy's global random state: its
-results would not repeat and it would move the caller's RNG.
+once per step length and applied to vectors. From ``ACTION_MIN_DIM`` up,
+while h ||B - mu I||_1 is small enough for it to pay, no 3 d^2 matrix is
+formed: exp(h B) acts on vectors through the truncated Taylor series of
+Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm 3.2), with
+B applied block by block from the d^2-square pieces L, J_c and J_c2. Its
+cost grows linearly with h ||B - mu I||_1, the dense step's only
+logarithmically, so a long step up to ``DENSE_MAX_DIM`` is taken densely
+again; above that dimension the action is always taken. Degree and step
+count come from the exact 1-norm of B - mu I, so the result repeats bit
+for bit. scipy's ``expm_multiply`` on a LinearOperator would estimate
+that norm with ``onenormest``, which draws from numpy's global random
+state: its results would not repeat and it would move the caller's RNG.
 """
 
 from __future__ import annotations
@@ -48,11 +51,15 @@ from .operators import (
 )
 
 DEFAULT_GRID = 2048  # activity-curve samples; half_angle_integral interpolates them
-# From this dimension the moment block acts on vectors instead of being
-# exponentiated. Measured on the three block products of one `qtur bounds`
-# call (ladder model, tau = 2, one BLAS thread): dense 2.7 ms against 3.1 ms
-# at d = 5, 5.5 against 5.3 ms at d = 6, 12 against 4.4 ms at d = 7.
+# Below this dimension the moment block is always exponentiated densely,
+# so the small models of the sweeps keep the dense step's bits. At d = 6 the
+# two paths cost the same on a `qtur bounds` call at tau = 2 (one BLAS
+# thread: 5.2 ms dense, 5.1 ms action).
 ACTION_MIN_DIM = 6
+# Above this dimension the block is never exponentiated densely, however
+# long the horizon: scipy's expm peaks at about eight times the 3 d^2-square
+# block, 75 MB at d = 16 and 380 MB at d = 24.
+DENSE_MAX_DIM = 16
 # theta_m: the largest h ||B - mu I||_1 for which m Taylor terms reach
 # double precision (Al-Mohy and Higham 2011, Table 3.1; m <= 30 from
 # Higham, Functions of Matrices, Table A.3)
@@ -201,7 +208,7 @@ def _check(model: LindbladModel, obs: CountingObservable, tau: float) -> None:
 
 def _step(model: LindbladModel, weights, h: float, coherent: bool) -> np.ndarray:
     """E = exp(h B) of the moment block B of ``weights``, read-only; the
-    dense path of :func:`_act`, below ``ACTION_MIN_DIM``.
+    dense path of :func:`_act`.
 
     The model keeps the last E in one slot keyed by (coherent, weights,
     h), so it never holds more than one 3d^2-square matrix; a call with
@@ -219,13 +226,15 @@ def _step(model: LindbladModel, weights, h: float, coherent: bool) -> np.ndarray
 
 def _pieces(model: LindbladModel, weights, coherent: bool) -> tuple:
     """(L, J_c, J_c2, mu, ||B - mu I||_1) of the moment block B of
-    ``weights``, with mu = tr L / d^2; the action path of :func:`_act`.
+    ``weights``, with mu = tr L / d^2; what :func:`_act` needs from
+    ``ACTION_MIN_DIM`` up.
 
     The 1-norm is exact: the largest column sum, taken block column by
-    block column. The model keeps these in its one slot, keyed by
-    (coherent, weights), in place of a dense step."""
+    block column. The model keeps these in a slot of their own, keyed by
+    (coherent, weights), so a dense step taken beside them does not evict
+    them."""
     key = (bool(coherent), tuple(weights))
-    slot = model._moment_step
+    slot = model._moment_pieces
     if key not in slot:
         gen = build_generator(model, coherent=coherent).matrix
         j1, j2 = _jump_superops(model, weights)
@@ -238,6 +247,21 @@ def _pieces(model: LindbladModel, weights, coherent: bool) -> tuple:
         slot.clear()
         slot[key] = (gen, j1, j2, mu, norm)
     return slot[key]
+
+
+def _action_pays(dim: int, x: float) -> bool:
+    """Whether the Taylor action beats a dense step at dimension ``dim``
+    (from ``ACTION_MIN_DIM`` up) for x = h ||B - mu I||_1.
+
+    The action's cost grows in proportion to x (about 5.6 Taylor terms per
+    unit), each term a fixed interpreter cost plus products costing d^4;
+    the dense step's cost grows as d^6 and only logarithmically with x.
+    Fitted on `qtur bounds` calls on ladders at d = 6 to 16 and tau = 2 to
+    200 (one BLAS thread), the action is the cheaper while
+    x (4600 + d^4) <= 2 d^6: up to x = 16 at d = 6, 60 at d = 8, 240 at
+    d = 12 and 480 at d = 16. Above ``DENSE_MAX_DIM`` it is taken at any x,
+    for the dense step's memory."""
+    return dim > DENSE_MAX_DIM or x * (4600 + dim**4) <= 2 * dim**6
 
 
 def _taylor_degree(x: float) -> tuple[int, int]:
@@ -255,19 +279,14 @@ def _inf_norm(b: np.ndarray) -> float:
     return float(np.abs(b).sum(axis=-1).max())
 
 
-def _act(model: LindbladModel, weights, h: float, coherent: bool, y: np.ndarray) -> np.ndarray:
-    """exp(h B) y for the moment block B of ``weights``; ``y`` holds
-    (rho, rho1, rho2) stacked, as a 3 d^2 vector or a (3 d^2, k) matrix.
-
-    Below ``ACTION_MIN_DIM`` this is the memoised dense step times y.
-    From it up, Al-Mohy and Higham's Algorithm 3.2 on the shifted block
-    B - mu I: s steps of at most m Taylor terms, a step ending early once
-    two successive terms fall below unit roundoff of the sum. Each term is
-    three d^2-square products on the (3, d^2, k) stack, held as
-    (d^2, 3, k) so that one product applies L to all three parts."""
-    if model.dim < ACTION_MIN_DIM:
-        return _step(model, weights, h, coherent) @ y
-    gen, j1, j2, mu, norm = _pieces(model, weights, coherent)
+def _taylor_action(pieces: tuple, h: float, y: np.ndarray) -> np.ndarray:
+    """exp(h B) y for the block B of ``pieces`` (see :func:`_pieces`), by
+    Al-Mohy and Higham's Algorithm 3.2 on the shifted block B - mu I: s
+    steps of at most m Taylor terms, a step ending early once two
+    successive terms fall below unit roundoff of the sum. Each term is
+    three d^2-square products on the (3, d^2, k) stack, held as (d^2, 3, k)
+    so that one product applies L to all three parts."""
+    gen, j1, j2, mu, norm = pieces
     n = gen.shape[0]
     m, s = _taylor_degree(h * norm)
     eta = np.exp(h * mu / s)
@@ -291,6 +310,20 @@ def _act(model: LindbladModel, weights, h: float, coherent: bool, y: np.ndarray)
     return out.transpose(1, 0, 2).reshape(np.shape(y))
 
 
+def _act(model: LindbladModel, weights, h: float, coherent: bool, y: np.ndarray) -> np.ndarray:
+    """exp(h B) y for the moment block B of ``weights``; ``y`` holds
+    (rho, rho1, rho2) stacked, as a 3 d^2 vector or a (3 d^2, k) matrix.
+
+    From ``ACTION_MIN_DIM`` up, where :func:`_action_pays`, this is
+    :func:`_taylor_action` and no 3 d^2 matrix is formed; otherwise it is
+    the memoised dense step times y."""
+    if model.dim >= ACTION_MIN_DIM:
+        pieces = _pieces(model, weights, coherent)
+        if _action_pays(model.dim, h * pieces[4]):
+            return _taylor_action(pieces, h, y)
+    return _step(model, weights, h, coherent) @ y
+
+
 def counting_moments(
     model: LindbladModel,
     rho0: np.ndarray,
@@ -303,12 +336,10 @@ def counting_moments(
     t_a, t_b = obs.resolved_window(tau)
     n = model.dim**2
     y = np.zeros(3 * n, dtype=complex)
-    y[:n] = vec(rho0)
-    if t_a > 0 and model.dim < ACTION_MIN_DIM:
-        y[:n] = expm(build_generator(model, coherent=coherent).matrix * t_a) @ y[:n]
-    elif t_a > 0:
-        # B is block lower triangular: the top block of its action is exp(t_a L) rho0
-        y[:n] = _act(model, obs.weights, t_a, coherent, y)[:n]
+    if t_a > 0:
+        y[:n] = expm(build_generator(model, coherent=coherent).matrix * t_a) @ vec(rho0)
+    else:
+        y[:n] = vec(rho0)
     if t_b > t_a:
         y = _act(model, obs.weights, t_b - t_a, coherent, y)
     return _moments(y, model.dim)
@@ -318,8 +349,8 @@ def _half_windows(model, rho0, obs, tau: float, coherent: bool) -> tuple:
     """Moments over [0, tau/2], [tau/2, tau] and [0, tau], and rho(tau),
     from exp(h B) over h = tau/2 applied by :func:`_act`: to y0, to
     (rho(tau/2), 0, 0) and to exp(h B) y0, with y0 = (rho0, 0, 0); rho(tau)
-    is the top d^2 entries of the last. The model's memo slot holds the
-    step (or, from ``ACTION_MIN_DIM`` up, the block's pieces), so after
+    is the top d^2 entries of the last. The model memoises the dense step
+    or the block's pieces, whichever :func:`_act` takes, so after
     ``counting_moments(model, rho0, obs, tau / 2, coherent)`` no further
     exponential is taken and no piece is rebuilt. ``obs.window`` is
     ignored."""
@@ -413,7 +444,13 @@ def entropy_production(
     [[L, 0], [s, 0]] tau. Requires ds on every channel.
     """
     _, flows, x = _samples(model, model.entropy_weights(), rho0, tau, 1, coherent)
-    return von_neumann_trace_term(rho0) - von_neumann_trace_term(unvec(x)) + float(flows[-1, 0])
+    return sigma_from(rho0, unvec(x), flows[-1, 0])
+
+
+def sigma_from(rho0: np.ndarray, rho_tau: np.ndarray, flow: float) -> float:
+    """Total entropy production Tr[rho0 ln rho0] - Tr[rho(tau) ln rho(tau)]
+    plus the environment entropy flow over [0, tau]."""
+    return von_neumann_trace_term(rho0) - von_neumann_trace_term(rho_tau) + float(flow)
 
 
 def entropy_production_rate(model: LindbladModel, rho: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 """Dense operator algebra, model containers and structural validation.
 
 Everything operates on small dense complex matrices. The wall is the
-d^2 x d^2 superoperator. From ``qtur.counting.ACTION_MIN_DIM`` up the
+d^2 x d^2 superoperator. Above ``qtur.counting.DENSE_MAX_DIM`` (16) the
 3 d^2-square moment block is never formed, so with one BLAS thread one
 ``qtur bounds`` call on a ladder (ground state, tau = 2) takes 2.5 to
 3.2 s at a peak RSS of 125 MB at d = 24, and 10.1 to 11.0 s at 259 MB at
@@ -198,10 +198,12 @@ class LindbladModel:
     jump_norms: np.ndarray = field(init=False, repr=False, compare=False)
     # coherent flag -> Liouvillian, filled by qtur.engine.build_generator
     _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (coherent, weights, h) -> exp(h B) of the moment block B or, from
-    # qtur.counting.ACTION_MIN_DIM up, (coherent, weights) -> the d^2-square
-    # pieces of B; one entry at most, filled by qtur.counting._act
+    # (coherent, weights, h) -> exp(h B) of the moment block B; one entry at
+    # most, filled by qtur.counting._step
     _moment_step: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (coherent, weights) -> the d^2-square pieces of B and the 1-norm of
+    # B - mu I; one entry at most, filled by qtur.counting._pieces
+    _moment_pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "H", _readonly(self.H))

@@ -22,11 +22,12 @@ import workloads  # noqa: E402
 import qtur.sweeps as sweeps  # noqa: E402
 from conftest import patch_nth_call, raising, zero_mean  # noqa: E402
 from qtur.cli import main  # noqa: E402
+import qtur.counting as counting  # noqa: E402
 from qtur.counting import ACTION_MIN_DIM  # noqa: E402
 from qtur.engine import SteadyStateError  # noqa: E402
 
-# certify's second ladder sits at ACTION_MIN_DIM, so the benchmark's own
-# output checks also run on the block action
+# certify's second ladder sits at ACTION_MIN_DIM and takes the block
+# action, so the benchmark's own output checks also run on it
 SMALLEST = {
     "sweep": {"draws": 4},
     "ensemble": {"n": 200},
@@ -38,11 +39,15 @@ SMALLEST = {
 def test_workload_pass_fails_no_command(workload, tmp_path, monkeypatch):
     # the machine-speed reference kernel only scales timings; skip its 0.16 s runs
     monkeypatch.setattr(worker, "reference_s", lambda: 0.0)
+    actions, action = [], counting._taylor_action
+    monkeypatch.setattr(counting, "_taylor_action", lambda *a: actions.append(a) or action(*a))
     result = worker.run_pass(
         workload, 7, 0, tmp_path, 1, tmp_path / "spans.csv", **SMALLEST[workload]
     )
     assert result["failed"] == 0, result["commands"]
     assert result["units"] > 0
+    # only certify's ladder reaches ACTION_MIN_DIM
+    assert bool(actions) == (workload == "certify")
     if workload == "certify":
         # the benchmark sees block work only through counting_moments' hook
         metrics = result["layers"]

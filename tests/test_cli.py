@@ -223,22 +223,28 @@ class TestBounds:
         assert sorted(calls) == built
 
     @pytest.mark.parametrize(
-        "case",
-        ["readme", "unit_ladder", "stationary_ladder", "unit_ladder_action",
-         "stationary_ladder_action"],
+        "case, dim, tau, blocks",
+        [
+            pytest.param("readme", 3, 1, 1, id="readme"),
+            pytest.param("unit_ladder", 4, 2, 1, id="unit_ladder"),
+            pytest.param("stationary_ladder", 4, 2, 1, id="stationary_ladder"),
+            # from ACTION_MIN_DIM up the block acts on vectors while that
+            # pays, and is exponentiated once over a long horizon
+            pytest.param("unit_ladder", 8, 2, 0, id="unit_ladder_action"),
+            pytest.param("stationary_ladder", 8, 2, 0, id="stationary_ladder_action"),
+            pytest.param("stationary_ladder", 8, 100, 1, id="stationary_ladder_long"),
+        ],
     )
-    def test_takes_one_block_exponential(self, case, monkeypatch, tmp_path):
-        # below ACTION_MIN_DIM one 3d^2-square exponential, from it up none;
-        # besides it only the activity curve's, with a row per curve (no
-        # (d^2 + 1)-square one for Sigma)
-        unit = case.startswith("unit_ladder")
+    def test_takes_one_block_exponential(self, case, dim, tau, blocks, monkeypatch, tmp_path):
+        # at most one 3d^2-square exponential; besides it only the activity
+        # curve's, with a row per curve (no (d^2 + 1)-square one for Sigma)
+        unit = case == "unit_ladder"
         if case == "readme":
-            dim, argv = 3, (*README_EP, "--tau", "1")
+            argv = (*README_EP, "--tau", str(tau))
         else:
-            dim = ACTION_MIN_DIM if case.endswith("_action") else 4
             path = tmp_path / "ladder.json"
             save_model(ladder_model(dim, np.random.default_rng(3), entropy=not unit), path)
-            argv = ("--model", str(path), "--tau", "2")
+            argv = ("--model", str(path), "--tau", str(tau))
             ones = ",".join(["1"] * (2 * dim - 2))
             argv += ("--rho0", "ground", "--weights", ones) if unit else ("--rho0", "ss")
         shapes = record_exponentials(monkeypatch)
@@ -252,9 +258,9 @@ class TestBounds:
         code, reports = bounds_reports(*argv)
         assert code == 0 and len(reports) >= 3
         block, curve = 3 * dim * dim, dim * dim + (1 if unit else 2)
-        assert shapes.count((block, block)) == (1 if dim < ACTION_MIN_DIM else 0)
+        assert shapes.count((block, block)) == blocks
         assert [s for s in shapes if s != (block, block)] == [(curve, curve)]
-        assert horizons == [float(argv[argv.index("--tau") + 1]) / 2]
+        assert horizons == [tau / 2]
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "bounds.csv"

@@ -1,5 +1,4 @@
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -253,20 +252,48 @@ class TestExactKernel:
 
 class TestMemoisedStep:
     def test_one_block_held_at_any_number_of_horizons(self):
-        # one dense 3d^2-square step below ACTION_MIN_DIM; from it up, one
-        # entry of d^2-square pieces and no 3d^2-row array at all
+        # below ACTION_MIN_DIM one dense 3d^2-square step; from it up, over
+        # horizons the action pays for, one entry of d^2-square pieces and
+        # no dense step at all
         for dim in (ACTION_MIN_DIM - 1, 8):
             model = ladder_model(dim, np.random.default_rng(5))
             obs = CountingObservable(model.entropy_weights())
             for tau in np.linspace(0.1, 2.0, 20):
                 counting_moments(model, ground_state(dim), obs, tau)
-            assert len(model._moment_step) == 1
-            (held,) = model._moment_step.values()
             if dim < ACTION_MIN_DIM:
+                (held,) = model._moment_step.values()
                 assert held.shape == (3 * dim**2, 3 * dim**2)
+                assert not model._moment_pieces
             else:
+                assert not model._moment_step
+                (held,) = model._moment_pieces.values()
                 arrays = [a for a in held if isinstance(a, np.ndarray)]
                 assert arrays and all(a.shape == (dim**2, dim**2) for a in arrays)
+
+    def test_long_horizon_takes_one_dense_step_beside_the_pieces(self, monkeypatch):
+        # from ACTION_MIN_DIM up, a step too long for the action to pay is
+        # one dense exponential; the pieces stay beside it, so further calls
+        # over the same step exponentiate nothing
+        dim = 8
+        model = ladder_model(dim, np.random.default_rng(5))
+        weights = model.entropy_weights()
+        pieces = counting._pieces(model, weights, True)
+        h = 200.0 / pieces[4]
+        assert not counting._action_pays(dim, h * pieces[4])
+        y = np.zeros(3 * dim * dim, dtype=complex)
+        y[0] = 1.0
+        shapes = record_exponentials(monkeypatch)
+        got = [counting._act(model, weights, h, True, y) for _ in range(3)]
+        assert shapes == [(3 * dim * dim, 3 * dim * dim)]
+        assert len(model._moment_step) == 1 and len(model._moment_pieces) == 1
+        want = counting._taylor_action(pieces, h, y)
+        assert np.abs(got[0] - want).max() <= 1e-12 * np.abs(want).max()
+        # above DENSE_MAX_DIM the action is taken at any step length
+        monkeypatch.setattr(counting, "DENSE_MAX_DIM", dim - 1)
+        fresh = dataclasses.replace(model)  # equal arrays, empty memos
+        shapes.clear()
+        assert counting._act(fresh, weights, h, True, y).tobytes() == want.tobytes()
+        assert shapes == [] and not fresh._moment_step
 
     @pytest.mark.parametrize("coherent", [True, False])
     def test_windows_from_the_step_match_fresh_moments(
@@ -378,11 +405,14 @@ class TestBlockAction:
         block, norm = _block_norm(model, weights, coherent)
         h = np.exp(log_scale) / norm
         y = rng.normal(size=(3 * dim * dim, 2)) + 1j * rng.normal(size=(3 * dim * dim, 2))
-        # every drawn dimension takes the action
-        with mock.patch.object(counting, "ACTION_MIN_DIM", 4):
-            got = counting._act(model, weights, h, coherent, y)
         want = expm(h * block) @ y
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # the action itself at every drawn dimension, and whichever path
+        # _act picks
+        for got in (
+            counting._taylor_action(counting._pieces(model, weights, coherent), h, y),
+            counting._act(model, weights, h, coherent, y),
+        ):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @settings(max_examples=25)
     @given(seed=SEEDS, dim=DIMS, log_scale=LOG_SCALES, start=st.floats(0.05, 0.9))
@@ -390,7 +420,8 @@ class TestBlockAction:
         self, seed, dim, log_scale, start
     ):
         # the Hamiltonian-free equivalence beyond the 3-level models, on
-        # both sides of ACTION_MIN_DIM, over windows that open after t = 0
+        # both the dense and the action path, over windows that open after
+        # t = 0
         rng = np.random.default_rng(seed)
         model = random_eigenoperator_model(dim, rng)
         weights = _weights_with_zeros(rng, model.n_channels)
@@ -404,12 +435,14 @@ class TestBlockAction:
         assert a.variance == pytest.approx(b.variance, rel=1e-8, abs=1e-10)
 
     def test_action_repeats_bit_for_bit_and_leaves_numpy_rng_alone(self):
-        model = ladder_model(ACTION_MIN_DIM, np.random.default_rng(8))
+        dim = 8
+        model = ladder_model(dim, np.random.default_rng(8))
         weights = model.entropy_weights()
-        y = np.zeros(3 * ACTION_MIN_DIM**2, dtype=complex)
+        y = np.zeros(3 * dim**2, dtype=complex)
         y[0] = 1.0
         state = np.random.get_state()
         first = counting._act(model, weights, 3.0, True, y)
+        assert not model._moment_step  # the action, not a dense step
         fresh = dataclasses.replace(model)  # equal arrays, empty memos
         for again in (counting._act(model, weights, 3.0, True, y),
                       counting._act(fresh, weights, 3.0, True, y)):
