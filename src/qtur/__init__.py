@@ -6,6 +6,7 @@ its Hamiltonian-free twin."""
 from .bounds import (
     BoundReport,
     InputStat,
+    battery,
     ep_lower_bound,
     ep_tur,
     gamma_factor,
@@ -14,7 +15,6 @@ from .bounds import (
     moment_ratio_bounds,
     survival_bound_check,
     tur_activity_integral,
-    windowed_gamma,
 )
 from .counting import (
     CountingObservable,
@@ -30,7 +30,6 @@ from .counting import (
 )
 from .engine import (
     DegenerateSteadyStateError,
-    Liouvillian,
     NoJumpFamily,
     build_generator,
     no_jump_family,

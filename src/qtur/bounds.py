@@ -29,7 +29,9 @@ Bound inventory:
 * the no-jump survival bound exp(-a(0) tau).
 
 h(y) here is the inverse of x tanh(x), computed by safeguarded Newton on
-the bracket [y, y+1].
+the bracket [y, y+1]. :func:`battery` is what ``qtur bounds`` prints: the
+rate-form, windowed, survival and entropy-production reports of one
+observable, fed by exact statistics.
 """
 
 from __future__ import annotations
@@ -40,7 +42,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import CountingObservable, MomentResult, ThermoCurve, _half_windows, mean_rate
+from .counting import (
+    CountingObservable,
+    MomentResult,
+    ThermoCurve,
+    _half_windows,
+    activity_curve,
+    counting_moments,
+    mean_rate,
+    sigma_from,
+)
 from .engine import survival_probability
 from .operators import LindbladModel, von_neumann_trace_term
 
@@ -405,21 +416,6 @@ def gamma_factor(var_first_half: float, var_second_half: float, var_total: float
     return 4.0 * max(var_first_half, var_second_half) / var_total
 
 
-def windowed_gamma(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    obs: CountingObservable,
-    tau: float,
-    coherent: bool = True,
-) -> float:
-    """gamma(tau) from exact windowed variances at tau/2, all three from
-    one block exponential over tau/2. That exponential is the model's
-    memoised step, so after ``counting_moments`` at tau/2 with the same
-    weights and flag this takes matrix-vector products only."""
-    first, second, total, _ = _half_windows(model, rho0, obs, tau, coherent)
-    return gamma_factor(first.variance, second.variance, total.variance)
-
-
 def csch_squared_bound(sigma: float) -> float:
     """csch^2(h(Sigma/2)): the strong entropy-production bound."""
     if sigma < 0:
@@ -508,3 +504,42 @@ def survival_bound_check(model: LindbladModel, rho0: np.ndarray, tau: float) -> 
         "initial_rate": InputStat.exact(a0),
     }
     return BoundReport.judge("survival_bound", lhs, rhs, inputs)
+
+
+def battery(
+    model: LindbladModel, rho0: np.ndarray, obs: CountingObservable, tau: float, coherent=True
+) -> list[BoundReport]:
+    """The bounds of ``obs`` over [0, tau] from ``rho0``: rate form,
+    activity window [tau/2, tau], survival and, on a model with ds,
+    entropy production, all from exact statistics.
+
+    The one moment-block step is over tau/2: every other window and
+    rho(tau) reuse what ``counting_moments`` memoises (a dense step, or the
+    block's d^2-square pieces where ``counting._act`` applies it to
+    vectors). Sigma(tau) comes from rho(tau) and the activity curve's
+    entropy flow, so that curve takes the only other exponential."""
+    half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent)
+    _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent)
+    curve = activity_curve(model, rho0, tau, coherent=coherent)
+    activity = curve.activity[-1]
+    scale = observable_scale(obs, activity)
+    reports = [
+        kur_differential(model, rho_tau, obs, tau, activity, mom),
+        tur_activity_integral(half, mom, curve, tau / 2.0, tau, scale),
+        survival_bound_check(model, rho0, tau),
+    ]
+    if model.has_entropy_weights:
+        sigma = sigma_from(rho0, rho_tau, curve.entropy_flow[-1])
+        gamma = gamma_factor(half.variance, second.variance, mom.variance)
+        reports.append(
+            ep_tur(
+                InputStat.exact(mom.mean),
+                InputStat.exact(mom.variance),
+                gamma,
+                sigma,
+                scale,
+                sigma_scale=entropy_scale(model, rho0, rho_tau, activity),
+                current=obs.is_current(model),
+            )
+        )
+    return reports

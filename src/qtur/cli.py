@@ -1,13 +1,16 @@
-"""Command-line front end.
+"""Command-line front end: it parses, resolves the inputs and prints.
 
 Subcommands: steady-state, evolve, moments, trajectories, bounds,
-sweep-kur, sweep-ep, verify-cic. Models come from --model (JSON file) or
---builtin with --rates; any flag of a subcommand can also be preloaded
-from a JSON --config file, with explicit flags taking precedence and an
-undeclared key exiting 2. The exit code is 0
-exactly when every asserted check passed; expected diagonal-cost
-violations in sweeps are reported but do not fail the run. QTUR_THREADS
-caps the worker count everywhere.
+sweep-kur, sweep-ep, verify-cic. Each resolves its inputs, calls the
+library (``bounds`` runs :func:`qtur.bounds.battery`), prints the result
+and sets the exit code.
+Models come from --model (JSON file) or --builtin with --rates; any flag
+of a subcommand can also be preloaded from a JSON --config file, with
+explicit flags taking precedence, and an undeclared key or a value
+outside a flag's choices exiting 2. The exit code is 0 exactly when
+every asserted check passed; expected diagonal-cost violations in sweeps
+are reported but do not fail the run. QTUR_THREADS caps the worker
+count everywhere.
 """
 
 from __future__ import annotations
@@ -18,16 +21,13 @@ import sys
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from . import models as models_mod
+from .bounds import battery
 from .counting import (
     CountingObservable,
-    _half_windows,
-    activity_curve,
     counting_moments,
     decompose_activity,
     entropy_production_rate,
-    sigma_from,
 )
 from .engine import build_generator, propagate, steady_state
 from .operators import validate_density
@@ -98,11 +98,9 @@ def _initial_state(args, model):
         return steady_state(build_generator(model, coherent=True))
     if choice == "mixed":
         return np.eye(d, dtype=complex) / d
-    if choice == "ground":
-        rho = np.zeros((d, d), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
-    raise SystemExit(f"unknown initial state {choice!r}")
+    rho = np.zeros((d, d), dtype=complex)  # ground
+    rho[0, 0] = 1.0
+    return rho
 
 
 def _weights(args, model):
@@ -221,39 +219,7 @@ def _cmd_bounds(args) -> int:
     model = _resolve_model(args)
     rho0 = _initial_state(args, model)
     obs = _weights(args, model)
-    tau = args.tau
-    coherent = not args.incoherent
-    reports = []
-
-    # the one moment-block step, over tau/2: every other window and rho(tau)
-    # reuse what it memoises (a dense step, or the block's d^2-square pieces
-    # where counting._act applies it to vectors); Sigma(tau) comes from
-    # rho(tau) and the curve's entropy flow, so the activity curve takes the
-    # only other exponential
-    half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent)
-    _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent)
-    curve = activity_curve(model, rho0, tau, coherent=coherent)
-    scale = bounds_mod.observable_scale(obs, curve.activity[-1])
-    reports.append(
-        bounds_mod.kur_differential(model, rho_tau, obs, tau, curve.activity[-1], mom)
-    )
-    reports.append(bounds_mod.tur_activity_integral(half, mom, curve, tau / 2.0, tau, scale))
-    reports.append(bounds_mod.survival_bound_check(model, rho0, tau))
-    if model.has_entropy_weights:
-        sigma = sigma_from(rho0, rho_tau, curve.entropy_flow[-1])
-        gamma = bounds_mod.gamma_factor(half.variance, second.variance, mom.variance)
-        reports.append(
-            bounds_mod.ep_tur(
-                bounds_mod.InputStat.exact(mom.mean),
-                bounds_mod.InputStat.exact(mom.variance),
-                gamma,
-                sigma,
-                scale,
-                sigma_scale=bounds_mod.entropy_scale(model, rho0, rho_tau, curve.activity[-1]),
-                current=obs.is_current(model),
-            )
-        )
-
+    reports = battery(model, rho0, obs, args.tau, coherent=not args.incoherent)
     for rep in reports:
         print(json.dumps(rep.to_json()))
     if args.out:
@@ -358,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv) -> argparse.Namespace:
     """Parse ``argv``. The keys of a --config file become the subcommand's
     defaults, so explicit flags still win; a key that the subcommand does
-    not declare exits 2."""
+    not declare, or a value outside its flag's choices, exits 2."""
     parser = build_parser()
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("command", nargs="?")
@@ -376,6 +342,9 @@ def _parse(argv) -> argparse.Namespace:
             action = actions.get(key.replace("-", "_"))
             if action is None:
                 sub.error(f"unknown config key {key!r}")
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                sub.error(f"config key {key!r}: invalid choice {value!r} (choose from {choices})")
             action.default, action.required = value, False
     return parser.parse_args(argv)
 

@@ -151,16 +151,15 @@ class ThermoCurve:
     """Jump-rate curves sampled exactly on a uniform time grid.
 
     ``activity_rate``/``activity`` are the instantaneous and integrated
-    total jump rates a(t_k) and A(t_k); the entropy fields (rate and
-    integrated environment flow) are present only when every channel
-    carries an entropy change. Only rounding separates the samples from
-    the true values.
+    total jump rates a(t_k) and A(t_k); ``entropy_flow``, the integrated
+    environment entropy flow, is present only when every channel carries
+    an entropy change. Only rounding separates the samples from the true
+    values.
     """
 
     times: np.ndarray
     activity_rate: np.ndarray
     activity: np.ndarray
-    entropy_rate: np.ndarray | None = None
     entropy_flow: np.ndarray | None = None
 
 
@@ -216,7 +215,7 @@ def _step(model: LindbladModel, weights, h: float, coherent: bool) -> np.ndarray
     key = (bool(coherent), tuple(weights), h)
     slot = model._moment_step
     if key not in slot:
-        gen = build_generator(model, coherent=coherent).matrix
+        gen = build_generator(model, coherent=coherent)
         step = expm(_moment_block(model, gen, weights) * h)
         step.setflags(write=False)
         slot.clear()
@@ -236,7 +235,7 @@ def _pieces(model: LindbladModel, weights, coherent: bool) -> tuple:
     key = (bool(coherent), tuple(weights))
     slot = model._moment_pieces
     if key not in slot:
-        gen = build_generator(model, coherent=coherent).matrix
+        gen = build_generator(model, coherent=coherent)
         j1, j2 = _jump_superops(model, weights)
         mu = np.trace(gen) / gen.shape[0]
         shifted = np.abs(gen - mu * np.eye(gen.shape[0])).sum(axis=0)
@@ -337,7 +336,7 @@ def counting_moments(
     n = model.dim**2
     y = np.zeros(3 * n, dtype=complex)
     if t_a > 0:
-        y[:n] = expm(build_generator(model, coherent=coherent).matrix * t_a) @ vec(rho0)
+        y[:n] = expm(build_generator(model, coherent=coherent) * t_a) @ vec(rho0)
     else:
         y[:n] = vec(rho0)
     if t_b > t_a:
@@ -390,7 +389,7 @@ def _samples(model, weight_rows, rho0, h: float, steps: int, coherent: bool):
     exponential over h is applied once per step."""
     if h < 0:
         raise ValueError("tau must be nonnegative")
-    gen = build_generator(model, coherent=coherent).matrix
+    gen = build_generator(model, coherent=coherent)
     n = gen.shape[0]
     ops = [vec(ldl).conj() for ldl in model.jump_norms]
     rows = np.atleast_2d(weight_rows) @ np.reshape(ops, (len(ops), n))
@@ -421,13 +420,11 @@ def activity_curve(
     if model.has_entropy_weights:
         weights.append(model.entropy_weights())
     rates, flows, _ = _samples(model, weights, rho0, tau / (n_grid - 1), n_grid - 1, coherent)
-    entropy = len(weights) > 1
     return ThermoCurve(
         times=np.linspace(0.0, tau, n_grid),
         activity_rate=rates[:, 0],
         activity=flows[:, 0],
-        entropy_rate=rates[:, 1] if entropy else None,
-        entropy_flow=flows[:, 1] if entropy else None,
+        entropy_flow=flows[:, 1] if len(weights) > 1 else None,
     )
 
 

@@ -1,4 +1,4 @@
-"""Deterministic propagation: Liouvillian, steady state, no-jump family.
+"""Deterministic propagation: generator, steady state, no-jump family.
 
 Density matrices are column-vectorized (Fortran order), so a superoperator
 rho -> A rho B maps to the matrix kron(B.T, A). The helpers below form
@@ -8,7 +8,7 @@ are time homogeneous and tiny, which makes the dense matrix exponential
 (scaling and squaring) both exact enough and cheaper to trust than ODE
 stepping. Each model assembles its generator once per ``coherent`` flag:
 models are frozen and hold read-only arrays, so :func:`build_generator`
-memoizes the Liouvillian on the model itself.
+memoizes the generator, a read-only array, on the model itself.
 
 The no-jump propagator family exposes the three operators
 
@@ -78,26 +78,9 @@ def sandwich(a: np.ndarray) -> np.ndarray:
     return _kron(a.conj(), a)
 
 
-@dataclass(frozen=True)
-class Liouvillian:
-    """Vectorized generator of the master equation.
-
-    ``coherent`` records whether the Hamiltonian commutator is included;
-    the incoherent twin drops it but keeps every channel.
-    """
-
-    matrix: np.ndarray
-    dim: int
-    coherent: bool
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def build_generator(model: LindbladModel, coherent: bool = True) -> Liouvillian:
-    """The (possibly Hamiltonian-free) Lindblad generator of ``model``.
+def build_generator(model: LindbladModel, coherent: bool = True) -> np.ndarray:
+    """The (possibly Hamiltonian-free) Lindblad generator of ``model``, a
+    read-only d^2-square array.
 
     Assembled on the first call for each ``coherent`` flag and memoized
     on the model after that. Trace preservation — the vectorized identity
@@ -106,11 +89,13 @@ def build_generator(model: LindbladModel, coherent: bool = True) -> Liouvillian:
     memo = model._generators
     key = bool(coherent)
     if key not in memo:
-        memo[key] = _assemble(model, coherent)
+        gen = _assemble(model, coherent)
+        gen.setflags(write=False)
+        memo[key] = gen
     return memo[key]
 
 
-def _assemble(model: LindbladModel, coherent: bool) -> Liouvillian:
+def _assemble(model: LindbladModel, coherent: bool) -> np.ndarray:
     d = model.dim
     gen = np.zeros((d * d, d * d), dtype=complex)
     if coherent:
@@ -120,15 +105,15 @@ def _assemble(model: LindbladModel, coherent: bool) -> Liouvillian:
     residual = np.linalg.norm(vec(np.eye(d)).conj() @ gen)
     if residual > TRACE_PRESERVATION_TOL * max(1.0, np.linalg.norm(gen)):
         raise ModelValidationError(f"generator is not trace preserving: {residual:.3e}")
-    return Liouvillian(matrix=gen, dim=d, coherent=coherent)
+    return gen
 
 
-def propagate(gen: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
+def propagate(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """Return exp(L t) rho0, validated as a density matrix at 1e-8."""
     if t < 0:
         raise ValueError(f"propagation time must be nonnegative, got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
-    return propagated_state(expm(gen.matrix * t) @ vec(rho0))
+    return propagated_state(expm(gen * t) @ vec(rho0))
 
 
 def propagated_state(x: np.ndarray) -> np.ndarray:
@@ -142,7 +127,7 @@ def propagated_state(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def steady_state(gen: Liouvillian) -> np.ndarray:
+def steady_state(gen: np.ndarray) -> np.ndarray:
     """Unique trace-one null state of the generator.
 
     The null direction comes from the full eigendecomposition (which also
@@ -150,18 +135,17 @@ def steady_state(gen: Liouvillian) -> np.ndarray:
     zero), then a least-squares solve of [L; trace row] x = [0; 1]
     polishes away eigensolver rounding before Hermitization.
     """
-    mat = gen.matrix
-    w = eig(mat, right=False)
+    w = eig(gen, right=False)
     moduli = np.sort(np.abs(w))
     if moduli[0] > DEGENERACY_TOL:
         raise SteadyStateError(f"no steady state found: smallest |eigenvalue| {moduli[0]:.3e}")
-    if mat.shape[0] > 1 and moduli[1] < DEGENERACY_TOL:
+    if gen.shape[0] > 1 and moduli[1] < DEGENERACY_TOL:
         raise DegenerateSteadyStateError(
             f"degenerate steady state: second eigenvalue modulus {moduli[1]:.3e}"
         )
 
-    d = gen.dim
-    a = np.vstack([mat, vec(np.eye(d)).conj()[None, :]])
+    d = round(gen.shape[0] ** 0.5)
+    a = np.vstack([gen, vec(np.eye(d)).conj()[None, :]])
     b = np.zeros(d * d + 1, dtype=complex)
     b[-1] = 1.0
     x, *_ = lstsq(a, b, lapack_driver="gelsd")
@@ -169,7 +153,7 @@ def steady_state(gen: Liouvillian) -> np.ndarray:
     rho = (rho + dagger(rho)) / 2.0
     rho /= rho.trace().real
 
-    residual = np.linalg.norm(mat @ vec(rho))
+    residual = np.linalg.norm(gen @ vec(rho))
     if residual > STEADY_STATE_RESIDUAL_TOL:
         raise SteadyStateError(f"steady-state residual {residual:.3e} too large")
     assert_density(rho)

@@ -122,33 +122,31 @@ def validate_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> DensityCheck:
     )
 
 
-def assert_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> None:
-    check = validate_density(rho, tol)
+def assert_density(rho: np.ndarray) -> None:
+    check = validate_density(rho)
     if not check.ok:
         raise ModelValidationError(f"invalid density matrix: {check.message}")
 
 
-def extract_bohr_frequency(
-    H: np.ndarray, L: np.ndarray, tol: float = EIGENOPERATOR_TOL
-) -> float:
+def extract_bohr_frequency(H: np.ndarray, L: np.ndarray) -> float:
     """Return the real omega with ``[L, H] = omega * L``.
 
     omega is the least-squares projection Re(Tr[L^dag [L, H]]) / Tr[L^dag L];
     the channel conforms iff the residual ||[L,H] - omega L||_F stays below
-    ``tol * ||L||_F``. Scaling L by any nonzero constant leaves omega
-    unchanged.
+    ``EIGENOPERATOR_TOL * ||L||_F``. Scaling L by any nonzero constant
+    leaves omega unchanged.
     """
     H = np.asarray(H, dtype=complex)
-    _check_hermitian(H, tol)
-    return _bohr_frequency(H, np.asarray(L, dtype=complex), tol)
+    _check_hermitian(H)
+    return _bohr_frequency(H, np.asarray(L, dtype=complex))
 
 
-def _check_hermitian(H: np.ndarray, tol: float) -> None:
-    if hermiticity_error(H) > tol * max(1.0, frobenius(H)):
+def _check_hermitian(H: np.ndarray) -> None:
+    if hermiticity_error(H) > EIGENOPERATOR_TOL * max(1.0, frobenius(H)):
         raise ModelValidationError("Hamiltonian is not Hermitian")
 
 
-def _bohr_frequency(H: np.ndarray, L: np.ndarray, tol: float) -> float:
+def _bohr_frequency(H: np.ndarray, L: np.ndarray) -> float:
     """:func:`extract_bohr_frequency` for a Hamiltonian already checked."""
     norm_l = frobenius(L)
     if norm_l == 0.0:
@@ -156,6 +154,7 @@ def _bohr_frequency(H: np.ndarray, L: np.ndarray, tol: float) -> float:
     comm = L @ H - H @ L
     omega = float(np.real(np.trace(dagger(L) @ comm)) / np.real(np.trace(dagger(L) @ L)))
     residual = frobenius(comm - omega * L)
+    tol = EIGENOPERATOR_TOL
     if residual > tol * norm_l:
         raise EigenoperatorError(
             f"eigenoperator condition violated: residual {residual:.3e} "
@@ -196,7 +195,7 @@ class LindbladModel:
     # L_m^dag L_m of every channel as one (M, d, d) stack: the jump-rate
     # operators, formed once here and read by every rate and generator
     jump_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    # coherent flag -> Liouvillian, filled by qtur.engine.build_generator
+    # coherent flag -> generator array, filled by qtur.engine.build_generator
     _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (coherent, weights, h) -> exp(h B) of the moment block B; one entry at
     # most, filled by qtur.counting._step
@@ -261,7 +260,7 @@ class LindbladModel:
             raise ValueError("ds/partners length must match the channel count")
 
         if n:
-            _check_hermitian(H, EIGENOPERATOR_TOL)
+            _check_hermitian(H)
         channels = []
         for m, L in enumerate(jump_ops):
             L = np.asarray(L, dtype=complex)
@@ -269,7 +268,7 @@ class LindbladModel:
                 raise ModelValidationError(
                     f"channel {m} has shape {L.shape}, Hamiltonian {H.shape}"
                 )
-            omega = _bohr_frequency(H, L, EIGENOPERATOR_TOL)
+            omega = _bohr_frequency(H, L)
             channels.append(JumpChannel(L=L, omega=omega, ds=ds[m], partner=partners[m]))
 
         model = cls(H=H, channels=tuple(channels))
@@ -293,10 +292,10 @@ class BalanceCheck:
     message: str
 
 
-def check_local_detailed_balance(
-    model: LindbladModel, m: int, tol: float = EIGENOPERATOR_TOL
-) -> BalanceCheck:
-    """Verify ``L_m = exp(ds_m/2) L_partner^dag`` and ``ds_partner = -ds_m``."""
+def check_local_detailed_balance(model: LindbladModel, m: int) -> BalanceCheck:
+    """Verify ``L_m = exp(ds_m/2) L_partner^dag`` and ``ds_partner = -ds_m``
+    to ``EIGENOPERATOR_TOL``."""
+    tol = EIGENOPERATOR_TOL
     c = model.channels[m]
     if c.partner is None:
         raise ModelValidationError(f"channel {m} has no reverse partner")
@@ -330,16 +329,15 @@ class SpectralDecomposition:
         object.__setattr__(self, "vectors", _readonly(self.vectors))
 
 
-def spectral_decompose(rho: np.ndarray, tol: float = DENSITY_TOL) -> SpectralDecomposition:
+def spectral_decompose(rho: np.ndarray) -> SpectralDecomposition:
     """Spectrally decompose a valid density matrix.
 
-    Eigenvalues below zero by more than ``tol`` are hard errors; smaller
-    negatives are rounding and get clipped to 0 before renormalizing.
+    Eigenvalues below zero by more than ``DENSITY_TOL`` fail
+    :func:`assert_density`; smaller negatives are rounding and get
+    clipped to 0 before renormalizing.
     """
-    assert_density(rho, tol)
+    assert_density(rho)
     w, v = np.linalg.eigh((np.asarray(rho, complex) + dagger(rho)) / 2.0)
-    if w.min() < -tol:
-        raise ModelValidationError(f"eigenvalue {w.min():.3e} below -{tol:.1e}")
     w = np.clip(w, 0.0, 1.0)
     order = np.argsort(w)[::-1]
     w, v = w[order], v[:, order]
@@ -354,15 +352,15 @@ def split_diagonal_offdiagonal(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return diag, rho - diag
 
 
-def von_neumann_trace_term(rho: np.ndarray, clip: float = EIGENVALUE_CLIP) -> float:
+def von_neumann_trace_term(rho: np.ndarray) -> float:
     """Tr[rho ln rho] with the 0 ln 0 = 0 convention.
 
-    Eigenvalues are floored at ``clip`` inside the logarithm only, so
-    exact zeros contribute nothing while tiny positive rounding noise
-    cannot produce huge spurious logs.
+    Eigenvalues are floored at ``EIGENVALUE_CLIP`` inside the logarithm
+    only, so exact zeros contribute nothing while tiny positive rounding
+    noise cannot produce huge spurious logs.
     """
     w = np.linalg.eigvalsh((np.asarray(rho, complex) + dagger(rho)) / 2.0)
     if w.min() < -DENSITY_TOL:
         raise ModelValidationError(f"eigenvalue {w.min():.3e} below tolerance in entropy term")
     w = np.clip(w, 0.0, 1.0)
-    return float(np.sum(w * np.log(np.maximum(w, clip))))
+    return float(np.sum(w * np.log(np.maximum(w, EIGENVALUE_CLIP))))

@@ -73,10 +73,8 @@ class SweepConfig:
     tau_high: float = 10.0
     workers: int | None = None
 
-    EXPERIMENTS = ("kur_sweep", "ep_sweep")
-
     def __post_init__(self):
-        if self.experiment not in self.EXPERIMENTS:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n_draws < 1:
             raise ValueError("n_draws must be at least 1")
@@ -86,11 +84,6 @@ class SweepConfig:
         ):
             if hi <= lo:
                 raise ValueError(f"empty {what} range [{lo}, {hi}]")
-
-    def weight_range(self) -> tuple[float, float]:
-        # Activity sweeps keep the mean count positive; current sweeps
-        # need sign freedom before antisymmetrization.
-        return (0.0, 1.0) if self.experiment == "kur_sweep" else (-1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -152,16 +145,19 @@ class _Experiment:
     """What one sweep draws, builds and judges; :func:`_draw` does the rest.
 
     ``current``: the weights are drawn once per channel pair and
-    antisymmetrized, else once per channel. ``cost_weights(model)`` weighs
-    the channel rates into the cost (ones: activity; ds: entropy
-    production). ``sides(mom, tau, full cost, diag cost)`` gives the
-    (lhs, rhs) of each cost, which ``columns`` names.
+    antisymmetrized, else once per channel, uniformly from
+    ``weight_range``: activity sweeps keep the mean count positive,
+    current sweeps need sign freedom before antisymmetrization.
+    ``cost_weights(model)`` weighs the channel rates into the cost (ones:
+    activity; ds: entropy production). ``sides(mom, tau, full cost, diag
+    cost)`` gives the (lhs, rhs) of each cost, which ``columns`` names.
     """
 
     header: tuple
     n_rates: int
     build: Callable
     current: bool
+    weight_range: tuple
     cost_weights: Callable
     bound: str
     sides: Callable
@@ -185,6 +181,7 @@ _EXPERIMENTS = {
         n_rates=4,
         build=lambda *args: build_da_model(*args),  # resolved per call, as other calls here are
         current=False,
+        weight_range=(0.0, 1.0),
         cost_weights=lambda model: np.ones(model.n_channels),
         bound="activity_rate_bound",
         sides=_kur_sides,
@@ -198,6 +195,7 @@ _EXPERIMENTS = {
         n_rates=6,
         build=lambda *args: build_ep_model(*args),
         current=True,
+        weight_range=(-1.0, 1.0),
         cost_weights=LindbladModel.entropy_weights,
         bound="entropy_production_bound",
         sides=_ep_sides,
@@ -215,7 +213,7 @@ def _draw(config: SweepConfig, index: int):
     g = _open_uniform(rng, config.gamma_low, config.gamma_high, spec.n_rates)
     tau = float(rng.uniform(config.tau_low, config.tau_high))
     n_free = spec.n_rates // 2 if spec.current else spec.n_rates
-    c = rng.uniform(*config.weight_range(), n_free)
+    c = rng.uniform(*spec.weight_range, n_free)
 
     model = spec.build(config.omega_e, *g)
     if spec.current:

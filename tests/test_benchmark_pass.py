@@ -53,6 +53,10 @@ def test_workload_pass_fails_no_command(workload, tmp_path, monkeypatch):
         metrics = result["layers"]
         assert metrics["counting.counting_moments.max_block_dim"] == 3 * ACTION_MIN_DIM**2
         assert metrics["bounds.reports"] >= 3
+        # the traced evaluators count each printed report once: a function
+        # returning a tuple of reports would count them twice
+        for key in ("bounds.reports", "bounds.not_applicable"):
+            assert metrics[key] == result["counters"][key]
 
 
 @pytest.mark.parametrize("name, experiment", [("sweep-kur", "kur_sweep"), ("sweep-ep", "ep_sweep")])

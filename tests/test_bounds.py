@@ -17,11 +17,11 @@ from qtur.bounds import (
     observable_scale,
     survival_bound_check,
     tur_activity_integral,
-    windowed_gamma,
 )
 from qtur.counting import (
     CountingObservable,
     MomentResult,
+    _half_windows,
     activity_curve,
     counting_moments,
 )
@@ -311,7 +311,10 @@ class TestDegenerateMeans:
 
 class TestGammaFactor:
     def test_poisson_independent_increments(self, poisson, scalar_one):
-        g = windowed_gamma(poisson, scalar_one, CountingObservable((1.0,)), 2.0)
+        first, second, total, _ = _half_windows(
+            poisson, scalar_one, CountingObservable((1.0,)), 2.0, True
+        )
+        g = gamma_factor(first.variance, second.variance, total.variance)
         assert g == pytest.approx(2.0, rel=1e-9)
 
     def test_definition_identity(self):

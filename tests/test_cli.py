@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtur.bounds as bounds
 import qtur.cli as cli
 import qtur.engine as engine
 from qtur.cli import main
 from qtur.counting import ACTION_MIN_DIM
-from qtur.models import build_da_model, build_ep_model, save_model
+from qtur.engine import build_generator, steady_state
+from qtur.models import build_da_model, build_ep_model, default_observable, load_model, save_model
 from qtur.operators import LindbladModel
 from conftest import ladder_model, record_exponentials, rotate_model
 
@@ -109,6 +111,29 @@ class TestBounds:
         names = [json.loads(line)["name"] for line in out.strip().split("\n")]
         assert "survival_bound" in names
         assert "entropy_production_bound" in names
+
+    @pytest.mark.parametrize("case", ["readme", "ladder"])
+    def test_prints_the_library_battery(self, case, tmp_path):
+        # the CLI only resolves inputs and prints what qtur.bounds.battery returns
+        if case == "readme":
+            argv = (*README_EP, "--tau", "1")
+            model = build_ep_model(1.0, 0.7, 0.3, 0.5, 0.4, 0.6, 0.2)
+            rho0 = steady_state(build_generator(model, coherent=True))
+            tau = 1.0
+        else:
+            path = tmp_path / "ladder.json"
+            save_model(ladder_model(ACTION_MIN_DIM, np.random.default_rng(3)), path)
+            argv = ("--model", str(path), "--rho0", "ground", "--tau", "2")
+            model = load_model(path)
+            rho0 = np.zeros((model.dim, model.dim), dtype=complex)
+            rho0[0, 0] = 1.0
+            tau = 2.0
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert run_cli("bounds", *argv) == 0
+        reports = bounds.battery(model, rho0, default_observable(model), tau)
+        assert isinstance(reports, list)
+        assert buf.getvalue().splitlines() == [json.dumps(r.to_json()) for r in reports]
 
     def test_readme_command_certifies_no_rounding_noise(self):
         code, reports = bounds_reports(*README_EP, "--tau", "1")
@@ -248,13 +273,13 @@ class TestBounds:
             ones = ",".join(["1"] * (2 * dim - 2))
             argv += ("--rho0", "ground", "--weights", ones) if unit else ("--rho0", "ss")
         shapes = record_exponentials(monkeypatch)
-        horizons, moments = [], cli.counting_moments
+        horizons, moments = [], bounds.counting_moments
 
         def counted(model, rho0, obs, tau, **kwargs):
             horizons.append(tau)
             return moments(model, rho0, obs, tau, **kwargs)
 
-        monkeypatch.setattr(cli, "counting_moments", counted)
+        monkeypatch.setattr(bounds, "counting_moments", counted)
         code, reports = bounds_reports(*argv)
         assert code == 0 and len(reports) >= 3
         block, curve = 3 * dim * dim, dim * dim + (1 if unit else 2)
@@ -381,6 +406,22 @@ class TestConfigAndModels:
             run_cli("evolve", "--builtin", "da", "--t", "1", "--config", str(cfg))
         assert exit_info.value.code == 2
         assert "unknown config key 'sed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, cfg",
+        [
+            (("steady-state",), {"builtin": "xyz"}),
+            (("evolve", "--builtin", "da", "--t", "1"), {"rho0": "bogus"}),
+        ],
+    )
+    def test_config_value_outside_choices_exits_2(self, tmp_path, capsys, argv, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--config", str(path))
+        assert exit_info.value.code == 2
+        key, value = next(iter(cfg.items()))
+        assert f"config key {key!r}: invalid choice {value!r}" in capsys.readouterr().err
 
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -384,7 +384,7 @@ def _weights_with_zeros(rng, n_channels):
 
 
 def _block_norm(model, weights, coherent):
-    gen = build_generator(model, coherent=coherent).matrix
+    gen = build_generator(model, coherent=coherent)
     block = counting._moment_block(model, gen, weights)
     return block, np.abs(block).sum(axis=0).max()
 

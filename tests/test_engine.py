@@ -27,21 +27,29 @@ class TestGenerator:
     def test_hamiltonian_only_spectrum_imaginary(self):
         h = np.diag([0.0, 1.0, 2.5]).astype(complex)
         gen = build_generator(LindbladModel.build(h, []), coherent=True)
-        assert np.abs(np.linalg.eigvals(gen.matrix).real).max() < 1e-12
+        assert np.abs(np.linalg.eigvals(gen).real).max() < 1e-12
 
     def test_identity_jump_cancels(self):
         model = LindbladModel.build(np.zeros((1, 1)), [np.sqrt(0.8) * np.eye(1)])
         gen = build_generator(model, coherent=True)
-        assert np.abs(gen.matrix).max() < 1e-14
+        assert np.abs(gen).max() < 1e-14
 
     def test_trace_preservation(self, da_generic):
         gen = build_generator(da_generic, coherent=True)
-        left = vec(np.eye(3)).conj() @ gen.matrix
+        left = vec(np.eye(3)).conj() @ gen
         assert np.abs(left).max() < 1e-12
 
-    def test_coherent_flag_recorded(self, da_generic):
-        assert build_generator(da_generic, coherent=True).coherent
-        assert not build_generator(da_generic, coherent=False).coherent
+    def test_coherent_flag_adds_the_commutator(self, da_generic):
+        coherent = build_generator(da_generic, coherent=True)
+        incoherent = build_generator(da_generic, coherent=False)
+        h = da_generic.H
+        commutator = -1j * (left_multiply(h) - right_multiply(h))
+        assert np.abs(coherent - incoherent - commutator).max() < 1e-14
+
+    def test_generator_is_read_only(self, da_generic):
+        gen = build_generator(da_generic, coherent=True)
+        with pytest.raises(ValueError):
+            gen[0, 0] = 1.0
 
     def test_one_generator_per_model_and_flag(self):
         model = random_da_model(np.random.default_rng(5))
@@ -148,7 +156,7 @@ class TestSteadyState:
             model = random_da_model(rng)
             gen = build_generator(model, coherent=True)
             rho = steady_state(gen)
-            assert np.linalg.norm(gen.matrix @ vec(rho)) < 1e-10
+            assert np.linalg.norm(gen @ vec(rho)) < 1e-10
 
     def test_degenerate_generator_rejected(self):
         # no channels: every density matrix commuting with H is stationary

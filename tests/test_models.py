@@ -71,7 +71,7 @@ class TestEpModel:
 class TestPoissonModel:
     def test_scalar_generator_vanishes(self, poisson):
         gen = build_generator(poisson, coherent=True)
-        assert np.abs(gen.matrix).max() < 1e-14
+        assert np.abs(gen).max() < 1e-14
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):

@@ -44,8 +44,8 @@ class TestSweepConfig:
             SweepConfig("kur_sweep", n_draws=0)
 
     def test_default_weight_ranges(self):
-        assert SweepConfig("kur_sweep").weight_range() == (0.0, 1.0)
-        assert SweepConfig("ep_sweep").weight_range() == (-1.0, 1.0)
+        assert sweeps._EXPERIMENTS["kur_sweep"].weight_range == (0.0, 1.0)
+        assert sweeps._EXPERIMENTS["ep_sweep"].weight_range == (-1.0, 1.0)
 
 
 class TestKurSweep:
