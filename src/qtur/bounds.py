@@ -182,8 +182,8 @@ def entropy_scale(
 def inverse_x_tanh_x(y: float) -> float:
     """The h with h tanh(h) = y, for y >= 0; residual <= 1e-12 max(1, y).
 
-    Newton iteration safeguarded by the bracket [y, y+1] (expanded on the
-    rare occasions the upper end is not yet a sign change).
+    Newton iteration safeguarded by the bracket [y, y+1], which always
+    holds the root: with z = y + 1, z tanh z - y > 0 because 2z < e^{2z} + 1.
     """
     if y < 0:
         raise ValueError(f"argument must be nonnegative, got {y}")
@@ -194,8 +194,6 @@ def inverse_x_tanh_x(y: float) -> float:
         return h * math.tanh(h) - y
 
     lo, hi = y, y + 1.0
-    while f(hi) < 0.0:
-        hi += 1.0
     h = min(max(math.sqrt(y), lo), hi)
     for _ in range(100):
         val = f(h)

@@ -9,8 +9,10 @@ of a subcommand can also be preloaded from a JSON --config file, with
 explicit flags taking precedence, and an undeclared key or a value
 outside a flag's choices exiting 2. The exit code is 0 exactly when
 every asserted check passed; expected diagonal-cost violations in sweeps
-are reported but do not fail the run. QTUR_THREADS caps the worker
-count everywhere.
+are reported but do not fail the run. The worker count defaults to the
+CPUs the process may run on, and QTUR_THREADS caps it everywhere.
+Malformed input (a rate or weight count, a model JSON key, a range)
+exits 2 with a message.
 """
 
 from __future__ import annotations
@@ -71,24 +73,26 @@ _FLAGS = {
 }
 
 
-def _parse_rates(text: str | None, default):
-    if text is None:
-        return default
-    return [float(x) for x in text.split(",") if x.strip()]
+# built-in model: rate count, default rate and builder, looked up per call
+# so that a name patched on qtur.models is seen
+_BUILTINS = {
+    "da": (4, 0.5, lambda omega_e, *g: models_mod.build_da_model(omega_e, *g)),
+    "ep": (6, 0.5, lambda omega_e, *g: models_mod.build_ep_model(omega_e, *g)),
+    "poisson": (1, 1.0, lambda omega_e, rate: models_mod.build_poisson_model(rate)),
+}
 
 
 def _resolve_model(args):
     if getattr(args, "model", None):
         return models_mod.load_model(args.model)
     kind = getattr(args, "builtin", None) or "da"
-    if kind == "da":
-        rates = _parse_rates(args.rates, [0.5, 0.5, 0.5, 0.5])
-        return models_mod.build_da_model(args.omega_e, *rates)
-    if kind == "ep":
-        rates = _parse_rates(args.rates, [0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
-        return models_mod.build_ep_model(args.omega_e, *rates)
-    rates = _parse_rates(args.rates, [1.0])
-    return models_mod.build_poisson_model(rates[0])
+    n_rates, default, build = _BUILTINS[kind]
+    rates = [default] * n_rates
+    if args.rates is not None:
+        rates = [float(x) for x in args.rates.split(",") if x.strip()]
+        if len(rates) != n_rates:
+            raise ValueError(f"--rates: {len(rates)} given, --builtin {kind} takes {n_rates}")
+    return build(args.omega_e, *rates)
 
 
 def _initial_state(args, model):
@@ -107,9 +111,7 @@ def _weights(args, model):
     if getattr(args, "weights", None):
         w = tuple(float(x) for x in args.weights.split(","))
         if len(w) != model.n_channels:
-            raise SystemExit(
-                f"{len(w)} weights for {model.n_channels} channels"
-            )
+            raise ValueError(f"--weights: {len(w)} weights for {model.n_channels} channels")
         return CountingObservable(w)
     return models_mod.default_observable(model)
 
@@ -231,16 +233,18 @@ def _cmd_bounds(args) -> int:
     return 1 if bad else 0
 
 
-def _parse_range(text: str | None, default: tuple[float, float]) -> tuple[float, float]:
+def _parse_range(flag: str, text: str | None, default: tuple[float, float]) -> tuple[float, float]:
     if text is None:
         return default
-    lo, hi = (float(x) for x in text.split(","))
-    return lo, hi
+    bounds = [float(x) for x in text.split(",")]
+    if len(bounds) != 2:
+        raise ValueError(f"{flag} takes lo,hi, got {text!r}")
+    return bounds[0], bounds[1]
 
 
 def _cmd_sweep(args, experiment: str) -> int:
-    gamma = _parse_range(args.gamma_range, (0.0, 1.0))
-    tau = _parse_range(args.tau_range, (0.1, 10.0))
+    gamma = _parse_range("--gamma-range", args.gamma_range, (0.0, 1.0))
+    tau = _parse_range("--tau-range", args.tau_range, (0.1, 10.0))
     config = SweepConfig(
         experiment=experiment,
         n_draws=args.draws if args.draws is not None else 1000,

@@ -151,8 +151,16 @@ def _matrix_to_json(a: np.ndarray) -> dict:
     return {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
 
 
-def _matrix_from_json(obj: dict) -> np.ndarray:
-    return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+def _key(obj, key: str, where: str):
+    """``obj[key]``, or a ValueError naming the missing key and where."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"model JSON: {where} has no key {key!r}")
+    return obj[key]
+
+
+def _matrix_from_json(obj: dict, where: str) -> np.ndarray:
+    re, im = _key(obj, "re", where), _key(obj, "im", where)
+    return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
 
 
 def model_to_json(model: LindbladModel) -> dict:
@@ -167,13 +175,13 @@ def model_to_json(model: LindbladModel) -> dict:
 
 
 def model_from_json(obj: dict) -> LindbladModel:
-    dim = int(obj["dim"])
-    h = _matrix_from_json(obj["H"])
+    dim = int(_key(obj, "dim", "the model"))
+    h = _matrix_from_json(_key(obj, "H", "the model"), "H")
     if h.shape != (dim, dim):
         raise ValueError(f"H shape {h.shape} does not match dim {dim}")
     ops, ds, partners = [], [], []
-    for ch in obj.get("channels", []):
-        ops.append(_matrix_from_json(ch["L"]))
+    for m, ch in enumerate(obj.get("channels", [])):
+        ops.append(_matrix_from_json(_key(ch, "L", f"channel {m}"), f"channel {m} L"))
         ds.append(ch.get("ds"))
         partners.append(ch.get("partner"))
     return LindbladModel.build(h, ops, ds=ds, partners=partners)

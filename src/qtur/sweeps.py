@@ -16,12 +16,13 @@ whose steady state or observable fails validation is a flagged row.
 Sweeps are reproducible to the byte: draw k derives its own generator
 from (seed, k) through the same splitmix64 mixing the trajectory sampler
 uses, rows are emitted in draw order whatever the worker count, and
-floats are printed with 17 significant digits.
+floats are printed with 17 significant digits. A sweep of at least
+POOL_MIN draws is split across worker processes by the ordered map of
+:mod:`qtur.trajectories`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,12 +49,19 @@ from .operators import LindbladModel, ModelValidationError
 from .trajectories import (
     PathWeights,
     SeedPolicy,
+    _map_ranges,
     ensemble_entropies,
     estimate,
     resolve_workers,
     sample_ensemble,
     splitmix64,
 )
+
+# Smallest sweep split across worker processes: the crossover measured on
+# 2 cores (one BLAS thread each, one sweep per fresh process, as a CLI run
+# makes). Below it, pool start-up costs more than the second core saves.
+POOL_MIN = 64
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -247,33 +255,18 @@ def _draw(config: SweepConfig, index: int):
     return tuple(row + [cells[name] for name in spec.header[len(row):]])
 
 
-_SWEEP_CONFIG: SweepConfig | None = None
-
-
-def _init_sweep_worker(config: SweepConfig):
-    global _SWEEP_CONFIG
-    _SWEEP_CONFIG = config
-
-
-def _sweep_chunk(args):
-    lo, hi = args
-    return [_draw(_SWEEP_CONFIG, i) for i in range(lo, hi)]
+def _draw_range(config: SweepConfig, lo: int, hi: int) -> list:
+    return [_draw(config, i) for i in range(lo, hi)]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Execute every draw, in parallel when workers allow; rows stay in
-    draw order so the output is independent of scheduling."""
-    workers = resolve_workers(config.workers)
+    """Execute every draw, in parallel from POOL_MIN draws when workers
+    allow; rows stay in draw order so the output is independent of
+    scheduling."""
     n = config.n_draws
-    if workers == 1 or n < 64:
-        rows = [_draw(config, i) for i in range(n)]
-    else:
-        chunk = max(16, (n + 4 * workers - 1) // (4 * workers))
-        tasks = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with multiprocessing.Pool(
-            workers, initializer=_init_sweep_worker, initargs=(config,)
-        ) as pool:
-            rows = [row for part in pool.map(_sweep_chunk, tasks) for row in part]
+    workers = resolve_workers(config.workers) if n >= POOL_MIN else 1
+    chunk = max(16, (n + 4 * workers - 1) // (4 * workers))
+    rows = _map_ranges(_draw_range, config, n, chunk, workers)
     flagged = sum(1 for row in rows if row[-1])
     return SweepResult(
         experiment=config.experiment,

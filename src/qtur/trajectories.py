@@ -39,6 +39,11 @@ stream in a fixed order (initial label; a waiting-time and a channel
 uniform per jump; the last waiting-time uniform; the final label), so
 ensembles are bit-identical for any worker count and chunking, and merge
 order is fixed.
+
+Workers: an ensemble of at least POOL_MIN trajectories is split across
+worker processes by :func:`_map_ranges`, the one ordered map that the
+sweeps use too. The worker count defaults to the CPUs this process may
+run on (:func:`resolve_workers`).
 """
 
 from __future__ import annotations
@@ -65,10 +70,11 @@ BISECTION_REL_TOL = 1e-9
 BISECTION_MAX_STEPS = 200
 CHUNK = 1024  # trajectories stepped together
 UNIFORM_BLOCK = 16  # uniforms read ahead per trajectory: a record of up to 6 jumps
-# Smallest ensemble split across worker processes. On two cores, pool
-# start-up and shipping records back outweigh the ~30 us a chunked
-# trajectory costs below about 2000 trajectories.
-POOL_MIN = 2000
+# Smallest ensemble split across worker processes: the crossover measured
+# on 2 cores (one BLAS thread each, one sampling call per fresh process, as
+# a CLI run makes). Below it, pool start-up and shipping records back cost
+# more than the second core saves.
+POOL_MIN = 5000
 
 
 def splitmix64(x: int) -> int:
@@ -345,33 +351,55 @@ class TrajectorySampler(Unravelling):
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count, capped by the QTUR_THREADS environment variable."""
+    """Worker count: ``workers``, else the CPUs this process may run on;
+    capped by the QTUR_THREADS environment variable."""
     cap = os.environ.get("QTUR_THREADS")
     cap = int(cap) if cap else None
     if workers is None:
-        workers = cap if cap is not None else (os.cpu_count() or 1)
+        workers = cap if cap is not None else _usable_cpus()
     if cap is not None:
         workers = min(workers, cap)
     return max(1, int(workers))
 
 
-_WORKER_SAMPLER: TrajectorySampler | None = None
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
-def _init_worker(sampler):
-    global _WORKER_SAMPLER
-    _WORKER_SAMPLER = sampler
+_SHARED = None  # a pool worker's copy of the map's shared argument
 
 
-def _sample_range(sampler: TrajectorySampler, master_seed: int, lo: int, hi: int):
-    policy = SeedPolicy(master_seed)
+def _init_shared(shared) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _call_shared(task):
+    func, lo, hi = task
+    return func(_SHARED, lo, hi)
+
+
+def _map_ranges(func, shared, n: int, chunk: int, workers: int) -> list:
+    """The items of ``func(shared, lo, hi)`` over [0, n) in ranges of
+    ``chunk``, joined in index order: in process for one worker, else in
+    one pool of ``workers`` processes that receives ``shared`` once."""
+    tasks = [(func, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    if workers == 1:
+        parts = [func(shared, lo, hi) for _, lo, hi in tasks]
+    else:
+        with multiprocessing.Pool(workers, initializer=_init_shared, initargs=(shared,)) as pool:
+            parts = pool.map(_call_shared, tasks)
+    return [item for part in parts for item in part]
+
+
+def _sample_range(shared, lo: int, hi: int) -> list[TrajectoryRecord]:
+    sampler, policy = shared
     seeds = [policy.trajectory_seed(i) for i in range(lo, hi)]
     sampler.read_ahead(seeds)
     return [sampler.sample(s) for s in seeds]
-
-
-def _sample_chunk(args):
-    return _sample_range(_WORKER_SAMPLER, *args)
 
 
 def sample_ensemble(
@@ -391,13 +419,7 @@ def sample_ensemble(
     workers = resolve_workers(workers) if n >= POOL_MIN else 1
     sampler = TrajectorySampler(model, rho0, tau, coherent=coherent)
     chunk = max(1, min(CHUNK, -(-n // workers)))
-    tasks = [(policy.master_seed, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    if workers == 1:
-        chunks = [_sample_range(sampler, *task) for task in tasks]
-    else:
-        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(sampler,)) as pool:
-            chunks = pool.map(_sample_chunk, tasks)
-    return [rec for part in chunks for rec in part]
+    return _map_ranges(_sample_range, (sampler, policy), n, chunk, workers)
 
 
 def record_observable(record: TrajectoryRecord, obs: CountingObservable) -> float:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qtur.bounds import (
+    EXACT_TOL,
+    MC_SIGMAS,
     InputStat,
     csch_squared_bound,
     ep_lower_bound,
@@ -122,6 +124,38 @@ class TestActivityWindowBound:
         for key in ("lhs", "rhs", "slack", "tol"):
             assert getattr(falling, key) == pytest.approx(getattr(rising, key), rel=1e-12)
         assert (falling.satisfied, falling.extra) == (rising.satisfied, rising.extra)
+
+    def test_monte_carlo_inputs_widen_tolerance(self, poisson, scalar_one):
+        t1, t2 = 1.0, 2.0
+        curve = activity_curve(poisson, scalar_one, t2, n_grid=512)
+        # E_1, E_2, Var_1, Var_2 and their standard errors
+        x = np.array([0.71, 1.38, 0.69, 1.43])
+        err = np.array([0.02, 0.03, 0.05, 0.08])
+
+        def lhs(m1, m2, v1, v2):
+            return ((math.sqrt(v1) + math.sqrt(v2)) / (m2 - m1)) ** 2
+
+        def moments(mean, var, se_mean, se_var):
+            return MomentResult(
+                mean=mean, second_moment=var + mean**2, variance=var,
+                method="monte_carlo", stderr_mean=se_mean, stderr_variance=se_var,
+            )
+
+        rep = tur_activity_integral(
+            moments(x[0], x[2], err[0], err[2]), moments(x[1], x[3], err[1], err[3]),
+            curve, t1, t2, scale=0.0,
+        )
+        grad = []
+        for k in range(4):
+            h = np.zeros(4)
+            h[k] = 1e-6 * x[k]
+            grad.append((lhs(*(x + h)) - lhs(*(x - h))) / (2 * h[k]))
+        propagated = math.sqrt(sum((g * e) ** 2 for g, e in zip(grad, err)))
+        assert rep.lhs == pytest.approx(lhs(*x), rel=1e-12)
+        assert rep.tol == pytest.approx(MC_SIGMAS * propagated, rel=1e-6)
+        assert rep.tol > EXACT_TOL
+        assert rep.inputs["mean_1"] == InputStat.monte_carlo(x[0], err[0])
+        assert rep.inputs["variance_2"] == InputStat.monte_carlo(x[3], err[3])
 
     def test_steady_state_triple_satisfied(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))

@@ -323,6 +323,49 @@ def test_subcommand_rejects_a_flag_it_does_not_read(command, flag, capsys):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+# malformed input: the command, a model JSON to write to {model} (or None)
+# and the message it must exit 2 with
+MALFORMED = {
+    "da-rate-count": (
+        ("steady-state", "--builtin", "da", "--rates", "0.5,0.5"), None,
+        "--rates: 2 given, --builtin da takes 4",
+    ),
+    "ep-rate-count": (
+        ("steady-state", "--builtin", "ep", "--rates", "0.5,0.5,0.5"), None,
+        "--rates: 3 given, --builtin ep takes 6",
+    ),
+    "no-poisson-rate": (
+        ("steady-state", "--builtin", "poisson", "--rates", ","), None,
+        "--rates: 0 given, --builtin poisson takes 1",
+    ),
+    "model-without-dim": (
+        ("steady-state", "--model", "{model}"),
+        {"H": {"re": [[0.0]], "im": [[0.0]]}, "channels": []},
+        "model JSON: the model has no key 'dim'",
+    ),
+    "channel-without-L": (
+        ("steady-state", "--model", "{model}"),
+        {"dim": 1, "H": {"re": [[0.0]], "im": [[0.0]]}, "channels": [{"partner": None}]},
+        "model JSON: channel 0 has no key 'L'",
+    ),
+    "bounds-weight-count": (
+        ("bounds", "--builtin", "ep", "--tau", "1", "--weights", "1,1"), None,
+        "--weights: 2 weights for 6 channels",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_a_message(case, tmp_path, capsys):
+    argv, model, message = MALFORMED[case]
+    path = tmp_path / "model.json"
+    if model is not None:
+        path.write_text(json.dumps(model))
+    assert run_cli(*(a.format(model=path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
 class TestSweeps:
     def test_kur_sweep_writes_deterministic_csv(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -337,6 +380,22 @@ class TestSweeps:
         out = tmp_path / "ep.csv"
         assert run_cli("sweep-ep", "--draws", "25", "--seed", "4", "--out", str(out)) == 0
         assert out.exists()
+
+    def test_ranges_bound_every_row(self, tmp_path):
+        out = tmp_path / "kur.csv"
+        argv = ["sweep-kur", "--draws", "8", "--gamma-range", "0.2,0.4", "--tau-range", "1,2"]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert len(rows) == 8
+        for row in rows:
+            cells = dict(zip(header, map(float, row[: header.index("tau") + 1])))
+            assert all(0.2 < cells[f"gamma_{i}"] < 0.4 for i in range(1, 5))
+            assert 1.0 < cells["tau"] < 2.0
+
+    @pytest.mark.parametrize("flag, text", [("--tau-range", "2,1"), ("--gamma-range", "0.5")])
+    def test_malformed_range_exits_2(self, flag, text, capsys):
+        assert run_cli("sweep-kur", "--draws", "2", flag, text) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestVerifyCic:

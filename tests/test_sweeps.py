@@ -206,8 +206,9 @@ class TestRowAudit:
 
 
 # SHA-256 of the CSV of a 64-draw, seed-42 sweep, as written before the
-# generator assembly dropped np.kron (numpy 2.4, scipy 1.17). 64 draws is
-# the smallest sweep that two workers split into a pool.
+# generator assembly dropped np.kron (numpy 2.4, scipy 1.17). The tests
+# below lower sweeps.POOL_MIN to 0, so that two workers split the draws
+# whatever the measured threshold is.
 PINNED_SWEEPS = {
     "kur_sweep": "4bd7a931abe57b8a9700ab9612b5e08c662c46a422b5fa535c21983240d26c3a",
     "ep_sweep": "0706f3bea943b81a53b29ca24957f54124e6af58bf915790d6118dc9b04ee21b",
@@ -217,7 +218,8 @@ PINNED_SWEEPS = {
 class TestReproducibility:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("experiment", sorted(PINNED_SWEEPS))
-    def test_pinned_bytes(self, experiment, workers):
+    def test_pinned_bytes(self, experiment, workers, monkeypatch):
+        monkeypatch.setattr(sweeps, "POOL_MIN", 0)
         result = run_sweep(SweepConfig(experiment, n_draws=64, seed=42, workers=workers))
         digest = hashlib.sha256(result_to_csv(result).encode()).hexdigest()
         assert digest == PINNED_SWEEPS[experiment]
@@ -228,7 +230,8 @@ class TestReproducibility:
         b = result_to_csv(run_sweep(config))
         assert a == b
 
-    def test_worker_count_does_not_change_bytes(self):
+    def test_worker_count_does_not_change_bytes(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "POOL_MIN", 0)
         base = SweepConfig("ep_sweep", n_draws=80, seed=21, workers=1)
         wide = SweepConfig("ep_sweep", n_draws=80, seed=21, workers=2)
         assert result_to_csv(run_sweep(base)) == result_to_csv(run_sweep(wide))

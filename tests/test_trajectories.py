@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -19,6 +23,31 @@ from qtur.trajectories import (
     splitmix64,
 )
 from conftest import ground_state, rotate_model
+
+
+def _scaled_range(factor, lo, hi):
+    return [(factor * i, os.getpid()) for i in range(lo, hi)]
+
+
+class TestWorkerMap:
+    def test_uneven_chunks_join_in_index_order(self):
+        serial = trajectories._map_ranges(_scaled_range, 3, 23, 5, 1)
+        pooled = trajectories._map_ranges(_scaled_range, 3, 23, 5, 2)
+        assert [v for v, _ in serial] == [v for v, _ in pooled] == [3 * i for i in range(23)]
+        assert {pid for _, pid in serial} == {os.getpid()}
+        assert os.getpid() not in {pid for _, pid in pooled}
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_default_follows_cpu_affinity(self):
+        code = (
+            "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from qtur.trajectories import resolve_workers; print(resolve_workers())"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "QTUR_THREADS"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(trajectories.__file__))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "1"
 
 
 class TestSeedPolicy:
