@@ -43,10 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .engine import build_generator, propagated_state, sandwich, unvec, vec
+from .engine import build_generator, channel_sum, propagated_state, unvec, vec
 from .operators import (
     LindbladModel,
     ModelValidationError,
+    split_diagonal_offdiagonal,
     von_neumann_trace_term,
 )
 
@@ -164,17 +165,10 @@ class ThermoCurve:
 
 
 def _jump_superops(model: LindbladModel, weights) -> tuple[np.ndarray, np.ndarray]:
-    """J_c and J_c2: sum_m c_m L_m . L_m^dag and the same with c_m^2,
-    summed in channel order over the nonzero weights."""
-    d = model.dim
-    j1 = np.zeros((d * d, d * d), dtype=complex)
-    j2 = np.zeros_like(j1)
-    for w, c in zip(weights, model.channels):
-        if w != 0.0:
-            s = sandwich(c.L)
-            j1 += w * s
-            j2 += (w * w) * s
-    return j1, j2
+    """J_c and J_c2: sum_m c_m L_m . L_m^dag and the same with c_m^2, each
+    one GEMM over the channel stack (:func:`qtur.engine.channel_sum`)."""
+    w = np.asarray(weights, dtype=float)
+    return channel_sum(model, w), channel_sum(model, w * w)
 
 
 def _moment_block(model: LindbladModel, gen: np.ndarray, weights) -> np.ndarray:
@@ -367,19 +361,14 @@ def _half_windows(model, rho0, obs, tau: float, coherent: bool) -> tuple:
 
 
 def mean_rate(model: LindbladModel, rho_t: np.ndarray, obs: CountingObservable) -> float:
-    """Instantaneous weighted jump rate sum_m c_m Tr[L_m rho L_m^dag],
-    summed in channel order over the nonzero weights."""
-    rate = 0.0
-    for w, r in zip(obs.weights, channel_rates(model, rho_t)):
-        if w != 0.0:
-            rate += w * r
-    return float(rate)
+    """Instantaneous weighted jump rate sum_m c_m Tr[L_m rho L_m^dag]."""
+    return float(np.dot(obs.weights, channel_rates(model, rho_t)))
 
 
 def channel_rates(model: LindbladModel, rho_t: np.ndarray) -> np.ndarray:
-    """Tr[L_m rho L_m^dag] for every channel."""
+    """Tr[L_m rho L_m^dag] = sum_ij (L_m^dag L_m)_ij rho_ji for every channel."""
     rho_t = np.asarray(rho_t, dtype=complex)
-    return np.array([float(np.real(np.trace(ldl @ rho_t))) for ldl in model.jump_norms])
+    return (model.jump_norms.reshape(-1, rho_t.size) @ rho_t.T.reshape(-1)).real
 
 
 def _samples(model, weight_rows, rho0, h: float, steps: int, coherent: bool):
@@ -391,8 +380,7 @@ def _samples(model, weight_rows, rho0, h: float, steps: int, coherent: bool):
         raise ValueError("tau must be nonnegative")
     gen = build_generator(model, coherent=coherent)
     n = gen.shape[0]
-    ops = [vec(ldl).conj() for ldl in model.jump_norms]
-    rows = np.atleast_2d(weight_rows) @ np.reshape(ops, (len(ops), n))
+    rows = np.atleast_2d(weight_rows) @ model.jump_norms.conj().swapaxes(1, 2).reshape(-1, n)
     k = rows.shape[0]
     block = np.zeros((n + k, n + k), dtype=complex)
     block[:n, :n] = gen
@@ -458,8 +446,6 @@ def entropy_production_rate(model: LindbladModel, rho: np.ndarray) -> float:
 
 def rate_split(model: LindbladModel, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Channel rates of the diagonal and off-diagonal parts of ``rho``."""
-    from .operators import split_diagonal_offdiagonal
-
     rho_d, rho_nd = split_diagonal_offdiagonal(rho)
     return channel_rates(model, rho_d), channel_rates(model, rho_nd)
 

@@ -1,9 +1,10 @@
 """Deterministic propagation: generator, steady state, no-jump family.
 
 Density matrices are column-vectorized (Fortran order), so a superoperator
-rho -> A rho B maps to the matrix kron(B.T, A). The helpers below form
-those Kronecker products as one broadcast multiply, the same elementwise
-products np.kron computes without its per-call overhead. Generators here
+rho -> A rho B maps to the matrix kron(B.T, A). With K = -i H - Gamma / 2
+the generator is kron(I, K) + kron(conj(K), I) + sum_m kron(conj(L_m), L_m):
+two Kronecker products, each one broadcast multiply, and a channel sum that
+is one GEMM over the model's stack of jump operators. Generators here
 are time homogeneous and tiny, which makes the dense matrix exponential
 (scaling and squaring) both exact enough and cheaper to trust than ODE
 stepping. Each model assembles its generator once per ``coherent`` flag:
@@ -73,9 +74,14 @@ def right_multiply(a: np.ndarray) -> np.ndarray:
     return _kron(a.T, np.eye(a.shape[0]))
 
 
-def sandwich(a: np.ndarray) -> np.ndarray:
-    """Superoperator for rho -> a rho a^dag."""
-    return _kron(a.conj(), a)
+def channel_sum(model: LindbladModel, weights) -> np.ndarray:
+    """rho -> sum_m w_m L_m rho L_m^dag, from one (d^2, M) x (M, d^2) GEMM:
+    its (ij, kl) entry sum_m w_m conj(L_m)_ij (L_m)_kl is, transposed, the
+    (ik, jl) entry of sum_m w_m kron(conj(L_m), L_m)."""
+    d = model.dim
+    flat = model.jump_ops.reshape(-1, d * d)
+    raw = (flat.conj().T * np.asarray(weights, dtype=float)) @ flat
+    return raw.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def build_generator(model: LindbladModel, coherent: bool = True) -> np.ndarray:
@@ -97,13 +103,12 @@ def build_generator(model: LindbladModel, coherent: bool = True) -> np.ndarray:
 
 def _assemble(model: LindbladModel, coherent: bool) -> np.ndarray:
     d = model.dim
-    gen = np.zeros((d * d, d * d), dtype=complex)
-    if coherent:
-        gen += -1j * (left_multiply(model.H) - right_multiply(model.H))
-    for c, ldl in zip(model.channels, model.jump_norms):
-        gen += sandwich(c.L) - 0.5 * (left_multiply(ldl) + right_multiply(ldl))
+    k = -0.5 * model.total_decay() - (1j * model.H if coherent else 0.0)
+    gen = channel_sum(model, np.ones(model.n_channels))
+    gen += left_multiply(k)
+    gen += right_multiply(dagger(k))
     residual = np.linalg.norm(vec(np.eye(d)).conj() @ gen)
-    if residual > TRACE_PRESERVATION_TOL * max(1.0, np.linalg.norm(gen)):
+    if not residual <= TRACE_PRESERVATION_TOL * max(1.0, np.linalg.norm(gen)):
         raise ModelValidationError(f"generator is not trace preserving: {residual:.3e}")
     return gen
 

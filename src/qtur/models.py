@@ -159,8 +159,9 @@ def _key(obj, key: str, where: str):
 
 
 def _matrix_from_json(obj: dict, where: str) -> np.ndarray:
-    re, im = _key(obj, "re", where), _key(obj, "im", where)
-    return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    out = np.asarray(_key(obj, "re", where), dtype=float).astype(complex)
+    out.imag = np.asarray(_key(obj, "im", where), dtype=float)  # 1j * inf has a NaN real part
+    return out
 
 
 def model_to_json(model: LindbladModel) -> dict:

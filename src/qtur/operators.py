@@ -2,12 +2,11 @@
 
 Everything operates on small dense complex matrices. The wall is the
 d^2 x d^2 superoperator. Above ``qtur.counting.DENSE_MAX_DIM`` (16) the
-3 d^2-square moment block is never formed, so with one BLAS thread one
-``qtur bounds`` call on a ladder (ground state, tau = 2) takes 2.5 to
-3.2 s at a peak RSS of 125 MB at d = 24, and 10.1 to 11.0 s at 259 MB at
-d = 32. What costs most there is d^2-square: the activity curve's
-(d^2 + 2)-square exponential and its 2047 steps (about 3.4 s and most of
-the RSS at d = 32), then the generator assembly (about 3.4 s).
+3 d^2-square moment block is never formed, and every sum over channels
+(the generator's dissipator, J_c and J_c2) is one GEMM over the stack of
+jump operators, so what costs most in a ``qtur bounds`` call on a ladder
+at d = 24 or 32 is the activity curve's (d^2 + 2)-square exponential and
+its 2047 steps, which also hold most of the peak RSS.
 Operators and density matrices are plain ``numpy`` arrays; the model layer
 below adds the structure a monitored open system needs:
 
@@ -20,10 +19,10 @@ below adds the structure a monitored open system needs:
   ``ds_partner = -ds_m``.
 
 All containers are frozen dataclasses holding read-only arrays, so they can
-be shared freely across worker processes. A model also holds the stack
-of jump-rate operators L_m^dag L_m and memoizes its generators
-(``qtur.engine.build_generator``), which its arrays fix, and the last
-moment-block exponential (``qtur.counting``).
+be shared freely across worker processes. A model also holds L_m and
+L_m^dag L_m as (M, d, d) stacks, which every sum over channels reads, and
+memoizes its generators (``qtur.engine.build_generator``), which its
+arrays fix, and the last moment-block exponential (``qtur.counting``).
 """
 
 from __future__ import annotations
@@ -53,7 +52,8 @@ class DetailedBalanceError(ModelValidationError):
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -136,29 +136,41 @@ def extract_bohr_frequency(H: np.ndarray, L: np.ndarray) -> float:
     ``EIGENOPERATOR_TOL * ||L||_F``. Scaling L by any nonzero constant
     leaves omega unchanged.
     """
-    H = np.asarray(H, dtype=complex)
-    _check_hermitian(H)
-    return _bohr_frequency(H, np.asarray(L, dtype=complex))
+    H, L = np.asarray(H, dtype=complex), np.asarray(L, dtype=complex)
+    _check_finite(H, "Hamiltonian")
+    _check_finite(L, "jump operator")
+    return float(_bohr_frequencies(H, L[None], "")[0])
 
 
-def _check_hermitian(H: np.ndarray) -> None:
+def _check_finite(a: np.ndarray, name: str) -> None:
+    if not np.isfinite(a).all():
+        raise ModelValidationError(f"{name} has NaN or Inf entries")
+
+
+def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where: str = "channel {}: ") -> np.ndarray:
+    """:func:`extract_bohr_frequency` of each operator of the (M, d, d)
+    stack ``ops``; ``where`` names channel m in errors.
+
+    In the eigenbasis of H, [L, H]_ij = L_ij (E_j - E_i). With p_ij =
+    |L_ij|^2 / ||L||_F^2 there, omega = sum p_ij (E_j - E_i) and the
+    residual is ||L||_F sqrt(sum p_ij (E_j - E_i - omega)^2)."""
     if hermiticity_error(H) > EIGENOPERATOR_TOL * max(1.0, frobenius(H)):
         raise ModelValidationError("Hamiltonian is not Hermitian")
-
-
-def _bohr_frequency(H: np.ndarray, L: np.ndarray) -> float:
-    """:func:`extract_bohr_frequency` for a Hamiltonian already checked."""
-    norm_l = frobenius(L)
-    if norm_l == 0.0:
-        raise ModelValidationError("jump operator is zero")
-    comm = L @ H - H @ L
-    omega = float(np.real(np.trace(dagger(L) @ comm)) / np.real(np.trace(dagger(L) @ L)))
-    residual = frobenius(comm - omega * L)
+    norms = np.linalg.norm(ops, axis=(1, 2))
+    if not norms.all():
+        raise ModelValidationError(f"{where.format(np.argmin(norms))}jump operator is zero")
+    energies, basis = np.linalg.eigh((H + dagger(H)) / 2.0)
+    gap = energies[None, :] - energies[:, None]
+    weight = (np.abs(dagger(basis) @ ops @ basis) / norms[:, None, None]) ** 2
+    omega = (weight * gap).sum(axis=(1, 2))
+    residual = norms * np.sqrt((weight * (gap - omega[:, None, None]) ** 2).sum(axis=(1, 2)))
     tol = EIGENOPERATOR_TOL
-    if residual > tol * norm_l:
+    bad = ~(residual <= tol * norms)
+    if bad.any():
+        m = np.argmax(bad)
         raise EigenoperatorError(
-            f"eigenoperator condition violated: residual {residual:.3e} "
-            f"> {tol:.1e} * ||L||_F = {tol * norm_l:.3e}"
+            f"{where.format(m)}eigenoperator condition violated: residual "
+            f"{residual[m]:.3e} > {tol:.1e} * ||L||_F = {tol * norms[m]:.3e}"
         )
     return omega
 
@@ -192,8 +204,9 @@ class LindbladModel:
 
     H: np.ndarray
     channels: tuple[JumpChannel, ...]
-    # L_m^dag L_m of every channel as one (M, d, d) stack: the jump-rate
-    # operators, formed once here and read by every rate and generator
+    # L_m of every channel as one (M, d, d) stack, and L_m^dag L_m, the
+    # jump-rate operators, as another: every sum over channels reads these
+    jump_ops: np.ndarray = field(init=False, repr=False, compare=False)
     jump_norms: np.ndarray = field(init=False, repr=False, compare=False)
     # coherent flag -> generator array, filled by qtur.engine.build_generator
     _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -209,8 +222,9 @@ class LindbladModel:
         object.__setattr__(self, "channels", tuple(self.channels))
         if any(c.L.shape != self.H.shape for c in self.channels):
             raise ModelValidationError("channel dimension does not match the Hamiltonian")
-        norms = np.array([dagger(c.L) @ c.L for c in self.channels], dtype=complex)
-        object.__setattr__(self, "jump_norms", _readonly(norms.reshape(-1, self.dim, self.dim)))
+        ops = np.array([c.L for c in self.channels], dtype=complex).reshape(-1, *self.H.shape)
+        object.__setattr__(self, "jump_ops", _readonly(ops))
+        object.__setattr__(self, "jump_norms", _readonly(dagger(ops) @ ops))
 
     @property
     def dim(self) -> int:
@@ -231,25 +245,15 @@ class LindbladModel:
 
     def total_decay(self) -> np.ndarray:
         """Sum of L^dag L over channels (the no-jump decay generator)."""
-        gamma = np.zeros((self.dim, self.dim), dtype=complex)
-        for ldl in self.jump_norms:
-            gamma += ldl
-        return gamma
+        return self.jump_norms.sum(axis=0)
 
     @classmethod
-    def build(
-        cls,
-        H: np.ndarray,
-        jump_ops,
-        *,
-        ds=None,
-        partners=None,
-    ) -> "LindbladModel":
+    def build(cls, H: np.ndarray, jump_ops, *, ds=None, partners=None) -> "LindbladModel":
         """Assemble and validate a model.
 
         ``ds`` and ``partners`` are parallel sequences (entries may be
-        None). Every jump operator must satisfy the eigenoperator
-        condition; partner pairs must be involutive with opposite ds and
+        None). H and every L_m must be finite, each L_m an eigenoperator
+        of H; partner pairs must be involutive with opposite ds and
         satisfy local detailed balance.
         """
         H = np.asarray(H, dtype=complex)
@@ -259,29 +263,22 @@ class LindbladModel:
         if len(ds) != n or len(partners) != n:
             raise ValueError("ds/partners length must match the channel count")
 
-        if n:
-            _check_hermitian(H)
-        channels = []
-        for m, L in enumerate(jump_ops):
-            L = np.asarray(L, dtype=complex)
+        _check_finite(H, "Hamiltonian")
+        ops = [np.asarray(L, dtype=complex) for L in jump_ops]
+        for m, L in enumerate(ops):
             if L.shape != H.shape:
-                raise ModelValidationError(
-                    f"channel {m} has shape {L.shape}, Hamiltonian {H.shape}"
-                )
-            omega = _bohr_frequency(H, L)
-            channels.append(JumpChannel(L=L, omega=omega, ds=ds[m], partner=partners[m]))
-
-        model = cls(H=H, channels=tuple(channels))
+                raise ModelValidationError(f"channel {m} has shape {L.shape}, H {H.shape}")
+            _check_finite(L, f"channel {m}")
+        omegas = _bohr_frequencies(H, np.array(ops)).tolist() if n else ()
+        model = cls(H, tuple(map(JumpChannel, ops, omegas, ds, partners)))
         for m, c in enumerate(model.channels):
-            if c.partner is None:
-                continue
             p = c.partner
-            if not (0 <= p < n) or model.channels[p].partner != m:
+            if p is not None and (not (0 <= p < n) or model.channels[p].partner != m):
                 raise ModelValidationError(f"partner map is not an involution at channel {m}")
-            if c.ds is not None:
-                check = check_local_detailed_balance(model, m)
-                if not check.ok:
-                    raise DetailedBalanceError(f"channel {m}: {check.message}")
+        paired = [m for m, c in enumerate(model.channels) if None not in (c.partner, c.ds)]
+        for m, check in zip(paired, _balance_checks(model, paired)):
+            if not check.ok:
+                raise DetailedBalanceError(f"channel {m}: {check.message}")
         return model
 
 
@@ -295,22 +292,35 @@ class BalanceCheck:
 def check_local_detailed_balance(model: LindbladModel, m: int) -> BalanceCheck:
     """Verify ``L_m = exp(ds_m/2) L_partner^dag`` and ``ds_partner = -ds_m``
     to ``EIGENOPERATOR_TOL``."""
-    tol = EIGENOPERATOR_TOL
     c = model.channels[m]
     if c.partner is None:
         raise ModelValidationError(f"channel {m} has no reverse partner")
     if c.ds is None:
         raise ModelValidationError(f"channel {m} has no entropy change set")
-    rev = model.channels[c.partner]
-    if rev.ds is None or abs(rev.ds + c.ds) > tol * max(1.0, abs(c.ds)):
-        return BalanceCheck(False, float("inf"), "partner entropy change is not the negative")
-    residual = frobenius(c.L - np.exp(c.ds / 2.0) * dagger(rev.L))
-    scale = tol * frobenius(c.L)
-    if residual > scale:
-        return BalanceCheck(
-            False, residual, f"operator mismatch: residual {residual:.3e} > {scale:.3e}"
-        )
-    return BalanceCheck(True, residual, "ok")
+    return _balance_checks(model, [m])[0]
+
+
+def _balance_checks(model: LindbladModel, idx: list) -> list[BalanceCheck]:
+    """:func:`check_local_detailed_balance` of the channels ``idx``, each
+    paired and with ds set, from one stacked expression of residuals."""
+    tol = EIGENOPERATOR_TOL
+    chans = [model.channels[m] for m in idx]
+    ops = model.jump_ops[idx]
+    factor = np.exp(np.array([c.ds for c in chans], dtype=float) / 2.0)[:, None, None]
+    rev = dagger(model.jump_ops[[c.partner for c in chans]])
+    residuals = np.linalg.norm(ops - factor * rev, axis=(1, 2)).tolist()
+    out = []
+    for c, residual, scale in zip(chans, residuals, tol * np.linalg.norm(ops, axis=(1, 2))):
+        rev_ds = model.channels[c.partner].ds
+        if rev_ds is None or not abs(rev_ds + c.ds) <= tol * max(1.0, abs(c.ds)):
+            message = "partner entropy change is not the negative"
+            out.append(BalanceCheck(False, float("inf"), message))
+        elif not residual <= scale:
+            message = f"operator mismatch: residual {residual:.3e} > {scale:.3e}"
+            out.append(BalanceCheck(False, residual, message))
+        else:
+            out.append(BalanceCheck(True, residual, "ok"))
+    return out
 
 
 @dataclass(frozen=True)

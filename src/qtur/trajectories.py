@@ -199,15 +199,13 @@ class Unravelling:
             raise ValueError("tau must be nonnegative")
         self.model = model
         self.tau = float(tau)
-        d = model.dim
 
         g, w = np.linalg.eigh(model.total_decay())
         if g.min() < -1e-10:
             raise ModelValidationError(f"decay operator has negative eigenvalue {g.min():.3e}")
         self._decay_rates = np.clip(g, 0.0, None)
-        ops = [dagger(w) @ c.L @ w for c in model.channels]
-        self._jump_ops = np.array(ops, complex).reshape(-1, d, d)
-        self._jump_norms = np.array([dagger(lt) @ lt for lt in ops], complex).reshape(-1, d, d)
+        self._jump_ops = dagger(w) @ model.jump_ops @ w
+        self._jump_norms = dagger(self._jump_ops) @ self._jump_ops
 
         start = spectral_decompose(np.asarray(rho0, complex))
         gen0 = build_generator(model, coherent=False)

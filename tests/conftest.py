@@ -112,10 +112,13 @@ def ladder_model(dim: int, rng: np.random.Generator, entropy: bool = True) -> Li
 def random_eigenoperator_model(dim: int, rng: np.random.Generator) -> LindbladModel:
     """A generic diagonal H with jumps L_m = sqrt(gamma_m) |i><j| between
     seeded pairs of distinct levels (each an eigenoperator of H), the
-    whole model then rotated by a random unitary."""
+    whole model then rotated by a random unitary. Below d = 3 there are
+    fewer level pairs than the d to 2d channels drawn; every pair is then
+    taken (none at d = 1)."""
     energies = np.sort(rng.uniform(-2.0, 2.0, dim))
     pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
-    chosen = rng.choice(len(pairs), size=int(rng.integers(dim, 2 * dim + 1)), replace=False)
+    size = min(int(rng.integers(dim, 2 * dim + 1)), len(pairs))
+    chosen = rng.choice(len(pairs), size=size, replace=False)
     ops = []
     for k in sorted(chosen):
         op = np.zeros((dim, dim), dtype=complex)

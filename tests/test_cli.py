@@ -352,6 +352,19 @@ MALFORMED = {
         ("bounds", "--builtin", "ep", "--tau", "1", "--weights", "1,1"), None,
         "--weights: 2 weights for 6 channels",
     ),
+    "nan-in-hamiltonian": (
+        ("bounds", "--model", "{model}", "--tau", "1"),
+        {"dim": 2, "H": {"re": [[0.0, 0.0], [0.0, float("nan")]], "im": [[0.0] * 2] * 2},
+         "channels": [{"L": {"re": [[0.0, 1.0], [0.0, 0.0]], "im": [[0.0] * 2] * 2}}]},
+        "Hamiltonian has NaN or Inf entries",
+    ),
+    "inf-in-channel": (
+        ("bounds", "--model", "{model}", "--tau", "1"),
+        {"dim": 2, "H": {"re": [[0.0, 0.0], [0.0, 1.0]], "im": [[0.0] * 2] * 2},
+         "channels": [{"L": {"re": [[0.0, 1.0], [0.0, 0.0]], "im": [[0.0] * 2] * 2}},
+                      {"L": {"re": [[0.0, 0.0], [0.5, 0.0]], "im": [[0.0, 0.0], [float("inf"), 0.0]]}}]},
+        "channel 1 has NaN or Inf entries",
+    ),
 }
 
 

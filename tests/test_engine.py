@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtur import counting, engine
 from qtur.engine import (
     DegenerateSteadyStateError,
     build_generator,
@@ -8,7 +13,6 @@ from qtur.engine import (
     no_jump_family,
     propagate,
     right_multiply,
-    sandwich,
     steady_state,
     survival_probability,
     vec,
@@ -17,7 +21,9 @@ from qtur.operators import LindbladModel, dagger
 from conftest import (
     da_steady_state_closed_form,
     ground_state,
+    ladder_model,
     random_da_model,
+    random_eigenoperator_model,
     random_pure_state,
     rotate_model,
 )
@@ -73,10 +79,81 @@ class TestSuperoperatorHelpers:
         for got, want in (
             (left_multiply(a), np.kron(eye, a)),
             (right_multiply(a), np.kron(a.T, eye)),
-            (sandwich(a), np.kron(a.conj(), a)),
         ):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _kron_generator(model, coherent: bool) -> np.ndarray:
+    """The generator as a per-channel sum of np.kron products."""
+    eye = np.eye(model.dim)
+    gen = np.zeros((model.dim**2,) * 2, dtype=complex)
+    if coherent:
+        gen += -1j * (np.kron(eye, model.H) - np.kron(model.H.T, eye))
+    for c in model.channels:
+        ldl = dagger(c.L) @ c.L
+        gen += np.kron(c.L.conj(), c.L) - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
+    return gen
+
+
+def _kron_jumps(model, weights) -> np.ndarray:
+    """sum_m w_m kron(conj(L_m), L_m), one channel at a time."""
+    out = np.zeros((model.dim**2,) * 2, dtype=complex)
+    for w, c in zip(weights, model.channels):
+        out += w * np.kron(c.L.conj(), c.L)
+    return out
+
+
+class TestChannelStack:
+    """Every sum over channels, formed from the (M, d, d) stack, against a
+    per-channel np.kron sum."""
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 8),
+        kind=st.sampled_from(["random", "ladder", "paired ladder"]),
+    )
+    def test_matches_a_kron_sum(self, seed, dim, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            model = random_eigenoperator_model(dim, rng)
+        else:
+            model = ladder_model(dim, rng, entropy=kind == "paired ladder")
+        # weights of both zero signs among nonzero ones
+        kinds = rng.integers(0, 3, model.n_channels)
+        weights = np.where(kinds == 0, 0.0, np.where(kinds == 1, -0.0, rng.uniform(-2, 2)))
+        norms = [np.linalg.norm(c.L) ** 2 for c in model.channels]
+        # a sum that cancels (such as [H, .] at d = 1) is judged at the scale
+        # of its terms
+        scale = np.linalg.norm(model.H) + sum(norms)
+        for coherent in (True, False):
+            want = _kron_generator(model, coherent)
+            got = build_generator(model, coherent=coherent)
+            assert np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want), scale)
+        j1, j2 = counting._jump_superops(model, weights)
+        for power, got in ((1, j1), (2, j2)):
+            want = _kron_jumps(model, weights**power)
+            scale = sum(abs(w) ** power * n for w, n in zip(weights, norms))
+            assert np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want), scale)
+
+    def test_no_superoperator_per_channel(self):
+        d = 24
+        model = ladder_model(d, np.random.default_rng(d))
+        weights = model.entropy_weights()
+        for build in (
+            lambda: engine._assemble(model, True),
+            lambda: counting._jump_superops(model, weights),
+        ):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a few d^2-square arrays; an (M, d^2, d^2) stack of the 46
+            # channels would take 244 MB
+            assert peak <= 4 * d**4 * 16
 
 
 class TestPropagate:

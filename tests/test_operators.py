@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtur.engine import build_generator
 from qtur.operators import (
     DetailedBalanceError,
     EigenoperatorError,
@@ -16,7 +17,11 @@ from qtur.operators import (
     validate_density,
     von_neumann_trace_term,
 )
-from conftest import da_steady_state_closed_form, random_pure_state
+from conftest import (
+    da_steady_state_closed_form,
+    random_eigenoperator_model,
+    random_pure_state,
+)
 
 
 class TestValidateDensity:
@@ -98,6 +103,108 @@ class TestBohrFrequency:
                 assert np.abs(model.H @ ldl - ldl @ model.H).max() < 1e-10
             gamma = model.total_decay()
             assert np.abs(model.H @ gamma - gamma @ model.H).max() < 1e-10
+
+
+def _lowering(dim: int, k: int = 0) -> np.ndarray:
+    op = np.zeros((dim, dim), dtype=complex)
+    op[k, k + 1] = 0.6
+    return op
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_hamiltonian_is_named(self, bad):
+        h = np.diag([0.0, 1.0]).astype(complex)
+        h[1, 1] = bad
+        with pytest.raises(ModelValidationError, match="Hamiltonian has NaN or Inf"):
+            LindbladModel.build(h, [_lowering(2)])
+        with pytest.raises(ModelValidationError, match="Hamiltonian has NaN or Inf"):
+            LindbladModel.build(h, [])
+        with pytest.raises(ModelValidationError, match="Hamiltonian has NaN or Inf"):
+            extract_bohr_frequency(h, _lowering(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 1.0)])
+    def test_channel_is_named(self, bad):
+        h = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        ops = [_lowering(3, 0), _lowering(3, 1)]
+        ops[1][2, 0] = bad
+        with pytest.raises(ModelValidationError, match="channel 1 has NaN or Inf"):
+            LindbladModel.build(h, ops)
+        with pytest.raises(ModelValidationError, match="jump operator has NaN or Inf"):
+            extract_bohr_frequency(h, ops[1])
+
+    def test_trace_check_rejects_a_nan_generator(self):
+        model = LindbladModel.build(np.diag([0.0, 1.0]), [_lowering(2)])
+        h = np.diag([0.0, np.nan]).astype(complex)
+        raw = LindbladModel(h, model.channels)  # the raw constructor validates no values
+        with pytest.raises(ModelValidationError, match="not trace preserving"):
+            build_generator(raw)
+
+
+def _least_squares_omega(h: np.ndarray, ell: np.ndarray) -> float:
+    """Re Tr[L^dag [L, H]] / Tr[L^dag L], from the commutator."""
+    comm = ell @ h - h @ ell
+    return float(np.real(np.trace(dagger(ell) @ comm)) / np.real(np.trace(dagger(ell) @ ell)))
+
+
+class TestRejections:
+    """Each malformed model raises exactly the exception type it names."""
+
+    @staticmethod
+    def _raises(error, *args, **kwargs):
+        with pytest.raises(ModelValidationError) as info:
+            LindbladModel.build(*args, **kwargs)
+        assert info.type is error
+        return str(info.value)
+
+    def test_channel_mixing_two_gaps_on_a_degenerate_hamiltonian(self):
+        h = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
+        mixed = np.zeros((4, 4), dtype=complex)
+        mixed[0, 1] = 0.5  # gap 1
+        mixed[1, 2] = 0.5  # gap 0, inside the degenerate pair
+        message = self._raises(EigenoperatorError, h, [_lowering(4), mixed])
+        assert message.startswith("channel 1: eigenoperator condition violated")
+
+    def test_random_channel_on_a_nondegenerate_hamiltonian(self):
+        rng = np.random.default_rng(3)
+        h = np.diag([0.0, 0.7, 1.9]).astype(complex)
+        ell = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        self._raises(EigenoperatorError, h, [ell])
+
+    def test_zero_channel(self):
+        h = np.diag([0.0, 1.0]).astype(complex)
+        message = self._raises(ModelValidationError, h, [_lowering(2), np.zeros((2, 2))])
+        assert message == "channel 1: jump operator is zero"
+
+    def test_wrong_ds(self):
+        down = _lowering(2)
+        up = 0.5 * dagger(down)
+        h = np.diag([0.0, 1.0])
+        ds = float(np.log(4.0))  # the rates' ratio; exp(ds / 2) maps up onto down
+        LindbladModel.build(h, [down, up], ds=[ds, -ds], partners=[1, 0])
+        self._raises(DetailedBalanceError, h, [down, up], ds=[ds, ds], partners=[1, 0])
+        self._raises(DetailedBalanceError, h, [down, up], ds=[1.0, -1.0], partners=[1, 0])
+        self._raises(DetailedBalanceError, h, [down, up], ds=[np.nan, np.nan], partners=[1, 0])
+
+    def test_mismatched_partner_operator(self):
+        down = _lowering(3, 0)
+        up = 0.5 * dagger(down)
+        other = _lowering(3, 1)
+        h = np.diag([0.0, 1.0, 2.0])
+        ds = float(np.log(4.0))
+        message = self._raises(
+            DetailedBalanceError, h, [down, up, other, 0.5 * dagger(other)],
+            ds=[ds, -ds, 0.0, 0.0], partners=[1, 0, 3, 2],
+        )
+        assert message.startswith("channel 2: operator mismatch")
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8))
+    def test_omega_is_the_least_squares_projection(self, seed, dim):
+        model = random_eigenoperator_model(dim, np.random.default_rng(seed))
+        for c in model.channels:
+            assert c.omega == pytest.approx(_least_squares_omega(model.H, c.L), rel=0, abs=1e-12)
+            assert extract_bohr_frequency(model.H, c.L) == c.omega
 
 
 class TestJumpNorms:
