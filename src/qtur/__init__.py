@@ -10,6 +10,7 @@ from .bounds import (
     ep_lower_bound,
     ep_tur,
     gamma_factor,
+    half_angle_integral,
     inverse_x_tanh_x,
     kur_differential,
     moment_ratio_bounds,
@@ -19,12 +20,10 @@ from .bounds import (
 from .counting import (
     CountingObservable,
     MomentResult,
-    ThermoCurve,
-    activity_curve,
+    activity_at,
     counting_moments,
     decompose_activity,
     decompose_sigma,
-    entropy_production,
     entropy_production_rate,
     mean_rate,
 )

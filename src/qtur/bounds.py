@@ -18,7 +18,8 @@ their rows with it too.
 Bound inventory:
 
 * windowed activity bound: squared coefficient-of-variation combination
-  against cot^2 of the half angle integral of sqrt(A(t))/t,
+  against cot^2 of the half angle integral of sqrt(A(t))/t (Gauss-Legendre
+  in u = sqrt(t) on exact A, two orders agreeing to ``HALF_ANGLE_TOL``),
 * rate-form bound: Var / (tau d_tau E)^2 against 1 / A(tau) (which the
   Poisson fixture saturates),
 * moment-ratio bounds for arbitrary orders 0 < r < s (sin form with the
@@ -45,9 +46,8 @@ import numpy as np
 from .counting import (
     CountingObservable,
     MomentResult,
-    ThermoCurve,
     _half_windows,
-    activity_curve,
+    activity_at,
     counting_moments,
     mean_rate,
     sigma_from,
@@ -58,6 +58,11 @@ from .operators import LindbladModel, von_neumann_trace_term
 EXACT_TOL = 1e-9
 MC_SIGMAS = 3.0
 DEGENERATE_REL_TOL = 1e-10
+# The half angle's rules: HALF_ANGLE_NODES nodes against twice as many,
+# doubled until they agree to HALF_ANGLE_TOL (relative above an angle of 1).
+HALF_ANGLE_NODES = 8
+HALF_ANGLE_MAX_NODES = 256
+HALF_ANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -215,62 +220,66 @@ def inverse_x_tanh_x(y: float) -> float:
     return h
 
 
-def half_angle_integral(curve: ThermoCurve, t1: float, t2: float) -> float:
-    """(1/2) integral of sqrt(A(t))/t over [t1, t2].
+def _horizon(model, rho0, t1: float, t2: float, coherent: bool) -> tuple:
+    """The half angle over [t1, t2], A(t2) and the entropy flow at t2 (None
+    without ds), from one :func:`activity_at` pass per pair of rules.
 
-    The substitution t = u^2 removes the integrable 1/sqrt(t) endpoint
-    singularity (A grows linearly from zero), after which a trapezoid on
-    the transformed grid is accurate — and exact at stationarity. A(u^2)
-    is interpolated linearly between the curve's exact samples.
-    """
-    if t2 <= t1:
-        return 0.0
+    With t = u^2 the angle is the integral of sqrt(A(u^2))/u over
+    [sqrt t1, sqrt t2], smooth even at u = 0 since A grows like a power of
+    t, so Gauss-Legendre converges fast."""
     if t1 < 0:
         raise ValueError("window start must be nonnegative")
-    u = np.linspace(math.sqrt(t1), math.sqrt(t2), 2049)
-    a_vals = np.interp(u * u, curve.times, curve.activity)
-    integrand = np.empty_like(u)
-    positive = u > 0
-    integrand[positive] = 2.0 * np.sqrt(np.maximum(a_vals[positive], 0.0)) / u[positive]
-    if not positive.all():
-        integrand[~positive] = 2.0 * math.sqrt(max(curve.activity_rate[0], 0.0))
-    return float(0.5 * np.trapezoid(integrand, u))
+    if t2 <= t1:
+        activity, flow, _ = activity_at(model, rho0, [t2], coherent)
+        return 0.0, activity[0], flow if flow is None else flow[0]
+    lo, hi = math.sqrt(t1), math.sqrt(t2)
+    n = HALF_ANGLE_NODES
+    while 2 * n <= HALF_ANGLE_MAX_NODES:
+        (x1, w1), (x2, w2) = (np.polynomial.legendre.leggauss(k) for k in (n, 2 * n))
+        u = 0.5 * (hi - lo) * np.concatenate([x1, x2]) + 0.5 * (hi + lo)
+        activity, flow, _ = activity_at(model, rho0, np.append(u * u, t2), coherent)
+        w = 0.5 * (hi - lo) * np.concatenate([w1, w2])
+        terms = w * np.sqrt(np.maximum(activity[:-1], 0.0)) / u
+        coarse, fine = terms[:n].sum(), terms[n:].sum()
+        if abs(fine - coarse) <= HALF_ANGLE_TOL * max(1.0, abs(fine)):
+            return float(fine), activity[-1], flow if flow is None else flow[-1]
+        n *= 2
+    raise ValueError(f"half angle over [{t1}, {t2}]: rules disagree up to {n} nodes")
 
 
-def _variance_stat(m: MomentResult) -> InputStat:
+def half_angle_integral(model, rho0, t1: float, t2: float, coherent: bool = True) -> float:
+    """(1/2) integral of sqrt(A(t))/t over [t1, t2] from ``rho0`` (0 on an
+    empty window), to about ``HALF_ANGLE_TOL``; see :func:`_horizon`."""
+    return _horizon(model, rho0, t1, t2, coherent)[0]
+
+
+def _stat(m: MomentResult, field: str) -> InputStat:
+    """``m.mean`` or ``m.variance`` (``field``) with its provenance."""
     if m.method == "monte_carlo":
-        return InputStat.monte_carlo(m.variance, m.stderr_variance or 0.0)
-    return InputStat.exact(m.variance)
-
-
-def _mean_stat(m: MomentResult) -> InputStat:
-    if m.method == "monte_carlo":
-        return InputStat.monte_carlo(m.mean, m.stderr_mean or 0.0)
-    return InputStat.exact(m.mean)
+        return InputStat.monte_carlo(getattr(m, field), getattr(m, f"stderr_{field}") or 0.0)
+    return InputStat.exact(getattr(m, field))
 
 
 def tur_activity_integral(
     moments_1: MomentResult,
     moments_2: MomentResult,
-    curve: ThermoCurve,
-    t1: float,
-    t2: float,
+    angle: float,
     scale: float,
 ) -> BoundReport:
     """Windowed activity bound between two horizons t1 < t2.
 
     lhs = ((sqrt Var_2 + sqrt Var_1) / (E_2 - E_1))^2, rhs = cot^2 of the
-    half angle integral; applies only while that angle stays below pi/2
+    half ``angle`` over [t1, t2] (:func:`half_angle_integral`); applies
+    only while that angle stays below pi/2
     and |E_2 - E_1| exceeds rounding noise at ``scale``
     (:func:`observable_scale`). Both sides are even in the weights, so a
     falling mean is certified like the rising mean of the negated weights.
     """
-    angle = half_angle_integral(curve, t1, t2)
     inputs = {
-        "mean_1": _mean_stat(moments_1),
-        "mean_2": _mean_stat(moments_2),
-        "variance_1": _variance_stat(moments_1),
-        "variance_2": _variance_stat(moments_2),
+        "mean_1": _stat(moments_1, "mean"),
+        "mean_2": _stat(moments_2, "mean"),
+        "variance_1": _stat(moments_1, "variance"),
+        "variance_2": _stat(moments_2, "variance"),
         "half_angle": InputStat.exact(angle),
     }
     name = "activity_window_bound"
@@ -285,16 +294,14 @@ def tur_activity_integral(
     tangent = math.tan(angle)
     rhs = tangent**-2 if tangent != 0.0 else math.inf
 
-    stderr_lhs = None
-    if moments_1.method == "monte_carlo" or moments_2.method == "monte_carlo":
-        var_terms = 0.0
-        for m, s in ((moments_1, s1), (moments_2, s2)):
-            if m.method == "monte_carlo":
-                if m.stderr_variance and s > 0:
-                    var_terms += (lhs / (s * (s1 + s2)) * m.stderr_variance) ** 2
-                if m.stderr_mean:
-                    var_terms += (2 * lhs / de * m.stderr_mean) ** 2
-        stderr_lhs = math.sqrt(var_terms)
+    # exact inputs leave var_terms 0, which judge reads as no stderr
+    var_terms = 0.0
+    for m, s in ((moments_1, s1), (moments_2, s2)):
+        if m.method == "monte_carlo":
+            if m.stderr_variance and s > 0:
+                var_terms += (lhs / (s * (s1 + s2)) * m.stderr_variance) ** 2
+            if m.stderr_mean:
+                var_terms += (2 * lhs / de * m.stderr_mean) ** 2
 
     return BoundReport.judge(
         name,
@@ -302,7 +309,7 @@ def tur_activity_integral(
         rhs,
         inputs,
         extra={"half_angle": angle},
-        stderr_lhs=stderr_lhs,
+        stderr_lhs=math.sqrt(var_terms),
         precondition_ok=precondition_ok,
     )
 
@@ -325,7 +332,7 @@ def kur_differential(
     dmean = mean_rate(model, rho_tau, obs)
     scale = observable_scale(obs, activity_total)
     inputs = {
-        "variance": _variance_stat(moments),
+        "variance": _stat(moments, "variance"),
         "mean_growth_rate": InputStat.exact(dmean),
         "activity": InputStat.exact(activity_total),
     }
@@ -347,14 +354,15 @@ def moment_ratio_bounds(
     r: float,
     s: float,
     tau: float,
-    curve: ThermoCurve | None = None,
+    angle: float | None = None,
     initial_rate: float | None = None,
 ) -> tuple[BoundReport, BoundReport]:
     """Moment-ratio bounds for orders 0 < r < s.
 
     Returns the (sin form, exponential form) pair; the sin form needs the
-    activity curve and its half-angle precondition, the exponential form
-    only the initial jump rate and holds for every tau > 0. Counting
+    half ``angle`` over [0, tau] (:func:`half_angle_integral`) and its
+    precondition, the exponential form only the initial jump rate and
+    holds for every tau > 0. Counting
     observables vanish on the empty trajectory by construction, which is
     the assumption both bounds inherit.
     """
@@ -374,10 +382,9 @@ def moment_ratio_bounds(
         stderr_lhs = lhs * math.sqrt(rel_sq)
     inputs = {"abs_moment_r": abs_moment_r, "abs_moment_s": abs_moment_s}
 
-    if curve is None:
+    if angle is None:
         sin_report = None
     else:
-        angle = half_angle_integral(curve, 0.0, tau)
         pre = 0.0 < angle <= math.pi / 2 + 1e-12
         rhs_sin = math.sin(angle) ** (-2) if pre else 0.0
         sin_report = BoundReport.judge(
@@ -514,20 +521,19 @@ def battery(
     The one moment-block step is over tau/2: every other window and
     rho(tau) reuse what ``counting_moments`` memoises (a dense step, or the
     block's d^2-square pieces where ``counting._act`` applies it to
-    vectors). Sigma(tau) comes from rho(tau) and the activity curve's
-    entropy flow, so that curve takes the only other exponential."""
+    vectors). One ``counting.activity_at`` pass over the half angle's
+    nodes and tau gives that angle, A(tau) and the flow in Sigma(tau)."""
     half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent)
     _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent)
-    curve = activity_curve(model, rho0, tau, coherent=coherent)
-    activity = curve.activity[-1]
+    angle, activity, flow = _horizon(model, rho0, tau / 2.0, tau, coherent)
     scale = observable_scale(obs, activity)
     reports = [
         kur_differential(model, rho_tau, obs, tau, activity, mom),
-        tur_activity_integral(half, mom, curve, tau / 2.0, tau, scale),
+        tur_activity_integral(half, mom, angle, scale),
         survival_bound_check(model, rho0, tau),
     ]
     if model.has_entropy_weights:
-        sigma = sigma_from(rho0, rho_tau, curve.entropy_flow[-1])
+        sigma = sigma_from(rho0, rho_tau, flow)
         gamma = gamma_factor(half.variance, second.variance, mom.variance)
         reports.append(
             ep_tur(

@@ -1,4 +1,4 @@
-"""Exact moments of counting observables and exact thermodynamic curves.
+"""Exact moments of counting observables and exact thermodynamic values.
 
 Every time integral comes from one kernel: the exponential of the
 generator L augmented with what is integrated against it (C. F. Van Loan,
@@ -8,9 +8,9 @@ IEEE Trans. Autom. Control 23, 1978). For rows R,
 
 so the activity row a = sum_m vec(L_m^dag L_m)^dag and the entropy row
 s = sum_m ds_m vec(L_m^dag L_m)^dag give A(t) and the environment entropy
-flow exactly, and stepping the block along a uniform grid samples both
-curves exactly. Moments of a weighted jump count put the superoperator
-J_w rho = sum_m w_m L_m rho L_m^dag in place of rows:
+flow exactly, at any set of times (:func:`activity_at`). Moments of a
+weighted jump count put the superoperator J_w rho = sum_m w_m L_m rho
+L_m^dag in place of rows:
 
     d rho  / dt = L rho
     d rho1 / dt = L rho1 + J_c rho
@@ -29,7 +29,8 @@ Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm 3.2), with
 B applied block by block from the d^2-square pieces L, J_c and J_c2. Its
 cost grows linearly with h ||B - mu I||_1, the dense step's only
 logarithmically, so a long step up to ``DENSE_MAX_DIM`` is taken densely
-again; above that dimension the action is always taken. Degree and step
+again; above that dimension the action is always taken. The rows block
+uses the same Taylor kernel from ``ACTION_MIN_DIM`` up. Degree and step
 count come from the exact 1-norm of B - mu I, so the result repeats bit
 for bit. scipy's ``expm_multiply`` on a LinearOperator would estimate
 that norm with ``onenormest``, which draws from numpy's global random
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .engine import build_generator, channel_sum, propagated_state, unvec, vec
+from .engine import build_generator, channel_sum, propagated_state, vec
 from .operators import (
     LindbladModel,
     ModelValidationError,
@@ -51,7 +52,6 @@ from .operators import (
     von_neumann_trace_term,
 )
 
-DEFAULT_GRID = 2048  # activity-curve samples; half_angle_integral interpolates them
 # Below this dimension the moment block is always exponentiated densely,
 # so the small models of the sweeps keep the dense step's bits. At d = 6 the
 # two paths cost the same on a `qtur bounds` call at tau = 2 (one BLAS
@@ -145,23 +145,6 @@ class MomentResult:
     method: str = "exact"
     stderr_mean: float | None = None
     stderr_variance: float | None = None
-
-
-@dataclass(frozen=True)
-class ThermoCurve:
-    """Jump-rate curves sampled exactly on a uniform time grid.
-
-    ``activity_rate``/``activity`` are the instantaneous and integrated
-    total jump rates a(t_k) and A(t_k); ``entropy_flow``, the integrated
-    environment entropy flow, is present only when every channel carries
-    an entropy change. Only rounding separates the samples from the true
-    values.
-    """
-
-    times: np.ndarray
-    activity_rate: np.ndarray
-    activity: np.ndarray
-    entropy_flow: np.ndarray | None = None
 
 
 def _jump_superops(model: LindbladModel, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -272,34 +255,47 @@ def _inf_norm(b: np.ndarray) -> float:
     return float(np.abs(b).sum(axis=-1).max())
 
 
-def _taylor_action(pieces: tuple, h: float, y: np.ndarray) -> np.ndarray:
-    """exp(h B) y for the block B of ``pieces`` (see :func:`_pieces`), by
-    Al-Mohy and Higham's Algorithm 3.2 on the shifted block B - mu I: s
-    steps of at most m Taylor terms, a step ending early once two
-    successive terms fall below unit roundoff of the sum. Each term is
-    three d^2-square products on the (3, d^2, k) stack, held as (d^2, 3, k)
-    so that one product applies L to all three parts."""
-    gen, j1, j2, mu, norm = pieces
-    n = gen.shape[0]
+def _taylor_action(shifted, mu, norm: float, h: float, y: np.ndarray) -> np.ndarray:
+    """exp(h B) y by Al-Mohy and Higham's Algorithm 3.2 on the shifted
+    block B - mu I, for any block: ``shifted(x)`` returns (B - mu I) x and
+    ``norm`` is ||B - mu I||_1. s steps of at most m Taylor terms, a step
+    ending early once two successive terms fall below unit roundoff of
+    the sum, measured in the infinity norm of ``y``'s layout (rows of
+    columns summed along the last axis)."""
     m, s = _taylor_degree(h * norm)
     eta = np.exp(h * mu / s)
-    k = 1 if np.ndim(y) == 1 else np.shape(y)[1]
-    out = np.asarray(y, dtype=complex).reshape(3, n, k).transpose(1, 0, 2).copy()
+    out = y
     for _ in range(s):
         term = out
         c1 = _inf_norm(term)
         for j in range(1, m + 1):
-            nxt = (gen @ term.reshape(n, 3 * k)).reshape(n, 3, k) - mu * term
-            jt = (j1 @ term[:, :2].reshape(n, 2 * k)).reshape(n, 2, k)
-            nxt[:, 1] += jt[:, 0]
-            nxt[:, 2] += 2.0 * jt[:, 1] + j2 @ term[:, 0]
-            term = nxt * (h / (s * j))
+            term = shifted(term) * (h / (s * j))
             c2 = _inf_norm(term)
             out = out + term
             if c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(out):
                 break
             c1 = c2
         out = eta * out
+    return out
+
+
+def _moment_action(pieces: tuple, h: float, y: np.ndarray) -> np.ndarray:
+    """exp(h B) y for the moment block B of ``pieces`` (see :func:`_pieces`).
+    Each product is three d^2-square products on the (3, d^2, k) stack,
+    held as (d^2, 3, k) so that one product applies L to all three parts."""
+    gen, j1, j2, mu, norm = pieces
+    n = gen.shape[0]
+    k = 1 if np.ndim(y) == 1 else np.shape(y)[1]
+
+    def shifted(term):
+        nxt = (gen @ term.reshape(n, 3 * k)).reshape(n, 3, k) - mu * term
+        jt = (j1 @ term[:, :2].reshape(n, 2 * k)).reshape(n, 2, k)
+        nxt[:, 1] += jt[:, 0]
+        nxt[:, 2] += 2.0 * jt[:, 1] + j2 @ term[:, 0]
+        return nxt
+
+    stack = np.asarray(y, dtype=complex).reshape(3, n, k).transpose(1, 0, 2).copy()
+    out = _taylor_action(shifted, mu, norm, h, stack)
     return out.transpose(1, 0, 2).reshape(np.shape(y))
 
 
@@ -308,12 +304,12 @@ def _act(model: LindbladModel, weights, h: float, coherent: bool, y: np.ndarray)
     (rho, rho1, rho2) stacked, as a 3 d^2 vector or a (3 d^2, k) matrix.
 
     From ``ACTION_MIN_DIM`` up, where :func:`_action_pays`, this is
-    :func:`_taylor_action` and no 3 d^2 matrix is formed; otherwise it is
+    :func:`_moment_action` and no 3 d^2 matrix is formed; otherwise it is
     the memoised dense step times y."""
     if model.dim >= ACTION_MIN_DIM:
         pieces = _pieces(model, weights, coherent)
         if _action_pays(model.dim, h * pieces[4]):
-            return _taylor_action(pieces, h, y)
+            return _moment_action(pieces, h, y)
     return _step(model, weights, h, coherent) @ y
 
 
@@ -371,70 +367,55 @@ def channel_rates(model: LindbladModel, rho_t: np.ndarray) -> np.ndarray:
     return (model.jump_norms.reshape(-1, rho_t.size) @ rho_t.T.reshape(-1)).real
 
 
-def _samples(model, weight_rows, rho0, h: float, steps: int, coherent: bool):
-    """Rates r_j vec rho(t_k) and integrals int_0^t_k r_j vec rho, as
-    (steps + 1, j) arrays with t_k = k h, where r_j vec rho = sum_m w_jm
-    Tr[L_m^dag L_m rho]; plus vec rho(steps h). The Van Loan block's
-    exponential over h is applied once per step."""
-    if h < 0:
-        raise ValueError("tau must be nonnegative")
+def activity_at(model: LindbladModel, rho0: np.ndarray, times, coherent: bool = True) -> tuple:
+    """A(t) and the entropy flow Phi(t) as float arrays (Phi None unless
+    every channel has ds), and the Hermitian parts of rho(t) as a (k, d, d)
+    array, exact to rounding at each of ``times`` (nonnegative, any order).
+    One pass steps the rows block [[L, 0], [R, 0]] through the sorted
+    times: by its dense exponential over each gap below ``ACTION_MIN_DIM``,
+    by the Taylor action from it up. The states are not validated;
+    :func:`sigma_from` and the samplers check what they read."""
+    times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("times must be finite and nonnegative")
     gen = build_generator(model, coherent=coherent)
     n = gen.shape[0]
-    rows = np.atleast_2d(weight_rows) @ model.jump_norms.conj().swapaxes(1, 2).reshape(-1, n)
-    k = rows.shape[0]
-    block = np.zeros((n + k, n + k), dtype=complex)
-    block[:n, :n] = gen
-    block[n:, :n] = rows
-    step = expm(block * h)
-    y = np.zeros((steps + 1, n + k), dtype=complex)
-    y[0, :n] = vec(rho0)
-    for i in range(steps):
-        y[i + 1] = step @ y[i]
-    return (y[:, :n] @ rows.T).real, np.array(y[:, n:].real), y[-1, :n]
-
-
-def activity_curve(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    tau: float,
-    n_grid: int = DEFAULT_GRID,
-    coherent: bool = True,
-) -> ThermoCurve:
-    """Exact total jump rate and its integral at ``n_grid`` uniform times
-    over [0, tau], with the entropy-flow curves when the model has ds."""
-    if n_grid < 2:
-        raise ValueError("an activity curve needs at least two grid points")
     weights = [np.ones(model.n_channels)]
     if model.has_entropy_weights:
         weights.append(model.entropy_weights())
-    rates, flows, _ = _samples(model, weights, rho0, tau / (n_grid - 1), n_grid - 1, coherent)
-    return ThermoCurve(
-        times=np.linspace(0.0, tau, n_grid),
-        activity_rate=rates[:, 0],
-        activity=flows[:, 0],
-        entropy_flow=flows[:, 1] if len(weights) > 1 else None,
-    )
+    rows = np.array(weights) @ model.jump_norms.conj().swapaxes(1, 2).reshape(-1, n)
+    action = model.dim >= ACTION_MIN_DIM
+    if action:
+        mu = np.trace(gen) / n
+        columns = np.abs(gen - mu * np.eye(n)).sum(axis=0) + np.abs(rows).sum(axis=0)
+        norm = float(max(columns.max(), abs(mu)))
 
+        def shifted(term):
+            head = term[:n]
+            return np.concatenate([gen @ head - mu * head, rows @ head - mu * term[n:]])
 
-def entropy_production(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    tau: float,
-    coherent: bool = True,
-) -> float:
-    """Total entropy production over [0, tau].
-
-    System term Tr[rho(0) ln rho(0)] - Tr[rho(tau) ln rho(tau)] plus the
-    environment entropy flow, both from one exponential of the block
-    [[L, 0], [s, 0]] tau. Requires ds on every channel.
-    """
-    _, flows, x = _samples(model, model.entropy_weights(), rho0, tau, 1, coherent)
-    return sigma_from(rho0, unvec(x), flows[-1, 0])
+    else:
+        block = np.pad(np.vstack([gen, rows]), ((0, 0), (0, len(rows))))  # [[L, 0], [R, 0]]
+    y = np.concatenate([vec(rho0), np.zeros(len(rows))])[:, None]
+    out = np.empty((times.size, n + len(rows)), dtype=complex)
+    now = 0.0
+    for k in np.argsort(times, kind="stable"):
+        if times[k] > now:
+            h, now = times[k] - now, times[k]
+            y = _taylor_action(shifted, mu, norm, h, y) if action else expm(block * h) @ y
+        out[k] = y[:, 0]
+    integrals = out[:, n:].real
+    states = out[:, :n].reshape(-1, model.dim, model.dim).swapaxes(1, 2)  # unvec each row
+    states = (states + states.conj().swapaxes(1, 2)) / 2.0
+    return integrals[:, 0], integrals[:, 1] if len(rows) > 1 else None, states
 
 
 def sigma_from(rho0: np.ndarray, rho_tau: np.ndarray, flow: float) -> float:
     """Total entropy production Tr[rho0 ln rho0] - Tr[rho(tau) ln rho(tau)]
-    plus the environment entropy flow over [0, tau]."""
+    plus the environment entropy flow over [0, tau]. A ``flow`` of None,
+    what :func:`activity_at` returns for a model without ds, is refused."""
+    if flow is None:
+        raise ModelValidationError("entropy production needs ds on every channel")
     return von_neumann_trace_term(rho0) - von_neumann_trace_term(rho_tau) + float(flow)
 
 

@@ -4,9 +4,10 @@ Everything operates on small dense complex matrices. The wall is the
 d^2 x d^2 superoperator. Above ``qtur.counting.DENSE_MAX_DIM`` (16) the
 3 d^2-square moment block is never formed, and every sum over channels
 (the generator's dissipator, J_c and J_c2) is one GEMM over the stack of
-jump operators, so what costs most in a ``qtur bounds`` call on a ladder
-at d = 24 or 32 is the activity curve's (d^2 + 2)-square exponential and
-its 2047 steps, which also hold most of the peak RSS.
+jump operators. From ``qtur.counting.ACTION_MIN_DIM`` (6) up, the activity
+values act on vectors too, so the d^2-square generator and jump
+superoperators themselves are what a ``qtur bounds`` call at d = 24 or 32
+holds.
 Operators and density matrices are plain ``numpy`` arrays; the model layer
 below adds the structure a monitored open system needs:
 

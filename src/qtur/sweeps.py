@@ -35,25 +35,20 @@ from .bounds import (
     ep_lower_bound,
     observable_scale,
 )
-from .counting import (
-    CountingObservable,
-    activity_curve,
-    counting_moments,
-    entropy_production,
-    rate_split,
-)
-from .engine import SteadyStateError, build_generator, propagate, steady_state
+from .counting import CountingObservable, activity_at, counting_moments, rate_split, sigma_from
+from .engine import SteadyStateError, build_generator, steady_state
 from .models import antisymmetric_current_weights, build_da_model, build_ep_model
 from .models import default_observable
 from .operators import LindbladModel, ModelValidationError
 from .trajectories import (
     PathWeights,
     SeedPolicy,
+    TrajectorySampler,
     _map_ranges,
+    _sample_ensembles,
     ensemble_entropies,
     estimate,
     resolve_workers,
-    sample_ensemble,
     splitmix64,
 )
 
@@ -352,7 +347,8 @@ def run_cic_suite(
     propagators, and — when the model carries entropy weights — (c) exact
     entropy-production equality, (d) the sampled per-record entropy mean
     against the exact value, (e) backward-process current statistics
-    against the forward statistics of the following window.
+    against the forward statistics of the following window. The forward
+    and backward ensembles are sampled through one worker map.
     """
     rho0 = np.asarray(rho0, complex)
     checks = []
@@ -371,8 +367,12 @@ def run_cic_suite(
         )
     )
 
-    policy = SeedPolicy(seed)
-    records = sample_ensemble(model, rho0, tau, budget, policy, workers=workers)
+    ensembles = [(TrajectorySampler(model, rho0, tau), SeedPolicy(seed), budget)]
+    if model.has_entropy_weights:
+        activity, flow, (rho_tau,) = activity_at(model, rho0, [tau], coherent=False)
+        backward = SeedPolicy(splitmix64(seed ^ 0xB2C3A4D5E6F70819))
+        ensembles.append((TrajectorySampler(model, rho_tau, tau), backward, budget))
+    records, *backward_records = _sample_ensembles(ensembles, workers)
     pw = PathWeights(model, rho0, tau)
     damped, full = pw.path_norms_batch(records)
     worst = float(np.max(_rel_diff(damped, full), initial=0.0))
@@ -385,8 +385,9 @@ def run_cic_suite(
     )
 
     if model.has_entropy_weights:
-        sigma_coherent = entropy_production(model, rho0, tau, coherent=True)
-        sigma_incoherent = entropy_production(model, rho0, tau, coherent=False)
+        _, flow_coherent, (rho_coherent,) = activity_at(model, rho0, [tau], coherent=True)
+        sigma_coherent = sigma_from(rho0, rho_coherent, flow_coherent[0])
+        sigma_incoherent = sigma_from(rho0, rho_tau, flow[0])
         diff = abs(sigma_coherent - sigma_incoherent)
         tol = 1e-9 * max(1.0, abs(sigma_coherent))
         checks.append(
@@ -403,9 +404,7 @@ def run_cic_suite(
         gap = abs(est.entropy_mean - sigma_incoherent)
         # on an equilibrium model both sides are rounding noise of the terms
         # summing to Sigma; that noise must not decide the check
-        rho_tau = propagate(build_generator(model, coherent=False), rho0, tau)
-        activity = activity_curve(model, rho0, tau, n_grid=2, coherent=False).activity[-1]
-        noise = DEGENERATE_REL_TOL * entropy_scale(model, rho0, rho_tau, activity)
+        noise = DEGENERATE_REL_TOL * entropy_scale(model, rho0, rho_tau, activity[0])
         checks.append(
             CheckResult(
                 "kl_matches_entropy_production",
@@ -416,21 +415,18 @@ def run_cic_suite(
             )
         )
 
-        checks.append(_backward_check(model, rho0, rho_tau, tau, obs, budget, seed, workers))
+        checks.append(_backward_check(model, rho0, tau, obs, backward_records[0]))
 
     return CicReport(checks=tuple(checks))
 
 
-def _backward_check(model, rho0, rho_tau, tau, obs, budget, seed, workers) -> CheckResult:
+def _backward_check(model, rho0, tau, obs, records) -> CheckResult:
     """Sampled backward-process statistics against exact window statistics.
 
-    Backward sampling runs forward from ``rho_tau``, the Hamiltonian-free
-    state at tau, with each channel read through its reverse partner,
-    which for an antisymmetric current flips the sign of every sampled
-    value.
+    The backward ``records`` run forward from the Hamiltonian-free state
+    at tau, with each channel read through its reverse partner, which for
+    an antisymmetric current flips the sign of every sampled value.
     """
-    policy = SeedPolicy(splitmix64(seed ^ 0xB2C3A4D5E6F70819))
-    records = sample_ensemble(model, rho_tau, tau, budget, policy, workers=workers)
     est = estimate(records, obs)
     # the partner reading negates every value, which negates the mean exactly
     mc_mean, mc_mean_err = -est.mean, est.stderr_mean

@@ -42,8 +42,9 @@ order is fixed.
 
 Workers: an ensemble of at least POOL_MIN trajectories is split across
 worker processes by :func:`_map_ranges`, the one ordered map that the
-sweeps use too. The worker count defaults to the CPUs this process may
-run on (:func:`resolve_workers`).
+sweeps use too; the two ensembles of ``verify-cic`` share one map. The
+worker count defaults to the CPUs this process may run on
+(:func:`resolve_workers`).
 """
 
 from __future__ import annotations
@@ -394,10 +395,27 @@ def _map_ranges(func, shared, n: int, chunk: int, workers: int) -> list:
 
 
 def _sample_range(shared, lo: int, hi: int) -> list[TrajectoryRecord]:
-    sampler, policy = shared
-    seeds = [policy.trajectory_seed(i) for i in range(lo, hi)]
-    sampler.read_ahead(seeds)
-    return [sampler.sample(s) for s in seeds]
+    """Records [lo, hi) of the (sampler, policy, n) ensembles in ``shared``
+    laid end to end; a range across two of them is split where they meet."""
+    records, start = [], 0
+    for sampler, policy, n in shared:
+        span = range(max(lo, start), min(hi, start + n))
+        seeds = [policy.trajectory_seed(i - start) for i in span]
+        sampler.read_ahead(seeds)
+        records += [sampler.sample(s) for s in seeds]
+        start += n
+    return records
+
+
+def _sample_ensembles(parts, workers: int | None) -> list[list[TrajectoryRecord]]:
+    """The records of each (sampler, policy, n) in ``parts``, through one
+    :func:`_map_ranges` call: one pool at most, however many ensembles."""
+    total = sum(n for *_, n in parts)
+    workers = resolve_workers(workers) if total >= POOL_MIN else 1
+    chunk = max(1, min(CHUNK, -(-total // workers)))
+    records = _map_ranges(_sample_range, parts, total, chunk, workers)
+    ends = np.cumsum([n for *_, n in parts])
+    return [records[end - n : end] for (*_, n), end in zip(parts, ends)]
 
 
 def sample_ensemble(
@@ -414,10 +432,8 @@ def sample_ensemble(
     Trajectory i always consumes seed policy.trajectory_seed(i), whatever
     chunk steps it; chunks are merged back in index order.
     """
-    workers = resolve_workers(workers) if n >= POOL_MIN else 1
     sampler = TrajectorySampler(model, rho0, tau, coherent=coherent)
-    chunk = max(1, min(CHUNK, -(-n // workers)))
-    return _map_ranges(_sample_range, (sampler, policy), n, chunk, workers)
+    return _sample_ensembles([(sampler, policy, n)], workers)[0]
 
 
 def record_observable(record: TrajectoryRecord, obs: CountingObservable) -> float:

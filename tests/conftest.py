@@ -127,6 +127,25 @@ def random_eigenoperator_model(dim: int, rng: np.random.Generator) -> LindbladMo
     return rotate_model(LindbladModel.build(np.diag(energies), ops), rng)
 
 
+def random_detailed_balance_model(dim: int, rng: np.random.Generator) -> LindbladModel:
+    """The paired variant of :func:`random_eigenoperator_model`: each seeded
+    pair of levels i < j gets sqrt(gamma) |i><j| and sqrt(gamma') |j><i|
+    with ds = +-ln(gamma / gamma'), so local detailed balance holds; d to 2d
+    channels, the whole model then rotated by a random unitary."""
+    energies = np.sort(rng.uniform(-2.0, 2.0, dim))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    size = min(int(rng.integers(-(-dim // 2), dim + 1)), len(pairs))
+    ops, ds, partners = [], [], []
+    for k in sorted(rng.choice(len(pairs), size=size, replace=False)):
+        down, up = rng.uniform(0.1, 1.0, 2)
+        lower = np.zeros((dim, dim), dtype=complex)
+        lower[pairs[k]] = np.sqrt(down)
+        ops += [lower, np.sqrt(up / down) * lower.T]
+        ds += [float(np.log(down / up)), -float(np.log(down / up))]
+        partners += [len(ops) - 1, len(ops) - 2]
+    return rotate_model(LindbladModel.build(np.diag(energies), ops, ds=ds, partners=partners), rng)
+
+
 def open_uniform(rng: np.random.Generator, n: int):
     out = rng.uniform(0.0, 1.0, n)
     while np.any(out <= 0.0):

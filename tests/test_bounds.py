@@ -1,7 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
+
+import qtur.bounds as bounds
 
 from qtur.bounds import (
     EXACT_TOL,
@@ -24,11 +28,11 @@ from qtur.counting import (
     CountingObservable,
     MomentResult,
     _half_windows,
-    activity_curve,
+    activity_at,
     counting_moments,
 )
 from qtur.engine import build_generator, steady_state
-from qtur.operators import von_neumann_trace_term
+from qtur.operators import LindbladModel, von_neumann_trace_term
 from qtur.trajectories import SeedPolicy, estimate, sample_ensemble
 from conftest import ground_state, random_ep_model
 
@@ -71,53 +75,54 @@ class TestInverseXTanhX:
 class TestActivityWindowBound:
     def test_poisson_holds_with_analytic_values(self, poisson, scalar_one):
         rate, t1, t2 = 0.7, 1.0, 2.0
-        curve = activity_curve(poisson, scalar_one, t2, n_grid=512)
+        angle = half_angle_integral(poisson, scalar_one, t1, t2)
         rep = tur_activity_integral(
-            poisson_moments(rate, t1), poisson_moments(rate, t2), curve, t1, t2, scale=0.0
+            poisson_moments(rate, t1), poisson_moments(rate, t2), angle, scale=0.0
         )
         lhs_ref = ((math.sqrt(rate * t2) + math.sqrt(rate * t1)) / (rate * (t2 - t1))) ** 2
         angle_ref = math.sqrt(rate) * (math.sqrt(t2) - math.sqrt(t1))
         assert rep.lhs == pytest.approx(lhs_ref, rel=1e-12)
-        assert rep.rhs == pytest.approx(math.tan(angle_ref) ** -2, rel=1e-9)
+        assert rep.rhs == pytest.approx(math.tan(angle_ref) ** -2, rel=1e-12)
         assert rep.satisfied and rep.precondition_ok
 
     def test_zero_start_reduces_to_single_horizon_form(self, poisson, scalar_one):
         rate, tau = 0.7, 2.0
-        curve = activity_curve(poisson, scalar_one, tau, n_grid=512)
+        angle = half_angle_integral(poisson, scalar_one, 0.0, tau)
         zero = MomentResult(mean=0.0, second_moment=0.0, variance=0.0)
-        rep = tur_activity_integral(zero, poisson_moments(rate, tau), curve, 0.0, tau, scale=0.0)
+        rep = tur_activity_integral(zero, poisson_moments(rate, tau), angle, scale=0.0)
         # relative variance against cot^2 of sqrt(activity)
         assert rep.lhs == pytest.approx(1.0 / (rate * tau), rel=1e-12)
-        assert rep.rhs == pytest.approx(math.tan(math.sqrt(rate * tau)) ** -2, rel=1e-9)
+        assert rep.rhs == pytest.approx(math.tan(math.sqrt(rate * tau)) ** -2, rel=1e-12)
         assert rep.satisfied
 
     def test_precondition_flagged_not_violated(self, poisson, scalar_one):
         rate, tau = 0.7, 9.0  # sqrt(rate * tau) > pi/2
-        curve = activity_curve(poisson, scalar_one, tau, n_grid=512)
+        angle = half_angle_integral(poisson, scalar_one, 0.0, tau)
         zero = MomentResult(mean=0.0, second_moment=0.0, variance=0.0)
-        rep = tur_activity_integral(zero, poisson_moments(rate, tau), curve, 0.0, tau, scale=0.0)
+        rep = tur_activity_integral(zero, poisson_moments(rate, tau), angle, scale=0.0)
         assert not rep.precondition_ok
         assert rep.satisfied is None
 
     def test_requires_growing_mean(self, poisson, scalar_one):
-        curve = activity_curve(poisson, scalar_one, 1.0, n_grid=64)
+        angle = half_angle_integral(poisson, scalar_one, 0.5, 1.0)
         with pytest.raises(ValueError, match="does not change"):
             tur_activity_integral(
-                poisson_moments(0.7, 1.0), poisson_moments(0.7, 1.0), curve, 0.5, 1.0, scale=0.0
+                poisson_moments(0.7, 1.0), poisson_moments(0.7, 1.0), angle, scale=0.0
             )
 
     @pytest.mark.parametrize("tau", [1.0, 2.0])
     def test_falling_mean_reports_as_its_negation(self, ep_generic, tau):
         # from |g> the excitations come first, so the net flux into |g> falls
         rho0 = ground_state()
-        curve = activity_curve(ep_generic, rho0, tau, n_grid=512)
+        angle = half_angle_integral(ep_generic, rho0, tau / 2, tau)
+        activity = activity_at(ep_generic, rho0, [tau])[0][0]
         reports = []
         for sign in (1.0, -1.0):
             obs = CountingObservable(tuple(sign * w for w in (1, -1, 1, -1, 1, -1)))
             m1 = counting_moments(ep_generic, rho0, obs, tau / 2)
             m2 = counting_moments(ep_generic, rho0, obs, tau)
-            scale = observable_scale(obs, curve.activity[-1])
-            reports.append(tur_activity_integral(m1, m2, curve, tau / 2, tau, scale))
+            scale = observable_scale(obs, activity)
+            reports.append(tur_activity_integral(m1, m2, angle, scale))
         falling, rising = reports
         assert falling.inputs["mean_2"].value < falling.inputs["mean_1"].value < 0
         assert falling.satisfied is True and falling.precondition_ok
@@ -127,7 +132,7 @@ class TestActivityWindowBound:
 
     def test_monte_carlo_inputs_widen_tolerance(self, poisson, scalar_one):
         t1, t2 = 1.0, 2.0
-        curve = activity_curve(poisson, scalar_one, t2, n_grid=512)
+        angle = half_angle_integral(poisson, scalar_one, t1, t2)
         # E_1, E_2, Var_1, Var_2 and their standard errors
         x = np.array([0.71, 1.38, 0.69, 1.43])
         err = np.array([0.02, 0.03, 0.05, 0.08])
@@ -143,7 +148,7 @@ class TestActivityWindowBound:
 
         rep = tur_activity_integral(
             moments(x[0], x[2], err[0], err[2]), moments(x[1], x[3], err[1], err[3]),
-            curve, t1, t2, scale=0.0,
+            angle, scale=0.0,
         )
         grad = []
         for k in range(4):
@@ -163,8 +168,8 @@ class TestActivityWindowBound:
         t1, t2 = 0.8, 1.6
         m1 = counting_moments(da_generic, rho, obs, t1)
         m2 = counting_moments(da_generic, rho, obs, t2)
-        curve = activity_curve(da_generic, rho, t2, n_grid=512)
-        rep = tur_activity_integral(m1, m2, curve, t1, t2, scale=0.0)
+        angle = half_angle_integral(da_generic, rho, t1, t2)
+        rep = tur_activity_integral(m1, m2, angle, scale=0.0)
         assert rep.precondition_ok and rep.satisfied
 
 
@@ -173,9 +178,9 @@ class TestRateFormBound:
         obs = CountingObservable((1.0,))
         for tau in (0.1, 1.0, 10.0):
             mom = counting_moments(poisson, scalar_one, obs, tau)
-            curve = activity_curve(poisson, scalar_one, tau, n_grid=256)
-            rep = kur_differential(poisson, scalar_one, obs, tau, curve.activity[-1], mom)
-            assert abs(rep.lhs * curve.activity[-1] - 1.0) <= 1e-9
+            activity = activity_at(poisson, scalar_one, [tau])[0][0]
+            rep = kur_differential(poisson, scalar_one, obs, tau, activity, mom)
+            assert abs(rep.lhs * activity - 1.0) <= 1e-9
             assert rep.satisfied
 
     def test_full_cost_always_holds_diagonal_sometimes_fails(self):
@@ -214,8 +219,8 @@ class TestRateFormBound:
         records = sample_ensemble(da_generic, rho, tau, 2000, SeedPolicy(91), workers=1)
         mom = estimate(records, obs).as_moment_result()
         assert mom.method == "monte_carlo"
-        curve = activity_curve(da_generic, rho, tau, n_grid=256)
-        rep = kur_differential(da_generic, rho, obs, tau, curve.activity[-1], mom)
+        activity = activity_at(da_generic, rho, [tau])[0][0]
+        rep = kur_differential(da_generic, rho, obs, tau, activity, mom)
         assert rep.tol > 1e-9
         assert rep.inputs["variance"].source == "monte_carlo"
         assert rep.satisfied
@@ -263,7 +268,7 @@ class TestMomentRatioBounds:
         obs = CountingObservable.total_count(4)
         records = sample_ensemble(da_generic, rho, tau, n, SeedPolicy(77), workers=1)
         est = estimate(records, obs, r_list=(1.0, 2.0))
-        curve = activity_curve(da_generic, rho, tau, n_grid=512)
+        angle = half_angle_integral(da_generic, rho, 0.0, tau)
         a0 = mean_rate(da_generic, rho, obs)
         sin_rep, exp_rep = moment_ratio_bounds(
             InputStat.monte_carlo(est.abs_moments[1.0], est.abs_moment_stderr[1.0]),
@@ -271,7 +276,7 @@ class TestMomentRatioBounds:
             1.0,
             2.0,
             tau,
-            curve=curve,
+            angle=angle,
             initial_rate=a0,
         )
         for rep in (sin_rep, exp_rep):
@@ -296,7 +301,7 @@ class TestDegenerateMeans:
         obs = CountingObservable((1.0, -1.0, 1.0, -1.0, 1.0, -1.0), antisymmetric=True)
         tau = 1.0
         mom = counting_moments(ep_generic, rho, obs, tau)
-        activity = activity_curve(ep_generic, rho, tau).activity[-1]
+        activity = activity_at(ep_generic, rho, [tau])[0][0]
         rep = kur_differential(ep_generic, rho, obs, tau, activity, mom)
         assert rep.satisfied is None and not rep.precondition_ok
         assert math.isnan(rep.lhs) and math.isnan(rep.rhs)
@@ -336,9 +341,9 @@ class TestDegenerateMeans:
         assert entropy_scale(ep_generic, ground_state(), rho, 0.0) == pytest.approx(vn)
 
     def test_window_bound_without_growth(self, poisson, scalar_one):
-        curve = activity_curve(poisson, scalar_one, 1.0, n_grid=64)
+        angle = half_angle_integral(poisson, scalar_one, 0.5, 1.0)
         flat = poisson_moments(0.7, 1.0)
-        rep = tur_activity_integral(flat, flat, curve, 0.5, 1.0, scale=0.7)
+        rep = tur_activity_integral(flat, flat, angle, scale=0.7)
         assert rep.satisfied is None and not rep.precondition_ok
         assert rep.inputs["half_angle"].value > 0
 
@@ -514,17 +519,70 @@ class TestBoundReport:
         assert all(a > b for a, b in zip(kur_rhs, kur_rhs[1:]))
 
 
+def two_level_decay(rate: float) -> LindbladModel:
+    """One decay channel sqrt(rate) |g><e|; from |e>, A(t) = 1 - exp(-rate t)."""
+    lower = np.zeros((2, 2), dtype=complex)
+    lower[0, 1] = math.sqrt(rate)
+    return LindbladModel.build(np.diag([0.0, 1.3]).astype(complex), [lower])
+
+
+def quad_half_angle(activity, t1: float, t2: float) -> float:
+    """The half angle by adaptive quadrature in u = sqrt(t), at 1e-14."""
+
+    def integrand(u):
+        return math.sqrt(activity(u * u)) / u
+
+    with warnings.catch_warnings():
+        # the requested tolerance sits at rounding; quad says so and still converges
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(integrand, math.sqrt(t1), math.sqrt(t2), epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+
+
 class TestHalfAngleIntegral:
     def test_stationary_closed_form(self, da_equal):
         rho = steady_state(build_generator(da_equal, coherent=True))
-        curve = activity_curve(da_equal, rho, 4.0, n_grid=512)
         rate = 1.2
         expected = math.sqrt(rate) * (math.sqrt(4.0) - math.sqrt(1.0))
-        assert half_angle_integral(curve, 1.0, 4.0) == pytest.approx(expected, rel=1e-10)
+        assert half_angle_integral(da_equal, rho, 1.0, 4.0) == pytest.approx(expected, rel=1e-12)
         expected0 = math.sqrt(rate) * math.sqrt(4.0)
-        assert half_angle_integral(curve, 0.0, 4.0) == pytest.approx(expected0, rel=1e-10)
+        assert half_angle_integral(da_equal, rho, 0.0, 4.0) == pytest.approx(expected0, rel=1e-12)
 
     def test_empty_window(self, da_equal):
         rho = steady_state(build_generator(da_equal, coherent=True))
-        curve = activity_curve(da_equal, rho, 1.0, n_grid=64)
-        assert half_angle_integral(curve, 0.7, 0.7) == 0.0
+        assert half_angle_integral(da_equal, rho, 0.7, 0.7) == 0.0
+
+    @pytest.mark.parametrize("tau", [1.0, 4.0])
+    def test_transient_matches_quadrature_reference(self, ep_generic, tau):
+        # a two-level decay from its excited state (closed-form A) and the ep
+        # model from its ground state (A from the moment hierarchy); a
+        # 2048-sample interpolated trapezoid misses by 1e-9 to 1e-5 here
+        rate = 0.8
+        excited = np.diag([0.0, 1.0]).astype(complex)
+        count = CountingObservable.total_count(6)
+        cases = (
+            (two_level_decay(rate), excited, lambda t: -math.expm1(-rate * t)),
+            (ep_generic, ground_state(), lambda t: counting_moments(ep_generic, ground_state(), count, t).mean),
+        )
+        for model, rho0, activity in cases:
+            for t1 in (tau / 2, 0.0):
+                want = quad_half_angle(activity, t1, tau)
+                got = half_angle_integral(model, rho0, t1, tau)
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_refused_past_the_node_cap(self, monkeypatch):
+        # eight nodes against sixteen miss 1e-12 on this long window, so a
+        # cap of sixteen leaves no pair of rules to agree
+        model, excited = two_level_decay(0.8), np.diag([0.0, 1.0]).astype(complex)
+        assert half_angle_integral(model, excited, 0.0, 50.0) > 0
+        monkeypatch.setattr(bounds, "HALF_ANGLE_MAX_NODES", 16)
+        with pytest.raises(ValueError, match=r"half angle over \[0.0, 50.0\]"):
+            half_angle_integral(model, excited, 0.0, 50.0)
+
+    def test_battery_reads_the_same_angle_and_activity(self, ep_generic):
+        rho0, tau = ground_state(), 1.3
+        obs = CountingObservable((1.0, -1.0, 1.0, -1.0, 1.0, -1.0))
+        rate, window = bounds.battery(ep_generic, rho0, obs, tau)[:2]
+        angle = half_angle_integral(ep_generic, rho0, tau / 2, tau)
+        assert window.inputs["half_angle"].value == angle
+        activity = activity_at(ep_generic, rho0, [tau])[0][0]
+        assert rate.inputs["activity"].value == pytest.approx(activity, rel=1e-13)

@@ -253,16 +253,19 @@ class TestBounds:
             pytest.param("readme", 3, 1, 1, id="readme"),
             pytest.param("unit_ladder", 4, 2, 1, id="unit_ladder"),
             pytest.param("stationary_ladder", 4, 2, 1, id="stationary_ladder"),
-            # from ACTION_MIN_DIM up the block acts on vectors while that
-            # pays, and is exponentiated once over a long horizon
+            # from ACTION_MIN_DIM up the blocks act on vectors while that
+            # pays, and the moment block is exponentiated once over a long
+            # horizon
             pytest.param("unit_ladder", 8, 2, 0, id="unit_ladder_action"),
             pytest.param("stationary_ladder", 8, 2, 0, id="stationary_ladder_action"),
             pytest.param("stationary_ladder", 8, 100, 1, id="stationary_ladder_long"),
         ],
     )
     def test_takes_one_block_exponential(self, case, dim, tau, blocks, monkeypatch, tmp_path):
-        # at most one 3d^2-square exponential; besides it only the activity
-        # curve's, with a row per curve (no (d^2 + 1)-square one for Sigma)
+        # at most one 3d^2-square exponential; besides it, below
+        # ACTION_MIN_DIM, only the rows block's dense steps to the half
+        # angle's nodes and tau, with the activity and entropy rows in one
+        # block (no (d^2 + 1)-square one for Sigma); none from it up
         unit = case == "unit_ladder"
         if case == "readme":
             argv = (*README_EP, "--tau", str(tau))
@@ -282,9 +285,11 @@ class TestBounds:
         monkeypatch.setattr(bounds, "counting_moments", counted)
         code, reports = bounds_reports(*argv)
         assert code == 0 and len(reports) >= 3
-        block, curve = 3 * dim * dim, dim * dim + (1 if unit else 2)
+        block, rows = 3 * dim * dim, dim * dim + (1 if unit else 2)
         assert shapes.count((block, block)) == blocks
-        assert [s for s in shapes if s != (block, block)] == [(curve, curve)]
+        steps = [s for s in shapes if s != (block, block)]
+        assert set(steps) <= {(rows, rows)}
+        assert len(steps) == (0 if dim >= ACTION_MIN_DIM else 3 * bounds.HALF_ANGLE_NODES + 1)
         assert horizons == [tau / 2]
 
     def test_csv_output(self, tmp_path):

@@ -6,16 +6,17 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 import qtur.counting as counting
+from qtur.bounds import half_angle_integral
 from qtur.counting import (
     ACTION_MIN_DIM,
     CountingObservable,
-    activity_curve,
+    activity_at,
     counting_moments,
     decompose_activity,
     decompose_sigma,
-    entropy_production,
     entropy_production_rate,
     mean_rate,
+    sigma_from,
     _half_windows,
 )
 from qtur.engine import build_generator, propagate, steady_state
@@ -25,6 +26,7 @@ from conftest import (
     ground_state,
     ladder_model,
     random_da_model,
+    random_detailed_balance_model,
     random_eigenoperator_model,
     random_ep_model,
     random_pure_state,
@@ -125,30 +127,63 @@ class TestMeanRate:
         )
 
 
+# non-uniform, unsorted times, one of them repeated
+TIMES = (0.3, 0.0, 2.9, 1.1, 0.31, 1.1, 3.0)
+
+
+def entropy_production(model, rho0, tau, coherent=True):
+    """Sigma(tau) from one :func:`activity_at` step and the von Neumann end terms."""
+    _, flow, states = activity_at(model, rho0, [tau], coherent)
+    return sigma_from(rho0, states[0], flow if flow is None else flow[0])
+
+
 class TestActivityCurve:
     def test_stationary_curve_is_linear(self, da_equal):
         rho = steady_state(build_generator(da_equal, coherent=True))
-        curve = activity_curve(da_equal, rho, 3.0, n_grid=512)
-        assert np.abs(curve.activity_rate - 1.2).max() < 1e-10
-        assert curve.activity[-1] == pytest.approx(1.2 * 3.0, rel=1e-10)
-        assert curve.activity[0] == 0.0
+        activity, flow, states = activity_at(da_equal, rho, TIMES)
+        np.testing.assert_allclose(activity, 1.2 * np.array(TIMES), rtol=1e-12, atol=0)
+        assert activity[1] == 0.0 and flow is None
+        assert np.abs(states - rho).max() < 1e-12
+
+    def test_poisson_closed_form_at_any_times(self, poisson, scalar_one):
+        activity, flow, states = activity_at(poisson, scalar_one, TIMES)
+        np.testing.assert_allclose(activity, 0.7 * np.array(TIMES), rtol=1e-13, atol=0)
+        assert flow is None and np.all(states == 1.0)
+
+    def test_times_must_be_finite_and_nonnegative(self, poisson, scalar_one):
+        for bad in ([1.0, -0.1], [np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                activity_at(poisson, scalar_one, bad)
 
     def test_no_channels_means_silence(self):
         from qtur.operators import LindbladModel
 
         model = LindbladModel.build(np.diag([0.0, 1.0]).astype(complex), [])
-        curve = activity_curve(model, np.eye(2, dtype=complex) / 2, 2.0, n_grid=64)
-        assert np.abs(curve.activity).max() == 0.0
+        activity, _, _ = activity_at(model, np.eye(2, dtype=complex) / 2, TIMES)
+        assert np.abs(activity).max() == 0.0
 
     def test_activity_curves_match_without_hamiltonian(self, da_generic):
         rho0 = ground_state()
-        with_h = activity_curve(da_generic, rho0, 2.0, n_grid=256, coherent=True)
-        without_h = activity_curve(da_generic, rho0, 2.0, n_grid=256, coherent=False)
-        assert np.abs(with_h.activity - without_h.activity).max() < 1e-9
+        with_h, _, _ = activity_at(da_generic, rho0, TIMES, coherent=True)
+        without_h, _, _ = activity_at(da_generic, rho0, TIMES, coherent=False)
+        assert np.abs(with_h - without_h).max() < 1e-9
 
     def test_activity_nondecreasing(self, ep_generic):
-        curve = activity_curve(ep_generic, ground_state(), 4.0, n_grid=256)
-        assert np.all(np.diff(curve.activity) >= -1e-12)
+        times = np.sort(np.random.default_rng(4).uniform(0.0, 4.0, 64))
+        activity, _, _ = activity_at(ep_generic, ground_state(), times)
+        assert np.all(np.diff(activity) >= -1e-12)
+
+    def test_action_matches_dense_steps(self, monkeypatch):
+        # from ACTION_MIN_DIM up the rows block acts on vectors; the dense
+        # steps below it are the reference
+        model = ladder_model(ACTION_MIN_DIM, np.random.default_rng(9))
+        rho0 = random_pure_state(ACTION_MIN_DIM, np.random.default_rng(10))
+        times = (0.05, 2.0, 0.7, 7.5)
+        got = activity_at(model, rho0, times)
+        monkeypatch.setattr(counting, "ACTION_MIN_DIM", ACTION_MIN_DIM + 1)
+        want = activity_at(model, rho0, times)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 class TestEntropyProduction:
@@ -225,27 +260,26 @@ class TestExactKernel:
             assert_moments_close(merged[0], counting_moments(model, rho0, obs, tau / 2), 1e-12)
 
     def test_curve_samples_are_exact(self, ep_generic):
-        rho0, tau = ground_state(), 2.0
-        curve = activity_curve(ep_generic, rho0, tau, n_grid=257)
+        rho0 = ground_state()
+        activity, flow, states = activity_at(ep_generic, rho0, TIMES)
         count = CountingObservable.total_count(6)
-        flow = CountingObservable(ep_generic.entropy_weights())
-        for k in (1, 100, 256):
-            t = curve.times[k]
-            assert curve.activity[k] == pytest.approx(
+        entropy = CountingObservable(ep_generic.entropy_weights())
+        gen = build_generator(ep_generic)
+        for k, t in enumerate(TIMES):
+            assert activity[k] == pytest.approx(
                 counting_moments(ep_generic, rho0, count, t).mean, rel=1e-12
             )
-            assert curve.entropy_flow[k] == pytest.approx(
-                counting_moments(ep_generic, rho0, flow, t).mean, rel=1e-12
+            assert flow[k] == pytest.approx(
+                counting_moments(ep_generic, rho0, entropy, t).mean, rel=1e-12, abs=1e-15
             )
-        rate = mean_rate(ep_generic, propagate(build_generator(ep_generic), rho0, tau), count)
-        assert curve.activity_rate[-1] == pytest.approx(rate, rel=1e-12)
+            np.testing.assert_allclose(states[k], propagate(gen, rho0, t), rtol=0, atol=1e-13)
 
-    def test_final_activity_on_default_grid(self, da_generic, ep_generic):
+    def test_final_activity_matches_the_count_mean(self, da_generic, ep_generic):
         for model in (da_generic, ep_generic):
             for rho0 in (ground_state(), steady_state(build_generator(model, coherent=True))):
                 count = CountingObservable.total_count(model.n_channels)
                 total = counting_moments(model, rho0, count, 3.0)
-                assert activity_curve(model, rho0, 3.0).activity[-1] == pytest.approx(
+                assert activity_at(model, rho0, [3.0])[0][0] == pytest.approx(
                     total.mean, rel=1e-12
                 )
 
@@ -286,7 +320,7 @@ class TestMemoisedStep:
         got = [counting._act(model, weights, h, True, y) for _ in range(3)]
         assert shapes == [(3 * dim * dim, 3 * dim * dim)]
         assert len(model._moment_step) == 1 and len(model._moment_pieces) == 1
-        want = counting._taylor_action(pieces, h, y)
+        want = counting._moment_action(pieces, h, y)
         assert np.abs(got[0] - want).max() <= 1e-12 * np.abs(want).max()
         # above DENSE_MAX_DIM the action is taken at any step length
         monkeypatch.setattr(counting, "DENSE_MAX_DIM", dim - 1)
@@ -396,6 +430,24 @@ LOG_SCALES = st.floats(np.log(0.1), np.log(500.0))
 
 
 class TestBlockAction:
+    @settings(max_examples=20)
+    @given(seed=SEEDS, dim=DIMS, tau=st.floats(0.05, 5.0))
+    def test_activity_entropy_and_angle_match_without_hamiltonian(self, seed, dim, tau):
+        # the Hamiltonian-free equivalence of what `qtur bounds` reads besides
+        # the moments, on the dense rows-block steps (d < ACTION_MIN_DIM) and
+        # on the action
+        rng = np.random.default_rng(seed)
+        model = random_detailed_balance_model(dim, rng)
+        rho0 = random_pure_state(dim, rng)
+        values = []
+        for coherent in (True, False):
+            activity, flow, states = activity_at(model, rho0, [tau], coherent)
+            sigma = sigma_from(rho0, states[0], flow[0])
+            angle = half_angle_integral(model, rho0, tau / 2, tau, coherent)
+            values.append((activity[0], sigma, angle))
+        for a, b in zip(*values):
+            assert a == pytest.approx(b, rel=1e-9, abs=1e-13)
+
     @settings(max_examples=25)
     @given(seed=SEEDS, dim=DIMS, coherent=st.booleans(), log_scale=LOG_SCALES)
     def test_action_matches_dense_exponential(self, seed, dim, coherent, log_scale):
@@ -409,7 +461,7 @@ class TestBlockAction:
         # the action itself at every drawn dimension, and whichever path
         # _act picks
         for got in (
-            counting._taylor_action(counting._pieces(model, weights, coherent), h, y),
+            counting._moment_action(counting._pieces(model, weights, coherent), h, y),
             counting._act(model, weights, h, coherent, y),
         ):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qtur.engine import (
     build_generator,
     steady_state,
 )
+from qtur.cli import main
 from qtur.operators import ModelValidationError
 from conftest import ground_state, patch_nth_call, raising, zero_mean
 
@@ -281,6 +283,21 @@ class TestCicSuite:
     def test_transient_start(self, ep_generic):
         report = run_cic_suite(ep_generic, ground_state(), 0.8, budget=4000, seed=9, workers=1)
         assert report.all_passed
+
+    def test_forward_and_backward_ensembles_share_one_pool(self, monkeypatch, capsys):
+        pools, pool = [], multiprocessing.Pool
+
+        def counted(*args, **kwargs):
+            pools.append(args)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", counted)
+        monkeypatch.delenv("QTUR_THREADS", raising=False)
+        argv = ["verify-cic", "--builtin", "ep", "--rates", "0.7,0.3,0.5,0.4,0.6,0.2",
+                "--tau", "1", "--trajectories", "5000", "--workers", "2", "--seed", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("[PASS]") == 5
+        assert len(pools) == 1
 
     def test_summary_format(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))

@@ -37,6 +37,23 @@ class TestWorkerMap:
         assert {pid for _, pid in serial} == {os.getpid()}
         assert os.getpid() not in {pid for _, pid in pooled}
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ensembles_end_to_end_match_separate_ensembles(self, ep_generic, monkeypatch, workers):
+        # at two workers the second range straddles the two ensembles and is
+        # split where they meet
+        monkeypatch.setattr(trajectories, "POOL_MIN", 0)
+        forward, backward = ground_state(), np.diag([0.2, 0.5, 0.3]).astype(complex)
+        parts = [
+            (TrajectorySampler(ep_generic, forward, 1.0), SeedPolicy(4), 300),
+            (TrajectorySampler(ep_generic, backward, 1.0), SeedPolicy(5), 250),
+        ]
+        together = trajectories._sample_ensembles(parts, workers)
+        separate = [
+            sample_ensemble(ep_generic, forward, 1.0, 300, SeedPolicy(4), workers=1),
+            sample_ensemble(ep_generic, backward, 1.0, 250, SeedPolicy(5), workers=1),
+        ]
+        assert together == separate
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
     def test_default_follows_cpu_affinity(self):
         code = (
@@ -406,7 +423,7 @@ class TestPathDensities:
         assert np.all(np.abs(damped - full) <= 1e-9 * np.maximum(damped, full))
 
     def test_kl_estimate_matches_entropy_production(self, ep_generic):
-        from qtur.counting import entropy_production
+        from qtur.counting import activity_at, sigma_from
 
         rho0 = ground_state()
         tau, n = 0.8, 8000
@@ -414,7 +431,8 @@ class TestPathDensities:
         pw = PathWeights(ep_generic, rho0, tau)
         entropies, discarded = ensemble_entropies(pw, records)
         assert discarded == 0
-        target = entropy_production(ep_generic, rho0, tau, coherent=False)
+        _, flow, states = activity_at(ep_generic, rho0, [tau], coherent=False)
+        target = sigma_from(rho0, states[0], flow[0])
         stderr = entropies.std(ddof=1) / np.sqrt(len(entropies))
         assert abs(entropies.mean() - target) <= 4 * stderr
 
