@@ -38,7 +38,9 @@ Reproducibility: trajectory k derives its own 64-bit seed from
 stream in a fixed order (initial label; a waiting-time and a channel
 uniform per jump; the last waiting-time uniform; the final label), so
 ensembles are bit-identical for any worker count and chunking, and merge
-order is fixed.
+order is fixed. A chunk holds the PCG64 states of all its rows as uint64
+arrays and steps them together, and each row still reads exactly the
+doubles of ``Generator(PCG64(seed)).random()``.
 
 Workers: an ensemble of at least POOL_MIN trajectories is split across
 worker processes by :func:`_map_ranges`, the one ordered map that the
@@ -52,6 +54,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -70,12 +73,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 BISECTION_REL_TOL = 1e-9
 BISECTION_MAX_STEPS = 200
 CHUNK = 1024  # trajectories stepped together
-UNIFORM_BLOCK = 16  # uniforms read ahead per trajectory: a record of up to 6 jumps
 # Smallest ensemble split across worker processes: the crossover measured
 # on 2 cores (one BLAS thread each, one sampling call per fresh process, as
 # a CLI run makes). Below it, pool start-up and shipping records back cost
-# more than the second core saves.
-POOL_MIN = 5000
+# more than the second core saves: at about 20 us per serial trajectory the
+# two sides tie at 20000 trajectories, and the pool is 12 % faster at 30000.
+POOL_MIN = 20000
 
 
 def splitmix64(x: int) -> int:
@@ -121,47 +124,81 @@ class TrajectoryRecord:
         return len(self.jumps)
 
 
-class _Uniforms:
-    """One PCG64 stream per row, read ahead UNIFORM_BLOCK doubles at a time.
+# numpy's SeedSequence hash constants (init, mult) for entropy mixing and
+# for state generation and its two mix multipliers; PCG64's multiplier as
+# (high, low) words, then the 32-bit halves of its low word. Every operand
+# stays an array, since array products wrap silently where scalar ones warn.
+_HASH = np.array(
+    [[0x43B0D7E5, 0x931E8875], [0x8B51F9DD, 0x58F38DED], [0xCA01F9DD, 0x4973F715]], np.uint32
+)[..., None]
+_MULT = np.array(
+    [0x2360ED051FC65DA4, 0x4385DF649FCCF645, 0x9FCCF645, 0x4385DF64], np.uint64
+)[:, None]
 
-    Row b reads ``Generator(PCG64(seeds[b])).random()`` in order. A block
-    ``random(k)`` holds the same doubles as k single draws, so each row
-    reads exactly the stream of a trajectory sampled on its own. A row
-    that runs out seeds its stream again and advances it past the doubles
-    already read, so no generator is kept per row.
+
+def _seed_words(seeds) -> list[np.ndarray]:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed s < 2**64,
+    as four uint64 arrays. SeedSequence reads a seed below 2**32 as one
+    32-bit word and a larger one as two, and hashes a missing word as a
+    zero word, so every seed takes the two-word form here."""
+    s = np.array(seeds, dtype=np.uint64)
+    const = [_HASH[0, 0], _HASH[1, 0]]  # the running hash constants
+
+    def hashmix(value, i):
+        value = value ^ const[i]
+        const[i] = const[i] * _HASH[i, 1]
+        value = value * const[i]
+        return value ^ (value >> 16)
+
+    pool = [(s & 0xFFFFFFFF).astype(np.uint32), (s >> 32).astype(np.uint32)]
+    pool = [hashmix(w, 0) for w in pool + [np.zeros_like(pool[0])] * 2]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                z = _HASH[2, 0] * pool[dst] - _HASH[2, 1] * hashmix(pool[src], 0)
+                pool[dst] = z ^ (z >> 16)
+    words = [hashmix(pool[k % 4], 1).astype(np.uint64) for k in range(8)]
+    return [words[2 * j] | (words[2 * j + 1] << 32) for j in range(4)]
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit states (hi, lo) times PCG64's multiplier plus (inc_hi, inc_lo)."""
+    m_hi, m_lo, b0, b1 = _MULT
+    a1, a0 = lo >> 32, lo & 0xFFFFFFFF
+    p10, p01 = a1 * b0, a0 * b1
+    cross = (a0 * b0 >> 32) + (p10 & 0xFFFFFFFF) + p01  # at most 2**64 - 1
+    hi = a1 * b1 + (p10 >> 32) + (cross >> 32) + hi * m_lo + lo * m_hi
+    lo = lo * m_lo + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+class _Uniforms:
+    """One PCG64 stream per row, every row's 128-bit state and increment
+    held as uint64 arrays.
+
+    Row b reads ``Generator(PCG64(seeds[b])).random()`` in order: the
+    seeding runs numpy's SeedSequence and PCG64 set-up on the arrays, and
+    each read takes one LCG step of the rows that read and turns the XSL-RR
+    output x into the double (x >> 11) * 2**-53.
     """
 
     def __init__(self, seeds):
-        n = len(seeds)
-        self._seeds = list(seeds)
-        self._buffer = np.empty((n, 0))
-        self._read = np.zeros(n, dtype=np.intp)
-        self._filled = np.zeros(n, dtype=np.intp)
-        self._extend(np.arange(n))
+        # PCG64's set-up from seed words (s, q): increment 2q + 1, and the
+        # state (increment + s) * multiplier + increment
+        s_hi, s_lo, q_hi, q_lo = _seed_words(seeds)
+        self._inc_hi = (q_hi << 1) | (q_lo >> 63)
+        self._inc_lo = (q_lo << 1) | 1
+        lo = self._inc_lo + s_lo
+        hi = self._inc_hi + s_hi + (lo < s_lo)
+        self._hi, self._lo = _lcg_step(hi, lo, self._inc_hi, self._inc_lo)
 
     def next(self, rows: np.ndarray) -> np.ndarray:
         """The next uniform of each of the (distinct) ``rows``."""
-        read = self._read[rows]
-        short = rows[read == self._filled[rows]]
-        if short.size:
-            self._extend(short)
-        self._read[rows] = read + 1
-        return self._buffer[rows, read]
-
-    def _extend(self, rows: np.ndarray) -> None:
-        start = self._filled[rows]
-        width = self._buffer.shape[1]
-        need = start.max(initial=0) + UNIFORM_BLOCK
-        if need > width:
-            grown = np.empty((len(self._seeds), max(need, 2 * width)))
-            grown[:, :width] = self._buffer
-            self._buffer = grown
-        for row, col in zip(rows.tolist(), start.tolist()):
-            stream = np.random.PCG64(self._seeds[row])
-            stream.advance(col)  # one 64-bit draw per double
-            block = np.random.Generator(stream).random(UNIFORM_BLOCK)
-            self._buffer[row, col : col + UNIFORM_BLOCK] = block
-        self._filled[rows] = start + UNIFORM_BLOCK
+        hi, lo = _lcg_step(self._hi[rows], self._lo[rows], self._inc_hi[rows], self._inc_lo[rows])
+        self._hi[rows], self._lo[rows] = hi, lo
+        x, rot = hi ^ lo, hi >> 58
+        out = (x >> rot) | (x << ((64 - rot) & 63))
+        return (out >> 11) * 2.0**-53
 
 
 def _inverse_cdf(u: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -240,10 +277,8 @@ class Unravelling:
 class TrajectorySampler(Unravelling):
     """Chunked sampler over an unravelling context.
 
-    ``sample(seed)`` is the one call that yields a record. An ensemble
-    first calls ``read_ahead(seeds)``, which steps those trajectories
-    together as one chunk, and then takes each record with ``sample``;
-    a seed not read ahead is stepped as a chunk of one.
+    An ensemble steps each range of its seeds as one chunk;
+    ``sample(seed)`` steps a chunk of one.
     """
 
     def __init__(
@@ -255,7 +290,6 @@ class TrajectorySampler(Unravelling):
     ):
         super().__init__(model, rho0, tau)
         self.coherent = bool(coherent)
-        self._ahead: dict = {}  # seed -> record stepped but not yet handed out
 
     def _survival(self, amp_sq: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Row-wise no-jump probability sum_i |phi_i|^2 exp(-g_i dt)."""
@@ -291,12 +325,7 @@ class TrajectorySampler(Unravelling):
         return np.maximum(overlap[:, :, 0, 0].real, 0.0)
 
     def sample(self, seed: int) -> TrajectoryRecord:
-        record = self._ahead.pop(seed, None)
-        return record if record is not None else self._step([seed])[0]
-
-    def read_ahead(self, seeds) -> None:
-        """Step the trajectories of ``seeds`` together, for ``sample`` to hand out."""
-        self._ahead.update(zip(seeds, self._step(seeds)))
+        return self._step([seed])[0]
 
     def _step(self, seeds) -> list[TrajectoryRecord]:
         """One record per seed, all trajectories stepped together."""
@@ -400,9 +429,7 @@ def _sample_range(shared, lo: int, hi: int) -> list[TrajectoryRecord]:
     records, start = [], 0
     for sampler, policy, n in shared:
         span = range(max(lo, start), min(hi, start + n))
-        seeds = [policy.trajectory_seed(i - start) for i in span]
-        sampler.read_ahead(seeds)
-        records += [sampler.sample(s) for s in seeds]
+        records += sampler._step([policy.trajectory_seed(i - start) for i in span])
         start += n
     return records
 
@@ -438,25 +465,40 @@ def sample_ensemble(
 
 def record_observable(record: TrajectoryRecord, obs: CountingObservable) -> float:
     """Weighted jump count of the record inside the observation window."""
-    t_a, t_b = obs.resolved_window(record.horizon)
-    total = 0.0
-    for t, m in record.jumps:
-        if t_a <= t <= t_b:
-            total += obs.weights[m]
-    return total
+    return float(_observable_values([record], obs)[0])
+
+
+def _observable_values(records, obs: CountingObservable) -> np.ndarray:
+    """:func:`record_observable` of every record, from groups of equal jump
+    count. The weights inside the window are added column by column, in the
+    order of each record's jumps, so no value depends on its group."""
+    weights = np.asarray(obs.weights, dtype=float)
+    values = np.empty(len(records))
+    for idx, times, channels in _by_jump_count(records):
+        horizons, where = np.unique([records[i].horizon for i in idx], return_inverse=True)
+        t_a, t_b = np.array([obs.resolved_window(h) for h in horizons.tolist()]).T[:, where, None]
+        inside = np.where((t_a <= times) & (times <= t_b), weights[channels], 0.0)
+        total = np.zeros(len(idx))
+        for k in range(channels.shape[1]):
+            total = total + inside[:, k]
+        values[idx] = total
+    return values
 
 
 def _by_jump_count(records):
     """Yield (indices, jump times, channels) for groups of at most CHUNK
     records with the same jump count K; times and channels are (len(indices), K)."""
-    groups = {}
-    for i, rec in enumerate(records):
-        groups.setdefault(rec.n_jumps, []).append(i)
-    for k, members in groups.items():
+    counts = np.fromiter((len(rec.jumps) for rec in records), np.intp, len(records))
+    flat = chain.from_iterable(chain.from_iterable(rec.jumps for rec in records))
+    jumps = np.fromiter(flat, float, 2 * counts.sum()).reshape(-1, 2)
+    starts = np.cumsum(counts) - counts
+    ks, first = np.unique(counts, return_index=True)
+    for k in ks[np.argsort(first)].tolist():
+        members = np.flatnonzero(counts == k)
         for lo in range(0, len(members), CHUNK):
             idx = members[lo : lo + CHUNK]
-            jumps = np.array([records[i].jumps for i in idx], dtype=float).reshape(len(idx), k, 2)
-            yield np.array(idx), jumps[:, :, 0], jumps[:, :, 1].astype(np.intp)
+            group = jumps[starts[idx, None] + np.arange(k)]
+            yield idx, group[:, :, 0], group[:, :, 1].astype(np.intp)
 
 
 def _intervals(times: np.ndarray, horizons) -> np.ndarray:
@@ -515,8 +557,7 @@ class PathWeights(Unravelling):
         clipped weight."""
         forward = self._path_densities(records, False)
         backward = self._path_densities(records, True)
-        ds = self.model.entropy_weights()
-        total_ds = np.array([sum(ds[m] for _, m in rec.jumps) for rec in records], dtype=float)
+        total_ds = _observable_values(records, CountingObservable(self.model.entropy_weights()))
         q0 = self.q0[[rec.initial_label for rec in records]]
         qt = self.qtau[[rec.final_label for rec in records]]
         predicted = np.full(len(records), np.nan)
@@ -531,18 +572,12 @@ class PathWeights(Unravelling):
         A record whose labels hit clipped weights is not kept; its value
         is nan.
         """
-        ds = self.model.entropy_weights()
+        p_start = self.q0[[rec.initial_label for rec in records]]
+        p_end = self.qtau[[rec.final_label for rec in records]]
+        keep = ~((p_start <= EIGENVALUE_CLIP) | (p_end <= EIGENVALUE_CLIP))
+        total = _observable_values(records, CountingObservable(self.model.entropy_weights()))
         values = np.full(len(records), np.nan)
-        keep = np.zeros(len(records), dtype=bool)
-        for idx, _, channels in _by_jump_count(records):
-            p_start = self.q0[[records[i].initial_label for i in idx]]
-            p_end = self.qtau[[records[i].final_label for i in idx]]
-            ok = ~((p_start <= EIGENVALUE_CLIP) | (p_end <= EIGENVALUE_CLIP))
-            total = np.zeros(len(idx))
-            for k in range(channels.shape[1]):
-                total = total + ds[channels[:, k]]
-            values[idx[ok]] = np.log(p_start[ok]) - np.log(p_end[ok]) + total[ok]
-            keep[idx] = ok
+        values[keep] = np.log(p_start[keep]) - np.log(p_end[keep]) + total[keep]
         return values, keep
 
     def path_norms_batch(self, records) -> tuple[np.ndarray, np.ndarray]:
@@ -618,7 +653,7 @@ def estimate(
     n = len(records)
     if n < 2:
         raise ValueError("need at least two records")
-    values = np.array([record_observable(rec, obs) for rec in records])
+    values = _observable_values(records, obs)
     mean, stderr_mean = _mean_and_stderr(values)
     var = float(values.var(ddof=1))
     centered = values - mean

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 import qtur.bounds as bounds
 import qtur.cli as cli
 import qtur.engine as engine
+import qtur.trajectories as trajectories
 from qtur.cli import main
 from qtur.counting import ACTION_MIN_DIM
 from qtur.engine import build_generator, steady_state
 from qtur.models import build_da_model, build_ep_model, default_observable, load_model, save_model
 from qtur.operators import LindbladModel
+from qtur.sweeps import csv_text
 from conftest import ladder_model, record_exponentials, rotate_model
 
 README_EP = ("--builtin", "ep", "--rates", "0.7,0.3,0.5,0.4,0.6,0.2")
@@ -90,6 +93,35 @@ class TestTrajectories:
             cells = line.split(",")
             channels = [int(m) for m in cells[2 + kmax : 2 + 2 * kmax] if m]
             assert float(cells[-2]) == sum(1 if m % 2 == 0 else -1 for m in channels)
+
+    @pytest.mark.parametrize("entropy", [False, True])
+    def test_dump_matches_the_generic_csv_writer(self, tmp_path, entropy):
+        # the column-typed writer against format_cell, cell by cell; some
+        # entropies are nan (discarded), and without entropy weights none is kept
+        model = build_ep_model(1.0, 0.7, 0.3, 0.5, 0.4, 0.6, 0.2)
+        policy = trajectories.SeedPolicy(4)
+        records = trajectories.sample_ensemble(model, np.eye(3) / 3, 2.0, 200, policy, workers=1)
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=len(records))
+        values[:3] = (-0.0, np.inf, 1e-300)
+        entropies = np.where(rng.random(len(records)) < 0.2, np.nan, values / 3) if entropy else None
+        kmax = max(r.n_jumps for r in records)
+        header = (
+            ["run_index", "K"] + [f"t_{j+1}" for j in range(kmax)]
+            + [f"m_{j+1}" for j in range(kmax)] + ["i", "i_prime", "N_value", "entropy_value"]
+        )
+        rows = []
+        for idx, rec in enumerate(records):
+            pad = [None] * (kmax - rec.n_jumps)
+            kept = entropies is not None and not np.isnan(entropies[idx])
+            rows.append(
+                [idx, rec.n_jumps] + [t for t, _ in rec.jumps] + pad + [m for _, m in rec.jumps]
+                + pad + [rec.initial_label, rec.final_label, values[idx]]
+                + [entropies[idx] if kept else None]
+            )
+        out = tmp_path / "records.csv"
+        cli._dump_records(out, records, values, entropies)
+        assert out.read_text() == csv_text(header, rows)
 
     def test_reports_exact_comparison(self, capsys):
         code = run_cli(
@@ -436,6 +468,32 @@ class TestVerifyCic:
         out = capsys.readouterr().out
         assert "[PASS] kl_matches_entropy_production" in out
         assert code == 0 and "[FAIL]" not in out
+
+
+# SHA-256 of the README ep `trajectories --out` CSV (10000 trajectories,
+# seed 7) and of the README `verify-cic` stdout, as written while every
+# trajectory still drew its PCG64 stream from its own numpy Generator
+# (numpy 2.4, scipy 1.17). The tests lower trajectories.POOL_MIN to 0, so
+# that two workers split the ensembles whatever the measured threshold is.
+PINNED_ENSEMBLES = {
+    "trajectories": "e0618f397c24a587f54c4e10105699c89b3b23bb2fbcee7f8e54deea32911e4f",
+    "verify-cic": "00f292d75df3aff6e5d003108f5387c5295207ec8fb5e6f5e623ac81e63871ec",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command", sorted(PINNED_ENSEMBLES))
+def test_pinned_ensemble_bytes(command, workers, tmp_path, monkeypatch):
+    monkeypatch.setattr(trajectories, "POOL_MIN", 0)
+    argv = [command, *README_EP, "--tau", "1", "--trajectories", "10000", "--workers", str(workers)]
+    out = tmp_path / "records.csv"
+    if command == "trajectories":
+        argv += ["--seed", "7", "--out", str(out)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run_cli(*argv) == 0
+    data = out.read_bytes() if command == "trajectories" else buf.getvalue().encode()
+    assert hashlib.sha256(data).hexdigest() == PINNED_ENSEMBLES[command]
 
 
 class TestConfigAndModels:

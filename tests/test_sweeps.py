@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qtur.sweeps as sweeps
+import qtur.trajectories as trajectories
 from qtur.sweeps import (
     SweepConfig,
     rerun_row_check,
@@ -292,6 +293,7 @@ class TestCicSuite:
             return pool(*args, **kwargs)
 
         monkeypatch.setattr(multiprocessing, "Pool", counted)
+        monkeypatch.setattr(trajectories, "POOL_MIN", 0)  # 2 x 5000 is below the threshold
         monkeypatch.delenv("QTUR_THREADS", raising=False)
         argv = ["verify-cic", "--builtin", "ep", "--rates", "0.7,0.3,0.5,0.4,0.6,0.2",
                 "--tau", "1", "--trajectories", "5000", "--workers", "2", "--seed", "3"]

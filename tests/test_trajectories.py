@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from qtur import trajectories
@@ -11,7 +13,6 @@ from qtur.counting import CountingObservable, counting_moments
 from qtur.engine import build_generator, steady_state, survival_probability
 from qtur.operators import EIGENVALUE_CLIP, LindbladModel, ModelValidationError
 from qtur.trajectories import (
-    UNIFORM_BLOCK,
     PathWeights,
     SeedPolicy,
     TrajectoryRecord,
@@ -193,7 +194,7 @@ GOLDEN_RECORDS = {
 }
 
 # SeedPolicy(2026) trajectory 0 of ep_generic from |g> at tau = 12: 17 jumps
-# need 3 + 2 * 17 uniforms, past the block read ahead per trajectory.
+# read 3 + 2 * 17 uniforms of one stream.
 GOLDEN_LONG_RECORD = (
     (
         (0.1877531302452553, 5), (0.2641169661842354, 4), (2.7486609617689552, 3),
@@ -209,9 +210,8 @@ GOLDEN_LONG_RECORD = (
 
 
 def stepped_together(sampler: TrajectorySampler, seeds) -> list:
-    """The records of ``seeds``, stepped as one chunk and handed out by ``sample``."""
-    sampler.read_ahead(seeds)
-    return [sampler.sample(s) for s in seeds]
+    """The records of ``seeds``, stepped as one chunk."""
+    return sampler._step(seeds)
 
 
 class TestChunkedSampler:
@@ -231,14 +231,13 @@ class TestChunkedSampler:
         sampler = TrajectorySampler(model, rho, 1.5, coherent=coherent)
         assert sampler.sample(SeedPolicy(2026).trajectory_seed(2)) == expected[2]
 
-    def test_long_record_reads_past_the_uniform_block(self, ep_generic):
+    def test_long_record_reads_its_whole_stream(self, ep_generic):
         jumps, i0, i1 = GOLDEN_LONG_RECORD
-        assert 3 + 2 * len(jumps) > UNIFORM_BLOCK
         sampler = TrajectorySampler(ep_generic, ground_state(), 12.0)
         seeds = [SeedPolicy(2026).trajectory_seed(i) for i in range(40)]
         records = stepped_together(sampler, seeds)
         assert records[0] == TrajectoryRecord(jumps, i0, i1, 12.0)
-        # rows extended at different times still read their own streams
+        # rows that read different numbers of uniforms still read their own streams
         assert max(r.n_jumps for r in records) > len(jumps)
         assert [sampler.sample(s) for s in seeds[:5]] == records[:5]
 
@@ -260,14 +259,31 @@ class TestChunkedSampler:
         seeds += [SeedPolicy(5).trajectory_seed(i) for i in range(50)]
         uniforms = trajectories._Uniforms(seeds)
         drawn = [[] for _ in seeds]
-        for step in range(4 * UNIFORM_BLOCK):
-            # a shifting subset of rows, so rows run out of their blocks at different reads
+        for step in range(64):
+            # a shifting subset of rows, so rows step their states at different reads
             rows = np.arange(step % 3, len(seeds), 2)
             for row, u in zip(rows.tolist(), uniforms.next(rows).tolist()):
                 drawn[row].append(u)
         for seed, row in zip(seeds, drawn):
-            assert len(row) > UNIFORM_BLOCK
             assert row == np.random.Generator(np.random.PCG64(seed)).random(len(row)).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 24)), min_size=1, max_size=12
+        )
+    )
+    def test_uniform_rows_match_numpy_for_any_seed(self, rows):
+        # ragged read counts: each row stops once it has read its own count
+        seeds, counts = [s for s, _ in rows], np.array([k for _, k in rows])
+        uniforms = trajectories._Uniforms(seeds)
+        drawn = [[] for _ in seeds]
+        for step in range(counts.max()):
+            live = np.flatnonzero(counts > step)
+            for row, u in zip(live.tolist(), uniforms.next(live).tolist()):
+                drawn[row].append(u)
+        for (seed, k), row in zip(rows, drawn):
+            assert row == np.random.Generator(np.random.PCG64(seed)).random(k).tolist()
 
     def test_repeated_seed_gives_the_same_record(self, ep_generic):
         sampler = TrajectorySampler(ep_generic, ground_state(), 1.0)
@@ -285,7 +301,7 @@ class TestChunkedSampler:
         sampler = TrajectorySampler(ep_generic, ground_state(), 5.0)
         sampler._jump_norms = np.zeros_like(sampler._jump_norms)
         with pytest.raises(ModelValidationError, match="no channel"):
-            sampler.read_ahead([SeedPolicy(1).trajectory_seed(i) for i in range(20)])
+            sampler._step([SeedPolicy(1).trajectory_seed(i) for i in range(20)])
 
     def test_zero_final_overlap_raises(self, ep_generic):
         sampler = TrajectorySampler(ep_generic, ground_state(), 1.0)
@@ -299,7 +315,7 @@ class TestChunkedSampler:
         monkeypatch.setattr(trajectories, "BISECTION_MAX_STEPS", 5)
         sampler = TrajectorySampler(ep_generic, ground_state(), 5.0)
         with pytest.raises(RuntimeError, match="did not converge"):
-            sampler.read_ahead([SeedPolicy(1).trajectory_seed(i) for i in range(20)])
+            sampler._step([SeedPolicy(1).trajectory_seed(i) for i in range(20)])
 
 
 def reference_path_norms(pw: PathWeights, record: TrajectoryRecord) -> tuple:
@@ -460,6 +476,20 @@ class TestEstimate:
         records = sample_ensemble(poisson, scalar_one, tau, n, SeedPolicy(2), workers=1)
         est = estimate(records, CountingObservable((1.0,)), r_list=(1.0,))
         assert abs(est.abs_moments[1.0] - rate * tau) <= 4 * est.abs_moment_stderr[1.0]
+
+    def test_values_match_a_record_loop_bit_for_bit(self, ep_generic):
+        # two horizons, and weights whose sums round differently in another order
+        records = sample_ensemble(ep_generic, ground_state(), 2.0, 300, SeedPolicy(12), workers=1)
+        records += sample_ensemble(ep_generic, ground_state(), 3.0, 200, SeedPolicy(13), workers=1)
+        weights = (0.1, -0.7, 1.0 / 3.0, 1e-17, -2.5, 0.2)
+        for obs in (CountingObservable(weights), CountingObservable(weights, window=(0.4, 1.9))):
+            expected = []
+            for rec in records:
+                t_a, t_b = obs.resolved_window(rec.horizon)
+                inside = [obs.weights[m] for t, m in rec.jumps if t_a <= t <= t_b]
+                expected.append(sum(inside, 0.0))
+            assert estimate(records, obs).values.tobytes() == np.array(expected).tobytes()
+            assert [record_observable(r, obs) for r in records[:50]] == expected[:50]
 
     def test_constant_zero_observable(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))
