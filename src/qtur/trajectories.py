@@ -473,10 +473,12 @@ def _observable_values(records, obs: CountingObservable) -> np.ndarray:
     count. The weights inside the window are added column by column, in the
     order of each record's jumps, so no value depends on its group."""
     weights = np.asarray(obs.weights, dtype=float)
+    horizons = np.fromiter((rec.horizon for rec in records), float, len(records))
+    horizons, where = np.unique(horizons, return_inverse=True)
+    windows = np.array([obs.resolved_window(h) for h in horizons.tolist()]).reshape(-1, 2)[where]
     values = np.empty(len(records))
     for idx, times, channels in _by_jump_count(records):
-        horizons, where = np.unique([records[i].horizon for i in idx], return_inverse=True)
-        t_a, t_b = np.array([obs.resolved_window(h) for h in horizons.tolist()]).T[:, where, None]
+        t_a, t_b = windows[idx, :1], windows[idx, 1:]
         inside = np.where((t_a <= times) & (times <= t_b), weights[channels], 0.0)
         total = np.zeros(len(idx))
         for k in range(channels.shape[1]):
