@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -193,9 +192,7 @@ def _cmd_trajectories(args) -> int:
 def _dump_records(path, records, values, entropies) -> None:
     """Record CSV; ``values`` holds each record's observable, ``entropies``
     per-record values, nan where a record was discarded, or is None when
-    the model carries no entropy weights. Cells are formatted by column,
-    as :func:`~qtur.sweeps.format_cell` formats them: integers exact,
-    floats with 17 significant digits, padding and discarded entropies empty."""
+    the model carries no entropy weights."""
     kmax = max((r.n_jumps for r in records), default=0)
     header = (
         ["run_index", "K"]
@@ -203,19 +200,20 @@ def _dump_records(path, records, values, entropies) -> None:
         + [f"m_{j+1}" for j in range(kmax)]
         + ["i", "i_prime", "N_value", "entropy_value"]
     )
-    entropies = [math.nan] * len(records) if entropies is None else entropies.tolist()
-    lines = [",".join(header)]
-    for idx, (rec, value, entropy) in enumerate(zip(records, values.tolist(), entropies)):
-        pad = [""] * (kmax - rec.n_jumps)
-        lines.append(",".join(
-            [str(idx), str(rec.n_jumps)]
-            + [f"{t:.17g}" for t, _ in rec.jumps] + pad
-            + [str(m) for _, m in rec.jumps] + pad
-            + [str(rec.initial_label), str(rec.final_label), f"{value:.17g}"]
-            + ["" if math.isnan(entropy) else f"{entropy:.17g}"]
-        ))
+    entropies = [None] * len(records) if entropies is None else entropies.tolist()
+
+    def rows():
+        for idx, (rec, value, entropy) in enumerate(zip(records, values.tolist(), entropies)):
+            times, channels = zip(*rec.jumps) if rec.jumps else ((), ())
+            pad = [None] * (kmax - rec.n_jumps)
+            yield [
+                idx, rec.n_jumps, *times, *pad, *channels, *pad,
+                rec.initial_label, rec.final_label, value,
+                None if entropy != entropy else entropy,  # nan: discarded
+            ]
+
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(header, rows()))
 
 
 def _cmd_bounds(args) -> int:

@@ -274,10 +274,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 def format_cell(value) -> str:
     """One CSV cell: strings as they are, None empty, bools lowercase,
     integers exact and floats with 17 significant digits."""
-    if isinstance(value, str):
-        return value
     if value is None:
         return ""
+    kind = type(value)  # exact types only: bool and numpy scalars take the chain below
+    if kind is float:
+        return f"{value:.17g}"
+    if kind is int:
+        return str(value)
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -288,7 +293,7 @@ def format_cell(value) -> str:
 def csv_text(header, rows) -> str:
     """CSV text of ``rows`` under ``header``, every cell through :func:`format_cell`."""
     lines = [",".join(header)]
-    lines += [",".join(format_cell(v) for v in row) for row in rows]
+    lines += [",".join(map(format_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

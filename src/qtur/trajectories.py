@@ -277,8 +277,10 @@ class Unravelling:
 class TrajectorySampler(Unravelling):
     """Chunked sampler over an unravelling context.
 
-    An ensemble steps each range of its seeds as one chunk;
-    ``sample(seed)`` steps a chunk of one.
+    ``sample(seed)`` is the one call that yields a record. An ensemble
+    first calls ``read_ahead(seeds)``, which steps those trajectories
+    together as one chunk, and then takes each record with ``sample``;
+    a seed not read ahead is stepped as a chunk of one.
     """
 
     def __init__(
@@ -290,6 +292,7 @@ class TrajectorySampler(Unravelling):
     ):
         super().__init__(model, rho0, tau)
         self.coherent = bool(coherent)
+        self._ahead: dict = {}  # seed -> record stepped but not yet handed out
 
     def _survival(self, amp_sq: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Row-wise no-jump probability sum_i |phi_i|^2 exp(-g_i dt)."""
@@ -325,7 +328,12 @@ class TrajectorySampler(Unravelling):
         return np.maximum(overlap[:, :, 0, 0].real, 0.0)
 
     def sample(self, seed: int) -> TrajectoryRecord:
-        return self._step([seed])[0]
+        record = self._ahead.pop(seed, None)
+        return record if record is not None else self._step([seed])[0]
+
+    def read_ahead(self, seeds) -> None:
+        """Step the trajectories of ``seeds`` together, for ``sample`` to hand out."""
+        self._ahead.update(zip(seeds, self._step(seeds)))
 
     def _step(self, seeds) -> list[TrajectoryRecord]:
         """One record per seed, all trajectories stepped together."""
@@ -429,7 +437,9 @@ def _sample_range(shared, lo: int, hi: int) -> list[TrajectoryRecord]:
     records, start = [], 0
     for sampler, policy, n in shared:
         span = range(max(lo, start), min(hi, start + n))
-        records += sampler._step([policy.trajectory_seed(i - start) for i in span])
+        seeds = [policy.trajectory_seed(i - start) for i in span]
+        sampler.read_ahead(seeds)
+        records += [sampler.sample(s) for s in seeds]
         start += n
     return records
 
@@ -465,26 +475,12 @@ def sample_ensemble(
 
 def record_observable(record: TrajectoryRecord, obs: CountingObservable) -> float:
     """Weighted jump count of the record inside the observation window."""
-    return float(_observable_values([record], obs)[0])
-
-
-def _observable_values(records, obs: CountingObservable) -> np.ndarray:
-    """:func:`record_observable` of every record, from groups of equal jump
-    count. The weights inside the window are added column by column, in the
-    order of each record's jumps, so no value depends on its group."""
-    weights = np.asarray(obs.weights, dtype=float)
-    horizons = np.fromiter((rec.horizon for rec in records), float, len(records))
-    horizons, where = np.unique(horizons, return_inverse=True)
-    windows = np.array([obs.resolved_window(h) for h in horizons.tolist()]).reshape(-1, 2)[where]
-    values = np.empty(len(records))
-    for idx, times, channels in _by_jump_count(records):
-        t_a, t_b = windows[idx, :1], windows[idx, 1:]
-        inside = np.where((t_a <= times) & (times <= t_b), weights[channels], 0.0)
-        total = np.zeros(len(idx))
-        for k in range(channels.shape[1]):
-            total = total + inside[:, k]
-        values[idx] = total
-    return values
+    t_a, t_b = obs.resolved_window(record.horizon)
+    total = 0.0
+    for t, m in record.jumps:
+        if t_a <= t <= t_b:
+            total += obs.weights[m]
+    return total
 
 
 def _by_jump_count(records):
@@ -559,7 +555,8 @@ class PathWeights(Unravelling):
         clipped weight."""
         forward = self._path_densities(records, False)
         backward = self._path_densities(records, True)
-        total_ds = _observable_values(records, CountingObservable(self.model.entropy_weights()))
+        ds = self.model.entropy_weights()
+        total_ds = np.array([sum(ds[m] for _, m in rec.jumps) for rec in records], dtype=float)
         q0 = self.q0[[rec.initial_label for rec in records]]
         qt = self.qtau[[rec.final_label for rec in records]]
         predicted = np.full(len(records), np.nan)
@@ -574,10 +571,14 @@ class PathWeights(Unravelling):
         A record whose labels hit clipped weights is not kept; its value
         is nan.
         """
+        ds = self.model.entropy_weights()
         p_start = self.q0[[rec.initial_label for rec in records]]
         p_end = self.qtau[[rec.final_label for rec in records]]
         keep = ~((p_start <= EIGENVALUE_CLIP) | (p_end <= EIGENVALUE_CLIP))
-        total = _observable_values(records, CountingObservable(self.model.entropy_weights()))
+        total = np.zeros(len(records))
+        for idx, _, channels in _by_jump_count(records):
+            for k in range(channels.shape[1]):  # in jump order
+                total[idx] += ds[channels[:, k]]
         values = np.full(len(records), np.nan)
         values[keep] = np.log(p_start[keep]) - np.log(p_end[keep]) + total[keep]
         return values, keep
@@ -655,7 +656,7 @@ def estimate(
     n = len(records)
     if n < 2:
         raise ValueError("need at least two records")
-    values = _observable_values(records, obs)
+    values = np.array([record_observable(rec, obs) for rec in records])
     mean, stderr_mean = _mean_and_stderr(values)
     var = float(values.var(ddof=1))
     centered = values - mean

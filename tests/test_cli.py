@@ -18,7 +18,6 @@ from qtur.counting import ACTION_MIN_DIM
 from qtur.engine import build_generator, steady_state
 from qtur.models import build_da_model, build_ep_model, default_observable, load_model, save_model
 from qtur.operators import LindbladModel
-from qtur.sweeps import csv_text
 from conftest import ladder_model, record_exponentials, rotate_model
 
 README_EP = ("--builtin", "ep", "--rates", "0.7,0.3,0.5,0.4,0.6,0.2")
@@ -93,35 +92,6 @@ class TestTrajectories:
             cells = line.split(",")
             channels = [int(m) for m in cells[2 + kmax : 2 + 2 * kmax] if m]
             assert float(cells[-2]) == sum(1 if m % 2 == 0 else -1 for m in channels)
-
-    @pytest.mark.parametrize("entropy", [False, True])
-    def test_dump_matches_the_generic_csv_writer(self, tmp_path, entropy):
-        # the column-typed writer against format_cell, cell by cell; some
-        # entropies are nan (discarded), and without entropy weights none is kept
-        model = build_ep_model(1.0, 0.7, 0.3, 0.5, 0.4, 0.6, 0.2)
-        policy = trajectories.SeedPolicy(4)
-        records = trajectories.sample_ensemble(model, np.eye(3) / 3, 2.0, 200, policy, workers=1)
-        rng = np.random.default_rng(4)
-        values = rng.normal(size=len(records))
-        values[:3] = (-0.0, np.inf, 1e-300)
-        entropies = np.where(rng.random(len(records)) < 0.2, np.nan, values / 3) if entropy else None
-        kmax = max(r.n_jumps for r in records)
-        header = (
-            ["run_index", "K"] + [f"t_{j+1}" for j in range(kmax)]
-            + [f"m_{j+1}" for j in range(kmax)] + ["i", "i_prime", "N_value", "entropy_value"]
-        )
-        rows = []
-        for idx, rec in enumerate(records):
-            pad = [None] * (kmax - rec.n_jumps)
-            kept = entropies is not None and not np.isnan(entropies[idx])
-            rows.append(
-                [idx, rec.n_jumps] + [t for t, _ in rec.jumps] + pad + [m for _, m in rec.jumps]
-                + pad + [rec.initial_label, rec.final_label, values[idx]]
-                + [entropies[idx] if kept else None]
-            )
-        out = tmp_path / "records.csv"
-        cli._dump_records(out, records, values, entropies)
-        assert out.read_text() == csv_text(header, rows)
 
     def test_reports_exact_comparison(self, capsys):
         code = run_cli(

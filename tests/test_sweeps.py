@@ -246,6 +246,17 @@ class TestReproducibility:
         b = result_to_csv(run_sweep(SweepConfig("kur_sweep", n_draws=10, seed=2, workers=1)))
         assert a != b
 
+    def test_format_cell_of_every_cell_type(self):
+        # exact floats and ints take a fast path; their subclasses (bool,
+        # numpy scalars) must still print as the isinstance chain prints them
+        cells = [None, "x", True, np.True_, 3, 2**70, np.int64(-4), 0.1, np.float64(0.1),
+                 np.float32(0.1), -0.0, 1e-300, float("inf"), float("nan"), -np.float64("nan")]
+        assert [sweeps.format_cell(c) for c in cells] == [
+            "", "x", "true", "1", "3", str(2**70), "-4", "0.10000000000000001",
+            "0.10000000000000001", "0.10000000149011612", "-0", "1e-300",
+            "inf", "nan", "nan",
+        ]
+
     def test_csv_file_output(self, tmp_path):
         config = SweepConfig("kur_sweep", n_draws=5, seed=1, workers=1)
         result = run_sweep(config)
