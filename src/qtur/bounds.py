@@ -519,10 +519,10 @@ def battery(
     entropy production, all from exact statistics.
 
     The one moment-block step is over tau/2: every other window and
-    rho(tau) reuse what ``counting_moments`` memoises (a dense step, or the
-    block's d^2-square pieces where ``counting._act`` applies it to
-    vectors). One ``counting.activity_at`` pass over the half angle's
-    nodes and tau gives that angle, A(tau) and the flow in Sigma(tau)."""
+    rho(tau) reuse what ``counting_moments`` memoises (the block's pieces
+    and, where ``counting._act`` takes it, its dense step). One
+    ``counting.activity_at`` pass over the half angle's nodes and tau gives
+    that angle, A(tau) and the flow in Sigma(tau)."""
     half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent)
     _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent)
     angle, activity, flow = _horizon(model, rho0, tau / 2.0, tau, coherent)

@@ -9,32 +9,35 @@ IEEE Trans. Autom. Control 23, 1978). For rows R,
 so the activity row a = sum_m vec(L_m^dag L_m)^dag and the entropy row
 s = sum_m ds_m vec(L_m^dag L_m)^dag give A(t) and the environment entropy
 flow exactly, at any set of times (:func:`activity_at`). Moments of a
-weighted jump count put the superoperator J_w rho = sum_m w_m L_m rho
-L_m^dag in place of rows:
+weighted jump count take the same form. With J_c rho = sum_m c_m L_m rho
+L_m^dag and the rate rows N, N_m vec X = Tr(L_m X L_m^dag),
 
-    d rho  / dt = L rho
-    d rho1 / dt = L rho1 + J_c rho
-    d rho2 / dt = L rho2 + 2 J_c rho1 + J_c2 rho
+    d rho    / dt = L rho
+    d rho1   / dt = L rho1 + J_c rho
+    d Tr rho2 / dt = 2 (c . N) vec rho1 + (c^2 . N) vec rho
 
-gives mean = Tr rho1(tau) and second moment = Tr rho2(tau). Before the
-observation window only rho evolves; after it the traces stay put (L
-preserves the trace), so integration stops at the window end.
+(L preserves the trace, so rho2 itself is never needed) gives mean =
+Tr rho1(tau) and second moment = m2(tau), the last entry. Before the
+observation window only rho evolves; after it the traces stay put, so
+integration stops at the window end.
 
-That moment block B = [[L, 0, 0], [J_c, L, 0], [J_c2, 2 J_c, L]] is
-3 d^2 square. Below ``ACTION_MIN_DIM`` its dense exponential is taken
-once per step length and applied to vectors. From ``ACTION_MIN_DIM`` up,
-while h ||B - mu I||_1 is small enough for it to pay, no 3 d^2 matrix is
-formed: exp(h B) acts on vectors through the truncated Taylor series of
-Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm 3.2), with
-B applied block by block from the d^2-square pieces L, J_c and J_c2. Its
-cost grows linearly with h ||B - mu I||_1, the dense step's only
-logarithmically, so a long step up to ``DENSE_MAX_DIM`` is taken densely
-again; above that dimension the action is always taken. The rows block
-uses the same Taylor kernel from ``ACTION_MIN_DIM`` up. Degree and step
-count come from the exact 1-norm of B - mu I, so the result repeats bit
-for bit. scipy's ``expm_multiply`` on a LinearOperator would estimate
-that norm with ``onenormest``, which draws from numpy's global random
-state: its results would not repeat and it would move the caller's RNG.
+Both are one block B = [[S, 0], [R, 0]]: S is L on rho for the rows
+block, and [[L, 0], [J_c, L]] on (rho, rho1) for the moment block, which
+is (2 d^2 + 1) square. One builder (:func:`_block`) keeps its d^2-square
+pieces and the exact 1-norm of B - mu I, and one stepper (:func:`_act`)
+applies exp(h B). Below ``ACTION_MIN_DIM`` that is the dense exponential,
+taken once per step length. From ``ACTION_MIN_DIM`` up, while
+h ||B - mu I||_1 is small enough for it to pay, no block matrix is formed:
+exp(h B) acts on vectors through the truncated Taylor series of Al-Mohy
+and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm 3.2), with B applied
+part by part from the pieces. Its cost grows linearly with
+h ||B - mu I||_1, the dense step's only logarithmically, so a long step up
+to ``DENSE_MAX_DIM`` is taken densely again; above that dimension the
+action is always taken. Degree and step count come from the exact 1-norm,
+so the result repeats bit for bit. scipy's ``expm_multiply`` on a
+LinearOperator would estimate that norm with ``onenormest``, which draws
+from numpy's global random state: its results would not repeat and it
+would move the caller's RNG.
 """
 
 from __future__ import annotations
@@ -52,14 +55,15 @@ from .operators import (
     von_neumann_trace_term,
 )
 
-# Below this dimension the moment block is always exponentiated densely,
-# so the small models of the sweeps keep the dense step's bits. At d = 6 the
-# two paths cost the same on a `qtur bounds` call at tau = 2 (one BLAS
-# thread: 5.2 ms dense, 5.1 ms action).
+# Below this dimension the blocks are always exponentiated densely, so the
+# small models of the sweeps keep the dense step's bits. On one
+# `bounds.battery` call on the benchmark ladder at tau = 2 (one BLAS
+# thread) the action takes 13 ms against 10-12 ms for dense steps at d = 6,
+# and 14 ms against 20 ms at d = 7.
 ACTION_MIN_DIM = 6
-# Above this dimension the block is never exponentiated densely, however
-# long the horizon: scipy's expm peaks at about eight times the 3 d^2-square
-# block, 75 MB at d = 16 and 380 MB at d = 24.
+# Above this dimension no block is exponentiated densely, however long the
+# horizon: scipy's expm peaks at eight to nine times the (2 d^2 + 1)-square
+# moment block, 34 MB at d = 16 and 190 MB at d = 24.
 DENSE_MAX_DIM = 16
 # theta_m: the largest h ||B - mu I||_1 for which m Taylor terms reach
 # double precision (Al-Mohy and Higham 2011, Table 3.1; m <= 30 from
@@ -93,6 +97,8 @@ class CountingObservable:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if self.window is not None:
             a, b = self.window
+            if not (np.isfinite(a) and np.isfinite(b)):
+                raise ValueError(f"window [{a}, {b}] is not finite")
             if a > b:
                 raise ValueError(f"window [{a}, {b}] is reversed")
             object.__setattr__(self, "window", (float(a), float(b)))
@@ -147,82 +153,107 @@ class MomentResult:
     stderr_variance: float | None = None
 
 
-def _jump_superops(model: LindbladModel, weights) -> tuple[np.ndarray, np.ndarray]:
-    """J_c and J_c2: sum_m c_m L_m . L_m^dag and the same with c_m^2, each
-    one GEMM over the channel stack (:func:`qtur.engine.channel_sum`)."""
-    w = np.asarray(weights, dtype=float)
-    return channel_sum(model, w), channel_sum(model, w * w)
+@dataclass(frozen=True, eq=False)
+class _BlockPieces:
+    """The augmented block B = [[S, 0], [R, 0]] in d^2-square pieces.
+
+    S is L on rho (``jump`` None, the rows block) or [[L, 0], [J_c, L]]
+    on (rho, rho1) (the moment block); ``rows`` is R on S's state. ``mu``
+    = tr L / d^2 is the Taylor action's shift and ``norm`` the exact
+    ||B - mu I||_1. ``steps`` keeps the last dense exponential, keyed by
+    its step length."""
+
+    gen: np.ndarray
+    jump: np.ndarray | None
+    rows: np.ndarray
+    mu: complex
+    norm: float
+    steps: dict
+
+    def shifted(self, term: np.ndarray) -> np.ndarray:
+        """(B - mu I) term, as d^2-square products on each part of S's state."""
+        gen, mu = self.gen, self.mu
+        n, s = gen.shape[0], self.rows.shape[1]
+        rho = term[:n]
+        parts = [gen @ rho - mu * rho]
+        if self.jump is not None:
+            rho1 = term[n:s]
+            parts.append(gen @ rho1 - mu * rho1 + self.jump @ rho)
+        parts.append(self.rows @ term[:s] - mu * term[s:])
+        return np.concatenate(parts)
+
+    def step(self, h: float) -> np.ndarray:
+        """exp(h B), read-only; another step length replaces it."""
+        if h not in self.steps:
+            n, (r, s) = self.gen.shape[0], self.rows.shape
+            block = np.zeros((s + r, s + r), dtype=complex)
+            for k in range(0, s, n):
+                block[k : k + n, k : k + n] = self.gen
+            if self.jump is not None:
+                block[n:s, :n] = self.jump
+            block[s:, :s] = self.rows
+            step = expm(block * h)
+            step.setflags(write=False)
+            self.steps.clear()
+            self.steps[h] = step
+        return self.steps[h]
 
 
-def _moment_block(model: LindbladModel, gen: np.ndarray, weights) -> np.ndarray:
-    """[[L, 0, 0], [J_c, L, 0], [J_c2, 2 J_c, L]], written into one array."""
-    n = gen.shape[0]
-    j1, j2 = _jump_superops(model, weights)
-    block = np.zeros((3 * n, 3 * n), dtype=complex)
-    for k in range(3):
-        block[k * n : (k + 1) * n, k * n : (k + 1) * n] = gen
-    block[n : 2 * n, :n] = j1
-    block[2 * n :, :n] = j2
-    block[2 * n :, n : 2 * n] = 2 * j1
-    return block
+def _block(model: LindbladModel, weights, coherent: bool) -> _BlockPieces:
+    """The moment block of ``weights``, or for None the rows block (the
+    activity row and, with ds, the entropy row).
+
+    The 1-norm is exact: the largest column sum, taken block column by
+    block column. The model keeps one block in one slot, keyed by
+    (coherent, weights), with its last dense step; a call with another key
+    rebuilds it."""
+    key = (bool(coherent), None if weights is None else tuple(weights))
+    slot = model._block
+    if key not in slot:
+        gen = build_generator(model, coherent=coherent)
+        n = gen.shape[0]
+        rates = model.jump_norms.conj().swapaxes(1, 2).reshape(-1, n)  # the rows N_m
+        mu = np.trace(gen) / n
+        shifted = np.abs(gen - mu * np.eye(n)).sum(axis=0)
+        if weights is None:
+            w = [np.ones(model.n_channels)]
+            if model.has_entropy_weights:
+                w.append(model.entropy_weights())
+            jump, rows = None, np.array(w) @ rates
+            columns = [shifted + np.abs(rows).sum(axis=0)]
+        else:
+            c = np.asarray(weights, dtype=float)
+            jump = channel_sum(model, c)
+            jump.setflags(write=False)
+            first, second = (c * c) @ rates, (2.0 * c) @ rates
+            rows = np.concatenate([first, second])[None, :]
+            columns = [shifted + np.abs(jump).sum(axis=0) + np.abs(first), shifted + np.abs(second)]
+        norm = float(max(max(col.max() for col in columns), abs(mu)))
+        slot.clear()
+        slot[key] = _BlockPieces(gen, jump, rows, mu, norm, {})
+    return slot[key]
+
+
+def _initial(x: np.ndarray, n: int) -> np.ndarray:
+    """(rho, 0, 0) from the first n entries of ``x``: the moment block's
+    vector as a window opens."""
+    y = np.zeros(2 * n + 1, dtype=complex)
+    y[:n] = x[:n]
+    return y
 
 
 def _moments(y: np.ndarray, dim: int) -> MomentResult:
     n = dim * dim
-    tr = vec(np.eye(dim)).conj()
-    mean = float(np.real(tr @ y[n : 2 * n]))
-    second = float(np.real(tr @ y[2 * n :]))
+    mean = float(np.real(vec(np.eye(dim)).conj() @ y[n : 2 * n]))
+    second = float(np.real(y[2 * n]))
     return MomentResult(mean=mean, second_moment=second, variance=second - mean * mean)
 
 
 def _check(model: LindbladModel, obs: CountingObservable, tau: float) -> None:
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     if len(obs.weights) != model.n_channels:
         raise ValueError("weight vector length does not match the channel count")
-
-
-def _step(model: LindbladModel, weights, h: float, coherent: bool) -> np.ndarray:
-    """E = exp(h B) of the moment block B of ``weights``, read-only; the
-    dense path of :func:`_act`.
-
-    The model keeps the last E in one slot keyed by (coherent, weights,
-    h), so it never holds more than one 3d^2-square matrix; a call with
-    another key recomputes E and replaces it."""
-    key = (bool(coherent), tuple(weights), h)
-    slot = model._moment_step
-    if key not in slot:
-        gen = build_generator(model, coherent=coherent)
-        step = expm(_moment_block(model, gen, weights) * h)
-        step.setflags(write=False)
-        slot.clear()
-        slot[key] = step
-    return slot[key]
-
-
-def _pieces(model: LindbladModel, weights, coherent: bool) -> tuple:
-    """(L, J_c, J_c2, mu, ||B - mu I||_1) of the moment block B of
-    ``weights``, with mu = tr L / d^2; what :func:`_act` needs from
-    ``ACTION_MIN_DIM`` up.
-
-    The 1-norm is exact: the largest column sum, taken block column by
-    block column. The model keeps these in a slot of their own, keyed by
-    (coherent, weights), so a dense step taken beside them does not evict
-    them."""
-    key = (bool(coherent), tuple(weights))
-    slot = model._moment_pieces
-    if key not in slot:
-        gen = build_generator(model, coherent=coherent)
-        j1, j2 = _jump_superops(model, weights)
-        mu = np.trace(gen) / gen.shape[0]
-        shifted = np.abs(gen - mu * np.eye(gen.shape[0])).sum(axis=0)
-        c1, c2 = np.abs(j1).sum(axis=0), np.abs(j2).sum(axis=0)
-        norm = float(max((shifted + c1 + c2).max(), (shifted + 2 * c1).max()))
-        j1.setflags(write=False)
-        j2.setflags(write=False)
-        slot.clear()
-        slot[key] = (gen, j1, j2, mu, norm)
-    return slot[key]
 
 
 def _action_pays(dim: int, x: float) -> bool:
@@ -257,11 +288,10 @@ def _inf_norm(b: np.ndarray) -> float:
 
 def _taylor_action(shifted, mu, norm: float, h: float, y: np.ndarray) -> np.ndarray:
     """exp(h B) y by Al-Mohy and Higham's Algorithm 3.2 on the shifted
-    block B - mu I, for any block: ``shifted(x)`` returns (B - mu I) x and
-    ``norm`` is ||B - mu I||_1. s steps of at most m Taylor terms, a step
-    ending early once two successive terms fall below unit roundoff of
-    the sum, measured in the infinity norm of ``y``'s layout (rows of
-    columns summed along the last axis)."""
+    block B - mu I: ``shifted(x)`` returns (B - mu I) x and ``norm`` is
+    ||B - mu I||_1. s steps of at most m Taylor terms, a step ending early
+    once two successive terms fall below unit roundoff of the sum, in the
+    infinity norm of the (rows, k) matrix ``y``."""
     m, s = _taylor_degree(h * norm)
     eta = np.exp(h * mu / s)
     out = y
@@ -279,38 +309,18 @@ def _taylor_action(shifted, mu, norm: float, h: float, y: np.ndarray) -> np.ndar
     return out
 
 
-def _moment_action(pieces: tuple, h: float, y: np.ndarray) -> np.ndarray:
-    """exp(h B) y for the moment block B of ``pieces`` (see :func:`_pieces`).
-    Each product is three d^2-square products on the (3, d^2, k) stack,
-    held as (d^2, 3, k) so that one product applies L to all three parts."""
-    gen, j1, j2, mu, norm = pieces
-    n = gen.shape[0]
-    k = 1 if np.ndim(y) == 1 else np.shape(y)[1]
-
-    def shifted(term):
-        nxt = (gen @ term.reshape(n, 3 * k)).reshape(n, 3, k) - mu * term
-        jt = (j1 @ term[:, :2].reshape(n, 2 * k)).reshape(n, 2, k)
-        nxt[:, 1] += jt[:, 0]
-        nxt[:, 2] += 2.0 * jt[:, 1] + j2 @ term[:, 0]
-        return nxt
-
-    stack = np.asarray(y, dtype=complex).reshape(3, n, k).transpose(1, 0, 2).copy()
-    out = _taylor_action(shifted, mu, norm, h, stack)
-    return out.transpose(1, 0, 2).reshape(np.shape(y))
-
-
 def _act(model: LindbladModel, weights, h: float, coherent: bool, y: np.ndarray) -> np.ndarray:
-    """exp(h B) y for the moment block B of ``weights``; ``y`` holds
-    (rho, rho1, rho2) stacked, as a 3 d^2 vector or a (3 d^2, k) matrix.
+    """exp(h B) y for the block of ``weights`` (see :func:`_block`); ``y``
+    is one vector or a (rows, k) matrix of them.
 
-    From ``ACTION_MIN_DIM`` up, where :func:`_action_pays`, this is
-    :func:`_moment_action` and no 3 d^2 matrix is formed; otherwise it is
-    the memoised dense step times y."""
-    if model.dim >= ACTION_MIN_DIM:
-        pieces = _pieces(model, weights, coherent)
-        if _action_pays(model.dim, h * pieces[4]):
-            return _moment_action(pieces, h, y)
-    return _step(model, weights, h, coherent) @ y
+    From ``ACTION_MIN_DIM`` up, where :func:`_action_pays`, this is the
+    Taylor action and no block matrix is formed; otherwise it is the
+    memoised dense step times y."""
+    block = _block(model, weights, coherent)
+    if model.dim >= ACTION_MIN_DIM and _action_pays(model.dim, h * block.norm):
+        columns = y.reshape(len(y), -1)
+        return _taylor_action(block.shifted, block.mu, block.norm, h, columns).reshape(y.shape)
+    return block.step(h) @ y
 
 
 def counting_moments(
@@ -324,11 +334,9 @@ def counting_moments(
     _check(model, obs, tau)
     t_a, t_b = obs.resolved_window(tau)
     n = model.dim**2
-    y = np.zeros(3 * n, dtype=complex)
+    y = _initial(vec(rho0), n)
     if t_a > 0:
-        y[:n] = expm(build_generator(model, coherent=coherent) * t_a) @ vec(rho0)
-    else:
-        y[:n] = vec(rho0)
+        y = _initial(_act(model, obs.weights, t_a, coherent, y), n)
     if t_b > t_a:
         y = _act(model, obs.weights, t_b - t_a, coherent, y)
     return _moments(y, model.dim)
@@ -338,19 +346,14 @@ def _half_windows(model, rho0, obs, tau: float, coherent: bool) -> tuple:
     """Moments over [0, tau/2], [tau/2, tau] and [0, tau], and rho(tau),
     from exp(h B) over h = tau/2 applied by :func:`_act`: to y0, to
     (rho(tau/2), 0, 0) and to exp(h B) y0, with y0 = (rho0, 0, 0); rho(tau)
-    is the top d^2 entries of the last. The model memoises the dense step
-    or the block's pieces, whichever :func:`_act` takes, so after
-    ``counting_moments(model, rho0, obs, tau / 2, coherent)`` no further
-    exponential is taken and no piece is rebuilt. ``obs.window`` is
-    ignored."""
+    is the top d^2 entries of the last. The model memoises the block and
+    its dense step, so after ``counting_moments(model, rho0, obs, tau / 2,
+    coherent)`` no further exponential is taken and no piece is rebuilt.
+    ``obs.window`` is ignored."""
     _check(model, obs, tau)
     n = model.dim**2
-    first = np.zeros(3 * n, dtype=complex)
-    first[:n] = vec(rho0)
-    first = _act(model, obs.weights, tau / 2.0, coherent, first)
-    restart = np.zeros_like(first)
-    restart[:n] = first[:n]
-    pair = np.stack([restart, first], axis=1)
+    first = _act(model, obs.weights, tau / 2.0, coherent, _initial(vec(rho0), n))
+    pair = np.stack([_initial(first, n), first], axis=1)
     second, total = _act(model, obs.weights, tau / 2.0, coherent, pair).T
     moments = tuple(_moments(y, model.dim) for y in (first, second, total))
     return moments + (propagated_state(total[:n]),)
@@ -372,42 +375,25 @@ def activity_at(model: LindbladModel, rho0: np.ndarray, times, coherent: bool = 
     every channel has ds), and the Hermitian parts of rho(t) as a (k, d, d)
     array, exact to rounding at each of ``times`` (nonnegative, any order).
     One pass steps the rows block [[L, 0], [R, 0]] through the sorted
-    times: by its dense exponential over each gap below ``ACTION_MIN_DIM``,
-    by the Taylor action from it up. The states are not validated;
-    :func:`sigma_from` and the samplers check what they read."""
+    times by :func:`_act`. The states are not validated; :func:`sigma_from`
+    and the samplers check what they read."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("times must be finite and nonnegative")
-    gen = build_generator(model, coherent=coherent)
-    n = gen.shape[0]
-    weights = [np.ones(model.n_channels)]
-    if model.has_entropy_weights:
-        weights.append(model.entropy_weights())
-    rows = np.array(weights) @ model.jump_norms.conj().swapaxes(1, 2).reshape(-1, n)
-    action = model.dim >= ACTION_MIN_DIM
-    if action:
-        mu = np.trace(gen) / n
-        columns = np.abs(gen - mu * np.eye(n)).sum(axis=0) + np.abs(rows).sum(axis=0)
-        norm = float(max(columns.max(), abs(mu)))
-
-        def shifted(term):
-            head = term[:n]
-            return np.concatenate([gen @ head - mu * head, rows @ head - mu * term[n:]])
-
-    else:
-        block = np.pad(np.vstack([gen, rows]), ((0, 0), (0, len(rows))))  # [[L, 0], [R, 0]]
-    y = np.concatenate([vec(rho0), np.zeros(len(rows))])[:, None]
-    out = np.empty((times.size, n + len(rows)), dtype=complex)
+    n = model.dim**2
+    rows = 1 + model.has_entropy_weights
+    y = np.concatenate([vec(rho0), np.zeros(rows)])[:, None]
+    out = np.empty((times.size, n + rows), dtype=complex)
     now = 0.0
     for k in np.argsort(times, kind="stable"):
         if times[k] > now:
             h, now = times[k] - now, times[k]
-            y = _taylor_action(shifted, mu, norm, h, y) if action else expm(block * h) @ y
+            y = _act(model, None, h, coherent, y)
         out[k] = y[:, 0]
     integrals = out[:, n:].real
     states = out[:, :n].reshape(-1, model.dim, model.dim).swapaxes(1, 2)  # unvec each row
     states = (states + states.conj().swapaxes(1, 2)) / 2.0
-    return integrals[:, 0], integrals[:, 1] if len(rows) > 1 else None, states
+    return integrals[:, 0], integrals[:, 1] if rows > 1 else None, states
 
 
 def sigma_from(rho0: np.ndarray, rho_tau: np.ndarray, flow: float) -> float:

@@ -115,8 +115,8 @@ def _assemble(model: LindbladModel, coherent: bool) -> np.ndarray:
 
 def propagate(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """Return exp(L t) rho0, validated as a density matrix at 1e-8."""
-    if t < 0:
-        raise ValueError(f"propagation time must be nonnegative, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"propagation time must be finite and nonnegative, got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
     return propagated_state(expm(gen * t) @ vec(rho0))
 

@@ -1,13 +1,11 @@
 """Dense operator algebra, model containers and structural validation.
 
 Everything operates on small dense complex matrices. The wall is the
-d^2 x d^2 superoperator. Above ``qtur.counting.DENSE_MAX_DIM`` (16) the
-3 d^2-square moment block is never formed, and every sum over channels
-(the generator's dissipator, J_c and J_c2) is one GEMM over the stack of
-jump operators. From ``qtur.counting.ACTION_MIN_DIM`` (6) up, the activity
-values act on vectors too, so the d^2-square generator and jump
-superoperators themselves are what a ``qtur bounds`` call at d = 24 or 32
-holds.
+d^2 x d^2 superoperator. Above ``qtur.counting.DENSE_MAX_DIM`` (16) no
+(2 d^2 + 1)-square augmented block is ever formed, and every sum over
+channels (the generator's dissipator and J_c) is one GEMM over the stack
+of jump operators. So the d^2-square generator and J_c themselves are
+what a ``qtur bounds`` call at d = 24 or 32 holds.
 Operators and density matrices are plain ``numpy`` arrays; the model layer
 below adds the structure a monitored open system needs:
 
@@ -23,7 +21,8 @@ All containers are frozen dataclasses holding read-only arrays, so they can
 be shared freely across worker processes. A model also holds L_m and
 L_m^dag L_m as (M, d, d) stacks, which every sum over channels reads, and
 memoizes its generators (``qtur.engine.build_generator``), which its
-arrays fix, and the last moment-block exponential (``qtur.counting``).
+arrays fix, and in one slot the last augmented block of ``qtur.counting``
+with its last dense exponential.
 """
 
 from __future__ import annotations
@@ -211,12 +210,9 @@ class LindbladModel:
     jump_norms: np.ndarray = field(init=False, repr=False, compare=False)
     # coherent flag -> generator array, filled by qtur.engine.build_generator
     _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (coherent, weights, h) -> exp(h B) of the moment block B; one entry at
-    # most, filled by qtur.counting._step
-    _moment_step: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (coherent, weights) -> the d^2-square pieces of B and the 1-norm of
-    # B - mu I; one entry at most, filled by qtur.counting._pieces
-    _moment_pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (coherent, weights) -> the augmented block of qtur.counting._block:
+    # its d^2-square pieces, 1-norm and last dense step; one entry at most
+    _block: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "H", _readonly(self.H))

@@ -85,6 +85,8 @@ class SweepConfig:
             (self.gamma_low, self.gamma_high, "gamma"),
             (self.tau_low, self.tau_high, "tau"),
         ):
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"{what} range [{lo}, {hi}] is not finite")
             if hi <= lo:
                 raise ValueError(f"empty {what} range [{lo}, {hi}]")
 

@@ -233,8 +233,8 @@ class Unravelling:
     """
 
     def __init__(self, model: LindbladModel, rho0: np.ndarray, tau: float):
-        if tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not (np.isfinite(tau) and tau >= 0):
+            raise ValueError(f"tau must be finite and nonnegative, got {tau}")
         self.model = model
         self.tau = float(tau)
 

@@ -256,18 +256,20 @@ class TestBounds:
             pytest.param("unit_ladder", 4, 2, 1, id="unit_ladder"),
             pytest.param("stationary_ladder", 4, 2, 1, id="stationary_ladder"),
             # from ACTION_MIN_DIM up the blocks act on vectors while that
-            # pays, and the moment block is exponentiated once over a long
-            # horizon
+            # pays; over a long horizon the moment block is exponentiated
+            # once, and so is the rows block, over the gap from 0 to the
+            # half angle's first node
             pytest.param("unit_ladder", 8, 2, 0, id="unit_ladder_action"),
             pytest.param("stationary_ladder", 8, 2, 0, id="stationary_ladder_action"),
             pytest.param("stationary_ladder", 8, 100, 1, id="stationary_ladder_long"),
         ],
     )
     def test_takes_one_block_exponential(self, case, dim, tau, blocks, monkeypatch, tmp_path):
-        # at most one 3d^2-square exponential; besides it, below
+        # at most one (2 d^2 + 1)-square exponential; besides it, below
         # ACTION_MIN_DIM, only the rows block's dense steps to the half
         # angle's nodes and tau, with the activity and entropy rows in one
-        # block (no (d^2 + 1)-square one for Sigma); none from it up
+        # block (no (d^2 + 1)-square one for Sigma); from it up, one rows
+        # step where the moment block takes one
         unit = case == "unit_ladder"
         if case == "readme":
             argv = (*README_EP, "--tau", str(tau))
@@ -287,11 +289,11 @@ class TestBounds:
         monkeypatch.setattr(bounds, "counting_moments", counted)
         code, reports = bounds_reports(*argv)
         assert code == 0 and len(reports) >= 3
-        block, rows = 3 * dim * dim, dim * dim + (1 if unit else 2)
+        block, rows = 2 * dim * dim + 1, dim * dim + (1 if unit else 2)
         assert shapes.count((block, block)) == blocks
         steps = [s for s in shapes if s != (block, block)]
         assert set(steps) <= {(rows, rows)}
-        assert len(steps) == (0 if dim >= ACTION_MIN_DIM else 3 * bounds.HALF_ANGLE_NODES + 1)
+        assert len(steps) == (blocks if dim >= ACTION_MIN_DIM else 3 * bounds.HALF_ANGLE_NODES + 1)
         assert horizons == [tau / 2]
 
     def test_csv_output(self, tmp_path):
@@ -372,6 +374,28 @@ MALFORMED = {
                       {"L": {"re": [[0.0, 0.0], [0.5, 0.0]], "im": [[0.0, 0.0], [float("inf"), 0.0]]}}]},
         "channel 1 has NaN or Inf entries",
     ),
+    "nan-tau": (
+        ("moments", "--builtin", "ep", "--tau", "nan"), None,
+        "tau must be finite and nonnegative, got nan",
+    ),
+    "nan-window": (
+        ("moments", "--builtin", "ep", "--tau", "1", "--window", "nan,1"), None,
+        "window [nan, 1.0] is not finite",
+    ),
+    "inf-tau": (
+        ("moments", "--builtin", "ep", "--tau", "inf"), None,
+        "tau must be finite and nonnegative, got inf",
+    ),
+    "nan-trajectory-tau": (
+        ("trajectories", "--builtin", "ep", "--tau", "nan"), None,
+        "tau must be finite and nonnegative, got nan",
+    ),
+    "nan-tau-range": (
+        ("sweep-kur", "--tau-range", "nan,1"), None, "tau range [nan, 1.0] is not finite",
+    ),
+    "inf-gamma-range": (
+        ("sweep-ep", "--gamma-range", "0,inf"), None, "gamma range [0.0, inf] is not finite",
+    ),
 }
 
 
@@ -441,13 +465,15 @@ class TestVerifyCic:
 
 
 # SHA-256 of the README ep `trajectories --out` CSV (10000 trajectories,
-# seed 7) and of the README `verify-cic` stdout, as written while every
-# trajectory still drew its PCG64 stream from its own numpy Generator
+# seed 7), as written while every trajectory still drew its PCG64 stream
+# from its own numpy Generator, and of the README `verify-cic` stdout, as
+# written once the moment block carried Tr rho2 as a trace row: that moved
+# only the exact backward mean, rounding noise, from -1.1e-16 to -1.5e-16
 # (numpy 2.4, scipy 1.17). The tests lower trajectories.POOL_MIN to 0, so
 # that two workers split the ensembles whatever the measured threshold is.
 PINNED_ENSEMBLES = {
     "trajectories": "e0618f397c24a587f54c4e10105699c89b3b23bb2fbcee7f8e54deea32911e4f",
-    "verify-cic": "00f292d75df3aff6e5d003108f5387c5295207ec8fb5e6f5e623ac81e63871ec",
+    "verify-cic": "cd428b374f63b1b4db5d12a70290479bed31727e529456dfd85c93d266ac537f",
 }
 
 

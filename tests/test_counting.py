@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from qtur.counting import (
     sigma_from,
     _half_windows,
 )
-from qtur.engine import build_generator, propagate, steady_state
+from qtur.engine import build_generator, channel_sum, propagate, steady_state, vec
+from qtur.models import build_ep_model
 from qtur.operators import ModelValidationError, von_neumann_trace_term
 from conftest import (
     da_activity_split_closed_form,
@@ -130,6 +132,24 @@ class TestMeanRate:
 # non-uniform, unsorted times, one of them repeated
 TIMES = (0.3, 0.0, 2.9, 1.1, 0.31, 1.1, 3.0)
 
+# SHA-256 of the bytes of A, Phi and rho(t) from activity_at, as computed
+# while its rows block had a stepper of its own (numpy 2.4, scipy 1.17):
+# (dim, coherent, times, Taylor actions taken, digest)
+PINNED_ACTIVITY = {
+    "ep": (3, True, TIMES, 0, "dd857a7a980e71dc2ad9c21e3092decd50dfffae06585bdbbf87fbf182d787b0"),
+    "ep_incoherent": (
+        3, False, TIMES, 0, "f0e9232c3d97f5f5d05f77b8cff45281537e786fb2470f9e4e964e60574d0add"
+    ),
+    "ladder": (
+        ACTION_MIN_DIM, True, (0.05, 2.0, 0.7, 3.5), 4,
+        "04b857851723b568031a8e03cc25ca51f48dc834152fd13d9896cc735d5116c6",
+    ),
+    "ladder_incoherent": (
+        ACTION_MIN_DIM, False, (0.05, 2.0, 0.7, 3.5), 4,
+        "4cc2ce242a554cf78a28cf9c839d9e9bbc30f07caf0309f7b0ab7054b3961012",
+    ),
+}
+
 
 def entropy_production(model, rho0, tau, coherent=True):
     """Sigma(tau) from one :func:`activity_at` step and the von Neumann end terms."""
@@ -172,6 +192,24 @@ class TestActivityCurve:
         times = np.sort(np.random.default_rng(4).uniform(0.0, 4.0, 64))
         activity, _, _ = activity_at(ep_generic, ground_state(), times)
         assert np.all(np.diff(activity) >= -1e-12)
+
+    @pytest.mark.parametrize("case", sorted(PINNED_ACTIVITY))
+    def test_values_pinned_where_the_path_is_unchanged(self, case, monkeypatch):
+        # the dense rows steps below ACTION_MIN_DIM and, on short gaps, the
+        # Taylor action from it up: A, Phi and rho(t) keep their bits
+        dim, coherent, times, actions, digest = PINNED_ACTIVITY[case]
+        rng = np.random.default_rng(10)
+        if dim == 3:
+            model = build_ep_model(1.0, 0.7, 0.3, 0.5, 0.4, 0.6, 0.2)
+        else:
+            model = ladder_model(dim, np.random.default_rng(9))
+        rho0 = random_pure_state(dim, rng)
+        calls, action = [], counting._taylor_action
+        monkeypatch.setattr(counting, "_taylor_action", lambda *a: calls.append(a) or action(*a))
+        activity, flow, states = activity_at(model, rho0, times, coherent)
+        assert len(calls) == actions
+        data = activity.tobytes() + flow.tobytes() + states.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_action_matches_dense_steps(self, monkeypatch):
         # from ACTION_MIN_DIM up the rows block acts on vectors; the dense
@@ -286,23 +324,22 @@ class TestExactKernel:
 
 class TestMemoisedStep:
     def test_one_block_held_at_any_number_of_horizons(self):
-        # below ACTION_MIN_DIM one dense 3d^2-square step; from it up, over
-        # horizons the action pays for, one entry of d^2-square pieces and
-        # no dense step at all
+        # one block of d^2-square pieces; below ACTION_MIN_DIM beside one
+        # dense (2 d^2 + 1)-square step, from it up, over horizons the
+        # action pays for, with no dense step at all
         for dim in (ACTION_MIN_DIM - 1, 8):
             model = ladder_model(dim, np.random.default_rng(5))
             obs = CountingObservable(model.entropy_weights())
             for tau in np.linspace(0.1, 2.0, 20):
                 counting_moments(model, ground_state(dim), obs, tau)
+            (held,) = model._block.values()
+            assert held.gen.shape == held.jump.shape == (dim**2, dim**2)
+            assert held.rows.shape == (1, 2 * dim**2)
             if dim < ACTION_MIN_DIM:
-                (held,) = model._moment_step.values()
-                assert held.shape == (3 * dim**2, 3 * dim**2)
-                assert not model._moment_pieces
+                (step,) = held.steps.values()
+                assert step.shape == (2 * dim**2 + 1, 2 * dim**2 + 1)
             else:
-                assert not model._moment_step
-                (held,) = model._moment_pieces.values()
-                arrays = [a for a in held if isinstance(a, np.ndarray)]
-                assert arrays and all(a.shape == (dim**2, dim**2) for a in arrays)
+                assert not held.steps
 
     def test_long_horizon_takes_one_dense_step_beside_the_pieces(self, monkeypatch):
         # from ACTION_MIN_DIM up, a step too long for the action to pay is
@@ -311,23 +348,23 @@ class TestMemoisedStep:
         dim = 8
         model = ladder_model(dim, np.random.default_rng(5))
         weights = model.entropy_weights()
-        pieces = counting._pieces(model, weights, True)
-        h = 200.0 / pieces[4]
-        assert not counting._action_pays(dim, h * pieces[4])
-        y = np.zeros(3 * dim * dim, dtype=complex)
+        block = counting._block(model, weights, True)
+        h = 200.0 / block.norm
+        assert not counting._action_pays(dim, h * block.norm)
+        y = np.zeros(2 * dim * dim + 1, dtype=complex)
         y[0] = 1.0
         shapes = record_exponentials(monkeypatch)
         got = [counting._act(model, weights, h, True, y) for _ in range(3)]
-        assert shapes == [(3 * dim * dim, 3 * dim * dim)]
-        assert len(model._moment_step) == 1 and len(model._moment_pieces) == 1
-        want = counting._moment_action(pieces, h, y)
+        assert shapes == [(2 * dim * dim + 1, 2 * dim * dim + 1)]
+        assert model._block == {(True, tuple(weights)): block} and len(block.steps) == 1
+        want = counting._taylor_action(block.shifted, block.mu, block.norm, h, y[:, None])[:, 0]
         assert np.abs(got[0] - want).max() <= 1e-12 * np.abs(want).max()
         # above DENSE_MAX_DIM the action is taken at any step length
         monkeypatch.setattr(counting, "DENSE_MAX_DIM", dim - 1)
         fresh = dataclasses.replace(model)  # equal arrays, empty memos
         shapes.clear()
         assert counting._act(fresh, weights, h, True, y).tobytes() == want.tobytes()
-        assert shapes == [] and not fresh._moment_step
+        assert shapes == [] and not fresh._block[True, tuple(weights)].steps
 
     @pytest.mark.parametrize("coherent", [True, False])
     def test_windows_from_the_step_match_fresh_moments(
@@ -413,14 +450,57 @@ class TestObservableValidation:
 def _weights_with_zeros(rng, n_channels):
     weights = rng.normal(size=n_channels)
     weights[rng.random(n_channels) < 0.3] = 0.0
-    weights[rng.integers(n_channels)] = 0.0
+    if n_channels:  # none at d = 1
+        weights[rng.integers(n_channels)] = 0.0
     return tuple(weights)
 
 
-def _block_norm(model, weights, coherent):
+def reference_block(model, weights, coherent):
+    """The 3 d^2-square hierarchy [[L, 0, 0], [J_c, L, 0], [J_c2, 2 J_c, L]]
+    on (rho, rho1, rho2), which carries rho2 itself where the library's
+    block carries only its trace."""
     gen = build_generator(model, coherent=coherent)
-    block = counting._moment_block(model, gen, weights)
-    return block, np.abs(block).sum(axis=0).max()
+    n = gen.shape[0]
+    w = np.asarray(weights, dtype=float)
+    j1, j2 = channel_sum(model, w), channel_sum(model, w * w)
+    block = np.zeros((3 * n, 3 * n), dtype=complex)
+    for k in range(3):
+        block[k * n : (k + 1) * n, k * n : (k + 1) * n] = gen
+    block[n : 2 * n, :n] = j1
+    block[2 * n :, :n] = j2
+    block[2 * n :, n : 2 * n] = 2 * j1
+    return block
+
+
+def traced(y, dim):
+    """(rho, rho1, Tr rho2) of the reference's (rho, rho1, rho2) columns."""
+    n = dim * dim
+    return np.concatenate([y[: 2 * n], (vec(np.eye(dim)).conj() @ y[2 * n :])[None]])
+
+
+def reference_moments(model, rho0, obs, tau, coherent):
+    """Mean and second moment from dense exponentials of L before the
+    window and of the reference hierarchy over it."""
+    t_a, t_b = obs.resolved_window(tau)
+    n = model.dim**2
+    y = np.zeros((3 * n, 1), dtype=complex)
+    y[:n, 0] = expm(build_generator(model, coherent=coherent) * t_a) @ vec(rho0)
+    y = traced(expm(reference_block(model, obs.weights, coherent) * (t_b - t_a)) @ y, model.dim)
+    return float(np.real(vec(np.eye(model.dim)).conj() @ y[n : 2 * n, 0])), float(y[-1, 0].real)
+
+
+def _block_norm(model, weights, coherent):
+    """The reference block, and ||B - mu I||_1 of the (2 d^2 + 1) block
+    formed from it with the trace row of (J_c2, 2 J_c) in place of rho2's
+    rows, checked against the library's exact norm."""
+    block = reference_block(model, weights, coherent)
+    n = model.dim**2
+    reduced = traced(block[:, : 2 * n + 1], model.dim)
+    reduced[:, 2 * n] = 0.0
+    mu = np.trace(block[:n, :n]) / n
+    norm = np.abs(reduced - mu * np.eye(2 * n + 1)).sum(axis=0).max()
+    assert counting._block(model, weights, coherent).norm == pytest.approx(norm, rel=1e-13)
+    return block, norm
 
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -449,20 +529,23 @@ class TestBlockAction:
             assert a == pytest.approx(b, rel=1e-9, abs=1e-13)
 
     @settings(max_examples=25)
-    @given(seed=SEEDS, dim=DIMS, coherent=st.booleans(), log_scale=LOG_SCALES)
+    @given(seed=SEEDS, dim=st.integers(1, 8), coherent=st.booleans(), log_scale=LOG_SCALES)
     def test_action_matches_dense_exponential(self, seed, dim, coherent, log_scale):
         rng = np.random.default_rng(seed)
         model = random_eigenoperator_model(dim, rng)
         weights = _weights_with_zeros(rng, model.n_channels)
         block, norm = _block_norm(model, weights, coherent)
-        h = np.exp(log_scale) / norm
+        h = np.exp(log_scale) / max(norm, 1.0)  # at d = 1 L is rounding noise
         y = rng.normal(size=(3 * dim * dim, 2)) + 1j * rng.normal(size=(3 * dim * dim, 2))
-        want = expm(h * block) @ y
-        # the action itself at every drawn dimension, and whichever path
-        # _act picks
+        want = traced(expm(h * block) @ y, dim)
+        start = traced(y, dim)
+        # the action and the dense step at every drawn dimension, and
+        # whichever path _act picks
+        held = counting._block(model, weights, coherent)
         for got in (
-            counting._moment_action(counting._pieces(model, weights, coherent), h, y),
-            counting._act(model, weights, h, coherent, y),
+            counting._taylor_action(held.shifted, held.mu, held.norm, h, start),
+            held.step(h) @ start,
+            counting._act(model, weights, h, coherent, start),
         ):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -485,16 +568,22 @@ class TestBlockAction:
         b = counting_moments(model, rho0, obs, tau, coherent=False)
         assert a.mean == pytest.approx(b.mean, rel=1e-8, abs=1e-10)
         assert a.variance == pytest.approx(b.variance, rel=1e-8, abs=1e-10)
+        # each against the reference hierarchy, at the scale of the state
+        # and its moments
+        for flag, got in ((True, a), (False, b)):
+            mean, second = reference_moments(model, rho0, obs, tau, flag)
+            scale = 1e-12 * max(1.0, abs(second))
+            assert abs(got.mean - mean) <= scale and abs(got.second_moment - second) <= scale
 
     def test_action_repeats_bit_for_bit_and_leaves_numpy_rng_alone(self):
         dim = 8
         model = ladder_model(dim, np.random.default_rng(8))
         weights = model.entropy_weights()
-        y = np.zeros(3 * dim**2, dtype=complex)
+        y = np.zeros(2 * dim**2 + 1, dtype=complex)
         y[0] = 1.0
         state = np.random.get_state()
         first = counting._act(model, weights, 3.0, True, y)
-        assert not model._moment_step  # the action, not a dense step
+        assert not model._block[True, tuple(weights)].steps  # the action, not a dense step
         fresh = dataclasses.replace(model)  # equal arrays, empty memos
         for again in (counting._act(model, weights, 3.0, True, y),
                       counting._act(fresh, weights, 3.0, True, y)):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtur import counting, engine
+from qtur import engine
 from qtur.engine import (
     DegenerateSteadyStateError,
     build_generator,
@@ -131,8 +131,8 @@ class TestChannelStack:
             want = _kron_generator(model, coherent)
             got = build_generator(model, coherent=coherent)
             assert np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want), scale)
-        j1, j2 = counting._jump_superops(model, weights)
-        for power, got in ((1, j1), (2, j2)):
+        for power in (1, 2):
+            got = engine.channel_sum(model, weights**power)
             want = _kron_jumps(model, weights**power)
             scale = sum(abs(w) ** power * n for w, n in zip(weights, norms))
             assert np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want), scale)
@@ -143,7 +143,8 @@ class TestChannelStack:
         weights = model.entropy_weights()
         for build in (
             lambda: engine._assemble(model, True),
-            lambda: counting._jump_superops(model, weights),
+            lambda: engine.channel_sum(model, weights),
+            lambda: engine.channel_sum(model, weights * weights),
         ):
             tracemalloc.start()
             try:
@@ -179,6 +180,12 @@ class TestPropagate:
         gen = build_generator(da_generic, coherent=True)
         with pytest.raises(ValueError):
             propagate(gen, np.eye(3, dtype=complex) / 3, -0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_nonfinite_time_rejected(self, t, da_generic):
+        gen = build_generator(da_generic, coherent=True)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            propagate(gen, np.eye(3, dtype=complex) / 3, t)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(11)

@@ -208,15 +208,17 @@ class TestRowAudit:
             assert not rerun_row_check(dataclasses.replace(result, rows=(row,)), 0)
 
 
-# SHA-256 of the CSV of a 64-draw, seed-42 sweep, as written once every sum
-# over channels became one GEMM over the stack of jump operators (numpy 2.4,
-# scipy 1.17); that reordering moved the 1000-draw seed-42 sweeps by at most
-# 2.5e-12 relative, with no verdict changed. The tests
+# SHA-256 of the CSV of a 64-draw, seed-42 sweep, as written once the
+# moment block carried Tr rho2 as one trace row, (2 d^2 + 1)-square, in
+# place of rho2's 3 d^2-square hierarchy (numpy 2.4, scipy 1.17). Against
+# that hierarchy the 2000-draw sweeps at seeds 42 and 7 moved by at most
+# 5.6e-14 relative in a variance, 8.6e-13 in a near-zero current mean and
+# 1.3e-10 in a near-zero slack, with no verdict or flag changed. The tests
 # below lower sweeps.POOL_MIN to 0, so that two workers split the draws
 # whatever the measured threshold is.
 PINNED_SWEEPS = {
-    "kur_sweep": "ef6adc4b5c38ab2660914d428490d95d065674b56184de6c37097327e5d40d9c",
-    "ep_sweep": "f6bcec8494573d907756decfbd9c8b25dcb1839a71bc13ff27533b6cddcb1c93",
+    "kur_sweep": "e55b5382574d557e6e2d4847aad5b56eef6b075c1b6b38adcde80808cc100393",
+    "ep_sweep": "34270ae79aefef86f12ddcd02148b9d7814610fe4011b071956391fd7d6a6402",
 }
 
 

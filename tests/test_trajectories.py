@@ -23,7 +23,7 @@ from qtur.trajectories import (
     sample_ensemble,
     splitmix64,
 )
-from conftest import ground_state, rotate_model
+from conftest import ground_state, random_detailed_balance_model, rotate_model
 
 
 def _scaled_range(factor, lo, hi):
@@ -469,6 +469,39 @@ class TestPathDensities:
         values, keep = pw.entropies([rec])
         assert not keep[0] and np.isnan(values[0])
         assert np.isnan(pw.densities_batch([rec])[2][0])
+
+
+def random_full_rank_state(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / rho.trace().real
+
+
+class TestPricingProperties:
+    """The pricing identities beyond the 3-level models: paired models at
+    d = 4 to 8 in a random basis, from a full-rank state, on small
+    ensembles."""
+
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 8), tau=st.floats(0.2, 3.0))
+    def test_path_norms_match_without_hamiltonian(self, seed, dim, tau):
+        rng = np.random.default_rng(seed)
+        model = random_detailed_balance_model(dim, rng)
+        rho0 = random_full_rank_state(dim, rng)
+        records = sample_ensemble(model, rho0, tau, 40, SeedPolicy(seed), workers=1)
+        damped, full = PathWeights(model, rho0, tau).path_norms_batch(records)
+        assert np.all(np.abs(damped - full) <= 1e-9 * np.maximum(damped, full))
+
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 8), tau=st.floats(0.2, 3.0))
+    def test_backward_density_matches_closed_form(self, seed, dim, tau):
+        rng = np.random.default_rng(seed)
+        model = random_detailed_balance_model(dim, rng)
+        rho0 = random_full_rank_state(dim, rng)
+        records = sample_ensemble(model, rho0, tau, 40, SeedPolicy(seed), workers=1)
+        _, backward, predicted = PathWeights(model, rho0, tau).densities_batch(records)
+        rel = np.abs(backward - predicted) / np.maximum(np.maximum(backward, predicted), 1e-300)
+        assert np.all(rel < 1e-9)
 
 
 class TestEstimate:
