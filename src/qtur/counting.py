@@ -214,20 +214,20 @@ def _block(model: LindbladModel, weights, coherent: bool) -> _BlockPieces:
         n = gen.shape[0]
         rates = model.jump_norms.conj().swapaxes(1, 2).reshape(-1, n)  # the rows N_m
         mu = np.trace(gen) / n
-        shifted = np.abs(gen - mu * np.eye(n)).sum(axis=0)
+        lead = np.abs(gen - mu * np.eye(n)).sum(axis=0)  # L - mu I on a diagonal block
         if weights is None:
             w = [np.ones(model.n_channels)]
             if model.has_entropy_weights:
                 w.append(model.entropy_weights())
             jump, rows = None, np.array(w) @ rates
-            columns = [shifted + np.abs(rows).sum(axis=0)]
+            columns = [lead + np.abs(rows).sum(axis=0)]
         else:
             c = np.asarray(weights, dtype=float)
             jump = channel_sum(model, c)
             jump.setflags(write=False)
             first, second = (c * c) @ rates, (2.0 * c) @ rates
             rows = np.concatenate([first, second])[None, :]
-            columns = [shifted + np.abs(jump).sum(axis=0) + np.abs(first), shifted + np.abs(second)]
+            columns = [lead + np.abs(jump).sum(axis=0) + np.abs(first), lead + np.abs(second)]
         norm = float(max(max(col.max() for col in columns), abs(mu)))
         slot.clear()
         slot[key] = _BlockPieces(gen, jump, rows, mu, norm, {})
