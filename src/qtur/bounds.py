@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -220,9 +221,17 @@ def inverse_x_tanh_x(y: float) -> float:
     return h
 
 
+@lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights of order n, computed once."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _horizon(model, rho0, t1: float, t2: float, coherent: bool) -> tuple:
     """The half angle over [t1, t2], A(t2) and the entropy flow at t2 (None
-    without ds), from one :func:`activity_at` pass per pair of rules.
+    without ds), from one :func:`activity_at` pass per pair of rules: one
+    Taylor pass to t2, with every node read as its dense output, where
+    ``activity_at`` takes the action, or else one step per gap.
 
     With t = u^2 the angle is the integral of sqrt(A(u^2))/u over
     [sqrt t1, sqrt t2], smooth even at u = 0 since A grows like a power of
@@ -235,7 +244,7 @@ def _horizon(model, rho0, t1: float, t2: float, coherent: bool) -> tuple:
     lo, hi = math.sqrt(t1), math.sqrt(t2)
     n = HALF_ANGLE_NODES
     while 2 * n <= HALF_ANGLE_MAX_NODES:
-        (x1, w1), (x2, w2) = (np.polynomial.legendre.leggauss(k) for k in (n, 2 * n))
+        (x1, w1), (x2, w2) = _legendre(n), _legendre(2 * n)
         u = 0.5 * (hi - lo) * np.concatenate([x1, x2]) + 0.5 * (hi + lo)
         activity, flow, _ = activity_at(model, rho0, np.append(u * u, t2), coherent)
         w = 0.5 * (hi - lo) * np.concatenate([w1, w2])
@@ -497,9 +506,8 @@ def ep_tur(
 
 
 def survival_bound_check(model: LindbladModel, rho0: np.ndarray, tau: float) -> BoundReport:
-    """No-jump probability against exp(-a(0) tau)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    """No-jump probability against exp(-a(0) tau); ``survival_probability``
+    refuses a negative or non-finite tau."""
     lhs = survival_probability(model, rho0, tau)
     obs = CountingObservable.total_count(model.n_channels)
     a0 = mean_rate(model, np.asarray(rho0, complex), obs)
@@ -518,11 +526,14 @@ def battery(
     activity window [tau/2, tau], survival and, on a model with ds,
     entropy production, all from exact statistics.
 
-    The one moment-block step is over tau/2: every other window and
-    rho(tau) reuse what ``counting_moments`` memoises (the block's pieces
-    and, where ``counting._act`` takes it, its dense step). One
-    ``counting.activity_at`` pass over the half angle's nodes and tau gives
-    that angle, A(tau) and the flow in Sigma(tau)."""
+    ``counting_moments`` over tau/2 comes first; every other window and
+    rho(tau) reuse what it memoises on the moment block: its pieces and its
+    dense step or, from ``counting.ACTION_MIN_DIM`` up, its Taylor action
+    over [0, tau/2], so that action is taken once. One
+    ``counting.activity_at`` pass over the half angle's nodes and tau (from
+    ``ACTION_MIN_DIM`` up, one Taylor pass with the nodes as its dense
+    output where it pays) gives that angle, A(tau) and the flow in
+    Sigma(tau)."""
     half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent)
     _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent)
     angle, activity, flow = _horizon(model, rho0, tau / 2.0, tau, coherent)

@@ -30,14 +30,17 @@ taken once per step length. From ``ACTION_MIN_DIM`` up, while
 h ||B - mu I||_1 is small enough for it to pay, no block matrix is formed:
 exp(h B) acts on vectors through the truncated Taylor series of Al-Mohy
 and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm 3.2), with B applied
-part by part from the pieces. Its cost grows linearly with
+part by part from the pieces; the block keeps its last action, so one
+asked for again straight away is not retaken. Its cost grows linearly with
 h ||B - mu I||_1, the dense step's only logarithmically, so a long step up
 to ``DENSE_MAX_DIM`` is taken densely again; above that dimension the
-action is always taken. Degree and step count come from the exact 1-norm,
-so the result repeats bit for bit. scipy's ``expm_multiply`` on a
-LinearOperator would estimate that norm with ``onenormest``, which draws
-from numpy's global random state: its results would not repeat and it
-would move the caller's RNG.
+action is always taken. :func:`activity_at` reaches all of its times in
+one such pass where it pays over the whole span, each time read from the
+terms of the sub-step that holds it (dense output, ibid. section 5).
+Degree and step count come from the exact 1-norm, so the result repeats
+bit for bit. scipy's ``expm_multiply`` on a LinearOperator would estimate
+that norm with ``onenormest``, which draws from numpy's global random
+state: its results would not repeat and it would move the caller's RNG.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ from .operators import (
 # Below this dimension the blocks are always exponentiated densely, so the
 # small models of the sweeps keep the dense step's bits. On one
 # `bounds.battery` call on the benchmark ladder at tau = 2 (one BLAS
-# thread) the action takes 13 ms against 10-12 ms for dense steps at d = 6,
-# and 14 ms against 20 ms at d = 7.
+# thread) the action takes 4.8 ms against 9.5-9.7 ms for dense steps at
+# d = 6, 5.1 against 19 ms at d = 7, and 6.7-10 against 4-5 ms at d = 5.
 ACTION_MIN_DIM = 6
 # Above this dimension no block is exponentiated densely, however long the
 # horizon: scipy's expm peaks at eight to nine times the (2 d^2 + 1)-square
@@ -161,7 +164,8 @@ class _BlockPieces:
     on (rho, rho1) (the moment block); ``rows`` is R on S's state. ``mu``
     = tr L / d^2 is the Taylor action's shift and ``norm`` the exact
     ||B - mu I||_1. ``steps`` keeps the last dense exponential, keyed by
-    its step length."""
+    its step length, and ``acted`` the last Taylor action, keyed by its
+    step length and vectors."""
 
     gen: np.ndarray
     jump: np.ndarray | None
@@ -169,6 +173,7 @@ class _BlockPieces:
     mu: complex
     norm: float
     steps: dict
+    acted: dict
 
     def shifted(self, term: np.ndarray) -> np.ndarray:
         """(B - mu I) term, as d^2-square products on each part of S's state."""
@@ -197,6 +202,17 @@ class _BlockPieces:
             self.steps.clear()
             self.steps[h] = step
         return self.steps[h]
+
+    def act(self, h: float, y: np.ndarray) -> np.ndarray:
+        """exp(h B) y by the Taylor action, read-only; another call replaces it."""
+        key = (h, y.shape, y.tobytes())
+        if key not in self.acted:
+            out = _taylor_action(self.shifted, self.mu, self.norm, h, y.reshape(len(y), -1))
+            out = out.reshape(y.shape)
+            out.setflags(write=False)
+            self.acted.clear()
+            self.acted[key] = out
+        return self.acted[key]
 
 
 def _block(model: LindbladModel, weights, coherent: bool) -> _BlockPieces:
@@ -230,7 +246,7 @@ def _block(model: LindbladModel, weights, coherent: bool) -> _BlockPieces:
             columns = [lead + np.abs(jump).sum(axis=0) + np.abs(first), lead + np.abs(second)]
         norm = float(max(max(col.max() for col in columns), abs(mu)))
         slot.clear()
-        slot[key] = _BlockPieces(gen, jump, rows, mu, norm, {})
+        slot[key] = _BlockPieces(gen, jump, rows, mu, norm, {}, {})
     return slot[key]
 
 
@@ -286,27 +302,43 @@ def _inf_norm(b: np.ndarray) -> float:
     return float(np.abs(b).sum(axis=-1).max())
 
 
-def _taylor_action(shifted, mu, norm: float, h: float, y: np.ndarray) -> np.ndarray:
+def _taylor_action(shifted, mu, norm: float, h: float, y: np.ndarray, at=None) -> np.ndarray:
     """exp(h B) y by Al-Mohy and Higham's Algorithm 3.2 on the shifted
     block B - mu I: ``shifted(x)`` returns (B - mu I) x and ``norm`` is
     ||B - mu I||_1. s steps of at most m Taylor terms, a step ending early
     once two successive terms fall below unit roundoff of the sum, in the
-    infinity norm of the (rows, k) matrix ``y``."""
+    infinity norm of the (rows, k) matrix ``y``.
+
+    With ``at``, sorted times in [0, h], the same pass returns the stack of
+    exp(t B) y at each of them instead (dense output, ibid. section 5): a
+    time at fraction theta of a step of length delta reads that step's
+    terms T_j as exp(theta delta mu) sum_j theta^j T_j, by Horner's rule.
+    The step's early-termination test at theta = 1 bounds every theta < 1."""
     m, s = _taylor_degree(h * norm)
     eta = np.exp(h * mu / s)
-    out = y
-    for _ in range(s):
+    out, dense, done = y, [], 0
+    for k in range(s):
         term = out
+        terms = [term]
         c1 = _inf_norm(term)
         for j in range(1, m + 1):
             term = shifted(term) * (h / (s * j))
             c2 = _inf_norm(term)
             out = out + term
+            if at is not None:  # kept for the dense output only
+                terms.append(term)
             if c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(out):
                 break
             c1 = c2
         out = eta * out
-    return out
+        if at is not None:  # Horner's rule at once for every time in this step
+            end = len(at) if k == s - 1 else np.searchsorted(at, (k + 1) * h / s, "right")
+            theta = (at[done:end] * s / h - k if h else at[done:end])[:, None, None]
+            value, done = terms[-1], end
+            for tj in terms[-2::-1]:
+                value = value * theta + tj
+            dense.append(np.exp(theta * h * mu / s) * value)
+    return out if at is None else np.concatenate(dense)
 
 
 def _act(model: LindbladModel, weights, h: float, coherent: bool, y: np.ndarray) -> np.ndarray:
@@ -315,11 +347,11 @@ def _act(model: LindbladModel, weights, h: float, coherent: bool, y: np.ndarray)
 
     From ``ACTION_MIN_DIM`` up, where :func:`_action_pays`, this is the
     Taylor action and no block matrix is formed; otherwise it is the
-    memoised dense step times y."""
+    dense step times y. Either is memoised on the block, the action with
+    the vectors it was taken on."""
     block = _block(model, weights, coherent)
     if model.dim >= ACTION_MIN_DIM and _action_pays(model.dim, h * block.norm):
-        columns = y.reshape(len(y), -1)
-        return _taylor_action(block.shifted, block.mu, block.norm, h, columns).reshape(y.shape)
+        return block.act(h, y)
     return block.step(h) @ y
 
 
@@ -346,9 +378,11 @@ def _half_windows(model, rho0, obs, tau: float, coherent: bool) -> tuple:
     """Moments over [0, tau/2], [tau/2, tau] and [0, tau], and rho(tau),
     from exp(h B) over h = tau/2 applied by :func:`_act`: to y0, to
     (rho(tau/2), 0, 0) and to exp(h B) y0, with y0 = (rho0, 0, 0); rho(tau)
-    is the top d^2 entries of the last. The model memoises the block and
-    its dense step, so after ``counting_moments(model, rho0, obs, tau / 2,
-    coherent)`` no further exponential is taken and no piece is rebuilt.
+    is the top d^2 entries of the last. The block memoises its pieces, its
+    dense step and its last Taylor action, so after
+    ``counting_moments(model, rho0, obs, tau / 2, coherent)`` no piece is
+    rebuilt and exp(h B) y0 is not taken again: below ``ACTION_MIN_DIM``
+    no further exponential is taken, from it up one action on the pair.
     ``obs.window`` is ignored."""
     _check(model, obs, tau)
     n = model.dim**2
@@ -374,9 +408,12 @@ def activity_at(model: LindbladModel, rho0: np.ndarray, times, coherent: bool = 
     """A(t) and the entropy flow Phi(t) as float arrays (Phi None unless
     every channel has ds), and the Hermitian parts of rho(t) as a (k, d, d)
     array, exact to rounding at each of ``times`` (nonnegative, any order).
-    One pass steps the rows block [[L, 0], [R, 0]] through the sorted
-    times by :func:`_act`. The states are not validated; :func:`sigma_from`
-    and the samplers check what they read."""
+    One pass takes the rows block [[L, 0], [R, 0]] through the sorted
+    times. From ``ACTION_MIN_DIM`` up, where the action pays over the whole
+    span, that is one Taylor action to the last time, every time read from
+    its dense output; otherwise one :func:`_act` step per gap. The states
+    are not validated; :func:`sigma_from` and the samplers check what they
+    read."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("times must be finite and nonnegative")
@@ -384,12 +421,18 @@ def activity_at(model: LindbladModel, rho0: np.ndarray, times, coherent: bool = 
     rows = 1 + model.has_entropy_weights
     y = np.concatenate([vec(rho0), np.zeros(rows)])[:, None]
     out = np.empty((times.size, n + rows), dtype=complex)
-    now = 0.0
-    for k in np.argsort(times, kind="stable"):
-        if times[k] > now:
-            h, now = times[k] - now, times[k]
-            y = _act(model, None, h, coherent, y)
-        out[k] = y[:, 0]
+    order, span = np.argsort(times, kind="stable"), times.max(initial=0.0)
+    block = _block(model, None, coherent)
+    if model.dim >= ACTION_MIN_DIM and _action_pays(model.dim, span * block.norm):
+        at = times[order]
+        out[order] = _taylor_action(block.shifted, block.mu, block.norm, span, y, at)[..., 0]
+    else:
+        now = 0.0
+        for k in order:
+            if times[k] > now:
+                h, now = times[k] - now, times[k]
+                y = _act(model, None, h, coherent, y)
+            out[k] = y[:, 0]
     integrals = out[:, n:].real
     states = out[:, :n].reshape(-1, model.dim, model.dim).swapaxes(1, 2)  # unvec each row
     states = (states + states.conj().swapaxes(1, 2)) / 2.0

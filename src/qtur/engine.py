@@ -187,8 +187,8 @@ def _exp_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
 
 
 def no_jump_family(model: LindbladModel, t: float) -> NoJumpFamily:
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     gamma = model.total_decay()
     u = _exp_hermitian(model.H, -1j * t)
     damping = _exp_hermitian(gamma, -0.5 * t)
@@ -209,8 +209,8 @@ def survival_probability(model: LindbladModel, rho0: np.ndarray, tau: float) -> 
     Computed as Tr[V rho0 V^dag] and cross-checked against the
     Hamiltonian-free route Tr[D rho0 D]; the two must agree to 1e-10.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     rho0 = np.asarray(rho0, dtype=complex)
     fam = no_jump_family(model, tau)
     p_full = float(np.real(np.trace(fam.full @ rho0 @ dagger(fam.full))))

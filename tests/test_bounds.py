@@ -465,6 +465,12 @@ class TestEntropyProductionBound:
 
 
 class TestSurvivalBound:
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -0.1])
+    def test_nonfinite_or_negative_horizon_rejected(self, tau, da_generic):
+        # a nan horizon used to become a report with lhs nan, judged violated
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            survival_bound_check(da_generic, ground_state(), tau)
+
     def test_ground_state_equality(self, da_generic):
         rep = survival_bound_check(da_generic, ground_state(), 1.3)
         assert abs(rep.lhs - rep.rhs) <= 1e-9

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qtur.counting import (
     sigma_from,
     _half_windows,
 )
-from qtur.engine import build_generator, channel_sum, propagate, steady_state, vec
+from qtur.engine import build_generator, channel_sum, propagate, steady_state, unvec, vec
 from qtur.models import build_ep_model
 from qtur.operators import ModelValidationError, von_neumann_trace_term
 from conftest import (
@@ -503,6 +504,18 @@ def _block_norm(model, weights, coherent):
     return block, norm
 
 
+def reference_rows_block(model, coherent):
+    """[[L, 0], [R, 0]] formed densely, R the activity row sum_m
+    vec(L_m^dag L_m)^dag and the entropy row weighted by ds_m."""
+    n = model.dim**2
+    norms = [c.L.conj().T @ c.L for c in model.channels]
+    flows = sum(c.ds * k for c, k in zip(model.channels, norms))
+    block = np.zeros((n + 2, n + 2), dtype=complex)
+    block[:n, :n] = build_generator(model, coherent=coherent)
+    block[n:, :n] = [vec(sum(norms)).conj(), vec(flows).conj()]
+    return block
+
+
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(4, 8)
 # h ||B||_1 from 0.1 to about 500, so the action takes up to ~50 steps
@@ -527,6 +540,41 @@ class TestBlockAction:
             values.append((activity[0], sigma, angle))
         for a, b in zip(*values):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-13)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=SEEDS,
+        dim=st.integers(ACTION_MIN_DIM, 8),
+        coherent=st.booleans(),
+        scale=st.floats(0.1, 15.0),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+    )
+    def test_one_pass_matches_dense_exponential_at_every_time(
+        self, seed, dim, coherent, scale, fractions
+    ):
+        # from ACTION_MIN_DIM up activity_at reaches every time in one
+        # Taylor pass, each read from the terms of its sub-step; the times
+        # hold 0, a repeated time and a sub-step boundary, in any order
+        rng = np.random.default_rng(seed)
+        model = random_detailed_balance_model(dim, rng)
+        rho0 = random_pure_state(dim, rng)
+        norm = counting._block(model, None, coherent).norm
+        span = scale / norm
+        _, steps = counting._taylor_degree(span * norm)
+        boundary = int(rng.integers(1, steps + 1)) * span / steps
+        times = [0.0, span, boundary, fractions[0] * span] + [f * span for f in fractions]
+        times = rng.permutation(times)
+        with mock.patch.object(counting, "_taylor_action", wraps=counting._taylor_action) as act:
+            activity, flow, states = activity_at(model, rho0, times, coherent)
+        assert act.call_count == 1
+        n = dim * dim
+        block = reference_rows_block(model, coherent)
+        y = np.concatenate([vec(rho0), [0.0, 0.0]])
+        want = np.array([expm(t * block) @ y for t in times])
+        rho = np.array([unvec(w[:n]) for w in want])
+        rho = (rho + rho.conj().swapaxes(1, 2)) / 2.0
+        for got, ref in ((activity, want[:, n].real), (flow, want[:, n + 1].real), (states, rho)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @settings(max_examples=25)
     @given(seed=SEEDS, dim=st.integers(1, 8), coherent=st.booleans(), log_scale=LOG_SCALES)

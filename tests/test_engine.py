@@ -250,6 +250,11 @@ class TestSteadyState:
 
 
 class TestNoJumpFamily:
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -0.1])
+    def test_nonfinite_or_negative_time_rejected(self, t, da_generic):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            no_jump_family(da_generic, t)
+
     def test_time_zero_is_identity(self, da_generic):
         fam = no_jump_family(da_generic, 0.0)
         for op in (fam.unitary, fam.damping, fam.full):
@@ -281,6 +286,12 @@ class TestNoJumpFamily:
 
 
 class TestSurvival:
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, -0.1])
+    def test_nonfinite_or_negative_horizon_rejected(self, tau, da_generic):
+        # a nan horizon used to give nan, not an error
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            survival_probability(da_generic, ground_state(), tau)
+
     def test_zero_horizon(self, da_generic):
         assert survival_probability(da_generic, ground_state(), 0.0) == 1.0
 
