@@ -273,8 +273,9 @@ def _check(model: LindbladModel, obs: CountingObservable, tau: float) -> None:
 
 
 def _action_pays(dim: int, x: float) -> bool:
-    """Whether the Taylor action beats a dense step at dimension ``dim``
-    (from ``ACTION_MIN_DIM`` up) for x = h ||B - mu I||_1.
+    """Whether the Taylor action is taken at dimension ``dim`` for
+    x = h ||B - mu I||_1: from ``ACTION_MIN_DIM`` up, where it beats a
+    dense step.
 
     The action's cost grows in proportion to x (about 5.6 Taylor terms per
     unit), each term a fixed interpreter cost plus products costing d^4;
@@ -284,7 +285,7 @@ def _action_pays(dim: int, x: float) -> bool:
     x (4600 + d^4) <= 2 d^6: up to x = 16 at d = 6, 60 at d = 8, 240 at
     d = 12 and 480 at d = 16. Above ``DENSE_MAX_DIM`` it is taken at any x,
     for the dense step's memory."""
-    return dim > DENSE_MAX_DIM or x * (4600 + dim**4) <= 2 * dim**6
+    return dim >= ACTION_MIN_DIM and (dim > DENSE_MAX_DIM or x * (4600 + dim**4) <= 2 * dim**6)
 
 
 def _taylor_degree(x: float) -> tuple[int, int]:
@@ -345,12 +346,12 @@ def _act(model: LindbladModel, weights, h: float, coherent: bool, y: np.ndarray)
     """exp(h B) y for the block of ``weights`` (see :func:`_block`); ``y``
     is one vector or a (rows, k) matrix of them.
 
-    From ``ACTION_MIN_DIM`` up, where :func:`_action_pays`, this is the
+    Where :func:`_action_pays`, from ``ACTION_MIN_DIM`` up, this is the
     Taylor action and no block matrix is formed; otherwise it is the
     dense step times y. Either is memoised on the block, the action with
     the vectors it was taken on."""
     block = _block(model, weights, coherent)
-    if model.dim >= ACTION_MIN_DIM and _action_pays(model.dim, h * block.norm):
+    if _action_pays(model.dim, h * block.norm):
         return block.act(h, y)
     return block.step(h) @ y
 
@@ -423,7 +424,7 @@ def activity_at(model: LindbladModel, rho0: np.ndarray, times, coherent: bool = 
     out = np.empty((times.size, n + rows), dtype=complex)
     order, span = np.argsort(times, kind="stable"), times.max(initial=0.0)
     block = _block(model, None, coherent)
-    if model.dim >= ACTION_MIN_DIM and _action_pays(model.dim, span * block.norm):
+    if _action_pays(model.dim, span * block.norm):
         at = times[order]
         out[order] = _taylor_action(block.shifted, block.mu, block.norm, span, y, at)[..., 0]
     else:
