@@ -62,7 +62,8 @@ from .operators import (
 # small models of the sweeps keep the dense step's bits. On one
 # `bounds.battery` call on the benchmark ladder at tau = 2 (one BLAS
 # thread) the action takes 4.8 ms against 9.5-9.7 ms for dense steps at
-# d = 6, 5.1 against 19 ms at d = 7, and 6.7-10 against 4-5 ms at d = 5.
+# d = 6 and 5.1 against 19 ms at d = 7; with this floor lowered, 6.7-10
+# against 4-5 ms at d = 5.
 ACTION_MIN_DIM = 6
 # Above this dimension no block is exponentiated densely, however long the
 # horizon: scipy's expm peaks at eight to nine times the (2 d^2 + 1)-square
@@ -165,7 +166,7 @@ class _BlockPieces:
     = tr L / d^2 is the Taylor action's shift and ``norm`` the exact
     ||B - mu I||_1. ``steps`` keeps the last dense exponential, keyed by
     its step length, and ``acted`` the last Taylor action, keyed by its
-    step length and vectors."""
+    step length, beside a copy of the vectors it acted on."""
 
     gen: np.ndarray
     jump: np.ndarray | None
@@ -205,14 +206,14 @@ class _BlockPieces:
 
     def act(self, h: float, y: np.ndarray) -> np.ndarray:
         """exp(h B) y by the Taylor action, read-only; another call replaces it."""
-        key = (h, y.shape, y.tobytes())
-        if key not in self.acted:
+        last = self.acted.get(h)
+        if last is None or not np.array_equal(last[0], y):
             out = _taylor_action(self.shifted, self.mu, self.norm, h, y.reshape(len(y), -1))
             out = out.reshape(y.shape)
             out.setflags(write=False)
             self.acted.clear()
-            self.acted[key] = out
-        return self.acted[key]
+            self.acted[h] = last = (y.copy(), out)
+        return last[1]
 
 
 def _block(model: LindbladModel, weights, coherent: bool) -> _BlockPieces:

@@ -639,3 +639,24 @@ class TestBlockAction:
         after = np.random.get_state()
         assert after[0] == state[0] and np.array_equal(after[1], state[1])
         assert after[2:] == state[2:]
+
+    def test_last_action_is_kept_for_its_own_vectors_only(self, monkeypatch):
+        # the block keeps its last action: asked for again it is not
+        # retaken; another vector of the same shape, or another step, is
+        dim = 8
+        model = ladder_model(dim, np.random.default_rng(8))
+        weights = model.entropy_weights()
+        y = np.zeros(2 * dim**2 + 1, dtype=complex)
+        y[0] = 1.0
+        other = y.copy()
+        other[dim + 1] = 1.0
+        calls, action = [], counting._taylor_action
+        monkeypatch.setattr(counting, "_taylor_action", lambda *a: calls.append(a) or action(*a))
+        first = counting._act(model, weights, 0.5, True, y)
+        assert counting._act(model, weights, 0.5, True, y.copy()) is first and len(calls) == 1
+        for h, v in ((0.5, other), (0.25, other), (0.5, y)):
+            counting._act(model, weights, h, True, v)
+        assert len(calls) == 4
+        y[0] = 0.5  # a caller's later write does not reach the kept copy
+        assert counting._act(model, weights, 0.5, True, y).tobytes() != first.tobytes()
+        assert len(calls) == 5
