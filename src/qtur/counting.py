@@ -205,7 +205,8 @@ class _BlockPieces:
         return self.steps[h]
 
     def act(self, h: float, y: np.ndarray) -> np.ndarray:
-        """exp(h B) y by the Taylor action, read-only; another call replaces it."""
+        """exp(h B) y by the Taylor action, read-only. The last one is kept:
+        asked for again with the same h and equal vectors, it is not retaken."""
         last = self.acted.get(h)
         if last is None or not np.array_equal(last[0], y):
             out = _taylor_action(self.shifted, self.mu, self.norm, h, y.reshape(len(y), -1))
