@@ -70,6 +70,12 @@ _FLAGS = {
     "--tau": {"type": float, "required": True},
     "--trajectories": {"type": int, "default": 10_000},
     "--weights": {"help": "comma-separated channel weights"},
+    "--t": {"type": float, "required": True},
+    "--window": {"help": "observation window a,b"},
+    "--draws": {"type": int, "default": None},
+    "--omega-e": {"type": float, "default": 1.0},
+    "--gamma-range": {"default": None, "help": "rate range lo,hi"},
+    "--tau-range": {"default": None, "help": "horizon range lo,hi"},
 }
 
 
@@ -278,7 +284,8 @@ def _cmd_verify_cic(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser; with ``only``, every other subcommand keeps its help but no flags."""
     parser = argparse.ArgumentParser(
         prog="qtur",
         description="jump statistics and uncertainty-relation checks for monitored Lindblad models",
@@ -289,21 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand that declares --config, the model flags when
         ``model``, and exactly the ``flags`` it reads."""
         p = sub.add_parser(name, help=doc)
+        if only not in (None, name):
+            return
         p.add_argument("--config", help="JSON file with defaults for this subcommand")
         if model:
             _add_model_args(p)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
-        return p
 
     command("steady-state", "solve and print the stationary state", _cmd_steady_state,
             "--incoherent")
-    p = command("evolve", "propagate an initial state", _cmd_evolve, "--rho0", "--incoherent")
-    p.add_argument("--t", type=float, required=True)
-    p = command("moments", "exact counting moments", _cmd_moments,
-                "--rho0", "--incoherent", "--tau", "--weights")
-    p.add_argument("--window", help="observation window a,b")
+    command("evolve", "propagate an initial state", _cmd_evolve, "--rho0", "--incoherent", "--t")
+    command("moments", "exact counting moments", _cmd_moments,
+            "--rho0", "--incoherent", "--tau", "--weights", "--window")
     command("trajectories", "Monte Carlo ensemble", _cmd_trajectories,
             "--seed", "--out", "--workers", "--rho0", "--coherent",
             "--tau", "--trajectories", "--weights")
@@ -313,12 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep-kur", "kur_sweep", "random activity-bound sweep"),
         ("sweep-ep", "ep_sweep", "random entropy-bound sweep"),
     ):
-        p = command(name, doc, lambda a, e=experiment: _cmd_sweep(a, e),
-                    "--seed", "--out", "--workers", model=False)
-        p.add_argument("--draws", type=int, default=None)
-        p.add_argument("--omega-e", type=float, default=1.0)
-        p.add_argument("--gamma-range", default=None, help="rate range lo,hi")
-        p.add_argument("--tau-range", default=None, help="horizon range lo,hi")
+        command(name, doc, lambda a, e=experiment: _cmd_sweep(a, e), "--seed", "--out",
+                "--workers", "--draws", "--omega-e", "--gamma-range", "--tau-range", model=False)
     command("verify-cic", "run the correspondence test battery", _cmd_verify_cic,
             "--seed", "--workers", "--rho0", "--tau", "--trajectories")
     return parser
@@ -328,11 +330,11 @@ def _parse(argv) -> argparse.Namespace:
     """Parse ``argv``. The keys of a --config file become the subcommand's
     defaults, so explicit flags still win; a key that the subcommand does
     not declare, or a value outside its flag's choices, exits 2."""
-    parser = build_parser()
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("command", nargs="?")
     pre.add_argument("--config")
     known = pre.parse_known_args(argv)[0]
+    parser = build_parser(known.command)
     commands = next(a for a in parser._actions if a.dest == "command").choices
     if known.config and known.command in commands:
         sub = commands[known.command]

@@ -302,7 +302,8 @@ def _taylor_degree(x: float) -> tuple[int, int]:
 
 
 def _inf_norm(b: np.ndarray) -> float:
-    return float(np.abs(b).sum(axis=-1).max())
+    b = np.abs(b)  # of one column, the largest row sum is the largest entry
+    return float(b.max() if b.shape[-1] == 1 else b.sum(axis=-1).max())
 
 
 def _taylor_action(shifted, mu, norm: float, h: float, y: np.ndarray, at=None) -> np.ndarray:

@@ -2,16 +2,16 @@
 
 Sampling follows the waiting-time construction: evolve an unnormalized
 pure state with the no-jump contraction D(t) = exp(-Gamma t / 2), draw a
-uniform u and bisect the survival norm ||D(t) psi||^2 = u to locate the
-next jump exactly (no first-order-in-dt bias), then select the channel
-with probability proportional to <psi|L_m^dag L_m|psi> and renormalize.
+uniform u and solve the survival norm ||D(t) psi||^2 = u for the next jump
+exactly (bracketed Newton steps, no first-order-in-dt bias), then draw
+the channel with weights <psi|L_m^dag L_m|psi> and renormalize.
 Since Gamma = sum_m L_m^dag L_m is Hermitian, the whole sampler runs in
 its eigenbasis where D(t) is diagonal and the survival norm is a plain
 exponential sum.
 
 The sampler is chunked: it steps a whole chunk of trajectories at once,
-one array row per trajectory, and bisects the waiting times of every row
-still short of the horizon together. Each row goes through exactly the
+one array row per trajectory, and solves for the waiting times of every
+row still short of the horizon together. Each row goes through exactly the
 arithmetic a lone trajectory would (stacked matmuls reach the same BLAS
 kernel as one matrix-vector product), so a record does not depend on the
 chunk it was sampled in. Path pricing runs the same way, over groups of
@@ -72,12 +72,15 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 BISECTION_REL_TOL = 1e-9
 BISECTION_MAX_STEPS = 200
+NEWTON_PASSES = 16  # then a row still open bisects: rounding has flattened S
 CHUNK = 1024  # trajectories stepped together
 # Smallest ensemble split across worker processes: the crossover measured
 # on 2 cores (one BLAS thread each, one sampling call per fresh process, as
 # a CLI run makes). Below it, pool start-up and shipping records back cost
 # more than the second core saves: at about 20 us per serial trajectory the
-# two sides tie at 20000 trajectories, and the pool is 12 % faster at 30000.
+# two sides tied at 20000 trajectories, and the pool was 12 % faster at 30000.
+# Serial README ep trajectories now take 9.5 us (12 before Newton waiting
+# times), which moves the tie up; it has not been refitted.
 POOL_MIN = 20000
 
 
@@ -294,31 +297,40 @@ class TrajectorySampler(Unravelling):
         self.coherent = bool(coherent)
         self._ahead: dict = {}  # seed -> record stepped but not yet handed out
 
-    def _survival(self, amp_sq: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        """Row-wise no-jump probability sum_i |phi_i|^2 exp(-g_i dt)."""
-        decay = np.exp(-self._decay_rates * dt[:, None])
-        return (amp_sq[:, None, :] @ decay[:, :, None])[:, 0, 0]
+    def _survival(self, dt: np.ndarray, *weights: np.ndarray) -> list:
+        """Row-wise sum_i w_i exp(-g_i dt) per w in ``weights`` (S for |phi_i|^2, S'
+        for -g_i |phi_i|^2): stacked dot products, so no row depends on another."""
+        decay = np.exp(-self._decay_rates * dt[:, None])[:, :, None]
+        return [(w[:, None, :] @ decay)[:, 0, 0] for w in weights]
 
     def _locate_jumps(self, amp_sq: np.ndarray, u: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Row-wise bisection of survival(dt) = u on (0, hi], each row
-        stopping once its bracket is within BISECTION_REL_TOL of hi."""
-        lo = np.zeros_like(hi)
-        out = np.empty_like(hi)
+        """Row-wise root of S(dt) = u on (0, hi], certified: each row keeps
+        S(lo) >= u > S(hi) and stops once hi - lo <= BISECTION_REL_TOL * hi.
+        ln S is convex and decreasing, so a Newton point on it lands left of
+        the root (on it, from dt = 0, for one exponential); one from the left
+        is pushed past it by half the tolerance, one past hi pulled in as far,
+        and one not past lo, or any from NEWTON_PASSES on, bisected."""
+        lo, t, out = np.zeros_like(hi), np.zeros_like(hi), np.empty_like(hi)
         rows = np.arange(hi.size)
-        for _ in range(BISECTION_MAX_STEPS):
+        for step in range(BISECTION_MAX_STEPS):
             if not rows.size:
                 return out
-            mid = 0.5 * (lo + hi)
-            above = self._survival(amp_sq, mid) >= u
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
+            s, slope = self._survival(t, amp_sq, amp_sq * -self._decay_rates)
+            left = s >= u
+            lo = np.where(left, t, lo)
+            hi = np.where(left, hi, t)
+            with np.errstate(all="ignore"):  # a flat or vanished S gives inf or nan: bisected
+                t = t + s * np.log(s / u) / -slope
+                t = np.minimum(np.where(left, t * (1 + 0.5 * BISECTION_REL_TOL), t),
+                               hi * (1 - 0.5 * BISECTION_REL_TOL))
+            t = np.where((lo < t) & (step < NEWTON_PASSES), t, 0.5 * (lo + hi))
             done = hi - lo <= BISECTION_REL_TOL * hi
             if done.any():
                 out[rows[done]] = 0.5 * (lo[done] + hi[done])
-                todo = ~done
-                rows, lo, hi, amp_sq, u = rows[todo], lo[todo], hi[todo], amp_sq[todo], u[todo]
+                keep = np.flatnonzero(~done)
+                rows, lo, hi, t, amp_sq, u = (a[keep] for a in (rows, lo, hi, t, amp_sq, u))
         if rows.size:
-            raise RuntimeError("survival bisection did not converge")
+            raise RuntimeError("survival root finder did not converge")
         return out
 
     def _jump_probabilities(self, phi: np.ndarray) -> np.ndarray:
@@ -350,11 +362,11 @@ class TrajectorySampler(Unravelling):
             psi = phi[live]
             psi = psi / _row_norms(psi)[:, None]
             amp_sq = np.abs(psi) ** 2
-            if np.any(self._survival(amp_sq, np.zeros(live.size)) > 1.0 + 1e-9):
+            if np.any(self._survival(np.zeros(live.size), amp_sq)[0] > 1.0 + 1e-9):
                 raise ModelValidationError("state norm increased during no-jump evolution")
             remaining = self.tau - t[live]
             u = uniforms.next(live)
-            jump = (u != 0.0) & ~(self._survival(amp_sq, remaining) >= u)
+            jump = (u != 0.0) & ~(self._survival(remaining, amp_sq)[0] >= u)
             dt = remaining.copy()
             dt[jump] = self._locate_jumps(amp_sq[jump], u[jump], remaining[jump])
             psi = self._propagate(psi, dt, self.coherent)

@@ -523,8 +523,14 @@ LOG_SCALES = st.floats(np.log(0.1), np.log(500.0))
 
 
 class TestBlockAction:
+    def test_one_column_norm_is_the_row_sum_form(self):
+        rng = np.random.default_rng(5)
+        for b in (rng.normal(size=(50, 1)) + 1j * rng.normal(size=(50, 1)), rng.normal(size=(7, 1))):
+            assert counting._inf_norm(b) == float(np.abs(b).sum(axis=-1).max())
+
     @settings(max_examples=20)
     @given(seed=SEEDS, dim=DIMS, tau=st.floats(0.05, 5.0))
+
     def test_activity_entropy_and_angle_match_without_hamiltonian(self, seed, dim, tau):
         # the Hamiltonian-free equivalence of what `qtur bounds` reads besides
         # the moments, on the dense rows-block steps (d < ACTION_MIN_DIM) and

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from qtur.engine import (
     steady_state,
 )
 from qtur.cli import main
+from qtur.counting import counting_moments
+from qtur.models import default_observable
 from qtur.operators import ModelValidationError
 from conftest import ground_state, patch_nth_call, raising, zero_mean
 
@@ -293,6 +296,27 @@ class TestCicSuite:
             "backward_statistics_match",
         ]
         assert report.all_passed
+
+    @pytest.mark.parametrize("start", ["stationary", "ground"])
+    def test_backward_mean_is_not_judged_where_it_is_rounding_noise(
+        self, ep_equilibrium, start, monkeypatch
+    ):
+        # at equilibrium the stationary current's mean is zero up to rounding;
+        # from |g> the late window's mean is 0.05
+        model = ep_equilibrium
+        rho0 = ground_state() if start == "ground" else steady_state(build_generator(model, True))
+        obs = default_observable(model)
+        exact = counting_moments(model, rho0, obs.with_window((1.0, 2.0)), 2.0, False)
+        # a sampled mean 1 off, at the exact variance: only a judged mean fails
+        fake = SimpleNamespace(mean=-exact.mean - 1.0, stderr_mean=1e-3,
+                               variance=exact.variance, stderr_variance=1e-3)
+        monkeypatch.setattr(sweeps, "estimate", lambda records, obs: fake)
+        check = sweeps._backward_check(model, rho0, 1.0, obs, [])
+        assert check.passed == (start == "stationary")
+        assert ("not judged" in check.detail) == (start == "stationary")
+        # the variance still decides
+        fake.variance = 2.0 * exact.variance
+        assert not sweeps._backward_check(model, rho0, 1.0, obs, []).passed
 
     def test_transient_start(self, ep_generic):
         report = run_cic_suite(ep_generic, ground_state(), 0.8, budget=4000, seed=9, workers=1)

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -175,38 +175,93 @@ class TestSampling:
 
 
 # Records of SeedPolicy(2026) trajectories 0-3 at tau = 1.5 from the
-# stationary state, as the scalar (one trajectory at a time) sampler drew
-# them: (index, jumps, initial label, final label). It drew the same
-# records with and without the Hamiltonian on both models.
+# stationary state, as the sampler draws them without the Hamiltonian:
+# (index, jumps, initial label, final label). Re-captured when the waiting
+# times moved from bisection to bracketed Newton steps (every count, channel
+# and label kept; times moved by at most 4.7e-10 relative).
 GOLDEN_RECORDS = {
     "ep": [
-        (0, ((0.14492048854299355, 4), (0.22645492640619297, 3)), 2, 1),
-        (1, ((0.6150771879474632, 2), (1.4977139308962157, 1)), 1, 2),
-        (2, ((0.29722258375841193, 0), (1.4540843503405878, 1)), 2, 2),
-        (3, ((0.41712753736646846, 1), (1.073383387908971, 4)), 0, 0),
+        (0, ((0.1449204885619154, 4), (0.22645492642368464, 3)), 2, 1),
+        (1, ((0.6150771881400255, 2), (1.4977139309057705, 1)), 1, 2),
+        (2, ((0.29722258384642286, 0), (1.4540843510232975, 1)), 2, 2),
+        (3, ((0.417127537324832, 1), (1.0733833879309786, 4)), 0, 0),
     ],
     "da": [
-        (0, ((0.11859241318597924, 2), (0.2583657351696982, 1)), 1, 1),
-        (1, ((0.7169945620698854, 1), (1.2583845214691616, 0)), 0, 0),
-        (2, ((0.23963582285796292, 0),), 1, 0),
-        (3, ((0.7150757781928405, 1), (1.3706642654499528, 2)), 0, 0),
+        (0, ((0.11859241318451776, 2), (0.25836573523326534, 1)), 1, 1),
+        (1, ((0.7169945622324378, 1), (1.2583845216511187, 0)), 0, 0),
+        (2, ((0.23963582285198148, 0),), 1, 0),
+        (3, ((0.7150757782711405, 1), (1.3706642658582158, 2)), 0, 0),
     ],
 }
 
 # SeedPolicy(2026) trajectory 0 of ep_generic from |g> at tau = 12: 17 jumps
-# read 3 + 2 * 17 uniforms of one stream.
+# read 3 + 2 * 17 uniforms of one stream (re-captured with GOLDEN_RECORDS;
+# times moved by at most 1.8e-10 relative).
 GOLDEN_LONG_RECORD = (
     (
-        (0.1877531302452553, 5), (0.2641169661842354, 4), (2.7486609617689552, 3),
-        (3.633247635770887, 2), (3.774979139815628, 1), (4.757881800343126, 0),
-        (5.766294839892552, 1), (6.083906341303572, 0), (6.418138334707271, 3),
-        (6.517820221441922, 2), (7.424448776907451, 1), (8.097446662489814, 0),
-        (8.349540978032262, 3), (8.753757857045976, 0), (9.273766036365332, 3),
-        (9.616579358399852, 0), (9.78410760985536, 3),
+        (0.18775313021190013, 5), (0.2641169661582449, 4), (2.7486609614403097, 3),
+        (3.6332476358656627, 2), (3.774979139973795, 1), (4.757881800417448, 0),
+        (5.766294839714764, 1), (6.083906341148304, 0), (6.418138334571359, 3),
+        (6.517820221355224, 2), (7.424448776888786, 1), (8.097446662411658, 0),
+        (8.349540978007598, 3), (8.753757857142617, 0), (9.273766036714877, 3),
+        (9.616579358738852, 0), (9.78410761028617, 3),
     ),
     0,
     1,
 )
+
+
+def assert_same_path(record: TrajectoryRecord, reference: TrajectoryRecord) -> None:
+    """The same labels and channels, and jump times within BISECTION_REL_TOL."""
+    assert (record.initial_label, record.final_label) == (
+        reference.initial_label, reference.final_label
+    )
+    assert [m for _, m in record.jumps] == [m for _, m in reference.jumps]
+    times, ref_times = (np.array([t for t, _ in r.jumps]) for r in (record, reference))
+    assert np.all(np.abs(times - ref_times) <= trajectories.BISECTION_REL_TOL * ref_times)
+
+
+def reference_record(sampler: TrajectorySampler, seed: int) -> TrajectoryRecord:
+    """One trajectory with one-vector arithmetic and its waiting times by
+    bisection of the survival: the reference the sampler's records must
+    match (exactly with no Newton pass, to the tolerance with them)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    g = sampler._decay_rates
+
+    def draw(p):  # the first k with u sum(p) < p_0 + ... + p_k, else the last
+        return min(int(np.searchsorted(np.cumsum(p), rng.random() * p.sum(), "right")), p.size - 1)
+
+    def survival(amp_sq, dt):
+        return float(amp_sq @ np.exp(-g * dt))
+
+    def stretch(psi, dt):
+        psi = np.exp(-g * dt / 2.0) * psi
+        if sampler.coherent:
+            c = sampler._h_transform
+            psi = (c * np.exp(-1j * sampler._h_eigs * dt)) @ (c.conj().T @ psi)
+        return psi
+
+    label0 = draw(sampler.q0)
+    psi, t, jumps = sampler._states0[:, label0], 0.0, []
+    while True:
+        psi = psi / np.linalg.norm(psi)
+        amp_sq = np.abs(psi) ** 2
+        lo, hi, u = 0.0, sampler.tau - t, rng.random()
+        if u == 0.0 or survival(amp_sq, hi) >= u:
+            psi = stretch(psi, hi)
+            break
+        while hi - lo > trajectories.BISECTION_REL_TOL * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if survival(amp_sq, mid) >= u else (lo, mid)
+        dt = 0.5 * (lo + hi)
+        psi = stretch(psi, dt)
+        t = max(t + dt, np.nextafter(t, np.inf))
+        probs = np.maximum(np.einsum("i,mij,j->m", psi.conj(), sampler._jump_norms, psi).real, 0.0)
+        m = draw(probs)
+        psi = sampler._jump_ops[m] @ psi
+        jumps.append((t, m))
+    overlaps = np.abs(sampler._final_projectors[sampler.coherent] @ psi) ** 2
+    return TrajectoryRecord(tuple(jumps), label0, draw(overlaps / overlaps.sum()), sampler.tau)
 
 
 def stepped_together(sampler: TrajectorySampler, seeds) -> list:
@@ -227,10 +282,15 @@ class TestChunkedSampler:
         expected = [
             TrajectoryRecord(jumps, i0, i1, 1.5) for _, jumps, i0, i1 in GOLDEN_RECORDS[name]
         ]
-        # exact float equality on every jump time
-        assert records == expected
+        if coherent:
+            # the unitary factor moves the state's last bits, and a Newton
+            # point moves with them: the same paths, to the root finder's tolerance
+            for record, golden in zip(records, expected, strict=True):
+                assert_same_path(record, golden)
+        else:
+            assert records == expected  # exact float equality on every jump time
         sampler = TrajectorySampler(model, rho, 1.5, coherent=coherent)
-        assert sampler.sample(SeedPolicy(2026).trajectory_seed(2)) == expected[2]
+        assert sampler.sample(SeedPolicy(2026).trajectory_seed(2)) == records[2]
 
     def test_long_record_reads_its_whole_stream(self, ep_generic):
         jumps, i0, i1 = GOLDEN_LONG_RECORD
@@ -313,10 +373,98 @@ class TestChunkedSampler:
             sampler.sample(4)
 
     def test_bisection_step_limit_raises(self, ep_generic, monkeypatch):
-        monkeypatch.setattr(trajectories, "BISECTION_MAX_STEPS", 5)
+        # these waiting times take up to 6 root-finder passes, so 3 stop it
+        seeds = [SeedPolicy(1).trajectory_seed(i) for i in range(20)]
+        TrajectorySampler(ep_generic, ground_state(), 5.0).read_ahead(seeds)
+        monkeypatch.setattr(trajectories, "BISECTION_MAX_STEPS", 3)
         sampler = TrajectorySampler(ep_generic, ground_state(), 5.0)
         with pytest.raises(RuntimeError, match="did not converge"):
-            sampler.read_ahead([SeedPolicy(1).trajectory_seed(i) for i in range(20)])
+            sampler.read_ahead(seeds)
+
+
+def survival_rows(rates, draws) -> tuple:
+    """A root finder over decay ``rates`` and the (amplitudes, u, hi) rows
+    of ``draws``, as arrays."""
+    finder = TrajectorySampler.__new__(TrajectorySampler)
+    finder._decay_rates = np.asarray(rates, dtype=float)
+    amp_sq, u, hi = (np.array(column, dtype=float) for column in zip(*draws))
+    return finder, amp_sq, u, hi
+
+
+@st.composite
+def waiting_time_rows(draw):
+    """Decay rates with a zero rate and a stiff spread over 1e-3..1e4, and
+    1-4 rows of normalized amplitudes (some zero), a horizon hi and a
+    uniform u in (S(hi), 1) with S(0) >= u."""
+    rates = [0.0] + draw(st.lists(st.floats(-3, 4).map(lambda e: 10.0**e), min_size=1, max_size=5))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        amp = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.5]) | st.floats(1e-3, 1.0),
+                            min_size=len(rates), max_size=len(rates)))
+        assume(sum(amp[1:]) > 0)
+        amp = np.array(amp) / sum(amp)
+        hi = draw(st.floats(1e-3, 1e2))
+        finder, *_ = survival_rows(rates, [(amp, 0.5, hi)])
+        ((s_hi, s_0),) = finder._survival(np.array([hi, 0.0]), np.array([amp, amp]))
+        assume(s_hi < min(s_0, 1.0))
+        top = min(float(s_0), 1.0)  # u < 1, as a uniform draw is
+        u = draw(st.floats(float(s_hi), top, exclude_min=True, exclude_max=top == 1.0))
+        rows.append((amp, u, hi))
+    return rates, rows
+
+
+class TestRootFinder:
+    @pytest.mark.parametrize(
+        "name, coherent, tau, n",
+        [("ep", False, 1.5, 400), ("ep", True, 1.5, 300), ("da", False, 1.5, 300), ("ep", False, 12.0, 30)],
+    )
+    def test_records_match_reference_bisection(
+        self, name, coherent, tau, n, ep_generic, da_generic, monkeypatch
+    ):
+        model = ep_generic if name == "ep" else da_generic
+        rho = ground_state() if tau > 2 else steady_state(build_generator(model, coherent=True))
+        seeds = [SeedPolicy(11).trajectory_seed(i) for i in range(n)]
+        records = stepped_together(TrajectorySampler(model, rho, tau, coherent=coherent), seeds)
+        sampler = TrajectorySampler(model, rho, tau, coherent=coherent)
+        reference = [reference_record(sampler, seed) for seed in seeds]
+        assert sum(r.n_jumps for r in reference) > n
+        for record, ref in zip(records, reference, strict=True):
+            assert_same_path(record, ref)
+        # with no Newton pass the root finder is the bisection, bit for bit
+        monkeypatch.setattr(trajectories, "NEWTON_PASSES", 0)
+        assert stepped_together(sampler, seeds) == reference
+
+    @settings(max_examples=80, deadline=None)
+    @given(waiting_time_rows())
+    def test_root_is_certified_by_a_bracket(self, drawn):
+        rates, rows = drawn
+        tol = trajectories.BISECTION_REL_TOL
+        alone = []
+        for amp, u, hi0 in rows:
+            finder, amp_sq, us, his = survival_rows(rates, [(amp, u, hi0)])
+            survival, seen = finder._survival, []
+
+            def recorded(dt, *weights):
+                out = survival(dt, *weights)
+                seen.append((dt[0], out[0][0]))
+                return out
+
+            finder._survival = recorded
+            (t,) = finder._locate_jumps(amp_sq, us, his)
+            lo = max(dt for dt, s in seen if s >= u)
+            hi = min([hi0] + [dt for dt, s in seen if s < u])
+            assert t == 0.5 * (lo + hi) and hi - lo <= tol * hi
+            # never more passes than a bisection of (0, hi0] takes, and
+            # NEWTON_PASSES before it, to the same tolerance
+            a, b, bisections = 0.0, hi0, 0
+            while b - a > tol * b:
+                mid, bisections = 0.5 * (a + b), bisections + 1
+                a, b = (mid, b) if survival(np.array([mid]), amp_sq)[0][0] >= u else (a, mid)
+            assert len(seen) <= trajectories.NEWTON_PASSES + bisections + 2
+            alone.append(t)
+        # a row's bits do not depend on the rows beside it
+        finder, amp_sq, u, hi = survival_rows(rates, rows)
+        assert finder._locate_jumps(amp_sq, u, hi).tolist() == alone
 
 
 def reference_path_norms(pw: PathWeights, record: TrajectoryRecord) -> tuple:
