@@ -72,7 +72,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 BISECTION_REL_TOL = 1e-9
 BISECTION_MAX_STEPS = 200
-NEWTON_PASSES = 16  # then a row still open bisects: rounding has flattened S
+NEWTON_PASSES = 16  # a row still open after these bisects (rounding can flatten S)
 CHUNK = 1024  # trajectories stepped together
 # Smallest ensemble split across worker processes: the crossover measured
 # on 2 cores (one BLAS thread each, one sampling call per fresh process, as
