@@ -376,7 +376,7 @@ def run_cic_suite(
 
     ensembles = [(TrajectorySampler(model, rho0, tau), SeedPolicy(seed), budget)]
     if model.has_entropy_weights:
-        activity, flow, (rho_tau,) = activity_at(model, rho0, [tau], coherent=False)
+        activity, flow, (rho_tau, _) = activity_at(model, rho0, [tau, 2 * tau], coherent=False)
         backward = SeedPolicy(splitmix64(seed ^ 0xB2C3A4D5E6F70819))
         ensembles.append((TrajectorySampler(model, rho_tau, tau), backward, budget))
     records, *backward_records = _sample_ensembles(ensembles, workers)
@@ -422,12 +422,13 @@ def run_cic_suite(
             )
         )
 
-        checks.append(_backward_check(model, rho0, tau, obs, backward_records[0]))
+        window_activity = activity[1] - activity[0]  # A(2 tau) - A(tau)
+        checks.append(_backward_check(model, rho0, tau, obs, backward_records[0], window_activity))
 
     return CicReport(checks=tuple(checks))
 
 
-def _backward_check(model, rho0, tau, obs, records) -> CheckResult:
+def _backward_check(model, rho0, tau, obs, records, window_activity: float) -> CheckResult:
     """Sampled backward-process statistics against exact window statistics.
 
     The backward ``records`` run forward from the Hamiltonian-free state
@@ -441,8 +442,7 @@ def _backward_check(model, rho0, tau, obs, records) -> CheckResult:
 
     late = counting_moments(model, rho0, obs.with_window((tau, 2 * tau)), 2 * tau, False)
     # a target mean that is rounding noise at the window's scale is not judged
-    window = np.diff(activity_at(model, rho0, [tau, 2 * tau], coherent=False)[0])[0]
-    scale = observable_scale(obs, window)
+    scale = observable_scale(obs, window_activity)
     noise = abs(late.mean) <= DEGENERATE_REL_TOL * scale
     mean_ok = noise or abs(mc_mean - (-late.mean)) <= 4.0 * mc_mean_err
     var_ok = abs(mc_var - late.variance) <= 4.0 * max(mc_var_err, 1e-300)

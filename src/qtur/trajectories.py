@@ -74,13 +74,10 @@ BISECTION_REL_TOL = 1e-9
 BISECTION_MAX_STEPS = 200
 NEWTON_PASSES = 16  # a row still open after these bisects (rounding can flatten S)
 CHUNK = 1024  # trajectories stepped together
-# Smallest ensemble split across worker processes: the crossover measured
-# on 2 cores (one BLAS thread each, one sampling call per fresh process, as
-# a CLI run makes). Below it, pool start-up and shipping records back cost
-# more than the second core saves: at about 20 us per serial trajectory the
-# two sides tied at 20000 trajectories, and the pool was 12 % faster at 30000.
-# Serial README ep trajectories now take 9.5 us (12 before Newton waiting
-# times), which moves the tie up; it has not been refitted.
+# Smallest ensemble split across worker processes, measured on 2 cores (one
+# BLAS thread each, one sampling call per fresh process, as a CLI run makes).
+# Serial README ep trajectories take about 8.6 us, and at 20000 of them the
+# pool is slower than one worker; the crossover has not been refitted.
 POOL_MIN = 20000
 
 
@@ -303,32 +300,34 @@ class TrajectorySampler(Unravelling):
         decay = np.exp(-self._decay_rates * dt[:, None])[:, :, None]
         return [(w[:, None, :] @ decay)[:, 0, 0] for w in weights]
 
-    def _locate_jumps(self, amp_sq: np.ndarray, u: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Row-wise root of S(dt) = u on (0, hi], certified: each row keeps
-        S(lo) >= u > S(hi) and stops once hi - lo <= BISECTION_REL_TOL * hi.
-        ln S is convex and decreasing, so a Newton point on it lands left of
-        the root (on it, from dt = 0, for one exponential); one from the left
-        is pushed past it by half the tolerance, one past hi pulled in as far,
-        and one not past lo, or any from NEWTON_PASSES on, bisected."""
-        lo, t, out = np.zeros_like(hi), np.zeros_like(hi), np.empty_like(hi)
-        rows = np.arange(hi.size)
+    def _locate_jumps(self, amp_sq, u, hi, s0) -> np.ndarray:
+        """Row-wise root of S(dt) = u on (0, hi] from S(0) = ``s0`` >= u, certified: each
+        row keeps S(lo) >= u > S(hi) and stops once hi - lo <= BISECTION_REL_TOL * hi.
+        ln S is convex and decreasing, so a Newton point on it lands left of the root (on
+        it, from dt = 0, for one exponential; there every decay is 1, so it needs no exp).
+        One from the left is pushed past the root by half the tolerance, one past hi pulled
+        in as far, and one not past lo, or any from NEWTON_PASSES on, bisected."""
+        slopes = amp_sq * -self._decay_rates  # the weights of S'
+        lo, t, out, rows = *np.zeros((2, hi.size)), np.empty_like(hi), np.arange(hi.size)
+        s, slope = s0, (slopes[:, None, :] @ np.ones((amp_sq.shape[1], 1)))[:, 0, 0]
         for step in range(BISECTION_MAX_STEPS):
             if not rows.size:
                 return out
-            s, slope = self._survival(t, amp_sq, amp_sq * -self._decay_rates)
+            with np.errstate(all="ignore"):  # a flat or vanished S gives inf or nan: bisected
+                t = t + s * np.log(s / u) / -slope
+                t = np.minimum(np.where(s >= u, t * (1 + 0.5 * BISECTION_REL_TOL), t),
+                               hi * (1 - 0.5 * BISECTION_REL_TOL))
+            t = np.where((lo < t) & (step < NEWTON_PASSES), t, 0.5 * (lo + hi))
+            s, slope = self._survival(t, amp_sq, slopes)
             left = s >= u
             lo = np.where(left, t, lo)
             hi = np.where(left, hi, t)
-            with np.errstate(all="ignore"):  # a flat or vanished S gives inf or nan: bisected
-                t = t + s * np.log(s / u) / -slope
-                t = np.minimum(np.where(left, t * (1 + 0.5 * BISECTION_REL_TOL), t),
-                               hi * (1 - 0.5 * BISECTION_REL_TOL))
-            t = np.where((lo < t) & (step < NEWTON_PASSES), t, 0.5 * (lo + hi))
             done = hi - lo <= BISECTION_REL_TOL * hi
             if done.any():
                 out[rows[done]] = 0.5 * (lo[done] + hi[done])
                 keep = np.flatnonzero(~done)
-                rows, lo, hi, t, amp_sq, u = (a[keep] for a in (rows, lo, hi, t, amp_sq, u))
+                rows, lo, hi, t, s, slope, amp_sq, slopes, u = (
+                    a[keep] for a in (rows, lo, hi, t, s, slope, amp_sq, slopes, u))
         if rows.size:
             raise RuntimeError("survival root finder did not converge")
         return out
@@ -362,13 +361,14 @@ class TrajectorySampler(Unravelling):
             psi = phi[live]
             psi = psi / _row_norms(psi)[:, None]
             amp_sq = np.abs(psi) ** 2
-            if np.any(self._survival(np.zeros(live.size), amp_sq)[0] > 1.0 + 1e-9):
+            (s0,) = self._survival(np.zeros(live.size), amp_sq)
+            if np.any(s0 > 1.0 + 1e-9):
                 raise ModelValidationError("state norm increased during no-jump evolution")
             remaining = self.tau - t[live]
             u = uniforms.next(live)
             jump = (u != 0.0) & ~(self._survival(remaining, amp_sq)[0] >= u)
             dt = remaining.copy()
-            dt[jump] = self._locate_jumps(amp_sq[jump], u[jump], remaining[jump])
+            dt[jump] = self._locate_jumps(amp_sq[jump], u[jump], remaining[jump], s0[jump])
             psi = self._propagate(psi, dt, self.coherent)
 
             hit = live[jump]

@@ -530,7 +530,6 @@ class TestBlockAction:
 
     @settings(max_examples=20)
     @given(seed=SEEDS, dim=DIMS, tau=st.floats(0.05, 5.0))
-
     def test_activity_entropy_and_angle_match_without_hamiltonian(self, seed, dim, tau):
         # the Hamiltonian-free equivalence of what `qtur bounds` reads besides
         # the moments, on the dense rows-block steps (d < ACTION_MIN_DIM) and

@@ -24,7 +24,7 @@ from qtur.engine import (
     steady_state,
 )
 from qtur.cli import main
-from qtur.counting import counting_moments
+from qtur.counting import activity_at, counting_moments
 from qtur.models import default_observable
 from qtur.operators import ModelValidationError
 from conftest import ground_state, patch_nth_call, raising, zero_mean
@@ -307,16 +307,18 @@ class TestCicSuite:
         rho0 = ground_state() if start == "ground" else steady_state(build_generator(model, True))
         obs = default_observable(model)
         exact = counting_moments(model, rho0, obs.with_window((1.0, 2.0)), 2.0, False)
+        activity = activity_at(model, rho0, [1.0, 2.0], coherent=False)[0]
+        window = activity[1] - activity[0]
         # a sampled mean 1 off, at the exact variance: only a judged mean fails
         fake = SimpleNamespace(mean=-exact.mean - 1.0, stderr_mean=1e-3,
                                variance=exact.variance, stderr_variance=1e-3)
         monkeypatch.setattr(sweeps, "estimate", lambda records, obs: fake)
-        check = sweeps._backward_check(model, rho0, 1.0, obs, [])
+        check = sweeps._backward_check(model, rho0, 1.0, obs, [], window)
         assert check.passed == (start == "stationary")
         assert ("not judged" in check.detail) == (start == "stationary")
         # the variance still decides
         fake.variance = 2.0 * exact.variance
-        assert not sweeps._backward_check(model, rho0, 1.0, obs, []).passed
+        assert not sweeps._backward_check(model, rho0, 1.0, obs, [], window).passed
 
     def test_transient_start(self, ep_generic):
         report = run_cic_suite(ep_generic, ground_state(), 0.8, budget=4000, seed=9, workers=1)

@@ -194,6 +194,24 @@ GOLDEN_RECORDS = {
     ],
 }
 
+# The same records drawn with the Hamiltonian. Its unitary factor moves the
+# state's last bits, and a Newton point moves with them: record 0's second
+# jump time differs from GOLDEN_RECORDS in its last digits on both models.
+GOLDEN_RECORDS_COHERENT = {
+    "ep": [
+        (0, ((0.1449204885619154, 4), (0.2264549264236852, 3)), 2, 1),
+        (1, ((0.6150771881400255, 2), (1.4977139309057705, 1)), 1, 2),
+        (2, ((0.29722258384642286, 0), (1.4540843510232975, 1)), 2, 2),
+        (3, ((0.417127537324832, 1), (1.0733833879309786, 4)), 0, 0),
+    ],
+    "da": [
+        (0, ((0.11859241318451776, 2), (0.25836573523326506, 1)), 1, 1),
+        (1, ((0.7169945622324378, 1), (1.2583845216511187, 0)), 0, 0),
+        (2, ((0.23963582285198148, 0),), 1, 0),
+        (3, ((0.7150757782711405, 1), (1.3706642658582158, 2)), 0, 0),
+    ],
+}
+
 # SeedPolicy(2026) trajectory 0 of ep_generic from |g> at tau = 12: 17 jumps
 # read 3 + 2 * 17 uniforms of one stream (re-captured with GOLDEN_RECORDS;
 # times moved by at most 1.8e-10 relative).
@@ -279,18 +297,18 @@ class TestChunkedSampler:
         records = sample_ensemble(
             model, rho, 1.5, 4, SeedPolicy(2026), coherent=coherent, workers=1
         )
-        expected = [
-            TrajectoryRecord(jumps, i0, i1, 1.5) for _, jumps, i0, i1 in GOLDEN_RECORDS[name]
-        ]
-        if coherent:
-            # the unitary factor moves the state's last bits, and a Newton
-            # point moves with them: the same paths, to the root finder's tolerance
-            for record, golden in zip(records, expected, strict=True):
-                assert_same_path(record, golden)
-        else:
-            assert records == expected  # exact float equality on every jump time
+        pins = [GOLDEN_RECORDS, GOLDEN_RECORDS_COHERENT]
+        expected, other = (
+            [TrajectoryRecord(jumps, i0, i1, 1.5) for _, jumps, i0, i1 in pin[name]]
+            for pin in (pins[coherent], pins[not coherent])
+        )
+        # exact float equality on every jump time
+        assert records == expected
+        # with and without the Hamiltonian: the same paths, to the root finder's tolerance
+        for record, golden in zip(records, other, strict=True):
+            assert_same_path(record, golden)
         sampler = TrajectorySampler(model, rho, 1.5, coherent=coherent)
-        assert sampler.sample(SeedPolicy(2026).trajectory_seed(2)) == records[2]
+        assert sampler.sample(SeedPolicy(2026).trajectory_seed(2)) == expected[2]
 
     def test_long_record_reads_its_whole_stream(self, ep_generic):
         jumps, i0, i1 = GOLDEN_LONG_RECORD
@@ -373,7 +391,7 @@ class TestChunkedSampler:
             sampler.sample(4)
 
     def test_bisection_step_limit_raises(self, ep_generic, monkeypatch):
-        # these waiting times take up to 6 root-finder passes, so 3 stop it
+        # these waiting times take up to 5 root-finder passes, so 3 stop it
         seeds = [SeedPolicy(1).trajectory_seed(i) for i in range(20)]
         TrajectorySampler(ep_generic, ground_state(), 5.0).read_ahead(seeds)
         monkeypatch.setattr(trajectories, "BISECTION_MAX_STEPS", 3)
@@ -384,11 +402,11 @@ class TestChunkedSampler:
 
 def survival_rows(rates, draws) -> tuple:
     """A root finder over decay ``rates`` and the (amplitudes, u, hi) rows
-    of ``draws``, as arrays."""
+    of ``draws``, as arrays, with S(0) of each row."""
     finder = TrajectorySampler.__new__(TrajectorySampler)
     finder._decay_rates = np.asarray(rates, dtype=float)
     amp_sq, u, hi = (np.array(column, dtype=float) for column in zip(*draws))
-    return finder, amp_sq, u, hi
+    return finder, amp_sq, u, hi, finder._survival(np.zeros(u.size), amp_sq)[0]
 
 
 @st.composite
@@ -441,7 +459,7 @@ class TestRootFinder:
         tol = trajectories.BISECTION_REL_TOL
         alone = []
         for amp, u, hi0 in rows:
-            finder, amp_sq, us, his = survival_rows(rates, [(amp, u, hi0)])
+            finder, amp_sq, us, his, s0 = survival_rows(rates, [(amp, u, hi0)])
             survival, seen = finder._survival, []
 
             def recorded(dt, *weights):
@@ -450,21 +468,21 @@ class TestRootFinder:
                 return out
 
             finder._survival = recorded
-            (t,) = finder._locate_jumps(amp_sq, us, his)
-            lo = max(dt for dt, s in seen if s >= u)
+            (t,) = finder._locate_jumps(amp_sq, us, his, s0)
+            lo = max([0.0] + [dt for dt, s in seen if s >= u])  # S(0) >= u as drawn
             hi = min([hi0] + [dt for dt, s in seen if s < u])
             assert t == 0.5 * (lo + hi) and hi - lo <= tol * hi
             # never more passes than a bisection of (0, hi0] takes, and
-            # NEWTON_PASSES before it, to the same tolerance
+            # NEWTON_PASSES before it, to the same tolerance (one pass of slack)
             a, b, bisections = 0.0, hi0, 0
             while b - a > tol * b:
                 mid, bisections = 0.5 * (a + b), bisections + 1
                 a, b = (mid, b) if survival(np.array([mid]), amp_sq)[0][0] >= u else (a, mid)
-            assert len(seen) <= trajectories.NEWTON_PASSES + bisections + 2
+            assert len(seen) <= trajectories.NEWTON_PASSES + bisections + 1
             alone.append(t)
         # a row's bits do not depend on the rows beside it
-        finder, amp_sq, u, hi = survival_rows(rates, rows)
-        assert finder._locate_jumps(amp_sq, u, hi).tolist() == alone
+        finder, amp_sq, u, hi, s0 = survival_rows(rates, rows)
+        assert finder._locate_jumps(amp_sq, u, hi, s0).tolist() == alone
 
 
 def reference_path_norms(pw: PathWeights, record: TrajectoryRecord) -> tuple:
