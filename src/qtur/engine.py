@@ -9,7 +9,10 @@ are time homogeneous and tiny, which makes the dense matrix exponential
 (scaling and squaring) both exact enough and cheaper to trust than ODE
 stepping. Each model assembles its generator once per ``coherent`` flag:
 models are frozen and hold read-only arrays, so :func:`build_generator`
-memoizes the generator, a read-only array, on the model itself.
+memoizes the generator, a read-only array, on the model itself. The
+steady state is one LU of the generator bordered by its trace row, scaled
+by ||L||_1: the factors give the state, and their reciprocal condition
+number judges its uniqueness without a time unit.
 
 The no-jump propagator family exposes the three operators
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, expm, lstsq
+from scipy.linalg import expm, lapack
 
 from .operators import (
     LindbladModel,
@@ -117,7 +120,6 @@ def propagate(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
     """Return exp(L t) rho0, validated as a density matrix at 1e-8."""
     if not (np.isfinite(t) and t >= 0):
         raise ValueError(f"propagation time must be finite and nonnegative, got {t}")
-    rho0 = np.asarray(rho0, dtype=complex)
     return propagated_state(expm(gen * t) @ vec(rho0))
 
 
@@ -133,34 +135,28 @@ def propagated_state(x: np.ndarray) -> np.ndarray:
 
 
 def steady_state(gen: np.ndarray) -> np.ndarray:
-    """Unique trace-one null state of the generator.
+    """Unique trace-one null state of the generator, from one LU.
 
-    The null direction comes from the full eigendecomposition (which also
-    powers the uniqueness check: exactly one eigenvalue within 1e-8 of
-    zero), then a least-squares solve of [L; trace row] x = [0; 1]
-    polishes away eigensolver rounding before Hermitization.
+    With t the trace row and s = ||L||_1, [[L, s t^dag], [s t, 0]] is
+    singular exactly when 0 is not a simple eigenvalue of L, and otherwise
+    maps (rho, 0) to (0, s). Its reciprocal condition number judges
+    uniqueness and ||L rho|| / (s ||rho||) the solve, both free of time units.
     """
-    w = eig(gen, right=False)
-    moduli = np.sort(np.abs(w))
-    if moduli[0] > DEGENERACY_TOL:
-        raise SteadyStateError(f"no steady state found: smallest |eigenvalue| {moduli[0]:.3e}")
-    if gen.shape[0] > 1 and moduli[1] < DEGENERACY_TOL:
-        raise DegenerateSteadyStateError(
-            f"degenerate steady state: second eigenvalue modulus {moduli[1]:.3e}"
-        )
-
-    d = round(gen.shape[0] ** 0.5)
-    a = np.vstack([gen, vec(np.eye(d)).conj()[None, :]])
-    b = np.zeros(d * d + 1, dtype=complex)
-    b[-1] = 1.0
-    x, *_ = lstsq(a, b, lapack_driver="gelsd")
-    rho = unvec(x)
-    rho = (rho + dagger(rho)) / 2.0
-    rho /= rho.trace().real
-
-    residual = np.linalg.norm(gen @ vec(rho))
-    if residual > STEADY_STATE_RESIDUAL_TOL:
-        raise SteadyStateError(f"steady-state residual {residual:.3e} too large")
+    n = gen.shape[0]
+    s = float(np.abs(gen).sum(axis=0).max()) or 1.0  # the zero generator has no scale
+    bordered = np.zeros((n + 1, n + 1), dtype=complex)
+    bordered[:n, :n] = gen
+    bordered[:n, n] = bordered[n, :n] = s * vec(np.eye(round(n**0.5)))
+    lu, piv, _ = lapack.zgetrf(bordered)
+    rcond, _ = lapack.zgecon(lu, np.abs(bordered).sum(axis=0).max())
+    if not rcond >= DEGENERACY_TOL:
+        raise DegenerateSteadyStateError(f"degenerate steady state: bordered rcond {rcond:.3e}")
+    x, _ = lapack.zgetrs(lu, piv, np.append(np.zeros(n), s))
+    rho = unvec(x[:n])
+    rho = (rho + dagger(rho)) / (2.0 * rho.trace().real)
+    residual = np.linalg.norm(gen @ vec(rho)) / (s * np.linalg.norm(rho))
+    if not residual <= STEADY_STATE_RESIDUAL_TOL:
+        raise SteadyStateError(f"steady-state relative residual {residual:.3e} too large")
     assert_density(rho)
     return rho
 

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Default tolerances. The eigenoperator residual tolerance is a policy knob
-# (no physical scale fixes it); the density tolerances separate rounding
-# noise from modeling bugs.
+# Default tolerances. The eigenoperator residual is judged relative to
+# ||L||_F times the spread of H's spectrum, so it carries no energy unit;
+# the density tolerances separate rounding noise from modeling bugs.
 EIGENOPERATOR_TOL = 1e-8
 DENSITY_TOL = 1e-10
 EIGENVALUE_CLIP = 1e-14
@@ -133,8 +133,8 @@ def extract_bohr_frequency(H: np.ndarray, L: np.ndarray) -> float:
 
     omega is the least-squares projection Re(Tr[L^dag [L, H]]) / Tr[L^dag L];
     the channel conforms iff the residual ||[L,H] - omega L||_F stays below
-    ``EIGENOPERATOR_TOL * ||L||_F``. Scaling L by any nonzero constant
-    leaves omega unchanged.
+    ``EIGENOPERATOR_TOL * ||L||_F`` times E_max - E_min, the spread of H's
+    spectrum. Scaling L by any nonzero constant leaves omega unchanged.
     """
     H, L = np.asarray(H, dtype=complex), np.asarray(L, dtype=complex)
     _check_finite(H, "Hamiltonian")
@@ -164,13 +164,17 @@ def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where: str = "channel {}: 
     weight = (np.abs(dagger(basis) @ ops @ basis) / norms[:, None, None]) ** 2
     omega = (weight * gap).sum(axis=(1, 2))
     residual = norms * np.sqrt((weight * (gap - omega[:, None, None]) ** 2).sum(axis=(1, 2)))
-    tol = EIGENOPERATOR_TOL
-    bad = ~(residual <= tol * norms)
+    # relative to the spectrum's spread (shift-free), never below eigh's rounding
+    spread = energies[-1] - energies[0]
+    rounding = 16 * len(energies) * np.spacing(abs(energies).max())
+    bound = norms * max(EIGENOPERATOR_TOL * spread, rounding)
+    bad = ~(residual <= bound)
     if bad.any():
         m = np.argmax(bad)
         raise EigenoperatorError(
             f"{where.format(m)}eigenoperator condition violated: residual "
-            f"{residual[m]:.3e} > {tol:.1e} * ||L||_F = {tol * norms[m]:.3e}"
+            f"{residual[m]:.3e} > {bound[m]:.3e} ({EIGENOPERATOR_TOL:.1e} * ||L||_F "
+            f"* spread {spread:.3e} of H)"
         )
     return omega
 

@@ -74,11 +74,10 @@ BISECTION_REL_TOL = 1e-9
 BISECTION_MAX_STEPS = 200
 NEWTON_PASSES = 16  # a row still open after these bisects (rounding can flatten S)
 CHUNK = 1024  # trajectories stepped together
-# Smallest ensemble split across worker processes, measured on 2 cores (one
-# BLAS thread each, one sampling call per fresh process, as a CLI run makes).
-# Serial README ep trajectories take about 8.6 us, and at 20000 of them the
-# pool is slower than one worker; the crossover has not been refitted.
-POOL_MIN = 20000
+# Smallest ensemble split across worker processes: from 50000 README ep
+# trajectories up, two workers beat one on 2 cores (one BLAS thread each,
+# one sampling call per fresh process, as a CLI run makes).
+POOL_MIN = 50000
 
 
 def splitmix64(x: int) -> int:
@@ -239,7 +238,7 @@ class Unravelling:
         self.tau = float(tau)
 
         g, w = np.linalg.eigh(model.total_decay())
-        if g.min() < -1e-10:
+        if g.min() < -1e-10 * g.max():
             raise ModelValidationError(f"decay operator has negative eigenvalue {g.min():.3e}")
         self._decay_rates = np.clip(g, 0.0, None)
         self._jump_ops = dagger(w) @ model.jump_ops @ w

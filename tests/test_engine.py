@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from conftest import (
     ground_state,
     ladder_model,
     random_da_model,
+    random_detailed_balance_model,
     random_eigenoperator_model,
     random_pure_state,
     rotate_model,
@@ -242,11 +244,47 @@ class TestSteadyState:
             rho = steady_state(gen)
             assert np.linalg.norm(gen @ vec(rho)) < 1e-10
 
+    def test_one_level_model_has_a_zero_generator(self, poisson):
+        # d = 1: L = 0 has no scale, and [[1]] is the only state
+        assert np.array_equal(steady_state(build_generator(poisson, coherent=True)), [[1.0]])
+
     def test_degenerate_generator_rejected(self):
-        # no channels: every density matrix commuting with H is stationary
-        model = LindbladModel.build(np.diag([0.0, 1.0]).astype(complex), [])
-        with pytest.raises(DegenerateSteadyStateError):
-            steady_state(build_generator(model, coherent=True))
+        # no channels: every density matrix commuting with H is stationary;
+        # two decaying pairs that never meet: every mixture of the pairs'
+        # ground states is. Rejected at every scale, and without a warning.
+        for c in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+            ops = np.zeros((2, 4, 4), dtype=complex)
+            ops[0, 0, 1], ops[1, 2, 3] = np.sqrt(0.7 * c), np.sqrt(0.4 * c)
+            h = c * np.diag([0.0, 1.0, 0.0, 1.0]).astype(complex)
+            for model in (LindbladModel.build(h[:2, :2], []), LindbladModel.build(h, list(ops))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(DegenerateSteadyStateError):
+                        steady_state(build_generator(model, coherent=True))
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), exponent=st.floats(-9, 9))
+    def test_time_rescaling_leaves_the_state(self, seed, dim, exponent):
+        # H and every rate times c: the same process in other time units,
+        # with the same steady state, or a degenerate one on both sides
+        c = 10.0**exponent
+        model = random_detailed_balance_model(dim, np.random.default_rng(seed))
+        scaled = LindbladModel.build(
+            c * model.H,
+            [np.sqrt(c) * ch.L for ch in model.channels],
+            ds=[ch.ds for ch in model.channels],
+            partners=[ch.partner for ch in model.channels],
+        )
+        states = []
+        for m in (model, scaled):
+            try:
+                states.append(steady_state(build_generator(m, coherent=True)))
+            except DegenerateSteadyStateError:
+                states.append(None)
+        if states[0] is None:
+            assert states[1] is None
+        else:
+            assert np.abs(states[1] - states[0]).max() < 1e-12
 
 
 class TestNoJumpFamily:

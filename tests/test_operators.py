@@ -21,6 +21,7 @@ from conftest import (
     da_steady_state_closed_form,
     random_eigenoperator_model,
     random_pure_state,
+    random_unitary,
 )
 
 
@@ -67,6 +68,16 @@ class TestBohrFrequency:
         rng = np.random.default_rng(0)
         ell = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         assert extract_bohr_frequency(np.zeros((3, 3)), ell) == 0.0
+
+    def test_rotated_multiple_of_identity(self):
+        # every operator is an eigenoperator of 3.7 I, with omega = 0; in a
+        # random basis eigh's spread and the residual are both rounding
+        rng = np.random.default_rng(2)
+        for d in (2, 5, 16):
+            q = random_unitary(d, rng)
+            ell = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            omega = extract_bohr_frequency(q @ (3.7 * np.eye(d)) @ q.conj().T, ell)
+            assert omega == pytest.approx(0.0, abs=1e-12)
 
     def test_nonconforming_channel_rejected(self):
         h = np.diag([1.0, -1.0]).astype(complex)
