@@ -40,12 +40,7 @@ from .sweeps import (
     run_sweep,
     write_csv,
 )
-from .trajectories import (
-    PathWeights,
-    SeedPolicy,
-    estimate,
-    sample_ensemble,
-)
+from .trajectories import SeedPolicy, TrajectorySampler, estimate
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -170,13 +165,11 @@ def _cmd_trajectories(args) -> int:
     obs = _weights(args, model)
     seed = args.seed if args.seed is not None else 0
     n = args.trajectories
-    records = sample_ensemble(
-        model, rho0, args.tau, n, SeedPolicy(seed),
-        coherent=args.coherent, workers=args.workers,
-    )
+    sampler = TrajectorySampler(model, rho0, args.tau, coherent=args.coherent)
+    records = sampler.ensemble(n, SeedPolicy(seed), args.workers)
     entropies = None
     if model.has_entropy_weights:
-        entropies, keep = PathWeights(model, rho0, args.tau).entropies(records)
+        entropies, keep = sampler.entropies(records)
         est = estimate(
             records, obs, entropies=entropies[keep], n_discarded=int(np.count_nonzero(~keep))
         )

@@ -3,8 +3,9 @@
 Density matrices are column-vectorized (Fortran order), so a superoperator
 rho -> A rho B maps to the matrix kron(B.T, A). With K = -i H - Gamma / 2
 the generator is kron(I, K) + kron(conj(K), I) + sum_m kron(conj(L_m), L_m):
-two Kronecker products, each one broadcast multiply, and a channel sum that
-is one GEMM over the model's stack of jump operators. Generators here
+a channel sum that is one GEMM over the model's stack of jump operators,
+with K and conj(K) added in place where the two Kronecker products put
+them, so neither product is formed. Generators here
 are time homogeneous and tiny, which makes the dense matrix exponential
 (scaling and squaring) both exact enough and cheaper to trust than ODE
 stepping. Each model assembles its generator once per ``coherent`` flag:
@@ -63,20 +64,6 @@ def unvec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape((d, d), order="F")
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices: the same products, as one multiply."""
-    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
-
-
-def left_multiply(a: np.ndarray) -> np.ndarray:
-    return _kron(np.eye(a.shape[0]), a)
-
-
-def right_multiply(a: np.ndarray) -> np.ndarray:
-    return _kron(a.T, np.eye(a.shape[0]))
-
-
 def channel_sum(model: LindbladModel, weights) -> np.ndarray:
     """rho -> sum_m w_m L_m rho L_m^dag, from one (d^2, M) x (M, d^2) GEMM:
     its (ij, kl) entry sum_m w_m conj(L_m)_ij (L_m)_kl is, transposed, the
@@ -108,8 +95,14 @@ def _assemble(model: LindbladModel, coherent: bool) -> np.ndarray:
     d = model.dim
     k = -0.5 * model.total_decay() - (1j * model.H if coherent else 0.0)
     gen = channel_sum(model, np.ones(model.n_channels))
-    gen += left_multiply(k)
-    gen += right_multiply(dagger(k))
+    # kron(I, K), then kron(conj(K), I), added in place through writeable
+    # einsum views of the (d, d, d, d) generator: K on each block [r, :, r, :],
+    # conj(K) on each [:, r, :, r]
+    view = gen.reshape(d, d, d, d)
+    left = np.einsum("abac->abc", view)
+    left += k
+    right = np.einsum("arcr->rac", view)
+    right += k.conj()
     residual = np.linalg.norm(vec(np.eye(d)).conj() @ gen)
     if not residual <= TRACE_PRESERVATION_TOL * max(1.0, np.linalg.norm(gen)):
         raise ModelValidationError(f"generator is not trace preserving: {residual:.3e}")
@@ -151,8 +144,12 @@ def steady_state(gen: np.ndarray) -> np.ndarray:
     rcond, _ = lapack.zgecon(lu, np.abs(bordered).sum(axis=0).max())
     if not rcond >= DEGENERACY_TOL:
         raise DegenerateSteadyStateError(f"degenerate steady state: bordered rcond {rcond:.3e}")
-    x, _ = lapack.zgetrs(lu, piv, np.append(np.zeros(n), s))
-    rho = unvec(x[:n])
+    # the pivots, then two triangular solves: zgetrs's bits move with the BLAS
+    # thread count, these do not
+    x = lapack.zlaswp(np.append(np.zeros(n), s)[:, None], piv)
+    for lower in (1, 0):
+        x, _ = lapack.ztrtrs(lu, x, lower=lower, unitdiag=lower)
+    rho = unvec(x[:n, 0])
     rho = (rho + dagger(rho)) / (2.0 * rho.trace().real)
     residual = np.linalg.norm(gen @ vec(rho)) / (s * np.linalg.norm(rho))
     if not residual <= STEADY_STATE_RESIDUAL_TOL:

@@ -154,7 +154,7 @@ def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where: str = "channel {}: 
     In the eigenbasis of H, [L, H]_ij = L_ij (E_j - E_i). With p_ij =
     |L_ij|^2 / ||L||_F^2 there, omega = sum p_ij (E_j - E_i) and the
     residual is ||L||_F sqrt(sum p_ij (E_j - E_i - omega)^2)."""
-    if hermiticity_error(H) > EIGENOPERATOR_TOL * max(1.0, frobenius(H)):
+    if hermiticity_error(H) > EIGENOPERATOR_TOL * frobenius(H):
         raise ModelValidationError("Hamiltonian is not Hermitian")
     norms = np.linalg.norm(ops, axis=(1, 2))
     if not norms.all():
@@ -270,7 +270,7 @@ class LindbladModel:
             if L.shape != H.shape:
                 raise ModelValidationError(f"channel {m} has shape {L.shape}, H {H.shape}")
             _check_finite(L, f"channel {m}")
-        omegas = _bohr_frequencies(H, np.array(ops)).tolist() if n else ()
+        omegas = _bohr_frequencies(H, np.array(ops).reshape(n, *H.shape)).tolist()
         model = cls(H, tuple(map(JumpChannel, ops, omegas, ds, partners)))
         for m, c in enumerate(model.channels):
             p = c.partner

@@ -41,7 +41,6 @@ from .models import antisymmetric_current_weights, build_da_model, build_ep_mode
 from .models import default_observable
 from .operators import LindbladModel, ModelValidationError
 from .trajectories import (
-    PathWeights,
     SeedPolicy,
     TrajectorySampler,
     _map_ranges,
@@ -374,14 +373,15 @@ def run_cic_suite(
         )
     )
 
-    ensembles = [(TrajectorySampler(model, rho0, tau), SeedPolicy(seed), budget)]
+    # the forward sampler also prices its records
+    forward = TrajectorySampler(model, rho0, tau)
+    ensembles = [(forward, SeedPolicy(seed), budget)]
     if model.has_entropy_weights:
         activity, flow, (rho_tau, _) = activity_at(model, rho0, [tau, 2 * tau], coherent=False)
         backward = SeedPolicy(splitmix64(seed ^ 0xB2C3A4D5E6F70819))
         ensembles.append((TrajectorySampler(model, rho_tau, tau), backward, budget))
     records, *backward_records = _sample_ensembles(ensembles, workers)
-    pw = PathWeights(model, rho0, tau)
-    damped, full = pw.path_norms_batch(records)
+    damped, full = forward.path_norms_batch(records)
     worst = float(np.max(_rel_diff(damped, full), initial=0.0))
     checks.append(
         CheckResult(
@@ -406,7 +406,7 @@ def run_cic_suite(
             )
         )
 
-        entropies, discarded = ensemble_entropies(pw, records)
+        entropies, discarded = ensemble_entropies(forward, records)
         est = estimate(records, obs, entropies=entropies, n_discarded=discarded)
         gap = abs(est.entropy_mean - sigma_incoherent)
         # on an equilibrium model both sides are rounding noise of the terms

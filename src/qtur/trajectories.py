@@ -15,9 +15,11 @@ row still short of the horizon together. Each row goes through exactly the
 arithmetic a lone trajectory would (stacked matmuls reach the same BLAS
 kernel as one matrix-vector product), so a record does not depend on the
 chunk it was sampled in. Path pricing runs the same way, over groups of
-records with equal jump counts. Sampler and pricer share one
-:class:`Unravelling` context: the decay eigenbasis, the rotated jump
-operators, the Hamiltonian eigensystem and the endpoint spectra.
+records with equal jump counts. One :class:`PathWeights` context holds
+the decay eigenbasis, the rotated jump operators, the Hamiltonian
+eigensystem and the endpoint spectra, and prices records; the
+:class:`TrajectorySampler` is such a context that also draws them, so an
+ensemble is sampled and priced over one context, built once.
 
 By default the Hamiltonian is dropped (the jump statistics are identical
 with and without it, which the test suite verifies rather than assumes);
@@ -222,13 +224,40 @@ def _matvec(ops: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return (ops @ phi[:, :, None])[:, :, 0]
 
 
-class Unravelling:
-    """Shared context of one (model, rho0, tau) triple.
+def _by_jump_count(records):
+    """Yield (indices, jump times, channels) for groups of at most CHUNK
+    records with the same jump count K; times and channels are (len(indices), K)."""
+    counts = np.fromiter((len(rec.jumps) for rec in records), np.intp, len(records))
+    flat = chain.from_iterable(chain.from_iterable(rec.jumps for rec in records))
+    jumps = np.fromiter(flat, float, 2 * counts.sum()).reshape(-1, 2)
+    starts = np.cumsum(counts) - counts
+    ks, first = np.unique(counts, return_index=True)
+    for k in ks[np.argsort(first)].tolist():
+        members = np.flatnonzero(counts == k)
+        for lo in range(0, len(members), CHUNK):
+            idx = members[lo : lo + CHUNK]
+            group = jumps[starts[idx, None] + np.arange(k)]
+            yield idx, group[:, :, 0], group[:, :, 1].astype(np.intp)
+
+
+def _intervals(times: np.ndarray, horizons) -> np.ndarray:
+    """Row-wise stretches between 0, the jump times (n, K) and the horizon."""
+    bounds = np.zeros((len(times), times.shape[1] + 2))
+    bounds[:, 1:-1] = times
+    bounds[:, -1] = horizons
+    return bounds[:, 1:] - bounds[:, :-1]
+
+
+class PathWeights:
+    """Unravelling context of one (model, rho0, tau) triple, and the path
+    densities and per-record entropies priced over it.
 
     Holds the decay eigenbasis, where the no-jump damping is diagonal; the
     jump operators and their norms L^dag L rotated into it; the
     Hamiltonian eigensystem for coherent stretches; and the spectral
     decompositions of rho0 and of the Hamiltonian-free state at tau.
+    Every pricing method takes a batch of records, in groups of equal jump
+    count; a single record is a batch of one.
     """
 
     def __init__(self, model: LindbladModel, rho0: np.ndarray, tau: float):
@@ -272,9 +301,96 @@ class Unravelling:
             phi = _matvec(phases, _matvec(dagger(c), phi))
         return phi
 
+    def _thread(self, intervals, channels, start, rotate: bool) -> np.ndarray:
+        """Rows of ``start`` through the stretches ``intervals`` (n, K + 1)
+        with the jumps ``channels`` (n, K) between them."""
+        phi = np.ascontiguousarray(start)
+        for k in range(channels.shape[1]):
+            phi = self._propagate(phi, intervals[:, k], rotate)
+            phi = _matvec(self._jump_ops[channels[:, k]], phi)
+        return self._propagate(phi, intervals[:, -1], rotate)
 
-class TrajectorySampler(Unravelling):
-    """Chunked sampler over an unravelling context.
+    def _path_densities(self, records, backward: bool) -> np.ndarray:
+        """Forward densities of every record or, with ``backward``, the
+        densities of the records run backwards through partner channels."""
+        partners = np.array([-1 if c.partner is None else c.partner for c in self.model.channels])
+        out = np.empty(len(records))
+        for idx, times, channels in _by_jump_count(records):
+            horizons = np.array([records[i].horizon for i in idx])
+            start = self._states0[:, [records[i].initial_label for i in idx]].T
+            end = self._states_tau[:, [records[i].final_label for i in idx]].T
+            weight = self.q0[[records[i].initial_label for i in idx]]
+            if backward:
+                unpaired = channels[partners[channels] < 0]
+                if unpaired.size:
+                    raise ModelValidationError(
+                        f"channel {unpaired[0]} is unpaired; no reverse path exists"
+                    )
+                times, channels = horizons[:, None] - times[:, ::-1], partners[channels[:, ::-1]]
+                start, end = end, start
+                weight = self.qtau[[records[i].final_label for i in idx]]
+            phi = self._thread(_intervals(times, horizons), channels, start, False)
+            amp = (end.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0]
+            out[idx] = weight * np.abs(amp) ** 2
+        return out
+
+    def densities_batch(self, records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Forward, backward and predicted backward densities of every
+        record, as three arrays. The prediction is the closed form
+        exp(-sum ds) * (q_i'(tau)/q_i(0)) * forward that the backward
+        density must reproduce; it is nan where the initial label has
+        clipped weight."""
+        forward = self._path_densities(records, False)
+        backward = self._path_densities(records, True)
+        ds = self.model.entropy_weights()
+        total_ds = np.array([sum(ds[m] for _, m in rec.jumps) for rec in records], dtype=float)
+        q0 = self.q0[[rec.initial_label for rec in records]]
+        qt = self.qtau[[rec.final_label for rec in records]]
+        predicted = np.full(len(records), np.nan)
+        ok = q0 > EIGENVALUE_CLIP
+        predicted[ok] = np.exp(-total_ds[ok]) * (qt[ok] / q0[ok]) * forward[ok]
+        return forward, backward, predicted
+
+    def entropies(self, records) -> tuple[np.ndarray, np.ndarray]:
+        """Per-record entropies ln q_i(0) - ln q_i'(tau) + sum_j ds_{m_j}
+        and the mask of records kept.
+
+        A record whose labels hit clipped weights is not kept; its value
+        is nan.
+        """
+        ds = self.model.entropy_weights()
+        p_start = self.q0[[rec.initial_label for rec in records]]
+        p_end = self.qtau[[rec.final_label for rec in records]]
+        keep = ~((p_start <= EIGENVALUE_CLIP) | (p_end <= EIGENVALUE_CLIP))
+        total = np.zeros(len(records))
+        for idx, _, channels in _by_jump_count(records):
+            for k in range(channels.shape[1]):  # in jump order
+                total[idx] += ds[channels[:, k]]
+        values = np.full(len(records), np.nan)
+        values[keep] = np.log(p_start[keep]) - np.log(p_end[keep]) + total[keep]
+        return values, keep
+
+    def path_norms_batch(self, records) -> tuple[np.ndarray, np.ndarray]:
+        """Squared path norms of every record without final projection.
+
+        The first array threads the Hamiltonian-free contraction, the
+        second the full no-jump propagator; unitarity makes them equal
+        whenever the eigenoperator condition holds.
+        """
+        damped = np.empty(len(records))
+        full = np.empty(len(records))
+        for idx, times, channels in _by_jump_count(records):
+            intervals = _intervals(times, [records[i].horizon for i in idx])
+            start = self._states0[:, [records[i].initial_label for i in idx]].T
+            for out, rotate in ((damped, False), (full, True)):
+                phi = self._thread(intervals, channels, start, rotate)
+                out[idx] = (phi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0].real
+        return damped, full
+
+
+class TrajectorySampler(PathWeights):
+    """Chunked sampler over its own unravelling context, which prices the
+    records it draws.
 
     ``sample(seed)`` is the one call that yields a record. An ensemble
     first calls ``read_ahead(seeds)``, which steps those trajectories
@@ -344,6 +460,12 @@ class TrajectorySampler(Unravelling):
     def read_ahead(self, seeds) -> None:
         """Step the trajectories of ``seeds`` together, for ``sample`` to hand out."""
         self._ahead.update(zip(seeds, self._step(seeds)))
+
+    def ensemble(
+        self, n: int, policy: SeedPolicy, workers: int | None = None
+    ) -> list[TrajectoryRecord]:
+        """The ``n`` records of :func:`sample_ensemble`, drawn over this context."""
+        return _sample_ensembles([(self, policy, n)], workers)[0]
 
     def _step(self, seeds) -> list[TrajectoryRecord]:
         """One record per seed, all trajectories stepped together."""
@@ -480,8 +602,7 @@ def sample_ensemble(
     Trajectory i always consumes seed policy.trajectory_seed(i), whatever
     chunk steps it; chunks are merged back in index order.
     """
-    sampler = TrajectorySampler(model, rho0, tau, coherent=coherent)
-    return _sample_ensembles([(sampler, policy, n)], workers)[0]
+    return TrajectorySampler(model, rho0, tau, coherent=coherent).ensemble(n, policy, workers)
 
 
 def record_observable(record: TrajectoryRecord, obs: CountingObservable) -> float:
@@ -492,124 +613,6 @@ def record_observable(record: TrajectoryRecord, obs: CountingObservable) -> floa
         if t_a <= t <= t_b:
             total += obs.weights[m]
     return total
-
-
-def _by_jump_count(records):
-    """Yield (indices, jump times, channels) for groups of at most CHUNK
-    records with the same jump count K; times and channels are (len(indices), K)."""
-    counts = np.fromiter((len(rec.jumps) for rec in records), np.intp, len(records))
-    flat = chain.from_iterable(chain.from_iterable(rec.jumps for rec in records))
-    jumps = np.fromiter(flat, float, 2 * counts.sum()).reshape(-1, 2)
-    starts = np.cumsum(counts) - counts
-    ks, first = np.unique(counts, return_index=True)
-    for k in ks[np.argsort(first)].tolist():
-        members = np.flatnonzero(counts == k)
-        for lo in range(0, len(members), CHUNK):
-            idx = members[lo : lo + CHUNK]
-            group = jumps[starts[idx, None] + np.arange(k)]
-            yield idx, group[:, :, 0], group[:, :, 1].astype(np.intp)
-
-
-def _intervals(times: np.ndarray, horizons) -> np.ndarray:
-    """Row-wise stretches between 0, the jump times (n, K) and the horizon."""
-    bounds = np.zeros((len(times), times.shape[1] + 2))
-    bounds[:, 1:-1] = times
-    bounds[:, -1] = horizons
-    return bounds[:, 1:] - bounds[:, :-1]
-
-
-class PathWeights(Unravelling):
-    """Path densities and per-record entropies over an unravelling context.
-
-    Every method prices a batch of records, in groups of equal jump count;
-    a single record is a batch of one.
-    """
-
-    def _thread(self, intervals, channels, start, rotate: bool) -> np.ndarray:
-        """Rows of ``start`` through the stretches ``intervals`` (n, K + 1)
-        with the jumps ``channels`` (n, K) between them."""
-        phi = np.ascontiguousarray(start)
-        for k in range(channels.shape[1]):
-            phi = self._propagate(phi, intervals[:, k], rotate)
-            phi = _matvec(self._jump_ops[channels[:, k]], phi)
-        return self._propagate(phi, intervals[:, -1], rotate)
-
-    def _path_densities(self, records, backward: bool) -> np.ndarray:
-        """Forward densities of every record or, with ``backward``, the
-        densities of the records run backwards through partner channels."""
-        partners = np.array([-1 if c.partner is None else c.partner for c in self.model.channels])
-        out = np.empty(len(records))
-        for idx, times, channels in _by_jump_count(records):
-            horizons = np.array([records[i].horizon for i in idx])
-            start = self._states0[:, [records[i].initial_label for i in idx]].T
-            end = self._states_tau[:, [records[i].final_label for i in idx]].T
-            weight = self.q0[[records[i].initial_label for i in idx]]
-            if backward:
-                unpaired = channels[partners[channels] < 0]
-                if unpaired.size:
-                    raise ModelValidationError(
-                        f"channel {unpaired[0]} is unpaired; no reverse path exists"
-                    )
-                times, channels = horizons[:, None] - times[:, ::-1], partners[channels[:, ::-1]]
-                start, end = end, start
-                weight = self.qtau[[records[i].final_label for i in idx]]
-            phi = self._thread(_intervals(times, horizons), channels, start, False)
-            amp = (end.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0]
-            out[idx] = weight * np.abs(amp) ** 2
-        return out
-
-    def densities_batch(self, records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Forward, backward and predicted backward densities of every
-        record, as three arrays. The prediction is the closed form
-        exp(-sum ds) * (q_i'(tau)/q_i(0)) * forward that the backward
-        density must reproduce; it is nan where the initial label has
-        clipped weight."""
-        forward = self._path_densities(records, False)
-        backward = self._path_densities(records, True)
-        ds = self.model.entropy_weights()
-        total_ds = np.array([sum(ds[m] for _, m in rec.jumps) for rec in records], dtype=float)
-        q0 = self.q0[[rec.initial_label for rec in records]]
-        qt = self.qtau[[rec.final_label for rec in records]]
-        predicted = np.full(len(records), np.nan)
-        ok = q0 > EIGENVALUE_CLIP
-        predicted[ok] = np.exp(-total_ds[ok]) * (qt[ok] / q0[ok]) * forward[ok]
-        return forward, backward, predicted
-
-    def entropies(self, records) -> tuple[np.ndarray, np.ndarray]:
-        """Per-record entropies ln q_i(0) - ln q_i'(tau) + sum_j ds_{m_j}
-        and the mask of records kept.
-
-        A record whose labels hit clipped weights is not kept; its value
-        is nan.
-        """
-        ds = self.model.entropy_weights()
-        p_start = self.q0[[rec.initial_label for rec in records]]
-        p_end = self.qtau[[rec.final_label for rec in records]]
-        keep = ~((p_start <= EIGENVALUE_CLIP) | (p_end <= EIGENVALUE_CLIP))
-        total = np.zeros(len(records))
-        for idx, _, channels in _by_jump_count(records):
-            for k in range(channels.shape[1]):  # in jump order
-                total[idx] += ds[channels[:, k]]
-        values = np.full(len(records), np.nan)
-        values[keep] = np.log(p_start[keep]) - np.log(p_end[keep]) + total[keep]
-        return values, keep
-
-    def path_norms_batch(self, records) -> tuple[np.ndarray, np.ndarray]:
-        """Squared path norms of every record without final projection.
-
-        The first array threads the Hamiltonian-free contraction, the
-        second the full no-jump propagator; unitarity makes them equal
-        whenever the eigenoperator condition holds.
-        """
-        damped = np.empty(len(records))
-        full = np.empty(len(records))
-        for idx, times, channels in _by_jump_count(records):
-            intervals = _intervals(times, [records[i].horizon for i in idx])
-            start = self._states0[:, [records[i].initial_label for i in idx]].T
-            for out, rotate in ((damped, False), (full, True)):
-                phi = self._thread(intervals, channels, start, rotate)
-                out[idx] = (phi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0].real
-        return damped, full
 
 
 def ensemble_entropies(pw: PathWeights, records) -> tuple[np.ndarray, int]:

@@ -573,6 +573,26 @@ def test_pinned_ensemble_bytes(command, workers, tmp_path, monkeypatch):
     assert hashlib.sha256(data).hexdigest() == PINNED_ENSEMBLES[command]
 
 
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        pytest.param(("trajectories", "--seed", "7"), ["TrajectorySampler"], id="trajectories"),
+        # the forward sampler prices its own records; the backward one samples
+        pytest.param(("verify-cic",), ["TrajectorySampler"] * 2, id="verify-cic"),
+    ],
+)
+def test_each_ensemble_builds_one_unravelling_context(argv, built, monkeypatch, capsys):
+    init, calls = trajectories.PathWeights.__init__, []
+
+    def counted(self, *args):
+        calls.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(trajectories.PathWeights, "__init__", counted)
+    assert run_cli(argv[0], *README_EP, "--tau", "1", "--trajectories", "10000", *argv[1:]) == 0
+    assert calls == built
+
+
 class TestConfigAndModels:
     def test_model_file_round_trip(self, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -187,6 +187,17 @@ class TestRejections:
         message = self._raises(ModelValidationError, h, [_lowering(2), np.zeros((2, 2))])
         assert message == "channel 1: jump operator is zero"
 
+    @pytest.mark.parametrize(
+        "h, ops",
+        [
+            ([[0.0, 1.0], [0.0, 0.0]], []),  # no channel to trigger the check
+            (1e-9 * np.array([[0.0, 1.0], [0.0, 1.0]]), [np.eye(2)]),  # ||H||_F < 1
+        ],
+    )
+    def test_non_hermitian_hamiltonian(self, h, ops):
+        message = self._raises(ModelValidationError, h, ops)
+        assert message == "Hamiltonian is not Hermitian"
+
     def test_wrong_ds(self):
         down = _lowering(2)
         up = 0.5 * dagger(down)
