@@ -3,9 +3,11 @@
 Every evaluator returns a :class:`BoundReport` carrying both sides, the
 slack, the inputs with their provenance, and whether the stated
 precondition held. The inequalities themselves are exact, so a bound fed
-by exact statistics is "satisfied" only within 1e-9 slack; Monte Carlo
-inputs widen the tolerance to three propagated standard errors so noise
-cannot manufacture violations. A failed precondition marks the report
+by exact statistics is "satisfied" only within 1e-9 slack. An evaluator
+states the partial derivative of its lhs in each input, and inputs with a
+standard error (Monte Carlo ones) widen the tolerance to three standard
+errors of the lhs, propagated to first order, so noise cannot
+manufacture violations. A failed precondition marks the report
 not applicable (``satisfied is None``) rather than violated; so does a
 mean that is rounding noise, |mean| <= DEGENERATE_REL_TOL max|w| A(tau),
 for which the ratio of variance to squared mean is undefined. The
@@ -104,10 +106,13 @@ class BoundReport:
     extra: dict = field(default_factory=dict)
 
     @classmethod
-    def judge(cls, name, lhs, rhs, inputs, extra=None, stderr_lhs=None, precondition_ok=True):
+    def judge(cls, name, lhs, rhs, inputs, extra=None, partials=None, precondition_ok=True):
         """The report of lhs >= rhs at tol EXACT_TOL, widened to MC_SIGMAS
-        standard errors of a Monte Carlo lhs."""
-        tol = EXACT_TOL if not stderr_lhs else max(EXACT_TOL, MC_SIGMAS * stderr_lhs)
+        sqrt(sum (d lhs/d x * se_x)^2) over the inputs x with a nonzero
+        standard error se_x; ``partials`` maps each key x to d lhs/d x."""
+        stderrs = {key: inputs[key].stderr for key in partials or ()}
+        var_lhs = sum((partials[key] * se) ** 2 for key, se in stderrs.items() if se)
+        tol = max(EXACT_TOL, MC_SIGMAS * math.sqrt(var_lhs))
         slack = lhs - rhs
         satisfied = None if not precondition_ok else bool(slack >= -tol)
         return cls(
@@ -264,9 +269,7 @@ def half_angle_integral(model, rho0, t1: float, t2: float, coherent: bool = True
 
 def _stat(m: MomentResult, field: str) -> InputStat:
     """``m.mean`` or ``m.variance`` (``field``) with its provenance."""
-    if m.method == "monte_carlo":
-        return InputStat.monte_carlo(getattr(m, field), getattr(m, f"stderr_{field}") or 0.0)
-    return InputStat.exact(getattr(m, field))
+    return InputStat(float(getattr(m, field)), m.method, getattr(m, f"stderr_{field}"))
 
 
 def tur_activity_integral(
@@ -299,28 +302,14 @@ def tur_activity_integral(
     s1 = math.sqrt(max(moments_1.variance, 0.0))
     s2 = math.sqrt(max(moments_2.variance, 0.0))
     lhs = ((s1 + s2) / de) ** 2
-    precondition_ok = angle <= math.pi / 2 + 1e-12
+    pre = angle <= math.pi / 2 + 1e-12
     tangent = math.tan(angle)
     rhs = tangent**-2 if tangent != 0.0 else math.inf
-
-    # exact inputs leave var_terms 0, which judge reads as no stderr
-    var_terms = 0.0
-    for m, s in ((moments_1, s1), (moments_2, s2)):
-        if m.method == "monte_carlo":
-            if m.stderr_variance and s > 0:
-                var_terms += (lhs / (s * (s1 + s2)) * m.stderr_variance) ** 2
-            if m.stderr_mean:
-                var_terms += (2 * lhs / de * m.stderr_mean) ** 2
-
-    return BoundReport.judge(
-        name,
-        lhs,
-        rhs,
-        inputs,
-        extra={"half_angle": angle},
-        stderr_lhs=math.sqrt(var_terms),
-        precondition_ok=precondition_ok,
-    )
+    # d lhs / d Var_i is infinite at Var_i = 0, where that term is left out
+    partials = {"mean_1": 2 * lhs / de, "mean_2": -2 * lhs / de} | {
+        f"variance_{i}": lhs / (s * (s1 + s2)) for i, s in ((1, s1), (2, s2)) if s > 0
+    }
+    return BoundReport.judge(name, lhs, rhs, inputs, {"half_angle": angle}, partials, pre)
 
 
 def kur_differential(
@@ -351,10 +340,7 @@ def kur_differential(
         return skipped
     lhs = moments.variance / (tau * dmean) ** 2
     rhs = 1.0 / activity_total
-    stderr_lhs = None
-    if moments.method == "monte_carlo" and moments.stderr_variance:
-        stderr_lhs = moments.stderr_variance / (tau * dmean) ** 2
-    return BoundReport.judge(name, lhs, rhs, inputs, stderr_lhs=stderr_lhs)
+    return BoundReport.judge(name, lhs, rhs, inputs, partials={"variance": 1 / (tau * dmean) ** 2})
 
 
 def moment_ratio_bounds(
@@ -381,14 +367,10 @@ def moment_ratio_bounds(
         raise ValueError("absolute moments must be positive")
     er, es = r / (s - r), s / (s - r)
     lhs = abs_moment_s.value**er / abs_moment_r.value**es
-    stderr_lhs = None
-    if "monte_carlo" in (abs_moment_r.source, abs_moment_s.source):
-        rel_sq = 0.0
-        if abs_moment_s.stderr:
-            rel_sq += (er * abs_moment_s.stderr / abs_moment_s.value) ** 2
-        if abs_moment_r.stderr:
-            rel_sq += (es * abs_moment_r.stderr / abs_moment_r.value) ** 2
-        stderr_lhs = lhs * math.sqrt(rel_sq)
+    partials = {
+        "abs_moment_s": er * lhs / abs_moment_s.value,
+        "abs_moment_r": -es * lhs / abs_moment_r.value,
+    }
     inputs = {"abs_moment_r": abs_moment_r, "abs_moment_s": abs_moment_s}
 
     if angle is None:
@@ -402,7 +384,7 @@ def moment_ratio_bounds(
             rhs_sin,
             dict(inputs, half_angle=InputStat.exact(angle)),
             extra={"r": r, "s": s},
-            stderr_lhs=stderr_lhs,
+            partials=partials,
             precondition_ok=pre,
         )
 
@@ -418,7 +400,7 @@ def moment_ratio_bounds(
             rhs_exp,
             dict(inputs, initial_rate=InputStat.exact(initial_rate)),
             extra={"r": r, "s": s},
-            stderr_lhs=stderr_lhs,
+            partials=partials,
         )
     return sin_report, exp_report
 
@@ -487,14 +469,10 @@ def ep_tur(
     ratio = gamma * var_j.value / mean_j.value**2
     rhs_strong = csch_squared_bound(sigma)
     rhs_weak = 2.0 / math.expm1(sigma) if sigma > 0 else math.inf
-    stderr_lhs = None
-    if "monte_carlo" in (mean_j.source, var_j.source):
-        rel_sq = 0.0
-        if var_j.stderr and var_j.value != 0:
-            rel_sq += (var_j.stderr / var_j.value) ** 2
-        if mean_j.stderr:
-            rel_sq += (2.0 * mean_j.stderr / mean_j.value) ** 2
-        stderr_lhs = abs(ratio) * math.sqrt(rel_sq)
+    partials = {
+        "variance_current": gamma / mean_j.value**2,
+        "mean_current": -2 * ratio / mean_j.value,
+    }
     extra = {
         "rhs_weak": rhs_weak,
         "entropy_lower_bound": ep_lower_bound(mean_j.value, var_j.value, gamma),
@@ -502,7 +480,7 @@ def ep_tur(
         "arcsinh_form": math.asinh(1.0 / math.sqrt(ratio)) if ratio > 0 else math.inf,
         "gamma": gamma,
     }
-    return BoundReport.judge(name, ratio, rhs_strong, inputs, extra, stderr_lhs)
+    return BoundReport.judge(name, ratio, rhs_strong, inputs, extra, partials)
 
 
 def survival_bound_check(model: LindbladModel, rho0: np.ndarray, tau: float) -> BoundReport:

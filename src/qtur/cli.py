@@ -231,9 +231,7 @@ def _cmd_bounds(args) -> int:
     return 1 if bad else 0
 
 
-def _parse_range(flag: str, text: str | None, default: tuple[float, float]) -> tuple[float, float]:
-    if text is None:
-        return default
+def _parse_range(flag: str, text: str) -> tuple[float, float]:
     bounds = [float(x) for x in text.split(",")]
     if len(bounds) != 2:
         raise ValueError(f"{flag} takes lo,hi, got {text!r}")
@@ -241,19 +239,12 @@ def _parse_range(flag: str, text: str | None, default: tuple[float, float]) -> t
 
 
 def _cmd_sweep(args, experiment: str) -> int:
-    gamma = _parse_range("--gamma-range", args.gamma_range, (0.0, 1.0))
-    tau = _parse_range("--tau-range", args.tau_range, (0.1, 10.0))
-    config = SweepConfig(
-        experiment=experiment,
-        n_draws=args.draws if args.draws is not None else 1000,
-        seed=args.seed if args.seed is not None else 0,
-        omega_e=args.omega_e,
-        gamma_low=gamma[0],
-        gamma_high=gamma[1],
-        tau_low=tau[0],
-        tau_high=tau[1],
-        workers=args.workers,
-    )
+    # SweepConfig holds the defaults; pass only the flags that were given
+    given = dict(n_draws=args.draws, seed=args.seed, omega_e=args.omega_e, workers=args.workers)
+    for name, text in (("gamma", args.gamma_range), ("tau", args.tau_range)):
+        if text is not None:
+            given[f"{name}_low"], given[f"{name}_high"] = _parse_range(f"--{name}-range", text)
+    config = SweepConfig(experiment, **{k: v for k, v in given.items() if v is not None})
     result = run_sweep(config)
     print(result.summary())
     if args.out:

@@ -100,8 +100,9 @@ class SeedPolicy:
 
     master_seed: int
 
-    def trajectory_seed(self, index: int) -> int:
-        return splitmix64((self.master_seed + (index + 1) * _GOLDEN) & _MASK64)
+    def trajectory_seed(self, index):
+        """The seed of trajectory ``index``, or a uint64 array of them for a uint64 array."""
+        return splitmix64(((self.master_seed & _MASK64) + (index + 1) * _GOLDEN) & _MASK64)
 
 
 @dataclass(frozen=True)
@@ -224,9 +225,12 @@ def _matvec(ops: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return (ops @ phi[:, :, None])[:, :, 0]
 
 
-def _by_jump_count(records):
+def _by_jump_count(records, tau: float):
     """Yield (indices, jump times, channels) for groups of at most CHUNK
-    records with the same jump count K; times and channels are (len(indices), K)."""
+    records with the same jump count K; times and channels are (len(indices), K).
+    Every record must end at ``tau``, the horizon of the context pricing it."""
+    if any(rec.horizon != tau for rec in records):
+        raise ValueError(f"every record must end at the context's horizon {tau}")
     counts = np.fromiter((len(rec.jumps) for rec in records), np.intp, len(records))
     flat = chain.from_iterable(chain.from_iterable(rec.jumps for rec in records))
     jumps = np.fromiter(flat, float, 2 * counts.sum()).reshape(-1, 2)
@@ -240,11 +244,11 @@ def _by_jump_count(records):
             yield idx, group[:, :, 0], group[:, :, 1].astype(np.intp)
 
 
-def _intervals(times: np.ndarray, horizons) -> np.ndarray:
-    """Row-wise stretches between 0, the jump times (n, K) and the horizon."""
+def _intervals(times: np.ndarray, tau: float) -> np.ndarray:
+    """Row-wise stretches between 0, the jump times (n, K) and the horizon tau."""
     bounds = np.zeros((len(times), times.shape[1] + 2))
     bounds[:, 1:-1] = times
-    bounds[:, -1] = horizons
+    bounds[:, -1] = tau
     return bounds[:, 1:] - bounds[:, :-1]
 
 
@@ -256,8 +260,8 @@ class PathWeights:
     jump operators and their norms L^dag L rotated into it; the
     Hamiltonian eigensystem for coherent stretches; and the spectral
     decompositions of rho0 and of the Hamiltonian-free state at tau.
-    Every pricing method takes a batch of records, in groups of equal jump
-    count; a single record is a batch of one.
+    Every pricing method takes a batch of records that end at tau (else a
+    ValueError), in groups of equal jump count; one record is a batch of one.
     """
 
     def __init__(self, model: LindbladModel, rho0: np.ndarray, tau: float):
@@ -315,8 +319,7 @@ class PathWeights:
         densities of the records run backwards through partner channels."""
         partners = np.array([-1 if c.partner is None else c.partner for c in self.model.channels])
         out = np.empty(len(records))
-        for idx, times, channels in _by_jump_count(records):
-            horizons = np.array([records[i].horizon for i in idx])
+        for idx, times, channels in _by_jump_count(records, self.tau):
             start = self._states0[:, [records[i].initial_label for i in idx]].T
             end = self._states_tau[:, [records[i].final_label for i in idx]].T
             weight = self.q0[[records[i].initial_label for i in idx]]
@@ -326,10 +329,10 @@ class PathWeights:
                     raise ModelValidationError(
                         f"channel {unpaired[0]} is unpaired; no reverse path exists"
                     )
-                times, channels = horizons[:, None] - times[:, ::-1], partners[channels[:, ::-1]]
+                times, channels = self.tau - times[:, ::-1], partners[channels[:, ::-1]]
                 start, end = end, start
                 weight = self.qtau[[records[i].final_label for i in idx]]
-            phi = self._thread(_intervals(times, horizons), channels, start, False)
+            phi = self._thread(_intervals(times, self.tau), channels, start, False)
             amp = (end.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0]
             out[idx] = weight * np.abs(amp) ** 2
         return out
@@ -363,7 +366,7 @@ class PathWeights:
         p_end = self.qtau[[rec.final_label for rec in records]]
         keep = ~((p_start <= EIGENVALUE_CLIP) | (p_end <= EIGENVALUE_CLIP))
         total = np.zeros(len(records))
-        for idx, _, channels in _by_jump_count(records):
+        for idx, _, channels in _by_jump_count(records, self.tau):
             for k in range(channels.shape[1]):  # in jump order
                 total[idx] += ds[channels[:, k]]
         values = np.full(len(records), np.nan)
@@ -379,8 +382,8 @@ class PathWeights:
         """
         damped = np.empty(len(records))
         full = np.empty(len(records))
-        for idx, times, channels in _by_jump_count(records):
-            intervals = _intervals(times, [records[i].horizon for i in idx])
+        for idx, times, channels in _by_jump_count(records, self.tau):
+            intervals = _intervals(times, self.tau)
             start = self._states0[:, [records[i].initial_label for i in idx]].T
             for out, rotate in ((damped, False), (full, True)):
                 phi = self._thread(intervals, channels, start, rotate)
@@ -569,8 +572,8 @@ def _sample_range(shared, lo: int, hi: int) -> list[TrajectoryRecord]:
     laid end to end; a range across two of them is split where they meet."""
     records, start = [], 0
     for sampler, policy, n in shared:
-        span = range(max(lo, start), min(hi, start + n))
-        seeds = [policy.trajectory_seed(i - start) for i in span]
+        span = np.arange(max(lo, start) - start, min(hi, start + n) - start, dtype=np.uint64)
+        seeds = policy.trajectory_seed(span).tolist()
         sampler.read_ahead(seeds)
         records += [sampler.sample(s) for s in seeds]
         start += n

@@ -32,6 +32,7 @@ from qtur.counting import (
     counting_moments,
 )
 from qtur.engine import build_generator, steady_state
+from qtur.models import build_poisson_model
 from qtur.operators import LindbladModel, von_neumann_trace_term
 from qtur.trajectories import SeedPolicy, estimate, sample_ensemble
 from conftest import ground_state, random_ep_model
@@ -43,6 +44,79 @@ CURRENT = {"sigma_scale": 0.0, "current": True}
 def poisson_moments(rate, tau) -> MomentResult:
     mean = rate * tau
     return MomentResult(mean=mean, second_moment=mean + mean**2, variance=mean)
+
+
+def mc_moments(mean, var, se_mean, se_var) -> MomentResult:
+    return MomentResult(
+        mean=mean, second_moment=var + mean**2, variance=var,
+        method="monte_carlo", stderr_mean=se_mean, stderr_variance=se_var,
+    )
+
+
+def _ratio_reports(x, err):
+    r_moment, s_moment = (InputStat.monte_carlo(v, e) for v, e in zip(x, err))
+    return moment_ratio_bounds(r_moment, s_moment, 0.5, 1.5, 1.0, angle=0.7, initial_rate=1.1)
+
+
+def _ep_report(x, err):
+    mean, var = (InputStat.monte_carlo(v, e) for v, e in zip(x, err))
+    return ep_tur(mean, var, 1.3, 2.0, scale=0.0, **CURRENT)
+
+
+# Monte Carlo-fed reports of every evaluator: the input keys, their values x
+# and standard errors, the lhs as a function of x, and the report
+MC_CASES = {
+    "window": (
+        ("mean_1", "mean_2", "variance_1", "variance_2"),
+        [0.71, 1.38, 0.69, 1.43],
+        [0.02, 0.03, 0.05, 0.08],
+        lambda m1, m2, v1, v2: ((math.sqrt(v1) + math.sqrt(v2)) / (m2 - m1)) ** 2,
+        lambda x, err: tur_activity_integral(
+            mc_moments(x[0], x[2], err[0], err[2]), mc_moments(x[1], x[3], err[1], err[3]),
+            0.6, scale=0.0,
+        ),
+    ),
+    # a Poisson count at rate 0.7 over tau = 2: tau d_tau E = 1.4
+    "rate": (
+        ("variance",),
+        [1.43],
+        [0.08],
+        lambda v: v / 1.4**2,
+        lambda x, err: kur_differential(
+            build_poisson_model(0.7), np.eye(1, dtype=complex), CountingObservable((1.0,)),
+            2.0, 1.4, mc_moments(1.4, x[0], 0.03, err[0]),
+        ),
+    ),
+    "ratio_sin": (
+        ("abs_moment_r", "abs_moment_s"),
+        [1.3, 2.9],
+        [0.05, 0.2],
+        lambda m_r, m_s: m_s**0.5 / m_r**1.5,
+        lambda x, err: _ratio_reports(x, err)[0],
+    ),
+    "ratio_exp": (
+        ("abs_moment_r", "abs_moment_s"),
+        [1.3, 2.9],
+        [0.05, 0.2],
+        lambda m_r, m_s: m_s**0.5 / m_r**1.5,
+        lambda x, err: _ratio_reports(x, err)[1],
+    ),
+    "ep": (
+        ("mean_current", "variance_current"),
+        [-0.4, 0.3],
+        [0.05, 0.01],
+        lambda mean, var: 1.3 * var / mean**2,
+        _ep_report,
+    ),
+    # d lhs / d Var is finite at Var = 0, so its term counts there too
+    "ep_zero_variance": (
+        ("mean_current", "variance_current"),
+        [-0.4, 0.0],
+        [0.05, 0.01],
+        lambda mean, var: 1.3 * var / mean**2,
+        _ep_report,
+    ),
+}
 
 
 class TestInverseXTanhX:
@@ -129,38 +203,6 @@ class TestActivityWindowBound:
         for key in ("lhs", "rhs", "slack", "tol"):
             assert getattr(falling, key) == pytest.approx(getattr(rising, key), rel=1e-12)
         assert (falling.satisfied, falling.extra) == (rising.satisfied, rising.extra)
-
-    def test_monte_carlo_inputs_widen_tolerance(self, poisson, scalar_one):
-        t1, t2 = 1.0, 2.0
-        angle = half_angle_integral(poisson, scalar_one, t1, t2)
-        # E_1, E_2, Var_1, Var_2 and their standard errors
-        x = np.array([0.71, 1.38, 0.69, 1.43])
-        err = np.array([0.02, 0.03, 0.05, 0.08])
-
-        def lhs(m1, m2, v1, v2):
-            return ((math.sqrt(v1) + math.sqrt(v2)) / (m2 - m1)) ** 2
-
-        def moments(mean, var, se_mean, se_var):
-            return MomentResult(
-                mean=mean, second_moment=var + mean**2, variance=var,
-                method="monte_carlo", stderr_mean=se_mean, stderr_variance=se_var,
-            )
-
-        rep = tur_activity_integral(
-            moments(x[0], x[2], err[0], err[2]), moments(x[1], x[3], err[1], err[3]),
-            angle, scale=0.0,
-        )
-        grad = []
-        for k in range(4):
-            h = np.zeros(4)
-            h[k] = 1e-6 * x[k]
-            grad.append((lhs(*(x + h)) - lhs(*(x - h))) / (2 * h[k]))
-        propagated = math.sqrt(sum((g * e) ** 2 for g, e in zip(grad, err)))
-        assert rep.lhs == pytest.approx(lhs(*x), rel=1e-12)
-        assert rep.tol == pytest.approx(MC_SIGMAS * propagated, rel=1e-6)
-        assert rep.tol > EXACT_TOL
-        assert rep.inputs["mean_1"] == InputStat.monte_carlo(x[0], err[0])
-        assert rep.inputs["variance_2"] == InputStat.monte_carlo(x[3], err[3])
 
     def test_steady_state_triple_satisfied(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))
@@ -514,6 +556,32 @@ class TestBoundReport:
         row = survival_bound_check(da_generic, ground_state(), 1.0).to_csv_row()
         for key in ("name", "lhs", "rhs", "slack", "satisfied", "precondition_ok"):
             assert key in row
+
+    def test_csv_row_carries_monte_carlo_stderrs(self):
+        row = _ep_report([-0.4, 0.3], [0.05, 0.01]).to_csv_row()
+        assert row["input_mean_current_source"] == "monte_carlo"
+        assert (row["input_mean_current_stderr"], row["input_variance_current_stderr"]) == (0.05, 0.01)
+        assert row["input_entropy_production_source"] == "exact"
+        assert "input_entropy_production_stderr" not in row
+
+    @pytest.mark.parametrize("case", MC_CASES)
+    def test_monte_carlo_inputs_widen_tolerance(self, case):
+        # tol is MC_SIGMAS standard errors of the lhs, by first-order
+        # propagation against a central-difference gradient
+        keys, x, err, lhs, report = MC_CASES[case]
+        x, err = np.array(x), np.array(err)
+        rep = report(x, err)
+        grad = []
+        for k in range(len(x)):
+            h = np.zeros(len(x))
+            h[k] = 1e-6 * max(abs(x[k]), 1.0)
+            grad.append((lhs(*(x + h)) - lhs(*(x - h))) / (2 * h[k]))
+        propagated = math.sqrt(sum((g * e) ** 2 for g, e in zip(grad, err)))
+        assert rep.lhs == pytest.approx(lhs(*x), rel=1e-12)
+        assert rep.tol == pytest.approx(MC_SIGMAS * propagated, rel=1e-6)
+        assert rep.tol > EXACT_TOL
+        for key, value, se in zip(keys, x, err):
+            assert rep.inputs[key] == InputStat.monte_carlo(value, se)
 
     def test_monotonicity_of_bounds(self):
         # entropy bound decreasing in Sigma; rate bound decreasing in activity

@@ -447,6 +447,10 @@ class TestObservableValidation:
         with pytest.raises(ValueError, match="reversed"):
             CountingObservable((1.0,), window=(2.0, 1.0))
 
+    def test_weight_count_must_match_channels(self, ep_generic):
+        with pytest.raises(ValueError, match="weight vector length"):
+            counting_moments(ep_generic, ground_state(), CountingObservable((1.0, -1.0)), 1.0)
+
 
 def _weights_with_zeros(rng, n_channels):
     weights = rng.normal(size=n_channels)

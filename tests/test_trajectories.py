@@ -84,6 +84,12 @@ class TestSeedPolicy:
     def test_mask_is_64_bit(self):
         assert splitmix64((1 << 64) + 5) == splitmix64(5)
 
+    @pytest.mark.parametrize("master", [0, 7, -1, -12345, 2**63 + 11, 2**64 + 5, 2**70 - 3])
+    def test_array_indices_give_the_scalar_seeds(self, master):
+        policy = SeedPolicy(master)
+        seeds = policy.trajectory_seed(np.arange(3, 500, dtype=np.uint64)).tolist()
+        assert seeds == [policy.trajectory_seed(i) for i in range(3, 500)]
+
 
 class TestRecord:
     def test_times_must_increase(self):
@@ -645,6 +651,21 @@ class TestPathDensities:
         entropies, _ = ensemble_entropies(pw, records)
         stderr = entropies.std(ddof=1) / np.sqrt(len(entropies))
         assert entropies.mean() >= -3 * stderr
+
+    def test_records_of_another_horizon_refused(self, ep_generic):
+        # the endpoint spectra belong to the context's tau, not to the records'
+        rho0 = ground_state()
+        records = sample_ensemble(ep_generic, rho0, 2.0, 50, SeedPolicy(3), workers=1)
+        pw = PathWeights(ep_generic, rho0, 1.0)
+        for price in (pw.entropies, pw.densities_batch, pw.path_norms_batch):
+            with pytest.raises(ValueError, match="horizon 1.0"):
+                price(records)
+
+    def test_unpaired_channel_has_no_backward_density(self, da_generic):
+        rho = steady_state(build_generator(da_generic, coherent=True))
+        rec = TrajectoryRecord(((0.5, 0),), initial_label=0, final_label=0, horizon=1.0)
+        with pytest.raises(ModelValidationError, match="channel 0 is unpaired"):
+            PathWeights(da_generic, rho, 1.0).densities_batch([rec])
 
     def test_zero_probability_label_rejected(self, ep_generic):
         # q0 = (0.9, 0.1, 0): label 2 has zero weight at the start
