@@ -67,7 +67,6 @@ from .trajectories import (
     TrajectorySampler,
     estimate,
     record_observable,
-    sample_ensemble,
 )
 
 __version__ = "0.1.0"

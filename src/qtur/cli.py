@@ -150,8 +150,7 @@ def _cmd_moments(args) -> int:
     rho0 = _initial_state(args, model)
     obs = _weights(args, model)
     if args.window:
-        a, b = (float(x) for x in args.window.split(","))
-        obs = obs.with_window((a, b))
+        obs = obs.with_window(_parse_range("--window", args.window))
     mom = counting_moments(model, rho0, obs, args.tau, coherent=not args.incoherent)
     print(f"mean: {mom.mean:.17g}")
     print(f"variance: {mom.variance:.17g}")
@@ -167,14 +166,8 @@ def _cmd_trajectories(args) -> int:
     n = args.trajectories
     sampler = TrajectorySampler(model, rho0, args.tau, coherent=args.coherent)
     records = sampler.ensemble(n, SeedPolicy(seed), args.workers)
-    entropies = None
-    if model.has_entropy_weights:
-        entropies, keep = sampler.entropies(records)
-        est = estimate(
-            records, obs, entropies=entropies[keep], n_discarded=int(np.count_nonzero(~keep))
-        )
-    else:
-        est = estimate(records, obs)
+    entropies = sampler.entropies(records) if model.has_entropy_weights else None
+    est = estimate(records, obs, entropies=entropies)
     print(f"trajectories: {n} (seed {seed})")
     print(f"mean: {est.mean:.12g} ± {est.stderr_mean:.3g}")
     print(f"variance: {est.variance:.12g} ± {est.stderr_variance:.3g}")

@@ -136,7 +136,7 @@ class CountingObservable:
         if self.window is None:
             return (0.0, tau)
         a, b = self.window
-        if a < -1e-12 or b > tau * (1 + 1e-12) + 1e-12:
+        if a < -1e-12 * tau or b > tau * (1 + 1e-12):  # slack relative to tau
             raise ValueError(f"window [{a}, {b}] outside [0, {tau}]")
         return (max(a, 0.0), min(b, tau))
 

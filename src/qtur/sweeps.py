@@ -45,7 +45,6 @@ from .trajectories import (
     TrajectorySampler,
     _map_ranges,
     _sample_ensembles,
-    ensemble_entropies,
     estimate,
     resolve_workers,
     splitmix64,
@@ -348,7 +347,8 @@ def run_cic_suite(
 ) -> CicReport:
     """Verify that monitored-jump statistics do not depend on the Hamiltonian.
 
-    Checks: (a) exact moment equality with and without the Hamiltonian,
+    Checks: (a) exact moment equality with and without the Hamiltonian
+    (means to rounding noise at the observable's scale),
     (b) per-record path-norm equality between the damped and full no-jump
     propagators, and — when the model carries entropy weights — (c) exact
     entropy-production equality, (d) the sampled per-record entropy mean
@@ -360,14 +360,17 @@ def run_cic_suite(
     checks = []
     obs = default_observable(model)
 
+    activity, flow, (rho_tau, _) = activity_at(model, rho0, [tau, 2 * tau], coherent=False)
     with_h = counting_moments(model, rho0, obs, tau, coherent=True)
     without_h = counting_moments(model, rho0, obs, tau, coherent=False)
     dm = float(_rel_diff(with_h.mean, without_h.mean))
     dv = float(_rel_diff(with_h.variance, without_h.variance))
+    # two means that differ by rounding noise at the observable's scale agree
+    mean_noise = DEGENERATE_REL_TOL * observable_scale(obs, activity[0])
     checks.append(
         CheckResult(
             "exact_moments_match",
-            dm <= 1e-8 and dv <= 1e-8,
+            (dm <= 1e-8 or abs(with_h.mean - without_h.mean) <= mean_noise) and dv <= 1e-8,
             f"relative differences mean {dm:.2e}, variance {dv:.2e}",
             {"mean": with_h.mean, "variance": with_h.variance},
         )
@@ -377,7 +380,6 @@ def run_cic_suite(
     forward = TrajectorySampler(model, rho0, tau)
     ensembles = [(forward, SeedPolicy(seed), budget)]
     if model.has_entropy_weights:
-        activity, flow, (rho_tau, _) = activity_at(model, rho0, [tau, 2 * tau], coherent=False)
         backward = SeedPolicy(splitmix64(seed ^ 0xB2C3A4D5E6F70819))
         ensembles.append((TrajectorySampler(model, rho_tau, tau), backward, budget))
     records, *backward_records = _sample_ensembles(ensembles, workers)
@@ -406,8 +408,7 @@ def run_cic_suite(
             )
         )
 
-        entropies, discarded = ensemble_entropies(forward, records)
-        est = estimate(records, obs, entropies=entropies, n_discarded=discarded)
+        est = estimate(records, obs, entropies=forward.entropies(records))
         gap = abs(est.entropy_mean - sigma_incoherent)
         # on an equilibrium model both sides are rounding noise of the terms
         # summing to Sigma; that noise must not decide the check
@@ -417,7 +418,7 @@ def run_cic_suite(
                 "kl_matches_entropy_production",
                 gap <= 4.0 * est.entropy_stderr + noise,
                 f"KL estimate {est.entropy_mean:.6g} ± {est.entropy_stderr:.2g} "
-                f"vs exact {sigma_incoherent:.6g} ({discarded} records discarded)",
+                f"vs exact {sigma_incoherent:.6g} ({est.n_discarded} records discarded)",
                 {"kl": est.entropy_mean, "stderr": est.entropy_stderr},
             )
         )

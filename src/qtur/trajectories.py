@@ -14,8 +14,10 @@ one array row per trajectory, and solves for the waiting times of every
 row still short of the horizon together. Each row goes through exactly the
 arithmetic a lone trajectory would (stacked matmuls reach the same BLAS
 kernel as one matrix-vector product), so a record does not depend on the
-chunk it was sampled in. Path pricing runs the same way, over groups of
-records with equal jump counts. One :class:`PathWeights` context holds
+chunk it was sampled in. Path densities and norms are priced the same
+way, over groups of records with equal jump counts; every weighted count
+over a record's jumps (an observable, the entropy flow sum_j ds_{m_j}) is
+:func:`record_observable`'s. One :class:`PathWeights` context holds
 the decay eigenbasis, the rotated jump operators, the Hamiltonian
 eigensystem and the endpoint spectra, and prices records; the
 :class:`TrajectorySampler` is such a context that also draws them, so an
@@ -33,7 +35,7 @@ Hamiltonian-free state at the horizon, which is exactly the sample space
 of the forward path density P. The reverse path density Q re-runs the
 record backwards through the partner channels; their log-ratio per record
 is ln q_i(0) - ln q_i'(tau) + sum_j ds_{m_j}, the per-trajectory entropy
-production.
+production; nan marks a record discarded for a clipped label weight.
 
 Reproducibility: trajectory k derives its own 64-bit seed from
 (master_seed, k) through the splitmix64 finalizer and reads its own PCG64
@@ -44,11 +46,11 @@ order is fixed. A chunk holds the PCG64 states of all its rows as uint64
 arrays and steps them together, and each row still reads exactly the
 doubles of ``Generator(PCG64(seed)).random()``.
 
-Workers: an ensemble of at least POOL_MIN trajectories is split across
-worker processes by :func:`_map_ranges`, the one ordered map that the
-sweeps use too; the two ensembles of ``verify-cic`` share one map. The
-worker count defaults to the CPUs this process may run on
-(:func:`resolve_workers`).
+Workers: :meth:`TrajectorySampler.ensemble` is the one way to draw an
+ensemble. One of at least POOL_MIN trajectories is split across worker
+processes by :func:`_map_ranges`, the one ordered map that the sweeps use
+too; the two ensembles of ``verify-cic`` share one map. The worker count
+defaults to the CPUs this process may run on (:func:`resolve_workers`).
 """
 
 from __future__ import annotations
@@ -116,9 +118,11 @@ class TrajectoryRecord:
 
     def __post_init__(self):
         last = 0.0
-        for t, _ in self.jumps:
+        for t, m in self.jumps:
             if not (last < t <= self.horizon):
                 raise ValueError("jump times must be strictly increasing within (0, tau]")
+            if not (isinstance(m, (int, np.integer)) and m >= 0):
+                raise ValueError(f"jump channel {m!r} is not an integer >= 0")
             last = t
 
     @property
@@ -225,12 +229,16 @@ def _matvec(ops: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return (ops @ phi[:, :, None])[:, :, 0]
 
 
-def _by_jump_count(records, tau: float):
-    """Yield (indices, jump times, channels) for groups of at most CHUNK
-    records with the same jump count K; times and channels are (len(indices), K).
-    Every record must end at ``tau``, the horizon of the context pricing it."""
+def _check_horizon(records, tau: float) -> None:
+    """Every record must end at ``tau``, the horizon of the context pricing it."""
     if any(rec.horizon != tau for rec in records):
         raise ValueError(f"every record must end at the context's horizon {tau}")
+
+
+def _by_jump_count(records, tau: float):
+    """Yield (indices, jump times, channels) for groups of at most CHUNK
+    records with the same jump count K; times and channels are (len(indices), K)."""
+    _check_horizon(records, tau)
     counts = np.fromiter((len(rec.jumps) for rec in records), np.intp, len(records))
     flat = chain.from_iterable(chain.from_iterable(rec.jumps for rec in records))
     jumps = np.fromiter(flat, float, 2 * counts.sum()).reshape(-1, 2)
@@ -261,7 +269,7 @@ class PathWeights:
     Hamiltonian eigensystem for coherent stretches; and the spectral
     decompositions of rho0 and of the Hamiltonian-free state at tau.
     Every pricing method takes a batch of records that end at tau (else a
-    ValueError), in groups of equal jump count; one record is a batch of one.
+    ValueError); one record is a batch of one.
     """
 
     def __init__(self, model: LindbladModel, rho0: np.ndarray, tau: float):
@@ -339,39 +347,25 @@ class PathWeights:
 
     def densities_batch(self, records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Forward, backward and predicted backward densities of every
-        record, as three arrays. The prediction is the closed form
-        exp(-sum ds) * (q_i'(tau)/q_i(0)) * forward that the backward
-        density must reproduce; it is nan where the initial label has
-        clipped weight."""
+        record, as three arrays. The prediction exp(-entropy) * forward is
+        what the backward density must reproduce; it is nan for a
+        discarded record."""
         forward = self._path_densities(records, False)
         backward = self._path_densities(records, True)
-        ds = self.model.entropy_weights()
-        total_ds = np.array([sum(ds[m] for _, m in rec.jumps) for rec in records], dtype=float)
-        q0 = self.q0[[rec.initial_label for rec in records]]
-        qt = self.qtau[[rec.final_label for rec in records]]
-        predicted = np.full(len(records), np.nan)
-        ok = q0 > EIGENVALUE_CLIP
-        predicted[ok] = np.exp(-total_ds[ok]) * (qt[ok] / q0[ok]) * forward[ok]
-        return forward, backward, predicted
+        return forward, backward, np.exp(-self.entropies(records)) * forward
 
-    def entropies(self, records) -> tuple[np.ndarray, np.ndarray]:
-        """Per-record entropies ln q_i(0) - ln q_i'(tau) + sum_j ds_{m_j}
-        and the mask of records kept.
-
-        A record whose labels hit clipped weights is not kept; its value
-        is nan.
-        """
-        ds = self.model.entropy_weights()
+    def entropies(self, records) -> np.ndarray:
+        """Per-record entropies ln q_i(0) - ln q_i'(tau) + sum_j ds_{m_j},
+        nan for a record whose labels hit clipped weights (discarded)."""
+        _check_horizon(records, self.tau)
+        ds = CountingObservable(self.model.entropy_weights())
         p_start = self.q0[[rec.initial_label for rec in records]]
         p_end = self.qtau[[rec.final_label for rec in records]]
-        keep = ~((p_start <= EIGENVALUE_CLIP) | (p_end <= EIGENVALUE_CLIP))
-        total = np.zeros(len(records))
-        for idx, _, channels in _by_jump_count(records, self.tau):
-            for k in range(channels.shape[1]):  # in jump order
-                total[idx] += ds[channels[:, k]]
+        keep = (p_start > EIGENVALUE_CLIP) & (p_end > EIGENVALUE_CLIP)
+        flow = np.array([record_observable(rec, ds) for rec in records], dtype=float)
         values = np.full(len(records), np.nan)
-        values[keep] = np.log(p_start[keep]) - np.log(p_end[keep]) + total[keep]
-        return values, keep
+        values[keep] = np.log(p_start[keep]) - np.log(p_end[keep]) + flow[keep]
+        return values
 
     def path_norms_batch(self, records) -> tuple[np.ndarray, np.ndarray]:
         """Squared path norms of every record without final projection.
@@ -467,7 +461,9 @@ class TrajectorySampler(PathWeights):
     def ensemble(
         self, n: int, policy: SeedPolicy, workers: int | None = None
     ) -> list[TrajectoryRecord]:
-        """The ``n`` records of :func:`sample_ensemble`, drawn over this context."""
+        """``n`` records drawn over this context; identical output for every
+        worker count. Trajectory i always consumes seed policy.trajectory_seed(i),
+        whatever chunk steps it; chunks are merged back in index order."""
         return _sample_ensembles([(self, policy, n)], workers)[0]
 
     def _step(self, seeds) -> list[TrajectoryRecord]:
@@ -591,25 +587,9 @@ def _sample_ensembles(parts, workers: int | None) -> list[list[TrajectoryRecord]
     return [records[end - n : end] for (*_, n), end in zip(parts, ends)]
 
 
-def sample_ensemble(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    tau: float,
-    n: int,
-    policy: SeedPolicy,
-    coherent: bool = False,
-    workers: int | None = None,
-) -> list[TrajectoryRecord]:
-    """Sample ``n`` records; identical output for every worker count.
-
-    Trajectory i always consumes seed policy.trajectory_seed(i), whatever
-    chunk steps it; chunks are merged back in index order.
-    """
-    return TrajectorySampler(model, rho0, tau, coherent=coherent).ensemble(n, policy, workers)
-
-
 def record_observable(record: TrajectoryRecord, obs: CountingObservable) -> float:
-    """Weighted jump count of the record inside the observation window."""
+    """Weighted jump count of the record inside the observation window,
+    summed in jump order: the one rule for a sum over a record's jumps."""
     t_a, t_b = obs.resolved_window(record.horizon)
     total = 0.0
     for t, m in record.jumps:
@@ -618,18 +598,13 @@ def record_observable(record: TrajectoryRecord, obs: CountingObservable) -> floa
     return total
 
 
-def ensemble_entropies(pw: PathWeights, records) -> tuple[np.ndarray, int]:
-    """Per-record entropies; records with clipped labels are dropped and counted."""
-    values, keep = pw.entropies(records)
-    return values[keep], int(np.count_nonzero(~keep))
-
-
 @dataclass(frozen=True)
 class EnsembleEstimate:
     """Sample statistics of an observable across records.
 
     Absolute moments E|N|^r are reported for each requested order; the
-    entropy fields appear when per-record entropies were attached.
+    entropy fields appear when per-record entropies were attached, and
+    ``n_discarded`` counts the nan ones among them.
     ``values`` keeps the observable of every record, in record order.
     """
 
@@ -667,9 +642,10 @@ def estimate(
     obs: CountingObservable,
     r_list=(),
     entropies: np.ndarray | None = None,
-    n_discarded: int = 0,
 ) -> EnsembleEstimate:
-    """Ensemble mean/variance (with standard errors) and |N|^r moments."""
+    """Ensemble mean/variance (with standard errors) and |N|^r moments;
+    the entropy mean and its standard error are over the ``entropies``
+    that are not nan (discarded)."""
     n = len(records)
     if n < 2:
         raise ValueError("need at least two records")
@@ -686,8 +662,10 @@ def estimate(
         powered = np.abs(values) ** r
         abs_moments[r], abs_stderr[r] = _mean_and_stderr(powered)
     entropy_mean = entropy_stderr = None
-    if entropies is not None and len(entropies) >= 2:
-        entropy_mean, entropy_stderr = _mean_and_stderr(np.asarray(entropies, float))
+    entropies = np.asarray(() if entropies is None else entropies, float)
+    kept = entropies[~np.isnan(entropies)]
+    if len(kept) >= 2:
+        entropy_mean, entropy_stderr = _mean_and_stderr(kept)
     return EnsembleEstimate(
         n=n,
         mean=mean,
@@ -698,6 +676,6 @@ def estimate(
         abs_moment_stderr=abs_stderr,
         entropy_mean=entropy_mean,
         entropy_stderr=entropy_stderr,
-        n_discarded=n_discarded,
+        n_discarded=len(entropies) - len(kept),
         values=values,
     )

@@ -26,10 +26,9 @@ from qtur.sweeps import SweepConfig, result_to_csv, run_sweep
 from qtur.trajectories import (
     PathWeights,
     SeedPolicy,
-    ensemble_entropies,
+    TrajectorySampler,
     estimate,
     record_observable,
-    sample_ensemble,
 )
 from conftest import ground_state, open_uniform, random_pure_state
 
@@ -129,7 +128,7 @@ def test_criterion_06_monte_carlo_oracle():
     rho = steady_state(build_generator(model, coherent=True))
     tau, n = 1.0, 10_000
     obs = CountingObservable.total_count(4)
-    records = sample_ensemble(model, rho, tau, n, SeedPolicy(606), workers=2)
+    records = TrajectorySampler(model, rho, tau).ensemble(n, SeedPolicy(606), workers=2)
     est = estimate(records, obs)
     exact = counting_moments(model, rho, obs, tau)
     mean_gap = abs(est.mean - exact.mean)
@@ -153,7 +152,7 @@ def test_criterion_07_entropy_equals_kl():
     model = build_ep_model(1.0, 0.7, 0.3, 0.5, 0.4, 0.6, 0.2)
     rho = steady_state(build_generator(model, coherent=True))
     tau, n = 1.0, 100_000
-    records = sample_ensemble(model, rho, tau, n, SeedPolicy(707), workers=2)
+    records = TrajectorySampler(model, rho, tau).ensemble(n, SeedPolicy(707), workers=2)
     pw = PathWeights(model, rho, tau)
 
     _, backward, predicted = pw.densities_batch(records)
@@ -164,7 +163,9 @@ def test_criterion_07_entropy_equals_kl():
         )
     )
 
-    entropies, discarded = ensemble_entropies(pw, records)
+    entropies = pw.entropies(records)
+    discarded = int(np.isnan(entropies).sum())
+    entropies = entropies[~np.isnan(entropies)]
     kl = float(entropies.mean())
     stderr = float(entropies.std(ddof=1) / math.sqrt(len(entropies)))
     target = entropy_production_rate(model, rho) * tau
@@ -187,7 +188,7 @@ def test_criterion_08_backward_statistics():
     # channel read through its reverse partner (sign flip for a current)
     gen0 = build_generator(model, coherent=False)
     rho_tau = propagate(gen0, rho, tau)
-    records = sample_ensemble(model, rho_tau, tau, n, SeedPolicy(808), workers=2)
+    records = TrajectorySampler(model, rho_tau, tau).ensemble(n, SeedPolicy(808), workers=2)
     values = -np.array([record_observable(r, obs) for r in records])
     mc_mean = float(values.mean())
     mean_se = float(values.std(ddof=1) / math.sqrt(n))

@@ -48,6 +48,11 @@ def test_workload_pass_fails_no_command(workload, tmp_path, monkeypatch):
     assert result["units"] > 0
     # only certify's ladder reaches ACTION_MIN_DIM
     assert bool(actions) == (workload == "certify")
+    if workload == "ensemble":
+        # the benchmark counts trajectories through TrajectorySampler.sample:
+        # the trajectories command, then verify-cic's two ensembles
+        n = SMALLEST["ensemble"]["n"]
+        assert result["layers"]["trajectories.sample.trajectories"] == 3 * n
     if workload == "certify":
         # the benchmark sees block work only through counting_moments' hook
         metrics = result["layers"]

@@ -34,7 +34,7 @@ from qtur.counting import (
 from qtur.engine import build_generator, steady_state
 from qtur.models import build_poisson_model
 from qtur.operators import LindbladModel, von_neumann_trace_term
-from qtur.trajectories import SeedPolicy, estimate, sample_ensemble
+from qtur.trajectories import SeedPolicy, TrajectorySampler, estimate
 from conftest import ground_state, random_ep_model
 
 # ep_tur's keywords for a current whose entropy production is no rounding noise
@@ -258,7 +258,8 @@ class TestRateFormBound:
         rho = steady_state(build_generator(da_generic, coherent=True))
         tau = 1.0
         obs = CountingObservable.total_count(4)
-        records = sample_ensemble(da_generic, rho, tau, 2000, SeedPolicy(91), workers=1)
+        sampler = TrajectorySampler(da_generic, rho, tau)
+        records = sampler.ensemble(2000, SeedPolicy(91), workers=1)
         mom = estimate(records, obs).as_moment_result()
         assert mom.method == "monte_carlo"
         activity = activity_at(da_generic, rho, [tau])[0][0]
@@ -308,7 +309,7 @@ class TestMomentRatioBounds:
         rho = steady_state(build_generator(da_generic, coherent=True))
         tau, n = 1.0, 4000
         obs = CountingObservable.total_count(4)
-        records = sample_ensemble(da_generic, rho, tau, n, SeedPolicy(77), workers=1)
+        records = TrajectorySampler(da_generic, rho, tau).ensemble(n, SeedPolicy(77), workers=1)
         est = estimate(records, obs, r_list=(1.0, 2.0))
         angle = half_angle_integral(da_generic, rho, 0.0, tau)
         a0 = mean_rate(da_generic, rho, obs)

@@ -443,6 +443,10 @@ MALFORMED = {
         ("moments", "--builtin", "ep", "--tau", "1", "--window", "nan,1"), None,
         "window [nan, 1.0] is not finite",
     ),
+    "window-arity": (
+        ("moments", "--builtin", "da", "--tau", "2", "--window", "1,2,3"), None,
+        "--window takes lo,hi, got '1,2,3'",
+    ),
     "inf-tau": (
         ("moments", "--builtin", "ep", "--tau", "inf"), None,
         "tau must be finite and nonnegative, got inf",
@@ -524,6 +528,17 @@ class TestVerifyCic:
         assert "[PASS] kl_matches_entropy_production" in out
         assert code == 0 and "[FAIL]" not in out
 
+    def test_rotated_equilibrium_exact_means_agree(self, tmp_path, capsys):
+        # the README equilibrium rates in a rotated basis: both exact means
+        # are about 1e-16 and differ by 125 % of their size
+        path = tmp_path / "m.json"
+        model = build_ep_model(1, 0.4, 0.4, 0.7, 0.7, 0.25, 0.25)
+        save_model(rotate_model(model, np.random.default_rng(5)), path)
+        code = run_cli("verify-cic", "--model", str(path), "--tau", "1",
+                       "--trajectories", "2000", "--seed", "3", "--workers", "1")
+        out = capsys.readouterr().out
+        assert "[PASS] exact_moments_match: relative differences mean 1.25e+00" in out
+        assert code == 0 and "[FAIL]" not in out
 
     def test_equilibrium_backward_mean_is_not_judged(self, capsys):
         # the exact backward mean, 8.3e-17, is rounding noise at the window's

@@ -71,6 +71,17 @@ class TestMomentHierarchy:
         with pytest.raises(ValueError, match="window"):
             counting_moments(da_generic, rho, obs, 2.0)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_window_check_is_free_of_time_units(self, scale):
+        # the same windows in units where the horizon is 1e-13, 1 and 1e13
+        obs = CountingObservable((1.0,))
+        with pytest.raises(ValueError, match="outside"):
+            obs.with_window((-5 * scale, scale)).resolved_window(scale)
+        with pytest.raises(ValueError, match="outside"):
+            obs.with_window((0.0, 1.5 * scale)).resolved_window(scale)
+        rounded = obs.with_window((-1e-13 * scale, scale * (1 + 1e-13)))
+        assert rounded.resolved_window(scale) == (0.0, scale)
+
     def test_windowed_additivity_of_means(self, da_generic):
         rho0 = ground_state()
         tau = 2.4

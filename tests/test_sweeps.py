@@ -27,7 +27,13 @@ from qtur.cli import main
 from qtur.counting import activity_at, counting_moments
 from qtur.models import default_observable
 from qtur.operators import ModelValidationError
-from conftest import ground_state, patch_nth_call, raising, zero_mean
+from conftest import (
+    ground_state,
+    patch_nth_call,
+    raising,
+    random_detailed_balance_model,
+    zero_mean,
+)
 
 
 class TestSweepConfig:
@@ -322,6 +328,17 @@ class TestCicSuite:
         # the variance still decides
         fake.variance = 2.0 * exact.variance
         assert not sweeps._backward_check(model, rho0, 1.0, obs, [], window).passed
+
+    @pytest.mark.parametrize("seed, dim", [(0, 3), (2, 4), (6, 4)])
+    def test_exact_means_of_rounding_noise_agree(self, seed, dim):
+        # at stationarity these currents have zero mean; with and without H
+        # the exact means differ by about 1e-16, over 40 % of their size
+        model = random_detailed_balance_model(dim, np.random.default_rng(seed))
+        rho = steady_state(build_generator(model, coherent=True))
+        report = run_cic_suite(model, rho, 1.0, budget=100, seed=1, workers=1)
+        check = report.checks[0]
+        assert check.name == "exact_moments_match" and check.passed
+        assert float(check.detail.split()[3].rstrip(",")) > 0.4
 
     def test_transient_start(self, ep_generic):
         report = run_cic_suite(ep_generic, ground_state(), 0.8, budget=4000, seed=9, workers=1)

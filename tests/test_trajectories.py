@@ -17,10 +17,8 @@ from qtur.trajectories import (
     SeedPolicy,
     TrajectoryRecord,
     TrajectorySampler,
-    ensemble_entropies,
     estimate,
     record_observable,
-    sample_ensemble,
     splitmix64,
 )
 from conftest import ground_state, random_detailed_balance_model, rotate_model
@@ -50,8 +48,8 @@ class TestWorkerMap:
         ]
         together = trajectories._sample_ensembles(parts, workers)
         separate = [
-            sample_ensemble(ep_generic, forward, 1.0, 300, SeedPolicy(4), workers=1),
-            sample_ensemble(ep_generic, backward, 1.0, 250, SeedPolicy(5), workers=1),
+            TrajectorySampler(ep_generic, forward, 1.0).ensemble(300, SeedPolicy(4), 1),
+            TrajectorySampler(ep_generic, backward, 1.0).ensemble(250, SeedPolicy(5), 1),
         ]
         assert together == separate
 
@@ -100,6 +98,13 @@ class TestRecord:
         with pytest.raises(ValueError):
             TrajectoryRecord(((1.5, 0),), 0, 0, 1.0)
 
+    @pytest.mark.parametrize("channel", [-1, 1.7, 1.0])
+    def test_channel_must_be_a_nonnegative_integer(self, channel):
+        # -1 would price as the last channel and 1.7 as channel 1
+        with pytest.raises(ValueError, match="not an integer >= 0"):
+            TrajectoryRecord(((0.3, 0), (0.5, channel)), 0, 0, 1.0)
+        assert TrajectoryRecord(((0.5, np.int64(2)),), 0, 0, 1.0).jumps[0][1] == 2
+
     def test_observable_examples(self):
         rec = TrajectoryRecord(((0.3, 0), (0.7, 2)), 0, 0, 1.0)
         obs = CountingObservable((1.0, 0.0, 2.0, 0.0))
@@ -114,7 +119,7 @@ class TestRecord:
 class TestSampling:
     def test_poisson_counts(self, poisson, scalar_one):
         tau, rate, n = 2.0, 0.7, 4000
-        records = sample_ensemble(poisson, scalar_one, tau, n, SeedPolicy(5), workers=1)
+        records = TrajectorySampler(poisson, scalar_one, tau).ensemble(n, SeedPolicy(5), 1)
         counts = np.array([r.n_jumps for r in records])
         stderr = counts.std(ddof=1) / np.sqrt(n)
         assert abs(counts.mean() - rate * tau) <= 4 * stderr
@@ -140,7 +145,8 @@ class TestSampling:
         for seed in range(5):
             model = rotate_model(LindbladModel.build(h, list(ops)), np.random.default_rng(seed))
             lowest.append(np.linalg.eigvalsh(model.total_decay()).min())
-            records = sample_ensemble(model, np.eye(3) / 3, tau, 50, SeedPolicy(seed), workers=1)
+            sampler = TrajectorySampler(model, np.eye(3) / 3, tau)
+            records = sampler.ensemble(50, SeedPolicy(seed), workers=1)
             assert sum(r.n_jumps for r in records) > 0
             assert all(0.0 < t <= tau for r in records for t, _ in r.jumps)
         assert min(lowest) < -1e-10  # what an absolute bound used to reject
@@ -148,7 +154,7 @@ class TestSampling:
     def test_no_jump_fraction_matches_survival(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))
         tau, n = 1.0, 4000
-        records = sample_ensemble(da_generic, rho, tau, n, SeedPolicy(17), workers=1)
+        records = TrajectorySampler(da_generic, rho, tau).ensemble(n, SeedPolicy(17), workers=1)
         frac = np.mean([r.n_jumps == 0 for r in records])
         target = survival_probability(da_generic, rho, tau)
         stderr = np.sqrt(target * (1 - target) / n)
@@ -162,14 +168,14 @@ class TestSampling:
 
     def test_determinism_across_worker_counts(self, ep_generic, monkeypatch):
         rho = steady_state(build_generator(ep_generic, coherent=True))
-        serial = sample_ensemble(ep_generic, rho, 1.0, 600, SeedPolicy(3), workers=1)
+        serial = TrajectorySampler(ep_generic, rho, 1.0).ensemble(600, SeedPolicy(3), workers=1)
         monkeypatch.setattr(trajectories, "POOL_MIN", 0)  # split even a small ensemble
-        parallel = sample_ensemble(ep_generic, rho, 1.0, 600, SeedPolicy(3), workers=2)
+        parallel = TrajectorySampler(ep_generic, rho, 1.0).ensemble(600, SeedPolicy(3), workers=2)
         assert serial == parallel
 
     def test_jump_times_inside_horizon(self, ep_generic):
         rho = ground_state()
-        records = sample_ensemble(ep_generic, rho, 0.7, 500, SeedPolicy(1), workers=1)
+        records = TrajectorySampler(ep_generic, rho, 0.7).ensemble(500, SeedPolicy(1), workers=1)
         for rec in records:
             for t, m in rec.jumps:
                 assert 0.0 < t <= 0.7
@@ -179,7 +185,7 @@ class TestSampling:
         rho = steady_state(build_generator(da_generic, coherent=True))
         tau, n = 1.5, 4000
         obs = CountingObservable((1.0, 0.4, 0.7, 0.2))
-        records = sample_ensemble(da_generic, rho, tau, n, SeedPolicy(23), workers=1)
+        records = TrajectorySampler(da_generic, rho, tau).ensemble(n, SeedPolicy(23), workers=1)
         est = estimate(records, obs)
         exact = counting_moments(da_generic, rho, obs, tau)
         assert abs(est.mean - exact.mean) <= 4 * est.stderr_mean
@@ -188,9 +194,9 @@ class TestSampling:
     def test_coherent_and_incoherent_jump_counts_indistinguishable(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))
         tau, n = 1.0, 10_000
-        inc = sample_ensemble(da_generic, rho, tau, n, SeedPolicy(41), workers=2)
-        coh = sample_ensemble(
-            da_generic, rho, tau, n, SeedPolicy(42), coherent=True, workers=2
+        inc = TrajectorySampler(da_generic, rho, tau).ensemble(n, SeedPolicy(41), workers=2)
+        coh = TrajectorySampler(da_generic, rho, tau, coherent=True).ensemble(
+            n, SeedPolicy(42), workers=2
         )
         k_inc = [r.n_jumps for r in inc]
         k_coh = [r.n_jumps for r in coh]
@@ -319,9 +325,8 @@ class TestChunkedSampler:
     def test_golden_records(self, name, coherent, ep_generic, da_generic):
         model = ep_generic if name == "ep" else da_generic
         rho = steady_state(build_generator(model, coherent=True))
-        records = sample_ensemble(
-            model, rho, 1.5, 4, SeedPolicy(2026), coherent=coherent, workers=1
-        )
+        sampler = TrajectorySampler(model, rho, 1.5, coherent=coherent)
+        records = sampler.ensemble(4, SeedPolicy(2026), workers=1)
         pins = [GOLDEN_RECORDS, GOLDEN_RECORDS_COHERENT]
         expected, other = (
             [TrajectoryRecord(jumps, i0, i1, 1.5) for _, jumps, i0, i1 in pin[name]]
@@ -354,7 +359,7 @@ class TestChunkedSampler:
         whole = stepped_together(sampler, [policy.trajectory_seed(i) for i in range(n)])
         monkeypatch.setattr(trajectories, "CHUNK", 128)
         monkeypatch.setattr(trajectories, "POOL_MIN", 0)
-        assert sample_ensemble(ep_generic, rho, 1.0, n, policy, workers=workers) == whole
+        assert TrajectorySampler(ep_generic, rho, 1.0).ensemble(n, policy, workers=workers) == whole
         for i in {0, n // 2, n - 1}:
             assert sampler.sample(policy.trajectory_seed(i)) == whole[i]
 
@@ -549,7 +554,7 @@ class TestBatchedPricing:
     def test_path_norms_match_reference_loop(self, ep_generic):
         model = rotate_model(ep_generic, np.random.default_rng(4))
         rho = steady_state(build_generator(model, coherent=True))
-        records = sample_ensemble(model, rho, 2.0, 300, SeedPolicy(19), workers=1)
+        records = TrajectorySampler(model, rho, 2.0).ensemble(300, SeedPolicy(19), workers=1)
         assert len({r.n_jumps for r in records}) > 3
         pw = PathWeights(model, rho, 2.0)
         expected = [reference_path_norms(pw, r) for r in records]
@@ -562,28 +567,28 @@ class TestBatchedPricing:
 
     def test_entropies_match_per_record(self, ep_generic):
         rho0 = ground_state()
-        records = sample_ensemble(ep_generic, rho0, 1.0, 300, SeedPolicy(23), workers=1)
+        records = TrajectorySampler(ep_generic, rho0, 1.0).ensemble(300, SeedPolicy(23), workers=1)
         # q0 of |g> puts zero weight on labels 1 and 2
         clipped = TrajectoryRecord(((0.5, 1),), initial_label=1, final_label=0, horizon=1.0)
         records.insert(7, clipped)
         pw = PathWeights(ep_generic, rho0, 1.0)
-        values, keep = pw.entropies(records)
-        assert keep.sum() == len(records) - 1 and not keep[7] and np.isnan(values[7])
-        for rec, value, kept in zip(records, values, keep):
+        values = pw.entropies(records)
+        assert np.flatnonzero(np.isnan(values)).tolist() == [7]
+        for rec, value in zip(records, values):
             reference = reference_entropy(pw, rec)
-            assert kept == (reference is not None)
-            if kept:
-                assert value == reference
-            one_value, one_keep = pw.entropies([rec])
-            assert one_keep[0] == kept and np.array_equal(one_value, [value], equal_nan=True)
-        kept_values, discarded = ensemble_entropies(pw, records)
-        assert discarded == 1 and np.array_equal(kept_values, values[keep])
+            assert np.array_equal([value], [np.nan if reference is None else reference],
+                                  equal_nan=True)
+            assert np.array_equal(pw.entropies([rec]), [value], equal_nan=True)
+        obs = CountingObservable((1.0,) * ep_generic.n_channels)
+        est = estimate(records, obs, entropies=values)
+        assert est.n_discarded == 1
+        assert est.entropy_mean == np.delete(values, 7).mean()
 
 
 class TestPathDensities:
     def test_backward_matches_closed_form_on_every_record(self, ep_generic):
         rho = steady_state(build_generator(ep_generic, coherent=True))
-        records = sample_ensemble(ep_generic, rho, 1.0, 500, SeedPolicy(7), workers=1)
+        records = TrajectorySampler(ep_generic, rho, 1.0).ensemble(500, SeedPolicy(7), workers=1)
         pw = PathWeights(ep_generic, rho, 1.0)
         _, backward, predicted = pw.densities_batch(records)
         rel = np.abs(backward - predicted) / np.maximum(np.maximum(backward, predicted), 1e-300)
@@ -599,11 +604,11 @@ class TestPathDensities:
 
     def test_entropy_equals_log_density_ratio(self, ep_generic):
         rho = steady_state(build_generator(ep_generic, coherent=True))
-        records = sample_ensemble(ep_generic, rho, 1.0, 500, SeedPolicy(13), workers=1)
+        records = TrajectorySampler(ep_generic, rho, 1.0).ensemble(500, SeedPolicy(13), workers=1)
         pw = PathWeights(ep_generic, rho, 1.0)
         forward, backward, _ = pw.densities_batch(records)
-        direct, keep = pw.entropies(records)
-        assert keep.all()
+        direct = pw.entropies(records)
+        assert not np.isnan(direct).any()
         via_ratio = np.log(forward / backward)
         assert np.all(np.abs(direct - via_ratio) <= 1e-9 * np.maximum(1.0, np.abs(direct)))
 
@@ -611,7 +616,7 @@ class TestPathDensities:
         rng = np.random.default_rng(41)
         model = rotate_model(ep_generic, rng)
         rho0 = ground_state()
-        records = sample_ensemble(model, rho0, 1.5, 600, SeedPolicy(37), workers=1)
+        records = TrajectorySampler(model, rho0, 1.5).ensemble(600, SeedPolicy(37), workers=1)
         # q0 of |g> puts zero weight on labels 1 and 2
         clipped = TrajectoryRecord(((0.5, 1),), initial_label=1, final_label=0, horizon=1.5)
         records.insert(5, clipped)
@@ -625,7 +630,7 @@ class TestPathDensities:
 
     def test_path_norm_identity_per_record(self, ep_generic):
         rho0 = ground_state()
-        records = sample_ensemble(ep_generic, rho0, 1.2, 400, SeedPolicy(29), workers=1)
+        records = TrajectorySampler(ep_generic, rho0, 1.2).ensemble(400, SeedPolicy(29), workers=1)
         pw = PathWeights(ep_generic, rho0, 1.2)
         damped, full = pw.path_norms_batch(records)
         assert np.all(np.abs(damped - full) <= 1e-9 * np.maximum(damped, full))
@@ -635,10 +640,10 @@ class TestPathDensities:
 
         rho0 = ground_state()
         tau, n = 0.8, 8000
-        records = sample_ensemble(ep_generic, rho0, tau, n, SeedPolicy(51), workers=2)
+        records = TrajectorySampler(ep_generic, rho0, tau).ensemble(n, SeedPolicy(51), workers=2)
         pw = PathWeights(ep_generic, rho0, tau)
-        entropies, discarded = ensemble_entropies(pw, records)
-        assert discarded == 0
+        entropies = pw.entropies(records)
+        assert not np.isnan(entropies).any()
         _, flow, states = activity_at(ep_generic, rho0, [tau], coherent=False)
         target = sigma_from(rho0, states[0], flow[0])
         stderr = entropies.std(ddof=1) / np.sqrt(len(entropies))
@@ -646,16 +651,16 @@ class TestPathDensities:
 
     def test_kl_nonnegative(self, ep_generic):
         rho = steady_state(build_generator(ep_generic, coherent=True))
-        records = sample_ensemble(ep_generic, rho, 1.0, 3000, SeedPolicy(61), workers=1)
+        records = TrajectorySampler(ep_generic, rho, 1.0).ensemble(3000, SeedPolicy(61), workers=1)
         pw = PathWeights(ep_generic, rho, 1.0)
-        entropies, _ = ensemble_entropies(pw, records)
+        entropies = pw.entropies(records)
         stderr = entropies.std(ddof=1) / np.sqrt(len(entropies))
         assert entropies.mean() >= -3 * stderr
 
     def test_records_of_another_horizon_refused(self, ep_generic):
         # the endpoint spectra belong to the context's tau, not to the records'
         rho0 = ground_state()
-        records = sample_ensemble(ep_generic, rho0, 2.0, 50, SeedPolicy(3), workers=1)
+        records = TrajectorySampler(ep_generic, rho0, 2.0).ensemble(50, SeedPolicy(3), workers=1)
         pw = PathWeights(ep_generic, rho0, 1.0)
         for price in (pw.entropies, pw.densities_batch, pw.path_norms_batch):
             with pytest.raises(ValueError, match="horizon 1.0"):
@@ -672,8 +677,7 @@ class TestPathDensities:
         rho0 = np.diag([0.9, 0.1, 0.0]).astype(complex)
         pw = PathWeights(ep_generic, rho0, 1.0)
         rec = TrajectoryRecord((), initial_label=2, final_label=0, horizon=1.0)
-        values, keep = pw.entropies([rec])
-        assert not keep[0] and np.isnan(values[0])
+        assert np.isnan(pw.entropies([rec])[0])
         assert np.isnan(pw.densities_batch([rec])[2][0])
 
 
@@ -694,7 +698,7 @@ class TestPricingProperties:
         rng = np.random.default_rng(seed)
         model = random_detailed_balance_model(dim, rng)
         rho0 = random_full_rank_state(dim, rng)
-        records = sample_ensemble(model, rho0, tau, 40, SeedPolicy(seed), workers=1)
+        records = TrajectorySampler(model, rho0, tau).ensemble(40, SeedPolicy(seed), workers=1)
         damped, full = PathWeights(model, rho0, tau).path_norms_batch(records)
         assert np.all(np.abs(damped - full) <= 1e-9 * np.maximum(damped, full))
 
@@ -704,7 +708,7 @@ class TestPricingProperties:
         rng = np.random.default_rng(seed)
         model = random_detailed_balance_model(dim, rng)
         rho0 = random_full_rank_state(dim, rng)
-        records = sample_ensemble(model, rho0, tau, 40, SeedPolicy(seed), workers=1)
+        records = TrajectorySampler(model, rho0, tau).ensemble(40, SeedPolicy(seed), workers=1)
         _, backward, predicted = PathWeights(model, rho0, tau).densities_batch(records)
         rel = np.abs(backward - predicted) / np.maximum(np.maximum(backward, predicted), 1e-300)
         assert np.all(rel < 1e-9)
@@ -713,13 +717,13 @@ class TestPricingProperties:
 class TestEstimate:
     def test_poisson_absolute_moment(self, poisson, scalar_one):
         tau, rate, n = 1.5, 0.7, 4000
-        records = sample_ensemble(poisson, scalar_one, tau, n, SeedPolicy(2), workers=1)
+        records = TrajectorySampler(poisson, scalar_one, tau).ensemble(n, SeedPolicy(2), 1)
         est = estimate(records, CountingObservable((1.0,)), r_list=(1.0,))
         assert abs(est.abs_moments[1.0] - rate * tau) <= 4 * est.abs_moment_stderr[1.0]
 
     def test_constant_zero_observable(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))
-        records = sample_ensemble(da_generic, rho, 0.5, 100, SeedPolicy(8), workers=1)
+        records = TrajectorySampler(da_generic, rho, 0.5).ensemble(100, SeedPolicy(8), workers=1)
         est = estimate(records, CountingObservable((0.0,) * 4))
         assert est.mean == 0.0 and est.variance == 0.0
 
@@ -731,6 +735,6 @@ class TestEstimate:
 
     def test_invalid_moment_order(self, da_generic):
         rho = steady_state(build_generator(da_generic, coherent=True))
-        records = sample_ensemble(da_generic, rho, 0.5, 10, SeedPolicy(8), workers=1)
+        records = TrajectorySampler(da_generic, rho, 0.5).ensemble(10, SeedPolicy(8), workers=1)
         with pytest.raises(ValueError):
             estimate(records, CountingObservable((1.0,) * 4), r_list=(-1.0,))
