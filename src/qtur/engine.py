@@ -13,7 +13,12 @@ models are frozen and hold read-only arrays, so :func:`build_generator`
 memoizes the generator, a read-only array, on the model itself. The
 steady state is one LU of the generator bordered by its trace row, scaled
 by ||L||_1: the factors give the state, and their reciprocal condition
-number judges its uniqueness without a time unit.
+number judges its uniqueness without a time unit. :func:`build_generators`
+and :func:`steady_states` take a stack of models (a sweep's draws): one
+batched GEMM and einsum assemble every generator, each bordered system
+gets its own LAPACK calls, and the checks run once over the stack, where a
+failure marks only its own entry. The single-model functions are their
+stacks of one.
 
 The no-jump propagator family exposes the three operators
 
@@ -33,9 +38,10 @@ import numpy as np
 from scipy.linalg import expm, lapack
 
 from .operators import (
+    DENSITY_TOL,
     LindbladModel,
     ModelValidationError,
-    assert_density,
+    _density_checks,
     dagger,
     frobenius,
     validate_density,
@@ -68,10 +74,16 @@ def channel_sum(model: LindbladModel, weights) -> np.ndarray:
     """rho -> sum_m w_m L_m rho L_m^dag, from one (d^2, M) x (M, d^2) GEMM:
     its (ij, kl) entry sum_m w_m conj(L_m)_ij (L_m)_kl is, transposed, the
     (ik, jl) entry of sum_m w_m kron(conj(L_m), L_m)."""
-    d = model.dim
-    flat = model.jump_ops.reshape(-1, d * d)
-    raw = (flat.conj().T * np.asarray(weights, dtype=float)) @ flat
-    return raw.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return _channel_sums(model.jump_ops, weights)
+
+
+def _channel_sums(ops: np.ndarray, weights) -> np.ndarray:
+    """:func:`channel_sum` of each (M, d, d) channel stack of ``ops``
+    (..., M, d, d), one batched GEMM for all of them."""
+    d = ops.shape[-1]
+    flat = ops.reshape(*ops.shape[:-2], d * d)
+    raw = (flat.conj().swapaxes(-1, -2) * np.asarray(weights, dtype=float)) @ flat
+    return raw.reshape(*raw.shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(raw.shape)
 
 
 def build_generator(model: LindbladModel, coherent: bool = True) -> np.ndarray:
@@ -81,32 +93,52 @@ def build_generator(model: LindbladModel, coherent: bool = True) -> np.ndarray:
     Assembled on the first call for each ``coherent`` flag and memoized
     on the model after that. Trace preservation — the vectorized identity
     annihilates the generator from the left — is asserted at assembly.
+    The stack of one of :func:`build_generators`.
     """
     memo = model._generators
     key = bool(coherent)
     if key not in memo:
-        gen = _assemble(model, coherent)
-        gen.setflags(write=False)
-        memo[key] = gen
+        (gen,) = build_generators([model], key)
+        if isinstance(gen, Exception):
+            raise gen
     return memo[key]
 
 
-def _assemble(model: LindbladModel, coherent: bool) -> np.ndarray:
-    d = model.dim
-    k = -0.5 * model.total_decay() - (1j * model.H if coherent else 0.0)
-    gen = channel_sum(model, np.ones(model.n_channels))
+def build_generators(models, coherent: bool = True) -> list:
+    """:func:`build_generator` of each of ``models`` (one dimension and
+    channel count), assembled as one stack: per model its generator,
+    memoized on it, or the ModelValidationError of a generator that is not
+    trace preserving, which is not memoized."""
+    key = bool(coherent)
+    gens = _assemble(models, key)
+    return [g if isinstance(g, Exception) else m._generators.setdefault(key, g)
+            for m, g in zip(models, gens)]
+
+
+def _assemble(models, coherent: bool) -> list:
+    d, count = models[0].dim, len(models)
+    decay = np.stack([m.jump_norms for m in models]).sum(axis=1)
+    k = -0.5 * decay - (1j * np.stack([m.H for m in models]) if coherent else 0.0)
+    gens = _channel_sums(np.stack([m.jump_ops for m in models]), np.ones(models[0].n_channels))
     # kron(I, K), then kron(conj(K), I), added in place through writeable
-    # einsum views of the (d, d, d, d) generator: K on each block [r, :, r, :],
+    # einsum views of each (d, d, d, d) generator: K on each block [r, :, r, :],
     # conj(K) on each [:, r, :, r]
-    view = gen.reshape(d, d, d, d)
-    left = np.einsum("abac->abc", view)
-    left += k
-    right = np.einsum("arcr->rac", view)
-    right += k.conj()
-    residual = np.linalg.norm(vec(np.eye(d)).conj() @ gen)
-    if not residual <= TRACE_PRESERVATION_TOL * max(1.0, np.linalg.norm(gen)):
-        raise ModelValidationError(f"generator is not trace preserving: {residual:.3e}")
-    return gen
+    view = gens.reshape(count, d, d, d, d)
+    left = np.einsum("nabac->nabc", view)
+    left += k[:, None]
+    right = np.einsum("narcr->nrac", view)
+    right += k.conj()[:, None]
+    residual = np.linalg.norm(vec(np.eye(d)).conj() @ gens, axis=-1)
+    flat = gens.reshape(count, -1)  # ||L||_F without a temporary as large as L
+    norm = np.sqrt(
+        np.einsum("ni,ni->n", flat.real, flat.real) + np.einsum("ni,ni->n", flat.imag, flat.imag)
+    )
+    scale = TRACE_PRESERVATION_TOL * np.maximum(1.0, norm)
+    gens.setflags(write=False)
+    return [
+        gen if ok else ModelValidationError(f"generator is not trace preserving: {r:.3e}")
+        for gen, ok, r in zip(gens, (residual <= scale).tolist(), residual.tolist())
+    ]
 
 
 def propagate(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -133,29 +165,72 @@ def steady_state(gen: np.ndarray) -> np.ndarray:
     With t the trace row and s = ||L||_1, [[L, s t^dag], [s t, 0]] is
     singular exactly when 0 is not a simple eigenvalue of L, and otherwise
     maps (rho, 0) to (0, s). Its reciprocal condition number judges
-    uniqueness and ||L rho|| / (s ||rho||) the solve, both free of time units.
+    uniqueness and ||L rho|| / (s ||rho||) the solve, both free of time
+    units. The stack of one of :func:`steady_states`.
     """
-    n = gen.shape[0]
-    s = float(np.abs(gen).sum(axis=0).max()) or 1.0  # the zero generator has no scale
-    bordered = np.zeros((n + 1, n + 1), dtype=complex)
-    bordered[:n, :n] = gen
-    bordered[:n, n] = bordered[n, :n] = s * vec(np.eye(round(n**0.5)))
-    lu, piv, _ = lapack.zgetrf(bordered)
-    rcond, _ = lapack.zgecon(lu, np.abs(bordered).sum(axis=0).max())
-    if not rcond >= DEGENERACY_TOL:
-        raise DegenerateSteadyStateError(f"degenerate steady state: bordered rcond {rcond:.3e}")
-    # the pivots, then two triangular solves: zgetrs's bits move with the BLAS
-    # thread count, these do not
-    x = lapack.zlaswp(np.append(np.zeros(n), s)[:, None], piv)
-    for lower in (1, 0):
-        x, _ = lapack.ztrtrs(lu, x, lower=lower, unitdiag=lower)
-    rho = unvec(x[:n, 0])
-    rho = (rho + dagger(rho)) / (2.0 * rho.trace().real)
-    residual = np.linalg.norm(gen @ vec(rho)) / (s * np.linalg.norm(rho))
-    if not residual <= STEADY_STATE_RESIDUAL_TOL:
-        raise SteadyStateError(f"steady-state relative residual {residual:.3e} too large")
-    assert_density(rho)
+    (rho,) = steady_states([gen])
+    if isinstance(rho, Exception):
+        raise rho
     return rho
+
+
+def steady_states(gens) -> list:
+    """:func:`steady_state` of each generator in ``gens`` (one size):
+    per generator its state, or the SteadyStateError or
+    ModelValidationError that refuses it. An exception in ``gens`` (a
+    generator that failed to build) stands for its own result.
+
+    Each bordered system gets its own LAPACK calls; the scales, the
+    residual check and the density check run once over the stack."""
+    out = list(gens)
+    todo = [i for i, gen in enumerate(out) if not isinstance(gen, Exception)]
+    if not todo:
+        return out
+    count, n = len(todo), out[todo[0]].shape[0]
+    d = round(n**0.5)
+    bordered = np.zeros((count, n + 1, n + 1), dtype=complex)
+    for j, i in enumerate(todo):
+        bordered[j, :n, :n] = out[i]
+    stack = bordered[:, :n, :n]  # the generators, read in place
+    s = np.abs(stack).sum(axis=1).max(axis=-1)
+    s[s == 0.0] = 1.0  # the zero generator has no scale
+    bordered[:, :n, n] = bordered[:, n, :n] = s[:, None] * vec(np.eye(d))
+    anorm = np.abs(bordered).sum(axis=1).max(axis=-1).tolist()
+    rhs = np.zeros((count, n + 1, 1))
+    rhs[:, n, 0] = s
+    x = np.tile(vec(np.eye(d)) / d, (count, 1))  # a valid stand-in where no state is solved
+    for j, i in enumerate(todo):
+        lu, piv, _ = lapack.zgetrf(bordered[j])
+        rcond, _ = lapack.zgecon(lu, anorm[j])
+        if not rcond >= DEGENERACY_TOL:
+            message = f"degenerate steady state: bordered rcond {rcond:.3e}"
+            out[i] = DegenerateSteadyStateError(message)
+            continue
+        # the pivots, then two triangular solves: zgetrs's bits move with
+        # the BLAS thread count, these do not
+        y = lapack.zlaswp(rhs[j], piv)
+        for lower in (1, 0):
+            y, _ = lapack.ztrtrs(lu, y, lower=lower, unitdiag=lower)
+        x[j] = y[:n, 0]
+    rho = x.reshape(count, d, d).swapaxes(-1, -2)  # unvec of each row
+    trace = np.trace(rho, axis1=1, axis2=2).real
+    rho = np.ascontiguousarray((rho + dagger(rho)) / (2.0 * trace)[:, None, None])
+    flat = rho.swapaxes(-1, -2).reshape(count, n, 1)
+    residual = np.linalg.norm(stack @ flat, axis=(1, 2)) / (s * np.linalg.norm(rho, axis=(1, 2)))
+    residual = residual.tolist()
+    solved = [j for j in range(count) if residual[j] <= STEADY_STATE_RESIDUAL_TOL]
+    invalid = dict(zip(solved, _density_checks(rho[solved], DENSITY_TOL)[1]))
+    for j, i in enumerate(todo):
+        if isinstance(out[i], Exception):
+            continue
+        if j not in invalid:
+            message = f"steady-state relative residual {residual[j]:.3e} too large"
+            out[i] = SteadyStateError(message)
+        elif invalid[j]:
+            out[i] = ModelValidationError(f"invalid density matrix: {invalid[j]}")
+        else:
+            out[i] = rho[j]
+    return out
 
 
 @dataclass(frozen=True)

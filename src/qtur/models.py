@@ -24,19 +24,36 @@ from .counting import CountingObservable
 from .operators import LindbladModel
 
 
-def _ket(i: int, dim: int = 3) -> np.ndarray:
-    v = np.zeros((dim, 1), dtype=complex)
-    v[i, 0] = 1.0
-    return v
-
-
 def _excited_hamiltonian(omega_e: float) -> np.ndarray:
     return omega_e * np.diag([0.0, 1.0, 1.0]).astype(complex)
 
 
-def _check_rates(rates) -> None:
-    if any(g <= 0 for g in rates):
-        raise ValueError(f"all rates must be positive, got {tuple(rates)}")
+# Channel m of a built-in model is sqrt(rate m) times template m, a 0/1
+# matrix in the basis [|g>, |e1>, |e2>].
+_G, _E1, _E2 = np.eye(3, dtype=complex)
+_DOWN, _UP = np.outer(_G, _E1 + _E2), np.outer(_E1 + _E2, _G)
+_DA_TEMPLATES = np.array([_DOWN, _UP, np.outer(_G, _E1), np.outer(_G, _E2)])
+_EP_TEMPLATES = np.array(
+    [_DOWN, _UP, np.outer(_G, _E1), np.outer(_E1, _G), np.outer(_G, _E2), np.outer(_E2, _G)]
+)
+
+
+def _rate_rows(rates, n_rates: int) -> np.ndarray:
+    """``rates`` as an (N, n_rates) float array; a row with a rate <= 0 is refused."""
+    rates = np.asarray(rates, dtype=float).reshape(-1, n_rates)
+    bad = (rates <= 0).any(axis=1)
+    if bad.any():
+        row = tuple(rates[np.argmax(bad)].tolist())
+        raise ValueError(f"all rates must be positive, got {row}")
+    return rates
+
+
+def build_da_models(omega_e: float, rates) -> list[LindbladModel]:
+    """:func:`build_da_model` of each row (g1, g2, g3, g4) of ``rates``,
+    built and validated as one stack."""
+    rates = _rate_rows(rates, 4)
+    ops = np.sqrt(rates)[..., None, None] * _DA_TEMPLATES
+    return LindbladModel.build_stack(_excited_hamiltonian(omega_e), ops)
 
 
 def build_da_model(omega_e: float, g1: float, g2: float, g3: float, g4: float) -> LindbladModel:
@@ -46,15 +63,19 @@ def build_da_model(omega_e: float, g1: float, g2: float, g3: float, g4: float) -
     sqrt(g3)|g><e1|, sqrt(g4)|g><e2|. Transition frequencies come out as
     (omega_e, -omega_e, omega_e, omega_e).
     """
-    _check_rates((g1, g2, g3, g4))
-    g, e1, e2 = _ket(0), _ket(1), _ket(2)
-    ops = [
-        np.sqrt(g1) * g @ (e1 + e2).conj().T,
-        np.sqrt(g2) * (e1 + e2) @ g.conj().T,
-        np.sqrt(g3) * g @ e1.conj().T,
-        np.sqrt(g4) * g @ e2.conj().T,
-    ]
-    return LindbladModel.build(_excited_hamiltonian(omega_e), ops)
+    return build_da_models(omega_e, [g1, g2, g3, g4])[0]
+
+
+def build_ep_models(omega_e: float, rates) -> list[LindbladModel]:
+    """:func:`build_ep_model` of each row (g1, ..., g6) of ``rates``,
+    built and validated as one stack."""
+    rates = _rate_rows(rates, 6)
+    forward = np.log(rates[:, 0::2] / rates[:, 1::2])
+    ds = np.stack([forward, -forward], axis=-1).reshape(-1, 6)
+    ops = np.sqrt(rates)[..., None, None] * _EP_TEMPLATES
+    return LindbladModel.build_stack(
+        _excited_hamiltonian(omega_e), ops, ds=ds.tolist(), partners=[1, 0, 3, 2, 5, 4]
+    )
 
 
 def build_ep_model(
@@ -71,25 +92,7 @@ def build_ep_model(
     Pairs (1,2), (3,4), (5,6) with ds = ln(forward rate / reverse rate),
     so local detailed balance holds by construction.
     """
-    _check_rates((g1, g2, g3, g4, g5, g6))
-    g, e1, e2 = _ket(0), _ket(1), _ket(2)
-    ops = [
-        np.sqrt(g1) * g @ (e1 + e2).conj().T,
-        np.sqrt(g2) * (e1 + e2) @ g.conj().T,
-        np.sqrt(g3) * g @ e1.conj().T,
-        np.sqrt(g4) * e1 @ g.conj().T,
-        np.sqrt(g5) * g @ e2.conj().T,
-        np.sqrt(g6) * e2 @ g.conj().T,
-    ]
-    ds13 = float(np.log(g1 / g2))
-    ds34 = float(np.log(g3 / g4))
-    ds56 = float(np.log(g5 / g6))
-    return LindbladModel.build(
-        _excited_hamiltonian(omega_e),
-        ops,
-        ds=[ds13, -ds13, ds34, -ds34, ds56, -ds56],
-        partners=[1, 0, 3, 2, 5, 4],
-    )
+    return build_ep_models(omega_e, [g1, g2, g3, g4, g5, g6])[0]
 
 
 def build_poisson_model(rate: float) -> LindbladModel:
@@ -105,14 +108,18 @@ def antisymmetric_current_weights(model: LindbladModel, free_weights) -> tuple:
     """Expand weights given once per pair into a full antisymmetric vector.
 
     ``free_weights`` supplies one value per channel pair, attached to the
-    lower channel index of each pair and negated on the partner.
+    lower channel index of each pair and negated on the partner. A channel
+    paired with itself is its own reverse: it gets weight 0 and takes no
+    free weight.
     """
     weights = [None] * model.n_channels
     free = list(free_weights)
     for m, c in enumerate(model.channels):
         if c.partner is None:
             raise ValueError(f"channel {m} is unpaired; cannot form a current")
-        if weights[m] is None:
+        if c.partner == m:
+            weights[m] = 0.0
+        elif weights[m] is None:
             if not free:
                 raise ValueError("not enough free weights for the channel pairs")
             w = float(free.pop(0))
@@ -127,8 +134,9 @@ def default_observable(model: LindbladModel) -> CountingObservable:
     """The observable counted when no weights are given.
 
     With every channel paired it is a current: +1 on the lower channel of
-    each pair and -1 on its partner (for the built-in ep model, the net
-    flux into |g>). Otherwise it is the total jump count.
+    each pair of two channels and -1 on its partner (for the built-in ep
+    model, the net flux into |g>), 0 on a self-paired channel. Otherwise
+    it is the total jump count.
     """
     if model.n_channels and all(c.partner is not None for c in model.channels):
         pairs = sum(1 for m, c in enumerate(model.channels) if c.partner > m)

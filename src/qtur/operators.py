@@ -22,7 +22,9 @@ be shared freely across worker processes. A model also holds L_m and
 L_m^dag L_m as (M, d, d) stacks, which every sum over channels reads, and
 memoizes its generators (``qtur.engine.build_generator``), which its
 arrays fix, and in one slot the last augmented block of ``qtur.counting``
-with its last dense exponential.
+with its last dense exponential. :meth:`LindbladModel.build_stack` builds
+N models that share H as one (N, M, d, d) stack: every check runs once
+over it, and :meth:`LindbladModel.build` is its stack of one.
 """
 
 from __future__ import annotations
@@ -96,30 +98,39 @@ def validate_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> DensityCheck:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     if not np.all(np.isfinite(rho.view(float))):
         raise ValueError("density matrix contains NaN/Inf entries")
-
-    herm = hermiticity_error(rho)
-    trace_err = abs(rho.trace() - 1.0)
-    # eigvalsh on the Hermitian part: rounding asymmetry must not poison
-    # the positivity check.
-    min_eig = float(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0).min())
-
-    failures = []
-    if herm > tol:
-        failures.append(f"non-Hermitian by {herm:.3e}")
-    if trace_err > tol:
-        failures.append(f"trace off by {trace_err:.3e}")
-    if min_eig < -tol:
-        failures.append(f"negative eigenvalue {min_eig:.3e}")
-    worst = max(herm, trace_err, max(0.0, -min_eig))
+    ((herm, trace_err, min_eig),), (message,) = _density_checks(rho[None], tol)
     return DensityCheck(
-        ok=not failures,
+        ok=not message,
         hermiticity=herm,
-        trace_error=float(trace_err),
+        trace_error=trace_err,
         min_eigenvalue=min_eig,
         tol=tol,
-        worst=worst,
-        message="; ".join(failures) if failures else "ok",
+        worst=max(herm, trace_err, max(0.0, -min_eig)),
+        message=message or "ok",
     )
+
+
+_DENSITY_FAILURES = (
+    "non-Hermitian by {:.3e}", "trace off by {:.3e}", "negative eigenvalue {:.3e}"
+)
+
+
+def _density_checks(rhos: np.ndarray, tol: float) -> tuple:
+    """(Hermiticity error, trace error, least eigenvalue) of each matrix of
+    the (N, d, d) stack ``rhos``, and per matrix the invariants that fail
+    ``tol`` ("" where all hold; NaN fails)."""
+    stats = np.stack([
+        np.linalg.norm(rhos - dagger(rhos), axis=(-2, -1)),
+        np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0),
+        # on the Hermitian part: rounding asymmetry must not poison positivity
+        np.linalg.eigvalsh((rhos + dagger(rhos)) / 2.0).min(axis=-1),
+    ], axis=-1)
+    failed = ~(stats * [1.0, 1.0, -1.0] <= tol)
+    messages = [
+        "; ".join(text.format(v) for text, v, bad in zip(_DENSITY_FAILURES, row, flags) if bad)
+        for row, flags in zip(stats.tolist(), failed.tolist())
+    ]
+    return stats.tolist(), messages
 
 
 def assert_density(rho: np.ndarray) -> None:
@@ -139,7 +150,7 @@ def extract_bohr_frequency(H: np.ndarray, L: np.ndarray) -> float:
     H, L = np.asarray(H, dtype=complex), np.asarray(L, dtype=complex)
     _check_finite(H, "Hamiltonian")
     _check_finite(L, "jump operator")
-    return float(_bohr_frequencies(H, L[None], "")[0])
+    return float(_bohr_frequencies(H, L[None, None], "")[0, 0])
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:
@@ -147,33 +158,35 @@ def _check_finite(a: np.ndarray, name: str) -> None:
         raise ModelValidationError(f"{name} has NaN or Inf entries")
 
 
-def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where: str = "channel {}: ") -> np.ndarray:
-    """:func:`extract_bohr_frequency` of each operator of the (M, d, d)
-    stack ``ops``; ``where`` names channel m in errors.
+def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where: str = "channel {1}: ") -> np.ndarray:
+    """:func:`extract_bohr_frequency` of each operator of the (N, M, d, d)
+    stack ``ops``, from one ``eigh`` of H; ``where`` formats (k, m) into
+    the name of operator m of model k in errors.
 
     In the eigenbasis of H, [L, H]_ij = L_ij (E_j - E_i). With p_ij =
     |L_ij|^2 / ||L||_F^2 there, omega = sum p_ij (E_j - E_i) and the
     residual is ||L||_F sqrt(sum p_ij (E_j - E_i - omega)^2)."""
     if hermiticity_error(H) > EIGENOPERATOR_TOL * frobenius(H):
         raise ModelValidationError("Hamiltonian is not Hermitian")
-    norms = np.linalg.norm(ops, axis=(1, 2))
+    norms = np.linalg.norm(ops, axis=(-2, -1))
     if not norms.all():
-        raise ModelValidationError(f"{where.format(np.argmin(norms))}jump operator is zero")
+        at = np.unravel_index(np.argmin(norms), norms.shape)
+        raise ModelValidationError(f"{where.format(*at)}jump operator is zero")
     energies, basis = np.linalg.eigh((H + dagger(H)) / 2.0)
     gap = energies[None, :] - energies[:, None]
-    weight = (np.abs(dagger(basis) @ ops @ basis) / norms[:, None, None]) ** 2
-    omega = (weight * gap).sum(axis=(1, 2))
-    residual = norms * np.sqrt((weight * (gap - omega[:, None, None]) ** 2).sum(axis=(1, 2)))
+    weight = (np.abs(dagger(basis) @ ops @ basis) / norms[..., None, None]) ** 2
+    omega = (weight * gap).sum(axis=(-2, -1))
+    residual = norms * np.sqrt((weight * (gap - omega[..., None, None]) ** 2).sum(axis=(-2, -1)))
     # relative to the spectrum's spread (shift-free), never below eigh's rounding
     spread = energies[-1] - energies[0]
     rounding = 16 * len(energies) * np.spacing(abs(energies).max())
     bound = norms * max(EIGENOPERATOR_TOL * spread, rounding)
     bad = ~(residual <= bound)
     if bad.any():
-        m = np.argmax(bad)
+        at = np.unravel_index(np.argmax(bad), bad.shape)
         raise EigenoperatorError(
-            f"{where.format(m)}eigenoperator condition violated: residual "
-            f"{residual[m]:.3e} > {bound[m]:.3e} ({EIGENOPERATOR_TOL:.1e} * ||L||_F "
+            f"{where.format(*at)}eigenoperator condition violated: residual "
+            f"{residual[at]:.3e} > {bound[at]:.3e} ({EIGENOPERATOR_TOL:.1e} * ||L||_F "
             f"* spread {spread:.3e} of H)"
         )
     return omega
@@ -250,7 +263,7 @@ class LindbladModel:
 
     @classmethod
     def build(cls, H: np.ndarray, jump_ops, *, ds=None, partners=None) -> "LindbladModel":
-        """Assemble and validate a model.
+        """Assemble and validate a model: the stack of one of :meth:`build_stack`.
 
         ``ds`` and ``partners`` are parallel sequences (entries may be
         None). H and every L_m must be finite, each L_m an eigenoperator
@@ -258,29 +271,68 @@ class LindbladModel:
         satisfy local detailed balance.
         """
         H = np.asarray(H, dtype=complex)
-        n = len(jump_ops)
-        ds = list(ds) if ds is not None else [None] * n
-        partners = list(partners) if partners is not None else [None] * n
-        if len(ds) != n or len(partners) != n:
-            raise ValueError("ds/partners length must match the channel count")
-
         _check_finite(H, "Hamiltonian")
         ops = [np.asarray(L, dtype=complex) for L in jump_ops]
         for m, L in enumerate(ops):
             if L.shape != H.shape:
                 raise ModelValidationError(f"channel {m} has shape {L.shape}, H {H.shape}")
-            _check_finite(L, f"channel {m}")
-        omegas = _bohr_frequencies(H, np.array(ops).reshape(n, *H.shape)).tolist()
-        model = cls(H, tuple(map(JumpChannel, ops, omegas, ds, partners)))
-        for m, c in enumerate(model.channels):
-            p = c.partner
-            if p is not None and (not (0 <= p < n) or model.channels[p].partner != m):
+        stack = np.array(ops).reshape(1, len(ops), *H.shape)
+        return cls.build_stack(H, stack, ds=None if ds is None else [ds], partners=partners)[0]
+
+    @classmethod
+    def build_stack(cls, H: np.ndarray, jump_ops, *, ds=None, partners=None) -> list:
+        """:meth:`build` of N models that share H and the partner map: model
+        k has the channels ``jump_ops[k]`` of the (N, M, d, d) stack and
+        the entropy changes ``ds[k]``. Every check runs once over the
+        stack, with one ``eigh`` of H; the first failure raises and names
+        its model and channel."""
+        H = np.asarray(H, dtype=complex)
+        stack = np.array(jump_ops, dtype=complex)
+        count, n = stack.shape[:2]
+        ds = [list(row) for row in ds] if ds is not None else [[None] * n] * count
+        partners = list(partners) if partners is not None else [None] * n
+        if len(partners) != n or len(ds) != count or any(len(row) != n for row in ds):
+            raise ValueError("ds/partners length must match the channel count")
+        _check_finite(H, "Hamiltonian")
+        if stack.shape[2:] != H.shape:
+            raise ModelValidationError(f"channels have shape {stack.shape[2:]}, H {H.shape}")
+        name = "channel {1}" if count == 1 else "model {0}, channel {1}"
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        if not finite.all():
+            at = np.unravel_index(np.argmin(finite), finite.shape)
+            raise ModelValidationError(f"{name.format(*at)} has NaN or Inf entries")
+        omegas = _bohr_frequencies(H, stack, name + ": ").tolist()
+        for m, p in enumerate(partners):
+            if p is not None and (not (0 <= p < n) or partners[p] != m):
                 raise ModelValidationError(f"partner map is not an involution at channel {m}")
-        paired = [m for m, c in enumerate(model.channels) if None not in (c.partner, c.ds)]
-        for m, check in zip(paired, _balance_checks(model, paired)):
-            if not check.ok:
-                raise DetailedBalanceError(f"channel {m}: {check.message}")
-        return model
+        failed, check = _balance_checks(stack, ds, partners)
+        if failed.any():
+            at = np.unravel_index(np.argmax(failed), failed.shape)
+            raise DetailedBalanceError(f"{name.format(*at)}: {check(*at).message}")
+
+        stack.setflags(write=False)
+        norms = dagger(stack) @ stack
+        norms.setflags(write=False)
+        H, models = _readonly(H), []
+        for k in range(count):
+            channels = tuple(
+                _checked(JumpChannel, L=L, omega=omega, ds=s, partner=p)
+                for L, omega, s, p in zip(stack[k], omegas[k], ds[k], partners)
+            )
+            models.append(_checked(
+                cls, H=H, channels=channels, jump_ops=stack[k], jump_norms=norms[k],
+                _generators={}, _block={},
+            ))
+        return models
+
+
+def _checked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` that holds ``fields`` as
+    they are, without ``__init__``: for values already checked and held in
+    read-only arrays, as :meth:`LindbladModel.build_stack` holds them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -298,30 +350,36 @@ def check_local_detailed_balance(model: LindbladModel, m: int) -> BalanceCheck:
         raise ModelValidationError(f"channel {m} has no reverse partner")
     if c.ds is None:
         raise ModelValidationError(f"channel {m} has no entropy change set")
-    return _balance_checks(model, [m])[0]
+    ds, partners = zip(*((c.ds, c.partner) for c in model.channels))
+    return _balance_checks(model.jump_ops[None], [ds], partners)[1](0, m)
 
 
-def _balance_checks(model: LindbladModel, idx: list) -> list[BalanceCheck]:
-    """:func:`check_local_detailed_balance` of the channels ``idx``, each
-    paired and with ds set, from one stacked expression of residuals."""
+def _balance_checks(ops: np.ndarray, ds: list, partners: list) -> tuple:
+    """:func:`check_local_detailed_balance` of every channel of the
+    (N, M, d, d) stack ``ops`` with rows of entropy changes ``ds``, from
+    one stacked expression: the (N, M) mask of paired channels with ds
+    that fail, and ``check(k, m)``, the BalanceCheck of one of them."""
     tol = EIGENOPERATOR_TOL
-    chans = [model.channels[m] for m in idx]
-    ops = model.jump_ops[idx]
-    factor = np.exp(np.array([c.ds for c in chans], dtype=float) / 2.0)[:, None, None]
-    rev = dagger(model.jump_ops[[c.partner for c in chans]])
-    residuals = np.linalg.norm(ops - factor * rev, axis=(1, 2)).tolist()
-    out = []
-    for c, residual, scale in zip(chans, residuals, tol * np.linalg.norm(ops, axis=(1, 2))):
-        rev_ds = model.channels[c.partner].ds
-        if rev_ds is None or not abs(rev_ds + c.ds) <= tol * max(1.0, abs(c.ds)):
-            message = "partner entropy change is not the negative"
-            out.append(BalanceCheck(False, float("inf"), message))
-        elif not residual <= scale:
-            message = f"operator mismatch: residual {residual:.3e} > {scale:.3e}"
-            out.append(BalanceCheck(False, residual, message))
-        else:
-            out.append(BalanceCheck(True, residual, "ok"))
-    return out
+    index = [m if p is None else p for m, p in enumerate(partners)]
+    has = np.array([[x is not None for x in row] for row in ds], dtype=bool).reshape(ops.shape[:2])
+    values = np.array([[0.0 if x is None else x for x in row] for row in ds], dtype=float)
+    values = values.reshape(ops.shape[:2])
+    negated = abs(values[:, index] + values) <= tol * np.maximum(1.0, abs(values))
+    bad_ds = ~has[:, index] | ~negated
+    factor = np.exp(values / 2.0)[..., None, None]
+    residual = np.linalg.norm(ops - factor * dagger(ops[:, index]), axis=(-2, -1))
+    scale = tol * np.linalg.norm(ops, axis=(-2, -1))
+
+    def check(k: int, m: int) -> BalanceCheck:
+        if bad_ds[k, m]:
+            return BalanceCheck(False, float("inf"), "partner entropy change is not the negative")
+        r, bound = float(residual[k, m]), float(scale[k, m])
+        if not r <= bound:
+            return BalanceCheck(False, r, f"operator mismatch: residual {r:.3e} > {bound:.3e}")
+        return BalanceCheck(True, r, "ok")
+
+    paired = has & np.array([p is not None for p in partners], dtype=bool)
+    return paired & (bad_ds | ~(residual <= scale)), check
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,15 @@ diagonal (classical) part. The point of the exercise is that the full
 cost never produces a violation while the diagonal-only cost does, which
 is what the coherent contribution buys.
 
-One draw function serves both sweeps, with a table of what differs per
-experiment. Each cost is judged by the rule of every bound report
-(:class:`~qtur.bounds.BoundReport`), so a mean that is rounding noise
-makes a row not applicable (nan sides and slack, empty verdicts). A draw
-whose steady state or observable fails validation is a flagged row.
+One range function serves both sweeps, with a table of what differs per
+experiment. It draws the parameters of each draw, then builds and checks
+the models, generators and steady states of the whole range as one
+stack, then computes each row's moments and reports. Each cost is judged
+by the rule of every bound report (:class:`~qtur.bounds.BoundReport`), so
+a mean that is rounding noise makes a row not applicable (nan sides and
+slack, empty verdicts). A draw whose generator, steady state or
+observable fails validation is a flagged row; a model that fails to
+build aborts the sweep.
 
 Sweeps are reproducible to the byte: draw k derives its own generator
 from (seed, k) through the same splitmix64 mixing the trajectory sampler
@@ -36,8 +40,8 @@ from .bounds import (
     observable_scale,
 )
 from .counting import CountingObservable, activity_at, counting_moments, rate_split, sigma_from
-from .engine import SteadyStateError, build_generator, steady_state
-from .models import antisymmetric_current_weights, build_da_model, build_ep_model
+from .engine import SteadyStateError, build_generators, steady_states
+from .models import antisymmetric_current_weights, build_da_models, build_ep_models
 from .models import default_observable
 from .operators import LindbladModel, ModelValidationError
 from .trajectories import (
@@ -53,7 +57,7 @@ from .trajectories import (
 # Smallest sweep split across worker processes: the crossover measured on
 # 2 cores (one BLAS thread each, one sweep per fresh process, as a CLI run
 # makes). Below it, pool start-up costs more than the second core saves.
-POOL_MIN = 64
+POOL_MIN = 640
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,8 @@ class SweepConfig:
                 raise ValueError(f"{what} range [{lo}, {hi}] is not finite")
             if hi <= lo:
                 raise ValueError(f"empty {what} range [{lo}, {hi}]")
+            if lo < 0:
+                raise ValueError(f"{what} range [{lo}, {hi}] reaches below 0")
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,8 @@ def _ep_sides(mom, tau, sigma, s_d):
 
 @dataclass(frozen=True)
 class _Experiment:
-    """What one sweep draws, builds and judges; :func:`_draw` does the rest.
+    """What one sweep draws, builds and judges; :func:`_draw_range` does
+    the rest. ``build(omega_e, rates)`` gives the model of each rate row.
 
     ``current``: the weights are drawn once per channel pair and
     antisymmetrized, else once per channel, uniformly from
@@ -182,7 +189,7 @@ _EXPERIMENTS = {
             "activity_rate_offdiag", "lhs", "rhs_full", "rhs_diag",
         ),
         n_rates=4,
-        build=lambda *args: build_da_model(*args),  # resolved per call, as other calls here are
+        build=lambda *args: build_da_models(*args),  # resolved per call, as other calls here are
         current=False,
         weight_range=(0.0, 1.0),
         cost_weights=lambda model: np.ones(model.n_channels),
@@ -196,7 +203,7 @@ _EXPERIMENTS = {
             "lhs_full", "lhs_diag", "rhs",
         ),
         n_rates=6,
-        build=lambda *args: build_ep_model(*args),
+        build=lambda *args: build_ep_models(*args),
         current=True,
         weight_range=(-1.0, 1.0),
         cost_weights=LindbladModel.entropy_weights,
@@ -207,23 +214,35 @@ _EXPERIMENTS = {
 }
 
 
-def _draw(config: SweepConfig, index: int):
-    """Row ``index`` of the sweep: parameters, exact stationary statistics,
-    and both costs judged by the bound reports' rule. A draw whose steady
-    state or observable fails validation is a flagged row."""
+def _draw_range(config: SweepConfig, lo: int, hi: int) -> list:
+    """Rows [lo, hi) of the sweep. Each draw takes its parameters from its
+    own generator; the models, generators and steady states of the range
+    are then built and checked as one stack, and each row gets its exact
+    statistics and both costs judged by the bound reports' rule. A draw
+    whose generator, steady state or observable fails validation is a
+    flagged row; a model that fails to build raises."""
     spec = _EXPERIMENTS[config.experiment]
-    rng = _draw_rng(config.seed, index)
-    g = _open_uniform(rng, config.gamma_low, config.gamma_high, spec.n_rates)
-    tau = float(rng.uniform(config.tau_low, config.tau_high))
     n_free = spec.n_rates // 2 if spec.current else spec.n_rates
-    c = rng.uniform(*spec.weight_range, n_free)
+    draws = []
+    for index in range(lo, hi):
+        rng = _draw_rng(config.seed, index)
+        g = _open_uniform(rng, config.gamma_low, config.gamma_high, spec.n_rates)
+        tau = float(rng.uniform(config.tau_low, config.tau_high))
+        draws.append((index, g, tau, rng.uniform(*spec.weight_range, n_free)))
+    models = spec.build(config.omega_e, np.array([g for _, g, _, _ in draws]))
+    states = steady_states(build_generators(models, coherent=True))
+    return [_row(spec, *draw, model, rho) for draw, model, rho in zip(draws, models, states)]
 
-    model = spec.build(config.omega_e, *g)
+
+def _row(spec: _Experiment, index: int, g, tau: float, c, model: LindbladModel, rho) -> tuple:
+    """The row of one draw, from its model and its stacked steady state
+    ``rho`` (or the error that refused it)."""
     if spec.current:
         c = antisymmetric_current_weights(model, c)
     base = [index, *g, tau, *c]
     try:
-        rho = steady_state(build_generator(model, coherent=True))
+        if isinstance(rho, Exception):
+            raise rho
         obs = CountingObservable(tuple(c), antisymmetric=spec.current)
         if spec.current:
             obs.check_antisymmetry(model)
@@ -248,10 +267,6 @@ def _draw(config: SweepConfig, index: int):
         cells[f"satisfied_{which}"] = rep.satisfied
     row = base + [mom.mean, mom.variance, total, part_d, part_nd]
     return tuple(row + [cells[name] for name in spec.header[len(row):]])
-
-
-def _draw_range(config: SweepConfig, lo: int, hi: int) -> list:
-    return [_draw(config, i) for i in range(lo, hi)]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

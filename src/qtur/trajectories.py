@@ -55,12 +55,15 @@ defaults to the CPUs this process may run on (:func:`resolve_workers`).
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 from dataclasses import dataclass, field
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .counting import CountingObservable, MomentResult
 from .engine import build_generator, propagate
@@ -540,9 +543,31 @@ def _usable_cpus() -> int:
 _SHARED = None  # a pool worker's copy of the map's shared argument
 
 
+# numpy's and scipy's wheels each bundle an OpenBLAS, each with its own
+# name for the thread-count setter
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
+def _openblas_libraries() -> list:
+    """ctypes handles of the OpenBLAS builds bundled with numpy and scipy,
+    beside each package (``numpy.libs``) or inside it (``.dylibs``)."""
+    found = []
+    for package in (Path(np.__file__).parent, Path(scipy.__file__).parent):
+        paths = [*package.parent.glob(f"{package.name}.libs/*openblas*"),
+                 *package.glob(".dylibs/*openblas*")]
+        found += [ctypes.CDLL(str(path)) for path in paths]
+    return found
+
+
 def _init_shared(shared) -> None:
+    """A pool worker's set-up: keep ``shared`` and run every OpenBLAS on one
+    thread, since the pool already has a process per CPU."""
     global _SHARED
     _SHARED = shared
+    for lib in _openblas_libraries():
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
 
 
 def _call_shared(task):

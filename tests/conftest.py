@@ -173,6 +173,20 @@ def patch_nth_call(monkeypatch, module, name: str, n: int, replace) -> None:
     monkeypatch.setattr(module, name, patched)
 
 
+def patch_nth_draw(monkeypatch, module, name: str, n: int, result) -> None:
+    """Make entry ``n`` (from 0, counted over every call) of the per-draw
+    results of the stacked ``module.name`` come out as ``result``; every
+    other entry is unchanged."""
+    original = getattr(module, name)
+    seen = itertools.count()
+
+    def patched(*args, **kwargs):
+        out = original(*args, **kwargs)
+        return [result if next(seen) == n else item for item in out]
+
+    monkeypatch.setattr(module, name, patched)
+
+
 def record_exponentials(monkeypatch) -> list:
     """Patch ``qtur.counting.expm`` to append the shape of every matrix it
     exponentiates to the returned list."""
@@ -185,15 +199,6 @@ def record_exponentials(monkeypatch) -> list:
 
     monkeypatch.setattr(qtur.counting, "expm", recorded)
     return shapes
-
-
-def raising(error: Exception):
-    """A ``replace`` for :func:`patch_nth_call` that raises ``error``."""
-
-    def replace(original, *args, **kwargs):
-        raise error
-
-    return replace
 
 
 def zero_mean(original, *args, **kwargs):

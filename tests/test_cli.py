@@ -237,6 +237,22 @@ class TestBounds:
         assert rate == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
         assert reports[-1]["extra"] == {"reason": "the observable is not a current"}
 
+    def test_self_paired_channel_takes_no_weight(self, tmp_path):
+        # a and a^dag paired, the Hermitian sqrt(0.3) n paired with itself
+        a = np.diag(np.sqrt(np.arange(1.0, 5.0)), 1).astype(complex)
+        n = np.diag(np.arange(5.0)).astype(complex)
+        model = LindbladModel.build(
+            n, [a, a.conj().T, np.sqrt(0.3) * n], ds=[0.0, 0.0, 0.0], partners=[1, 0, 2]
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        code, reports = bounds_reports("--model", str(path), "--tau", "1")
+        assert code == 0
+        assert [r["name"] for r in reports][-1] == "entropy_production_bound"
+        assert reports[2]["satisfied"] is True  # the survival bound
+        argv = ("--model", str(path), "--tau", "1", "--trajectories", "500", "--workers", "1")
+        assert run_cli("verify-cic", *argv) == 0
+
     @pytest.mark.parametrize("flags, built", [((), [True]), (("--incoherent",), [False, True])])
     def test_assembles_each_generator_once(self, monkeypatch, flags, built):
         assemble, calls = engine._assemble, []
@@ -460,6 +476,12 @@ MALFORMED = {
     ),
     "inf-gamma-range": (
         ("sweep-ep", "--gamma-range", "0,inf"), None, "gamma range [0.0, inf] is not finite",
+    ),
+    "negative-gamma-range": (
+        ("sweep-ep", "--gamma-range=-1,1"), None, "gamma range [-1.0, 1.0] reaches below 0",
+    ),
+    "negative-tau-range": (
+        ("sweep-ep", "--tau-range=-1,1"), None, "tau range [-1.0, 1.0] reaches below 0",
     ),
 }
 

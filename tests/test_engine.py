@@ -16,13 +16,16 @@ from qtur import engine
 from qtur.engine import (
     DegenerateSteadyStateError,
     build_generator,
+    build_generators,
     no_jump_family,
     propagate,
     steady_state,
+    steady_states,
     survival_probability,
     vec,
 )
-from qtur.operators import LindbladModel, dagger
+from qtur.models import build_da_model, build_da_models, build_ep_model, build_ep_models
+from qtur.operators import EigenoperatorError, LindbladModel, ModelValidationError, dagger
 from conftest import (
     da_steady_state_closed_form,
     ground_state,
@@ -131,7 +134,7 @@ class TestChannelStack:
         model = ladder_model(d, np.random.default_rng(d))
         weights = model.entropy_weights()
         for build in (
-            lambda: engine._assemble(model, True),
+            lambda: engine._assemble([model], True),
             lambda: engine.channel_sum(model, weights),
             lambda: engine.channel_sum(model, weights * weights),
         ):
@@ -144,6 +147,62 @@ class TestChannelStack:
             # a few d^2-square arrays; an (M, d^2, d^2) stack of the 46
             # channels would take 244 MB
             assert peak <= 4 * d**4 * 16
+
+
+BUILT_INS = {
+    "da": (4, build_da_model, build_da_models),
+    "ep": (6, build_ep_model, build_ep_models),
+}
+
+
+class TestStackedDraws:
+    """A stack of draws, as a sweep builds one, against the single-model
+    path of each draw: the same bits at every stage."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(BUILT_INS)), n=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_matches_single_models(self, kind, n, seed):
+        rng = np.random.default_rng(seed)
+        n_rates, single, stacked = BUILT_INS[kind]
+        omega_e, rates = rng.uniform(0.1, 3.0), rng.uniform(1e-3, 1.0, (n, n_rates))
+        models = stacked(omega_e, rates)
+        states = steady_states(build_generators(models, coherent=True))
+        assert len(models) == len(states) == n
+        for model, row, rho in zip(models, rates, states):
+            ref = single(omega_e, *row)
+            assert model.jump_ops.tobytes() == ref.jump_ops.tobytes()
+            assert model.jump_norms.tobytes() == ref.jump_norms.tobytes()
+            assert [(c.omega, c.ds, c.partner) for c in model.channels] == [
+                (c.omega, c.ds, c.partner) for c in ref.channels
+            ]
+            gen = build_generator(ref, coherent=True)
+            assert build_generator(model, coherent=True).tobytes() == gen.tobytes()
+            assert rho.tobytes() == steady_state(gen).tobytes()
+
+    def test_one_bad_draw_is_flagged_alone(self):
+        models = build_ep_models(1.0, np.random.default_rng(3).uniform(0.1, 1.0, (5, 6)))
+        # without channels every diagonal state is stationary; with a NaN in
+        # H the generator is not trace preserving
+        degenerate = LindbladModel.build(np.diag([0.0, 1.0, 2.0]), [])
+        broken = LindbladModel(np.diag([0.0, np.nan, 1.0]), models[3].channels)
+        gens = build_generators([*models[:3], broken, models[4]])
+        assert isinstance(gens[3], ModelValidationError) and not broken._generators
+        gens[1] = build_generator(degenerate)
+        states = steady_states(gens)
+        assert isinstance(states[1], DegenerateSteadyStateError)
+        assert states[3] is gens[3]
+        for k in (0, 2, 4):
+            assert states[k].tobytes() == steady_state(build_generator(models[k])).tobytes()
+
+    def test_a_bad_model_raises_and_is_named(self):
+        stack = np.zeros((3, 1, 2, 2), dtype=complex)
+        stack[:, 0, 0, 1] = 1.0
+        stack[1, 0, 1, 0] = 1.0  # not an eigenoperator of diag(0, 1)
+        with pytest.raises(EigenoperatorError, match="model 1, channel 0: eigenoperator"):
+            LindbladModel.build_stack(np.diag([0.0, 1.0]), stack)
+        with pytest.raises(ValueError, match="positive"):
+            build_ep_models(1.0, [[0.5] * 6, [0.5, 0.5, -0.1, 0.5, 0.5, 0.5]])
 
 
 class TestPropagate:

@@ -87,6 +87,17 @@ class TestCurrentWeights:
         with pytest.raises(ValueError, match="unpaired"):
             antisymmetric_current_weights(da_generic, [1.0, 1.0])
 
+    def test_self_paired_channel_gets_weight_zero(self):
+        a = np.diag([1.0, np.sqrt(2.0)], 1).astype(complex)
+        n = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        model = LindbladModel.build(n, [a, a.conj().T, n], ds=[0.0] * 3, partners=[1, 0, 2])
+        assert antisymmetric_current_weights(model, [0.7]) == (0.7, -0.7, 0.0)
+        with pytest.raises(ValueError, match="too many"):
+            antisymmetric_current_weights(model, [0.7, 1.0])
+        obs = default_observable(model)
+        assert obs.weights == (1.0, -1.0, 0.0)
+        obs.check_antisymmetry(model)
+
     def test_wrong_count_rejected(self, ep_generic):
         with pytest.raises(ValueError):
             antisymmetric_current_weights(ep_generic, [1.0])

@@ -30,7 +30,7 @@ from qtur.operators import ModelValidationError
 from conftest import (
     ground_state,
     patch_nth_call,
-    raising,
+    patch_nth_draw,
     random_detailed_balance_model,
     zero_mean,
 )
@@ -50,6 +50,11 @@ class TestSweepConfig:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
             SweepConfig("kur_sweep", tau_low=2.0, tau_high=1.0)
+
+    @pytest.mark.parametrize("what", ["gamma", "tau"])
+    def test_range_below_zero_rejected(self, what):
+        with pytest.raises(ValueError, match=rf"{what} range \[-1.0, 1.0\] reaches below 0"):
+            SweepConfig("ep_sweep", **{f"{what}_low": -1.0, f"{what}_high": 1.0})
 
     def test_draw_count_positive(self):
         with pytest.raises(ValueError):
@@ -140,7 +145,7 @@ class TestBadDraws:
     def test_failed_steady_state_is_flagged(self, experiment, error, monkeypatch):
         config = SweepConfig(experiment, n_draws=6, seed=5, workers=1)
         clean = result_to_csv(run_sweep(config)).splitlines()
-        patch_nth_call(monkeypatch, sweeps, "steady_state", 2, raising(error))
+        patch_nth_draw(monkeypatch, sweeps, "steady_states", 2, error)
         result = run_sweep(config)
         row = dict(zip(result.header, result.rows[2]))
         assert row["flagged"] is True and result.n_flagged == 1
@@ -148,6 +153,14 @@ class TestBadDraws:
         lines = result_to_csv(result).splitlines()
         assert lines[:3] + lines[4:] == clean[:3] + clean[4:]
         assert all(rerun_row_check(result, k) for k in range(len(result.rows)))
+
+    def test_model_build_error_propagates(self, monkeypatch):
+        def broken(omega_e, rates):
+            raise ModelValidationError("bad model")
+
+        monkeypatch.setattr(sweeps, "build_ep_models", broken)
+        with pytest.raises(ModelValidationError, match="bad model"):
+            run_sweep(SweepConfig("ep_sweep", n_draws=3, seed=5, workers=1))
 
     def test_non_current_observable_is_flagged(self, monkeypatch):
         expand = sweeps.antisymmetric_current_weights

@@ -28,7 +28,37 @@ def _scaled_range(factor, lo, hi):
     return [(factor * i, os.getpid()) for i in range(lo, hi)]
 
 
+def _blas_threads() -> list:
+    """The thread count of each bundled OpenBLAS, through its own getter."""
+    return [getattr(lib, name.replace("_set_", "_get_"))()
+            for lib in trajectories._openblas_libraries()
+            for name in trajectories._OPENBLAS_SETTERS if hasattr(lib, name)]
+
+
+def _worker_blas_threads(shared, lo, hi):
+    return [_blas_threads() for _ in range(lo, hi)]
+
+
 class TestWorkerMap:
+    def test_pool_workers_run_blas_on_one_thread(self):
+        libs = trajectories._openblas_libraries()
+        setters = [getattr(lib, n) for lib in libs for n in trajectories._OPENBLAS_SETTERS
+                   if hasattr(lib, n)]
+        if not setters:
+            pytest.skip("no bundled OpenBLAS")
+        before = _blas_threads()
+        try:
+            for setter in setters:
+                setter(2)
+            parent = _blas_threads()
+            workers = trajectories._map_ranges(_worker_blas_threads, None, 2, 1, 2)
+            assert workers == [[1] * len(setters)] * 2
+            assert _blas_threads() == parent
+        finally:
+            for setter, count in zip(setters, before):
+                setter(count)
+        assert _blas_threads() == before
+
     def test_uneven_chunks_join_in_index_order(self):
         serial = trajectories._map_ranges(_scaled_range, 3, 23, 5, 1)
         pooled = trajectories._map_ranges(_scaled_range, 3, 23, 5, 2)
