@@ -175,22 +175,20 @@ def steady_state(gen: np.ndarray) -> np.ndarray:
 
 
 def steady_states(gens) -> list:
-    """:func:`steady_state` of each generator in ``gens`` (one size):
-    per generator its state, or the SteadyStateError or
-    ModelValidationError that refuses it. An exception in ``gens`` (a
-    generator that failed to build) stands for its own result.
+    """:func:`steady_state` of each generator in ``gens`` (one size): per
+    generator its state, or the SteadyStateError or ModelValidationError
+    that refuses it.
 
     Each bordered system gets its own LAPACK calls; the scales, the
     residual check and the density check run once over the stack."""
-    out = list(gens)
-    todo = [i for i, gen in enumerate(out) if not isinstance(gen, Exception)]
-    if not todo:
-        return out
-    count, n = len(todo), out[todo[0]].shape[0]
+    count = len(gens)
+    if not count:
+        return []
+    n = gens[0].shape[0]
     d = round(n**0.5)
     bordered = np.zeros((count, n + 1, n + 1), dtype=complex)
-    for j, i in enumerate(todo):
-        bordered[j, :n, :n] = out[i]
+    for j, gen in enumerate(gens):  # no stacked temporary of the generators
+        bordered[j, :n, :n] = gen
     stack = bordered[:, :n, :n]  # the generators, read in place
     s = np.abs(stack).sum(axis=1).max(axis=-1)
     s[s == 0.0] = 1.0  # the zero generator has no scale
@@ -199,12 +197,12 @@ def steady_states(gens) -> list:
     rhs = np.zeros((count, n + 1, 1))
     rhs[:, n, 0] = s
     x = np.tile(vec(np.eye(d)) / d, (count, 1))  # a valid stand-in where no state is solved
-    for j, i in enumerate(todo):
+    out = [None] * count
+    for j in range(count):
         lu, piv, _ = lapack.zgetrf(bordered[j])
         rcond, _ = lapack.zgecon(lu, anorm[j])
         if not rcond >= DEGENERACY_TOL:
-            message = f"degenerate steady state: bordered rcond {rcond:.3e}"
-            out[i] = DegenerateSteadyStateError(message)
+            out[j] = DegenerateSteadyStateError(f"degenerate steady state: bordered rcond {rcond:.3e}")
             continue
         # the pivots, then two triangular solves: zgetrs's bits move with
         # the BLAS thread count, these do not
@@ -220,16 +218,15 @@ def steady_states(gens) -> list:
     residual = residual.tolist()
     solved = [j for j in range(count) if residual[j] <= STEADY_STATE_RESIDUAL_TOL]
     invalid = dict(zip(solved, _density_checks(rho[solved], DENSITY_TOL)[1]))
-    for j, i in enumerate(todo):
-        if isinstance(out[i], Exception):
+    for j in range(count):
+        if out[j] is not None:
             continue
         if j not in invalid:
-            message = f"steady-state relative residual {residual[j]:.3e} too large"
-            out[i] = SteadyStateError(message)
+            out[j] = SteadyStateError(f"steady-state relative residual {residual[j]:.3e} too large")
         elif invalid[j]:
-            out[i] = ModelValidationError(f"invalid density matrix: {invalid[j]}")
+            out[j] = ModelValidationError(f"invalid density matrix: {invalid[j]}")
         else:
-            out[i] = rho[j]
+            out[j] = rho[j]
     return out
 
 

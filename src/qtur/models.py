@@ -48,12 +48,12 @@ def _rate_rows(rates, n_rates: int) -> np.ndarray:
     return rates
 
 
-def build_da_models(omega_e: float, rates) -> list[LindbladModel]:
+def build_da_models(omega_e: float, rates, first: int | None = None) -> list[LindbladModel]:
     """:func:`build_da_model` of each row (g1, g2, g3, g4) of ``rates``,
-    built and validated as one stack."""
+    built and validated as one stack; errors number row k ``first + k``."""
     rates = _rate_rows(rates, 4)
     ops = np.sqrt(rates)[..., None, None] * _DA_TEMPLATES
-    return LindbladModel.build_stack(_excited_hamiltonian(omega_e), ops)
+    return LindbladModel.build_stack(_excited_hamiltonian(omega_e), ops, first=first)
 
 
 def build_da_model(omega_e: float, g1: float, g2: float, g3: float, g4: float) -> LindbladModel:
@@ -66,15 +66,16 @@ def build_da_model(omega_e: float, g1: float, g2: float, g3: float, g4: float) -
     return build_da_models(omega_e, [g1, g2, g3, g4])[0]
 
 
-def build_ep_models(omega_e: float, rates) -> list[LindbladModel]:
+def build_ep_models(omega_e: float, rates, first: int | None = None) -> list[LindbladModel]:
     """:func:`build_ep_model` of each row (g1, ..., g6) of ``rates``,
-    built and validated as one stack."""
+    built and validated as one stack; errors number row k ``first + k``."""
     rates = _rate_rows(rates, 6)
     forward = np.log(rates[:, 0::2] / rates[:, 1::2])
     ds = np.stack([forward, -forward], axis=-1).reshape(-1, 6)
     ops = np.sqrt(rates)[..., None, None] * _EP_TEMPLATES
     return LindbladModel.build_stack(
-        _excited_hamiltonian(omega_e), ops, ds=ds.tolist(), partners=[1, 0, 3, 2, 5, 4]
+        _excited_hamiltonian(omega_e), ops, ds=ds.tolist(), partners=[1, 0, 3, 2, 5, 4],
+        first=first,
     )
 
 

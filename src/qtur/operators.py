@@ -150,7 +150,7 @@ def extract_bohr_frequency(H: np.ndarray, L: np.ndarray) -> float:
     H, L = np.asarray(H, dtype=complex), np.asarray(L, dtype=complex)
     _check_finite(H, "Hamiltonian")
     _check_finite(L, "jump operator")
-    return float(_bohr_frequencies(H, L[None, None], "")[0, 0])
+    return float(_bohr_frequencies(H, L[None, None], lambda k, m: "")[0, 0])
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:
@@ -158,10 +158,10 @@ def _check_finite(a: np.ndarray, name: str) -> None:
         raise ModelValidationError(f"{name} has NaN or Inf entries")
 
 
-def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where: str = "channel {1}: ") -> np.ndarray:
+def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where) -> np.ndarray:
     """:func:`extract_bohr_frequency` of each operator of the (N, M, d, d)
-    stack ``ops``, from one ``eigh`` of H; ``where`` formats (k, m) into
-    the name of operator m of model k in errors.
+    stack ``ops``, from one ``eigh`` of H; ``where(k, m)`` names operator
+    m of model k in errors.
 
     In the eigenbasis of H, [L, H]_ij = L_ij (E_j - E_i). With p_ij =
     |L_ij|^2 / ||L||_F^2 there, omega = sum p_ij (E_j - E_i) and the
@@ -171,7 +171,7 @@ def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where: str = "channel {1}:
     norms = np.linalg.norm(ops, axis=(-2, -1))
     if not norms.all():
         at = np.unravel_index(np.argmin(norms), norms.shape)
-        raise ModelValidationError(f"{where.format(*at)}jump operator is zero")
+        raise ModelValidationError(f"{where(*at)}jump operator is zero")
     energies, basis = np.linalg.eigh((H + dagger(H)) / 2.0)
     gap = energies[None, :] - energies[:, None]
     weight = (np.abs(dagger(basis) @ ops @ basis) / norms[..., None, None]) ** 2
@@ -185,7 +185,7 @@ def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where: str = "channel {1}:
     if bad.any():
         at = np.unravel_index(np.argmax(bad), bad.shape)
         raise EigenoperatorError(
-            f"{where.format(*at)}eigenoperator condition violated: residual "
+            f"{where(*at)}eigenoperator condition violated: residual "
             f"{residual[at]:.3e} > {bound[at]:.3e} ({EIGENOPERATOR_TOL:.1e} * ||L||_F "
             f"* spread {spread:.3e} of H)"
         )
@@ -271,21 +271,21 @@ class LindbladModel:
         satisfy local detailed balance.
         """
         H = np.asarray(H, dtype=complex)
-        _check_finite(H, "Hamiltonian")
         ops = [np.asarray(L, dtype=complex) for L in jump_ops]
-        for m, L in enumerate(ops):
+        for m, L in enumerate(ops):  # a ragged list is refused by name, not by numpy
             if L.shape != H.shape:
                 raise ModelValidationError(f"channel {m} has shape {L.shape}, H {H.shape}")
-        stack = np.array(ops).reshape(1, len(ops), *H.shape)
+        stack = np.reshape(ops, (1, len(ops), *H.shape))
         return cls.build_stack(H, stack, ds=None if ds is None else [ds], partners=partners)[0]
 
     @classmethod
-    def build_stack(cls, H: np.ndarray, jump_ops, *, ds=None, partners=None) -> list:
+    def build_stack(cls, H: np.ndarray, jump_ops, *, ds=None, partners=None, first=None) -> list:
         """:meth:`build` of N models that share H and the partner map: model
         k has the channels ``jump_ops[k]`` of the (N, M, d, d) stack and
         the entropy changes ``ds[k]``. Every check runs once over the
         stack, with one ``eigh`` of H; the first failure raises and names
-        its model and channel."""
+        its channel, and its model as ``first + k`` when ``first`` is given
+        or the stack holds more than one (a sweep passes its first draw)."""
         H = np.asarray(H, dtype=complex)
         stack = np.array(jump_ops, dtype=complex)
         count, n = stack.shape[:2]
@@ -296,43 +296,28 @@ class LindbladModel:
         _check_finite(H, "Hamiltonian")
         if stack.shape[2:] != H.shape:
             raise ModelValidationError(f"channels have shape {stack.shape[2:]}, H {H.shape}")
-        name = "channel {1}" if count == 1 else "model {0}, channel {1}"
+        label = "channel {1}" if first is None and count == 1 else "model {0}, channel {1}"
+
+        def name(k, m):
+            return label.format((first or 0) + k, m)
+
         finite = np.isfinite(stack).all(axis=(-2, -1))
         if not finite.all():
             at = np.unravel_index(np.argmin(finite), finite.shape)
-            raise ModelValidationError(f"{name.format(*at)} has NaN or Inf entries")
-        omegas = _bohr_frequencies(H, stack, name + ": ").tolist()
+            raise ModelValidationError(f"{name(*at)} has NaN or Inf entries")
+        omegas = _bohr_frequencies(H, stack, lambda k, m: f"{name(k, m)}: ").tolist()
         for m, p in enumerate(partners):
             if p is not None and (not (0 <= p < n) or partners[p] != m):
                 raise ModelValidationError(f"partner map is not an involution at channel {m}")
-        failed, check = _balance_checks(stack, ds, partners)
+        failed, *checks = _balance_checks(stack, ds, partners)
         if failed.any():
             at = np.unravel_index(np.argmax(failed), failed.shape)
-            raise DetailedBalanceError(f"{name.format(*at)}: {check(*at).message}")
-
-        stack.setflags(write=False)
-        norms = dagger(stack) @ stack
-        norms.setflags(write=False)
-        H, models = _readonly(H), []
-        for k in range(count):
-            channels = tuple(
-                _checked(JumpChannel, L=L, omega=omega, ds=s, partner=p)
-                for L, omega, s, p in zip(stack[k], omegas[k], ds[k], partners)
-            )
-            models.append(_checked(
-                cls, H=H, channels=channels, jump_ops=stack[k], jump_norms=norms[k],
-                _generators={}, _block={},
-            ))
-        return models
-
-
-def _checked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` that holds ``fields`` as
-    they are, without ``__init__``: for values already checked and held in
-    read-only arrays, as :meth:`LindbladModel.build_stack` holds them."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+            check = _balance_check(*(a[at] for a in checks))
+            raise DetailedBalanceError(f"{name(*at)}: {check.message}")
+        return [
+            cls(H, [JumpChannel(*channel) for channel in zip(ops, row, ds_row, partners)])
+            for ops, row, ds_row in zip(stack, omegas, ds)
+        ]
 
 
 @dataclass(frozen=True)
@@ -351,14 +336,16 @@ def check_local_detailed_balance(model: LindbladModel, m: int) -> BalanceCheck:
     if c.ds is None:
         raise ModelValidationError(f"channel {m} has no entropy change set")
     ds, partners = zip(*((c.ds, c.partner) for c in model.channels))
-    return _balance_checks(model.jump_ops[None], [ds], partners)[1](0, m)
+    _, *checks = _balance_checks(model.jump_ops[None], [ds], partners)
+    return _balance_check(*(a[0, m] for a in checks))
 
 
 def _balance_checks(ops: np.ndarray, ds: list, partners: list) -> tuple:
     """:func:`check_local_detailed_balance` of every channel of the
     (N, M, d, d) stack ``ops`` with rows of entropy changes ``ds``, from
     one stacked expression: the (N, M) mask of paired channels with ds
-    that fail, and ``check(k, m)``, the BalanceCheck of one of them."""
+    that fail, then the residuals, their bounds and the mask of ds that
+    are missing or not negated on the partner, for :func:`_balance_check`."""
     tol = EIGENOPERATOR_TOL
     index = [m if p is None else p for m, p in enumerate(partners)]
     has = np.array([[x is not None for x in row] for row in ds], dtype=bool).reshape(ops.shape[:2])
@@ -369,17 +356,17 @@ def _balance_checks(ops: np.ndarray, ds: list, partners: list) -> tuple:
     factor = np.exp(values / 2.0)[..., None, None]
     residual = np.linalg.norm(ops - factor * dagger(ops[:, index]), axis=(-2, -1))
     scale = tol * np.linalg.norm(ops, axis=(-2, -1))
-
-    def check(k: int, m: int) -> BalanceCheck:
-        if bad_ds[k, m]:
-            return BalanceCheck(False, float("inf"), "partner entropy change is not the negative")
-        r, bound = float(residual[k, m]), float(scale[k, m])
-        if not r <= bound:
-            return BalanceCheck(False, r, f"operator mismatch: residual {r:.3e} > {bound:.3e}")
-        return BalanceCheck(True, r, "ok")
-
     paired = has & np.array([p is not None for p in partners], dtype=bool)
-    return paired & (bad_ds | ~(residual <= scale)), check
+    return paired & (bad_ds | ~(residual <= scale)), residual, scale, bad_ds
+
+
+def _balance_check(residual: float, bound: float, bad_ds: bool) -> BalanceCheck:
+    if bad_ds:
+        return BalanceCheck(False, float("inf"), "partner entropy change is not the negative")
+    if not residual <= bound:
+        message = f"operator mismatch: residual {residual:.3e} > {bound:.3e}"
+        return BalanceCheck(False, float(residual), message)
+    return BalanceCheck(True, float(residual), "ok")
 
 
 @dataclass(frozen=True)

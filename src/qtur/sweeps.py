@@ -152,7 +152,8 @@ def _ep_sides(mom, tau, sigma, s_d):
 @dataclass(frozen=True)
 class _Experiment:
     """What one sweep draws, builds and judges; :func:`_draw_range` does
-    the rest. ``build(omega_e, rates)`` gives the model of each rate row.
+    the rest. ``build(omega_e, rates, first)`` gives the model of each
+    rate row, naming row k draw ``first + k`` in errors.
 
     ``current``: the weights are drawn once per channel pair and
     antisymmetrized, else once per channel, uniformly from
@@ -229,9 +230,11 @@ def _draw_range(config: SweepConfig, lo: int, hi: int) -> list:
         g = _open_uniform(rng, config.gamma_low, config.gamma_high, spec.n_rates)
         tau = float(rng.uniform(config.tau_low, config.tau_high))
         draws.append((index, g, tau, rng.uniform(*spec.weight_range, n_free)))
-    models = spec.build(config.omega_e, np.array([g for _, g, _, _ in draws]))
-    states = steady_states(build_generators(models, coherent=True))
-    return [_row(spec, *draw, model, rho) for draw, model, rho in zip(draws, models, states)]
+    models = spec.build(config.omega_e, np.array([g for _, g, _, _ in draws]), lo)
+    gens = build_generators(models, coherent=True)
+    states = iter(steady_states([gen for gen in gens if not isinstance(gen, Exception)]))
+    results = [gen if isinstance(gen, Exception) else next(states) for gen in gens]
+    return [_row(spec, *draw, model, rho) for draw, model, rho in zip(draws, models, results)]
 
 
 def _row(spec: _Experiment, index: int, g, tau: float, c, model: LindbladModel, rho) -> tuple:

@@ -155,12 +155,16 @@ class TestBadDraws:
         assert all(rerun_row_check(result, k) for k in range(len(result.rows)))
 
     def test_model_build_error_propagates(self, monkeypatch):
-        def broken(omega_e, rates):
-            raise ModelValidationError("bad model")
+        build = sweeps.build_ep_models
+
+        def broken(omega_e, rates, first):
+            draws = np.arange(first, first + len(rates))
+            return build(omega_e, np.where(draws[:, None] == 20, np.nan, rates), first)
 
         monkeypatch.setattr(sweeps, "build_ep_models", broken)
-        with pytest.raises(ModelValidationError, match="bad model"):
-            run_sweep(SweepConfig("ep_sweep", n_draws=3, seed=5, workers=1))
+        # draw 20 is the fifth of the range [16, 32): the error names the draw
+        with pytest.raises(ModelValidationError, match="model 20, channel 0 has NaN"):
+            run_sweep(SweepConfig("ep_sweep", n_draws=40, seed=5, workers=1))
 
     def test_non_current_observable_is_flagged(self, monkeypatch):
         expand = sweeps.antisymmetric_current_weights
