@@ -21,22 +21,25 @@ Tr rho1(tau) and second moment = m2(tau), the last entry. Before the
 observation window only rho evolves; after it the traces stay put, so
 integration stops at the window end.
 
-Both are one block B = [[S, 0], [R, 0]]: S is L on rho for the rows
-block, and [[L, 0], [J_c, L]] on (rho, rho1) for the moment block, which
-is (2 d^2 + 1) square. One builder (:func:`_block`) keeps its d^2-square
-pieces and the exact 1-norm of B - mu I, and one stepper (:func:`_act`)
-applies exp(h B). Below ``ACTION_MIN_DIM`` that is the dense exponential,
-taken once per step length. From ``ACTION_MIN_DIM`` up, while
-h ||B - mu I||_1 is small enough for it to pay, no block matrix is formed:
-exp(h B) acts on vectors through the truncated Taylor series of Al-Mohy
-and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm 3.2), with B applied
-part by part from the pieces; the block keeps its last action, so one
-asked for again straight away is not retaken. Its cost grows linearly with
-h ||B - mu I||_1, the dense step's only logarithmically, so a long step up
-to ``DENSE_MAX_DIM`` is taken densely again; above that dimension the
-action is always taken. :func:`activity_at` reaches all of its times in
-one such pass where it pays over the whole span, each time read from the
-terms of the sub-step that holds it (dense output, ibid. section 5).
+Both are one block B = [[S, 0], [R, 0]]: S is L on rho for the rows block,
+and [[L, 0], [J_c, L]] on (rho, rho1) for the moment block, which is
+(2 d^2 + 1) square. One builder (:func:`_pieces`, laid out by
+:func:`_layout`) assembles the d^2-square pieces of a stack of blocks: a
+sweep's draws get their moments from one stacked dense exponential
+(:func:`stacked_moments`), and a model keeps its stack of one
+(:func:`_block`) with the exact 1-norm of B - mu I, which one stepper
+(:func:`_act`) applies as exp(h B). Below ``ACTION_MIN_DIM`` that is the
+dense exponential, taken once per step length. From ``ACTION_MIN_DIM`` up,
+while h ||B - mu I||_1 is small enough for it to pay, no block matrix is
+formed: exp(h B) acts on vectors through the truncated Taylor series of
+Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm 3.2), with B
+applied part by part from the pieces; the block keeps its last action, so
+one asked for again straight away is not retaken. Its cost grows linearly
+with h ||B - mu I||_1, the dense step's only logarithmically, so a long
+step up to ``DENSE_MAX_DIM`` is taken densely again; above that dimension
+the action is always taken. :func:`activity_at` reaches all of its times
+in one such pass where it pays over the whole span, each time read from
+the terms of the sub-step that holds it (dense output, ibid. section 5).
 Degree and step count come from the exact 1-norm, so the result repeats
 bit for bit. scipy's ``expm_multiply`` on a LinearOperator would estimate
 that norm with ``onenormest``, which draws from numpy's global random
@@ -50,10 +53,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .engine import build_generator, channel_sum, propagated_state, vec
+from .engine import _channel_sums, build_generator, propagated_state, vec
 from .operators import (
     LindbladModel,
     ModelValidationError,
+    _frozen,
     split_diagonal_offdiagonal,
     von_neumann_trace_term,
 )
@@ -191,17 +195,9 @@ class _BlockPieces:
     def step(self, h: float) -> np.ndarray:
         """exp(h B), read-only; another step length replaces it."""
         if h not in self.steps:
-            n, (r, s) = self.gen.shape[0], self.rows.shape
-            block = np.zeros((s + r, s + r), dtype=complex)
-            for k in range(0, s, n):
-                block[k : k + n, k : k + n] = self.gen
-            if self.jump is not None:
-                block[n:s, :n] = self.jump
-            block[s:, :s] = self.rows
-            step = expm(block * h)
-            step.setflags(write=False)
+            jump = None if self.jump is None else self.jump[None]
             self.steps.clear()
-            self.steps[h] = step
+            self.steps[h] = _frozen(expm(_layout(self.gen[None], jump, self.rows[None])[0] * h))
         return self.steps[h]
 
     def act(self, h: float, y: np.ndarray) -> np.ndarray:
@@ -210,16 +206,45 @@ class _BlockPieces:
         last = self.acted.get(h)
         if last is None or not np.array_equal(last[0], y):
             out = _taylor_action(self.shifted, self.mu, self.norm, h, y.reshape(len(y), -1))
-            out = out.reshape(y.shape)
-            out.setflags(write=False)
+            out = _frozen(out.reshape(y.shape))
             self.acted.clear()
             self.acted[h] = last = (y.copy(), out)
         return last[1]
 
 
+def _pieces(models, weights, coherent: bool) -> tuple:
+    """The d^2-square pieces of the block of each of ``models`` (one dimension
+    and channel count): the memoized generators, and stacks of J_c and rows R;
+    for (N, M) weights the moment blocks, for None the rows blocks (no J_c)."""
+    gens = [build_generator(m, coherent=coherent) for m in models]
+    norms = np.stack([m.jump_norms for m in models]).conj().swapaxes(-1, -2)
+    rates = norms.reshape(len(models), -1, gens[0].shape[-1])  # the rows N_m
+    if weights is None:
+        w = [[np.ones(m.n_channels), *([m.entropy_weights()] if m.has_entropy_weights else [])]
+             for m in models]
+        return gens, None, np.array(w) @ rates
+    c = np.asarray(weights, dtype=float)[:, None, :]
+    jumps = _frozen(_channel_sums(np.stack([m.jump_ops for m in models]), c))
+    return gens, jumps, np.concatenate([(c * c) @ rates, (2.0 * c) @ rates], axis=-1)
+
+
+def _layout(gens: np.ndarray, jumps, rows: np.ndarray) -> np.ndarray:
+    """The (N, s + r, s + r) blocks [[S, 0], [R, 0]] of the pieces of :func:`_pieces`."""
+    gens = np.asarray(gens)
+    (count, n), (r, s) = gens.shape[:2], rows.shape[1:]
+    blocks = np.zeros((count, s + r, s + r), dtype=complex)
+    for k in range(0, s, n):
+        blocks[:, k : k + n, k : k + n] = gens
+    if jumps is not None:
+        blocks[:, n:s, :n] = jumps
+    blocks[:, s:, :s] = rows
+    return blocks
+
+
 def _block(model: LindbladModel, weights, coherent: bool) -> _BlockPieces:
     """The moment block of ``weights``, or for None the rows block (the
-    activity row and, with ds, the entropy row).
+    activity row and, with ds, the entropy row): the pieces of
+    :func:`_pieces` for a stack of one.
 
     The 1-norm is exact: the largest column sum, taken block column by
     block column. The model keeps one block in one slot, keyed by
@@ -228,24 +253,15 @@ def _block(model: LindbladModel, weights, coherent: bool) -> _BlockPieces:
     key = (bool(coherent), None if weights is None else tuple(weights))
     slot = model._block
     if key not in slot:
-        gen = build_generator(model, coherent=coherent)
+        (gen,), jumps, (rows,) = _pieces([model], None if weights is None else [weights], coherent)
         n = gen.shape[0]
-        rates = model.jump_norms.conj().swapaxes(1, 2).reshape(-1, n)  # the rows N_m
         mu = np.trace(gen) / n
         lead = np.abs(gen - mu * np.eye(n)).sum(axis=0)  # L - mu I on a diagonal block
-        if weights is None:
-            w = [np.ones(model.n_channels)]
-            if model.has_entropy_weights:
-                w.append(model.entropy_weights())
-            jump, rows = None, np.array(w) @ rates
-            columns = [lead + np.abs(rows).sum(axis=0)]
+        if jumps is None:
+            jump, columns = None, [lead + np.abs(rows).sum(axis=0)]
         else:
-            c = np.asarray(weights, dtype=float)
-            jump = channel_sum(model, c)
-            jump.setflags(write=False)
-            first, second = (c * c) @ rates, (2.0 * c) @ rates
-            rows = np.concatenate([first, second])[None, :]
-            columns = [lead + np.abs(jump).sum(axis=0) + np.abs(first), lead + np.abs(second)]
+            jump, (first, second) = jumps[0], np.abs(rows[0]).reshape(2, n)
+            columns = [lead + np.abs(jump).sum(axis=0) + first, lead + second]
         norm = float(max(max(col.max() for col in columns), abs(mu)))
         slot.clear()
         slot[key] = _BlockPieces(gen, jump, rows, mu, norm, {}, {})
@@ -253,24 +269,25 @@ def _block(model: LindbladModel, weights, coherent: bool) -> _BlockPieces:
 
 
 def _initial(x: np.ndarray, n: int) -> np.ndarray:
-    """(rho, 0, 0) from the first n entries of ``x``: the moment block's
-    vector as a window opens."""
-    y = np.zeros(2 * n + 1, dtype=complex)
-    y[:n] = x[:n]
+    """(rho, 0, 0) from the first n entries of ``x`` (or of each row): the
+    moment block's vector as a window opens."""
+    y = np.zeros((*x.shape[:-1], 2 * n + 1), dtype=complex)
+    y[..., :n] = x[..., :n]
     return y
 
 
-def _moments(y: np.ndarray, dim: int) -> MomentResult:
-    n = dim * dim
-    mean = float(np.real(vec(np.eye(dim)).conj() @ y[n : 2 * n]))
-    second = float(np.real(y[2 * n]))
-    return MomentResult(mean=mean, second_moment=second, variance=second - mean * mean)
+def _moments(ys, dim: int) -> list:
+    """The moments read from each of the moment block's vectors ``ys``."""
+    n, trace = dim * dim, vec(np.eye(dim)).conj()
+    means = [float(np.real(trace @ y[n : 2 * n])) for y in ys]
+    seconds = [float(np.real(y[2 * n])) for y in ys]
+    return [MomentResult(m, s, s - m * m) for m, s in zip(means, seconds)]
 
 
-def _check(model: LindbladModel, obs: CountingObservable, tau: float) -> None:
-    if not (np.isfinite(tau) and tau >= 0):
+def _check(model: LindbladModel, weights, tau) -> None:
+    if not np.all(np.isfinite(tau) & (np.asarray(tau) >= 0)):
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
-    if len(obs.weights) != model.n_channels:
+    if np.shape(weights)[-1:] != (model.n_channels,):
         raise ValueError("weight vector length does not match the channel count")
 
 
@@ -367,7 +384,7 @@ def counting_moments(
     coherent: bool = True,
 ) -> MomentResult:
     """Exact mean/variance of the windowed count up to ``tau``."""
-    _check(model, obs, tau)
+    _check(model, obs.weights, tau)
     t_a, t_b = obs.resolved_window(tau)
     n = model.dim**2
     y = _initial(vec(rho0), n)
@@ -375,7 +392,21 @@ def counting_moments(
         y = _initial(_act(model, obs.weights, t_a, coherent, y), n)
     if t_b > t_a:
         y = _act(model, obs.weights, t_b - t_a, coherent, y)
-    return _moments(y, model.dim)
+    return _moments([y], model.dim)[0]
+
+
+def stacked_moments(models, rhos, weights, taus) -> list:
+    """The moments over [0, tau] of each of ``models`` (one dimension and
+    channel count, H included) from its state, weight row and tau by dense
+    steps: one assembly of the blocks, one stacked ``expm`` of B tau and one
+    batched product. Below ``ACTION_MIN_DIM``, the bits of counting_moments."""
+    if not len(models):
+        return []
+    dim, taus = models[0].dim, np.asarray(taus, dtype=float)
+    _check(models[0], weights, taus)
+    y = _initial(np.asarray(rhos, complex).swapaxes(-1, -2).reshape(len(models), -1), dim * dim)
+    out = expm(_layout(*_pieces(models, weights, True)) * taus[:, None, None]) @ y[..., None]
+    return _moments(out[..., 0], dim)
 
 
 def _half_windows(model, rho0, obs, tau: float, coherent: bool) -> tuple:
@@ -388,12 +419,12 @@ def _half_windows(model, rho0, obs, tau: float, coherent: bool) -> tuple:
     rebuilt and exp(h B) y0 is not taken again: below ``ACTION_MIN_DIM``
     no further exponential is taken, from it up one action on the pair.
     ``obs.window`` is ignored."""
-    _check(model, obs, tau)
+    _check(model, obs.weights, tau)
     n = model.dim**2
     first = _act(model, obs.weights, tau / 2.0, coherent, _initial(vec(rho0), n))
     pair = np.stack([_initial(first, n), first], axis=1)
     second, total = _act(model, obs.weights, tau / 2.0, coherent, pair).T
-    moments = tuple(_moments(y, model.dim) for y in (first, second, total))
+    moments = tuple(_moments((first, second, total), model.dim))
     return moments + (propagated_state(total[:n]),)
 
 

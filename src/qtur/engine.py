@@ -70,16 +70,11 @@ def unvec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=complex).reshape((d, d), order="F")
 
 
-def channel_sum(model: LindbladModel, weights) -> np.ndarray:
-    """rho -> sum_m w_m L_m rho L_m^dag, from one (d^2, M) x (M, d^2) GEMM:
-    its (ij, kl) entry sum_m w_m conj(L_m)_ij (L_m)_kl is, transposed, the
-    (ik, jl) entry of sum_m w_m kron(conj(L_m), L_m)."""
-    return _channel_sums(model.jump_ops, weights)
-
-
 def _channel_sums(ops: np.ndarray, weights) -> np.ndarray:
-    """:func:`channel_sum` of each (M, d, d) channel stack of ``ops``
-    (..., M, d, d), one batched GEMM for all of them."""
+    """rho -> sum_m w_m L_m rho L_m^dag for each (M, d, d) channel stack of
+    ``ops`` (..., M, d, d), from one batched (d^2, M) x (M, d^2) GEMM: its
+    (ij, kl) entry sum_m w_m conj(L_m)_ij (L_m)_kl is, transposed, the
+    (ik, jl) entry of sum_m w_m kron(conj(L_m), L_m)."""
     d = ops.shape[-1]
     flat = ops.reshape(*ops.shape[:-2], d * d)
     raw = (flat.conj().swapaxes(-1, -2) * np.asarray(weights, dtype=float)) @ flat

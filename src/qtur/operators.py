@@ -62,10 +62,17 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
+    """``a`` as a read-only complex array: itself when no array may write its
+    memory (a stack frozen where it was made), else a frozen copy."""
+    owner = a.base if isinstance(a, np.ndarray) and a.base is not None else a
+    frozen = isinstance(owner, np.ndarray) and not (a.flags.writeable or owner.flags.writeable)
+    return a if frozen and a.dtype == complex else _frozen(np.array(a, dtype=complex))
 
 
 def hermiticity_error(a: np.ndarray) -> float:
@@ -237,8 +244,8 @@ class LindbladModel:
         if any(c.L.shape != self.H.shape for c in self.channels):
             raise ModelValidationError("channel dimension does not match the Hamiltonian")
         ops = np.array([c.L for c in self.channels], dtype=complex).reshape(-1, *self.H.shape)
-        object.__setattr__(self, "jump_ops", _readonly(ops))
-        object.__setattr__(self, "jump_norms", _readonly(dagger(ops) @ ops))
+        object.__setattr__(self, "jump_ops", _frozen(ops))
+        object.__setattr__(self, "jump_norms", _frozen(dagger(ops) @ ops))
 
     @property
     def dim(self) -> int:
@@ -286,8 +293,8 @@ class LindbladModel:
         stack, with one ``eigh`` of H; the first failure raises and names
         its channel, and its model as ``first + k`` when ``first`` is given
         or the stack holds more than one (a sweep passes its first draw)."""
-        H = np.asarray(H, dtype=complex)
-        stack = np.array(jump_ops, dtype=complex)
+        H = _readonly(np.asarray(H))  # one frozen H and one frozen stack for every model
+        stack = _frozen(np.array(jump_ops, dtype=complex))
         count, n = stack.shape[:2]
         ds = [list(row) for row in ds] if ds is not None else [[None] * n] * count
         partners = list(partners) if partners is not None else [None] * n
@@ -379,8 +386,7 @@ class SpectralDecomposition:
     vectors: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probabilities, dtype=float)
-        p.setflags(write=False)
+        p = _frozen(np.array(self.probabilities, dtype=float))
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "vectors", _readonly(self.vectors))
 

@@ -8,21 +8,21 @@ cost never produces a violation while the diagonal-only cost does, which
 is what the coherent contribution buys.
 
 One range function serves both sweeps, with a table of what differs per
-experiment. It draws the parameters of each draw, then builds and checks
-the models, generators and steady states of the whole range as one
-stack, then computes each row's moments and reports. Each cost is judged
-by the rule of every bound report (:class:`~qtur.bounds.BoundReport`), so
-a mean that is rounding noise makes a row not applicable (nan sides and
-slack, empty verdicts). A draw whose generator, steady state or
-observable fails validation is a flagged row; a model that fails to
-build aborts the sweep.
+experiment. Over a worker range it reads the parameters, builds and
+checks the models, generators and steady states, and takes the moments of
+the draws that pass, each as one stack; then each row gets its rate split
+and reports. Each cost is judged by the rule of every bound report
+(:class:`~qtur.bounds.BoundReport`), so a mean that is rounding noise
+makes a row not applicable (nan sides and slack, empty verdicts). A draw
+whose generator, steady state or observable fails validation is a flagged
+row; a model that fails to build aborts the sweep.
 
-Sweeps are reproducible to the byte: draw k derives its own generator
-from (seed, k) through the same splitmix64 mixing the trajectory sampler
-uses, rows are emitted in draw order whatever the worker count, and
-floats are printed with 17 significant digits. A sweep of at least
-POOL_MIN draws is split across worker processes by the ordered map of
-:mod:`qtur.trajectories`.
+Sweeps are reproducible to the byte: draw k reads the PCG64 stream
+seeded from (seed, k) through the same splitmix64 mixing the trajectory
+sampler uses, read on arrays as the sampler reads its streams; rows are
+emitted in draw order whatever the worker count, and floats are printed
+with 17 significant digits. A sweep of at least POOL_MIN draws is split
+across worker processes by the ordered map of :mod:`qtur.trajectories`.
 """
 
 from __future__ import annotations
@@ -40,14 +40,16 @@ from .bounds import (
     observable_scale,
 )
 from .counting import CountingObservable, activity_at, counting_moments, rate_split, sigma_from
-from .engine import SteadyStateError, build_generators, steady_states
+from .counting import stacked_moments
+from .engine import build_generators, steady_states
 from .models import antisymmetric_current_weights, build_da_models, build_ep_models
 from .models import default_observable
-from .operators import LindbladModel, ModelValidationError
+from .operators import LindbladModel
 from .trajectories import (
     SeedPolicy,
     TrajectorySampler,
     _map_ranges,
+    _Uniforms,
     _sample_ensembles,
     estimate,
     resolve_workers,
@@ -57,7 +59,7 @@ from .trajectories import (
 # Smallest sweep split across worker processes: the crossover measured on
 # 2 cores (one BLAS thread each, one sweep per fresh process, as a CLI run
 # makes). Below it, pool start-up costs more than the second core saves.
-POOL_MIN = 640
+POOL_MIN = 768
 
 
 @dataclass(frozen=True)
@@ -124,17 +126,6 @@ class SweepResult:
             line = f"  {which} cost: {ok} satisfied, {violated} violated"
             lines.append(line + (f", {skipped} not applicable" if skipped else ""))
         return "\n".join(lines)
-
-
-def _draw_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(SeedPolicy(seed).trajectory_seed(index)))
-
-
-def _open_uniform(rng: np.random.Generator, lo: float, hi: float, n: int) -> np.ndarray:
-    out = rng.uniform(lo, hi, n)
-    while np.any(out <= lo):
-        out = np.where(out <= lo, rng.uniform(lo, hi, n), out)
-    return out
 
 
 def _kur_sides(mom, tau, a, a_d):
@@ -215,44 +206,61 @@ _EXPERIMENTS = {
 }
 
 
-def _draw_range(config: SweepConfig, lo: int, hi: int) -> list:
-    """Rows [lo, hi) of the sweep. Each draw takes its parameters from its
-    own generator; the models, generators and steady states of the range
-    are then built and checked as one stack, and each row gets its exact
-    statistics and both costs judged by the bound reports' rule. A draw
-    whose generator, steady state or observable fails validation is a
-    flagged row; a model that fails to build raises."""
-    spec = _EXPERIMENTS[config.experiment]
+def _parameters(config: SweepConfig, spec: _Experiment, lo: int, hi: int) -> tuple:
+    """The gammas, taus and free weights of draws [lo, hi): what each draw's
+    ``Generator(PCG64(seed))`` reads, in order, each a ``uniform`` lo + (hi - lo) u;
+    a gamma vector that reaches gamma_low is read again whole, keeping its entries above it."""
+    every = np.arange(hi - lo)
+    uniforms = _Uniforms(SeedPolicy(config.seed).trajectory_seed(every.astype(np.uint64) + lo))
+
+    def uniform(low, high, rows, n):
+        return low + (high - low) * np.stack([uniforms.next(rows) for _ in range(n)], axis=-1)
+
+    low, high = config.gamma_low, config.gamma_high
+    g, redraw = np.full((hi - lo, spec.n_rates), -np.inf), every  # every row reads a first vector
+    while redraw.size:
+        g[redraw] = np.where(g[redraw] <= low, uniform(low, high, redraw, spec.n_rates), g[redraw])
+        redraw = redraw[(g[redraw] <= low).any(axis=1)]
+    tau = uniform(config.tau_low, config.tau_high, every, 1)[:, 0]
     n_free = spec.n_rates // 2 if spec.current else spec.n_rates
-    draws = []
-    for index in range(lo, hi):
-        rng = _draw_rng(config.seed, index)
-        g = _open_uniform(rng, config.gamma_low, config.gamma_high, spec.n_rates)
-        tau = float(rng.uniform(config.tau_low, config.tau_high))
-        draws.append((index, g, tau, rng.uniform(*spec.weight_range, n_free)))
-    models = spec.build(config.omega_e, np.array([g for _, g, _, _ in draws]), lo)
+    return g, tau, uniform(*spec.weight_range, every, n_free)
+
+
+def _draw_range(config: SweepConfig, lo: int, hi: int) -> list:
+    """Rows [lo, hi) of the sweep: the parameters, models, generators,
+    steady states and moments as stacks, then per row the rate split and
+    both costs judged by the bound reports' rule. A draw whose generator,
+    steady state or observable fails validation is a flagged row."""
+    spec = _EXPERIMENTS[config.experiment]
+    g, taus, free = _parameters(config, spec, lo, hi)
+    models = spec.build(config.omega_e, g, lo)
     gens = build_generators(models, coherent=True)
     states = iter(steady_states([gen for gen in gens if not isinstance(gen, Exception)]))
-    results = [gen if isinstance(gen, Exception) else next(states) for gen in gens]
-    return [_row(spec, *draw, model, rho) for draw, model, rho in zip(draws, models, results)]
+    rhos = [gen if isinstance(gen, Exception) else next(states) for gen in gens]
+    weights = [antisymmetric_current_weights(m, c) if spec.current else c
+               for m, c in zip(models, free)]
+    observables = [_observable(spec, *draw) for draw in zip(models, weights, rhos)]
+    judged = [k for k, obs in enumerate(observables) if obs is not None]
+    picked = ([x[k] for k in judged] for x in (models, rhos, weights))
+    moments = dict(zip(judged, stacked_moments(*picked, taus[judged])))
+    draws = zip(g, taus.tolist(), weights, models, rhos, observables)
+    return [_row(spec, lo + k, *draw, moments.get(k)) for k, draw in enumerate(draws)]
 
 
-def _row(spec: _Experiment, index: int, g, tau: float, c, model: LindbladModel, rho) -> tuple:
-    """The row of one draw, from its model and its stacked steady state
-    ``rho`` (or the error that refused it)."""
-    if spec.current:
-        c = antisymmetric_current_weights(model, c)
+def _observable(spec: _Experiment, model: LindbladModel, c, rho):
+    """A draw's observable, or None if flagged: ``rho`` an error, or no current."""
+    if isinstance(rho, Exception):
+        return None
+    obs = CountingObservable(tuple(c), antisymmetric=spec.current)
+    return obs if not spec.current or obs.is_current(model) else None
+
+
+def _row(spec: _Experiment, index: int, g, tau: float, c, model, rho, obs, mom) -> tuple:
+    """The row of one draw; ``obs`` and ``mom`` are None for a flagged draw."""
     base = [index, *g, tau, *c]
-    try:
-        if isinstance(rho, Exception):
-            raise rho
-        obs = CountingObservable(tuple(c), antisymmetric=spec.current)
-        if spec.current:
-            obs.check_antisymmetry(model)
-    except (SteadyStateError, ModelValidationError):
+    if obs is None:
         return tuple(base + [np.nan] * 10 + [None, None, True])
 
-    mom = counting_moments(model, rho, obs, tau)
     w = spec.cost_weights(model)
     rates = rate_split(model, rho)
     part_d, part_nd = (float(w @ r) for r in rates)

@@ -159,30 +159,18 @@ def ground_state(dim: int = 3) -> np.ndarray:
     return rho
 
 
-def patch_nth_call(monkeypatch, module, name: str, n: int, replace) -> None:
-    """Route call ``n`` (from 0) of ``module.name`` through
-    ``replace(original, *args, **kwargs)``; every other call is unchanged."""
-    original = getattr(module, name)
-    calls = itertools.count()
-
-    def patched(*args, **kwargs):
-        if next(calls) == n:
-            return replace(original, *args, **kwargs)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, patched)
-
-
 def patch_nth_draw(monkeypatch, module, name: str, n: int, result) -> None:
     """Make entry ``n`` (from 0, counted over every call) of the per-draw
-    results of the stacked ``module.name`` come out as ``result``; every
-    other entry is unchanged."""
+    results of the stacked ``module.name`` come out as ``result``, or as
+    ``result(entry)`` for a callable such as :func:`zero_mean`; every other
+    entry is unchanged."""
     original = getattr(module, name)
     seen = itertools.count()
+    swap = result if callable(result) else lambda item: result
 
     def patched(*args, **kwargs):
         out = original(*args, **kwargs)
-        return [result if next(seen) == n else item for item in out]
+        return [swap(item) if next(seen) == n else item for item in out]
 
     monkeypatch.setattr(module, name, patched)
 
@@ -201,9 +189,9 @@ def record_exponentials(monkeypatch) -> list:
     return shapes
 
 
-def zero_mean(original, *args, **kwargs):
-    """A ``replace`` for :func:`patch_nth_call`: the moments with mean 0."""
-    return dataclasses.replace(original(*args, **kwargs), mean=0.0)
+def zero_mean(moments):
+    """A ``result`` for :func:`patch_nth_draw`: the moments with mean 0."""
+    return dataclasses.replace(moments, mean=0.0)
 
 
 @pytest.fixture

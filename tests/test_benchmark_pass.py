@@ -20,7 +20,7 @@ import worker  # noqa: E402
 import workloads  # noqa: E402
 
 import qtur.sweeps as sweeps  # noqa: E402
-from conftest import patch_nth_call, patch_nth_draw, zero_mean  # noqa: E402
+from conftest import patch_nth_draw, zero_mean  # noqa: E402
 from qtur.cli import main  # noqa: E402
 import qtur.counting as counting  # noqa: E402
 from qtur.counting import ACTION_MIN_DIM  # noqa: E402
@@ -66,10 +66,10 @@ def test_workload_pass_fails_no_command(workload, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name, experiment", [("sweep-kur", "kur_sweep"), ("sweep-ep", "ep_sweep")])
 def test_sweep_audit_accepts_every_row_kind(name, experiment, tmp_path, monkeypatch):
-    # draw 1 has no steady state (a flagged row); draw 3, the third to reach
-    # counting_moments, has a mean of rounding noise (a not-applicable row)
+    # draw 1 has no steady state (a flagged row); draw 3, the third with
+    # moments, has a mean of rounding noise (a not-applicable row)
     patch_nth_draw(monkeypatch, sweeps, "steady_states", 1, SteadyStateError("bad"))
-    patch_nth_call(monkeypatch, sweeps, "counting_moments", 2, zero_mean)
+    patch_nth_draw(monkeypatch, sweeps, "stacked_moments", 2, zero_mean)
     out = tmp_path / f"{name}.csv"
     argv = [name, "--draws", "5", "--seed", "2", "--workers", "1", "--out", str(out)]
     assert main(argv) == 0

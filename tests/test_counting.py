@@ -19,10 +19,20 @@ from qtur.counting import (
     entropy_production_rate,
     mean_rate,
     sigma_from,
+    stacked_moments,
     _half_windows,
 )
-from qtur.engine import build_generator, channel_sum, propagate, steady_state, unvec, vec
-from qtur.models import build_ep_model
+from qtur.engine import (
+    _channel_sums,
+    build_generator,
+    build_generators,
+    propagate,
+    steady_state,
+    steady_states,
+    unvec,
+    vec,
+)
+from qtur.models import build_da_models, build_ep_model, build_ep_models
 from qtur.operators import ModelValidationError, von_neumann_trace_term
 from conftest import (
     da_activity_split_closed_form,
@@ -334,6 +344,37 @@ class TestExactKernel:
                 )
 
 
+class TestStackedMoments:
+    """A stack of draws, as a sweep takes their moments, against
+    :func:`counting_moments` of each draw: the same bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["da", "ep"]), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_stack_matches_counting_moments(self, kind, n, seed):
+        rng = np.random.default_rng(seed)
+        n_rates, build = {"da": (4, build_da_models), "ep": (6, build_ep_models)}[kind]
+        models = build(rng.uniform(0.1, 3.0), rng.uniform(1e-3, 1.0, (n, n_rates)))
+        rhos = steady_states(build_generators(models))
+        weights = rng.uniform(-1.0, 1.0, (n, n_rates))
+        taus = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.1, 10.0, n))
+        stacked = stacked_moments(models, rhos, weights, taus)
+        assert len(stacked) == n
+        for model, rho, w, tau, got in zip(models, rhos, weights, taus, stacked):
+            want = counting_moments(model, rho, CountingObservable(tuple(w)), tau)
+            fields = ("mean", "second_moment", "variance")
+            assert [np.float64(getattr(got, f)).tobytes() for f in fields] == [
+                np.float64(getattr(want, f)).tobytes() for f in fields
+            ]
+
+    def test_refusals(self, ep_generic):
+        rho = steady_state(build_generator(ep_generic))
+        assert stacked_moments([], [], [], []) == []
+        with pytest.raises(ValueError, match="tau"):
+            stacked_moments([ep_generic], [rho], [[1.0] * 6], [np.inf])
+        with pytest.raises(ValueError, match="channel count"):
+            stacked_moments([ep_generic], [rho], [[1.0] * 5], [1.0])
+
+
 class TestMemoisedStep:
     def test_one_block_held_at_any_number_of_horizons(self):
         # one block of d^2-square pieces; below ACTION_MIN_DIM beside one
@@ -478,7 +519,7 @@ def reference_block(model, weights, coherent):
     gen = build_generator(model, coherent=coherent)
     n = gen.shape[0]
     w = np.asarray(weights, dtype=float)
-    j1, j2 = channel_sum(model, w), channel_sum(model, w * w)
+    j1, j2 = _channel_sums(model.jump_ops, w), _channel_sums(model.jump_ops, w * w)
     block = np.zeros((3 * n, 3 * n), dtype=complex)
     for k in range(3):
         block[k * n : (k + 1) * n, k * n : (k + 1) * n] = gen

@@ -124,7 +124,7 @@ class TestChannelStack:
             got = build_generator(model, coherent=coherent)
             assert np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want), scale)
         for power in (1, 2):
-            got = engine.channel_sum(model, weights**power)
+            got = engine._channel_sums(model.jump_ops, weights**power)
             want = _kron_jumps(model, weights**power)
             scale = sum(abs(w) ** power * n for w, n in zip(weights, norms))
             assert np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want), scale)
@@ -135,8 +135,8 @@ class TestChannelStack:
         weights = model.entropy_weights()
         for build in (
             lambda: engine._assemble([model], True),
-            lambda: engine.channel_sum(model, weights),
-            lambda: engine.channel_sum(model, weights * weights),
+            lambda: engine._channel_sums(model.jump_ops, weights),
+            lambda: engine._channel_sums(model.jump_ops, weights * weights),
         ):
             tracemalloc.start()
             try:

@@ -7,6 +7,7 @@ from qtur.engine import build_generator
 from qtur.operators import (
     DetailedBalanceError,
     EigenoperatorError,
+    JumpChannel,
     LindbladModel,
     ModelValidationError,
     check_local_detailed_balance,
@@ -240,6 +241,20 @@ class TestJumpNorms:
         model = LindbladModel.build(np.diag([0.0, 1.0]), [])
         assert model.jump_norms.shape == (0, 2, 2)
         assert not model.total_decay().any()
+
+    def test_arrays_are_shared_only_when_nothing_can_write_them(self):
+        frozen = np.zeros((2, 2), dtype=complex)
+        frozen[0, 1] = 1.0
+        frozen.setflags(write=False)
+        writable = frozen.copy()
+        view = writable[:]
+        view.setflags(write=False)  # read-only, over memory that is not
+        for L, shared in ((frozen, True), (frozen[:], True), (view, False), (writable, False)):
+            channel = JumpChannel(L, 1.0)
+            assert np.shares_memory(channel.L, L) == shared and not channel.L.flags.writeable
+        copied = JumpChannel(view, 1.0)
+        writable[0, 1] = 2.0
+        assert copied.L[0, 1] == 1.0
 
     def test_raw_constructor_rejects_a_mismatched_channel(self, ep_generic):
         with pytest.raises(ModelValidationError, match="dimension"):

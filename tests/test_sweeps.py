@@ -29,7 +29,6 @@ from qtur.models import default_observable
 from qtur.operators import ModelValidationError
 from conftest import (
     ground_state,
-    patch_nth_call,
     patch_nth_draw,
     random_detailed_balance_model,
     zero_mean,
@@ -186,7 +185,7 @@ class TestNotApplicableRows:
     def test_zero_mean_row(self, experiment, monkeypatch):
         config = SweepConfig(experiment, n_draws=8, seed=3, workers=1)
         clean = run_sweep(config)
-        patch_nth_call(monkeypatch, sweeps, "counting_moments", 4, zero_mean)
+        patch_nth_draw(monkeypatch, sweeps, "stacked_moments", 4, zero_mean)
         result = run_sweep(config)
         row = dict(zip(result.header, result.rows[4]))
         assert row["flagged"] is False and result.n_flagged == 0
@@ -203,7 +202,7 @@ class TestNotApplicableRows:
     def test_summary_counts_them_apart(self, monkeypatch):
         config = SweepConfig("kur_sweep", n_draws=8, seed=3, workers=1)
         assert "not applicable" not in run_sweep(config).summary()
-        patch_nth_call(monkeypatch, sweeps, "counting_moments", 4, zero_mean)
+        patch_nth_draw(monkeypatch, sweeps, "stacked_moments", 4, zero_mean)
         result = run_sweep(config)
         diag_violated = result.violations("diag")
         assert result.summary().splitlines()[1:] == [
@@ -300,6 +299,46 @@ class TestReproducibility:
         # 17 significant digits survive a parse round trip
         tau_col = result.header.index("tau")
         assert float(lines[1].split(",")[tau_col]) == result.rows[0][tau_col]
+
+
+def _generator_reads(config: SweepConfig, n_rates: int, weight_range, n_free: int) -> tuple:
+    """Each draw's gammas, tau and free weights as numpy's Generator reads
+    them, one draw at a time, and how many draws redrew their gammas."""
+    draws, redrawn = [], 0
+    for k in range(config.n_draws):
+        seed = trajectories.SeedPolicy(config.seed).trajectory_seed(k)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        g = rng.uniform(config.gamma_low, config.gamma_high, n_rates)
+        redrawn += bool(np.any(g <= config.gamma_low))
+        while np.any(g <= config.gamma_low):
+            fresh = rng.uniform(config.gamma_low, config.gamma_high, n_rates)
+            g = np.where(g <= config.gamma_low, fresh, g)
+        tau = float(rng.uniform(config.tau_low, config.tau_high))
+        draws.append((g, tau, rng.uniform(*weight_range, n_free)))
+    return draws, redrawn
+
+
+class TestParameterReads:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_redrawn_gammas_are_numpys(self, experiment):
+        # on (1, 1 + 2**-50), lo + (hi - lo) u rounds to lo for u < 1/8, so
+        # about a third of the kur draws and half the ep draws are redrawn
+        config = SweepConfig(experiment, n_draws=200, seed=5, gamma_low=1.0,
+                             gamma_high=1.0 + 2.0**-50, workers=1)
+        current = experiment == "ep_sweep"
+        n_rates = 6 if current else 4
+        weight_range = (-1.0, 1.0) if current else (0.0, 1.0)
+        draws, redrawn = _generator_reads(config, n_rates, weight_range, n_rates // (1 + current))
+        assert redrawn >= 40
+        result = run_sweep(config)
+        assert result.n_flagged == 0
+        gammas = [result.column(f"gamma_{i}") for i in range(1, n_rates + 1)]
+        weights = [result.column(f"c_{i}") for i in range(1, n_rates + 1)]
+        for k, (g, tau, free) in enumerate(draws):
+            assert [col[k] for col in gammas] == g.tolist()
+            assert result.column("tau")[k] == tau
+            expected = np.repeat(free, 2) * np.tile([1.0, -1.0], 3) if current else free
+            assert [col[k] for col in weights] == expected.tolist()
 
 
 class TestCicSuite:
