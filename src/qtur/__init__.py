@@ -23,7 +23,6 @@ from .counting import (
     activity_at,
     counting_moments,
     decompose_activity,
-    decompose_sigma,
     entropy_production_rate,
     mean_rate,
 )
@@ -52,8 +51,6 @@ from .operators import (
     LindbladModel,
     ModelValidationError,
     SpectralDecomposition,
-    check_local_detailed_balance,
-    extract_bohr_frequency,
     spectral_decompose,
     split_diagonal_offdiagonal,
     validate_density,

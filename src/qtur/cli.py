@@ -305,8 +305,10 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 def _parse(argv) -> argparse.Namespace:
     """Parse ``argv``. The keys of a --config file become the subcommand's
-    defaults, so explicit flags still win; a key that the subcommand does
-    not declare, or a value outside its flag's choices, exits 2."""
+    defaults, so explicit flags still win. A JSON string or number goes
+    through its flag's type as on the command line, and a switch takes a
+    JSON boolean; a key that the subcommand does not declare, a value of
+    another JSON type, or one outside its flag's choices, exits 2."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("command", nargs="?")
     pre.add_argument("--config")
@@ -324,6 +326,13 @@ def _parse(argv) -> argparse.Namespace:
             action = actions.get(key.replace("-", "_"))
             if action is None:
                 sub.error(f"unknown config key {key!r}")
+            if action.nargs == 0:  # a switch
+                if not isinstance(value, bool):
+                    sub.error(f"config key {key!r} takes true or false, got {json.dumps(value)}")
+            elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+                value = str(value)  # argparse applies the type to a string default
+            else:
+                sub.error(f"config key {key!r} takes a string or a number, got {json.dumps(value)}")
             if action.choices is not None and value not in action.choices:
                 choices = ", ".join(map(repr, action.choices))
                 sub.error(f"config key {key!r}: invalid choice {value!r} (choose from {choices})")

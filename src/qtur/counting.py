@@ -500,8 +500,3 @@ def decompose_activity(model: LindbladModel, rho: np.ndarray) -> tuple[float, fl
     ones = np.ones(model.n_channels)
     return tuple(float(ones @ r) for r in rate_split(model, rho))
 
-
-def decompose_sigma(model: LindbladModel, rho: np.ndarray) -> tuple[float, float]:
-    """Split the entropy production rate the same way (needs ds)."""
-    ds = model.entropy_weights()
-    return tuple(float(ds @ r) for r in rate_split(model, rho))

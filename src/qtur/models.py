@@ -167,6 +167,14 @@ def _key(obj, key: str, where: str):
     return obj[key]
 
 
+def _typed(value, kinds: tuple, key: str, where: str, what: str):
+    """``value``, or a ValueError naming the key when it is not one of
+    ``kinds``; a bool is neither an index nor a number."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"model JSON: {key!r} of {where} must be {what}, got {json.dumps(value)}")
+    return value
+
+
 def _matrix_from_json(obj: dict, where: str) -> np.ndarray:
     out = np.asarray(_key(obj, "re", where), dtype=float).astype(complex)
     out.imag = np.asarray(_key(obj, "im", where), dtype=float)  # 1j * inf has a NaN real part
@@ -185,15 +193,18 @@ def model_to_json(model: LindbladModel) -> dict:
 
 
 def model_from_json(obj: dict) -> LindbladModel:
-    dim = int(_key(obj, "dim", "the model"))
+    dim = _typed(_key(obj, "dim", "the model"), (int,), "dim", "the model", "an integer")
     h = _matrix_from_json(_key(obj, "H", "the model"), "H")
     if h.shape != (dim, dim):
         raise ValueError(f"H shape {h.shape} does not match dim {dim}")
     ops, ds, partners = [], [], []
-    for m, ch in enumerate(obj.get("channels", [])):
-        ops.append(_matrix_from_json(_key(ch, "L", f"channel {m}"), f"channel {m} L"))
-        ds.append(ch.get("ds"))
-        partners.append(ch.get("partner"))
+    channels = _typed(obj.get("channels", []), (list,), "channels", "the model", "a list")
+    for m, ch in enumerate(channels):
+        where = f"channel {m}"
+        ops.append(_matrix_from_json(_key(ch, "L", where), f"{where} L"))
+        ds.append(_typed(ch.get("ds"), (int, float, type(None)), "ds", where, "a number or null"))
+        index = _typed(ch.get("partner"), (int, type(None)), "partner", where, "an integer or null")
+        partners.append(index)
     return LindbladModel.build(h, ops, ds=ds, partners=partners)
 
 

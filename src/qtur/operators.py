@@ -146,29 +146,15 @@ def assert_density(rho: np.ndarray) -> None:
         raise ModelValidationError(f"invalid density matrix: {check.message}")
 
 
-def extract_bohr_frequency(H: np.ndarray, L: np.ndarray) -> float:
-    """Return the real omega with ``[L, H] = omega * L``.
+def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where) -> np.ndarray:
+    """The real omega with ``[L, H] = omega * L`` of each operator L of the
+    (N, M, d, d) stack ``ops``, from one ``eigh`` of H; ``where(k, m)``
+    names operator m of model k in errors.
 
     omega is the least-squares projection Re(Tr[L^dag [L, H]]) / Tr[L^dag L];
     the channel conforms iff the residual ||[L,H] - omega L||_F stays below
     ``EIGENOPERATOR_TOL * ||L||_F`` times E_max - E_min, the spread of H's
     spectrum. Scaling L by any nonzero constant leaves omega unchanged.
-    """
-    H, L = np.asarray(H, dtype=complex), np.asarray(L, dtype=complex)
-    _check_finite(H, "Hamiltonian")
-    _check_finite(L, "jump operator")
-    return float(_bohr_frequencies(H, L[None, None], lambda k, m: "")[0, 0])
-
-
-def _check_finite(a: np.ndarray, name: str) -> None:
-    if not np.isfinite(a).all():
-        raise ModelValidationError(f"{name} has NaN or Inf entries")
-
-
-def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where) -> np.ndarray:
-    """:func:`extract_bohr_frequency` of each operator of the (N, M, d, d)
-    stack ``ops``, from one ``eigh`` of H; ``where(k, m)`` names operator
-    m of model k in errors.
 
     In the eigenbasis of H, [L, H]_ij = L_ij (E_j - E_i). With p_ij =
     |L_ij|^2 / ||L||_F^2 there, omega = sum p_ij (E_j - E_i) and the
@@ -300,7 +286,8 @@ class LindbladModel:
         partners = list(partners) if partners is not None else [None] * n
         if len(partners) != n or len(ds) != count or any(len(row) != n for row in ds):
             raise ValueError("ds/partners length must match the channel count")
-        _check_finite(H, "Hamiltonian")
+        if not np.isfinite(H).all():
+            raise ModelValidationError("Hamiltonian has NaN or Inf entries")
         if stack.shape[2:] != H.shape:
             raise ModelValidationError(f"channels have shape {stack.shape[2:]}, H {H.shape}")
         label = "channel {1}" if first is None and count == 1 else "model {0}, channel {1}"
@@ -316,43 +303,26 @@ class LindbladModel:
         for m, p in enumerate(partners):
             if p is not None and (not (0 <= p < n) or partners[p] != m):
                 raise ModelValidationError(f"partner map is not an involution at channel {m}")
-        failed, *checks = _balance_checks(stack, ds, partners)
+        failed, residual, bound, bad_ds = _balance_checks(stack, ds, partners)
         if failed.any():
             at = np.unravel_index(np.argmax(failed), failed.shape)
-            check = _balance_check(*(a[at] for a in checks))
-            raise DetailedBalanceError(f"{name(*at)}: {check.message}")
+            message = "partner entropy change is not the negative" if bad_ds[at] else (
+                f"operator mismatch: residual {residual[at]:.3e} > {bound[at]:.3e}"
+            )
+            raise DetailedBalanceError(f"{name(*at)}: {message}")
         return [
             cls(H, [JumpChannel(*channel) for channel in zip(ops, row, ds_row, partners)])
             for ops, row, ds_row in zip(stack, omegas, ds)
         ]
 
 
-@dataclass(frozen=True)
-class BalanceCheck:
-    ok: bool
-    residual: float
-    message: str
-
-
-def check_local_detailed_balance(model: LindbladModel, m: int) -> BalanceCheck:
-    """Verify ``L_m = exp(ds_m/2) L_partner^dag`` and ``ds_partner = -ds_m``
-    to ``EIGENOPERATOR_TOL``."""
-    c = model.channels[m]
-    if c.partner is None:
-        raise ModelValidationError(f"channel {m} has no reverse partner")
-    if c.ds is None:
-        raise ModelValidationError(f"channel {m} has no entropy change set")
-    ds, partners = zip(*((c.ds, c.partner) for c in model.channels))
-    _, *checks = _balance_checks(model.jump_ops[None], [ds], partners)
-    return _balance_check(*(a[0, m] for a in checks))
-
-
 def _balance_checks(ops: np.ndarray, ds: list, partners: list) -> tuple:
-    """:func:`check_local_detailed_balance` of every channel of the
-    (N, M, d, d) stack ``ops`` with rows of entropy changes ``ds``, from
-    one stacked expression: the (N, M) mask of paired channels with ds
-    that fail, then the residuals, their bounds and the mask of ds that
-    are missing or not negated on the partner, for :func:`_balance_check`."""
+    """Local detailed balance, ``L_m = exp(ds_m/2) L_partner^dag`` and
+    ``ds_partner = -ds_m`` to ``EIGENOPERATOR_TOL``, of every channel of
+    the (N, M, d, d) stack ``ops`` with rows of entropy changes ``ds``,
+    from one stacked expression: the (N, M) mask of paired channels with
+    ds that fail, then the residuals, their bounds and the mask of ds that
+    are missing or not negated on the partner."""
     tol = EIGENOPERATOR_TOL
     index = [m if p is None else p for m, p in enumerate(partners)]
     has = np.array([[x is not None for x in row] for row in ds], dtype=bool).reshape(ops.shape[:2])
@@ -365,15 +335,6 @@ def _balance_checks(ops: np.ndarray, ds: list, partners: list) -> tuple:
     scale = tol * np.linalg.norm(ops, axis=(-2, -1))
     paired = has & np.array([p is not None for p in partners], dtype=bool)
     return paired & (bad_ds | ~(residual <= scale)), residual, scale, bad_ds
-
-
-def _balance_check(residual: float, bound: float, bad_ds: bool) -> BalanceCheck:
-    if bad_ds:
-        return BalanceCheck(False, float("inf"), "partner entropy change is not the negative")
-    if not residual <= bound:
-        message = f"operator mismatch: residual {residual:.3e} > {bound:.3e}"
-        return BalanceCheck(False, float(residual), message)
-    return BalanceCheck(True, float(residual), "ok")
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .counting import CountingObservable, MomentResult
+from .counting import CountingObservable
 from .engine import build_generator, propagate
 from .operators import (
     EIGENVALUE_CLIP,
@@ -627,8 +627,7 @@ def record_observable(record: TrajectoryRecord, obs: CountingObservable) -> floa
 class EnsembleEstimate:
     """Sample statistics of an observable across records.
 
-    Absolute moments E|N|^r are reported for each requested order; the
-    entropy fields appear when per-record entropies were attached, and
+    The entropy fields appear when per-record entropies were attached, and
     ``n_discarded`` counts the nan ones among them.
     ``values`` keeps the observable of every record, in record order.
     """
@@ -638,23 +637,10 @@ class EnsembleEstimate:
     variance: float
     stderr_mean: float
     stderr_variance: float
-    abs_moments: dict
-    abs_moment_stderr: dict
     entropy_mean: float | None = None
     entropy_stderr: float | None = None
     n_discarded: int = 0
     values: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def as_moment_result(self) -> MomentResult:
-        """The first two moments in the shape the bound evaluators take."""
-        return MomentResult(
-            mean=self.mean,
-            second_moment=self.variance + self.mean**2,
-            variance=self.variance,
-            method="monte_carlo",
-            stderr_mean=self.stderr_mean,
-            stderr_variance=self.stderr_variance,
-        )
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -663,14 +649,11 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def estimate(
-    records,
-    obs: CountingObservable,
-    r_list=(),
-    entropies: np.ndarray | None = None,
+    records, obs: CountingObservable, entropies: np.ndarray | None = None
 ) -> EnsembleEstimate:
-    """Ensemble mean/variance (with standard errors) and |N|^r moments;
-    the entropy mean and its standard error are over the ``entropies``
-    that are not nan (discarded)."""
+    """Ensemble mean/variance with their standard errors; the entropy mean
+    and its standard error are over the ``entropies`` that are not nan
+    (discarded)."""
     n = len(records)
     if n < 2:
         raise ValueError("need at least two records")
@@ -680,12 +663,6 @@ def estimate(
     centered = values - mean
     m4 = float(np.mean(centered**4))
     var_of_var = max(m4 - var * var * (n - 3) / (n - 1), 0.0) / n
-    abs_moments, abs_stderr = {}, {}
-    for r in r_list:
-        if r <= 0:
-            raise ValueError("absolute moment orders must be positive")
-        powered = np.abs(values) ** r
-        abs_moments[r], abs_stderr[r] = _mean_and_stderr(powered)
     entropy_mean = entropy_stderr = None
     entropies = np.asarray(() if entropies is None else entropies, float)
     kept = entropies[~np.isnan(entropies)]
@@ -697,8 +674,6 @@ def estimate(
         variance=var,
         stderr_mean=stderr_mean,
         stderr_variance=float(np.sqrt(var_of_var)),
-        abs_moments=abs_moments,
-        abs_moment_stderr=abs_stderr,
         entropy_mean=entropy_mean,
         entropy_stderr=entropy_stderr,
         n_discarded=len(entropies) - len(kept),

@@ -146,6 +146,15 @@ def random_detailed_balance_model(dim: int, rng: np.random.Generator) -> Lindbla
     return rotate_model(LindbladModel.build(np.diag(energies), ops, ds=ds, partners=partners), rng)
 
 
+def assert_local_detailed_balance(model: LindbladModel) -> None:
+    """Every channel is exp(ds/2) times its partner's adjoint, and the
+    partner's ds is the negative, each to rounding."""
+    for c in model.channels:
+        partner = model.channels[c.partner]
+        assert partner.ds == pytest.approx(-c.ds, rel=0, abs=1e-12)
+        assert np.allclose(c.L, np.exp(c.ds / 2) * partner.L.conj().T, rtol=0, atol=1e-12)
+
+
 def open_uniform(rng: np.random.Generator, n: int):
     out = rng.uniform(0.0, 1.0, n)
     while np.any(out <= 0.0):

@@ -260,7 +260,8 @@ class TestRateFormBound:
         obs = CountingObservable.total_count(4)
         sampler = TrajectorySampler(da_generic, rho, tau)
         records = sampler.ensemble(2000, SeedPolicy(91), workers=1)
-        mom = estimate(records, obs).as_moment_result()
+        est = estimate(records, obs)
+        mom = mc_moments(est.mean, est.variance, est.stderr_mean, est.stderr_variance)
         assert mom.method == "monte_carlo"
         activity = activity_at(da_generic, rho, [tau])[0][0]
         rep = kur_differential(da_generic, rho, obs, tau, activity, mom)
@@ -310,12 +311,16 @@ class TestMomentRatioBounds:
         tau, n = 1.0, 4000
         obs = CountingObservable.total_count(4)
         records = TrajectorySampler(da_generic, rho, tau).ensemble(n, SeedPolicy(77), workers=1)
-        est = estimate(records, obs, r_list=(1.0, 2.0))
+        values = estimate(records, obs).values
+        r_moment, s_moment = (  # E|N| and E|N|^2
+            InputStat.monte_carlo(p.mean(), p.std(ddof=1) / np.sqrt(n))
+            for p in (np.abs(values), values**2)
+        )
         angle = half_angle_integral(da_generic, rho, 0.0, tau)
         a0 = mean_rate(da_generic, rho, obs)
         sin_rep, exp_rep = moment_ratio_bounds(
-            InputStat.monte_carlo(est.abs_moments[1.0], est.abs_moment_stderr[1.0]),
-            InputStat.monte_carlo(est.abs_moments[2.0], est.abs_moment_stderr[2.0]),
+            r_moment,
+            s_moment,
             1.0,
             2.0,
             tau,
@@ -477,7 +482,7 @@ class TestEntropyProductionBound:
         assert lower_holds > 20
 
     def test_diagonal_part_violates_for_some_draws(self):
-        from qtur.counting import decompose_sigma
+        from qtur.counting import rate_split
         from qtur.models import antisymmetric_current_weights
 
         rng = np.random.default_rng(8)
@@ -490,7 +495,7 @@ class TestEntropyProductionBound:
             mom = counting_moments(model, rho, CountingObservable(weights), tau)
             if mom.mean == 0.0:
                 continue
-            s_d, _ = decompose_sigma(model, rho)
+            s_d = model.entropy_weights() @ rate_split(model, rho)[0]
             if s_d * tau < ep_lower_bound(mom.mean, mom.variance, 1.0) - 1e-9:
                 violations += 1
         assert violations >= 1

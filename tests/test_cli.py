@@ -497,6 +497,45 @@ def test_malformed_input_exits_2_with_a_message(case, tmp_path, capsys):
     assert f"error: {message}" in err and "Traceback" not in err
 
 
+# case -> (file, the keys it gets, the key the message names); a model key
+# of a channel goes on its one channel
+WRONG_JSON_TYPE = {
+    "dim-null": ("model", {"dim": None}, "dim"),
+    "dim-float": ("model", {"dim": 2.0}, "dim"),
+    "channels-null": ("model", {"channels": None}, "channels"),
+    "partner-string": ("model", {"partner": "0"}, "partner"),
+    "partner-float": ("model", {"partner": 0.0}, "partner"),
+    "partner-bool": ("model", {"partner": False}, "partner"),
+    "ds-string": ("model", {"ds": "1"}, "ds"),
+    "tau-null": ("config", {"tau": None}, "tau"),
+    "tau-list": ("config", {"tau": [1]}, "tau"),
+    "tau-bool": ("config", {"tau": True}, "tau"),
+    "switch-number": ("config", {"incoherent": 1}, "incoherent"),
+    "switch-string": ("config", {"incoherent": "true"}, "incoherent"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_JSON_TYPE))
+def test_a_json_value_of_the_wrong_type_exits_2_naming_its_key(case, tmp_path, capsys):
+    kind, keys, named = WRONG_JSON_TYPE[case]
+    channel = {"L": {"re": [[0.0, 1.0], [0.0, 0.0]], "im": [[0.0] * 2] * 2}}
+    model = {"dim": 2, "H": {"re": [[0.0, 0.0], [0.0, 1.0]], "im": [[0.0] * 2] * 2},
+             "channels": [channel]}
+    config = {"tau": 1}
+    target = config if kind == "config" else channel if named in ("partner", "ds") else model
+    target.update(keys)
+    paths = tmp_path / "model.json", tmp_path / "cfg.json"
+    for path, obj in zip(paths, (model, config)):
+        path.write_text(json.dumps(obj))
+    argv = ("moments", "--model", str(paths[0]), "--weights", "1", "--config", str(paths[1]))
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # argparse's own error exit
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and repr(named) in err and "Traceback" not in err
+
+
 class TestSweeps:
     def test_kur_sweep_writes_deterministic_csv(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -709,6 +748,12 @@ class TestConfigAndModels:
         cfg = {"omega-e": 2.5, "trajectories": 40}
         args = self._parsed(monkeypatch, tmp_path, cfg, "trajectories", "--tau", "1")
         assert args["omega_e"] == 2.5 and args["trajectories"] == 40
+
+    def test_config_strings_and_numbers_go_through_the_flag_type(self, monkeypatch, tmp_path):
+        cfg = {"tau": "0.5", "trajectories": "40", "omega-e": 2}
+        args = self._parsed(monkeypatch, tmp_path, cfg, "trajectories")
+        assert (args["tau"], args["trajectories"], args["omega_e"]) == (0.5, 40, 2.0)
+        assert isinstance(args["omega_e"], float)
 
     def test_config_supplies_a_required_flag(self, monkeypatch, tmp_path):
         args = self._parsed(monkeypatch, tmp_path, {"tau": 0.5}, "moments", "--builtin", "da")

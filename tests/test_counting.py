@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 import qtur.counting as counting
@@ -15,9 +15,9 @@ from qtur.counting import (
     activity_at,
     counting_moments,
     decompose_activity,
-    decompose_sigma,
     entropy_production_rate,
     mean_rate,
+    rate_split,
     sigma_from,
     stacked_moments,
     _half_windows,
@@ -478,7 +478,7 @@ class TestDecompositions:
         a_d, a_nd = decompose_activity(ep_generic, rho)
         total = mean_rate(ep_generic, rho, CountingObservable.total_count(6))
         assert a_d + a_nd == pytest.approx(total, abs=1e-12)
-        s_d, s_nd = decompose_sigma(ep_generic, rho)
+        s_d, s_nd = (ep_generic.entropy_weights() @ r for r in rate_split(ep_generic, rho))
         assert s_d + s_nd == pytest.approx(entropy_production_rate(ep_generic, rho), abs=1e-12)
 
 
@@ -610,6 +610,8 @@ class TestBlockAction:
         scale=st.floats(0.1, 15.0),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
     )
+    # a flow of 5.2e-4 off by 7e-17 to 8e-17: over 1e-13 of itself, 2e-16 of its terms
+    @example(seed=200624072, dim=7, coherent=False, scale=4.690575417283462, fractions=[0.0])
     def test_one_pass_matches_dense_exponential_at_every_time(
         self, seed, dim, coherent, scale, fractions
     ):
@@ -634,8 +636,16 @@ class TestBlockAction:
         want = np.array([expm(t * block) @ y for t in times])
         rho = np.array([unvec(w[:n]) for w in want])
         rho = (rho + rho.conj().swapaxes(1, 2)) / 2.0
-        for got, ref in ((activity, want[:, n].real), (flow, want[:, n + 1].real), (states, rho)):
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        peak = np.abs(want[:, n].real).max()
+        # the flow is a signed sum of terms of size max|ds| A, as in
+        # bounds.entropy_scale, and can cancel far below them
+        flow_scale = np.abs(model.entropy_weights()).max() * peak
+        for got, ref, size in (
+            (activity, want[:, n].real, peak),
+            (flow, want[:, n + 1].real, flow_scale),
+            (states, rho, np.abs(rho).max()),
+        ):
+            assert np.abs(got - ref).max() <= 1e-13 * size
 
     @settings(max_examples=25)
     @given(seed=SEEDS, dim=st.integers(1, 8), coherent=st.booleans(), log_scale=LOG_SCALES)

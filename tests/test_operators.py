@@ -10,15 +10,14 @@ from qtur.operators import (
     JumpChannel,
     LindbladModel,
     ModelValidationError,
-    check_local_detailed_balance,
     dagger,
-    extract_bohr_frequency,
     spectral_decompose,
     split_diagonal_offdiagonal,
     validate_density,
     von_neumann_trace_term,
 )
 from conftest import (
+    assert_local_detailed_balance,
     da_steady_state_closed_form,
     random_eigenoperator_model,
     random_pure_state,
@@ -57,18 +56,23 @@ class TestValidateDensity:
             validate_density(rho)
 
 
+def _omega(h, ell) -> float:
+    """The transition frequency ``build`` derives for the lone channel ell."""
+    return LindbladModel.build(h, [ell]).channels[0].omega
+
+
 class TestBohrFrequency:
     def test_decay_channel_of_excited_manifold(self):
         omega_e = 1.3
         h = omega_e * np.diag([0.0, 1.0, 1.0]).astype(complex)
         ell = np.zeros((3, 3), dtype=complex)
         ell[0, 1] = np.sqrt(0.4)
-        assert extract_bohr_frequency(h, ell) == pytest.approx(omega_e, abs=1e-12)
+        assert _omega(h, ell) == pytest.approx(omega_e, abs=1e-12)
 
     def test_zero_hamiltonian(self):
         rng = np.random.default_rng(0)
         ell = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert extract_bohr_frequency(np.zeros((3, 3)), ell) == 0.0
+        assert _omega(np.zeros((3, 3)), ell) == 0.0
 
     def test_rotated_multiple_of_identity(self):
         # every operator is an eigenoperator of 3.7 I, with omega = 0; in a
@@ -77,18 +81,18 @@ class TestBohrFrequency:
         for d in (2, 5, 16):
             q = random_unitary(d, rng)
             ell = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            omega = extract_bohr_frequency(q @ (3.7 * np.eye(d)) @ q.conj().T, ell)
+            omega = _omega(q @ (3.7 * np.eye(d)) @ q.conj().T, ell)
             assert omega == pytest.approx(0.0, abs=1e-12)
 
     def test_nonconforming_channel_rejected(self):
         h = np.diag([1.0, -1.0]).astype(complex)
         ell = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
         with pytest.raises(EigenoperatorError, match="residual"):
-            extract_bohr_frequency(h, ell)
+            _omega(h, ell)
 
     def test_zero_operator_rejected(self):
         with pytest.raises(ModelValidationError, match="zero"):
-            extract_bohr_frequency(np.eye(2), np.zeros((2, 2)))
+            _omega(np.eye(2), np.zeros((2, 2)))
 
     @settings(max_examples=40)
     @given(
@@ -104,8 +108,8 @@ class TestBohrFrequency:
         ell = np.zeros((3, 3), dtype=complex)
         ell[0, 1] = 0.7
         ell[0, 2] = 0.2
-        base = extract_bohr_frequency(h, ell)
-        scaled = extract_bohr_frequency(h, scale * ell)
+        base = _omega(h, ell)
+        scaled = _omega(h, scale * ell)
         assert scaled == pytest.approx(base, rel=1e-12, abs=1e-12)
 
     def test_decay_operators_commute_with_hamiltonian(self, da_generic, ep_generic):
@@ -132,8 +136,6 @@ class TestNonFiniteInput:
             LindbladModel.build(h, [_lowering(2)])
         with pytest.raises(ModelValidationError, match="Hamiltonian has NaN or Inf"):
             LindbladModel.build(h, [])
-        with pytest.raises(ModelValidationError, match="Hamiltonian has NaN or Inf"):
-            extract_bohr_frequency(h, _lowering(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 1.0)])
     def test_channel_is_named(self, bad):
@@ -142,8 +144,6 @@ class TestNonFiniteInput:
         ops[1][2, 0] = bad
         with pytest.raises(ModelValidationError, match="channel 1 has NaN or Inf"):
             LindbladModel.build(h, ops)
-        with pytest.raises(ModelValidationError, match="jump operator has NaN or Inf"):
-            extract_bohr_frequency(h, ops[1])
 
     def test_trace_check_rejects_a_nan_generator(self):
         model = LindbladModel.build(np.diag([0.0, 1.0]), [_lowering(2)])
@@ -227,7 +227,7 @@ class TestRejections:
         model = random_eigenoperator_model(dim, np.random.default_rng(seed))
         for c in model.channels:
             assert c.omega == pytest.approx(_least_squares_omega(model.H, c.L), rel=0, abs=1e-12)
-            assert extract_bohr_frequency(model.H, c.L) == c.omega
+            assert _omega(model.H, c.L) == c.omega
 
 
 class TestJumpNorms:
@@ -273,15 +273,14 @@ class TestDetailedBalance:
         up = np.sqrt(g4) * e1 @ g.conj().T
         ds = float(np.log(g3 / g4))
         model = LindbladModel.build(h, [down, up], ds=[ds, -ds], partners=[1, 0])
-        assert check_local_detailed_balance(model, 0).ok
-        assert check_local_detailed_balance(model, 1).ok
+        assert_local_detailed_balance(model)
 
     def test_symmetric_pair_zero_entropy(self):
         ell = np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)
         model = LindbladModel.build(
             np.zeros((2, 2)), [ell, dagger(ell)], ds=[0.0, 0.0], partners=[1, 0]
         )
-        assert check_local_detailed_balance(model, 0).ok
+        assert_local_detailed_balance(model)
 
     def test_wrong_entropy_weight_fails(self):
         g3, g4 = 0.6, 0.25
