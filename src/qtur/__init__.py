@@ -47,7 +47,6 @@ from .models import (
     save_model,
 )
 from .operators import (
-    JumpChannel,
     LindbladModel,
     ModelValidationError,
     SpectralDecomposition,

@@ -3,7 +3,8 @@
 Every evaluator returns a :class:`BoundReport` carrying both sides, the
 slack, the inputs with their provenance, and whether the stated
 precondition held. The inequalities themselves are exact, so a bound fed
-by exact statistics is "satisfied" only within 1e-9 slack. An evaluator
+by exact statistics is "satisfied" only within a slack of 1e-9 times the
+larger of 1 and its two sides, the size of their rounding. An evaluator
 states the partial derivative of its lhs in each input, and inputs with a
 standard error (Monte Carlo ones) widen the tolerance to three standard
 errors of the lhs, propagated to first order, so noise cannot
@@ -107,12 +108,14 @@ class BoundReport:
 
     @classmethod
     def judge(cls, name, lhs, rhs, inputs, extra=None, partials=None, precondition_ok=True):
-        """The report of lhs >= rhs at tol EXACT_TOL, widened to MC_SIGMAS
-        sqrt(sum (d lhs/d x * se_x)^2) over the inputs x with a nonzero
-        standard error se_x; ``partials`` maps each key x to d lhs/d x."""
+        """The report of lhs >= rhs at tol EXACT_TOL max(1, |lhs|, |rhs|)
+        (finite sides only), widened to MC_SIGMAS sqrt(sum (d lhs/d x *
+        se_x)^2) over the inputs x with a nonzero standard error se_x;
+        ``partials`` maps each key x to d lhs/d x."""
         stderrs = {key: inputs[key].stderr for key in partials or ()}
         var_lhs = sum((partials[key] * se) ** 2 for key, se in stderrs.items() if se)
-        tol = max(EXACT_TOL, MC_SIGMAS * math.sqrt(var_lhs))
+        size = max([1.0] + [abs(side) for side in (lhs, rhs) if math.isfinite(side)])
+        tol = max(EXACT_TOL * size, MC_SIGMAS * math.sqrt(var_lhs))
         slack = lhs - rhs
         satisfied = None if not precondition_ok else bool(slack >= -tol)
         return cls(
@@ -267,9 +270,11 @@ def half_angle_integral(model, rho0, t1: float, t2: float, coherent: bool = True
     return _horizon(model, rho0, t1, t2, coherent)[0]
 
 
-def _stat(m: MomentResult, field: str) -> InputStat:
-    """``m.mean`` or ``m.variance`` (``field``) with its provenance."""
-    return InputStat(float(getattr(m, field)), m.method, getattr(m, f"stderr_{field}"))
+def _stat(m, field: str) -> InputStat:
+    """``m.mean`` or ``m.variance`` (``field``): Monte Carlo when ``m``
+    carries its standard error (an ``EnsembleEstimate``), else exact."""
+    value, stderr = getattr(m, field), getattr(m, f"stderr_{field}", None)
+    return InputStat.exact(value) if stderr is None else InputStat.monte_carlo(value, stderr)
 
 
 def tur_activity_integral(
@@ -286,6 +291,8 @@ def tur_activity_integral(
     and |E_2 - E_1| exceeds rounding noise at ``scale``
     (:func:`observable_scale`). Both sides are even in the weights, so a
     falling mean is certified like the rising mean of the negated weights.
+    A moment may be a Monte Carlo ``EnsembleEstimate``: its standard
+    errors widen the tolerance.
     """
     inputs = {
         "mean_1": _stat(moments_1, "mean"),
@@ -325,7 +332,7 @@ def kur_differential(
     The mean growth rate is evaluated exactly from the state at tau; at
     stationarity this is the relative-variance form with A = a tau. The
     bound does not apply when tau d_tau E is rounding noise at the
-    observable's scale max|w| A(tau).
+    observable's scale max|w| A(tau). ``moments`` may be Monte Carlo.
     """
     dmean = mean_rate(model, rho_tau, obs)
     scale = observable_scale(obs, activity_total)

@@ -31,7 +31,7 @@ from .counting import (
     decompose_activity,
     entropy_production_rate,
 )
-from .engine import build_generator, propagate, steady_state
+from .engine import SteadyStateError, build_generator, propagate, steady_state
 from .operators import validate_density
 from .sweeps import (
     SweepConfig,
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, SteadyStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -128,13 +128,11 @@ class CountingObservable:
         return True
 
     def check_antisymmetry(self, model: LindbladModel) -> None:
-        for m, c in enumerate(model.channels):
-            if c.partner is None:
+        for m, p in enumerate(model.partners):
+            if p is None:
                 raise ModelValidationError(f"channel {m} is unpaired; no current exists")
-            if self.weights[c.partner] != -self.weights[m]:
-                raise ModelValidationError(
-                    f"weights are not antisymmetric at pair ({m}, {c.partner})"
-                )
+            if self.weights[p] != -self.weights[m]:
+                raise ModelValidationError(f"weights are not antisymmetric at pair ({m}, {p})")
 
     def resolved_window(self, tau: float) -> tuple[float, float]:
         if self.window is None:
@@ -147,18 +145,11 @@ class CountingObservable:
 
 @dataclass(frozen=True)
 class MomentResult:
-    """First two moments of a counting observable.
-
-    ``method`` is "exact" (hierarchy) or "monte_carlo"; the stderr fields
-    are populated only on the Monte Carlo path.
-    """
+    """Exact first two moments of a counting observable."""
 
     mean: float
     second_moment: float
     variance: float
-    method: str = "exact"
-    stderr_mean: float | None = None
-    stderr_variance: float | None = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -115,17 +115,16 @@ def antisymmetric_current_weights(model: LindbladModel, free_weights) -> tuple:
     """
     weights = [None] * model.n_channels
     free = list(free_weights)
-    for m, c in enumerate(model.channels):
-        if c.partner is None:
+    for m, p in enumerate(model.partners):
+        if p is None:
             raise ValueError(f"channel {m} is unpaired; cannot form a current")
-        if c.partner == m:
+        if p == m:
             weights[m] = 0.0
         elif weights[m] is None:
             if not free:
                 raise ValueError("not enough free weights for the channel pairs")
-            w = float(free.pop(0))
-            weights[m] = w
-            weights[c.partner] = -w
+            w = weights[m] = float(free.pop(0))
+            weights[p] = -w
     if free:
         raise ValueError("too many free weights for the channel pairs")
     return tuple(weights)
@@ -139,8 +138,8 @@ def default_observable(model: LindbladModel) -> CountingObservable:
     model, the net flux into |g>), 0 on a self-paired channel. Otherwise
     it is the total jump count.
     """
-    if model.n_channels and all(c.partner is not None for c in model.channels):
-        pairs = sum(1 for m, c in enumerate(model.channels) if c.partner > m)
+    if model.n_channels and None not in model.partners:
+        pairs = sum(1 for m, p in enumerate(model.partners) if p > m)
         weights = antisymmetric_current_weights(model, [1.0] * pairs)
         return CountingObservable(weights, antisymmetric=True)
     return CountingObservable.total_count(model.n_channels)
@@ -186,8 +185,8 @@ def model_to_json(model: LindbladModel) -> dict:
         "dim": model.dim,
         "H": _matrix_to_json(model.H),
         "channels": [
-            {"L": _matrix_to_json(c.L), "partner": c.partner, "ds": c.ds}
-            for c in model.channels
+            {"L": _matrix_to_json(L), "partner": p, "ds": ds}
+            for L, p, ds in zip(model.jump_ops, model.partners, model.ds)
         ],
     }
 

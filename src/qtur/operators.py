@@ -7,24 +7,25 @@ channels (the generator's dissipator and J_c) is one GEMM over the stack
 of jump operators. So the d^2-square generator and J_c themselves are
 what a ``qtur bounds`` call at d = 24 or 32 holds.
 Operators and density matrices are plain ``numpy`` arrays; the model layer
-below adds the structure a monitored open system needs:
+below adds the structure a monitored open system needs, one home per fact:
 
 * a Hermitian Hamiltonian ``H``,
-* jump channels ``L_m`` that each satisfy the eigenoperator condition
-  ``[L_m, H] = omega_m * L_m`` for a real transition frequency ``omega_m``
-  (extracted, never user supplied),
-* optional reverse-channel pairing with an environment entropy change
-  ``ds`` per jump, obeying ``L_m = exp(ds_m / 2) * L_partner^dagger`` and
-  ``ds_partner = -ds_m``.
+* jump operators ``L_m``, one read-only (M, d, d) stack ``jump_ops``, that
+  each satisfy ``[L_m, H] = omega_m * L_m`` for a real transition
+  frequency ``omegas[m]`` (extracted, never user supplied),
+* optional reverse channels ``partners[m]`` with an environment entropy
+  change ``ds[m]`` per jump, obeying ``L_m = exp(ds_m / 2) L_partner^dag``
+  and ``ds_partner = -ds_m``.
 
 All containers are frozen dataclasses holding read-only arrays, so they can
-be shared freely across worker processes. A model also holds L_m and
-L_m^dag L_m as (M, d, d) stacks, which every sum over channels reads, and
+be shared freely across worker processes. A model also holds the stack of
+L_m^dag L_m; every sum over channels reads the two stacks. It
 memoizes its generators (``qtur.engine.build_generator``), which its
 arrays fix, and in one slot the last augmented block of ``qtur.counting``
 with its last dense exponential. :meth:`LindbladModel.build_stack` builds
-N models that share H as one (N, M, d, d) stack: every check runs once
-over it, and :meth:`LindbladModel.build` is its stack of one.
+N models that share H as one frozen (N, M, d, d) stack, row k of which is
+model k's ``jump_ops``: every check runs once over it, and
+:meth:`LindbladModel.build` is its stack of one.
 """
 
 from __future__ import annotations
@@ -186,37 +187,23 @@ def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class JumpChannel:
-    """One monitored decay channel.
-
-    ``omega`` is the derived transition frequency, ``ds`` the entropy
-    handed to the environment per jump (None when thermodynamically
-    unstructured) and ``partner`` the index of the reverse channel.
-    """
-
-    L: np.ndarray
-    omega: float
-    ds: float | None = None
-    partner: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "L", _readonly(self.L))
-
-
-@dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian plus jump channels, validated at construction.
+    """Hamiltonian plus M jump channels, validated at construction.
 
-    Use :meth:`build` to derive transition frequencies and run the
-    structural checks; the raw constructor checks only that every channel
-    has the Hamiltonian's shape.
+    Channel m is ``jump_ops[m]`` with frequency ``omegas[m]``, entropy per
+    jump ``ds[m]`` (None when thermodynamically unstructured) and reverse
+    channel ``partners[m]`` (None when unpaired). Use :meth:`build` to
+    derive the frequencies and run the structural checks; the raw
+    constructor checks only shapes: H's for every channel, M entries for
+    each tuple.
     """
 
     H: np.ndarray
-    channels: tuple[JumpChannel, ...]
-    # L_m of every channel as one (M, d, d) stack, and L_m^dag L_m, the
-    # jump-rate operators, as another: every sum over channels reads these
-    jump_ops: np.ndarray = field(init=False, repr=False, compare=False)
+    jump_ops: np.ndarray
+    omegas: tuple
+    ds: tuple
+    partners: tuple
+    # L_m^dag L_m, the jump-rate operators, as an (M, d, d) stack
     jump_norms: np.ndarray = field(init=False, repr=False, compare=False)
     # coherent flag -> generator array, filled by qtur.engine.build_generator
     _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -225,12 +212,16 @@ class LindbladModel:
     _block: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "H", _readonly(self.H))
-        object.__setattr__(self, "channels", tuple(self.channels))
-        if any(c.L.shape != self.H.shape for c in self.channels):
+        H, ops = _readonly(self.H), _readonly(self.jump_ops)
+        if ops.ndim != 3 or ops.shape[1:] != H.shape:
             raise ModelValidationError("channel dimension does not match the Hamiltonian")
-        ops = np.array([c.L for c in self.channels], dtype=complex).reshape(-1, *self.H.shape)
-        object.__setattr__(self, "jump_ops", _frozen(ops))
+        for name in ("omegas", "ds", "partners"):
+            value = tuple(getattr(self, name))
+            if len(value) != len(ops):
+                raise ModelValidationError(f"{name} has {len(value)} entries, not {len(ops)}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "jump_ops", ops)
         object.__setattr__(self, "jump_norms", _frozen(dagger(ops) @ ops))
 
     @property
@@ -239,16 +230,16 @@ class LindbladModel:
 
     @property
     def n_channels(self) -> int:
-        return len(self.channels)
+        return len(self.jump_ops)
 
     @property
     def has_entropy_weights(self) -> bool:
-        return self.n_channels > 0 and all(c.ds is not None for c in self.channels)
+        return self.n_channels > 0 and None not in self.ds
 
     def entropy_weights(self) -> np.ndarray:
         if not self.has_entropy_weights:
             raise ModelValidationError("channel entropy changes (ds) are not set")
-        return np.array([c.ds for c in self.channels], dtype=float)
+        return np.array(self.ds, dtype=float)
 
     def total_decay(self) -> np.ndarray:
         """Sum of L^dag L over channels (the no-jump decay generator)."""
@@ -259,9 +250,9 @@ class LindbladModel:
         """Assemble and validate a model: the stack of one of :meth:`build_stack`.
 
         ``ds`` and ``partners`` are parallel sequences (entries may be
-        None). H and every L_m must be finite, each L_m an eigenoperator
-        of H; partner pairs must be involutive with opposite ds and
-        satisfy local detailed balance.
+        None). H, every L_m and every ds must be finite, each L_m an
+        eigenoperator of H; partner pairs must be involutive with opposite
+        ds and satisfy local detailed balance.
         """
         H = np.asarray(H, dtype=complex)
         ops = [np.asarray(L, dtype=complex) for L in jump_ops]
@@ -282,8 +273,8 @@ class LindbladModel:
         H = _readonly(np.asarray(H))  # one frozen H and one frozen stack for every model
         stack = _frozen(np.array(jump_ops, dtype=complex))
         count, n = stack.shape[:2]
-        ds = [list(row) for row in ds] if ds is not None else [[None] * n] * count
-        partners = list(partners) if partners is not None else [None] * n
+        ds = [tuple(row) for row in ds] if ds is not None else [(None,) * n] * count
+        partners = tuple(partners) if partners is not None else (None,) * n
         if len(partners) != n or len(ds) != count or any(len(row) != n for row in ds):
             raise ValueError("ds/partners length must match the channel count")
         if not np.isfinite(H).all():
@@ -303,35 +294,38 @@ class LindbladModel:
         for m, p in enumerate(partners):
             if p is not None and (not (0 <= p < n) or partners[p] != m):
                 raise ModelValidationError(f"partner map is not an involution at channel {m}")
-        failed, residual, bound, bad_ds = _balance_checks(stack, ds, partners)
+        has = np.array([[x is not None for x in r] for r in ds], dtype=bool).reshape(count, n)
+        values = np.array([[0.0 if x is None else x for x in r] for r in ds], float)
+        values = values.reshape(count, n)
+        failed, residual, bound, bad_ds = _balance_checks(stack, has, values, partners)
         if failed.any():
             at = np.unravel_index(np.argmax(failed), failed.shape)
             message = "partner entropy change is not the negative" if bad_ds[at] else (
                 f"operator mismatch: residual {residual[at]:.3e} > {bound[at]:.3e}"
             )
             raise DetailedBalanceError(f"{name(*at)}: {message}")
-        return [
-            cls(H, [JumpChannel(*channel) for channel in zip(ops, row, ds_row, partners)])
-            for ops, row, ds_row in zip(stack, omegas, ds)
-        ]
+        finite = np.isfinite(values)  # a paired channel's has failed the balance
+        if not finite.all():
+            at = np.unravel_index(np.argmin(finite), finite.shape)
+            raise ModelValidationError(f"{name(*at)} has a NaN or Inf entropy change ds")
+        return [cls(H, ops, row, ds_row, partners) for ops, row, ds_row in zip(stack, omegas, ds)]
 
 
-def _balance_checks(ops: np.ndarray, ds: list, partners: list) -> tuple:
+def _balance_checks(ops: np.ndarray, has: np.ndarray, values: np.ndarray, partners) -> tuple:
     """Local detailed balance, ``L_m = exp(ds_m/2) L_partner^dag`` and
     ``ds_partner = -ds_m`` to ``EIGENOPERATOR_TOL``, of every channel of
-    the (N, M, d, d) stack ``ops`` with rows of entropy changes ``ds``,
-    from one stacked expression: the (N, M) mask of paired channels with
-    ds that fail, then the residuals, their bounds and the mask of ds that
-    are missing or not negated on the partner."""
+    the (N, M, d, d) stack ``ops`` with the (N, M) entropy changes
+    ``values`` (0 where the mask ``has`` is False), from one stacked
+    expression: the (N, M) mask of paired channels with ds that fail, then
+    the residuals, their bounds and the mask of ds that are missing or not
+    negated on the partner."""
     tol = EIGENOPERATOR_TOL
     index = [m if p is None else p for m, p in enumerate(partners)]
-    has = np.array([[x is not None for x in row] for row in ds], dtype=bool).reshape(ops.shape[:2])
-    values = np.array([[0.0 if x is None else x for x in row] for row in ds], dtype=float)
-    values = values.reshape(ops.shape[:2])
-    negated = abs(values[:, index] + values) <= tol * np.maximum(1.0, abs(values))
+    with np.errstate(invalid="ignore", over="ignore"):  # a ds too large or not finite fails
+        negated = abs(values[:, index] + values) <= tol * np.maximum(1.0, abs(values))
+        factor = np.exp(values / 2.0)[..., None, None]
+        residual = np.linalg.norm(ops - factor * dagger(ops[:, index]), axis=(-2, -1))
     bad_ds = ~has[:, index] | ~negated
-    factor = np.exp(values / 2.0)[..., None, None]
-    residual = np.linalg.norm(ops - factor * dagger(ops[:, index]), axis=(-2, -1))
     scale = tol * np.linalg.norm(ops, axis=(-2, -1))
     paired = has & np.array([p is not None for p in partners], dtype=bool)
     return paired & (bad_ds | ~(residual <= scale)), residual, scale, bad_ds

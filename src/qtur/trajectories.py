@@ -328,7 +328,7 @@ class PathWeights:
     def _path_densities(self, records, backward: bool) -> np.ndarray:
         """Forward densities of every record or, with ``backward``, the
         densities of the records run backwards through partner channels."""
-        partners = np.array([-1 if c.partner is None else c.partner for c in self.model.channels])
+        partners = np.array([-1 if p is None else p for p in self.model.partners])
         out = np.empty(len(records))
         for idx, times, channels in _by_jump_count(records, self.tau):
             start = self._states0[:, [records[i].initial_label for i in idx]].T

@@ -72,9 +72,9 @@ def rotate_model(model: LindbladModel, rng: np.random.Generator) -> LindbladMode
     q = random_unitary(model.dim, rng)
     return LindbladModel.build(
         q @ model.H @ q.conj().T,
-        [q @ c.L @ q.conj().T for c in model.channels],
-        ds=[c.ds for c in model.channels],
-        partners=[c.partner for c in model.channels],
+        [q @ L @ q.conj().T for L in model.jump_ops],
+        ds=model.ds,
+        partners=model.partners,
     )
 
 
@@ -149,10 +149,9 @@ def random_detailed_balance_model(dim: int, rng: np.random.Generator) -> Lindbla
 def assert_local_detailed_balance(model: LindbladModel) -> None:
     """Every channel is exp(ds/2) times its partner's adjoint, and the
     partner's ds is the negative, each to rounding."""
-    for c in model.channels:
-        partner = model.channels[c.partner]
-        assert partner.ds == pytest.approx(-c.ds, rel=0, abs=1e-12)
-        assert np.allclose(c.L, np.exp(c.ds / 2) * partner.L.conj().T, rtol=0, atol=1e-12)
+    for L, ds, p in zip(model.jump_ops, model.ds, model.partners):
+        assert model.ds[p] == pytest.approx(-ds, rel=0, abs=1e-12)
+        assert np.allclose(L, np.exp(ds / 2) * model.jump_ops[p].conj().T, rtol=0, atol=1e-12)
 
 
 def open_uniform(rng: np.random.Generator, n: int):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtur.bounds as bounds
@@ -17,7 +17,9 @@ import qtur.trajectories as trajectories
 from qtur.cli import main
 from qtur.counting import ACTION_MIN_DIM
 from qtur.engine import build_generator, steady_state
-from qtur.models import build_da_model, build_ep_model, default_observable, load_model, save_model
+from qtur.models import (
+    build_da_model, build_ep_model, default_observable, load_model, model_to_json, save_model,
+)
 from qtur.operators import LindbladModel
 from conftest import ladder_model, record_exponentials, rotate_model
 
@@ -207,6 +209,26 @@ class TestBounds:
             for key in ("lhs", "rhs"):
                 if math.isfinite(a[key]):
                     assert b[key] == pytest.approx(a[key], rel=1e-9), (a["name"], key)
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(("da", "ep")), exponent=st.floats(-15.0, -3.0))
+    @example(kind="da", exponent=-15.0)
+    @example(kind="ep", exponent=-15.0)
+    def test_a_short_horizon_is_no_violation(self, kind, exponent):
+        # both sides grow like 1/(a tau): at tau = 1e-15 the da window bound
+        # reads 9714045207910318 against 9714045207910322, rounding apart
+        weights = ",".join(["1"] * (4 if kind == "da" else 6))
+        code, reports = bounds_reports("--builtin", kind, "--weights", weights,
+                                       "--tau", repr(10.0**exponent))
+        assert code == 0
+        assert [r["name"] for r in reports if r["satisfied"] is False] == []
+
+    def test_a_slow_process_is_no_violation(self):
+        # the same short horizon in other time units: every rate and omega 1e-15
+        code, reports = bounds_reports("--builtin", "da", "--rates", "5e-16,5e-16,5e-16,5e-16",
+                                       "--omega-e", "1e-15", "--tau", "1")
+        assert code == 0
+        assert [r["name"] for r in reports if r["satisfied"] is False] == []
 
     @pytest.mark.parametrize("tau", ["1", "50"])
     def test_ep_bound_skips_a_non_current(self, tau):
@@ -513,6 +535,33 @@ WRONG_JSON_TYPE = {
     "switch-number": ("config", {"incoherent": 1}, "incoherent"),
     "switch-string": ("config", {"incoherent": "true"}, "incoherent"),
 }
+
+
+@pytest.mark.parametrize("command", ["steady-state", "moments", "bounds", "verify-cic"])
+def test_a_model_without_a_unique_steady_state_exits_2(command, tmp_path, capsys):
+    # no channel: every diagonal state is stationary
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "dim": 2, "H": {"re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}, "channels": [],
+    }))
+    argv = [command, "--model", str(path)] + ([] if command == "steady-state" else ["--tau", "1"])
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate steady state: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["steady-state", "bounds"])
+def test_a_non_finite_ds_exits_2_naming_its_channel(command, tmp_path, capsys):
+    obj = model_to_json(build_ep_model(1.0, 0.7, 0.3, 0.5, 0.4, 0.6, 0.2))
+    for channel in obj["channels"]:
+        channel["partner"] = None
+    obj["channels"][0]["ds"] = math.nan
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    argv = [command, "--model", str(path)] + ([] if command == "steady-state" else ["--tau", "1"])
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "error: channel 0 has a NaN or Inf entropy change ds" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_JSON_TYPE))

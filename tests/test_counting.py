@@ -564,8 +564,8 @@ def reference_rows_block(model, coherent):
     """[[L, 0], [R, 0]] formed densely, R the activity row sum_m
     vec(L_m^dag L_m)^dag and the entropy row weighted by ds_m."""
     n = model.dim**2
-    norms = [c.L.conj().T @ c.L for c in model.channels]
-    flows = sum(c.ds * k for c, k in zip(model.channels, norms))
+    norms = [L.conj().T @ L for L in model.jump_ops]
+    flows = sum(ds * k for ds, k in zip(model.ds, norms))
     block = np.zeros((n + 2, n + 2), dtype=complex)
     block[:n, :n] = build_generator(model, coherent=coherent)
     block[n:, :n] = [vec(sum(norms)).conj(), vec(flows).conj()]

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,17 +83,17 @@ def _kron_generator(model, coherent: bool) -> np.ndarray:
     gen = np.zeros((model.dim**2,) * 2, dtype=complex)
     if coherent:
         gen += -1j * (np.kron(eye, model.H) - np.kron(model.H.T, eye))
-    for c in model.channels:
-        ldl = dagger(c.L) @ c.L
-        gen += np.kron(c.L.conj(), c.L) - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
+    for L in model.jump_ops:
+        ldl = dagger(L) @ L
+        gen += np.kron(L.conj(), L) - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
     return gen
 
 
 def _kron_jumps(model, weights) -> np.ndarray:
     """sum_m w_m kron(conj(L_m), L_m), one channel at a time."""
     out = np.zeros((model.dim**2,) * 2, dtype=complex)
-    for w, c in zip(weights, model.channels):
-        out += w * np.kron(c.L.conj(), c.L)
+    for w, L in zip(weights, model.jump_ops):
+        out += w * np.kron(L.conj(), L)
     return out
 
 
@@ -115,7 +116,7 @@ class TestChannelStack:
         # weights of both zero signs among nonzero ones
         kinds = rng.integers(0, 3, model.n_channels)
         weights = np.where(kinds == 0, 0.0, np.where(kinds == 1, -0.0, rng.uniform(-2, 2)))
-        norms = [np.linalg.norm(c.L) ** 2 for c in model.channels]
+        norms = [np.linalg.norm(L) ** 2 for L in model.jump_ops]
         # a sum that cancels (such as [H, .] at d = 1) is judged at the scale
         # of its terms
         scale = np.linalg.norm(model.H) + sum(norms)
@@ -173,9 +174,7 @@ class TestStackedDraws:
             ref = single(omega_e, *row)
             assert model.jump_ops.tobytes() == ref.jump_ops.tobytes()
             assert model.jump_norms.tobytes() == ref.jump_norms.tobytes()
-            assert [(c.omega, c.ds, c.partner) for c in model.channels] == [
-                (c.omega, c.ds, c.partner) for c in ref.channels
-            ]
+            assert (model.omegas, model.ds, model.partners) == (ref.omegas, ref.ds, ref.partners)
             gen = build_generator(ref, coherent=True)
             assert build_generator(model, coherent=True).tobytes() == gen.tobytes()
             assert rho.tobytes() == steady_state(gen).tobytes()
@@ -185,7 +184,7 @@ class TestStackedDraws:
         # without channels every diagonal state is stationary; with a NaN in
         # H the generator is not trace preserving
         degenerate = LindbladModel.build(np.diag([0.0, 1.0, 2.0]), [])
-        broken = LindbladModel(np.diag([0.0, np.nan, 1.0]), models[3].channels)
+        broken = replace(models[3], H=np.diag([0.0, np.nan, 1.0]))  # the raw constructor
         gens = build_generators([*models[:3], broken, models[4]])
         assert isinstance(gens[3], ModelValidationError) and not broken._generators
         assert all(gen is build_generator(m) for gen, m in zip(gens, models) if gen is not gens[3])
@@ -346,9 +345,9 @@ class TestSteadyState:
         model = random_detailed_balance_model(dim, np.random.default_rng(seed))
         scaled = LindbladModel.build(
             c * model.H,
-            [np.sqrt(c) * ch.L for ch in model.channels],
-            ds=[ch.ds for ch in model.channels],
-            partners=[ch.partner for ch in model.channels],
+            [np.sqrt(c) * L for L in model.jump_ops],
+            ds=model.ds,
+            partners=model.partners,
         )
         states = []
         for m in (model, scaled):

@@ -4,7 +4,9 @@ import pytest
 from qtur.models import (
     antisymmetric_current_weights,
     build_da_model,
+    build_da_models,
     build_ep_model,
+    build_ep_models,
     build_poisson_model,
     default_observable,
     load_model,
@@ -21,7 +23,7 @@ from conftest import assert_local_detailed_balance, da_steady_state_closed_form
 class TestDaModel:
     def test_transition_frequencies(self):
         model = build_da_model(1.4, 0.3, 0.6, 0.2, 0.9)
-        assert [c.omega for c in model.channels] == pytest.approx(
+        assert list(model.omegas) == pytest.approx(
             [1.4, -1.4, 1.4, 1.4], abs=1e-12
         )
 
@@ -42,7 +44,7 @@ class TestEpModel:
     def test_entropy_weights_from_rate_ratios(self):
         g = (0.7, 0.3, 0.5, 0.4, 0.6, 0.2)
         model = build_ep_model(1.0, *g)
-        ds = [c.ds for c in model.channels]
+        ds = model.ds
         assert ds[0] == pytest.approx(np.log(0.7 / 0.3), abs=1e-14)
         assert ds[2] == pytest.approx(np.log(0.5 / 0.4), abs=1e-14)
         assert ds[4] == pytest.approx(np.log(0.6 / 0.2), abs=1e-14)
@@ -52,8 +54,8 @@ class TestEpModel:
         assert_local_detailed_balance(ep_generic)
 
     def test_partner_involution(self, ep_generic):
-        for m, c in enumerate(ep_generic.channels):
-            assert ep_generic.channels[c.partner].partner == m
+        for m, p in enumerate(ep_generic.partners):
+            assert ep_generic.partners[p] == m
 
     def test_equilibrium_rates_give_zero_entropy_rate(self, ep_equilibrium):
         from qtur.counting import entropy_production_rate
@@ -62,9 +64,19 @@ class TestEpModel:
         assert entropy_production_rate(ep_equilibrium, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_transition_frequencies(self, ep_generic):
-        assert [c.omega for c in ep_generic.channels] == pytest.approx(
+        assert list(ep_generic.omegas) == pytest.approx(
             [1.0, -1.0, 1.0, -1.0, 1.0, -1.0], abs=1e-12
         )
+
+
+@pytest.mark.parametrize("build, n_rates", [(build_da_models, 4), (build_ep_models, 6)])
+def test_a_stack_of_models_shares_one_frozen_array(build, n_rates):
+    models = build(1.0, np.random.default_rng(5).uniform(0.1, 1.0, (4, n_rates)))
+    shared = models[0].jump_ops.base
+    assert shared is not None and not shared.flags.writeable
+    for k, model in enumerate(models):
+        assert model.jump_ops.base is shared and not model.jump_ops.flags.writeable
+        assert np.shares_memory(model.jump_ops, shared[k])
 
 
 class TestPoissonModel:
@@ -114,7 +126,7 @@ class TestDefaultObservable:
         assert default_observable(da_generic) == CountingObservable.total_count(4)
 
     def test_pairing_decides_not_ds(self, ep_generic):
-        h, ops = ep_generic.H, [c.L for c in ep_generic.channels]
+        h, ops = ep_generic.H, ep_generic.jump_ops
         paired = LindbladModel.build(h, ops, partners=[1, 0, 3, 2, 5, 4])
         assert default_observable(paired) == default_observable(ep_generic)
         unpaired = LindbladModel.build(h, ops, ds=ep_generic.entropy_weights())
@@ -128,11 +140,10 @@ class TestJsonSchema:
         save_model(ep_generic, path)
         loaded = load_model(path)
         assert np.array_equal(loaded.H, ep_generic.H)
-        for a, b in zip(loaded.channels, ep_generic.channels):
-            assert np.array_equal(a.L, b.L)
-            assert a.ds == b.ds and a.partner == b.partner
-            # frequencies re-derived, not stored
-            assert a.omega == pytest.approx(b.omega, abs=1e-12)
+        assert np.array_equal(loaded.jump_ops, ep_generic.jump_ops)
+        assert loaded.ds == ep_generic.ds and loaded.partners == ep_generic.partners
+        # frequencies re-derived, not stored
+        assert list(loaded.omegas) == pytest.approx(ep_generic.omegas, abs=1e-12)
 
     def test_schema_shape(self, da_generic):
         obj = model_to_json(da_generic)

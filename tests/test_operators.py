@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from qtur.engine import build_generator
 from qtur.operators import (
     DetailedBalanceError,
     EigenoperatorError,
-    JumpChannel,
     LindbladModel,
     ModelValidationError,
     dagger,
@@ -58,7 +59,7 @@ class TestValidateDensity:
 
 def _omega(h, ell) -> float:
     """The transition frequency ``build`` derives for the lone channel ell."""
-    return LindbladModel.build(h, [ell]).channels[0].omega
+    return LindbladModel.build(h, [ell]).omegas[0]
 
 
 class TestBohrFrequency:
@@ -114,8 +115,8 @@ class TestBohrFrequency:
 
     def test_decay_operators_commute_with_hamiltonian(self, da_generic, ep_generic):
         for model in (da_generic, ep_generic):
-            for c in model.channels:
-                ldl = dagger(c.L) @ c.L
+            for L in model.jump_ops:
+                ldl = dagger(L) @ L
                 assert np.abs(model.H @ ldl - ldl @ model.H).max() < 1e-10
             gamma = model.total_decay()
             assert np.abs(model.H @ gamma - gamma @ model.H).max() < 1e-10
@@ -145,10 +146,20 @@ class TestNonFiniteInput:
         with pytest.raises(ModelValidationError, match="channel 1 has NaN or Inf"):
             LindbladModel.build(h, ops)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_entropy_change_is_named(self, bad):
+        h = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        ops = [_lowering(3, 0), _lowering(3, 1)]
+        with pytest.raises(ModelValidationError, match="channel 1 has a NaN or Inf entropy change"):
+            LindbladModel.build(h, ops, ds=[0.5, bad])
+        stack = np.array([ops, ops])
+        with pytest.raises(ModelValidationError, match="model 8, channel 0 has a NaN or Inf"):
+            LindbladModel.build_stack(h, stack, ds=[[0.5, 0.5], [bad, 0.5]], first=7)
+
     def test_trace_check_rejects_a_nan_generator(self):
         model = LindbladModel.build(np.diag([0.0, 1.0]), [_lowering(2)])
         h = np.diag([0.0, np.nan]).astype(complex)
-        raw = LindbladModel(h, model.channels)  # the raw constructor validates no values
+        raw = replace(model, H=h)  # the raw constructor validates no values
         with pytest.raises(ModelValidationError, match="not trace preserving"):
             build_generator(raw)
 
@@ -225,17 +236,17 @@ class TestRejections:
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8))
     def test_omega_is_the_least_squares_projection(self, seed, dim):
         model = random_eigenoperator_model(dim, np.random.default_rng(seed))
-        for c in model.channels:
-            assert c.omega == pytest.approx(_least_squares_omega(model.H, c.L), rel=0, abs=1e-12)
-            assert _omega(model.H, c.L) == c.omega
+        for L, omega in zip(model.jump_ops, model.omegas):
+            assert omega == pytest.approx(_least_squares_omega(model.H, L), rel=0, abs=1e-12)
+            assert _omega(model.H, L) == omega
 
 
 class TestJumpNorms:
     def test_stack_holds_each_channel_product(self, ep_generic):
         norms = ep_generic.jump_norms
         assert norms.shape == (6, 3, 3) and not norms.flags.writeable
-        for c, ldl in zip(ep_generic.channels, norms):
-            assert np.array_equal(ldl, dagger(c.L) @ c.L)
+        for L, ldl in zip(ep_generic.jump_ops, norms):
+            assert np.array_equal(ldl, dagger(L) @ L)
 
     def test_channel_free_model_has_an_empty_stack(self):
         model = LindbladModel.build(np.diag([0.0, 1.0]), [])
@@ -243,22 +254,29 @@ class TestJumpNorms:
         assert not model.total_decay().any()
 
     def test_arrays_are_shared_only_when_nothing_can_write_them(self):
-        frozen = np.zeros((2, 2), dtype=complex)
-        frozen[0, 1] = 1.0
+        h = np.diag([0.0, 1.0]).astype(complex)
+        frozen = np.zeros((1, 2, 2), dtype=complex)
+        frozen[0, 0, 1] = 1.0
         frozen.setflags(write=False)
         writable = frozen.copy()
         view = writable[:]
         view.setflags(write=False)  # read-only, over memory that is not
-        for L, shared in ((frozen, True), (frozen[:], True), (view, False), (writable, False)):
-            channel = JumpChannel(L, 1.0)
-            assert np.shares_memory(channel.L, L) == shared and not channel.L.flags.writeable
-        copied = JumpChannel(view, 1.0)
-        writable[0, 1] = 2.0
-        assert copied.L[0, 1] == 1.0
+        for ops, shared in ((frozen, True), (frozen[:], True), (view, False), (writable, False)):
+            model = LindbladModel(h, ops, (1.0,), (None,), (None,))
+            assert np.shares_memory(model.jump_ops, ops) == shared
+            assert not model.jump_ops.flags.writeable
+        copied = LindbladModel(h, view, (1.0,), (None,), (None,))
+        writable[0, 0, 1] = 2.0
+        assert copied.jump_ops[0, 0, 1] == 1.0
 
     def test_raw_constructor_rejects_a_mismatched_channel(self, ep_generic):
         with pytest.raises(ModelValidationError, match="dimension"):
-            LindbladModel(np.zeros((2, 2), dtype=complex), ep_generic.channels)
+            replace(ep_generic, H=np.zeros((2, 2), dtype=complex))
+
+    @pytest.mark.parametrize("short", ["omegas", "ds", "partners"])
+    def test_raw_constructor_rejects_a_tuple_of_another_length(self, ep_generic, short):
+        with pytest.raises(ModelValidationError, match=f"{short} has 5 entries, not 6"):
+            replace(ep_generic, **{short: getattr(ep_generic, short)[:-1]})
 
 
 class TestDetailedBalance:
@@ -389,4 +407,4 @@ class TestModelBuild:
         with pytest.raises(ValueError):
             da_equal.H[0, 0] = 5.0
         with pytest.raises(ValueError):
-            da_equal.channels[0].L[0, 0] = 5.0
+            da_equal.jump_ops[0, 0, 0] = 5.0

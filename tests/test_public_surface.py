@@ -17,7 +17,6 @@ EXEMPT = {
     "half_angle_integral": "the windowed bound's half angle, a library entry point of its own",
     "moment_ratio_bounds": "gets its caller when battery evaluates the moment-ratio bounds",
     "save_model": "the writing half of the model JSON schema that load_model reads",
-    "InputStat.monte_carlo": "how a caller feeds Monte Carlo inputs to the evaluators",
     "PathWeights.densities_batch": "gets its caller when verify-cic checks each record's reversal",
 }
 
