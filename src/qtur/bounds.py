@@ -1,22 +1,24 @@
 """Uncertainty-relation evaluators and the special functions they need.
 
-Every evaluator returns a :class:`BoundReport` carrying both sides, the
-slack, the inputs with their provenance, and whether the stated
-precondition held. The inequalities themselves are exact, so a bound fed
-by exact statistics is "satisfied" only within a slack of 1e-9 times the
-larger of 1 and its two sides, the size of their rounding. An evaluator
-states the partial derivative of its lhs in each input, and inputs with a
-standard error (Monte Carlo ones) widen the tolerance to three standard
+Every evaluator returns a :class:`BoundReport` carrying both sides, its
+tolerance, the inputs with their provenance, and whether the stated
+precondition held; the slack and the verdict follow from these. The
+inequalities themselves are exact, so a bound fed by exact statistics is
+"satisfied" only within a slack of 1e-9 times the larger of 1 and its
+two sides, the size of their rounding. An evaluator states the partial
+derivative of its lhs in each input, and inputs with a standard error
+(Monte Carlo ones) widen the tolerance to ``MC_SIGMAS``, four, standard
 errors of the lhs, propagated to first order, so noise cannot
-manufacture violations. A failed precondition marks the report
-not applicable (``satisfied is None``) rather than violated; so does a
-mean that is rounding noise, |mean| <= DEGENERATE_REL_TOL max|w| A(tau),
-for which the ratio of variance to squared mean is undefined. The
-entropy-production bound also needs a current and an entropy production
-above the rounding noise of the terms it sums; otherwise its report says
-why it does not apply. That rule lives on :class:`BoundReport` itself
-(``judge``, ``skipped``, ``not_applicable``), and the random sweeps judge
-their rows with it too.
+manufacture violations; every sampled comparison in qtur allows the same
+four, for the false-FAIL rate given at the constant. A failed
+precondition marks the report not applicable (``satisfied is None``)
+rather than violated; so does a mean that is rounding noise,
+|mean| <= DEGENERATE_REL_TOL max|w| A(tau), for which the ratio of
+variance to squared mean is undefined. The entropy-production bound also
+needs a current and an entropy production above the rounding noise of
+the terms it sums; otherwise its report says why it does not apply.
+That rule lives on :class:`BoundReport` itself (``judge``, ``skipped``,
+``not_applicable``), and the random sweeps judge their rows with it too.
 
 Bound inventory:
 
@@ -60,7 +62,19 @@ from .engine import survival_probability
 from .operators import LindbladModel, von_neumann_trace_term
 
 EXACT_TOL = 1e-9
-MC_SIGMAS = 3.0
+# Every comparison of a sampled statistic allows MC_SIGMAS standard errors:
+# BoundReport.judge's Monte Carlo widening and verify-cic's KL and backward
+# checks. The two-sided false-FAIL rate is 6.3e-5 per comparison, against
+# 2.7e-3 at 3 sigma; with three such comparisons per verify-cic run, two
+# dozen runs would print a FAIL one time in six at 3 sigma, one in 220 here.
+MC_SIGMAS = 4.0
+# verify-cic's exact comparisons, of one quantity with and without H: the
+# moments relative; the path norms relative, as they span many decades;
+# the entropy production to CIC_SIGMA_TOL max(1, |Sigma|), absolute below
+# 1 as Sigma vanishes at equilibrium.
+CIC_MOMENTS_REL_TOL = 1e-8
+CIC_NORMS_REL_TOL = 1e-9
+CIC_SIGMA_TOL = 1e-9
 DEGENERATE_REL_TOL = 1e-10
 # The half angle's rules: HALF_ANGLE_NODES nodes against twice as many,
 # doubled until they agree to HALF_ANGLE_TOL (relative above an angle of 1).
@@ -71,40 +85,43 @@ HALF_ANGLE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class InputStat:
-    """One statistic feeding a bound, with provenance."""
+    """One statistic feeding a bound: Monte Carlo when it carries a
+    standard error, else exact."""
 
     value: float
-    source: str = "exact"
     stderr: float | None = None
 
-    @classmethod
-    def exact(cls, value: float) -> "InputStat":
-        return cls(float(value), "exact", None)
-
-    @classmethod
-    def monte_carlo(cls, value: float, stderr: float) -> "InputStat":
-        return cls(float(value), "monte_carlo", float(stderr))
+    @property
+    def source(self) -> str:
+        return "exact" if self.stderr is None else "monte_carlo"
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """Evaluated inequality lhs >= rhs.
 
-    ``satisfied`` is None when the precondition failed (the bound does
-    not apply); otherwise slack >= -tol decides it. ``extra`` holds
-    chained right-hand sides and companion values. Build reports through
-    the classmethods, which hold the one verdict rule.
+    The verdict follows from the sides: ``satisfied`` is None when the
+    precondition failed (the bound does not apply), otherwise slack >= -tol
+    decides it. ``extra`` holds chained right-hand sides and companion
+    values. Build reports through the classmethods, which hold the one
+    tolerance rule.
     """
 
     name: str
     lhs: float
     rhs: float
-    slack: float
-    satisfied: bool | None
     tol: float
     precondition_ok: bool = True
     inputs: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+
+    @property
+    def slack(self) -> float:
+        return self.lhs - self.rhs
+
+    @property
+    def satisfied(self) -> bool | None:
+        return None if not self.precondition_ok else self.slack >= -self.tol
 
     @classmethod
     def judge(cls, name, lhs, rhs, inputs, extra=None, partials=None, precondition_ok=True):
@@ -116,12 +133,7 @@ class BoundReport:
         var_lhs = sum((partials[key] * se) ** 2 for key, se in stderrs.items() if se)
         size = max([1.0] + [abs(side) for side in (lhs, rhs) if math.isfinite(side)])
         tol = max(EXACT_TOL * size, MC_SIGMAS * math.sqrt(var_lhs))
-        slack = lhs - rhs
-        satisfied = None if not precondition_ok else bool(slack >= -tol)
-        return cls(
-            name, float(lhs), float(rhs), float(slack), satisfied, float(tol), precondition_ok,
-            inputs, extra or {},
-        )
+        return cls(name, float(lhs), float(rhs), float(tol), precondition_ok, inputs, extra or {})
 
     @classmethod
     def skipped(cls, name, inputs, extra) -> "BoundReport":
@@ -141,38 +153,20 @@ class BoundReport:
         return cls.skipped(name, inputs, {"scale": scale})
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-            "tol": self.tol,
-            "precondition_ok": self.precondition_ok,
-            "inputs": {
-                k: {"value": v.value, "source": v.source, "stderr": v.stderr}
-                for k, v in self.inputs.items()
-            },
-            "extra": dict(self.extra),
-        }
+        keys = ("name", "lhs", "rhs", "slack", "satisfied", "tol", "precondition_ok")
+        inputs = {k: {"value": v.value, "source": v.source, "stderr": v.stderr}
+                  for k, v in self.inputs.items()}
+        return {k: getattr(self, k) for k in keys} | {"inputs": inputs, "extra": dict(self.extra)}
 
     def to_csv_row(self) -> dict:
-        row = {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "satisfied": "" if self.satisfied is None else str(self.satisfied).lower(),
-            "precondition_ok": str(self.precondition_ok).lower(),
-            "tol": self.tol,
-        }
-        for key, stat in self.inputs.items():
-            row[f"input_{key}"] = stat.value
-            row[f"input_{key}_source"] = stat.source
-            if stat.stderr is not None:
-                row[f"input_{key}_stderr"] = stat.stderr
-        for key, value in self.extra.items():
-            row[f"extra_{key}"] = value
+        """:meth:`to_json` flattened: an input's value under ``input_<key>``,
+        its source and, where it has one, its standard error under suffixed
+        keys, and each extra under ``extra_<key>``."""
+        row = self.to_json()
+        for key, stat in row.pop("inputs").items():
+            row[f"input_{key}"] = stat.pop("value")
+            row.update({f"input_{key}_{k}": v for k, v in stat.items() if v is not None})
+        row.update({f"extra_{key}": value for key, value in row.pop("extra").items()})
         return row
 
     def __str__(self) -> str:
@@ -273,8 +267,7 @@ def half_angle_integral(model, rho0, t1: float, t2: float, coherent: bool = True
 def _stat(m, field: str) -> InputStat:
     """``m.mean`` or ``m.variance`` (``field``): Monte Carlo when ``m``
     carries its standard error (an ``EnsembleEstimate``), else exact."""
-    value, stderr = getattr(m, field), getattr(m, f"stderr_{field}", None)
-    return InputStat.exact(value) if stderr is None else InputStat.monte_carlo(value, stderr)
+    return InputStat(getattr(m, field), getattr(m, f"stderr_{field}", None))
 
 
 def tur_activity_integral(
@@ -299,7 +292,7 @@ def tur_activity_integral(
         "mean_2": _stat(moments_2, "mean"),
         "variance_1": _stat(moments_1, "variance"),
         "variance_2": _stat(moments_2, "variance"),
-        "half_angle": InputStat.exact(angle),
+        "half_angle": InputStat(angle),
     }
     name = "activity_window_bound"
     de = moments_2.mean - moments_1.mean
@@ -338,8 +331,8 @@ def kur_differential(
     scale = observable_scale(obs, activity_total)
     inputs = {
         "variance": _stat(moments, "variance"),
-        "mean_growth_rate": InputStat.exact(dmean),
-        "activity": InputStat.exact(activity_total),
+        "mean_growth_rate": InputStat(dmean),
+        "activity": InputStat(activity_total),
     }
     name = "activity_rate_bound"
     message = "mean growth rate vanishes; the bound is undefined"
@@ -389,7 +382,7 @@ def moment_ratio_bounds(
             "moment_ratio_sin_bound",
             lhs,
             rhs_sin,
-            dict(inputs, half_angle=InputStat.exact(angle)),
+            dict(inputs, half_angle=InputStat(angle)),
             extra={"r": r, "s": s},
             partials=partials,
             precondition_ok=pre,
@@ -405,7 +398,7 @@ def moment_ratio_bounds(
             "moment_ratio_exp_bound",
             lhs,
             rhs_exp,
-            dict(inputs, initial_rate=InputStat.exact(initial_rate)),
+            dict(inputs, initial_rate=InputStat(initial_rate)),
             extra={"r": r, "s": s},
             partials=partials,
         )
@@ -440,8 +433,7 @@ def ep_lower_bound(mean_j: float, var_j: float, gamma: float = 1.0) -> float:
 
 
 def ep_tur(
-    mean_j: InputStat,
-    var_j: InputStat,
+    moments: MomentResult,
     gamma: float,
     sigma: float,
     scale: float,
@@ -451,8 +443,9 @@ def ep_tur(
 ) -> BoundReport:
     """Entropy-production bound R >= csch^2(h(Sigma/2)) >= 2/(e^Sigma - 1).
 
-    R = gamma Var[J]/E[J]^2; pass gamma = 1 for the stationary form. The
-    report also carries the inverted bound on Sigma and the equivalent
+    R = gamma Var[J]/E[J]^2 from the current's ``moments``, which may be
+    a Monte Carlo ``EnsembleEstimate``; pass gamma = 1 for the stationary
+    form. The report also carries the inverted bound on Sigma and the equivalent
     arctanh/arcsinh representations. It is not applicable, with the
     reason in ``extra``, when the observable is not a ``current`` (weights
     antisymmetric under the channel pairing), when E[J] is rounding noise
@@ -460,29 +453,27 @@ def ep_tur(
     noise at ``sigma_scale`` (:func:`entropy_scale`).
     """
     name = "entropy_production_bound"
+    mean_j, var_j = moments.mean, moments.variance
     inputs = {
-        "mean_current": mean_j,
-        "variance_current": var_j,
-        "entropy_production": InputStat.exact(sigma),
+        "mean_current": _stat(moments, "mean"),
+        "variance_current": _stat(moments, "variance"),
+        "entropy_production": InputStat(sigma),
     }
     if not current:
         return BoundReport.skipped(name, inputs, {"reason": "the observable is not a current"})
     message = "mean current vanishes; the bound is undefined"
-    if skipped := BoundReport.not_applicable(name, abs(mean_j.value), scale, inputs, message):
+    if skipped := BoundReport.not_applicable(name, abs(mean_j), scale, inputs, message):
         return skipped
     if abs(sigma) <= DEGENERATE_REL_TOL * sigma_scale:
         reason = "entropy production is rounding noise"
         return BoundReport.skipped(name, inputs, {"reason": reason, "scale": sigma_scale})
-    ratio = gamma * var_j.value / mean_j.value**2
+    ratio = gamma * var_j / mean_j**2
     rhs_strong = csch_squared_bound(sigma)
     rhs_weak = 2.0 / math.expm1(sigma) if sigma > 0 else math.inf
-    partials = {
-        "variance_current": gamma / mean_j.value**2,
-        "mean_current": -2 * ratio / mean_j.value,
-    }
+    partials = {"variance_current": gamma / mean_j**2, "mean_current": -2 * ratio / mean_j}
     extra = {
         "rhs_weak": rhs_weak,
-        "entropy_lower_bound": ep_lower_bound(mean_j.value, var_j.value, gamma),
+        "entropy_lower_bound": ep_lower_bound(mean_j, var_j, gamma),
         "arctanh_form": math.atanh(1.0 / math.sqrt(ratio + 1.0)) if ratio > 0 else math.inf,
         "arcsinh_form": math.asinh(1.0 / math.sqrt(ratio)) if ratio > 0 else math.inf,
         "gamma": gamma,
@@ -498,8 +489,8 @@ def survival_bound_check(model: LindbladModel, rho0: np.ndarray, tau: float) -> 
     a0 = mean_rate(model, np.asarray(rho0, complex), obs)
     rhs = math.exp(-a0 * tau)
     inputs = {
-        "survival_probability": InputStat.exact(lhs),
-        "initial_rate": InputStat.exact(a0),
+        "survival_probability": InputStat(lhs),
+        "initial_rate": InputStat(a0),
     }
     return BoundReport.judge("survival_bound", lhs, rhs, inputs)
 
@@ -531,15 +522,7 @@ def battery(
     if model.has_entropy_weights:
         sigma = sigma_from(rho0, rho_tau, flow)
         gamma = gamma_factor(half.variance, second.variance, mom.variance)
-        reports.append(
-            ep_tur(
-                InputStat.exact(mom.mean),
-                InputStat.exact(mom.variance),
-                gamma,
-                sigma,
-                scale,
-                sigma_scale=entropy_scale(model, rho0, rho_tau, activity),
-                current=obs.is_current(model),
-            )
-        )
+        sigma_scale = entropy_scale(model, rho0, rho_tau, activity)
+        current = obs.is_current(model)
+        reports.append(ep_tur(mom, gamma, sigma, scale, sigma_scale=sigma_scale, current=current))
     return reports

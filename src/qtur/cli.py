@@ -214,7 +214,7 @@ def _cmd_bounds(args) -> int:
     obs = _weights(args, model)
     reports = battery(model, rho0, obs, args.tau, coherent=not args.incoherent)
     for rep in reports:
-        print(json.dumps(rep.to_json()))
+        print(rep)
     if args.out:
         rows = [rep.to_csv_row() for rep in reports]
         keys = sorted({k for row in rows for k in row}, key=lambda k: (k != "name", k))

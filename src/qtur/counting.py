@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .engine import _channel_sums, build_generator, propagated_state, vec
+from .engine import _channel_sums, build_generator, propagated_state, unvec, vec
 from .operators import (
     LindbladModel,
     ModelValidationError,
@@ -208,8 +208,7 @@ def _pieces(models, weights, coherent: bool) -> tuple:
     and channel count): the memoized generators, and stacks of J_c and rows R;
     for (N, M) weights the moment blocks, for None the rows blocks (no J_c)."""
     gens = [build_generator(m, coherent=coherent) for m in models]
-    norms = np.stack([m.jump_norms for m in models]).conj().swapaxes(-1, -2)
-    rates = norms.reshape(len(models), -1, gens[0].shape[-1])  # the rows N_m
+    rates = vec(np.stack([m.jump_norms for m in models])).conj()  # the rows N_m
     if weights is None:
         w = [[np.ones(m.n_channels), *([m.entropy_weights()] if m.has_entropy_weights else [])]
              for m in models]
@@ -395,7 +394,7 @@ def stacked_moments(models, rhos, weights, taus) -> list:
         return []
     dim, taus = models[0].dim, np.asarray(taus, dtype=float)
     _check(models[0], weights, taus)
-    y = _initial(np.asarray(rhos, complex).swapaxes(-1, -2).reshape(len(models), -1), dim * dim)
+    y = _initial(vec(rhos), dim * dim)
     out = expm(_layout(*_pieces(models, weights, True)) * taus[:, None, None]) @ y[..., None]
     return _moments(out[..., 0], dim)
 
@@ -426,8 +425,8 @@ def mean_rate(model: LindbladModel, rho_t: np.ndarray, obs: CountingObservable) 
 
 def channel_rates(model: LindbladModel, rho_t: np.ndarray) -> np.ndarray:
     """Tr[L_m rho L_m^dag] = sum_ij (L_m^dag L_m)_ij rho_ji for every channel."""
-    rho_t = np.asarray(rho_t, dtype=complex)
-    return (model.jump_norms.reshape(-1, rho_t.size) @ rho_t.T.reshape(-1)).real
+    x = vec(rho_t)
+    return (model.jump_norms.reshape(-1, x.size) @ x).real
 
 
 def activity_at(model: LindbladModel, rho0: np.ndarray, times, coherent: bool = True) -> tuple:
@@ -460,7 +459,7 @@ def activity_at(model: LindbladModel, rho0: np.ndarray, times, coherent: bool = 
                 y = _act(model, None, h, coherent, y)
             out[k] = y[:, 0]
     integrals = out[:, n:].real
-    states = out[:, :n].reshape(-1, model.dim, model.dim).swapaxes(1, 2)  # unvec each row
+    states = unvec(out[:, :n])
     states = (states + states.conj().swapaxes(1, 2)) / 2.0
     return integrals[:, 0], integrals[:, 1] if rows > 1 else None, states
 

@@ -62,12 +62,17 @@ class DegenerateSteadyStateError(SteadyStateError):
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+    """The columns of rho stacked, for each matrix of a (..., d, d) stack."""
+    rho = np.asarray(rho, dtype=complex)
+    *lead, rows, cols = rho.shape  # sizes, not -1: a stack may hold no matrix
+    return rho.swapaxes(-1, -2).reshape(*lead, rows * cols)
 
 
 def unvec(x: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(x.size)))
-    return np.asarray(x, dtype=complex).reshape((d, d), order="F")
+    """The (d, d) matrix of each vector of a (..., d^2) stack; see :func:`vec`."""
+    x = np.asarray(x, dtype=complex)
+    d = round(x.shape[-1] ** 0.5)
+    return x.reshape(*x.shape[:-1], d, d).swapaxes(-1, -2)
 
 
 def _channel_sums(ops: np.ndarray, weights) -> np.ndarray:
@@ -205,10 +210,10 @@ def steady_states(gens) -> list:
         for lower in (1, 0):
             y, _ = lapack.ztrtrs(lu, y, lower=lower, unitdiag=lower)
         x[j] = y[:n, 0]
-    rho = x.reshape(count, d, d).swapaxes(-1, -2)  # unvec of each row
+    rho = unvec(x)
     trace = np.trace(rho, axis1=1, axis2=2).real
     rho = np.ascontiguousarray((rho + dagger(rho)) / (2.0 * trace)[:, None, None])
-    flat = rho.swapaxes(-1, -2).reshape(count, n, 1)
+    flat = vec(rho)[..., None]
     residual = np.linalg.norm(stack @ flat, axis=(1, 2)) / (s * np.linalg.norm(rho, axis=(1, 2)))
     residual = residual.tolist()
     solved = [j for j in range(count) if residual[j] <= STEADY_STATE_RESIDUAL_TOL]

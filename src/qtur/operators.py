@@ -186,7 +186,7 @@ def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where) -> np.ndarray:
     return omega
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladModel:
     """Hamiltonian plus M jump channels, validated at construction.
 
@@ -195,7 +195,8 @@ class LindbladModel:
     channel ``partners[m]`` (None when unpaired). Use :meth:`build` to
     derive the frequencies and run the structural checks; the raw
     constructor checks only shapes: H's for every channel, M entries for
-    each tuple.
+    each tuple. A model equals only itself, as the generators and blocks
+    memoized on it are its own, and it hashes by identity.
     """
 
     H: np.ndarray
@@ -204,12 +205,12 @@ class LindbladModel:
     ds: tuple
     partners: tuple
     # L_m^dag L_m, the jump-rate operators, as an (M, d, d) stack
-    jump_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    jump_norms: np.ndarray = field(init=False, repr=False)
     # coherent flag -> generator array, filled by qtur.engine.build_generator
-    _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _generators: dict = field(default_factory=dict, init=False, repr=False)
     # (coherent, weights) -> the augmented block of qtur.counting._block:
     # its d^2-square pieces, 1-norm and last dense step; one entry at most
-    _block: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _block: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         H, ops = _readonly(self.H), _readonly(self.jump_ops)

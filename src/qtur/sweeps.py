@@ -33,7 +33,11 @@ from typing import Callable
 import numpy as np
 
 from .bounds import (
+    CIC_MOMENTS_REL_TOL,
+    CIC_NORMS_REL_TOL,
+    CIC_SIGMA_TOL,
     DEGENERATE_REL_TOL,
+    MC_SIGMAS,
     BoundReport,
     entropy_scale,
     ep_lower_bound,
@@ -396,7 +400,8 @@ def run_cic_suite(
     checks.append(
         CheckResult(
             "exact_moments_match",
-            (dm <= 1e-8 or abs(with_h.mean - without_h.mean) <= mean_noise) and dv <= 1e-8,
+            (dm <= CIC_MOMENTS_REL_TOL or abs(with_h.mean - without_h.mean) <= mean_noise)
+            and dv <= CIC_MOMENTS_REL_TOL,
             f"relative differences mean {dm:.2e}, variance {dv:.2e}",
             {"mean": with_h.mean, "variance": with_h.variance},
         )
@@ -414,7 +419,7 @@ def run_cic_suite(
     checks.append(
         CheckResult(
             "path_norm_identity",
-            worst <= 1e-9,
+            worst <= CIC_NORMS_REL_TOL,
             f"worst relative norm difference {worst:.2e} over {len(records)} records",
         )
     )
@@ -424,7 +429,7 @@ def run_cic_suite(
         sigma_coherent = sigma_from(rho0, rho_coherent, flow_coherent[0])
         sigma_incoherent = sigma_from(rho0, rho_tau, flow[0])
         diff = abs(sigma_coherent - sigma_incoherent)
-        tol = 1e-9 * max(1.0, abs(sigma_coherent))
+        tol = CIC_SIGMA_TOL * max(1.0, abs(sigma_coherent))
         checks.append(
             CheckResult(
                 "entropy_production_match",
@@ -442,7 +447,7 @@ def run_cic_suite(
         checks.append(
             CheckResult(
                 "kl_matches_entropy_production",
-                gap <= 4.0 * est.entropy_stderr + noise,
+                gap <= MC_SIGMAS * est.entropy_stderr + noise,
                 f"KL estimate {est.entropy_mean:.6g} ± {est.entropy_stderr:.2g} "
                 f"vs exact {sigma_incoherent:.6g} ({est.n_discarded} records discarded)",
                 {"kl": est.entropy_mean, "stderr": est.entropy_stderr},
@@ -471,8 +476,8 @@ def _backward_check(model, rho0, tau, obs, records, window_activity: float) -> C
     # a target mean that is rounding noise at the window's scale is not judged
     scale = observable_scale(obs, window_activity)
     noise = abs(late.mean) <= DEGENERATE_REL_TOL * scale
-    mean_ok = noise or abs(mc_mean - (-late.mean)) <= 4.0 * mc_mean_err
-    var_ok = abs(mc_var - late.variance) <= 4.0 * max(mc_var_err, 1e-300)
+    mean_ok = noise or abs(mc_mean - (-late.mean)) <= MC_SIGMAS * mc_mean_err
+    var_ok = abs(mc_var - late.variance) <= MC_SIGMAS * mc_var_err
     unjudged = f" (rounding noise at scale {scale:.3g}, not judged)" if noise else ""
     return CheckResult(
         "backward_statistics_match",

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -46,6 +47,10 @@ def poisson_moments(rate, tau) -> MomentResult:
     return MomentResult(mean=mean, second_moment=mean + mean**2, variance=mean)
 
 
+def exact_moments(mean, var) -> MomentResult:
+    return MomentResult(mean=mean, second_moment=var + mean**2, variance=var)
+
+
 def mc_moments(mean, var, se_mean, se_var) -> EnsembleEstimate:
     return EnsembleEstimate(
         n=2, mean=mean, variance=var, stderr_mean=se_mean, stderr_variance=se_var
@@ -53,13 +58,12 @@ def mc_moments(mean, var, se_mean, se_var) -> EnsembleEstimate:
 
 
 def _ratio_reports(x, err):
-    r_moment, s_moment = (InputStat.monte_carlo(v, e) for v, e in zip(x, err))
+    r_moment, s_moment = (InputStat(v, e) for v, e in zip(x, err))
     return moment_ratio_bounds(r_moment, s_moment, 0.5, 1.5, 1.0, angle=0.7, initial_rate=1.1)
 
 
 def _ep_report(x, err):
-    mean, var = (InputStat.monte_carlo(v, e) for v, e in zip(x, err))
-    return ep_tur(mean, var, 1.3, 2.0, scale=0.0, **CURRENT)
+    return ep_tur(mc_moments(*x, *err), 1.3, 2.0, scale=0.0, **CURRENT)
 
 
 # Monte Carlo-fed reports of every evaluator: the input keys, their values x
@@ -273,8 +277,8 @@ class TestMomentRatioBounds:
         for tau in (0.3, 1.0, 4.0):
             mean = rate * tau
             _, rep = moment_ratio_bounds(
-                InputStat.exact(mean),
-                InputStat.exact(mean + mean**2),
+                InputStat(mean),
+                InputStat(mean + mean**2),
                 1.0,
                 2.0,
                 tau,
@@ -291,8 +295,8 @@ class TestMomentRatioBounds:
 
     def test_large_horizon_trivial(self):
         _, rep = moment_ratio_bounds(
-            InputStat.exact(5.0),
-            InputStat.exact(40.0),
+            InputStat(5.0),
+            InputStat(40.0),
             1.0,
             2.0,
             200.0,
@@ -310,7 +314,7 @@ class TestMomentRatioBounds:
         records = TrajectorySampler(da_generic, rho, tau).ensemble(n, SeedPolicy(77), workers=1)
         values = estimate(records, obs).values
         r_moment, s_moment = (  # E|N| and E|N|^2
-            InputStat.monte_carlo(p.mean(), p.std(ddof=1) / np.sqrt(n))
+            InputStat(p.mean(), p.std(ddof=1) / np.sqrt(n))
             for p in (np.abs(values), values**2)
         )
         angle = half_angle_integral(da_generic, rho, 0.0, tau)
@@ -332,7 +336,7 @@ class TestMomentRatioBounds:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             moment_ratio_bounds(
-                InputStat.exact(1.0), InputStat.exact(1.0), 2.0, 1.0, 1.0, initial_rate=1.0
+                InputStat(1.0), InputStat(1.0), 2.0, 1.0, 1.0, initial_rate=1.0
             )
 
 
@@ -354,13 +358,13 @@ class TestDegenerateMeans:
 
     def test_ep_bound_below_noise_floor(self):
         for mean in (0.0, 1e-16, -3e-12):
-            rep = ep_tur(InputStat.exact(mean), InputStat.exact(0.4), 1.0, 0.5, scale=1.2, **CURRENT)
+            rep = ep_tur(exact_moments(mean, 0.4), 1.0, 0.5, scale=1.2, **CURRENT)
             assert rep.satisfied is None and not rep.precondition_ok
-        resolved = ep_tur(InputStat.exact(1e-6), InputStat.exact(0.4), 1.0, 0.5, scale=1.2, **CURRENT)
+        resolved = ep_tur(exact_moments(1e-6, 0.4), 1.0, 0.5, scale=1.2, **CURRENT)
         assert resolved.precondition_ok and resolved.satisfied
 
     def test_ep_bound_needs_a_current(self):
-        rep = ep_tur(InputStat.exact(1.2), InputStat.exact(0.4), 1.0, 0.5, scale=1.2,
+        rep = ep_tur(exact_moments(1.2, 0.4), 1.0, 0.5, scale=1.2,
                      sigma_scale=1.0, current=False)
         assert rep.satisfied is None and not rep.precondition_ok
         assert math.isnan(rep.lhs) and math.isnan(rep.rhs)
@@ -369,12 +373,12 @@ class TestDegenerateMeans:
     def test_ep_bound_below_sigma_noise_floor(self):
         # an equilibrium model started stationary: Sigma is rounding noise of either sign
         for sigma in (0.0, -2.2e-16, 1e-17):
-            rep = ep_tur(InputStat.exact(1.2), InputStat.exact(0.4), 1.0, sigma, scale=1.2,
+            rep = ep_tur(exact_moments(1.2, 0.4), 1.0, sigma, scale=1.2,
                          sigma_scale=1.1, current=True)
             assert rep.satisfied is None and not rep.precondition_ok
             assert math.isnan(rep.lhs) and math.isnan(rep.rhs)
             assert rep.extra == {"reason": "entropy production is rounding noise", "scale": 1.1}
-        resolved = ep_tur(InputStat.exact(1.2), InputStat.exact(0.4), 1.0, 1e-6, scale=1.2,
+        resolved = ep_tur(exact_moments(1.2, 0.4), 1.0, 1e-6, scale=1.2,
                           sigma_scale=1.1, current=True)
         assert resolved.precondition_ok and resolved.satisfied is not None
 
@@ -449,9 +453,7 @@ class TestEntropyProductionBound:
         tau = 1.0
         mom = counting_moments(ep_generic, rho, obs, tau)
         sigma = entropy_production_rate(ep_generic, rho) * tau
-        rep = ep_tur(
-            InputStat.exact(mom.mean), InputStat.exact(mom.variance), 1.0, sigma, scale=0.0, **CURRENT
-        )
+        rep = ep_tur(mom, 1.0, sigma, scale=0.0, **CURRENT)
         assert rep.satisfied
         assert rep.rhs >= rep.extra["rhs_weak"] - 1e-12
         assert abs(rep.extra["arctanh_form"] - rep.extra["arcsinh_form"]) <= 1e-12
@@ -498,14 +500,7 @@ class TestEntropyProductionBound:
         assert violations >= 1
 
     def test_mc_inputs_widen_tolerance(self):
-        rep = ep_tur(
-            InputStat.monte_carlo(1.0, 0.05),
-            InputStat.monte_carlo(1.0, 0.08),
-            1.0,
-            2.0,
-            scale=0.0,
-            **CURRENT,
-        )
+        rep = ep_tur(mc_moments(1.0, 1.0, 0.05, 0.08), 1.0, 2.0, scale=0.0, **CURRENT)
         assert rep.tol > 1e-9
 
 
@@ -540,15 +535,13 @@ class TestBoundReport:
         assert a.lhs == b.lhs and a.rhs == b.rhs and a.slack == b.slack
 
     def test_lhs_recomputable_from_stored_inputs(self):
-        rep = ep_tur(InputStat.exact(0.7), InputStat.exact(0.9), 1.3, 2.0, scale=0.0, **CURRENT)
+        rep = ep_tur(exact_moments(0.7, 0.9), 1.3, 2.0, scale=0.0, **CURRENT)
         mean = rep.inputs["mean_current"].value
         var = rep.inputs["variance_current"].value
         assert rep.lhs == rep.extra["gamma"] * var / mean**2
         assert rep.rhs == csch_squared_bound(rep.inputs["entropy_production"].value)
 
     def test_json_round_trip(self, da_generic):
-        import json
-
         rep = survival_bound_check(da_generic, ground_state(), 1.0)
         obj = json.loads(json.dumps(rep.to_json()))
         assert obj["name"] == "survival_bound"
@@ -567,6 +560,20 @@ class TestBoundReport:
         assert row["input_entropy_production_source"] == "exact"
         assert "input_entropy_production_stderr" not in row
 
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_csv_row_flattens_the_json(self, sampled):
+        rep = _ep_report([-0.4, 0.3], [0.05, 0.01] if sampled else [None, None])
+        obj = rep.to_json()
+        flat = {k: v for k, v in obj.items() if k not in ("inputs", "extra")}
+        for key, stat in obj["inputs"].items():
+            flat[f"input_{key}"] = stat["value"]
+            flat[f"input_{key}_source"] = stat["source"]
+            if stat["stderr"] is not None:
+                flat[f"input_{key}_stderr"] = stat["stderr"]
+        flat.update({f"extra_{key}": value for key, value in obj["extra"].items()})
+        assert rep.to_csv_row() == flat
+        assert (rep.satisfied, str(rep)) == (True, json.dumps(obj))
+
     @pytest.mark.parametrize("case", MC_CASES)
     def test_monte_carlo_inputs_widen_tolerance(self, case):
         # tol is MC_SIGMAS standard errors of the lhs, by first-order
@@ -584,7 +591,7 @@ class TestBoundReport:
         assert rep.tol == pytest.approx(MC_SIGMAS * propagated, rel=1e-6)
         assert rep.tol > EXACT_TOL
         for key, value, se in zip(keys, x, err):
-            assert rep.inputs[key] == InputStat.monte_carlo(value, se)
+            assert rep.inputs[key] == InputStat(value, se)
 
     def test_monotonicity_of_bounds(self):
         # entropy bound decreasing in Sigma; rate bound decreasing in activity

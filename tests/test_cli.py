@@ -105,6 +105,28 @@ class TestTrajectories:
         assert "exact mean" in capsys.readouterr().out
 
 
+# SHA-256 of `qtur bounds` stdout and of its --out CSV (numpy 2.4, scipy
+# 1.17), captured while reports still stored their slack and verdict: the
+# README command, on which only the survival bound applies; the same model
+# weighted by its ds, the entropy current, on which all four reports are
+# satisfied; and a d = 8 ladder from |0> at tau = 2, which takes the Taylor
+# action (ACTION_MIN_DIM).
+PINNED_BOUNDS = {
+    "readme": (
+        "04476280043f378c1fb9836fe8a7991153990212db169c8b8b9eb20a84b24068",
+        "c412a51991ad00ac5af9456c94a09a0660feb01eae3e9becafab0b9dcb8a4657",
+    ),
+    "entropy current": (
+        "1008c66e767741bc910f012bdfa41fb9b4e4b8ffc5dc9d172820ef1ea3652f16",
+        "2d65a31ea66b57924705353a986d3581de8a4bf1123d9ce00a172c53e2788127",
+    ),
+    "ladder": (
+        "624ca1b8aedffdb6cc88b85efae4ed7f2444dc3319d25f3bd27c413962c29c64",
+        "56378818f2981e5b65fef971a94dcad02d262183d853e95ca4fd03080690e4bf",
+    ),
+}
+
+
 class TestBounds:
     def test_battery_passes(self, capsys):
         code = run_cli(
@@ -359,6 +381,23 @@ class TestBounds:
         nodes = 3 * bounds.HALF_ANGLE_NODES + 1
         assert taken == [(tau / 2, (block, 1), None), (tau / 2, (block, 2), None),
                          (tau, (rows, 1), nodes)]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_BOUNDS))
+    def test_pinned_bytes(self, case, tmp_path):
+        if case == "ladder":
+            path = tmp_path / "ladder.json"
+            save_model(ladder_model(8, np.random.default_rng(3)), path)
+            argv = ["--model", str(path), "--rho0", "ground", "--tau", "2"]
+        else:
+            argv = [*README_EP, "--tau", "1"]
+        if case == "entropy current":
+            ds = build_ep_model(1.0, 0.7, 0.3, 0.5, 0.4, 0.6, 0.2).entropy_weights()
+            argv += ["--weights", ",".join(map(repr, ds.tolist()))]
+        out, buf = tmp_path / "bounds.csv", io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert run_cli("bounds", *argv, "--out", str(out)) == 0
+        printed = (buf.getvalue().encode(), out.read_bytes())
+        assert tuple(hashlib.sha256(data).hexdigest() for data in printed) == PINNED_BOUNDS[case]
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "bounds.csv"

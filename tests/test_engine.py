@@ -23,6 +23,7 @@ from qtur.engine import (
     steady_state,
     steady_states,
     survival_probability,
+    unvec,
     vec,
 )
 from qtur.models import build_da_model, build_da_models, build_ep_model, build_ep_models
@@ -148,6 +149,18 @@ class TestChannelStack:
             # a few d^2-square arrays; an (M, d^2, d^2) stack of the 46
             # channels would take 244 MB
             assert peak <= 4 * d**4 * 16
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5, 3, 3), (1, 0, 4, 4)])
+def test_vec_takes_a_stack_of_matrices(shape):
+    # each matrix's columns stacked, and unvec undoes it; a stack of no
+    # matrices (a model without channels) keeps its shape
+    x = np.random.default_rng(0).normal(size=(*shape, 2)) @ np.array([1, 1j])
+    flat = vec(x)
+    assert flat.shape == (*shape[:-2], shape[-1] ** 2)
+    cols = [m.reshape(-1, order="F") for m in x.reshape(-1, *shape[-2:])]
+    assert np.array_equal(flat, np.array(cols).reshape(flat.shape))
+    assert np.array_equal(unvec(flat), x)
 
 
 BUILT_INS = {

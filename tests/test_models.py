@@ -79,6 +79,14 @@ def test_a_stack_of_models_shares_one_frozen_array(build, n_rates):
         assert np.shares_memory(model.jump_ops, shared[k])
 
 
+def test_a_model_equals_only_itself():
+    # the generators and blocks memoized on a model are its own, so equal
+    # content is not equality; comparing arrays must not raise either
+    a, b = (build_ep_model(1.0, 0.7, 0.3, 0.5, 0.4, 0.6, 0.2) for _ in range(2))
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
+
+
 class TestPoissonModel:
     def test_scalar_generator_vanishes(self, poisson):
         gen = build_generator(poisson, coherent=True)

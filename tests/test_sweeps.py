@@ -362,6 +362,17 @@ class TestCicSuite:
         ]
         assert report.all_passed
 
+    def test_sampled_checks_read_the_one_sigma_multiple(self, ep_generic, monkeypatch):
+        # allowed no standard error, the sampled KL estimate misses the exact
+        # entropy production; the exact checks do not read the multiple
+        monkeypatch.setattr(sweeps, "MC_SIGMAS", 0.0)
+        rho = steady_state(build_generator(ep_generic, coherent=True))
+        report = run_cic_suite(ep_generic, rho, 1.0, budget=500, seed=6, workers=1)
+        passed = {c.name: c.passed for c in report.checks}
+        assert not passed.pop("kl_matches_entropy_production")
+        assert not passed.pop("backward_statistics_match")
+        assert all(passed.values()) and len(passed) == 3
+
     @pytest.mark.parametrize("start", ["stationary", "ground"])
     def test_backward_mean_is_not_judged_where_it_is_rounding_noise(
         self, ep_equilibrium, start, monkeypatch
