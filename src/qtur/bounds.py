@@ -37,7 +37,8 @@ Bound inventory:
 h(y) here is the inverse of x tanh(x), computed by safeguarded Newton on
 the bracket [y, y+1]. :func:`battery` is what ``qtur bounds`` prints: the
 rate-form, windowed, survival and entropy-production reports of one
-observable, fed by exact statistics.
+observable, fed by exact statistics from ``qtur.counting``'s reduced route
+(H's zero-frequency sector) or, where that does not hold, the Liouville one.
 """
 
 from __future__ import annotations
@@ -231,9 +232,7 @@ def _legendre(n: int) -> tuple:
 
 def _horizon(model, rho0, t1: float, t2: float, coherent: bool) -> tuple:
     """The half angle over [t1, t2], A(t2) and the entropy flow at t2 (None
-    without ds), from one :func:`activity_at` pass per pair of rules: one
-    Taylor pass to t2, with every node read as its dense output, where
-    ``activity_at`` takes the action, or else one step per gap.
+    without ds), from one reduced :func:`activity_at` pass per pair of rules.
 
     With t = u^2 the angle is the integral of sqrt(A(u^2))/u over
     [sqrt t1, sqrt t2], smooth even at u = 0 since A grows like a power of
@@ -241,14 +240,14 @@ def _horizon(model, rho0, t1: float, t2: float, coherent: bool) -> tuple:
     if t1 < 0:
         raise ValueError("window start must be nonnegative")
     if t2 <= t1:
-        activity, flow, _ = activity_at(model, rho0, [t2], coherent)
+        activity, flow, _ = activity_at(model, rho0, [t2], coherent, reduced=True)
         return 0.0, activity[0], flow if flow is None else flow[0]
     lo, hi = math.sqrt(t1), math.sqrt(t2)
     n = HALF_ANGLE_NODES
     while 2 * n <= HALF_ANGLE_MAX_NODES:
         (x1, w1), (x2, w2) = _legendre(n), _legendre(2 * n)
         u = 0.5 * (hi - lo) * np.concatenate([x1, x2]) + 0.5 * (hi + lo)
-        activity, flow, _ = activity_at(model, rho0, np.append(u * u, t2), coherent)
+        activity, flow, _ = activity_at(model, rho0, np.append(u * u, t2), coherent, reduced=True)
         w = 0.5 * (hi - lo) * np.concatenate([w1, w2])
         terms = w * np.sqrt(np.maximum(activity[:-1], 0.0)) / u
         coarse, fine = terms[:n].sum(), terms[n:].sum()
@@ -502,16 +501,12 @@ def battery(
     activity window [tau/2, tau], survival and, on a model with ds,
     entropy production, all from exact statistics.
 
-    ``counting_moments`` over tau/2 comes first; every other window and
-    rho(tau) reuse what it memoises on the moment block: its pieces and its
-    dense step or, from ``counting.ACTION_MIN_DIM`` up, its Taylor action
-    over [0, tau/2], so that action is taken once. One
-    ``counting.activity_at`` pass over the half angle's nodes and tau (from
-    ``ACTION_MIN_DIM`` up, one Taylor pass with the nodes as its dense
-    output where it pays) gives that angle, A(tau) and the flow in
-    Sigma(tau)."""
-    half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent)
-    _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent)
+    The counting statistics take ``qtur.counting``'s reduced route. The moments
+    over tau/2 come first; the other windows and rho(tau) reuse its block memo.
+    One ``activity_at`` pass over the half angle's nodes and tau gives that
+    angle, A(tau) and the flow in Sigma(tau)."""
+    half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent, reduced=True)
+    _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent, reduced=True)
     angle, activity, flow = _horizon(model, rho0, tau / 2.0, tau, coherent)
     scale = observable_scale(obs, activity)
     reports = [

@@ -22,28 +22,32 @@ observation window only rho evolves; after it the traces stay put, so
 integration stops at the window end.
 
 Both are one block B = [[S, 0], [R, 0]]: S is L on rho for the rows block,
-and [[L, 0], [J_c, L]] on (rho, rho1) for the moment block, which is
-(2 d^2 + 1) square. One builder (:func:`_pieces`, laid out by
-:func:`_layout`) assembles the d^2-square pieces of a stack of blocks: a
-sweep's draws get their moments from one stacked dense exponential
+and [[L, 0], [J_c, L]] on (rho, rho1) for the moment block. One builder
+(:func:`_pieces`, laid out by :func:`_layout`) assembles the pieces of a
+stack of blocks: a sweep's draws take one stacked dense exponential
 (:func:`stacked_moments`), and a model keeps its stack of one
-(:func:`_block`) with the exact 1-norm of B - mu I, which one stepper
-(:func:`_act`) applies as exp(h B). Below ``ACTION_MIN_DIM`` that is the
-dense exponential, taken once per step length. From ``ACTION_MIN_DIM`` up,
-while h ||B - mu I||_1 is small enough for it to pay, no block matrix is
-formed: exp(h B) acts on vectors through the truncated Taylor series of
-Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm 3.2), with B
-applied part by part from the pieces; the block keeps its last action, so
-one asked for again straight away is not retaken. Its cost grows linearly
-with h ||B - mu I||_1, the dense step's only logarithmically, so a long
-step up to ``DENSE_MAX_DIM`` is taken densely again; above that dimension
-the action is always taken. :func:`activity_at` reaches all of its times
-in one such pass where it pays over the whole span, each time read from
-the terms of the sub-step that holds it (dense output, ibid. section 5).
-Degree and step count come from the exact 1-norm, so the result repeats
-bit for bit. scipy's ``expm_multiply`` on a LinearOperator would estimate
-that norm with ``onenormest``, which draws from numpy's global random
-state: its results would not repeat and it would move the caller's RNG.
+(:func:`_block`), which one stepper (:func:`_act`) applies as exp(h B).
+
+Two routes give the same statistics. The Liouville route works on vec rho:
+its moment block is (2 d^2 + 1) square, exponentiated densely once per step
+length below ``ACTION_MIN_DIM``. From it up, where that pays
+(:func:`_action_pays`), exp(h B) acts on vectors by the truncated Taylor
+series of Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm
+3.2), B applied part by part, and :func:`activity_at` reads its times from
+one such pass (dense output, ibid. section 5). Degree and step count come
+from the exact 1-norm, so results repeat bit for bit; scipy's
+``expm_multiply`` estimates it from numpy's global random state.
+
+The reduced route (``reduced=True``, taken by ``qtur.bounds.battery``)
+uses the paper's correspondence as the method: L and J_c map every Bohr
+sector into itself, and the trace and rate rows read only H's
+zero-frequency sector (:class:`qtur.operators.ZeroSector`). There the
+block is (2 n0 + 1) square, n0 = d on a non-degenerate H (a real d-state
+chain), exponentiated densely; rho(tau) takes one exponential per other
+sector that rho0 weighs (:func:`_route_state`). Where the residual, a
+rotated L_m's weight outside its sector, exceeds ``SECTOR_TOL`` ||L_m||_F,
+the Liouville route is taken and the sector's ``reason`` says why. ``verify-cic``, ``moments``, sweeps and samplers keep the Liouville
+route: on sector 0 the generators with and without H are one matrix.
 """
 
 from __future__ import annotations
@@ -58,16 +62,15 @@ from .operators import (
     LindbladModel,
     ModelValidationError,
     _frozen,
+    _sector_maps,
+    dagger,
     split_diagonal_offdiagonal,
     von_neumann_trace_term,
 )
 
 # Below this dimension the blocks are always exponentiated densely, so the
-# small models of the sweeps keep the dense step's bits. On one
-# `bounds.battery` call on the benchmark ladder at tau = 2 (one BLAS
-# thread) the action takes 4.8 ms against 9.5-9.7 ms for dense steps at
-# d = 6 and 5.1 against 19 ms at d = 7; with this floor lowered, 6.7-10
-# against 4-5 ms at d = 5.
+# small models of the sweeps keep the dense step's bits; fitted on ladder
+# bounds calls at d = 5 to 7 on the Liouville route (one BLAS thread).
 ACTION_MIN_DIM = 6
 # Above this dimension no block is exponentiated densely, however long the
 # horizon: scipy's expm peaks at eight to nine times the (2 d^2 + 1)-square
@@ -203,18 +206,25 @@ class _BlockPieces:
         return last[1]
 
 
-def _pieces(models, weights, coherent: bool) -> tuple:
+def _pieces(models, weights, coherent: bool, zero=None) -> tuple:
     """The d^2-square pieces of the block of each of ``models`` (one dimension
-    and channel count): the memoized generators, and stacks of J_c and rows R;
-    for (N, M) weights the moment blocks, for None the rows blocks (no J_c)."""
-    gens = [build_generator(m, coherent=coherent) for m in models]
-    rates = vec(np.stack([m.jump_norms for m in models])).conj()  # the rows N_m
+    and channel count), or with ``zero`` the n0-square ones of a stack of one
+    on that sector: the generators, and stacks of J_c and rows R; for (N, M)
+    weights the moment blocks, for None the rows blocks (no J_c)."""
+    if zero is None:
+        gens = [build_generator(m, coherent=coherent) for m in models]
+        rates = vec(np.stack([m.jump_norms for m in models])).conj()  # the rows N_m
+    else:
+        gens, rates = [zero.generator], zero.rates[None]
     if weights is None:
         w = [[np.ones(m.n_channels), *([m.entropy_weights()] if m.has_entropy_weights else [])]
              for m in models]
         return gens, None, np.array(w) @ rates
     c = np.asarray(weights, dtype=float)[:, None, :]
-    jumps = _frozen(_channel_sums(np.stack([m.jump_ops for m in models]), c))
+    if zero is None:
+        jumps = _frozen(_channel_sums(np.stack([m.jump_ops for m in models]), c))
+    else:
+        jumps = np.tensordot(c, zero.tensors, 1)[:, 0]
     return gens, jumps, np.concatenate([(c * c) @ rates, (2.0 * c) @ rates], axis=-1)
 
 
@@ -222,7 +232,8 @@ def _layout(gens: np.ndarray, jumps, rows: np.ndarray) -> np.ndarray:
     """The (N, s + r, s + r) blocks [[S, 0], [R, 0]] of the pieces of :func:`_pieces`."""
     gens = np.asarray(gens)
     (count, n), (r, s) = gens.shape[:2], rows.shape[1:]
-    blocks = np.zeros((count, s + r, s + r), dtype=complex)
+    kind = np.result_type(gens, rows, rows if jumps is None else jumps)
+    blocks = np.zeros((count, s + r, s + r), dtype=kind)
     for k in range(0, s, n):
         blocks[:, k : k + n, k : k + n] = gens
     if jumps is not None:
@@ -231,19 +242,20 @@ def _layout(gens: np.ndarray, jumps, rows: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _block(model: LindbladModel, weights, coherent: bool) -> _BlockPieces:
+def _block(model: LindbladModel, weights, coherent: bool, zero=None) -> _BlockPieces:
     """The moment block of ``weights``, or for None the rows block (the
     activity row and, with ds, the entropy row): the pieces of
-    :func:`_pieces` for a stack of one.
+    :func:`_pieces` for a stack of one, on the sector ``zero`` if given.
 
     The 1-norm is exact: the largest column sum, taken block column by
-    block column. The model keeps one block in one slot, keyed by
-    (coherent, weights), with its last dense step; a call with another key
-    rebuilds it."""
+    block column. The model, or the sector, keeps one block in one slot,
+    keyed by (coherent, weights), with its last dense step; a call with
+    another key rebuilds it."""
     key = (bool(coherent), None if weights is None else tuple(weights))
-    slot = model._block
+    slot = model._block if zero is None else zero.blocks
     if key not in slot:
-        (gen,), jumps, (rows,) = _pieces([model], None if weights is None else [weights], coherent)
+        w = None if weights is None else [weights]
+        (gen,), jumps, (rows,) = _pieces([model], w, coherent, zero)
         n = gen.shape[0]
         mu = np.trace(gen) / n
         lead = np.abs(gen - mu * np.eye(n)).sum(axis=0)  # L - mu I on a diagonal block
@@ -266,9 +278,9 @@ def _initial(x: np.ndarray, n: int) -> np.ndarray:
     return y
 
 
-def _moments(ys, dim: int) -> list:
-    """The moments read from each of the moment block's vectors ``ys``."""
-    n, trace = dim * dim, vec(np.eye(dim)).conj()
+def _moments(ys, trace: np.ndarray) -> list:
+    """The moments read from each of the moment block's vectors ``ys`` by its ``trace`` row."""
+    n = len(trace)
     means = [float(np.real(trace @ y[n : 2 * n])) for y in ys]
     seconds = [float(np.real(y[2 * n])) for y in ys]
     return [MomentResult(m, s, s - m * m) for m, s in zip(means, seconds)]
@@ -352,18 +364,29 @@ def _taylor_action(shifted, mu, norm: float, h: float, y: np.ndarray, at=None) -
     return out if at is None else np.concatenate(dense)
 
 
-def _act(model: LindbladModel, weights, h: float, coherent: bool, y: np.ndarray) -> np.ndarray:
+def _act(model, weights, h: float, coherent: bool, y: np.ndarray, zero=None) -> np.ndarray:
     """exp(h B) y for the block of ``weights`` (see :func:`_block`); ``y``
     is one vector or a (rows, k) matrix of them.
 
-    Where :func:`_action_pays`, from ``ACTION_MIN_DIM`` up, this is the
-    Taylor action and no block matrix is formed; otherwise it is the
-    dense step times y. Either is memoised on the block, the action with
-    the vectors it was taken on."""
-    block = _block(model, weights, coherent)
-    if _action_pays(model.dim, h * block.norm):
+    Where :func:`_action_pays`, from ``ACTION_MIN_DIM`` up and never on a
+    sector, this is the Taylor action and no block matrix is formed;
+    otherwise it is the dense step times y. Either is memoised on the
+    block, the action with the vectors it was taken on."""
+    block = _block(model, weights, coherent, zero)
+    if zero is None and _action_pays(model.dim, h * block.norm):
         return block.act(h, y)
     return block.step(h) @ y
+
+
+def _route(model: LindbladModel, reduced: bool, rho: np.ndarray) -> tuple:
+    """The zero-frequency sector where ``reduced`` asks for it and the
+    reduction holds, else None (Liouville); ``rho`` as that route's vector
+    (sector 0 of it in H's eigenbasis, or vec rho); the route's trace row."""
+    zero = model.zero_sector() if reduced else None
+    if zero is None or zero.reason:
+        return None, vec(rho), vec(np.eye(model.dim)).conj()
+    (j, k), basis = zero.pairs, model.spectrum()[1]
+    return zero, (dagger(basis) @ rho @ basis)[j, k], (j == k) * 1.0
 
 
 def counting_moments(
@@ -372,17 +395,19 @@ def counting_moments(
     obs: CountingObservable,
     tau: float,
     coherent: bool = True,
+    reduced: bool = False,
 ) -> MomentResult:
-    """Exact mean/variance of the windowed count up to ``tau``."""
+    """Exact mean/variance of the windowed count up to ``tau`` (``reduced``: :func:`_route`)."""
     _check(model, obs.weights, tau)
     t_a, t_b = obs.resolved_window(tau)
-    n = model.dim**2
-    y = _initial(vec(rho0), n)
+    zero, x, trace = _route(model, reduced, rho0)
+    n = len(trace)
+    y = _initial(x, n)
     if t_a > 0:
-        y = _initial(_act(model, obs.weights, t_a, coherent, y), n)
+        y = _initial(_act(model, obs.weights, t_a, coherent, y, zero), n)
     if t_b > t_a:
-        y = _act(model, obs.weights, t_b - t_a, coherent, y)
-    return _moments([y], model.dim)[0]
+        y = _act(model, obs.weights, t_b - t_a, coherent, y, zero)
+    return _moments([y], trace)[0]
 
 
 def stacked_moments(models, rhos, weights, taus) -> list:
@@ -396,26 +421,41 @@ def stacked_moments(models, rhos, weights, taus) -> list:
     _check(models[0], weights, taus)
     y = _initial(vec(rhos), dim * dim)
     out = expm(_layout(*_pieces(models, weights, True)) * taus[:, None, None]) @ y[..., None]
-    return _moments(out[..., 0], dim)
+    return _moments(out[..., 0], vec(np.eye(dim)).conj())
 
 
-def _half_windows(model, rho0, obs, tau: float, coherent: bool) -> tuple:
-    """Moments over [0, tau/2], [tau/2, tau] and [0, tau], and rho(tau),
-    from exp(h B) over h = tau/2 applied by :func:`_act`: to y0, to
-    (rho(tau/2), 0, 0) and to exp(h B) y0, with y0 = (rho0, 0, 0); rho(tau)
-    is the top d^2 entries of the last. The block memoises its pieces, its
-    dense step and its last Taylor action, so after
-    ``counting_moments(model, rho0, obs, tau / 2, coherent)`` no piece is
-    rebuilt and exp(h B) y0 is not taken again: below ``ACTION_MIN_DIM``
-    no further exponential is taken, from it up one action on the pair.
-    ``obs.window`` is ignored."""
+def _half_windows(model, rho0, obs, tau: float, coherent: bool, reduced=False) -> tuple:
+    """Moments over [0, tau/2], [tau/2, tau] and [0, tau], and rho(tau), from
+    exp(h B), h = tau/2, applied by :func:`_act` to y0 = (rho0, 0, 0), to
+    (rho(tau/2), 0, 0) and to exp(h B) y0. After ``counting_moments`` over
+    tau/2 on the same route the block memo holds the dense step or the action
+    on y0, so at most one action, on the pair, follows. ``obs.window`` is ignored."""
     _check(model, obs.weights, tau)
-    n = model.dim**2
-    first = _act(model, obs.weights, tau / 2.0, coherent, _initial(vec(rho0), n))
+    zero, x, trace = _route(model, reduced, rho0)
+    n = len(trace)
+    first = _act(model, obs.weights, tau / 2.0, coherent, _initial(x, n), zero)
     pair = np.stack([_initial(first, n), first], axis=1)
-    second, total = _act(model, obs.weights, tau / 2.0, coherent, pair).T
-    moments = tuple(_moments((first, second, total), model.dim))
-    return moments + (propagated_state(total[:n]),)
+    second, total = _act(model, obs.weights, tau / 2.0, coherent, pair, zero).T
+    moments = tuple(_moments((first, second, total), trace))
+    return moments + (_route_state(model, zero, total[:n], rho0, tau, coherent),)
+
+
+def _route_state(model, zero, top, rho0, tau: float, coherent: bool) -> np.ndarray:
+    """rho(tau) from the route's state ``top``: on a sector, its entries and
+    one exponential of each other Bohr sector's generator (-i(E_j - E_k) on
+    |j><k| when ``coherent``) in which rho0 has weight, rotated back."""
+    if zero is None:
+        return propagated_state(top)
+    energies, basis, ops = model.spectrum()
+    x = dagger(basis) @ rho0 @ basis
+    out = np.zeros_like(x)
+    out[zero.pairs] = top
+    for label in np.unique(zero.labels[(x != 0) & (zero.labels != 0)]):
+        j, k = np.nonzero(zero.labels == label)
+        gen = _sector_maps(ops, zero.decay, j, k)[1]
+        gen[np.diag_indices(len(j))] -= 1j * coherent * (energies[j] - energies[k])
+        out[j, k] = expm(gen * tau) @ x[j, k]
+    return propagated_state(vec(basis @ out @ dagger(basis)))
 
 
 def mean_rate(model: LindbladModel, rho_t: np.ndarray, obs: CountingObservable) -> float:
@@ -429,7 +469,7 @@ def channel_rates(model: LindbladModel, rho_t: np.ndarray) -> np.ndarray:
     return (model.jump_norms.reshape(-1, x.size) @ x).real
 
 
-def activity_at(model: LindbladModel, rho0: np.ndarray, times, coherent: bool = True) -> tuple:
+def activity_at(model, rho0: np.ndarray, times, coherent: bool = True, reduced=False) -> tuple:
     """A(t) and the entropy flow Phi(t) as float arrays (Phi None unless
     every channel has ds), and the Hermitian parts of rho(t) as a (k, d, d)
     array, exact to rounding at each of ``times`` (nonnegative, any order).
@@ -438,17 +478,17 @@ def activity_at(model: LindbladModel, rho0: np.ndarray, times, coherent: bool = 
     span, that is one Taylor action to the last time, every time read from
     its dense output; otherwise one :func:`_act` step per gap. The states
     are not validated; :func:`sigma_from` and the samplers check what they
-    read."""
+    read. ``reduced`` is as in counting_moments; its route gives no states."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("times must be finite and nonnegative")
-    n = model.dim**2
-    rows = 1 + model.has_entropy_weights
-    y = np.concatenate([vec(rho0), np.zeros(rows)])[:, None]
+    zero, x, _ = _route(model, reduced, rho0)
+    n, rows = len(x), 1 + model.has_entropy_weights
+    y = np.concatenate([x, np.zeros(rows)])[:, None]
     out = np.empty((times.size, n + rows), dtype=complex)
     order, span = np.argsort(times, kind="stable"), times.max(initial=0.0)
-    block = _block(model, None, coherent)
-    if _action_pays(model.dim, span * block.norm):
+    block = _block(model, None, coherent, zero)
+    if zero is None and _action_pays(model.dim, span * block.norm):
         at = times[order]
         out[order] = _taylor_action(block.shifted, block.mu, block.norm, span, y, at)[..., 0]
     else:
@@ -456,11 +496,11 @@ def activity_at(model: LindbladModel, rho0: np.ndarray, times, coherent: bool = 
         for k in order:
             if times[k] > now:
                 h, now = times[k] - now, times[k]
-                y = _act(model, None, h, coherent, y)
+                y = _act(model, None, h, coherent, y, zero)
             out[k] = y[:, 0]
-    integrals = out[:, n:].real
-    states = unvec(out[:, :n])
-    states = (states + states.conj().swapaxes(1, 2)) / 2.0
+    integrals, states = out[:, n:].real, unvec(out[:, :n]) if zero is None else None
+    if states is not None:
+        states = (states + states.conj().swapaxes(1, 2)) / 2.0
     return integrals[:, 0], integrals[:, 1] if rows > 1 else None, states
 
 

@@ -1,13 +1,12 @@
 """Dense operator algebra, model containers and structural validation.
 
 Everything operates on small dense complex matrices. The wall is the
-d^2 x d^2 superoperator. Above ``qtur.counting.DENSE_MAX_DIM`` (16) no
-(2 d^2 + 1)-square augmented block is ever formed, and every sum over
-channels (the generator's dissipator and J_c) is one GEMM over the stack
-of jump operators. So the d^2-square generator and J_c themselves are
-what a ``qtur bounds`` call at d = 24 or 32 holds.
-Operators and density matrices are plain ``numpy`` arrays; the model layer
-below adds the structure a monitored open system needs, one home per fact:
+d^2 x d^2 superoperator: ``qtur bounds`` avoids it on H's zero-frequency
+Bohr sector (:class:`ZeroSector`, d-square on a non-degenerate H), and
+the Liouville route sums over channels as one GEMM over the stack of jump
+operators. Operators and density matrices are plain ``numpy`` arrays; the
+model layer below adds the structure a monitored open system needs, one
+home per fact:
 
 * a Hermitian Hamiltonian ``H``,
 * jump operators ``L_m``, one read-only (M, d, d) stack ``jump_ops``, that
@@ -19,18 +18,17 @@ below adds the structure a monitored open system needs, one home per fact:
 
 All containers are frozen dataclasses holding read-only arrays, so they can
 be shared freely across worker processes. A model also holds the stack of
-L_m^dag L_m; every sum over channels reads the two stacks. It
-memoizes its generators (``qtur.engine.build_generator``), which its
-arrays fix, and in one slot the last augmented block of ``qtur.counting``
-with its last dense exponential. :meth:`LindbladModel.build_stack` builds
-N models that share H as one frozen (N, M, d, d) stack, row k of which is
-model k's ``jump_ops``: every check runs once over it, and
-:meth:`LindbladModel.build` is its stack of one.
+L_m^dag L_m and H's eigensystem; it memoizes its generators
+(``qtur.engine.build_generator``), the last augmented block of
+``qtur.counting`` and its zero-frequency sector. :meth:`LindbladModel.build_stack`
+builds N models that share H as one frozen (N, M, d, d) stack, row k of
+which is model k's ``jump_ops``: every check, the ``eigh`` of H and the
+L_m^dag L_m run once over it, and :meth:`LindbladModel.build` is its stack
+of one.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -38,6 +36,9 @@ import numpy as np
 # ||L||_F times the spread of H's spectrum, so it carries no energy unit;
 # the density tolerances separate rounding noise from modeling bugs.
 EIGENOPERATOR_TOL = 1e-8
+# The zero-frequency reduction's residual (ZeroSector): its statistics moved by
+# up to 12x the residual on rotated models with nearly degenerate levels.
+SECTOR_TOL = 1e-12
 DENSITY_TOL = 1e-10
 EIGENVALUE_CLIP = 1e-14
 
@@ -147,15 +148,22 @@ def assert_density(rho: np.ndarray) -> None:
         raise ModelValidationError(f"invalid density matrix: {check.message}")
 
 
-def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where) -> np.ndarray:
+def _level_tol(energies: np.ndarray) -> float:
+    """EIGENOPERATOR_TOL times the spread of H's spectrum, at least eigh's rounding."""
+    rounding = 16 * len(energies) * np.spacing(abs(energies).max())
+    return max(EIGENOPERATOR_TOL * (energies[-1] - energies[0]), rounding)
+
+
+def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where) -> tuple:
     """The real omega with ``[L, H] = omega * L`` of each operator L of the
-    (N, M, d, d) stack ``ops``, from one ``eigh`` of H; ``where(k, m)``
-    names operator m of model k in errors.
+    (N, M, d, d) stack ``ops``, from one ``eigh`` of H, and that eigensystem:
+    H's energies, its eigenvectors and ``ops`` rotated into them; ``where(k,
+    m)`` names operator m of model k in errors.
 
     omega is the least-squares projection Re(Tr[L^dag [L, H]]) / Tr[L^dag L];
     the channel conforms iff the residual ||[L,H] - omega L||_F stays below
-    ``EIGENOPERATOR_TOL * ||L||_F`` times E_max - E_min, the spread of H's
-    spectrum. Scaling L by any nonzero constant leaves omega unchanged.
+    ``||L||_F * _level_tol``. Scaling L by any nonzero constant leaves omega
+    unchanged.
 
     In the eigenbasis of H, [L, H]_ij = L_ij (E_j - E_i). With p_ij =
     |L_ij|^2 / ||L||_F^2 there, omega = sum p_ij (E_j - E_i) and the
@@ -168,22 +176,20 @@ def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where) -> np.ndarray:
         raise ModelValidationError(f"{where(*at)}jump operator is zero")
     energies, basis = np.linalg.eigh((H + dagger(H)) / 2.0)
     gap = energies[None, :] - energies[:, None]
-    weight = (np.abs(dagger(basis) @ ops @ basis) / norms[..., None, None]) ** 2
+    rotated = dagger(basis) @ ops @ basis
+    weight = (np.abs(rotated) / norms[..., None, None]) ** 2
     omega = (weight * gap).sum(axis=(-2, -1))
     residual = norms * np.sqrt((weight * (gap - omega[..., None, None]) ** 2).sum(axis=(-2, -1)))
-    # relative to the spectrum's spread (shift-free), never below eigh's rounding
-    spread = energies[-1] - energies[0]
-    rounding = 16 * len(energies) * np.spacing(abs(energies).max())
-    bound = norms * max(EIGENOPERATOR_TOL * spread, rounding)
+    bound = norms * _level_tol(energies)
     bad = ~(residual <= bound)
     if bad.any():
         at = np.unravel_index(np.argmax(bad), bad.shape)
         raise EigenoperatorError(
             f"{where(*at)}eigenoperator condition violated: residual "
             f"{residual[at]:.3e} > {bound[at]:.3e} ({EIGENOPERATOR_TOL:.1e} * ||L||_F "
-            f"* spread {spread:.3e} of H)"
+            f"* spread {energies[-1] - energies[0]:.3e} of H)"
         )
-    return omega
+    return omega, energies, basis, rotated
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +217,12 @@ class LindbladModel:
     # (coherent, weights) -> the augmented block of qtur.counting._block:
     # its d^2-square pieces, 1-norm and last dense step; one entry at most
     _block: dict = field(default_factory=dict, init=False, repr=False)
+    # "eigh" -> H's eigensystem (:meth:`spectrum`), "zero" -> its ZeroSector
+    _spectrum: dict = field(default_factory=dict, init=False, repr=False)
+    # build_stack's hand-off: this model's jump_norms row and spectrum
+    _stacked: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _stacked):
         H, ops = _readonly(self.H), _readonly(self.jump_ops)
         if ops.ndim != 3 or ops.shape[1:] != H.shape:
             raise ModelValidationError("channel dimension does not match the Hamiltonian")
@@ -223,7 +233,8 @@ class LindbladModel:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "jump_ops", ops)
-        object.__setattr__(self, "jump_norms", _frozen(dagger(ops) @ ops))
+        norms, self._spectrum["eigh"] = _stacked or (_frozen(dagger(ops) @ ops), None)
+        object.__setattr__(self, "jump_norms", norms)
 
     @property
     def dim(self) -> int:
@@ -245,6 +256,21 @@ class LindbladModel:
     def total_decay(self) -> np.ndarray:
         """Sum of L^dag L over channels (the no-jump decay generator)."""
         return self.jump_norms.sum(axis=0)
+
+    def spectrum(self) -> tuple:
+        """H's energies (ascending), eigenvectors and ``jump_ops`` rotated into
+        them, read-only: from :meth:`build_stack`'s ``eigh`` or taken once."""
+        if self._spectrum["eigh"] is None:
+            energies, basis = np.linalg.eigh((self.H + dagger(self.H)) / 2.0)
+            rotated = dagger(basis) @ self.jump_ops @ basis
+            self._spectrum["eigh"] = tuple(map(_frozen, (energies, basis, rotated)))
+        return self._spectrum["eigh"]
+
+    def zero_sector(self) -> "ZeroSector":
+        """H's zero-frequency Bohr sector (:class:`ZeroSector`), built once."""
+        if "zero" not in self._spectrum:
+            self._spectrum["zero"] = _zero_sector(*self.spectrum(), self.total_decay())
+        return self._spectrum["zero"]
 
     @classmethod
     def build(cls, H: np.ndarray, jump_ops, *, ds=None, partners=None) -> "LindbladModel":
@@ -291,7 +317,7 @@ class LindbladModel:
         if not finite.all():
             at = np.unravel_index(np.argmin(finite), finite.shape)
             raise ModelValidationError(f"{name(*at)} has NaN or Inf entries")
-        omegas = _bohr_frequencies(H, stack, lambda k, m: f"{name(k, m)}: ").tolist()
+        omegas, *spectrum = _bohr_frequencies(H, stack, lambda k, m: f"{name(k, m)}: ")
         for m, p in enumerate(partners):
             if p is not None and (not (0 <= p < n) or partners[p] != m):
                 raise ModelValidationError(f"partner map is not an involution at channel {m}")
@@ -309,7 +335,66 @@ class LindbladModel:
         if not finite.all():
             at = np.unravel_index(np.argmin(finite), finite.shape)
             raise ModelValidationError(f"{name(*at)} has a NaN or Inf entropy change ds")
-        return [cls(H, ops, row, ds_row, partners) for ops, row, ds_row in zip(stack, omegas, ds)]
+        (energies, basis, rotated), norms = map(_frozen, spectrum), _frozen(dagger(stack) @ stack)
+        return [cls(H, ops, row, ds_row, partners, (norm, (energies, basis, turned))) for
+                ops, row, ds_row, norm, turned in zip(stack, omegas.tolist(), ds, norms, rotated)]
+
+
+@dataclass(frozen=True, eq=False)
+class ZeroSector:
+    """H's zero-frequency Bohr sector: the n0 = sum_i g_i^2 |j><k| of its
+    eigenbasis with E_j = E_k (g_i: level multiplicities). ``labels`` holds
+    each |j><k|'s Bohr sector (0 here), ``pairs`` sector 0's (j, k). There,
+    ``tensors`` stacks the X -> L_m X L_m^dag, ``generator`` is L (free of
+    H), ``rates`` holds the rows Tr(L_m X L_m^dag), all real when n0 = d, and
+    ``decay`` sum_m L_m^dag L_m inside each level. ``residual`` is the largest
+    entry of a rotated L_m outside its own sector (its largest entry's), over
+    ||L_m||_F; above SECTOR_TOL ``reason`` says so and the arrays are None.
+    ``blocks`` is qtur.counting's block memo."""
+
+    labels: np.ndarray
+    residual: float
+    reason: str
+    pairs: tuple = None
+    tensors: np.ndarray = None
+    generator: np.ndarray = None
+    rates: np.ndarray = None
+    decay: np.ndarray = None
+    blocks: dict = field(default_factory=dict)
+
+
+def _zero_sector(energies, basis, ops, gamma) -> ZeroSector:
+    """The :class:`ZeroSector` of H's eigensystem, rotated channels and their
+    sum ``gamma`` of L^dag L; levels, and Bohr frequencies, within ``_level_tol`` are one."""
+    d, tol = len(energies), _level_tol(energies)
+    level = np.concatenate([[0], np.cumsum(np.diff(energies) > tol)])
+    mean = np.bincount(level, energies) / np.bincount(level)
+    bohr = (mean[:, None] - mean)[level[:, None], level].ravel()
+    order, labels = np.argsort(bohr, kind="stable"), np.empty(d * d, dtype=int)
+    labels[order] = np.concatenate([[0], np.cumsum(np.diff(bohr[order]) > tol)])
+    labels -= labels[0]
+    size = np.abs(ops).reshape(len(ops), -1)
+    crossing = np.where(labels == labels[size.argmax(axis=1)][:, None], 0.0, size)
+    residual = crossing.max(axis=1, initial=0.0) / np.linalg.norm(size, axis=1)
+    worst, labels = float(residual.max(initial=0.0)), _frozen(labels.reshape(d, d))
+    if not worst <= SECTOR_TOL:
+        reason = f"channel {np.argmax(residual)} has {worst:.3e} ||L||_F outside its Bohr sector"
+        return ZeroSector(labels, worst, reason)
+    j, k = pairs = np.nonzero(labels == 0)
+    decay = np.where(labels == 0, dagger(basis) @ gamma @ basis, 0.0)
+    tensors, gen = _sector_maps(ops, decay, j, k)
+    if (j == k).all():  # the populations
+        tensors, gen, decay = tensors.real, gen.real, decay.real
+    arrays = (tensors, gen, tensors[:, j == k].sum(axis=1), decay)
+    return ZeroSector(labels, worst, "", pairs, *map(_frozen, arrays))
+
+
+def _sector_maps(ops: np.ndarray, decay: np.ndarray, j: np.ndarray, k: np.ndarray) -> tuple:
+    """On the |j_a><k_a|: the X -> L_m X L_m^dag of the channels ``ops``, and
+    sum_m L_m X L_m^dag - (G X + X G) / 2 with G's entries ``decay``."""
+    tensors = ops[:, j[:, None], j] * ops[:, k[:, None], k].conj()
+    anti = decay[j[:, None], j] * (k[:, None] == k) + (j[:, None] == j) * decay[k, k[:, None]]
+    return tensors, tensors.sum(axis=0) - 0.5 * anti
 
 
 def _balance_checks(ops: np.ndarray, has: np.ndarray, values: np.ndarray, partners) -> tuple:

@@ -447,7 +447,7 @@ def run_cic_suite(
         checks.append(
             CheckResult(
                 "kl_matches_entropy_production",
-                gap <= MC_SIGMAS * est.entropy_stderr + noise,
+                bool(gap <= MC_SIGMAS * est.entropy_stderr + noise),  # not a numpy.bool_
                 f"KL estimate {est.entropy_mean:.6g} ± {est.entropy_stderr:.2g} "
                 f"vs exact {sigma_incoherent:.6g} ({est.n_discarded} records discarded)",
                 {"kl": est.entropy_mean, "stderr": est.entropy_stderr},

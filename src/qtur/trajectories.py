@@ -296,7 +296,7 @@ class PathWeights:
         self._states0 = dagger(w) @ start.vectors
         self._states_tau = dagger(w) @ final.vectors
 
-        eps, e = np.linalg.eigh(model.H)
+        eps, e = model.spectrum()[:2]
         self._h_eigs = eps
         self._h_transform = dagger(w) @ e
         u_tau = (e * np.exp(-1j * eps * tau)) @ dagger(e)

@@ -21,7 +21,7 @@ from qtur.models import (
     build_da_model, build_ep_model, default_observable, load_model, model_to_json, save_model,
 )
 from qtur.operators import LindbladModel
-from conftest import ladder_model, record_exponentials, rotate_model
+from conftest import ladder_model, liouville_route, record_exponentials, rotate_model
 
 README_EP = ("--builtin", "ep", "--rates", "0.7,0.3,0.5,0.4,0.6,0.2")
 
@@ -106,23 +106,23 @@ class TestTrajectories:
 
 
 # SHA-256 of `qtur bounds` stdout and of its --out CSV (numpy 2.4, scipy
-# 1.17), captured while reports still stored their slack and verdict: the
-# README command, on which only the survival bound applies; the same model
+# 1.17), re-captured when battery moved to the zero-frequency sector (every
+# verdict unchanged; sides moved by at most 4.7e-15 relative): the README
+# command, on which only the survival bound applies; the same model
 # weighted by its ds, the entropy current, on which all four reports are
-# satisfied; and a d = 8 ladder from |0> at tau = 2, which takes the Taylor
-# action (ACTION_MIN_DIM).
+# satisfied; and a d = 8 ladder from |0> at tau = 2.
 PINNED_BOUNDS = {
     "readme": (
-        "04476280043f378c1fb9836fe8a7991153990212db169c8b8b9eb20a84b24068",
-        "c412a51991ad00ac5af9456c94a09a0660feb01eae3e9becafab0b9dcb8a4657",
+        "0a5a981ebacd1e3c5de625fdf12804679d58223f14b180dec3aa4f6c1aea1d0f",
+        "116f0502588338668c3500adf72daa46a8fd65a2463d87abc37cf94aa6eb2d74",
     ),
     "entropy current": (
-        "1008c66e767741bc910f012bdfa41fb9b4e4b8ffc5dc9d172820ef1ea3652f16",
-        "2d65a31ea66b57924705353a986d3581de8a4bf1123d9ce00a172c53e2788127",
+        "15291c9476ebc2779bd0a8e65708bb7177d9ac684b6758acde33298812574999",
+        "1b11ff5537e84669f28826f9c387512454e8777cf0bd95e7617a855c3a39c175",
     ),
     "ladder": (
-        "624ca1b8aedffdb6cc88b85efae4ed7f2444dc3319d25f3bd27c413962c29c64",
-        "56378818f2981e5b65fef971a94dcad02d262183d853e95ca4fd03080690e4bf",
+        "c77277848683ad1928b87bd0c99fdbb60225c5a55e52f1fc55c986ff2da64f02",
+        "c224bfa9611a18e436b9a4798ce06253cd50a6bc4d20266f35eb79e51804f788",
     ),
 }
 
@@ -297,7 +297,9 @@ class TestBounds:
         argv = ("--model", str(path), "--tau", "1", "--trajectories", "500", "--workers", "1")
         assert run_cli("verify-cic", *argv) == 0
 
-    @pytest.mark.parametrize("flags, built", [((), [True]), (("--incoherent",), [False, True])])
+    # the steady state's coherent generator; battery's zero-frequency sector
+    # assembles no Liouville generator, with or without H
+    @pytest.mark.parametrize("flags, built", [((), [True]), (("--incoherent",), [True])])
     def test_assembles_each_generator_once(self, monkeypatch, flags, built):
         assemble, calls = engine._assemble, []
 
@@ -326,9 +328,11 @@ class TestBounds:
         ],
     )
     def test_takes_one_block_exponential(self, case, dim, tau, blocks, monkeypatch, tmp_path):
-        # at most one (2 d^2 + 1)-square exponential; besides it, below
-        # ACTION_MIN_DIM, only the rows block's dense steps to the half
-        # angle's nodes and tau, with the activity and entropy rows in one
+        # on the Liouville route, which battery takes where the zero-frequency
+        # reduction does not hold: at most one (2 d^2 + 1)-square
+        # exponential; besides it, below ACTION_MIN_DIM, only the rows
+        # block's dense steps to the half angle's nodes and tau, with the
+        # activity and entropy rows in one
         # block (no (d^2 + 1)-square one for Sigma); from it up, one rows
         # step where the moment block takes one
         unit = case == "unit_ladder"
@@ -340,6 +344,7 @@ class TestBounds:
             argv = ("--model", str(path), "--tau", str(tau))
             ones = ",".join(["1"] * (2 * dim - 2))
             argv += ("--rho0", "ground", "--weights", ones) if unit else ("--rho0", "ss")
+        monkeypatch.setattr(counting, "_route", liouville_route)
         shapes = record_exponentials(monkeypatch)
         horizons, moments = [], bounds.counting_moments
 
@@ -359,8 +364,9 @@ class TestBounds:
 
     @pytest.mark.parametrize("unit", [True, False], ids=["unit_ladder", "stationary_ladder"])
     def test_takes_each_action_once(self, unit, monkeypatch, tmp_path):
-        # from ACTION_MIN_DIM up, over a horizon the action pays for, one
-        # call takes three Taylor actions: the moment block over [0, tau/2]
+        # on the Liouville route, from ACTION_MIN_DIM up, over a horizon the
+        # action pays for, one call takes three Taylor actions: the moment
+        # block over [0, tau/2]
         # (once, though counting_moments and _half_windows both read it),
         # the pair (rho(tau/2), 0, 0) and exp(h B) y0 over [tau/2, tau], and
         # one rows pass to tau with the half angle's nodes as dense output
@@ -372,6 +378,7 @@ class TestBounds:
         argv += ("--rho0", "ground", "--weights", ones) if unit else ("--rho0", "ss")
         calls, action = [], counting._taylor_action
         monkeypatch.setattr(counting, "_taylor_action", lambda *a: calls.append(a) or action(*a))
+        monkeypatch.setattr(counting, "_route", liouville_route)
         shapes = record_exponentials(monkeypatch)
         code, reports = bounds_reports(*argv)
         assert code == 0 and len(reports) >= 3 and not shapes
@@ -381,6 +388,44 @@ class TestBounds:
         nodes = 3 * bounds.HALF_ANGLE_NODES + 1
         assert taken == [(tau / 2, (block, 1), None), (tau / 2, (block, 2), None),
                          (tau, (rows, 1), nodes)]
+
+    @pytest.mark.parametrize(
+        "case, dim, tau, n0",
+        [
+            pytest.param("readme", 3, 1, 5, id="readme"),  # |e1>, |e2> degenerate
+            pytest.param("unit_ladder", 8, 2, 8, id="unit_ladder"),
+            pytest.param("ladder", 24, 2, 24, id="ladder"),
+            pytest.param("ladder", 8, 100, 8, id="ladder_long"),
+        ],
+    )
+    def test_reduced_route_takes_one_sector_block(self, case, dim, tau, n0, monkeypatch,
+                                                  tmp_path):
+        # on the zero-frequency sector: one (2 n0 + 1)-square moment block
+        # exponential, the rows block's dense steps to the half angle's nodes
+        # and tau, no Taylor action, and no d^2-square array on the model
+        unit = case == "unit_ladder"
+        if case == "readme":
+            argv = (*README_EP, "--tau", str(tau))
+        else:
+            path = tmp_path / "ladder.json"
+            model = ladder_model(dim, np.random.default_rng(3), entropy=not unit)
+            save_model(model, path)
+            argv = ("--model", str(path), "--tau", str(tau))
+            ones = ",".join(["1"] * (2 * dim - 2))
+            argv += ("--rho0", "ground", *(("--weights", ones) if unit else ()))
+        monkeypatch.setattr(counting, "_taylor_action", lambda *a: pytest.fail("action taken"))
+        shapes = record_exponentials(monkeypatch)
+        built, load = [], cli.models_mod.load_model
+        monkeypatch.setattr(cli.models_mod, "load_model",
+                            lambda p: built.append(load(p)) or built[-1])
+        code, reports = bounds_reports(*argv)
+        assert code == 0 and len(reports) >= 3
+        block, rows = 2 * n0 + 1, n0 + (1 if unit else 2)
+        assert shapes.count((block, block)) == 1
+        assert set(shapes) - {(block, block)} == {(rows, rows)}
+        assert len(shapes) == 1 + 3 * bounds.HALF_ANGLE_NODES + 1
+        for model in built:
+            assert not model._generators and not model._block
 
     @pytest.mark.parametrize("case", sorted(PINNED_BOUNDS))
     def test_pinned_bytes(self, case, tmp_path):

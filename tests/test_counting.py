@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
+import qtur.bounds as bounds
 import qtur.counting as counting
 from qtur.bounds import half_angle_integral
 from qtur.counting import (
@@ -33,11 +34,12 @@ from qtur.engine import (
     vec,
 )
 from qtur.models import build_da_models, build_ep_model, build_ep_models
-from qtur.operators import ModelValidationError, von_neumann_trace_term
+from qtur.operators import SECTOR_TOL, LindbladModel, ModelValidationError, von_neumann_trace_term
 from conftest import (
     da_activity_split_closed_form,
     ground_state,
     ladder_model,
+    liouville_route,
     random_da_model,
     random_detailed_balance_model,
     random_eigenoperator_model,
@@ -731,3 +733,105 @@ class TestBlockAction:
         y[0] = 0.5  # a caller's later write does not reach the kept copy
         assert counting._act(model, weights, 0.5, True, y).tobytes() != first.tobytes()
         assert len(calls) == 5
+
+
+def evenly_spaced_model(dim: int, rng: np.random.Generator) -> LindbladModel:
+    """A damped, pumped and dephased oscillator truncated to ``dim`` levels:
+    H = diag(0, 1, ..., d - 1), so the Bohr sector of frequency k holds
+    d - |k| of the |j><l|, which the ladder operators couple."""
+    lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    down, up, dephase = rng.uniform(0.2, 1.0, 3)
+    ops = [np.sqrt(down) * lower, np.sqrt(up) * lower.T, np.sqrt(dephase) * lower.T @ lower]
+    return LindbladModel.build(np.diag(np.arange(dim, dtype=float)), ops)
+
+
+def route_model(kind: str, rng: np.random.Generator) -> LindbladModel:
+    if kind == "ladder":
+        return ladder_model(int(rng.integers(8, 17)), rng)
+    if kind == "rotated":
+        return random_eigenoperator_model(int(rng.integers(2, 7)), rng)
+    if kind == "evenly_spaced":
+        return evenly_spaced_model(int(rng.integers(2, 7)), rng)
+    return rotate_model(random_ep_model(rng), rng)  # |e1>, |e2> degenerate: n0 = 5
+
+
+def assert_close(got, want, scale=0.0, rel=1e-12):
+    """|got - want| <= rel max(|got|, |want|, scale) elementwise, or both NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    size = np.maximum(np.maximum(np.abs(got), np.abs(want)), scale)
+    ok = (np.abs(got - want) <= rel * size) | (np.isnan(got) & np.isnan(want))
+    assert ok.all(), np.max(np.abs(got - want) / size)
+
+
+class TestZeroSector:
+    @settings(max_examples=24)
+    @given(seed=SEEDS, kind=st.sampled_from(["ladder", "rotated", "evenly_spaced", "degenerate"]),
+           tau=st.floats(0.1, 4.0), coherent=st.booleans())
+    def test_reduced_route_matches_the_liouville_route(self, seed, kind, tau, coherent):
+        # the same statistics from the zero-frequency sector as from the
+        # d^2-square generator, from a random pure state with weight in
+        # every Bohr sector
+        rng = np.random.default_rng(seed)
+        model = route_model(kind, rng)
+        rho0 = random_pure_state(model.dim, rng)
+        zero = model.zero_sector()
+        levels = len(np.unique(np.round(model.spectrum()[0], 9)))
+        # near-degenerate levels (a gap of 2e-5 at seed 745) raise the residual
+        # past SECTOR_TOL, and both sides are the Liouville route
+        assert (zero.reason == "") == (zero.residual <= SECTOR_TOL)
+        if not zero.reason:
+            assert len(zero.pairs[0]) == (5 if kind == "degenerate" else model.dim)
+            assert (zero.generator.dtype == float) == (levels == model.dim)
+        obs = CountingObservable(rng.uniform(-1.0, 1.0, model.n_channels))
+        times = np.sort(rng.uniform(0.0, tau, 5))
+        reduced = activity_at(model, rho0, times, coherent, reduced=True)
+        full = activity_at(model, rho0, times, coherent)
+        assert (reduced[2] is None) == (zero.reason == "")
+        for got, want in zip(reduced[:2], full[:2]):
+            if want is not None:
+                assert_close(got, want)
+        scale = np.abs(obs.weights).max() * full[0][-1]
+        halves = _half_windows(model, rho0, obs, tau, coherent, reduced=True)
+        for got, want in zip(halves, _half_windows(model, rho0, obs, tau, coherent)):
+            if isinstance(want, np.ndarray):  # rho(tau)
+                assert_close(got, want, scale=1.0)
+            else:
+                assert_close(got.mean, want.mean, scale)
+                assert_close(got.variance, want.variance)
+        window = obs.with_window((tau / 3, tau))
+        assert_close(counting_moments(model, rho0, window, tau, coherent, reduced=True).mean,
+                     counting_moments(model, rho0, window, tau, coherent).mean, scale)
+
+    @pytest.mark.parametrize("kind", ["ladder", "degenerate"])
+    def test_battery_reports_match_the_liouville_route(self, kind, monkeypatch):
+        # every side and input of every report, the survival's included
+        rng = np.random.default_rng(17)
+        model = route_model(kind, rng)
+        rho0 = random_pure_state(model.dim, rng)
+        obs = CountingObservable(rng.uniform(0.5, 1.0, model.n_channels))
+        reduced = bounds.battery(model, rho0, obs, 1.5)
+        monkeypatch.setattr(counting, "_route", liouville_route)
+        for got, want in zip(reduced, bounds.battery(model, rho0, obs, 1.5)):
+            assert got.satisfied == want.satisfied
+            assert_close([got.lhs, got.rhs], [want.lhs, want.rhs])
+            assert_close([s.value for s in got.inputs.values()],
+                         [s.value for s in want.inputs.values()])
+
+    def test_crossing_channel_takes_the_liouville_route(self):
+        # L = |0><1| + |1><2| moves energy by 1 and by 2: X -> L X L^dag
+        # mixes Bohr sectors, and the raw constructor does not check it
+        L = np.zeros((3, 3), dtype=complex)
+        L[0, 1], L[1, 2] = 1.0, 0.5
+        model = LindbladModel(np.diag([0.0, 1.0, 3.0]), L[None], (1.0,), (None,), (None,))
+        zero = model.zero_sector()
+        assert zero.residual == pytest.approx(0.5 / np.sqrt(1.25))
+        assert "channel 0" in zero.reason and "outside its Bohr sector" in zero.reason
+        assert zero.generator is None and counting._route(model, True, np.eye(3))[0] is None
+        rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        obs = CountingObservable((1.0,))
+        reports = bounds.battery(model, rho0, obs, 2.0)
+        assert model._generators and model._block
+        want = counting_moments(model, rho0, obs, 2.0)
+        assert counting_moments(model, rho0, obs, 2.0, reduced=True) == want
+        total = _half_windows(model, rho0, obs, 2.0, True)[2]
+        assert reports[0].inputs["variance"].value == total.variance

@@ -373,6 +373,15 @@ class TestCicSuite:
         assert not passed.pop("backward_statistics_match")
         assert all(passed.values()) and len(passed) == 3
 
+    @pytest.mark.parametrize("sigmas", [0.0, 4.0], ids=["failing", "passing"])
+    def test_every_verdict_is_a_python_bool(self, ep_generic, sigmas, monkeypatch):
+        # the KL comparison reads numpy floats, which compare to numpy.bool_
+        monkeypatch.setattr(sweeps, "MC_SIGMAS", sigmas)
+        rho = steady_state(build_generator(ep_generic, coherent=True))
+        report = run_cic_suite(ep_generic, rho, 1.0, budget=500, seed=6, workers=1)
+        assert [type(c.passed) for c in report.checks] == [bool] * 5
+        assert report.all_passed == (sigmas > 0)
+
     @pytest.mark.parametrize("start", ["stationary", "ground"])
     def test_backward_mean_is_not_judged_where_it_is_rounding_noise(
         self, ep_equilibrium, start, monkeypatch
