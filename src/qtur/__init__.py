@@ -13,7 +13,6 @@ from .bounds import (
     half_angle_integral,
     inverse_x_tanh_x,
     kur_differential,
-    moment_ratio_bounds,
     survival_bound_check,
     tur_activity_integral,
 )

@@ -27,8 +27,6 @@ Bound inventory:
   in u = sqrt(t) on exact A, two orders agreeing to ``HALF_ANGLE_TOL``),
 * rate-form bound: Var / (tau d_tau E)^2 against 1 / A(tau) (which the
   Poisson fixture saturates),
-* moment-ratio bounds for arbitrary orders 0 < r < s (sin form with the
-  angle precondition, exponential form valid for every horizon),
 * entropy-production bound csch^2(h(Sigma/2)) and its weaker companion
   2/(e^Sigma - 1), plus the inverted form that lower-bounds Sigma from
   current statistics alone,
@@ -342,68 +340,6 @@ def kur_differential(
     return BoundReport.judge(name, lhs, rhs, inputs, partials={"variance": 1 / (tau * dmean) ** 2})
 
 
-def moment_ratio_bounds(
-    abs_moment_r: InputStat,
-    abs_moment_s: InputStat,
-    r: float,
-    s: float,
-    tau: float,
-    angle: float | None = None,
-    initial_rate: float | None = None,
-) -> tuple[BoundReport, BoundReport]:
-    """Moment-ratio bounds for orders 0 < r < s.
-
-    Returns the (sin form, exponential form) pair; the sin form needs the
-    half ``angle`` over [0, tau] (:func:`half_angle_integral`) and its
-    precondition, the exponential form only the initial jump rate and
-    holds for every tau > 0. Counting
-    observables vanish on the empty trajectory by construction, which is
-    the assumption both bounds inherit.
-    """
-    if not 0 < r < s:
-        raise ValueError("orders must satisfy 0 < r < s")
-    if abs_moment_r.value <= 0 or abs_moment_s.value <= 0:
-        raise ValueError("absolute moments must be positive")
-    er, es = r / (s - r), s / (s - r)
-    lhs = abs_moment_s.value**er / abs_moment_r.value**es
-    partials = {
-        "abs_moment_s": er * lhs / abs_moment_s.value,
-        "abs_moment_r": -es * lhs / abs_moment_r.value,
-    }
-    inputs = {"abs_moment_r": abs_moment_r, "abs_moment_s": abs_moment_s}
-
-    if angle is None:
-        sin_report = None
-    else:
-        pre = 0.0 < angle <= math.pi / 2 + 1e-12
-        rhs_sin = math.sin(angle) ** (-2) if pre else 0.0
-        sin_report = BoundReport.judge(
-            "moment_ratio_sin_bound",
-            lhs,
-            rhs_sin,
-            dict(inputs, half_angle=InputStat(angle)),
-            extra={"r": r, "s": s},
-            partials=partials,
-            precondition_ok=pre,
-        )
-
-    if initial_rate is None:
-        exp_report = None
-    else:
-        if tau <= 0:
-            raise ValueError("the exponential form needs tau > 0")
-        rhs_exp = 1.0 / (1.0 - math.exp(-initial_rate * tau))
-        exp_report = BoundReport.judge(
-            "moment_ratio_exp_bound",
-            lhs,
-            rhs_exp,
-            dict(inputs, initial_rate=InputStat(initial_rate)),
-            extra={"r": r, "s": s},
-            partials=partials,
-        )
-    return sin_report, exp_report
-
-
 def gamma_factor(var_first_half: float, var_second_half: float, var_total: float) -> float:
     """Windowed-variance factor 4 max(half variances) / total variance."""
     if var_total <= 0:
@@ -501,10 +437,10 @@ def battery(
     activity window [tau/2, tau], survival and, on a model with ds,
     entropy production, all from exact statistics.
 
-    The counting statistics take ``qtur.counting``'s reduced route. The moments
-    over tau/2 come first; the other windows and rho(tau) reuse its block memo.
-    One ``activity_at`` pass over the half angle's nodes and tau gives that
-    angle, A(tau) and the flow in Sigma(tau)."""
+    The counting statistics take ``qtur.counting``'s reduced route: the
+    moments over tau/2, then the three windows and rho(tau) from one step
+    length, and one ``activity_at`` pass over the half angle's nodes and tau
+    for that angle, A(tau) and the flow in Sigma(tau)."""
     half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent, reduced=True)
     _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent, reduced=True)
     angle, activity, flow = _horizon(model, rho0, tau / 2.0, tau, coherent)

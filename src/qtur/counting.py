@@ -33,10 +33,9 @@ its moment block is (2 d^2 + 1) square, exponentiated densely once per step
 length below ``ACTION_MIN_DIM``. From it up, where that pays
 (:func:`_action_pays`), exp(h B) acts on vectors by the truncated Taylor
 series of Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm
-3.2), B applied part by part, and :func:`activity_at` reads its times from
-one such pass (dense output, ibid. section 5). Degree and step count come
-from the exact 1-norm, so results repeat bit for bit; scipy's
-``expm_multiply`` estimates it from numpy's global random state.
+3.2), B applied part by part. Degree and step count come from the exact
+1-norm, so results repeat bit for bit; scipy's ``expm_multiply`` estimates
+it from numpy's global random state.
 
 The reduced route (``reduced=True``, taken by ``qtur.bounds.battery``)
 uses the paper's correspondence as the method: L and J_c map every Bohr
@@ -46,8 +45,9 @@ block is (2 n0 + 1) square, n0 = d on a non-degenerate H (a real d-state
 chain), exponentiated densely; rho(tau) takes one exponential per other
 sector that rho0 weighs (:func:`_route_state`). Where the residual, a
 rotated L_m's weight outside its sector, exceeds ``SECTOR_TOL`` ||L_m||_F,
-the Liouville route is taken and the sector's ``reason`` says why. ``verify-cic``, ``moments``, sweeps and samplers keep the Liouville
-route: on sector 0 the generators with and without H are one matrix.
+the Liouville route is taken and the sector's ``reason`` says why.
+``verify-cic``, ``moments``, sweeps and samplers keep the Liouville route:
+on sector 0 the generators with and without H are one matrix.
 """
 
 from __future__ import annotations
@@ -163,8 +163,7 @@ class _BlockPieces:
     on (rho, rho1) (the moment block); ``rows`` is R on S's state. ``mu``
     = tr L / d^2 is the Taylor action's shift and ``norm`` the exact
     ||B - mu I||_1. ``steps`` keeps the last dense exponential, keyed by
-    its step length, and ``acted`` the last Taylor action, keyed by its
-    step length, beside a copy of the vectors it acted on."""
+    its step length."""
 
     gen: np.ndarray
     jump: np.ndarray | None
@@ -172,7 +171,6 @@ class _BlockPieces:
     mu: complex
     norm: float
     steps: dict
-    acted: dict
 
     def shifted(self, term: np.ndarray) -> np.ndarray:
         """(B - mu I) term, as d^2-square products on each part of S's state."""
@@ -193,17 +191,6 @@ class _BlockPieces:
             self.steps.clear()
             self.steps[h] = _frozen(expm(_layout(self.gen[None], jump, self.rows[None])[0] * h))
         return self.steps[h]
-
-    def act(self, h: float, y: np.ndarray) -> np.ndarray:
-        """exp(h B) y by the Taylor action, read-only. The last one is kept:
-        asked for again with the same h and equal vectors, it is not retaken."""
-        last = self.acted.get(h)
-        if last is None or not np.array_equal(last[0], y):
-            out = _taylor_action(self.shifted, self.mu, self.norm, h, y.reshape(len(y), -1))
-            out = _frozen(out.reshape(y.shape))
-            self.acted.clear()
-            self.acted[h] = last = (y.copy(), out)
-        return last[1]
 
 
 def _pieces(models, weights, coherent: bool, zero=None) -> tuple:
@@ -266,7 +253,7 @@ def _block(model: LindbladModel, weights, coherent: bool, zero=None) -> _BlockPi
             columns = [lead + np.abs(jump).sum(axis=0) + first, lead + second]
         norm = float(max(max(col.max() for col in columns), abs(mu)))
         slot.clear()
-        slot[key] = _BlockPieces(gen, jump, rows, mu, norm, {}, {})
+        slot[key] = _BlockPieces(gen, jump, rows, mu, norm, {})
     return slot[key]
 
 
@@ -310,12 +297,12 @@ def _action_pays(dim: int, x: float) -> bool:
 
 
 def _taylor_degree(x: float) -> tuple[int, int]:
-    """Taylor degree m and step count s with x / s <= theta_m and the
+    """Taylor degree m and step count s >= 1 with x / s <= theta_m and the
     fewest products m s, for x = h ||B - mu I||_1."""
     if x == 0.0:
         return 0, 1
     return min(
-        ((m, int(np.ceil(x / theta))) for m, theta in _THETA.items()),
+        ((m, max(1, int(np.ceil(x / theta)))) for m, theta in _THETA.items()),
         key=lambda ms: ms[0] * ms[1],
     )
 
@@ -325,43 +312,27 @@ def _inf_norm(b: np.ndarray) -> float:
     return float(b.max() if b.shape[-1] == 1 else b.sum(axis=-1).max())
 
 
-def _taylor_action(shifted, mu, norm: float, h: float, y: np.ndarray, at=None) -> np.ndarray:
+def _taylor_action(shifted, mu, norm: float, h: float, y: np.ndarray) -> np.ndarray:
     """exp(h B) y by Al-Mohy and Higham's Algorithm 3.2 on the shifted
     block B - mu I: ``shifted(x)`` returns (B - mu I) x and ``norm`` is
     ||B - mu I||_1. s steps of at most m Taylor terms, a step ending early
     once two successive terms fall below unit roundoff of the sum, in the
-    infinity norm of the (rows, k) matrix ``y``.
-
-    With ``at``, sorted times in [0, h], the same pass returns the stack of
-    exp(t B) y at each of them instead (dense output, ibid. section 5): a
-    time at fraction theta of a step of length delta reads that step's
-    terms T_j as exp(theta delta mu) sum_j theta^j T_j, by Horner's rule.
-    The step's early-termination test at theta = 1 bounds every theta < 1."""
+    infinity norm of the (rows, k) matrix ``y``."""
     m, s = _taylor_degree(h * norm)
     eta = np.exp(h * mu / s)
-    out, dense, done = y, [], 0
-    for k in range(s):
+    out = y
+    for _ in range(s):
         term = out
-        terms = [term]
         c1 = _inf_norm(term)
         for j in range(1, m + 1):
             term = shifted(term) * (h / (s * j))
             c2 = _inf_norm(term)
             out = out + term
-            if at is not None:  # kept for the dense output only
-                terms.append(term)
             if c1 + c2 <= _UNIT_ROUNDOFF * _inf_norm(out):
                 break
             c1 = c2
         out = eta * out
-        if at is not None:  # Horner's rule at once for every time in this step
-            end = len(at) if k == s - 1 else np.searchsorted(at, (k + 1) * h / s, "right")
-            theta = (at[done:end] * s / h - k if h else at[done:end])[:, None, None]
-            value, done = terms[-1], end
-            for tj in terms[-2::-1]:
-                value = value * theta + tj
-            dense.append(np.exp(theta * h * mu / s) * value)
-    return out if at is None else np.concatenate(dense)
+    return out
 
 
 def _act(model, weights, h: float, coherent: bool, y: np.ndarray, zero=None) -> np.ndarray:
@@ -370,11 +341,12 @@ def _act(model, weights, h: float, coherent: bool, y: np.ndarray, zero=None) -> 
 
     Where :func:`_action_pays`, from ``ACTION_MIN_DIM`` up and never on a
     sector, this is the Taylor action and no block matrix is formed;
-    otherwise it is the dense step times y. Either is memoised on the
-    block, the action with the vectors it was taken on."""
+    otherwise it is the dense step, memoised on the block by its length,
+    times y."""
     block = _block(model, weights, coherent, zero)
     if zero is None and _action_pays(model.dim, h * block.norm):
-        return block.act(h, y)
+        out = _taylor_action(block.shifted, block.mu, block.norm, h, y.reshape(len(y), -1))
+        return out.reshape(y.shape)
     return block.step(h) @ y
 
 
@@ -426,10 +398,8 @@ def stacked_moments(models, rhos, weights, taus) -> list:
 
 def _half_windows(model, rho0, obs, tau: float, coherent: bool, reduced=False) -> tuple:
     """Moments over [0, tau/2], [tau/2, tau] and [0, tau], and rho(tau), from
-    exp(h B), h = tau/2, applied by :func:`_act` to y0 = (rho0, 0, 0), to
-    (rho(tau/2), 0, 0) and to exp(h B) y0. After ``counting_moments`` over
-    tau/2 on the same route the block memo holds the dense step or the action
-    on y0, so at most one action, on the pair, follows. ``obs.window`` is ignored."""
+    exp(h B), h = tau/2, applied by :func:`_act` to y0 = (rho0, 0, 0), then
+    to the pair (rho(tau/2), 0, 0) and exp(h B) y0. ``obs.window`` is ignored."""
     _check(model, obs.weights, tau)
     zero, x, trace = _route(model, reduced, rho0)
     n = len(trace)
@@ -472,13 +442,11 @@ def channel_rates(model: LindbladModel, rho_t: np.ndarray) -> np.ndarray:
 def activity_at(model, rho0: np.ndarray, times, coherent: bool = True, reduced=False) -> tuple:
     """A(t) and the entropy flow Phi(t) as float arrays (Phi None unless
     every channel has ds), and the Hermitian parts of rho(t) as a (k, d, d)
-    array, exact to rounding at each of ``times`` (nonnegative, any order).
-    One pass takes the rows block [[L, 0], [R, 0]] through the sorted
-    times. From ``ACTION_MIN_DIM`` up, where the action pays over the whole
-    span, that is one Taylor action to the last time, every time read from
-    its dense output; otherwise one :func:`_act` step per gap. The states
-    are not validated; :func:`sigma_from` and the samplers check what they
-    read. ``reduced`` is as in counting_moments; its route gives no states."""
+    array, exact to rounding at each of ``times`` (nonnegative, any order):
+    the rows block [[L, 0], [R, 0]] taken through the sorted times, one
+    :func:`_act` step per gap. The states are not validated;
+    :func:`sigma_from` and the samplers check what they read. ``reduced`` is
+    as in counting_moments; its route gives no states."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("times must be finite and nonnegative")
@@ -486,18 +454,12 @@ def activity_at(model, rho0: np.ndarray, times, coherent: bool = True, reduced=F
     n, rows = len(x), 1 + model.has_entropy_weights
     y = np.concatenate([x, np.zeros(rows)])[:, None]
     out = np.empty((times.size, n + rows), dtype=complex)
-    order, span = np.argsort(times, kind="stable"), times.max(initial=0.0)
-    block = _block(model, None, coherent, zero)
-    if zero is None and _action_pays(model.dim, span * block.norm):
-        at = times[order]
-        out[order] = _taylor_action(block.shifted, block.mu, block.norm, span, y, at)[..., 0]
-    else:
-        now = 0.0
-        for k in order:
-            if times[k] > now:
-                h, now = times[k] - now, times[k]
-                y = _act(model, None, h, coherent, y, zero)
-            out[k] = y[:, 0]
+    now = 0.0
+    for k in np.argsort(times, kind="stable"):
+        if times[k] > now:
+            h, now = times[k] - now, times[k]
+            y = _act(model, None, h, coherent, y, zero)
+        out[k] = y[:, 0]
     integrals, states = out[:, n:].real, unvec(out[:, :n]) if zero is None else None
     if states is not None:
         states = (states + states.conj().swapaxes(1, 2)) / 2.0

@@ -215,7 +215,8 @@ class LindbladModel:
     # coherent flag -> generator array, filled by qtur.engine.build_generator
     _generators: dict = field(default_factory=dict, init=False, repr=False)
     # (coherent, weights) -> the augmented block of qtur.counting._block:
-    # its d^2-square pieces, 1-norm and last dense step; one entry at most
+    # its d^2-square pieces, 1-norm and last dense step, keyed by its
+    # length; one entry at most
     _block: dict = field(default_factory=dict, init=False, repr=False)
     # "eigh" -> H's eigensystem (:meth:`spectrum`), "zero" -> its ZeroSector
     _spectrum: dict = field(default_factory=dict, init=False, repr=False)

@@ -20,7 +20,6 @@ from qtur.bounds import (
     half_angle_integral,
     inverse_x_tanh_x,
     kur_differential,
-    moment_ratio_bounds,
     observable_scale,
     survival_bound_check,
     tur_activity_integral,
@@ -57,11 +56,6 @@ def mc_moments(mean, var, se_mean, se_var) -> EnsembleEstimate:
     )
 
 
-def _ratio_reports(x, err):
-    r_moment, s_moment = (InputStat(v, e) for v, e in zip(x, err))
-    return moment_ratio_bounds(r_moment, s_moment, 0.5, 1.5, 1.0, angle=0.7, initial_rate=1.1)
-
-
 def _ep_report(x, err):
     return ep_tur(mc_moments(*x, *err), 1.3, 2.0, scale=0.0, **CURRENT)
 
@@ -89,20 +83,6 @@ MC_CASES = {
             build_poisson_model(0.7), np.eye(1, dtype=complex), CountingObservable((1.0,)),
             2.0, 1.4, mc_moments(1.4, x[0], 0.03, err[0]),
         ),
-    ),
-    "ratio_sin": (
-        ("abs_moment_r", "abs_moment_s"),
-        [1.3, 2.9],
-        [0.05, 0.2],
-        lambda m_r, m_s: m_s**0.5 / m_r**1.5,
-        lambda x, err: _ratio_reports(x, err)[0],
-    ),
-    "ratio_exp": (
-        ("abs_moment_r", "abs_moment_s"),
-        [1.3, 2.9],
-        [0.05, 0.2],
-        lambda m_r, m_s: m_s**0.5 / m_r**1.5,
-        lambda x, err: _ratio_reports(x, err)[1],
     ),
     "ep": (
         ("mean_current", "variance_current"),
@@ -269,75 +249,6 @@ class TestRateFormBound:
         assert rep.tol > 1e-9
         assert rep.inputs["variance"].source == "monte_carlo"
         assert rep.satisfied
-
-
-class TestMomentRatioBounds:
-    def test_poisson_analytic_exponential_form(self):
-        rate = 0.7
-        for tau in (0.3, 1.0, 4.0):
-            mean = rate * tau
-            _, rep = moment_ratio_bounds(
-                InputStat(mean),
-                InputStat(mean + mean**2),
-                1.0,
-                2.0,
-                tau,
-                initial_rate=rate,
-            )
-            assert rep.lhs == pytest.approx(1.0 + 1.0 / mean, rel=1e-12)
-            assert rep.rhs == pytest.approx(1.0 / (1.0 - math.exp(-mean)), rel=1e-12)
-            assert rep.satisfied
-
-    def test_poisson_inequality_on_grid(self):
-        # 1 + 1/x >= 1/(1 - e^-x) for all x > 0
-        for x in np.logspace(-3, 2, 40):
-            assert 1.0 + 1.0 / x >= 1.0 / (1.0 - math.exp(-x)) - 1e-12
-
-    def test_large_horizon_trivial(self):
-        _, rep = moment_ratio_bounds(
-            InputStat(5.0),
-            InputStat(40.0),
-            1.0,
-            2.0,
-            200.0,
-            initial_rate=1.0,
-        )
-        assert rep.rhs == pytest.approx(1.0, rel=1e-10)
-        assert rep.satisfied
-
-    def test_monte_carlo_three_level(self, da_generic):
-        from qtur.counting import mean_rate
-
-        rho = steady_state(build_generator(da_generic, coherent=True))
-        tau, n = 1.0, 4000
-        obs = CountingObservable.total_count(4)
-        records = TrajectorySampler(da_generic, rho, tau).ensemble(n, SeedPolicy(77), workers=1)
-        values = estimate(records, obs).values
-        r_moment, s_moment = (  # E|N| and E|N|^2
-            InputStat(p.mean(), p.std(ddof=1) / np.sqrt(n))
-            for p in (np.abs(values), values**2)
-        )
-        angle = half_angle_integral(da_generic, rho, 0.0, tau)
-        a0 = mean_rate(da_generic, rho, obs)
-        sin_rep, exp_rep = moment_ratio_bounds(
-            r_moment,
-            s_moment,
-            1.0,
-            2.0,
-            tau,
-            angle=angle,
-            initial_rate=a0,
-        )
-        for rep in (sin_rep, exp_rep):
-            if rep.precondition_ok:
-                assert rep.satisfied
-            assert rep.tol >= 1e-9  # MC tolerance in place
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            moment_ratio_bounds(
-                InputStat(1.0), InputStat(1.0), 2.0, 1.0, 1.0, initial_rate=1.0
-            )
 
 
 class TestDegenerateMeans:

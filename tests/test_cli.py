@@ -362,33 +362,6 @@ class TestBounds:
         assert len(steps) == (blocks if dim >= ACTION_MIN_DIM else 3 * bounds.HALF_ANGLE_NODES + 1)
         assert horizons == [tau / 2]
 
-    @pytest.mark.parametrize("unit", [True, False], ids=["unit_ladder", "stationary_ladder"])
-    def test_takes_each_action_once(self, unit, monkeypatch, tmp_path):
-        # on the Liouville route, from ACTION_MIN_DIM up, over a horizon the
-        # action pays for, one call takes three Taylor actions: the moment
-        # block over [0, tau/2]
-        # (once, though counting_moments and _half_windows both read it),
-        # the pair (rho(tau/2), 0, 0) and exp(h B) y0 over [tau/2, tau], and
-        # one rows pass to tau with the half angle's nodes as dense output
-        dim, tau = 8, 2.0
-        path = tmp_path / "ladder.json"
-        save_model(ladder_model(dim, np.random.default_rng(3), entropy=not unit), path)
-        argv = ("--model", str(path), "--tau", str(tau))
-        ones = ",".join(["1"] * (2 * dim - 2))
-        argv += ("--rho0", "ground", "--weights", ones) if unit else ("--rho0", "ss")
-        calls, action = [], counting._taylor_action
-        monkeypatch.setattr(counting, "_taylor_action", lambda *a: calls.append(a) or action(*a))
-        monkeypatch.setattr(counting, "_route", liouville_route)
-        shapes = record_exponentials(monkeypatch)
-        code, reports = bounds_reports(*argv)
-        assert code == 0 and len(reports) >= 3 and not shapes
-        block, rows = 2 * dim * dim + 1, dim * dim + (1 if unit else 2)
-        # (h, vector shape, dense-output times) of each action, in order
-        taken = [(a[3], a[4].shape, None if len(a) < 6 else len(a[5])) for a in calls]
-        nodes = 3 * bounds.HALF_ANGLE_NODES + 1
-        assert taken == [(tau / 2, (block, 1), None), (tau / 2, (block, 2), None),
-                         (tau, (rows, 1), nodes)]
-
     @pytest.mark.parametrize(
         "case, dim, tau, n0",
         [

@@ -614,24 +614,23 @@ class TestBlockAction:
     )
     # a flow of 5.2e-4 off by 7e-17 to 8e-17: over 1e-13 of itself, 2e-16 of its terms
     @example(seed=200624072, dim=7, coherent=False, scale=4.690575417283462, fractions=[0.0])
-    def test_one_pass_matches_dense_exponential_at_every_time(
+    # a subnormal gap: x / theta_m rounds to 0 steps, and one must be taken
+    @example(seed=1, dim=6, coherent=False, scale=2.0, fractions=[5e-324])
+    def test_per_gap_actions_match_dense_exponential_at_every_time(
         self, seed, dim, coherent, scale, fractions
     ):
-        # from ACTION_MIN_DIM up activity_at reaches every time in one
-        # Taylor pass, each read from the terms of its sub-step; the times
-        # hold 0, a repeated time and a sub-step boundary, in any order
+        # from ACTION_MIN_DIM up activity_at takes one Taylor action per gap
+        # between the sorted times; the times hold 0 and a repeated time, in
+        # any order
         rng = np.random.default_rng(seed)
         model = random_detailed_balance_model(dim, rng)
         rho0 = random_pure_state(dim, rng)
-        norm = counting._block(model, None, coherent).norm
-        span = scale / norm
-        _, steps = counting._taylor_degree(span * norm)
-        boundary = int(rng.integers(1, steps + 1)) * span / steps
-        times = [0.0, span, boundary, fractions[0] * span] + [f * span for f in fractions]
+        span = scale / counting._block(model, None, coherent).norm
+        times = [0.0, span, fractions[0] * span] + [f * span for f in fractions]
         times = rng.permutation(times)
         with mock.patch.object(counting, "_taylor_action", wraps=counting._taylor_action) as act:
             activity, flow, states = activity_at(model, rho0, times, coherent)
-        assert act.call_count == 1
+        assert act.call_count == len(set(times) - {0.0})
         n = dim * dim
         block = reference_rows_block(model, coherent)
         y = np.concatenate([vec(rho0), [0.0, 0.0]])
@@ -712,27 +711,6 @@ class TestBlockAction:
         after = np.random.get_state()
         assert after[0] == state[0] and np.array_equal(after[1], state[1])
         assert after[2:] == state[2:]
-
-    def test_last_action_is_kept_for_its_own_vectors_only(self, monkeypatch):
-        # the block keeps its last action: asked for again it is not
-        # retaken; another vector of the same shape, or another step, is
-        dim = 8
-        model = ladder_model(dim, np.random.default_rng(8))
-        weights = model.entropy_weights()
-        y = np.zeros(2 * dim**2 + 1, dtype=complex)
-        y[0] = 1.0
-        other = y.copy()
-        other[dim + 1] = 1.0
-        calls, action = [], counting._taylor_action
-        monkeypatch.setattr(counting, "_taylor_action", lambda *a: calls.append(a) or action(*a))
-        first = counting._act(model, weights, 0.5, True, y)
-        assert counting._act(model, weights, 0.5, True, y.copy()) is first and len(calls) == 1
-        for h, v in ((0.5, other), (0.25, other), (0.5, y)):
-            counting._act(model, weights, h, True, v)
-        assert len(calls) == 4
-        y[0] = 0.5  # a caller's later write does not reach the kept copy
-        assert counting._act(model, weights, 0.5, True, y).tobytes() != first.tobytes()
-        assert len(calls) == 5
 
 
 def evenly_spaced_model(dim: int, rng: np.random.Generator) -> LindbladModel:

@@ -15,7 +15,6 @@ SRC = Path(qtur.__file__).parent
 # entry points without a src caller yet, each with the reason it stays
 EXEMPT = {
     "half_angle_integral": "the windowed bound's half angle, a library entry point of its own",
-    "moment_ratio_bounds": "gets its caller when battery evaluates the moment-ratio bounds",
     "save_model": "the writing half of the model JSON schema that load_model reads",
     "PathWeights.densities_batch": "gets its caller when verify-cic checks each record's reversal",
 }
