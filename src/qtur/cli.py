@@ -35,7 +35,7 @@ from .engine import SteadyStateError, build_generator, propagate, steady_state
 from .operators import validate_density
 from .sweeps import (
     SweepConfig,
-    csv_text,
+    csv_lines,
     run_cic_suite,
     run_sweep,
     write_csv,
@@ -205,7 +205,7 @@ def _dump_records(path, records, values, entropies) -> None:
             ]
 
     with open(path, "w", newline="") as fh:
-        fh.write(csv_text(header, rows()))
+        fh.writelines(csv_lines(header, rows()))
 
 
 def _cmd_bounds(args) -> int:
@@ -219,7 +219,7 @@ def _cmd_bounds(args) -> int:
         rows = [rep.to_csv_row() for rep in reports]
         keys = sorted({k for row in rows for k in row}, key=lambda k: (k != "name", k))
         with open(args.out, "w", newline="") as fh:
-            fh.write(csv_text(keys, [[row.get(k) for k in keys] for row in rows]))
+            fh.writelines(csv_lines(keys, [[row.get(k) for k in keys] for row in rows]))
     bad = [r for r in reports if r.satisfied is False]
     return 1 if bad else 0
 

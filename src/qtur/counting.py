@@ -23,10 +23,10 @@ integration stops at the window end.
 
 Both are one block B = [[S, 0], [R, 0]]: S is L on rho for the rows block,
 and [[L, 0], [J_c, L]] on (rho, rho1) for the moment block. One builder
-(:func:`_pieces`, laid out by :func:`_layout`) assembles the pieces of a
-stack of blocks: a sweep's draws take one stacked dense exponential
-(:func:`stacked_moments`), and a model keeps its stack of one
-(:func:`_block`), which one stepper (:func:`_act`) applies as exp(h B).
+(:func:`_pieces`, laid out by :func:`_layout`) assembles a stack of blocks:
+a sweep's draws take one stacked dense exponential (:func:`stacked_moments`),
+and a model keeps its stack of one (:func:`_block`), which one stepper
+(:func:`_act`) applies as exp(h B).
 
 Two routes give the same statistics. The Liouville route works on vec rho:
 its moment block is (2 d^2 + 1) square, exponentiated densely once per step
@@ -37,17 +37,16 @@ series of Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm
 1-norm, so results repeat bit for bit; scipy's ``expm_multiply`` estimates
 it from numpy's global random state.
 
-The reduced route (``reduced=True``, taken by ``qtur.bounds.battery``)
-uses the paper's correspondence as the method: L and J_c map every Bohr
-sector into itself, and the trace and rate rows read only H's
-zero-frequency sector (:class:`qtur.operators.ZeroSector`). There the
-block is (2 n0 + 1) square, n0 = d on a non-degenerate H (a real d-state
-chain), exponentiated densely; rho(tau) takes one exponential per other
-sector that rho0 weighs (:func:`_route_state`). Where the residual, a
-rotated L_m's weight outside its sector, exceeds ``SECTOR_TOL`` ||L_m||_F,
-the Liouville route is taken and the sector's ``reason`` says why.
-``verify-cic``, ``moments``, sweeps and samplers keep the Liouville route:
-on sector 0 the generators with and without H are one matrix.
+The reduced route (``reduced=True``: ``qtur.bounds.battery`` and the
+sweeps) uses the paper's correspondence as the method: L and J_c map every
+Bohr sector into itself, and the trace and rate rows read only H's
+zero-frequency sector (:class:`qtur.operators.ZeroSector`), where the block
+is (2 n0 + 1) square (n0 = d on a non-degenerate H, 5 on a built-in model)
+and exponentiated densely; rho(tau) takes one exponential per other sector
+that rho0 weighs (:func:`_route_state`). A sector that does not hold (its
+``reason`` says why) sends ``battery`` to the Liouville route and flags a
+sweep's draw. ``verify-cic``, ``moments`` and the samplers keep the
+Liouville route: on sector 0 the generators with and without H are one matrix.
 """
 
 from __future__ import annotations
@@ -193,25 +192,28 @@ class _BlockPieces:
         return self.steps[h]
 
 
-def _pieces(models, weights, coherent: bool, zero=None) -> tuple:
+def _pieces(models, weights, coherent: bool, reduced=False) -> tuple:
     """The d^2-square pieces of the block of each of ``models`` (one dimension
-    and channel count), or with ``zero`` the n0-square ones of a stack of one
-    on that sector: the generators, and stacks of J_c and rows R; for (N, M)
-    weights the moment blocks, for None the rows blocks (no J_c)."""
-    if zero is None:
-        gens = [build_generator(m, coherent=coherent) for m in models]
-        rates = vec(np.stack([m.jump_norms for m in models])).conj()  # the rows N_m
+    and channel count), or if ``reduced`` the n0-square ones on their
+    zero-frequency sectors: the generators, and stacks of J_c and rows R; for
+    (N, M) weights the moment blocks, for None the rows blocks (no J_c)."""
+    gens = [build_generator(m, coherent, reduced) for m in models]
+    if reduced:
+        zeros = [m.zero_sector() for m in models]
+        rates = np.stack([z.rates for z in zeros])
     else:
-        gens, rates = [zero.generator], zero.rates[None]
+        rates = vec(np.stack([m.jump_norms for m in models])).conj()  # the rows N_m
     if weights is None:
         w = [[np.ones(m.n_channels), *([m.entropy_weights()] if m.has_entropy_weights else [])]
              for m in models]
         return gens, None, np.array(w) @ rates
     c = np.asarray(weights, dtype=float)[:, None, :]
-    if zero is None:
+    if not reduced:
         jumps = _frozen(_channel_sums(np.stack([m.jump_ops for m in models]), c))
     else:
-        jumps = np.tensordot(c, zero.tensors, 1)[:, 0]
+        tensors = np.stack([z.tensors for z in zeros])
+        count, m, n = tensors.shape[:3]
+        jumps = (c @ tensors.reshape(count, m, n * n)).reshape(count, n, n)
     return gens, jumps, np.concatenate([(c * c) @ rates, (2.0 * c) @ rates], axis=-1)
 
 
@@ -242,7 +244,7 @@ def _block(model: LindbladModel, weights, coherent: bool, zero=None) -> _BlockPi
     slot = model._block if zero is None else zero.blocks
     if key not in slot:
         w = None if weights is None else [weights]
-        (gen,), jumps, (rows,) = _pieces([model], w, coherent, zero)
+        (gen,), jumps, (rows,) = _pieces([model], w, coherent, zero is not None)
         n = gen.shape[0]
         mu = np.trace(gen) / n
         lead = np.abs(gen - mu * np.eye(n)).sum(axis=0)  # L - mu I on a diagonal block
@@ -351,14 +353,14 @@ def _act(model, weights, h: float, coherent: bool, y: np.ndarray, zero=None) -> 
 
 
 def _route(model: LindbladModel, reduced: bool, rho: np.ndarray) -> tuple:
-    """The zero-frequency sector where ``reduced`` asks for it and the
-    reduction holds, else None (Liouville); ``rho`` as that route's vector
-    (sector 0 of it in H's eigenbasis, or vec rho); the route's trace row."""
+    """The zero-frequency sector where ``reduced`` asks for it and the reduction holds, else
+    None (Liouville); ``rho``, or each of a stack, as that route's vector (sector 0 of it in
+    H's eigenbasis, or vec rho); the route's trace row."""
     zero = model.zero_sector() if reduced else None
     if zero is None or zero.reason:
         return None, vec(rho), vec(np.eye(model.dim)).conj()
     (j, k), basis = zero.pairs, model.spectrum()[1]
-    return zero, (dagger(basis) @ rho @ basis)[j, k], (j == k) * 1.0
+    return zero, (dagger(basis) @ rho @ basis)[..., j, k], (j == k) * 1.0
 
 
 def counting_moments(
@@ -383,17 +385,16 @@ def counting_moments(
 
 
 def stacked_moments(models, rhos, weights, taus) -> list:
-    """The moments over [0, tau] of each of ``models`` (one dimension and
-    channel count, H included) from its state, weight row and tau by dense
-    steps: one assembly of the blocks, one stacked ``expm`` of B tau and one
-    batched product. Below ``ACTION_MIN_DIM``, the bits of counting_moments."""
+    """The moments over [0, tau] of each of ``models`` (one build_stack) from its state,
+    weight row and tau on its zero-frequency sector, which must hold: one stacked ``expm``
+    of the (2 n0 + 1)-square blocks B tau, with the bits of counting_moments(reduced=True)."""
     if not len(models):
         return []
-    dim, taus = models[0].dim, np.asarray(taus, dtype=float)
+    taus = np.asarray(taus, dtype=float)
     _check(models[0], weights, taus)
-    y = _initial(vec(rhos), dim * dim)
-    out = expm(_layout(*_pieces(models, weights, True)) * taus[:, None, None]) @ y[..., None]
-    return _moments(out[..., 0], vec(np.eye(dim)).conj())
+    blocks = _layout(*_pieces(models, weights, True, True)) * taus[:, None, None]
+    _, x, trace = _route(models[0], True, np.asarray(rhos))
+    return _moments((expm(blocks) @ _initial(x, len(trace))[..., None])[..., 0], trace)
 
 
 def _half_windows(model, rho0, obs, tau: float, coherent: bool, reduced=False) -> tuple:
@@ -411,20 +412,29 @@ def _half_windows(model, rho0, obs, tau: float, coherent: bool, reduced=False) -
 
 
 def _route_state(model, zero, top, rho0, tau: float, coherent: bool) -> np.ndarray:
-    """rho(tau) from the route's state ``top``: on a sector, its entries and
-    one exponential of each other Bohr sector's generator (-i(E_j - E_k) on
-    |j><k| when ``coherent``) in which rho0 has weight, rotated back."""
+    """rho(tau) from the route's state ``top``: on a sector, its entries and one exponential
+    of each other Bohr sector's generator (-i(E_j - E_k) on |j><k| when ``coherent``) in
+    which rho0 has weight (the 1x1 ones in one ``np.exp``, as ``expm``), rotated back."""
     if zero is None:
         return propagated_state(top)
     energies, basis, ops = model.spectrum()
     x = dagger(basis) @ rho0 @ basis
-    out = np.zeros_like(x)
+    _, labels, sizes = np.unique(zero.labels.ravel(), return_inverse=True, return_counts=True)
+    out, weighed = np.zeros_like(x), np.bincount(labels, x.ravel() != 0) > 0
     out[zero.pairs] = top
-    for label in np.unique(zero.labels[(x != 0) & (zero.labels != 0)]):
-        j, k = np.nonzero(zero.labels == label)
+    weighed[labels[0]] = False  # sector 0, which holds |0><0|
+    flat = np.flatnonzero((weighed & (sizes > 1))[labels])
+    flat = flat[np.argsort(labels[flat], kind="stable")]  # grouped by sector
+    for group in np.split(flat, np.flatnonzero(np.diff(labels[flat])) + 1) if flat.size else ():
+        j, k = np.divmod(group, len(x))
         gen = _sector_maps(ops, zero.decay, j, k)[1]
         gen[np.diag_indices(len(j))] -= 1j * coherent * (energies[j] - energies[k])
         out[j, k] = expm(gen * tau) @ x[j, k]
+    j, k = np.divmod(np.flatnonzero((weighed & (sizes == 1))[labels]), len(x))
+    turned, decay = ops.transpose(1, 2, 0), zero.decay  # a sum over channels along each row
+    gen = (turned[j, j] * turned[k, k].conj()).sum(axis=-1) - 0.5 * (decay[j, j] + decay[k, k])
+    step = np.exp((gen - 1j * coherent * (energies[j] - energies[k])) * tau)
+    out[j, k] = (step[:, None, None] @ x[j, k, None, None])[:, 0, 0]  # a product, as expm's @
     return propagated_state(vec(basis @ out @ dagger(basis)))
 
 

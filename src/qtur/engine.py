@@ -5,20 +5,16 @@ rho -> A rho B maps to the matrix kron(B.T, A). With K = -i H - Gamma / 2
 the generator is kron(I, K) + kron(conj(K), I) + sum_m kron(conj(L_m), L_m):
 a channel sum that is one GEMM over the model's stack of jump operators,
 with K and conj(K) added in place where the two Kronecker products put
-them, so neither product is formed. Generators here
-are time homogeneous and tiny, which makes the dense matrix exponential
-(scaling and squaring) both exact enough and cheaper to trust than ODE
-stepping. Each model assembles its generator once per ``coherent`` flag:
-models are frozen and hold read-only arrays, so :func:`build_generator`
-memoizes the generator, a read-only array, on the model itself. The
-steady state is one LU of the generator bordered by its trace row, scaled
-by ||L||_1: the factors give the state, and their reciprocal condition
-number judges its uniqueness without a time unit. :func:`build_generators`
-and :func:`steady_states` take a stack of models (a sweep's draws): one
-batched GEMM and einsum assemble every generator, each bordered system
-gets its own LAPACK calls, and the checks run once over the stack, where a
-failure marks only its own entry. The single-model functions are their
-stacks of one.
+them, so neither product is formed. Generators are time homogeneous and
+tiny, so the dense matrix exponential is exact enough and cheaper to trust
+than ODE stepping; :func:`build_generator` memoizes each, a read-only array,
+on the frozen model per ``coherent`` flag, or gives L on H's zero-frequency
+sector (``reduced``), which holds no H. The steady state is one LU of the
+generator bordered by its trace row, scaled by ||L||_1: the factors give
+the state, and their reciprocal condition number judges its uniqueness
+without a time unit. :func:`steady_states` takes a stack of generators, on
+vec rho or on H's zero-frequency sector (a sweep's draws), and checks them
+once over the stack, where a failure marks only its own entry.
 
 The no-jump propagator family exposes the three operators
 
@@ -42,6 +38,7 @@ from .operators import (
     LindbladModel,
     ModelValidationError,
     _density_checks,
+    _frozen,
     dagger,
     frobenius,
     validate_density,
@@ -86,59 +83,47 @@ def _channel_sums(ops: np.ndarray, weights) -> np.ndarray:
     return raw.reshape(*raw.shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(raw.shape)
 
 
-def build_generator(model: LindbladModel, coherent: bool = True) -> np.ndarray:
-    """The (possibly Hamiltonian-free) Lindblad generator of ``model``, a
-    read-only d^2-square array.
-
-    Assembled on the first call for each ``coherent`` flag and memoized
-    on the model after that. Trace preservation — the vectorized identity
-    annihilates the generator from the left — is asserted at assembly.
-    The stack of one of :func:`build_generators`.
-    """
-    memo = model._generators
-    key = bool(coherent)
+def build_generator(model: LindbladModel, coherent: bool = True, reduced: bool = False):
+    """The (possibly Hamiltonian-free) Lindblad generator of ``model``, a read-only d^2-square
+    array memoized on the model per ``coherent`` flag, its trace preservation asserted at
+    assembly; with ``reduced``, L on H's zero-frequency sector (with or without H, one
+    matrix), where that sector holds."""
+    if reduced:
+        if (zero := model.zero_sector()).reason:
+            raise ModelValidationError(f"no zero-frequency reduction: {zero.reason}")
+        return zero.generator
+    memo, key = model._generators, bool(coherent)
     if key not in memo:
-        (gen,) = build_generators([model], key)
-        if isinstance(gen, Exception):
-            raise gen
+        memo[key] = _assemble(model, key)
     return memo[key]
 
 
-def build_generators(models, coherent: bool = True) -> list:
-    """:func:`build_generator` of each of ``models`` (one dimension and
-    channel count), assembled as one stack: per model its generator,
-    memoized on it, or the ModelValidationError of a generator that is not
-    trace preserving, which is not memoized."""
-    key = bool(coherent)
-    gens = _assemble(models, key)
-    return [g if isinstance(g, Exception) else m._generators.setdefault(key, g)
-            for m, g in zip(models, gens)]
-
-
-def _assemble(models, coherent: bool) -> list:
-    d, count = models[0].dim, len(models)
-    decay = np.stack([m.jump_norms for m in models]).sum(axis=1)
-    k = -0.5 * decay - (1j * np.stack([m.H for m in models]) if coherent else 0.0)
-    gens = _channel_sums(np.stack([m.jump_ops for m in models]), np.ones(models[0].n_channels))
+def _assemble(model: LindbladModel, coherent: bool) -> np.ndarray:
+    d = model.dim
+    k = -0.5 * model.total_decay() - (1j * model.H if coherent else 0.0)
+    gen = _channel_sums(model.jump_ops, np.ones(model.n_channels))
     # kron(I, K), then kron(conj(K), I), added in place through writeable
-    # einsum views of each (d, d, d, d) generator: K on each block [r, :, r, :],
+    # einsum views of the (d, d, d, d) generator: K on each block [r, :, r, :],
     # conj(K) on each [:, r, :, r]
-    view = gens.reshape(count, d, d, d, d)
-    left = np.einsum("nabac->nabc", view)
-    left += k[:, None]
-    right = np.einsum("narcr->nrac", view)
-    right += k.conj()[:, None]
-    residual = np.linalg.norm(vec(np.eye(d)).conj() @ gens, axis=-1)
-    flat = gens.reshape(count, -1)  # ||L||_F without a temporary as large as L
-    norm = np.sqrt(
-        np.einsum("ni,ni->n", flat.real, flat.real) + np.einsum("ni,ni->n", flat.imag, flat.imag)
-    )
-    scale = TRACE_PRESERVATION_TOL * np.maximum(1.0, norm)
-    gens.setflags(write=False)
-    return [
-        gen if ok else ModelValidationError(f"generator is not trace preserving: {r:.3e}")
-        for gen, ok, r in zip(gens, (residual <= scale).tolist(), residual.tolist())
-    ]
+    view = gen.reshape(d, d, d, d)
+    left = np.einsum("abac->abc", view)
+    left += k
+    right = np.einsum("arcr->rac", view)
+    right += k.conj()
+    (error,) = _trace_errors(gen[None], vec(np.eye(d)).real)
+    if error:
+        raise error
+    return _frozen(gen)
+
+
+def _trace_errors(gens: np.ndarray, trace: np.ndarray) -> list:
+    """Per generator of the (N, n, n) stack ``gens``, None or the error of one that the
+    trace row ``trace`` does not annihilate to TRACE_PRESERVATION_TOL max(1, ||L||_F)."""
+    residual = np.linalg.norm(trace @ gens, axis=-1)
+    parts = gens.view(float)  # ||L||_F without a temporary as large as L
+    scale = TRACE_PRESERVATION_TOL * np.maximum(1.0, np.sqrt(np.einsum("nij,nij->n", parts, parts)))
+    return [None if ok else ModelValidationError(f"generator is not trace preserving: {r:.3e}")
+            for ok, r in zip((residual <= scale).tolist(), residual.tolist())]
 
 
 def propagate(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -160,73 +145,75 @@ def propagated_state(x: np.ndarray) -> np.ndarray:
 
 
 def steady_state(gen: np.ndarray) -> np.ndarray:
-    """Unique trace-one null state of the generator, from one LU.
-
-    With t the trace row and s = ||L||_1, [[L, s t^dag], [s t, 0]] is
-    singular exactly when 0 is not a simple eigenvalue of L, and otherwise
-    maps (rho, 0) to (0, s). Its reciprocal condition number judges
-    uniqueness and ||L rho|| / (s ||rho||) the solve, both free of time
-    units. The stack of one of :func:`steady_states`.
-    """
+    """Unique trace-one null state of the generator: :func:`steady_states` of one."""
     (rho,) = steady_states([gen])
     if isinstance(rho, Exception):
         raise rho
     return rho
 
 
-def steady_states(gens) -> list:
-    """:func:`steady_state` of each generator in ``gens`` (one size): per
-    generator its state, or the SteadyStateError or ModelValidationError
-    that refuses it.
-
-    Each bordered system gets its own LAPACK calls; the scales, the
-    residual check and the density check run once over the stack."""
+def steady_states(gens, pairs=None, basis=None) -> list:
+    """The unique trace-one null state of each generator in ``gens`` (one size), or the
+    SteadyStateError or ModelValidationError that refuses it. A generator acts on vec rho,
+    or with ``pairs`` on those (j, k) entries of rho in H's eigenbasis ``basis`` (its
+    zero-frequency sector), each state rotated back. With t the trace row (j == k) and
+    s = ||L||_1, [[L, s t^dag], [s t, 0]] is singular exactly when 0 is not a simple
+    eigenvalue of L, and otherwise maps (rho, 0) to (0, s): its reciprocal condition number
+    judges uniqueness and ||L rho|| / (s ||rho||) the solve, free of time units. Each system
+    gets its own LAPACK calls; the checks run once over the stack."""
     count = len(gens)
     if not count:
         return []
     n = gens[0].shape[0]
-    d = round(n**0.5)
+    d = round(n**0.5) if basis is None else len(basis)
+    # on vec rho, entry r + d c is rho[r, c]
+    j, k = pairs if pairs is not None else np.divmod(np.arange(n), d)[::-1]
+    t = (j == k) * 1.0
     bordered = np.zeros((count, n + 1, n + 1), dtype=complex)
-    for j, gen in enumerate(gens):  # no stacked temporary of the generators
-        bordered[j, :n, :n] = gen
+    for m, gen in enumerate(gens):  # no stacked temporary of the generators
+        bordered[m, :n, :n] = gen
     stack = bordered[:, :n, :n]  # the generators, read in place
+    out = _trace_errors(stack, t)
     s = np.abs(stack).sum(axis=1).max(axis=-1)
     s[s == 0.0] = 1.0  # the zero generator has no scale
-    bordered[:, :n, n] = bordered[:, n, :n] = s[:, None] * vec(np.eye(d))
+    bordered[:, :n, n] = bordered[:, n, :n] = s[:, None] * t
     anorm = np.abs(bordered).sum(axis=1).max(axis=-1).tolist()
     rhs = np.zeros((count, n + 1, 1))
     rhs[:, n, 0] = s
-    x = np.tile(vec(np.eye(d)) / d, (count, 1))  # a valid stand-in where no state is solved
-    out = [None] * count
-    for j in range(count):
-        lu, piv, _ = lapack.zgetrf(bordered[j])
-        rcond, _ = lapack.zgecon(lu, anorm[j])
+    x = np.tile(t / d, (count, 1)).astype(complex)  # a stand-in where no state is solved
+    for m in range(count):
+        if out[m] is not None:
+            continue
+        lu, piv, _ = lapack.zgetrf(bordered[m])
+        rcond, _ = lapack.zgecon(lu, anorm[m])
         if not rcond >= DEGENERACY_TOL:
-            out[j] = DegenerateSteadyStateError(f"degenerate steady state: bordered rcond {rcond:.3e}")
+            out[m] = DegenerateSteadyStateError(f"degenerate steady state: bordered rcond {rcond:.3e}")
             continue
         # the pivots, then two triangular solves: zgetrs's bits move with
         # the BLAS thread count, these do not
-        y = lapack.zlaswp(rhs[j], piv)
+        y = lapack.zlaswp(rhs[m], piv)
         for lower in (1, 0):
             y, _ = lapack.ztrtrs(lu, y, lower=lower, unitdiag=lower)
-        x[j] = y[:n, 0]
-    rho = unvec(x)
+        x[m] = y[:n, 0]
+    rho = np.zeros((count, d, d), dtype=complex)
+    rho[:, j, k] = x
     trace = np.trace(rho, axis1=1, axis2=2).real
     rho = np.ascontiguousarray((rho + dagger(rho)) / (2.0 * trace)[:, None, None])
-    flat = vec(rho)[..., None]
+    flat = rho[:, j, k, None]
     residual = np.linalg.norm(stack @ flat, axis=(1, 2)) / (s * np.linalg.norm(rho, axis=(1, 2)))
     residual = residual.tolist()
-    solved = [j for j in range(count) if residual[j] <= STEADY_STATE_RESIDUAL_TOL]
+    rho = rho if basis is None else basis @ rho @ dagger(basis)
+    solved = [m for m in range(count) if residual[m] <= STEADY_STATE_RESIDUAL_TOL]
     invalid = dict(zip(solved, _density_checks(rho[solved], DENSITY_TOL)[1]))
-    for j in range(count):
-        if out[j] is not None:
+    for m in range(count):
+        if out[m] is not None:
             continue
-        if j not in invalid:
-            out[j] = SteadyStateError(f"steady-state relative residual {residual[j]:.3e} too large")
-        elif invalid[j]:
-            out[j] = ModelValidationError(f"invalid density matrix: {invalid[j]}")
+        if m not in invalid:
+            out[m] = SteadyStateError(f"steady-state relative residual {residual[m]:.3e} too large")
+        elif invalid[m]:
+            out[m] = ModelValidationError(f"invalid density matrix: {invalid[m]}")
         else:
-            out[j] = rho[j]
+            out[m] = rho[m]
     return out
 
 

@@ -1,12 +1,12 @@
 """Dense operator algebra, model containers and structural validation.
 
 Everything operates on small dense complex matrices. The wall is the
-d^2 x d^2 superoperator: ``qtur bounds`` avoids it on H's zero-frequency
-Bohr sector (:class:`ZeroSector`, d-square on a non-degenerate H), and
-the Liouville route sums over channels as one GEMM over the stack of jump
-operators. Operators and density matrices are plain ``numpy`` arrays; the
-model layer below adds the structure a monitored open system needs, one
-home per fact:
+d^2 x d^2 superoperator: ``qtur bounds`` and the sweeps avoid it on H's
+zero-frequency Bohr sector (:class:`ZeroSector`, d-square on a
+non-degenerate H), and the Liouville route sums over channels as one GEMM
+over the stack of jump operators. Operators and density matrices are plain
+``numpy`` arrays; the model layer below adds the structure a monitored
+open system needs, one home per fact:
 
 * a Hermitian Hamiltonian ``H``,
 * jump operators ``L_m``, one read-only (M, d, d) stack ``jump_ops``, that
@@ -22,9 +22,9 @@ L_m^dag L_m and H's eigensystem; it memoizes its generators
 (``qtur.engine.build_generator``), the last augmented block of
 ``qtur.counting`` and its zero-frequency sector. :meth:`LindbladModel.build_stack`
 builds N models that share H as one frozen (N, M, d, d) stack, row k of
-which is model k's ``jump_ops``: every check, the ``eigh`` of H and the
-L_m^dag L_m run once over it, and :meth:`LindbladModel.build` is its stack
-of one.
+which is model k's ``jump_ops``: every check, the ``eigh`` of H, the
+L_m^dag L_m and the zero-frequency sectors are taken once over it, and
+:meth:`LindbladModel.build` is its stack of one.
 """
 from __future__ import annotations
 
@@ -75,11 +75,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     owner = a.base if isinstance(a, np.ndarray) and a.base is not None else a
     frozen = isinstance(owner, np.ndarray) and not (a.flags.writeable or owner.flags.writeable)
     return a if frozen and a.dtype == complex else _frozen(np.array(a, dtype=complex))
-
-
-def hermiticity_error(a: np.ndarray) -> float:
-    """Frobenius distance to the Hermitian part, relative to nothing."""
-    return frobenius(a - dagger(a))
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ def _bohr_frequencies(H: np.ndarray, ops: np.ndarray, where) -> tuple:
     In the eigenbasis of H, [L, H]_ij = L_ij (E_j - E_i). With p_ij =
     |L_ij|^2 / ||L||_F^2 there, omega = sum p_ij (E_j - E_i) and the
     residual is ||L||_F sqrt(sum p_ij (E_j - E_i - omega)^2)."""
-    if hermiticity_error(H) > EIGENOPERATOR_TOL * frobenius(H):
+    if frobenius(H - dagger(H)) > EIGENOPERATOR_TOL * frobenius(H):
         raise ModelValidationError("Hamiltonian is not Hermitian")
     norms = np.linalg.norm(ops, axis=(-2, -1))
     if not norms.all():
@@ -220,7 +215,7 @@ class LindbladModel:
     _block: dict = field(default_factory=dict, init=False, repr=False)
     # "eigh" -> H's eigensystem (:meth:`spectrum`), "zero" -> its ZeroSector
     _spectrum: dict = field(default_factory=dict, init=False, repr=False)
-    # build_stack's hand-off: this model's jump_norms row and spectrum
+    # build_stack's hand-off: this model's jump_norms row and _spectrum entries
     _stacked: InitVar[tuple | None] = None
 
     def __post_init__(self, _stacked):
@@ -234,7 +229,8 @@ class LindbladModel:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "jump_ops", ops)
-        norms, self._spectrum["eigh"] = _stacked or (_frozen(dagger(ops) @ ops), None)
+        norms, spectrum = _stacked or (_frozen(dagger(ops) @ ops), {"eigh": None})
+        self._spectrum.update(spectrum)
         object.__setattr__(self, "jump_norms", norms)
 
     @property
@@ -268,9 +264,10 @@ class LindbladModel:
         return self._spectrum["eigh"]
 
     def zero_sector(self) -> "ZeroSector":
-        """H's zero-frequency Bohr sector (:class:`ZeroSector`), built once."""
+        """H's zero-frequency Bohr sector (:class:`ZeroSector`), from build_stack or built once."""
         if "zero" not in self._spectrum:
-            self._spectrum["zero"] = _zero_sector(*self.spectrum(), self.total_decay())
+            (energies, basis, ops), gamma = self.spectrum(), self.total_decay()
+            self._spectrum["zero"] = _zero_sectors(energies, basis, ops[None], gamma[None])[0]
         return self._spectrum["zero"]
 
     @classmethod
@@ -337,26 +334,29 @@ class LindbladModel:
             at = np.unravel_index(np.argmin(finite), finite.shape)
             raise ModelValidationError(f"{name(*at)} has a NaN or Inf entropy change ds")
         (energies, basis, rotated), norms = map(_frozen, spectrum), _frozen(dagger(stack) @ stack)
-        return [cls(H, ops, row, ds_row, partners, (norm, (energies, basis, turned))) for
-                ops, row, ds_row, norm, turned in zip(stack, omegas.tolist(), ds, norms, rotated)]
+        zeros = _zero_sectors(energies, basis, rotated, norms.sum(axis=1))
+        return [cls(H, ops, row, ds_row, partners,
+                    (norm, {"eigh": (energies, basis, turned), "zero": zero}))
+                for ops, row, ds_row, norm, turned, zero in
+                zip(stack, omegas.tolist(), ds, norms, rotated, zeros)]
 
 
 @dataclass(frozen=True, eq=False)
 class ZeroSector:
-    """H's zero-frequency Bohr sector: the n0 = sum_i g_i^2 |j><k| of its
-    eigenbasis with E_j = E_k (g_i: level multiplicities). ``labels`` holds
-    each |j><k|'s Bohr sector (0 here), ``pairs`` sector 0's (j, k). There,
-    ``tensors`` stacks the X -> L_m X L_m^dag, ``generator`` is L (free of
-    H), ``rates`` holds the rows Tr(L_m X L_m^dag), all real when n0 = d, and
-    ``decay`` sum_m L_m^dag L_m inside each level. ``residual`` is the largest
-    entry of a rotated L_m outside its own sector (its largest entry's), over
-    ||L_m||_F; above SECTOR_TOL ``reason`` says so and the arrays are None.
-    ``blocks`` is qtur.counting's block memo."""
+    """H's zero-frequency Bohr sector: the n0 = sum_i g_i^2 |j><k| of its eigenbasis with
+    E_j = E_k (g_i: level multiplicities). ``labels`` holds each |j><k|'s Bohr sector (0
+    here), ``pairs`` sector 0's (j, k). There, ``tensors`` stacks the X -> L_m X L_m^dag,
+    ``generator`` is L (free of H), ``rates`` holds the rows Tr(L_m X L_m^dag) and ``decay``
+    sum_m L_m^dag L_m inside each level: real when n0 = d, or when no imaginary part is
+    nonzero on the sectors of one build_stack (the built-ins, n0 = 5). ``residual`` is the
+    largest entry of a rotated L_m outside its own sector (its largest entry's), over
+    ||L_m||_F; above SECTOR_TOL ``reason`` says so and the arrays are None. ``blocks`` is
+    qtur.counting's block memo."""
 
     labels: np.ndarray
+    pairs: tuple
     residual: float
     reason: str
-    pairs: tuple = None
     tensors: np.ndarray = None
     generator: np.ndarray = None
     rates: np.ndarray = None
@@ -364,9 +364,10 @@ class ZeroSector:
     blocks: dict = field(default_factory=dict)
 
 
-def _zero_sector(energies, basis, ops, gamma) -> ZeroSector:
-    """The :class:`ZeroSector` of H's eigensystem, rotated channels and their
-    sum ``gamma`` of L^dag L; levels, and Bohr frequencies, within ``_level_tol`` are one."""
+def _zero_sectors(energies, basis, ops, gammas) -> list:
+    """The :class:`ZeroSector` of each model of a stack that shares H's eigensystem, from its
+    rows of the rotated channels ``ops`` (N, M, d, d) and of their sums of L^dag L ``gammas``,
+    in one pass; levels, and Bohr frequencies, within ``_level_tol`` are one."""
     d, tol = len(energies), _level_tol(energies)
     level = np.concatenate([[0], np.cumsum(np.diff(energies) > tol)])
     mean = np.bincount(level, energies) / np.bincount(level)
@@ -374,28 +375,31 @@ def _zero_sector(energies, basis, ops, gamma) -> ZeroSector:
     order, labels = np.argsort(bohr, kind="stable"), np.empty(d * d, dtype=int)
     labels[order] = np.concatenate([[0], np.cumsum(np.diff(bohr[order]) > tol)])
     labels -= labels[0]
-    size = np.abs(ops).reshape(len(ops), -1)
-    crossing = np.where(labels == labels[size.argmax(axis=1)][:, None], 0.0, size)
-    residual = crossing.max(axis=1, initial=0.0) / np.linalg.norm(size, axis=1)
-    worst, labels = float(residual.max(initial=0.0)), _frozen(labels.reshape(d, d))
-    if not worst <= SECTOR_TOL:
-        reason = f"channel {np.argmax(residual)} has {worst:.3e} ||L||_F outside its Bohr sector"
-        return ZeroSector(labels, worst, reason)
+    size = np.abs(ops).reshape(*ops.shape[:2], d * d)
+    crossing = np.where(labels == labels[size.argmax(axis=-1)][..., None], 0.0, size)
+    residual = crossing.max(axis=-1, initial=0.0) / np.linalg.norm(size, axis=-1)
+    worst, labels = residual.max(axis=-1, initial=0.0), _frozen(labels.reshape(d, d))
     j, k = pairs = np.nonzero(labels == 0)
-    decay = np.where(labels == 0, dagger(basis) @ gamma @ basis, 0.0)
+    decay = np.where(labels == 0, dagger(basis) @ gammas @ basis, 0.0)
     tensors, gen = _sector_maps(ops, decay, j, k)
-    if (j == k).all():  # the populations
+    held, imag = worst <= SECTOR_TOL, np.any(tensors.imag, axis=(1, 2, 3))
+    if (j == k).all() or not (imag | np.any(decay.imag, axis=(1, 2)))[held].any():
         tensors, gen, decay = tensors.real, gen.real, decay.real
-    arrays = (tensors, gen, tensors[:, j == k].sum(axis=1), decay)
-    return ZeroSector(labels, worst, "", pairs, *map(_frozen, arrays))
+    arrays = zip(*map(_frozen, (tensors, gen, tensors[:, :, j == k].sum(axis=2), decay)))
+    reason = "channel {} has {:.3e} ||L||_F outside its Bohr sector"
+    return [ZeroSector(labels, pairs, bad, "", *row) if ok else
+            ZeroSector(labels, pairs, bad, reason.format(np.argmax(r), bad))
+            for ok, bad, r, row in zip(held.tolist(), worst.tolist(), residual, arrays)]
 
 
 def _sector_maps(ops: np.ndarray, decay: np.ndarray, j: np.ndarray, k: np.ndarray) -> tuple:
-    """On the |j_a><k_a|: the X -> L_m X L_m^dag of the channels ``ops``, and
-    sum_m L_m X L_m^dag - (G X + X G) / 2 with G's entries ``decay``."""
-    tensors = ops[:, j[:, None], j] * ops[:, k[:, None], k].conj()
-    anti = decay[j[:, None], j] * (k[:, None] == k) + (j[:, None] == j) * decay[k, k[:, None]]
-    return tensors, tensors.sum(axis=0) - 0.5 * anti
+    """On the |j_a><k_a|: X -> L_m X L_m^dag of each channel of ``ops`` (..., M, d, d), and
+    sum_m L_m X L_m^dag - (G X + X G) / 2 with G's entries ``decay`` (..., d, d)."""
+    tensors, right = ops[..., j[:, None], j], ops[..., k[:, None], k]
+    tensors *= np.conjugate(right, out=right)
+    anti = decay[..., j[:, None], j] * (k[:, None] == k)
+    anti += (j[:, None] == j) * decay[..., k, k[:, None]]
+    return tensors, tensors.sum(axis=-3) - 0.5 * anti
 
 
 def _balance_checks(ops: np.ndarray, has: np.ndarray, values: np.ndarray, partners) -> tuple:

@@ -8,21 +8,23 @@ cost never produces a violation while the diagonal-only cost does, which
 is what the coherent contribution buys.
 
 One range function serves both sweeps, with a table of what differs per
-experiment. Over a worker range it reads the parameters, builds and
-checks the models, generators and steady states, and takes the moments of
-the draws that pass, each as one stack; then each row gets its rate split
-and reports. Each cost is judged by the rule of every bound report
-(:class:`~qtur.bounds.BoundReport`), so a mean that is rounding noise
-makes a row not applicable (nan sides and slack, empty verdicts). A draw
-whose generator, steady state or observable fails validation is a flagged
-row; a model that fails to build aborts the sweep.
+experiment. Over a range of RANGE draws it reads the parameters, builds and
+checks the models, and takes the steady states and moments on H's
+zero-frequency sector (:mod:`qtur.counting`'s reduced route: on a built-in
+model, 5 real entries of rho, its populations and |e1><e2| coherences), each
+as one stack; then each row gets its rate split, off rho_ss in the given
+basis, and reports. Each cost is judged by the rule of every bound report
+(:class:`~qtur.bounds.BoundReport`), so a mean that is rounding noise makes
+a row not applicable (nan sides and slack, empty verdicts). A draw whose
+sector, steady state or observable fails validation is a flagged row; a
+model that fails to build aborts the sweep.
 
 Sweeps are reproducible to the byte: draw k reads the PCG64 stream
 seeded from (seed, k) through the same splitmix64 mixing the trajectory
-sampler uses, read on arrays as the sampler reads its streams; rows are
-emitted in draw order whatever the worker count, and floats are printed
-with 17 significant digits. A sweep of at least POOL_MIN draws is split
-across worker processes by the ordered map of :mod:`qtur.trajectories`.
+sampler uses, read on arrays as the sampler reads its streams; ranges do
+not depend on the worker count, rows come in draw order, and floats are
+printed with 17 significant digits. A sweep of at least POOL_MIN draws is
+split across worker processes by :mod:`qtur.trajectories`' ordered map.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from .bounds import (
 )
 from .counting import CountingObservable, activity_at, counting_moments, rate_split, sigma_from
 from .counting import stacked_moments
-from .engine import build_generators, steady_states
+from .engine import build_generator, steady_states
 from .models import antisymmetric_current_weights, build_da_models, build_ep_models
 from .models import default_observable
-from .operators import LindbladModel
+from .operators import LindbladModel, ModelValidationError
 from .trajectories import (
     SeedPolicy,
     TrajectorySampler,
@@ -60,10 +62,14 @@ from .trajectories import (
     splitmix64,
 )
 
-# Smallest sweep split across worker processes: the crossover measured on
-# 2 cores (one BLAS thread each, one sweep per fresh process, as a CLI run
-# makes). Below it, pool start-up costs more than the second core saves.
-POOL_MIN = 768
+# Smallest sweep split across worker processes: the crossover measured on 2 cores (one
+# BLAS thread each, a fresh process per sweep, as a CLI run makes; 4 alternating pairs per
+# size and sweep): serial won 7 of 8 pairs at 2000 draws and 6 of 8 at 3000, pooled 8 of
+# 8 at 4000 (ep 0.35 s against 0.51).
+POOL_MIN = 4000
+# Draws per range, one stack each, whatever the worker count. On a serial
+# 1000-draw sweep, 64 took 8 % longer and 256 raised the peak RSS by 1.7 MB.
+RANGE = 128
 
 
 @dataclass(frozen=True)
@@ -231,23 +237,23 @@ def _parameters(config: SweepConfig, spec: _Experiment, lo: int, hi: int) -> tup
 
 
 def _draw_range(config: SweepConfig, lo: int, hi: int) -> list:
-    """Rows [lo, hi) of the sweep: the parameters, models, generators,
-    steady states and moments as stacks, then per row the rate split and
-    both costs judged by the bound reports' rule. A draw whose generator,
-    steady state or observable fails validation is a flagged row."""
+    """Rows [lo, hi) of the sweep: parameters, models, steady states and moments as stacks on
+    H's zero-frequency sector, then per row the rate split and both costs judged by the bound
+    reports' rule. A draw whose sector, steady state or observable fails is a flagged row."""
     spec = _EXPERIMENTS[config.experiment]
     g, taus, free = _parameters(config, spec, lo, hi)
     models = spec.build(config.omega_e, g, lo)
-    gens = build_generators(models, coherent=True)
-    states = iter(steady_states([gen for gen in gens if not isinstance(gen, Exception)]))
-    rhos = [gen if isinstance(gen, Exception) else next(states) for gen in gens]
+    zeros = [m.zero_sector() for m in models]
+    gens = [build_generator(m, reduced=True) for m, z in zip(models, zeros) if not z.reason]
+    states = iter(steady_states(gens, zeros[0].pairs, models[0].spectrum()[1]))
+    rhos = [ModelValidationError(z.reason) if z.reason else next(states) for z in zeros]
     weights = [antisymmetric_current_weights(m, c) if spec.current else c
-               for m, c in zip(models, free)]
+               for m, c in zip(models, free.tolist())]
     observables = [_observable(spec, *draw) for draw in zip(models, weights, rhos)]
     judged = [k for k, obs in enumerate(observables) if obs is not None]
     picked = ([x[k] for k in judged] for x in (models, rhos, weights))
     moments = dict(zip(judged, stacked_moments(*picked, taus[judged])))
-    draws = zip(g, taus.tolist(), weights, models, rhos, observables)
+    draws = zip(g.tolist(), taus.tolist(), weights, models, rhos, observables)
     return [_row(spec, lo + k, *draw, moments.get(k)) for k, draw in enumerate(draws)]
 
 
@@ -288,17 +294,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Execute every draw, in parallel from POOL_MIN draws when workers
     allow; rows stay in draw order so the output is independent of
     scheduling."""
-    n = config.n_draws
-    workers = resolve_workers(config.workers) if n >= POOL_MIN else 1
-    chunk = max(16, (n + 4 * workers - 1) // (4 * workers))
-    rows = _map_ranges(_draw_range, config, n, chunk, workers)
-    flagged = sum(1 for row in rows if row[-1])
-    return SweepResult(
-        experiment=config.experiment,
-        header=_EXPERIMENTS[config.experiment].header,
-        rows=tuple(rows),
-        n_flagged=flagged,
-    )
+    workers = resolve_workers(config.workers) if config.n_draws >= POOL_MIN else 1
+    rows = tuple(_map_ranges(_draw_range, config, config.n_draws, RANGE, workers))
+    header = _EXPERIMENTS[config.experiment].header
+    return SweepResult(config.experiment, header, rows, sum(1 for row in rows if row[-1]))
 
 
 def format_cell(value) -> str:
@@ -320,20 +319,20 @@ def format_cell(value) -> str:
     return f"{float(value):.17g}"  # nan prints as "nan" whatever its sign bit
 
 
-def csv_text(header, rows) -> str:
-    """CSV text of ``rows`` under ``header``, every cell through :func:`format_cell`."""
-    lines = [",".join(header)]
-    lines += [",".join(map(format_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+def csv_lines(header, rows):
+    """The CSV lines of ``rows`` under ``header``, every cell through :func:`format_cell`."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(format_cell, row)) + "\n"
 
 
 def result_to_csv(result: SweepResult) -> str:
-    return csv_text(result.header, result.rows)
+    return "".join(csv_lines(result.header, result.rows))
 
 
 def write_csv(result: SweepResult, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(result_to_csv(result))
+        fh.writelines(csv_lines(result.header, result.rows))
 
 
 # --- correspondence verification battery -----------------------------------

@@ -206,6 +206,14 @@ def liouville_route(model, reduced, rho):
     return _ROUTE(model, False, rho)
 
 
+def assert_close(got, want, scale=0.0, rel=1e-12):
+    """|got - want| <= rel max(|got|, |want|, scale) elementwise, or both NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    size = np.maximum(np.maximum(np.abs(got), np.abs(want)), scale)
+    ok = (np.abs(got - want) <= rel * size) | (np.isnan(got) & np.isnan(want))
+    assert ok.all(), np.max(np.abs(got - want) / size)
+
+
 def zero_mean(moments):
     """A ``result`` for :func:`patch_nth_draw`: the moments with mean 0."""
     return dataclasses.replace(moments, mean=0.0)

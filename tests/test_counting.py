@@ -26,7 +26,6 @@ from qtur.counting import (
 from qtur.engine import (
     _channel_sums,
     build_generator,
-    build_generators,
     propagate,
     steady_state,
     steady_states,
@@ -36,6 +35,7 @@ from qtur.engine import (
 from qtur.models import build_da_models, build_ep_model, build_ep_models
 from qtur.operators import SECTOR_TOL, LindbladModel, ModelValidationError, von_neumann_trace_term
 from conftest import (
+    assert_close,
     da_activity_split_closed_form,
     ground_state,
     ladder_model,
@@ -347,8 +347,9 @@ class TestExactKernel:
 
 
 class TestStackedMoments:
-    """A stack of draws, as a sweep takes their moments, against
-    :func:`counting_moments` of each draw: the same bits."""
+    """A stack of draws, as a sweep takes their moments on the zero-frequency
+    sector, against ``counting_moments(..., reduced=True)`` of each draw:
+    the same bits."""
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["da", "ep"]), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
@@ -356,13 +357,16 @@ class TestStackedMoments:
         rng = np.random.default_rng(seed)
         n_rates, build = {"da": (4, build_da_models), "ep": (6, build_ep_models)}[kind]
         models = build(rng.uniform(0.1, 3.0), rng.uniform(1e-3, 1.0, (n, n_rates)))
-        rhos = steady_states(build_generators(models))
+        zeros = [m.zero_sector() for m in models]
+        assert all(z.generator.dtype == float for z in zeros)  # |e1>, |e2> degenerate: n0 = 5
+        rhos = steady_states([z.generator for z in zeros], zeros[0].pairs, models[0].spectrum()[1])
         weights = rng.uniform(-1.0, 1.0, (n, n_rates))
         taus = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.1, 10.0, n))
         stacked = stacked_moments(models, rhos, weights, taus)
         assert len(stacked) == n
         for model, rho, w, tau, got in zip(models, rhos, weights, taus, stacked):
-            want = counting_moments(model, rho, CountingObservable(tuple(w)), tau)
+            obs = CountingObservable(tuple(w))
+            want = counting_moments(model, rho, obs, tau, reduced=True)
             fields = ("mean", "second_moment", "variance")
             assert [np.float64(getattr(got, f)).tobytes() for f in fields] == [
                 np.float64(getattr(want, f)).tobytes() for f in fields
@@ -375,6 +379,9 @@ class TestStackedMoments:
             stacked_moments([ep_generic], [rho], [[1.0] * 6], [np.inf])
         with pytest.raises(ValueError, match="channel count"):
             stacked_moments([ep_generic], [rho], [[1.0] * 5], [1.0])
+        crossing = dataclasses.replace(ep_generic, jump_ops=ep_generic.jump_ops + np.eye(3))
+        with pytest.raises(ModelValidationError, match="outside its Bohr sector"):
+            stacked_moments([crossing], [rho], [[1.0] * 6], [1.0])
 
 
 class TestMemoisedStep:
@@ -731,14 +738,6 @@ def route_model(kind: str, rng: np.random.Generator) -> LindbladModel:
     if kind == "evenly_spaced":
         return evenly_spaced_model(int(rng.integers(2, 7)), rng)
     return rotate_model(random_ep_model(rng), rng)  # |e1>, |e2> degenerate: n0 = 5
-
-
-def assert_close(got, want, scale=0.0, rel=1e-12):
-    """|got - want| <= rel max(|got|, |want|, scale) elementwise, or both NaN."""
-    got, want = np.asarray(got), np.asarray(want)
-    size = np.maximum(np.maximum(np.abs(got), np.abs(want)), scale)
-    ok = (np.abs(got - want) <= rel * size) | (np.isnan(got) & np.isnan(want))
-    assert ok.all(), np.max(np.abs(got - want) / size)
 
 
 class TestZeroSector:

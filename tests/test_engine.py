@@ -17,7 +17,6 @@ from qtur import engine
 from qtur.engine import (
     DegenerateSteadyStateError,
     build_generator,
-    build_generators,
     no_jump_family,
     propagate,
     steady_state,
@@ -136,7 +135,7 @@ class TestChannelStack:
         model = ladder_model(d, np.random.default_rng(d))
         weights = model.entropy_weights()
         for build in (
-            lambda: engine._assemble([model], True),
+            lambda: engine._assemble(model, True),
             lambda: engine._channel_sums(model.jump_ops, weights),
             lambda: engine._channel_sums(model.jump_ops, weights * weights),
         ):
@@ -181,7 +180,7 @@ class TestStackedDraws:
         n_rates, single, stacked = BUILT_INS[kind]
         omega_e, rates = rng.uniform(0.1, 3.0), rng.uniform(1e-3, 1.0, (n, n_rates))
         models = stacked(omega_e, rates)
-        states = steady_states(build_generators(models, coherent=True))
+        states = steady_states([build_generator(m, coherent=True) for m in models])
         assert len(models) == len(states) == n
         for model, row, rho in zip(models, rates, states):
             ref = single(omega_e, *row)
@@ -198,13 +197,16 @@ class TestStackedDraws:
         # H the generator is not trace preserving
         degenerate = LindbladModel.build(np.diag([0.0, 1.0, 2.0]), [])
         broken = replace(models[3], H=np.diag([0.0, np.nan, 1.0]))  # the raw constructor
-        gens = build_generators([*models[:3], broken, models[4]])
-        assert isinstance(gens[3], ModelValidationError) and not broken._generators
-        assert all(gen is build_generator(m) for gen, m in zip(gens, models) if gen is not gens[3])
-        states = steady_states([gens[0], build_generator(degenerate), gens[2], gens[4]])
+        with pytest.raises(ModelValidationError, match="not trace preserving"):
+            build_generator(broken)
+        assert not broken._generators
+        gens = [build_generator(m) for m in models]
+        leaking = gens[3] + 1e-3 * np.eye(9)  # the trace row does not annihilate it
+        states = steady_states([gens[0], build_generator(degenerate), gens[2], leaking, gens[4]])
         assert isinstance(states[1], DegenerateSteadyStateError)
-        for k, rho in zip((0, 2, 4), (states[0], states[2], states[3])):
-            assert rho.tobytes() == steady_state(build_generator(models[k])).tobytes()
+        assert isinstance(states[3], ModelValidationError) and "trace" in str(states[3])
+        for k, rho in zip((0, 2, 4), (states[0], states[2], states[4])):
+            assert rho.tobytes() == steady_state(gens[k]).tobytes()
 
     def test_a_bad_model_raises_and_is_named(self):
         stack = np.zeros((3, 1, 2, 2), dtype=complex)

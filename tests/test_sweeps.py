@@ -3,9 +3,11 @@ import hashlib
 import math
 import multiprocessing
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qtur.sweeps as sweeps
 import qtur.trajectories as trajectories
@@ -22,12 +24,15 @@ from qtur.engine import (
     SteadyStateError,
     build_generator,
     steady_state,
+    steady_states,
 )
+from qtur.bounds import observable_scale
 from qtur.cli import main
-from qtur.counting import activity_at, counting_moments
+from qtur.counting import CountingObservable, activity_at, counting_moments, rate_split
 from qtur.models import default_observable
 from qtur.operators import ModelValidationError
 from conftest import (
+    assert_close,
     ground_state,
     patch_nth_draw,
     random_detailed_balance_model,
@@ -177,6 +182,68 @@ class TestBadDraws:
         assert result.column("flagged") == [True, True, True]
 
 
+class TestZeroSectorRows:
+    """A sweep takes its draws on H's zero-frequency sector; each row agrees
+    with the Liouville route of its draw."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(experiment=st.sampled_from(EXPERIMENTS), n=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_the_liouville_route(self, experiment, n, seed):
+        states = []
+
+        def recorded(*args):
+            out = steady_states(*args)
+            states.extend(out)
+            return out
+
+        with mock.patch.object(sweeps, "steady_states", recorded):
+            result = run_sweep(SweepConfig(experiment, n_draws=n, seed=seed, workers=1))
+        spec = sweeps._EXPERIMENTS[experiment]
+        first = result.header.index(f"c_{spec.n_rates}") + 1
+        assert result.n_flagged == 0 and len(states) == n
+        for row, rho in zip(result.rows, states):
+            gammas, tau = row[1 : spec.n_rates + 1], row[spec.n_rates + 1]
+            weights = row[spec.n_rates + 2 : first]
+            model = spec.build(1.0, [gammas])[0]
+            want = steady_state(build_generator(model))
+            assert_close(rho, want, scale=1.0)
+            obs = CountingObservable(weights)
+            moments = counting_moments(model, want, obs, tau)
+            rates = rate_split(model, want)
+            scale = observable_scale(obs, float(sum(r.sum() for r in rates)) * tau)
+            mean, variance, total, part_d, part_nd = row[first : first + 5]
+            assert_close(mean, moments.mean, scale)  # a mean may be rounding noise
+            assert_close(variance, moments.variance)
+            w = spec.cost_weights(model)
+            parts = [float(w @ r) for r in rates]
+            cost = float(np.abs(w) @ sum(np.abs(r) for r in rates))
+            assert_close([total, part_d, part_nd], [sum(parts), *parts], cost)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_crossing_draw_is_flagged(self, experiment, monkeypatch):
+        config = SweepConfig(experiment, n_draws=6, seed=5, workers=1)
+        clean = result_to_csv(run_sweep(config)).splitlines()
+        name = {"kur_sweep": "build_da_models", "ep_sweep": "build_ep_models"}[experiment]
+        build = getattr(sweeps, name)
+
+        def crossing(omega_e, rates, first):
+            # |e1><e2| lies in the zero-frequency sector, the rest of L_0 at
+            # omega_e; the raw constructor does not check it
+            models = build(omega_e, rates, first)
+            ops = models[2].jump_ops.copy()
+            ops[0, 1, 2] = 0.3
+            models[2] = dataclasses.replace(models[2], jump_ops=ops)
+            return models
+
+        monkeypatch.setattr(sweeps, name, crossing)
+        result = run_sweep(config)
+        row = dict(zip(result.header, result.rows[2]))
+        assert row["flagged"] is True and result.n_flagged == 1
+        lines = result_to_csv(result).splitlines()
+        assert lines[:3] + lines[4:] == clean[:3] + clean[4:]
+
+
 class TestNotApplicableRows:
     """A mean that is rounding noise makes a row not applicable, as in
     ``qtur bounds``: nan sides and slack, empty verdicts."""
@@ -242,11 +309,16 @@ class TestRowAudit:
 # Re-captured when the steady state became one bordered LU in place of an
 # eig and a least-squares solve: the 2000-draw sweeps at seeds 42 and 7
 # moved by at most 7.3e-11 relative, in a near-zero slack, with no verdict
-# or flag changed. The tests below lower sweeps.POOL_MIN to 0, so that two
+# or flag changed. Re-captured when a sweep took its draws on H's
+# zero-frequency sector (real and 5-square, from the 9-square Liouville
+# generator): the 2000-draw sweeps at seeds 42 and 7 moved by at most
+# 8.7e-14 relative in a variance, 4.9e-12 in a near-zero current mean and
+# 1.3e-10 in a near-zero slack, with no verdict, flag or not-applicable
+# count changed. The tests below lower sweeps.POOL_MIN to 0, so that two
 # workers split the draws whatever the measured threshold is.
 PINNED_SWEEPS = {
-    "kur_sweep": "8ba540511002fc97eccbcd0b28ab9f4de7bd635c3c1a32c0594810593926bbc1",
-    "ep_sweep": "b7f5a3c9b342ae3ae4effd7aaac9f90aa10e01e9f37e2b605ea2624519585dde",
+    "kur_sweep": "3674fac2c2eb2a0249aebc814d5740783770b87ab4abcca249b1295a909d5894",
+    "ep_sweep": "30f88ca814c335867379b290cd7b618dcc3201893b55ee89917c830dc24c88d1",
 }
 
 
@@ -269,7 +341,9 @@ class TestReproducibility:
         monkeypatch.setattr(sweeps, "POOL_MIN", 0)
         base = SweepConfig("ep_sweep", n_draws=80, seed=21, workers=1)
         wide = SweepConfig("ep_sweep", n_draws=80, seed=21, workers=2)
-        assert result_to_csv(run_sweep(base)) == result_to_csv(run_sweep(wide))
+        serial = result_to_csv(run_sweep(base))
+        monkeypatch.setattr(sweeps, "RANGE", 16)  # five stacks, split over two workers
+        assert result_to_csv(run_sweep(wide)) == serial
 
     def test_different_seeds_differ(self):
         a = result_to_csv(run_sweep(SweepConfig("kur_sweep", n_draws=10, seed=1, workers=1)))
