@@ -25,12 +25,12 @@ Both are one block B = [[S, 0], [R, 0]]: S is L on rho for the rows block,
 and [[L, 0], [J_c, L]] on (rho, rho1) for the moment block. One builder
 (:func:`_pieces`, laid out by :func:`_layout`) assembles a stack of blocks:
 a sweep's draws take one stacked dense exponential (:func:`stacked_moments`),
-and a model keeps its stack of one (:func:`_block`), which one stepper
-(:func:`_act`) applies as exp(h B).
+and each call on one model builds its stack of one once (:func:`_block`),
+which one stepper (:func:`_act`) applies as exp(h B).
 
 Two routes give the same statistics. The Liouville route works on vec rho:
 its moment block is (2 d^2 + 1) square, exponentiated densely once per step
-length below ``ACTION_MIN_DIM``. From it up, where that pays
+length of a call below ``ACTION_MIN_DIM``. From it up, where that pays
 (:func:`_action_pays`), exp(h B) acts on vectors by the truncated Taylor
 series of Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm
 3.2), B applied part by part. Degree and step count come from the exact
@@ -51,7 +51,7 @@ Liouville route: on sector 0 the generators with and without H are one matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -60,7 +60,6 @@ from .engine import _channel_sums, build_generator, propagated_state, unvec, vec
 from .operators import (
     LindbladModel,
     ModelValidationError,
-    _frozen,
     _sector_maps,
     dagger,
     split_diagonal_offdiagonal,
@@ -105,6 +104,8 @@ class CountingObservable:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if not np.isfinite(self.weights).all():
+            raise ValueError(f"weights {self.weights} are not finite")
         if self.window is not None:
             a, b = self.window
             if not (np.isfinite(a) and np.isfinite(b)):
@@ -159,17 +160,19 @@ class _BlockPieces:
     """The augmented block B = [[S, 0], [R, 0]] in d^2-square pieces.
 
     S is L on rho (``jump`` None, the rows block) or [[L, 0], [J_c, L]]
-    on (rho, rho1) (the moment block); ``rows`` is R on S's state. ``mu``
-    = tr L / d^2 is the Taylor action's shift and ``norm`` the exact
+    on (rho, rho1) (the moment block); ``rows`` is R on S's state, and
+    ``reduced`` says whether L is on H's zero-frequency sector. ``mu`` =
+    tr L / d^2 is the Taylor action's shift and ``norm`` the exact
     ||B - mu I||_1. ``steps`` keeps the last dense exponential, keyed by
-    its step length."""
+    its step length, for as long as the block lives: one call."""
 
     gen: np.ndarray
     jump: np.ndarray | None
     rows: np.ndarray
+    reduced: bool
     mu: complex
     norm: float
-    steps: dict
+    steps: dict = field(default_factory=dict)
 
     def shifted(self, term: np.ndarray) -> np.ndarray:
         """(B - mu I) term, as d^2-square products on each part of S's state."""
@@ -184,11 +187,11 @@ class _BlockPieces:
         return np.concatenate(parts)
 
     def step(self, h: float) -> np.ndarray:
-        """exp(h B), read-only; another step length replaces it."""
+        """exp(h B); another step length replaces it."""
         if h not in self.steps:
             jump = None if self.jump is None else self.jump[None]
             self.steps.clear()
-            self.steps[h] = _frozen(expm(_layout(self.gen[None], jump, self.rows[None])[0] * h))
+            self.steps[h] = expm(_layout(self.gen[None], jump, self.rows[None])[0] * h)
         return self.steps[h]
 
 
@@ -209,7 +212,7 @@ def _pieces(models, weights, coherent: bool, reduced=False) -> tuple:
         return gens, None, np.array(w) @ rates
     c = np.asarray(weights, dtype=float)[:, None, :]
     if not reduced:
-        jumps = _frozen(_channel_sums(np.stack([m.jump_ops for m in models]), c))
+        jumps = _channel_sums(np.stack([m.jump_ops for m in models]), c)
     else:
         tensors = np.stack([z.tensors for z in zeros])
         count, m, n = tensors.shape[:3]
@@ -231,32 +234,24 @@ def _layout(gens: np.ndarray, jumps, rows: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _block(model: LindbladModel, weights, coherent: bool, zero=None) -> _BlockPieces:
+def _block(model: LindbladModel, weights, coherent: bool, reduced=False) -> _BlockPieces:
     """The moment block of ``weights``, or for None the rows block (the
     activity row and, with ds, the entropy row): the pieces of
-    :func:`_pieces` for a stack of one, on the sector ``zero`` if given.
-
-    The 1-norm is exact: the largest column sum, taken block column by
-    block column. The model, or the sector, keeps one block in one slot,
-    keyed by (coherent, weights), with its last dense step; a call with
-    another key rebuilds it."""
-    key = (bool(coherent), None if weights is None else tuple(weights))
-    slot = model._block if zero is None else zero.blocks
-    if key not in slot:
-        w = None if weights is None else [weights]
-        (gen,), jumps, (rows,) = _pieces([model], w, coherent, zero is not None)
-        n = gen.shape[0]
-        mu = np.trace(gen) / n
-        lead = np.abs(gen - mu * np.eye(n)).sum(axis=0)  # L - mu I on a diagonal block
-        if jumps is None:
-            jump, columns = None, [lead + np.abs(rows).sum(axis=0)]
-        else:
-            jump, (first, second) = jumps[0], np.abs(rows[0]).reshape(2, n)
-            columns = [lead + np.abs(jump).sum(axis=0) + first, lead + second]
-        norm = float(max(max(col.max() for col in columns), abs(mu)))
-        slot.clear()
-        slot[key] = _BlockPieces(gen, jump, rows, mu, norm, {})
-    return slot[key]
+    :func:`_pieces` for a stack of one, on the zero-frequency sector if
+    ``reduced``. The 1-norm is exact: the largest column sum, taken block
+    column by block column."""
+    w = None if weights is None else [weights]
+    (gen,), jumps, (rows,) = _pieces([model], w, coherent, reduced)
+    n = gen.shape[0]
+    mu = np.trace(gen) / n
+    lead = np.abs(gen - mu * np.eye(n)).sum(axis=0)  # L - mu I on a diagonal block
+    if jumps is None:
+        jump, columns = None, [lead + np.abs(rows).sum(axis=0)]
+    else:
+        jump, (first, second) = jumps[0], np.abs(rows[0]).reshape(2, n)
+        columns = [lead + np.abs(jump).sum(axis=0) + first, lead + second]
+    norm = float(max(max(col.max() for col in columns), abs(mu)))
+    return _BlockPieces(gen, jump, rows, reduced, mu, norm)
 
 
 def _initial(x: np.ndarray, n: int) -> np.ndarray:
@@ -337,16 +332,14 @@ def _taylor_action(shifted, mu, norm: float, h: float, y: np.ndarray) -> np.ndar
     return out
 
 
-def _act(model, weights, h: float, coherent: bool, y: np.ndarray, zero=None) -> np.ndarray:
-    """exp(h B) y for the block of ``weights`` (see :func:`_block`); ``y``
-    is one vector or a (rows, k) matrix of them.
+def _act(block: _BlockPieces, h: float, y: np.ndarray) -> np.ndarray:
+    """exp(h B) y for the block B of :func:`_block`; ``y`` is one vector or
+    a (rows, k) matrix of them.
 
     Where :func:`_action_pays`, from ``ACTION_MIN_DIM`` up and never on a
     sector, this is the Taylor action and no block matrix is formed;
-    otherwise it is the dense step, memoised on the block by its length,
-    times y."""
-    block = _block(model, weights, coherent, zero)
-    if zero is None and _action_pays(model.dim, h * block.norm):
+    otherwise it is the block's dense step of length h times y."""
+    if not block.reduced and _action_pays(round(len(block.gen) ** 0.5), h * block.norm):
         out = _taylor_action(block.shifted, block.mu, block.norm, h, y.reshape(len(y), -1))
         return out.reshape(y.shape)
     return block.step(h) @ y
@@ -375,12 +368,13 @@ def counting_moments(
     _check(model, obs.weights, tau)
     t_a, t_b = obs.resolved_window(tau)
     zero, x, trace = _route(model, reduced, rho0)
+    block = _block(model, obs.weights, coherent, zero is not None)
     n = len(trace)
     y = _initial(x, n)
     if t_a > 0:
-        y = _initial(_act(model, obs.weights, t_a, coherent, y, zero), n)
+        y = _initial(_act(block, t_a, y), n)
     if t_b > t_a:
-        y = _act(model, obs.weights, t_b - t_a, coherent, y, zero)
+        y = _act(block, t_b - t_a, y)
     return _moments([y], trace)[0]
 
 
@@ -403,10 +397,11 @@ def _half_windows(model, rho0, obs, tau: float, coherent: bool, reduced=False) -
     to the pair (rho(tau/2), 0, 0) and exp(h B) y0. ``obs.window`` is ignored."""
     _check(model, obs.weights, tau)
     zero, x, trace = _route(model, reduced, rho0)
+    block = _block(model, obs.weights, coherent, zero is not None)
     n = len(trace)
-    first = _act(model, obs.weights, tau / 2.0, coherent, _initial(x, n), zero)
+    first = _act(block, tau / 2.0, _initial(x, n))
     pair = np.stack([_initial(first, n), first], axis=1)
-    second, total = _act(model, obs.weights, tau / 2.0, coherent, pair, zero).T
+    second, total = _act(block, tau / 2.0, pair).T
     moments = tuple(_moments((first, second, total), trace))
     return moments + (_route_state(model, zero, total[:n], rho0, tau, coherent),)
 
@@ -461,6 +456,7 @@ def activity_at(model, rho0: np.ndarray, times, coherent: bool = True, reduced=F
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("times must be finite and nonnegative")
     zero, x, _ = _route(model, reduced, rho0)
+    block = _block(model, None, coherent, zero is not None)
     n, rows = len(x), 1 + model.has_entropy_weights
     y = np.concatenate([x, np.zeros(rows)])[:, None]
     out = np.empty((times.size, n + rows), dtype=complex)
@@ -468,7 +464,7 @@ def activity_at(model, rho0: np.ndarray, times, coherent: bool = True, reduced=F
     for k in np.argsort(times, kind="stable"):
         if times[k] > now:
             h, now = times[k] - now, times[k]
-            y = _act(model, None, h, coherent, y, zero)
+            y = _act(block, h, y)
         out[k] = y[:, 0]
     integrals, states = out[:, n:].real, unvec(out[:, :n]) if zero is None else None
     if states is not None:

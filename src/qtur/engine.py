@@ -7,14 +7,14 @@ a channel sum that is one GEMM over the model's stack of jump operators,
 with K and conj(K) added in place where the two Kronecker products put
 them, so neither product is formed. Generators are time homogeneous and
 tiny, so the dense matrix exponential is exact enough and cheaper to trust
-than ODE stepping; :func:`build_generator` memoizes each, a read-only array,
-on the frozen model per ``coherent`` flag, or gives L on H's zero-frequency
-sector (``reduced``), which holds no H. The steady state is one LU of the
-generator bordered by its trace row, scaled by ||L||_1: the factors give
-the state, and their reciprocal condition number judges its uniqueness
-without a time unit. :func:`steady_states` takes a stack of generators, on
-vec rho or on H's zero-frequency sector (a sweep's draws), and checks them
-once over the stack, where a failure marks only its own entry.
+than ODE stepping; :func:`build_generator` assembles one per call, or gives
+L on H's zero-frequency sector (``reduced``), which holds no H. The steady
+state is one LU of the generator bordered by its trace row, scaled by
+||L||_1: the factors give the state, and their reciprocal condition number
+judges its uniqueness without a time unit. :func:`steady_states` takes a
+stack of generators, on vec rho or on H's zero-frequency sector (a sweep's
+draws), and checks them once over the stack, where a failure marks only its
+own entry.
 
 The no-jump propagator family exposes the three operators
 
@@ -85,17 +85,13 @@ def _channel_sums(ops: np.ndarray, weights) -> np.ndarray:
 
 def build_generator(model: LindbladModel, coherent: bool = True, reduced: bool = False):
     """The (possibly Hamiltonian-free) Lindblad generator of ``model``, a read-only d^2-square
-    array memoized on the model per ``coherent`` flag, its trace preservation asserted at
-    assembly; with ``reduced``, L on H's zero-frequency sector (with or without H, one
-    matrix), where that sector holds."""
-    if reduced:
-        if (zero := model.zero_sector()).reason:
-            raise ModelValidationError(f"no zero-frequency reduction: {zero.reason}")
-        return zero.generator
-    memo, key = model._generators, bool(coherent)
-    if key not in memo:
-        memo[key] = _assemble(model, key)
-    return memo[key]
+    array, its trace preservation asserted at assembly; with ``reduced``, L on H's
+    zero-frequency sector (with or without H, one matrix), where that sector holds."""
+    if not reduced:
+        return _assemble(model, coherent)
+    if (zero := model.zero_sector()).reason:
+        raise ModelValidationError(f"no zero-frequency reduction: {zero.reason}")
+    return zero.generator
 
 
 def _assemble(model: LindbladModel, coherent: bool) -> np.ndarray:

@@ -18,13 +18,12 @@ open system needs, one home per fact:
 
 All containers are frozen dataclasses holding read-only arrays, so they can
 be shared freely across worker processes. A model also holds the stack of
-L_m^dag L_m and H's eigensystem; it memoizes its generators
-(``qtur.engine.build_generator``), the last augmented block of
-``qtur.counting`` and its zero-frequency sector. :meth:`LindbladModel.build_stack`
-builds N models that share H as one frozen (N, M, d, d) stack, row k of
-which is model k's ``jump_ops``: every check, the ``eigh`` of H, the
-L_m^dag L_m and the zero-frequency sectors are taken once over it, and
-:meth:`LindbladModel.build` is its stack of one.
+L_m^dag L_m, H's eigensystem and its zero-frequency sector; generators and
+augmented blocks are built per call and kept nowhere.
+:meth:`LindbladModel.build_stack` builds N models that share H as one
+frozen (N, M, d, d) stack, row k of which is model k's ``jump_ops``: every
+check, the ``eigh`` of H, the L_m^dag L_m and the zero-frequency sectors
+are taken once over it, and :meth:`LindbladModel.build` is its stack of one.
 """
 from __future__ import annotations
 
@@ -196,8 +195,8 @@ class LindbladModel:
     channel ``partners[m]`` (None when unpaired). Use :meth:`build` to
     derive the frequencies and run the structural checks; the raw
     constructor checks only shapes: H's for every channel, M entries for
-    each tuple. A model equals only itself, as the generators and blocks
-    memoized on it are its own, and it hashes by identity.
+    each tuple. A model equals only itself and hashes by identity: the
+    arrays it holds have no truth value to compare by.
     """
 
     H: np.ndarray
@@ -207,12 +206,6 @@ class LindbladModel:
     partners: tuple
     # L_m^dag L_m, the jump-rate operators, as an (M, d, d) stack
     jump_norms: np.ndarray = field(init=False, repr=False)
-    # coherent flag -> generator array, filled by qtur.engine.build_generator
-    _generators: dict = field(default_factory=dict, init=False, repr=False)
-    # (coherent, weights) -> the augmented block of qtur.counting._block:
-    # its d^2-square pieces, 1-norm and last dense step, keyed by its
-    # length; one entry at most
-    _block: dict = field(default_factory=dict, init=False, repr=False)
     # "eigh" -> H's eigensystem (:meth:`spectrum`), "zero" -> its ZeroSector
     _spectrum: dict = field(default_factory=dict, init=False, repr=False)
     # build_stack's hand-off: this model's jump_norms row and _spectrum entries
@@ -350,8 +343,8 @@ class ZeroSector:
     sum_m L_m^dag L_m inside each level: real when n0 = d, or when no imaginary part is
     nonzero on the sectors of one build_stack (the built-ins, n0 = 5). ``residual`` is the
     largest entry of a rotated L_m outside its own sector (its largest entry's), over
-    ||L_m||_F; above SECTOR_TOL ``reason`` says so and the arrays are None. ``blocks`` is
-    qtur.counting's block memo."""
+    ||L_m||_F; above SECTOR_TOL ``reason`` says so and the arrays are None. A sector equals
+    only itself, as its arrays have no truth value to compare by."""
 
     labels: np.ndarray
     pairs: tuple
@@ -361,7 +354,6 @@ class ZeroSector:
     generator: np.ndarray = None
     rates: np.ndarray = None
     decay: np.ndarray = None
-    blocks: dict = field(default_factory=dict)
 
 
 def _zero_sectors(energies, basis, ops, gammas) -> list:

@@ -326,10 +326,6 @@ def csv_lines(header, rows):
         yield ",".join(map(format_cell, row)) + "\n"
 
 
-def result_to_csv(result: SweepResult) -> str:
-    return "".join(csv_lines(result.header, result.rows))
-
-
 def write_csv(result: SweepResult, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.writelines(csv_lines(result.header, result.rows))

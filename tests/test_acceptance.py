@@ -22,7 +22,7 @@ from qtur.counting import (
 )
 from qtur.engine import build_generator, propagate, steady_state, survival_probability
 from qtur.models import build_da_model, build_ep_model, build_poisson_model
-from qtur.sweeps import SweepConfig, result_to_csv, run_sweep
+from qtur.sweeps import SweepConfig, csv_lines, run_sweep
 from qtur.trajectories import (
     PathWeights,
     SeedPolicy,
@@ -270,7 +270,7 @@ def test_criterion_11_sweep_determinism():
             result = run_sweep(
                 SweepConfig("ep_sweep", n_draws=100, seed=111, workers=workers)
             )
-            csv_texts.append(result_to_csv(result))
+            csv_texts.append("".join(csv_lines(result.header, result.rows)))
     identical = all(text == csv_texts[0] for text in csv_texts)
     report(
         "11 byte-identical sweeps across reruns and worker counts",

@@ -332,11 +332,12 @@ class TestBounds:
     def test_takes_one_block_exponential(self, case, dim, tau, blocks, monkeypatch, tmp_path):
         # on the Liouville route, which battery takes where the zero-frequency
         # reduction does not hold: at most one (2 d^2 + 1)-square
-        # exponential; besides it, below ACTION_MIN_DIM, only the rows
-        # block's dense steps to the half angle's nodes and tau, with the
-        # activity and entropy rows in one
-        # block (no (d^2 + 1)-square one for Sigma); from it up, one rows
-        # step where the moment block takes one
+        # exponential in each of the two moment calls (the tau/2 moments and
+        # the half windows, which share theirs between its two steps);
+        # besides them, below ACTION_MIN_DIM, only the rows block's dense
+        # steps to the half angle's nodes and tau, with the activity and
+        # entropy rows in one block (no (d^2 + 1)-square one for Sigma);
+        # from it up, one rows step where the moment block takes one
         unit = case == "unit_ladder"
         if case == "readme":
             argv = (*README_EP, "--tau", str(tau))
@@ -358,7 +359,7 @@ class TestBounds:
         code, reports = bounds_reports(*argv)
         assert code == 0 and len(reports) >= 3
         block, rows = 2 * dim * dim + 1, dim * dim + (1 if unit else 2)
-        assert shapes.count((block, block)) == blocks
+        assert shapes.count((block, block)) == 2 * blocks
         steps = [s for s in shapes if s != (block, block)]
         assert set(steps) <= {(rows, rows)}
         assert len(steps) == (blocks if dim >= ACTION_MIN_DIM else 3 * bounds.HALF_ANGLE_NODES + 1)
@@ -376,8 +377,9 @@ class TestBounds:
     def test_reduced_route_takes_one_sector_block(self, case, dim, tau, n0, monkeypatch,
                                                   tmp_path):
         # on the zero-frequency sector: one (2 n0 + 1)-square moment block
-        # exponential, the rows block's dense steps to the half angle's nodes
-        # and tau, no Taylor action, and no d^2-square array on the model
+        # exponential in each of the two moment calls, the rows block's dense
+        # steps to the half angle's nodes and tau, no Taylor action, and no
+        # d^2-square generator assembled
         unit = case == "unit_ladder"
         if case == "readme":
             argv = (*README_EP, "--tau", str(tau))
@@ -389,18 +391,22 @@ class TestBounds:
             ones = ",".join(["1"] * (2 * dim - 2))
             argv += ("--rho0", "ground", *(("--weights", ones) if unit else ()))
         monkeypatch.setattr(counting, "_taylor_action", lambda *a: pytest.fail("action taken"))
+        assemble, assembled = engine._assemble, []
+
+        def counted(model, coherent):
+            assembled.append(coherent)
+            return assemble(model, coherent)
+
+        monkeypatch.setattr(engine, "_assemble", counted)
         shapes = record_exponentials(monkeypatch)
-        built, load = [], cli.models_mod.load_model
-        monkeypatch.setattr(cli.models_mod, "load_model",
-                            lambda p: built.append(load(p)) or built[-1])
         code, reports = bounds_reports(*argv)
+        # the readme case's one is its --rho0 ss steady state's, before battery
+        assert len(assembled) == (case == "readme")
         assert code == 0 and len(reports) >= 3
         block, rows = 2 * n0 + 1, n0 + (1 if unit else 2)
-        assert shapes.count((block, block)) == 1
+        assert shapes.count((block, block)) == 2
         assert set(shapes) - {(block, block)} == {(rows, rows)}
-        assert len(shapes) == 1 + 3 * bounds.HALF_ANGLE_NODES + 1
-        for model in built:
-            assert not model._generators and not model._block
+        assert len(shapes) == 2 + 3 * bounds.HALF_ANGLE_NODES + 1
 
     @pytest.mark.parametrize("case", sorted(PINNED_BOUNDS))
     def test_pinned_bytes(self, case, tmp_path):
@@ -539,6 +545,18 @@ MALFORMED = {
     "nan-window": (
         ("moments", "--builtin", "ep", "--tau", "1", "--window", "nan,1"), None,
         "window [nan, 1.0] is not finite",
+    ),
+    "nan-weights-moments": (
+        ("moments", "--builtin", "da", "--tau", "2", "--weights", "nan,1,1,1"), None,
+        "weights (nan, 1.0, 1.0, 1.0) are not finite",
+    ),
+    "nan-weights-trajectories": (
+        ("trajectories", "--builtin", "ep", "--tau", "1", "--weights", "nan,1,1,1,1,1"), None,
+        "weights (nan, 1.0, 1.0, 1.0, 1.0, 1.0) are not finite",
+    ),
+    "nan-weights-bounds": (
+        ("bounds", "--builtin", "ep", "--tau", "1", "--weights", "nan,1,1,1,1,1"), None,
+        "weights (nan, 1.0, 1.0, 1.0, 1.0, 1.0) are not finite",
     ),
     "window-arity": (
         ("moments", "--builtin", "da", "--tau", "2", "--window", "1,2,3"), None,

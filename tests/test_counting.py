@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.linalg import expm
 
 import qtur.bounds as bounds
 import qtur.counting as counting
+import qtur.engine as engine
 from qtur.bounds import half_angle_integral
 from qtur.counting import (
     ACTION_MIN_DIM,
@@ -385,53 +387,8 @@ class TestStackedMoments:
 
 
 class TestMemoisedStep:
-    def test_one_block_held_at_any_number_of_horizons(self):
-        # one block of d^2-square pieces; below ACTION_MIN_DIM beside one
-        # dense (2 d^2 + 1)-square step, from it up, over horizons the
-        # action pays for, with no dense step at all
-        for dim in (ACTION_MIN_DIM - 1, 8):
-            model = ladder_model(dim, np.random.default_rng(5))
-            obs = CountingObservable(model.entropy_weights())
-            for tau in np.linspace(0.1, 2.0, 20):
-                counting_moments(model, ground_state(dim), obs, tau)
-            (held,) = model._block.values()
-            assert held.gen.shape == held.jump.shape == (dim**2, dim**2)
-            assert held.rows.shape == (1, 2 * dim**2)
-            if dim < ACTION_MIN_DIM:
-                (step,) = held.steps.values()
-                assert step.shape == (2 * dim**2 + 1, 2 * dim**2 + 1)
-            else:
-                assert not held.steps
-
-    def test_long_horizon_takes_one_dense_step_beside_the_pieces(self, monkeypatch):
-        # from ACTION_MIN_DIM up, a step too long for the action to pay is
-        # one dense exponential; the pieces stay beside it, so further calls
-        # over the same step exponentiate nothing
-        dim = 8
-        model = ladder_model(dim, np.random.default_rng(5))
-        weights = model.entropy_weights()
-        block = counting._block(model, weights, True)
-        h = 200.0 / block.norm
-        assert not counting._action_pays(dim, h * block.norm)
-        y = np.zeros(2 * dim * dim + 1, dtype=complex)
-        y[0] = 1.0
-        shapes = record_exponentials(monkeypatch)
-        got = [counting._act(model, weights, h, True, y) for _ in range(3)]
-        assert shapes == [(2 * dim * dim + 1, 2 * dim * dim + 1)]
-        assert model._block == {(True, tuple(weights)): block} and len(block.steps) == 1
-        want = counting._taylor_action(block.shifted, block.mu, block.norm, h, y[:, None])[:, 0]
-        assert np.abs(got[0] - want).max() <= 1e-12 * np.abs(want).max()
-        # above DENSE_MAX_DIM the action is taken at any step length
-        monkeypatch.setattr(counting, "DENSE_MAX_DIM", dim - 1)
-        fresh = dataclasses.replace(model)  # equal arrays, empty memos
-        shapes.clear()
-        assert counting._act(fresh, weights, h, True, y).tobytes() == want.tobytes()
-        assert shapes == [] and not fresh._block[True, tuple(weights)].steps
-
     @pytest.mark.parametrize("coherent", [True, False])
-    def test_windows_from_the_step_match_fresh_moments(
-        self, coherent, da_generic, ep_generic, monkeypatch
-    ):
+    def test_windows_from_the_step_match_fresh_moments(self, coherent, da_generic, ep_generic):
         rng = np.random.default_rng(17)
         cases = (
             (da_generic, (0.5, 1.0, 0.25, 0.75), (1.0, 0.0, -0.5, 0.3)),
@@ -439,22 +396,43 @@ class TestMemoisedStep:
             (rotate_model(ep_generic, rng), (1.0, -0.3, 0.6, 0.2, -0.8, 0.4), (0.0,) * 5 + (1.0,)),
         )
         windows = ((0.0, 0.85), (0.85, 1.7), (0.0, 1.7))
-        shapes = record_exponentials(monkeypatch)
         for model, weights, other in cases:
             rho0 = random_pure_state(3, rng)
             for flag, w in ((coherent, weights), (not coherent, weights), (coherent, other)):
                 obs = CountingObservable(w)
-                fresh = dataclasses.replace(model)  # equal arrays, empty memos
-                want = [counting_moments(fresh, rho0, obs.with_window(v), 1.7, flag) for v in windows]
-                counting_moments(model, rho0, CountingObservable(weights), 0.85, coherent)
-                shapes.clear()
+                want = [counting_moments(model, rho0, obs.with_window(v), 1.7, flag) for v in windows]
                 *got, rho_tau = _half_windows(model, rho0, obs, 1.7, flag)
-                # the step just taken serves its own flag and weights only
-                assert len(shapes) == (0 if (flag, w) == (coherent, weights) else 1)
                 for g, v in zip(got, want):
                     assert_moments_close(g, v, 1e-12)
-                gen = build_generator(fresh, coherent=flag)
+                gen = build_generator(model, coherent=flag)
                 np.testing.assert_allclose(rho_tau, propagate(gen, rho0, 1.7), rtol=0, atol=1e-12)
+
+
+class TestNoStateOnTheModel:
+    @pytest.mark.parametrize("case", ["liouville", "action", "sector"])
+    def test_kernels_leave_the_model_bytes_alone(self, case, da_generic, ep_generic, monkeypatch):
+        # generators and blocks live for one call: every kernel, on the
+        # Liouville route below ACTION_MIN_DIM, on the Taylor action at
+        # d = 8, and on the zero-frequency sector, leaves the model's pickle
+        # bytes as they were
+        model = {"liouville": da_generic, "action": ladder_model(8, np.random.default_rng(8)),
+                 "sector": ep_generic}[case]
+        reduced = case == "sector"
+        if not reduced:  # battery too
+            monkeypatch.setattr(counting, "_route", liouville_route)
+        rho0 = random_pure_state(model.dim, np.random.default_rng(3))
+        obs = CountingObservable(np.linspace(-1.0, 1.0, model.n_channels))
+        before = pickle.dumps(model)
+        with mock.patch.object(counting, "_taylor_action", wraps=counting._taylor_action) as act:
+            for coherent in (True, False):
+                build_generator(model, coherent)
+                counting_moments(model, rho0, obs.with_window((0.5, 2.0)), 2.0, coherent, reduced)
+                activity_at(model, rho0, [0.5, 2.0], coherent, reduced)
+                _half_windows(model, rho0, obs, 2.0, coherent, reduced)
+                bounds.battery(model, rho0, obs, 2.0, coherent)
+            build_generator(model, reduced=True)
+        assert act.called == (case == "action")
+        assert pickle.dumps(model) == before
 
 
 class TestDecompositions:
@@ -507,6 +485,11 @@ class TestObservableValidation:
     def test_reversed_window_rejected(self):
         with pytest.raises(ValueError, match="reversed"):
             CountingObservable((1.0,), window=(2.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"weights \(1.0, .*\) are not finite"):
+            CountingObservable((1.0, bad, 0.5))
 
     def test_weight_count_must_match_channels(self, ep_generic):
         with pytest.raises(ValueError, match="weight vector length"):
@@ -672,7 +655,7 @@ class TestBlockAction:
         for got in (
             counting._taylor_action(held.shifted, held.mu, held.norm, h, start),
             held.step(h) @ start,
-            counting._act(model, weights, h, coherent, start),
+            counting._act(counting._block(model, weights, coherent), h, start),
         ):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -709,15 +692,39 @@ class TestBlockAction:
         y = np.zeros(2 * dim**2 + 1, dtype=complex)
         y[0] = 1.0
         state = np.random.get_state()
-        first = counting._act(model, weights, 3.0, True, y)
-        assert not model._block[True, tuple(weights)].steps  # the action, not a dense step
-        fresh = dataclasses.replace(model)  # equal arrays, empty memos
-        for again in (counting._act(model, weights, 3.0, True, y),
-                      counting._act(fresh, weights, 3.0, True, y)):
+        block = counting._block(model, weights, True)
+        first = counting._act(block, 3.0, y)
+        assert not block.steps  # the action, not a dense step
+        for again in (counting._act(block, 3.0, y),
+                      counting._act(counting._block(model, weights, True), 3.0, y)):
             assert again.tobytes() == first.tobytes()
         after = np.random.get_state()
         assert after[0] == state[0] and np.array_equal(after[1], state[1])
         assert after[2:] == state[2:]
+
+    def test_long_horizon_takes_a_dense_step(self, monkeypatch):
+        # from ACTION_MIN_DIM up, a step too long for the action to pay is
+        # one dense exponential, which the block keeps for its further
+        # steps of that length; above DENSE_MAX_DIM the action is taken at
+        # any step length
+        dim = 8
+        model = ladder_model(dim, np.random.default_rng(5))
+        weights = model.entropy_weights()
+        block = counting._block(model, weights, True)
+        h = 200.0 / block.norm
+        assert not counting._action_pays(dim, h * block.norm)
+        y = np.zeros(2 * dim * dim + 1, dtype=complex)
+        y[0] = 1.0
+        shapes = record_exponentials(monkeypatch)
+        got = [counting._act(block, h, y) for _ in range(3)]
+        assert shapes == [(2 * dim * dim + 1, 2 * dim * dim + 1)]
+        want = counting._taylor_action(block.shifted, block.mu, block.norm, h, y[:, None])[:, 0]
+        assert np.abs(got[0] - want).max() <= 1e-12 * np.abs(want).max()
+        monkeypatch.setattr(counting, "DENSE_MAX_DIM", dim - 1)
+        shapes.clear()
+        fresh = counting._block(model, weights, True)
+        assert counting._act(fresh, h, y).tobytes() == want.tobytes()
+        assert shapes == [] and not fresh.steps
 
 
 def evenly_spaced_model(dim: int, rng: np.random.Generator) -> LindbladModel:
@@ -744,6 +751,8 @@ class TestZeroSector:
     @settings(max_examples=24)
     @given(seed=SEEDS, kind=st.sampled_from(["ladder", "rotated", "evenly_spaced", "degenerate"]),
            tau=st.floats(0.1, 4.0), coherent=st.booleans())
+    # a flow of 8.9e-6 off by 2.2e-17: 2.5e-12 of itself, 2e-17 of its terms
+    @example(seed=151, kind="degenerate", tau=3.5, coherent=False)
     def test_reduced_route_matches_the_liouville_route(self, seed, kind, tau, coherent):
         # the same statistics from the zero-frequency sector as from the
         # d^2-square generator, from a random pure state with weight in
@@ -764,9 +773,11 @@ class TestZeroSector:
         reduced = activity_at(model, rho0, times, coherent, reduced=True)
         full = activity_at(model, rho0, times, coherent)
         assert (reduced[2] is None) == (zero.reason == "")
-        for got, want in zip(reduced[:2], full[:2]):
-            if want is not None:
-                assert_close(got, want)
+        assert_close(reduced[0], full[0])
+        if full[1] is not None:
+            # the flow is a signed sum of terms of size max|ds| A, as in
+            # bounds.entropy_scale, and can cancel far below them
+            assert_close(reduced[1], full[1], np.abs(model.entropy_weights()).max() * full[0])
         scale = np.abs(obs.weights).max() * full[0][-1]
         halves = _half_windows(model, rho0, obs, tau, coherent, reduced=True)
         for got, want in zip(halves, _half_windows(model, rho0, obs, tau, coherent)):
@@ -806,8 +817,10 @@ class TestZeroSector:
         assert zero.generator is None and counting._route(model, True, np.eye(3))[0] is None
         rho0 = np.diag([0.0, 0.0, 1.0]).astype(complex)
         obs = CountingObservable((1.0,))
-        reports = bounds.battery(model, rho0, obs, 2.0)
-        assert model._generators and model._block
+        with mock.patch.object(engine, "_assemble", wraps=engine._assemble) as assemble:
+            reports = bounds.battery(model, rho0, obs, 2.0)
+        assert assemble.called  # the Liouville route's coherent generators
+        assert {call.args[1] for call in assemble.call_args_list} == {True}
         want = counting_moments(model, rho0, obs, 2.0)
         assert counting_moments(model, rho0, obs, 2.0, reduced=True) == want
         total = _half_windows(model, rho0, obs, 2.0, True)[2]

@@ -1,8 +1,9 @@
 """Every public entry point of qtur has a caller in src.
 
-A name that ``qtur/__init__.py`` imports, and a public method of a class it
-exports, must be referenced (as a ``Name`` or an ``Attribute``) by src
-outside ``__init__``; what only tests reach is surface without a use.
+A name that ``qtur/__init__.py`` imports, a public method of a class it
+exports, and a public module-level function of any src module must be
+referenced (as a ``Name`` or an ``Attribute``) by src outside
+``__init__``; what only tests reach is surface without a use.
 """
 
 import ast
@@ -17,12 +18,13 @@ EXEMPT = {
     "half_angle_integral": "the windowed bound's half angle, a library entry point of its own",
     "save_model": "the writing half of the model JSON schema that load_model reads",
     "PathWeights.densities_batch": "gets its caller when verify-cic checks each record's reversal",
+    "rerun_row_check": "the benchmark's row audit, called from perfbench/workloads.py",
 }
 
 
 def _exported() -> list:
-    """The names ``__init__`` imports, and ``Class.method`` for each public
-    method of an exported class."""
+    """The names ``__init__`` imports, ``Class.method`` for each public
+    method of an exported class, and every public module-level function."""
     names = []
     for node in ast.walk(ast.parse((SRC / "__init__.py").read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -35,6 +37,8 @@ def _exported() -> list:
                     f"{node.name}.{item.name}" for item in node.body
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
                 ]
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                entries.append(node.name)
     return entries
 
 

@@ -13,8 +13,8 @@ import qtur.sweeps as sweeps
 import qtur.trajectories as trajectories
 from qtur.sweeps import (
     SweepConfig,
+    csv_lines,
     rerun_row_check,
-    result_to_csv,
     run_cic_suite,
     run_sweep,
     write_csv,
@@ -38,6 +38,11 @@ from conftest import (
     random_detailed_balance_model,
     zero_mean,
 )
+
+
+def csv_text(result) -> str:
+    """The CSV that write_csv writes for ``result``, as one string."""
+    return "".join(csv_lines(result.header, result.rows))
 
 
 class TestSweepConfig:
@@ -148,13 +153,13 @@ class TestBadDraws:
     )
     def test_failed_steady_state_is_flagged(self, experiment, error, monkeypatch):
         config = SweepConfig(experiment, n_draws=6, seed=5, workers=1)
-        clean = result_to_csv(run_sweep(config)).splitlines()
+        clean = csv_text(run_sweep(config)).splitlines()
         patch_nth_draw(monkeypatch, sweeps, "steady_states", 2, error)
         result = run_sweep(config)
         row = dict(zip(result.header, result.rows[2]))
         assert row["flagged"] is True and result.n_flagged == 1
         assert row["satisfied_full"] is None and row["satisfied_diag"] is None
-        lines = result_to_csv(result).splitlines()
+        lines = csv_text(result).splitlines()
         assert lines[:3] + lines[4:] == clean[:3] + clean[4:]
         assert all(rerun_row_check(result, k) for k in range(len(result.rows)))
 
@@ -223,7 +228,7 @@ class TestZeroSectorRows:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_crossing_draw_is_flagged(self, experiment, monkeypatch):
         config = SweepConfig(experiment, n_draws=6, seed=5, workers=1)
-        clean = result_to_csv(run_sweep(config)).splitlines()
+        clean = csv_text(run_sweep(config)).splitlines()
         name = {"kur_sweep": "build_da_models", "ep_sweep": "build_ep_models"}[experiment]
         build = getattr(sweeps, name)
 
@@ -240,7 +245,7 @@ class TestZeroSectorRows:
         result = run_sweep(config)
         row = dict(zip(result.header, result.rows[2]))
         assert row["flagged"] is True and result.n_flagged == 1
-        lines = result_to_csv(result).splitlines()
+        lines = csv_text(result).splitlines()
         assert lines[:3] + lines[4:] == clean[:3] + clean[4:]
 
 
@@ -262,8 +267,8 @@ class TestNotApplicableRows:
             assert result.not_applicable(which) == 1
             before = clean.column(f"satisfied_{which}")
             assert result.violations(which) == clean.violations(which) - (before[4] is False)
-        lines = result_to_csv(result).splitlines()
-        assert lines[:5] + lines[6:] == result_to_csv(clean).splitlines()[:5] + lines[6:]
+        lines = csv_text(result).splitlines()
+        assert lines[:5] + lines[6:] == csv_text(clean).splitlines()[:5] + lines[6:]
         assert all(rerun_row_check(result, k) for k in range(len(result.rows)))
 
     def test_summary_counts_them_apart(self, monkeypatch):
@@ -328,26 +333,26 @@ class TestReproducibility:
     def test_pinned_bytes(self, experiment, workers, monkeypatch):
         monkeypatch.setattr(sweeps, "POOL_MIN", 0)
         result = run_sweep(SweepConfig(experiment, n_draws=64, seed=42, workers=workers))
-        digest = hashlib.sha256(result_to_csv(result).encode()).hexdigest()
+        digest = hashlib.sha256(csv_text(result).encode()).hexdigest()
         assert digest == PINNED_SWEEPS[experiment]
 
     def test_same_seed_same_bytes(self):
         config = SweepConfig("kur_sweep", n_draws=60, seed=13, workers=1)
-        a = result_to_csv(run_sweep(config))
-        b = result_to_csv(run_sweep(config))
+        a = csv_text(run_sweep(config))
+        b = csv_text(run_sweep(config))
         assert a == b
 
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
         monkeypatch.setattr(sweeps, "POOL_MIN", 0)
         base = SweepConfig("ep_sweep", n_draws=80, seed=21, workers=1)
         wide = SweepConfig("ep_sweep", n_draws=80, seed=21, workers=2)
-        serial = result_to_csv(run_sweep(base))
+        serial = csv_text(run_sweep(base))
         monkeypatch.setattr(sweeps, "RANGE", 16)  # five stacks, split over two workers
-        assert result_to_csv(run_sweep(wide)) == serial
+        assert csv_text(run_sweep(wide)) == serial
 
     def test_different_seeds_differ(self):
-        a = result_to_csv(run_sweep(SweepConfig("kur_sweep", n_draws=10, seed=1, workers=1)))
-        b = result_to_csv(run_sweep(SweepConfig("kur_sweep", n_draws=10, seed=2, workers=1)))
+        a = csv_text(run_sweep(SweepConfig("kur_sweep", n_draws=10, seed=1, workers=1)))
+        b = csv_text(run_sweep(SweepConfig("kur_sweep", n_draws=10, seed=2, workers=1)))
         assert a != b
 
     def test_format_cell_of_every_cell_type(self):
