@@ -14,11 +14,14 @@ four, for the false-FAIL rate given at the constant. A failed
 precondition marks the report not applicable (``satisfied is None``)
 rather than violated; so does a mean that is rounding noise,
 |mean| <= DEGENERATE_REL_TOL max|w| A(tau), for which the ratio of
-variance to squared mean is undefined. The entropy-production bound also
-needs a current and an entropy production above the rounding noise of
-the terms it sums; otherwise its report says why it does not apply.
-That rule lives on :class:`BoundReport` itself (``judge``, ``skipped``,
-``not_applicable``), and the random sweeps judge their rows with it too.
+variance to squared mean is undefined, and, for a bound that divides by
+the squared mean, a mean below ``SQUARE_MIN``, whose square is subnormal
+or 0. The entropy-production bound also needs a current and an entropy
+production above the rounding noise of the terms it sums; otherwise its
+report says why it does not apply. That rule lives on :class:`BoundReport`
+itself (``judge``, ``skipped``, ``not_applicable``) and in the two tests
+they call, :func:`exact_tolerance` and :func:`rounding_noise`, which take
+arrays too: the random sweeps judge their rows by them as columns.
 
 Bound inventory:
 
@@ -75,6 +78,9 @@ CIC_MOMENTS_REL_TOL = 1e-8
 CIC_NORMS_REL_TOL = 1e-9
 CIC_SIGMA_TOL = 1e-9
 DEGENERATE_REL_TOL = 1e-10
+# The smallest mean whose square is a normal float, 2^-511 (about 1.5e-154): below
+# it Var / E^2 has lost digits to underflow, and from 2^-538 down E^2 is 0.
+SQUARE_MIN = 2.0**-511
 # The half angle's rules: HALF_ANGLE_NODES nodes against twice as many,
 # doubled until they agree to HALF_ANGLE_TOL (relative above an angle of 1).
 HALF_ANGLE_NODES = 8
@@ -130,8 +136,7 @@ class BoundReport:
         ``partials`` maps each key x to d lhs/d x."""
         stderrs = {key: inputs[key].stderr for key in partials or ()}
         var_lhs = sum((partials[key] * se) ** 2 for key, se in stderrs.items() if se)
-        size = max([1.0] + [abs(side) for side in (lhs, rhs) if math.isfinite(side)])
-        tol = max(EXACT_TOL * size, MC_SIGMAS * math.sqrt(var_lhs))
+        tol = max(exact_tolerance(lhs, rhs), MC_SIGMAS * math.sqrt(var_lhs))
         return cls(name, float(lhs), float(rhs), float(tol), precondition_ok, inputs, extra or {})
 
     @classmethod
@@ -140,16 +145,21 @@ class BoundReport:
         return cls.judge(name, math.nan, math.nan, inputs, extra, precondition_ok=False)
 
     @classmethod
-    def not_applicable(cls, name, value, scale, inputs, message) -> "BoundReport | None":
+    def not_applicable(cls, name, value, scale, inputs, message, squared=False):
         """The report of a bound whose mean ``value`` is rounding noise at the
-        observable's ``scale``, else None. A zero scale (all weights zero, or
-        no jumps) leaves nothing to compare against: a nonpositive value then
+        observable's ``scale`` (:func:`rounding_noise`, ``squared`` for a bound
+        that divides by value^2), else None; one whose square alone is too
+        small says so in ``extra``. A zero scale (all weights zero, or no
+        jumps) leaves nothing to compare against: a value that is noise then
         raises ``message``."""
-        if value > DEGENERATE_REL_TOL * scale:
+        if not rounding_noise(value, scale, squared):
             return None
         if scale == 0.0:
             raise ValueError(message)
-        return cls.skipped(name, inputs, {"scale": scale})
+        extra = {"scale": scale}
+        if not rounding_noise(value, scale):
+            extra["reason"] = f"the square of {value:.3g} is not a normal float"
+        return cls.skipped(name, inputs, extra)
 
     def to_json(self) -> dict:
         keys = ("name", "lhs", "rhs", "slack", "satisfied", "tol", "precondition_ok")
@@ -170,6 +180,21 @@ class BoundReport:
 
     def __str__(self) -> str:
         return json.dumps(self.to_json())
+
+
+def exact_tolerance(lhs, rhs):
+    """EXACT_TOL max(1, |lhs|, |rhs|) over the finite sides, the rounding of
+    two exact sides; elementwise on arrays."""
+    sides = np.abs([lhs, rhs])
+    return EXACT_TOL * np.max(sides, axis=0, initial=1.0, where=np.isfinite(sides))
+
+
+def rounding_noise(value, scale, squared=False):
+    """Whether a mean ``value`` >= 0 is rounding noise at the observable's
+    ``scale``, value <= DEGENERATE_REL_TOL scale, or, ``squared``, below
+    ``SQUARE_MIN``; elementwise on arrays."""
+    noise = value <= DEGENERATE_REL_TOL * scale
+    return noise | (value < SQUARE_MIN) if squared else noise
 
 
 def observable_scale(obs: CountingObservable, activity: float) -> float:
@@ -322,7 +347,8 @@ def kur_differential(
     The mean growth rate is evaluated exactly from the state at tau; at
     stationarity this is the relative-variance form with A = a tau. The
     bound does not apply when tau d_tau E is rounding noise at the
-    observable's scale max|w| A(tau). ``moments`` may be Monte Carlo.
+    observable's scale max|w| A(tau), or when its square is not a normal
+    float. ``moments`` may be Monte Carlo.
     """
     dmean = mean_rate(model, rho_tau, obs)
     scale = observable_scale(obs, activity_total)
@@ -333,7 +359,8 @@ def kur_differential(
     }
     name = "activity_rate_bound"
     message = "mean growth rate vanishes; the bound is undefined"
-    if skipped := BoundReport.not_applicable(name, abs(tau * dmean), scale, inputs, message):
+    value = abs(tau * dmean)
+    if skipped := BoundReport.not_applicable(name, value, scale, inputs, message, squared=True):
         return skipped
     lhs = moments.variance / (tau * dmean) ** 2
     rhs = 1.0 / activity_total
@@ -359,9 +386,10 @@ def csch_squared_bound(sigma: float) -> float:
 
 def ep_lower_bound(mean_j: float, var_j: float, gamma: float = 1.0) -> float:
     """Entropy lower bound 2 arcsinh(1/sqrt(R)) / sqrt(R+1), R = gamma Var/E^2."""
-    if mean_j == 0.0:
+    square = mean_j**2
+    if square == 0.0:
         raise ValueError("mean current vanishes; the bound is undefined")
-    ratio = gamma * var_j / mean_j**2
+    ratio = gamma * var_j / square
     if ratio <= 0:
         return math.inf
     return 2.0 * math.asinh(1.0 / math.sqrt(ratio)) / math.sqrt(ratio + 1.0)
@@ -384,8 +412,9 @@ def ep_tur(
     arctanh/arcsinh representations. It is not applicable, with the
     reason in ``extra``, when the observable is not a ``current`` (weights
     antisymmetric under the channel pairing), when E[J] is rounding noise
-    at ``scale`` (:func:`observable_scale`), or when Sigma is rounding
-    noise at ``sigma_scale`` (:func:`entropy_scale`).
+    at ``scale`` (:func:`observable_scale`) or its square is not a normal
+    float, or when Sigma is rounding noise at ``sigma_scale``
+    (:func:`entropy_scale`).
     """
     name = "entropy_production_bound"
     mean_j, var_j = moments.mean, moments.variance
@@ -397,9 +426,10 @@ def ep_tur(
     if not current:
         return BoundReport.skipped(name, inputs, {"reason": "the observable is not a current"})
     message = "mean current vanishes; the bound is undefined"
-    if skipped := BoundReport.not_applicable(name, abs(mean_j), scale, inputs, message):
+    value = abs(mean_j)
+    if skipped := BoundReport.not_applicable(name, value, scale, inputs, message, squared=True):
         return skipped
-    if abs(sigma) <= DEGENERATE_REL_TOL * sigma_scale:
+    if rounding_noise(abs(sigma), sigma_scale):
         reason = "entropy production is rounding noise"
         return BoundReport.skipped(name, inputs, {"reason": reason, "scale": sigma_scale})
     ratio = gamma * var_j / mean_j**2

@@ -12,12 +12,13 @@ experiment. Over a range of RANGE draws it reads the parameters, builds and
 checks the models, and takes the steady states and moments on H's
 zero-frequency sector (:mod:`qtur.counting`'s reduced route: on a built-in
 model, 5 real entries of rho, its populations and |e1><e2| coherences), each
-as one stack; then each row gets its rate split, off rho_ss in the given
-basis, and reports. Each cost is judged by the rule of every bound report
-(:class:`~qtur.bounds.BoundReport`), so a mean that is rounding noise makes
-a row not applicable (nan sides and slack, empty verdicts). A draw whose
-sector, steady state or observable fails validation is a flagged row; a
-model that fails to build aborts the sweep.
+as one stack; then it judges the range as columns: the rate split off rho_ss
+is a stacked matmul, and each cost's sides and verdict one array pass by the
+rule of every bound report (:class:`~qtur.bounds.BoundReport`). A mean that
+is rounding noise, or whose square is not a normal float, makes a row not
+applicable (nan sides and slack, empty verdicts). A draw whose sector, steady
+state or observable fails validation, or whose observable has no scale, is a
+flagged row; a model that fails to build aborts the sweep.
 
 Sweeps are reproducible to the byte: draw k reads the PCG64 stream
 seeded from (seed, k) through the same splitmix64 mixing the trajectory
@@ -34,20 +35,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import (
-    CIC_MOMENTS_REL_TOL,
-    CIC_NORMS_REL_TOL,
-    CIC_SIGMA_TOL,
-    DEGENERATE_REL_TOL,
-    MC_SIGMAS,
-    BoundReport,
-    entropy_scale,
-    ep_lower_bound,
-    observable_scale,
-)
-from .counting import CountingObservable, activity_at, counting_moments, rate_split, sigma_from
-from .counting import stacked_moments
-from .engine import build_generator, steady_states
+from .bounds import CIC_MOMENTS_REL_TOL, CIC_NORMS_REL_TOL, CIC_SIGMA_TOL, DEGENERATE_REL_TOL
+from .bounds import MC_SIGMAS, BoundReport, entropy_scale, ep_lower_bound, exact_tolerance
+from .bounds import observable_scale, rounding_noise
+from .counting import activity_at, counting_moments, sigma_from, stacked_moments
+from .engine import build_generator, steady_states, vec
 from .models import antisymmetric_current_weights, build_da_models, build_ep_models
 from .models import default_observable
 from .operators import LindbladModel, ModelValidationError
@@ -123,8 +115,8 @@ class SweepResult:
         return sum(1 for f in flags if f is False)
 
     def not_applicable(self, which: str) -> int:
-        """Unflagged rows whose mean is rounding noise: neither satisfied
-        nor violated."""
+        """Unflagged rows whose mean is rounding noise or too small to
+        square: neither satisfied nor violated."""
         flags = zip(self.column(f"satisfied_{which}"), self.column("flagged"))
         return sum(1 for f, flagged in flags if f is None and not flagged)
 
@@ -138,15 +130,18 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _kur_sides(mom, tau, a, a_d):
-    """Var / E^2 against 1 / (a tau), with the full and the diagonal activity a."""
-    lhs = mom.variance / mom.mean**2
+def _kur_sides(means, variances, tau, a, a_d):
+    """Var / E^2 against 1 / (a tau), a full or diagonal, as columns; E^2 is each
+    float's power, as x * x can differ in the last bit."""
+    lhs = variances / np.array([m**2 for m in means.tolist()])
     return (lhs, 1.0 / (a * tau)), (lhs, 1.0 / (a_d * tau))
 
 
-def _ep_sides(mom, tau, sigma, s_d):
-    """Sigma tau, full and diagonal, against the entropy lower bound of the current."""
-    rhs = ep_lower_bound(mom.mean, mom.variance, gamma=1.0)
+def _ep_sides(means, variances, tau, sigma, s_d):
+    """Sigma tau, full or diagonal, against the current's entropy bound, as columns;
+    the bound per draw, as ``math.asinh`` and ``np.arcsinh`` can differ in the last bit."""
+    pairs = zip(means.tolist(), variances.tolist())
+    rhs = np.array([ep_lower_bound(m, v, gamma=1.0) for m, v in pairs])
     return (sigma * tau, rhs), (s_d * tau, rhs)
 
 
@@ -161,8 +156,8 @@ class _Experiment:
     ``weight_range``: activity sweeps keep the mean count positive,
     current sweeps need sign freedom before antisymmetrization.
     ``cost_weights(model)`` weighs the channel rates into the cost (ones:
-    activity; ds: entropy production). ``sides(mom, tau, full cost, diag
-    cost)`` gives the (lhs, rhs) of each cost, which ``columns`` names.
+    activity; ds: entropy production). ``sides(means, variances, taus, full,
+    diag)`` gives the (lhs, rhs) columns of each cost, which ``columns`` names.
     """
 
     header: tuple
@@ -238,8 +233,9 @@ def _parameters(config: SweepConfig, spec: _Experiment, lo: int, hi: int) -> tup
 
 def _draw_range(config: SweepConfig, lo: int, hi: int) -> list:
     """Rows [lo, hi) of the sweep: parameters, models, steady states and moments as stacks on
-    H's zero-frequency sector, then per row the rate split and both costs judged by the bound
-    reports' rule. A draw whose sector, steady state or observable fails is a flagged row."""
+    H's zero-frequency sector, then the judged draws as columns (:func:`_judge`). A draw whose
+    sector, steady state or observable (finite weights; for a current, antisymmetric under
+    the shared partner map) fails, or whose observable has no scale, is a flagged row."""
     spec = _EXPERIMENTS[config.experiment]
     g, taus, free = _parameters(config, spec, lo, hi)
     models = spec.build(config.omega_e, g, lo)
@@ -249,45 +245,49 @@ def _draw_range(config: SweepConfig, lo: int, hi: int) -> list:
     rhos = [ModelValidationError(z.reason) if z.reason else next(states) for z in zeros]
     weights = [antisymmetric_current_weights(m, c) if spec.current else c
                for m, c in zip(models, free.tolist())]
-    observables = [_observable(spec, *draw) for draw in zip(models, weights, rhos)]
-    judged = [k for k, obs in enumerate(observables) if obs is not None]
-    picked = ([x[k] for k in judged] for x in (models, rhos, weights))
-    moments = dict(zip(judged, stacked_moments(*picked, taus[judged])))
-    draws = zip(g.tolist(), taus.tolist(), weights, models, rhos, observables)
-    return [_row(spec, lo + k, *draw, moments.get(k)) for k, draw in enumerate(draws)]
+    w = np.array(weights, dtype=float)
+    ok = np.isfinite(w).all(axis=1) & [not isinstance(rho, Exception) for rho in rhos]
+    if spec.current:
+        ok &= (w[:, models[0].partners] == -w).all(axis=1)
+    judged = np.flatnonzero(ok)
+    picked = [models[k] for k in judged], [rhos[k] for k in judged], w[judged], taus[judged]
+    cells, verdicts = np.full((10, hi - lo), np.nan), np.full((2, hi - lo), None, dtype=object)
+    if judged.size:
+        cells[:, judged], verdicts[:, judged], ok[judged] = _judge(
+            spec, *picked, stacked_moments(*picked))
+    draws = zip(g.tolist(), taus.tolist(), weights, cells.T.tolist(), *verdicts.tolist(),
+                (~ok).tolist())
+    return [(lo + k, *gk, tk, *c, *row, full, diag, flagged)
+            for k, (gk, tk, c, row, full, diag, flagged) in enumerate(draws)]
 
 
-def _observable(spec: _Experiment, model: LindbladModel, c, rho):
-    """A draw's observable, or None if flagged: ``rho`` an error, or no current."""
-    if isinstance(rho, Exception):
-        return None
-    obs = CountingObservable(tuple(c), antisymmetric=spec.current)
-    return obs if not spec.current or obs.is_current(model) else None
-
-
-def _row(spec: _Experiment, index: int, g, tau: float, c, model, rho, obs, mom) -> tuple:
-    """The row of one draw; ``obs`` and ``mom`` are None for a flagged draw."""
-    base = [index, *g, tau, *c]
-    if obs is None:
-        return tuple(base + [np.nan] * 10 + [None, None, True])
-
-    w = spec.cost_weights(model)
-    rates = rate_split(model, rho)
-    part_d, part_nd = (float(w @ r) for r in rates)
-    total = part_d + part_nd
-    scale = observable_scale(obs, float(sum(r.sum() for r in rates)) * tau)
-    message = "mean vanishes; the bound is undefined"
-    if skipped := BoundReport.not_applicable(spec.bound, abs(mom.mean), scale, {}, message):
-        reports = (skipped, skipped)
-    else:
-        sides = spec.sides(mom, tau, total, part_d)
-        reports = [BoundReport.judge(spec.bound, lhs, rhs, {}) for lhs, rhs in sides]
-    cells = {"flagged": False}
-    for which, (lhs, rhs), rep in zip(("full", "diag"), spec.columns, reports):
-        cells.update({lhs: rep.lhs, rhs: rep.rhs, f"slack_{which}": rep.slack})
-        cells[f"satisfied_{which}"] = rep.satisfied
-    row = base + [mom.mean, mom.variance, total, part_d, part_nd]
-    return tuple(row + [cells[name] for name in spec.header[len(row):]])
+def _judge(spec: _Experiment, models, rhos, w, taus, moments) -> tuple:
+    """The judged draws' ten number cells as (10, n) columns, their two verdicts (None where
+    the bound does not apply) and which keep a scale to judge a vanishing mean at: the rate
+    split as stacked matmuls, which reach the kernels of the per-draw matvec and dot, then
+    the bound reports' rounding-noise test and tolerance rule, one array expression each."""
+    x = vec(np.array(rhos))[..., None]
+    x_d = np.zeros_like(x)
+    x_d[:, :: models[0].dim + 1] = x[:, :: models[0].dim + 1]  # the diagonal of each rho
+    norms = np.array([m.jump_norms for m in models]).reshape(len(x), -1, x.shape[1])
+    rates = [(norms @ part)[..., 0].real for part in (x_d, x - x_d)]
+    cost = np.array([spec.cost_weights(m) for m in models])[:, None, :]
+    part_d, part_nd = ((cost @ r[..., None])[:, 0, 0] for r in rates)
+    scale = np.abs(w).max(axis=1) * ((rates[0].sum(axis=1) + rates[1].sum(axis=1)) * taus)
+    means, variances = np.array([(m.mean, m.variance) for m in moments]).T
+    on = ~rounding_noise(np.abs(means), scale, squared=True)
+    cells = np.full((10, len(x)), np.nan)
+    cells[:5] = means, variances, part_d + part_nd, part_d, part_nd
+    sides = np.full((2, 2, len(x)), np.nan)  # cost, (lhs, rhs), draw
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sides[..., on] = spec.sides(means[on], variances[on], taus[on], cells[2, on], part_d[on])
+        slack = sides[:, 0] - sides[:, 1]
+        satisfied = slack >= -exact_tolerance(sides[:, 0], sides[:, 1])
+    named = {n: side for names, pair in zip(spec.columns, sides) for n, side in zip(names, pair)}
+    cells[5:] = [named[name] for name in spec.header[-8:-5]] + [*slack]
+    scaled = on | (scale != 0.0)  # a noise mean with nothing to compare it to: flagged
+    cells[:, ~scaled] = np.nan
+    return cells, np.where(on, satisfied, None), scaled
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -391,12 +391,11 @@ def run_cic_suite(
     dm = float(_rel_diff(with_h.mean, without_h.mean))
     dv = float(_rel_diff(with_h.variance, without_h.variance))
     # two means that differ by rounding noise at the observable's scale agree
-    mean_noise = DEGENERATE_REL_TOL * observable_scale(obs, activity[0])
+    noise = rounding_noise(abs(with_h.mean - without_h.mean), observable_scale(obs, activity[0]))
     checks.append(
         CheckResult(
             "exact_moments_match",
-            (dm <= CIC_MOMENTS_REL_TOL or abs(with_h.mean - without_h.mean) <= mean_noise)
-            and dv <= CIC_MOMENTS_REL_TOL,
+            (dm <= CIC_MOMENTS_REL_TOL or noise) and dv <= CIC_MOMENTS_REL_TOL,
             f"relative differences mean {dm:.2e}, variance {dv:.2e}",
             {"mean": with_h.mean, "variance": with_h.variance},
         )
@@ -470,7 +469,7 @@ def _backward_check(model, rho0, tau, obs, records, window_activity: float) -> C
     late = counting_moments(model, rho0, obs.with_window((tau, 2 * tau)), 2 * tau, False)
     # a target mean that is rounding noise at the window's scale is not judged
     scale = observable_scale(obs, window_activity)
-    noise = abs(late.mean) <= DEGENERATE_REL_TOL * scale
+    noise = rounding_noise(abs(late.mean), scale)
     mean_ok = noise or abs(mc_mean - (-late.mean)) <= MC_SIGMAS * mc_mean_err
     var_ok = abs(mc_var - late.variance) <= MC_SIGMAS * mc_var_err
     unjudged = f" (rounding noise at scale {scale:.3g}, not judged)" if noise else ""

@@ -300,6 +300,46 @@ class TestDegenerateMeans:
         assert entropy_scale(ep_generic, rho, rho, 2.0) == pytest.approx(2 * vn + 2.0 * ds)
         assert entropy_scale(ep_generic, ground_state(), rho, 0.0) == pytest.approx(vn)
 
+    @pytest.mark.parametrize("mean", [0.0, 1e-170, -3e-160, bounds.SQUARE_MIN / 2])
+    def test_ep_bound_whose_squared_mean_underflows(self, mean):
+        # a scale as small as the mean: no rounding noise, but E^2 is not a normal float
+        rep = ep_tur(exact_moments(mean, 1e-160), 1.0, 0.5, scale=abs(mean) or 1e-170,
+                     **CURRENT)
+        assert rep.satisfied is None and math.isnan(rep.lhs) and math.isnan(rep.rhs)
+        assert ("reason" in rep.extra) == (mean != 0.0)
+        tiny = ep_tur(exact_moments(bounds.SQUARE_MIN, 1e-310), 1.0, 0.5,
+                      scale=bounds.SQUARE_MIN, **CURRENT)
+        assert tiny.precondition_ok and tiny.satisfied is not None
+
+    def test_ep_lower_bound_of_an_underflowing_square_is_refused(self):
+        with pytest.raises(ValueError, match="vanishes"):
+            ep_lower_bound(1e-170, 1.0, 1.0)
+
+    def test_window_bound_of_a_tiny_change_is_judged(self, poisson, scalar_one):
+        # it divides by the change of the mean, not by its square
+        angle = half_angle_integral(poisson, scalar_one, 0.5e-170, 1e-170)
+        rep = tur_activity_integral(poisson_moments(0.7, 0.5e-170), poisson_moments(0.7, 1e-170),
+                                    angle, scale=0.7e-170)
+        assert rep.precondition_ok and rep.satisfied is True
+
+    def test_rules_take_columns(self):
+        # the rounding-noise test and the tolerance rule give, elementwise, what they give
+        # one value at a time, and judge's tolerance is the rule's
+        lhs = [0.5, -3e12, math.inf, math.nan, 2.0, 1e-300]
+        rhs = [0.25, 7.0, 4.0, math.nan, -math.inf, 3e9]
+        values = [0.0, 1e-11, 2e-10, 1e-170, bounds.SQUARE_MIN, 5.0]
+        scales = [1.0, 0.1, 1.0, 1e-170, 0.0, 0.0]
+        tol = bounds.exact_tolerance(np.array(lhs), np.array(rhs))
+        assert tol.tolist() == [bounds.exact_tolerance(a, b) for a, b in zip(lhs, rhs)]
+        assert tol.tolist() == [EXACT_TOL * s for s in (1.0, 3e12, 4.0, 1.0, 2.0, 3e9)]
+        assert tol.tolist() == [bounds.BoundReport.judge("x", a, b, {}).tol
+                                for a, b in zip(lhs, rhs)]
+        for squared in (False, True):
+            noise = bounds.rounding_noise(np.array(values), np.array(scales), squared)
+            assert noise.tolist() == [bounds.rounding_noise(v, s, squared)
+                                      for v, s in zip(values, scales)]
+            assert noise.tolist() == [True, True, False, squared, False, False]
+
     def test_window_bound_without_growth(self, poisson, scalar_one):
         angle = half_angle_integral(poisson, scalar_one, 0.5, 1.0)
         flat = poisson_moments(0.7, 1.0)

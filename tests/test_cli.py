@@ -174,6 +174,17 @@ class TestBounds:
             "activity_rate_bound", "activity_window_bound", "entropy_production_bound"
         }
 
+    def test_squared_growth_rate_underflow_is_not_applicable(self):
+        # at tau = 1e-170 tau d_tau E is about 1e-170, and its square is 0
+        code, reports = bounds_reports("--builtin", "da", "--tau", "1e-170",
+                                       "--weights", "1,1,1,1")
+        assert code == 0
+        rate, window, survival = reports
+        assert rate["name"] == "activity_rate_bound" and rate["satisfied"] is None
+        assert rate["extra"]["reason"] == "the square of 1.2e-170 is not a normal float"
+        # the window bound divides by the mean's change, not by its square
+        assert window["satisfied"] is True and survival["satisfied"] is True
+
     @settings(max_examples=25)
     @given(
         decay=st.lists(st.floats(0.3, 1.0), min_size=3, max_size=3),

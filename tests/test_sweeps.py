@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import multiprocessing
 from types import SimpleNamespace
@@ -13,7 +14,9 @@ import qtur.sweeps as sweeps
 import qtur.trajectories as trajectories
 from qtur.sweeps import (
     SweepConfig,
+    SweepResult,
     csv_lines,
+    format_cell,
     rerun_row_check,
     run_cic_suite,
     run_sweep,
@@ -26,7 +29,7 @@ from qtur.engine import (
     steady_state,
     steady_states,
 )
-from qtur.bounds import observable_scale
+from qtur.bounds import DEGENERATE_REL_TOL, BoundReport, ep_lower_bound, observable_scale
 from qtur.cli import main
 from qtur.counting import CountingObservable, activity_at, counting_moments, rate_split
 from qtur.models import default_observable
@@ -282,6 +285,224 @@ class TestNotApplicableRows:
             f"  diag cost: {7 - diag_violated} satisfied, {diag_violated} violated, "
             "1 not applicable",
         ]
+
+
+def _per_draw_row(spec, index, g, tau, c, model, rho, mom) -> list:
+    """One draw's row as a per-draw pass builds it: ``rate_split``, scalar sides and the
+    reports of ``BoundReport.not_applicable`` and ``BoundReport.judge``; ``mom`` is None
+    for a draw that is not judged, and a zero scale under a vanishing mean flags it."""
+    base = [index, *g, tau, *c]
+    flagged = base + [math.nan] * 10 + [None, None, True]
+    if mom is None:
+        return flagged
+    w = spec.cost_weights(model)
+    rates = rate_split(model, rho)
+    part_d, part_nd = (float(w @ r) for r in rates)
+    total = part_d + part_nd
+    scale = observable_scale(CountingObservable(c), float(sum(r.sum() for r in rates)) * tau)
+    try:
+        skipped = BoundReport.not_applicable(spec.bound, abs(mom.mean), scale, {}, "no scale",
+                                             squared=True)
+    except ValueError:
+        return flagged
+    if skipped:
+        reports = (skipped, skipped)
+    else:
+        if spec.current:
+            rhs = ep_lower_bound(mom.mean, mom.variance)
+            sides = ((total * tau, rhs), (part_d * tau, rhs))
+        else:
+            lhs = mom.variance / mom.mean**2
+            sides = ((lhs, 1.0 / (total * tau)), (lhs, 1.0 / (part_d * tau)))
+        reports = [BoundReport.judge(spec.bound, lhs, rhs, {}) for lhs, rhs in sides]
+    cells = {"flagged": False}
+    for which, (lhs, rhs), rep in zip(("full", "diag"), spec.columns, reports):
+        cells.update({lhs: rep.lhs, rhs: rep.rhs, f"slack_{which}": rep.slack,
+                      f"satisfied_{which}": rep.satisfied})
+    row = base + [mom.mean, mom.variance, total, part_d, part_nd]
+    return row + [cells[name] for name in spec.header[len(row):]]
+
+
+# The kinds of row a spoiled draw becomes (see _spoil); "plain" spoils none.
+FLAGGED_KINDS = ("steady_state", "crossing", "non_current", "nonfinite", "zero_scale")
+SKIPPED_KINDS = ("zero_mean", "noise_edge", "underflow")
+KINDS = {
+    "kur_sweep": ("plain", "saturated", *(k for k in FLAGGED_KINDS if k != "non_current"),
+                  *SKIPPED_KINDS),
+    "ep_sweep": ("plain", *FLAGGED_KINDS, *SKIPPED_KINDS),
+}
+
+
+def _edge(kind: str, mom, model, rho, w, tau):
+    """The moments of a judged draw moved to an edge of the reports' rule: a mean
+    just below the rounding-noise threshold, or (activity) a variance that puts
+    the full cost's lhs 1e-11 below its rhs, inside the tolerance."""
+    activity = float(sum(r.sum() for r in rate_split(model, rho))) * tau
+    if kind == "noise_edge":
+        threshold = DEGENERATE_REL_TOL * observable_scale(CountingObservable(w), activity)
+        return dataclasses.replace(mom, mean=(1 - 1e-9) * threshold)
+    return dataclasses.replace(mom, variance=mom.mean**2 / activity * (1 - 1e-11))
+
+
+def _spoil(mp, experiment: str, kind: str, j: int) -> None:
+    """Make draw ``j`` of a serial sweep a row of ``kind``: a steady state that
+    fails, a jump operator crossing H's zero-frequency sector, weights that are
+    no current (ep only), not finite or all zero (no scale), a zero mean, moments
+    at an edge of the rule (:func:`_edge`), or a horizon of 1e-170, at which the
+    squared mean underflows."""
+    if kind in ("noise_edge", "saturated"):
+        moments_of, seen = sweeps.stacked_moments, itertools.count()
+
+        def edged(models, rhos, weights, taus):
+            out = moments_of(models, rhos, weights, taus)
+            for k, draw in enumerate(zip(models, rhos, weights, taus)):
+                out[k] = _edge(kind, out[k], *draw) if next(seen) == j else out[k]
+            return out
+
+        mp.setattr(sweeps, "stacked_moments", edged)
+    elif kind == "steady_state":
+        patch_nth_draw(mp, sweeps, "steady_states", j, SteadyStateError("residual too large"))
+    elif kind == "zero_mean":
+        patch_nth_draw(mp, sweeps, "stacked_moments", j, zero_mean)
+    elif kind == "crossing":
+        name = {"kur_sweep": "build_da_models", "ep_sweep": "build_ep_models"}[experiment]
+        build = getattr(sweeps, name)
+
+        def crossing(omega_e, rates, first):
+            models = build(omega_e, rates, first)
+            if first <= j < first + len(models):
+                ops = models[j - first].jump_ops.copy()
+                ops[0, 1, 2] = 0.3
+                models[j - first] = dataclasses.replace(models[j - first], jump_ops=ops)
+            return models
+
+        mp.setattr(sweeps, name, crossing)
+    elif kind == "non_current":
+        expand, calls = sweeps.antisymmetric_current_weights, itertools.count()
+
+        def broken(model, free):
+            c = expand(model, free)
+            return (*c[:-1], 0.5) if next(calls) == j else c
+
+        mp.setattr(sweeps, "antisymmetric_current_weights", broken)
+    elif kind != "plain":
+        parameters = sweeps._parameters
+
+        def spoiled(config, spec, lo, hi):
+            g, tau, free = parameters(config, spec, lo, hi)
+            if lo <= j < hi and kind == "underflow":
+                tau[j - lo] = 1e-170
+            elif lo <= j < hi:
+                free[j - lo] = math.nan if kind == "nonfinite" else 0.0
+            return g, tau, free
+
+        mp.setattr(sweeps, "_parameters", spoiled)
+
+
+def _recorded_sweep(mp, config: SweepConfig):
+    """``run_sweep(config)`` (serial) and its draws as the range function saw
+    them: each draw's model, its state or error, and the moments of the judged ones."""
+    spec = sweeps._EXPERIMENTS[config.experiment]
+    models, states, moments = [], [], []
+    name = {"kur_sweep": "build_da_models", "ep_sweep": "build_ep_models"}[config.experiment]
+    for attr, seen in ((name, models), ("steady_states", states), ("stacked_moments", moments)):
+        def recorded(*args, _call=getattr(sweeps, attr), _seen=seen):
+            out = _call(*args)
+            _seen.extend(out)
+            return out
+
+        mp.setattr(sweeps, attr, recorded)
+    result = run_sweep(config)
+    states = iter(states)
+    rhos = [ModelValidationError(m.zero_sector().reason) if m.zero_sector().reason
+            else next(states) for m in models]
+    return spec, result, models, rhos, iter(moments)
+
+
+def _oracle_rows(spec, result, models, rhos, moments) -> list:
+    """Every row rebuilt by :func:`_per_draw_row`, judging the draws a per-draw
+    pass judges: a state, finite weights and, for a current, antisymmetry."""
+    n = spec.n_rates
+    rows = []
+    for row, model, rho in zip(result.rows, models, rhos):
+        g, tau, c = row[1 : n + 1], row[n + 1], row[n + 2 : 2 * n + 2]
+        judged = not isinstance(rho, Exception) and np.isfinite(c).all()
+        if judged and spec.current:
+            judged = CountingObservable(c).is_current(model)
+        rows.append(_per_draw_row(spec, row[0], g, tau, c, model, rho,
+                                  next(moments) if judged else None))
+    assert next(moments, None) is None  # the same draws judged
+    return rows
+
+
+def _row_kind(row: dict) -> str:
+    if row["flagged"]:
+        return "flagged"
+    verdict = row["satisfied_diag"]
+    return {None: "skipped", True: "satisfied", False: "violated"}[verdict]
+
+
+class TestColumnPass:
+    """Each range is judged as columns; every row must print as a per-draw
+    pass (the reports' own rule, one draw at a time) prints it."""
+
+    def _check(self, mp, experiment, n, seed, kind, j) -> SweepResult:
+        _spoil(mp, experiment, kind, j)
+        config = SweepConfig(experiment, n_draws=n, seed=seed, workers=1)
+        spec, result, *draws = _recorded_sweep(mp, config)
+        want = _oracle_rows(spec, result, *draws)
+        assert len(want) == len(result.rows) == n
+        for got, row in zip(result.rows, want):
+            assert list(map(format_cell, got)) == list(map(format_cell, row))
+        for name in ("satisfied_full", "satisfied_diag", "flagged"):
+            assert {type(v) for v in result.column(name)} <= {bool, type(None)}
+        assert all(rerun_row_check(result, k) for k in range(n))
+        return result
+
+    @settings(max_examples=25, deadline=None)
+    @given(experiment=st.sampled_from(EXPERIMENTS), n=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_rows_match_a_per_draw_pass(self, experiment, n, seed, data):
+        kind = data.draw(st.sampled_from(KINDS[experiment]), label="kind")
+        j = data.draw(st.integers(0, n - 1), label="j")
+        with pytest.MonkeyPatch.context() as mp:
+            self._check(mp, experiment, n, seed, kind, j)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_row_kind(self, experiment, monkeypatch):
+        # 150 draws hold diagonal violations in both sweeps; draw 130 sits in the second range
+        seen = set()
+        for kind in KINDS[experiment]:
+            with monkeypatch.context() as mp:
+                result = self._check(mp, experiment, 150, 7, kind, 130)
+            rows = [dict(zip(result.header, row)) for row in result.rows]
+            seen |= {_row_kind(row) for row in rows}
+            if kind == "saturated":
+                assert rows[130]["satisfied_full"] is True and rows[130]["slack_full"] < 0
+            elif kind != "plain":
+                want = "flagged" if kind in FLAGGED_KINDS else "skipped"
+                assert _row_kind(rows[130]) == want
+                assert sum(_row_kind(row) == want for row in rows) == 1
+        assert seen == {"flagged", "skipped", "satisfied", "violated"}
+
+
+class TestSquaredMeanUnderflow:
+    """At a horizon or rates of about 1e-165 the squared mean underflows: every
+    row is not applicable, and the run goes on to exit 0."""
+
+    @pytest.mark.parametrize("command, experiment, what", [
+        ("sweep-kur", "kur_sweep", "tau"), ("sweep-ep", "ep_sweep", "gamma"),
+    ])
+    def test_command_exits_0(self, command, experiment, what, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        argv = [command, f"--{what}-range", "1e-170,1e-160", "--draws", "20", "--out", str(out)]
+        assert main(argv) == 0
+        assert "20 not applicable" in capsys.readouterr().out
+        ranges = {f"{what}_low": 1e-170, f"{what}_high": 1e-160}
+        result = run_sweep(SweepConfig(experiment, n_draws=20, **ranges))
+        assert out.read_text() == csv_text(result)
+        assert result.n_flagged == 0 and result.not_applicable("full") == 20
+        assert all(rerun_row_check(result, k) for k in range(20))
 
 
 class TestRowAudit:
