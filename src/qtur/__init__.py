@@ -23,14 +23,15 @@ from .counting import (
     counting_moments,
     decompose_activity,
     entropy_production_rate,
+    evolve,
     mean_rate,
+    stationary,
 )
 from .engine import (
     DegenerateSteadyStateError,
     NoJumpFamily,
     build_generator,
     no_jump_family,
-    propagate,
     steady_state,
     survival_probability,
 )

@@ -16,7 +16,8 @@ rather than violated; so does a mean that is rounding noise,
 |mean| <= DEGENERATE_REL_TOL max|w| A(tau), for which the ratio of
 variance to squared mean is undefined, and, for a bound that divides by
 the squared mean, a mean below ``SQUARE_MIN``, whose square is subnormal
-or 0. The entropy-production bound also needs a current and an entropy
+or 0, or a windowed-bound ratio from 1 / SQUARE_MIN up, whose square may
+overflow. The entropy-production bound also needs a current and an entropy
 production above the rounding noise of the terms it sums; otherwise its
 report says why it does not apply. That rule lives on :class:`BoundReport`
 itself (``judge``, ``skipped``, ``not_applicable``) and in the two tests
@@ -38,8 +39,8 @@ Bound inventory:
 h(y) here is the inverse of x tanh(x), computed by safeguarded Newton on
 the bracket [y, y+1]. :func:`battery` is what ``qtur bounds`` prints: the
 rate-form, windowed, survival and entropy-production reports of one
-observable, fed by exact statistics from ``qtur.counting``'s reduced route
-(H's zero-frequency sector) or, where that does not hold, the Liouville one.
+observable, fed by exact statistics on ``qtur.counting``'s route: H's
+zero-frequency sector or, where that does not hold, the Liouville one.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ def _legendre(n: int) -> tuple:
 
 def _horizon(model, rho0, t1: float, t2: float, coherent: bool) -> tuple:
     """The half angle over [t1, t2], A(t2) and the entropy flow at t2 (None
-    without ds), from one reduced :func:`activity_at` pass per pair of rules.
+    without ds), from one :func:`activity_at` pass per pair of rules.
 
     With t = u^2 the angle is the integral of sqrt(A(u^2))/u over
     [sqrt t1, sqrt t2], smooth even at u = 0 since A grows like a power of
@@ -263,14 +264,14 @@ def _horizon(model, rho0, t1: float, t2: float, coherent: bool) -> tuple:
     if t1 < 0:
         raise ValueError("window start must be nonnegative")
     if t2 <= t1:
-        activity, flow, _ = activity_at(model, rho0, [t2], coherent, reduced=True)
+        activity, flow, _ = activity_at(model, rho0, [t2], coherent)
         return 0.0, activity[0], flow if flow is None else flow[0]
     lo, hi = math.sqrt(t1), math.sqrt(t2)
     n = HALF_ANGLE_NODES
     while 2 * n <= HALF_ANGLE_MAX_NODES:
         (x1, w1), (x2, w2) = _legendre(n), _legendre(2 * n)
         u = 0.5 * (hi - lo) * np.concatenate([x1, x2]) + 0.5 * (hi + lo)
-        activity, flow, _ = activity_at(model, rho0, np.append(u * u, t2), coherent, reduced=True)
+        activity, flow, _ = activity_at(model, rho0, np.append(u * u, t2), coherent)
         w = 0.5 * (hi - lo) * np.concatenate([w1, w2])
         terms = w * np.sqrt(np.maximum(activity[:-1], 0.0)) / u
         coarse, fine = terms[:n].sum(), terms[n:].sum()
@@ -323,9 +324,12 @@ def tur_activity_integral(
         return skipped
     s1 = math.sqrt(max(moments_1.variance, 0.0))
     s2 = math.sqrt(max(moments_2.variance, 0.0))
+    tangent = math.tan(angle)
+    big = max((s1 + s2) / abs(de), 1.0 / abs(tangent) if tangent != 0.0 else 0.0)
+    if big >= 1.0 / SQUARE_MIN:  # a side's square may overflow (a tiny tau)
+        return BoundReport.skipped(name, inputs, {"reason": f"{big:.3g} squared may overflow"})
     lhs = ((s1 + s2) / de) ** 2
     pre = angle <= math.pi / 2 + 1e-12
-    tangent = math.tan(angle)
     rhs = tangent**-2 if tangent != 0.0 else math.inf
     # d lhs / d Var_i is infinite at Var_i = 0, where that term is left out
     partials = {"mean_1": 2 * lhs / de, "mean_2": -2 * lhs / de} | {
@@ -467,12 +471,12 @@ def battery(
     activity window [tau/2, tau], survival and, on a model with ds,
     entropy production, all from exact statistics.
 
-    The counting statistics take ``qtur.counting``'s reduced route: the
+    The counting statistics take ``qtur.counting``'s route: the
     moments over tau/2, then the three windows and rho(tau) from one step
     length, and one ``activity_at`` pass over the half angle's nodes and tau
     for that angle, A(tau) and the flow in Sigma(tau)."""
-    half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent, reduced=True)
-    _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent, reduced=True)
+    half = counting_moments(model, rho0, obs, tau / 2.0, coherent=coherent)
+    _, second, mom, rho_tau = _half_windows(model, rho0, obs, tau, coherent)
     angle, activity, flow = _horizon(model, rho0, tau / 2.0, tau, coherent)
     scale = observable_scale(obs, activity)
     reports = [

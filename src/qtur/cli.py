@@ -30,8 +30,10 @@ from .counting import (
     counting_moments,
     decompose_activity,
     entropy_production_rate,
+    evolve,
+    stationary,
 )
-from .engine import SteadyStateError, build_generator, propagate, steady_state
+from .engine import SteadyStateError
 from .operators import validate_density
 from .sweeps import (
     SweepConfig,
@@ -100,7 +102,7 @@ def _initial_state(args, model):
     choice = getattr(args, "rho0", None) or "ss"
     d = model.dim
     if choice == "ss":
-        return steady_state(build_generator(model, coherent=True))
+        return stationary(model)
     if choice == "mixed":
         return np.eye(d, dtype=complex) / d
     rho = np.zeros((d, d), dtype=complex)  # ground
@@ -125,7 +127,7 @@ def _print_matrix(label: str, m: np.ndarray) -> None:
 
 def _cmd_steady_state(args) -> int:
     model = _resolve_model(args)
-    rho = steady_state(build_generator(model, coherent=not args.incoherent))
+    rho = stationary(model, coherent=not args.incoherent)
     _print_matrix("steady state:", rho)
     check = validate_density(rho)
     print(f"validation: {check.message} (worst {check.worst:.3e})")
@@ -139,8 +141,7 @@ def _cmd_steady_state(args) -> int:
 def _cmd_evolve(args) -> int:
     model = _resolve_model(args)
     rho0 = _initial_state(args, model)
-    gen = build_generator(model, coherent=not args.incoherent)
-    rho = propagate(gen, rho0, args.t)
+    rho = evolve(model, rho0, args.t, coherent=not args.incoherent)
     _print_matrix(f"state at t={args.t}:", rho)
     return 0
 

@@ -28,25 +28,24 @@ a sweep's draws take one stacked dense exponential (:func:`stacked_moments`),
 and each call on one model builds its stack of one once (:func:`_block`),
 which one stepper (:func:`_act`) applies as exp(h B).
 
-Two routes give the same statistics. The Liouville route works on vec rho:
-its moment block is (2 d^2 + 1) square, exponentiated densely once per step
-length of a call below ``ACTION_MIN_DIM``. From it up, where that pays
-(:func:`_action_pays`), exp(h B) acts on vectors by the truncated Taylor
-series of Al-Mohy and Higham (SIAM J. Sci. Comput. 33, 2011, Algorithm
-3.2), B applied part by part. Degree and step count come from the exact
-1-norm, so results repeat bit for bit; scipy's ``expm_multiply`` estimates
-it from numpy's global random state.
+Two routes give the same statistics; one rule (:func:`_route`) picks H's
+zero-frequency sector (:class:`qtur.operators.ZeroSector`) for every entry
+point unless its ``reason`` says why it does not hold. There the paper's
+correspondence is the method: L and J_c map every Bohr sector into itself, the
+trace and rate rows read only sector 0, and its (2 n0 + 1)-square block (n0 = d
+on a non-degenerate H, 5 on a built-in model) is exponentiated densely; rho(t)
+takes one exponential per other sector that rho0 weighs (:func:`evolve`), the
+steady state one bordered solve (:func:`stationary`). Only ``verify-cic`` asks
+for the Liouville route (``reduced`` False): on sector 0 the generators with and
+without H are one matrix, which its exact checks would compare with itself.
 
-The reduced route (``reduced=True``: ``qtur.bounds.battery`` and the
-sweeps) uses the paper's correspondence as the method: L and J_c map every
-Bohr sector into itself, and the trace and rate rows read only H's
-zero-frequency sector (:class:`qtur.operators.ZeroSector`), where the block
-is (2 n0 + 1) square (n0 = d on a non-degenerate H, 5 on a built-in model)
-and exponentiated densely; rho(tau) takes one exponential per other sector
-that rho0 weighs (:func:`_route_state`). A sector that does not hold (its
-``reason`` says why) sends ``battery`` to the Liouville route and flags a
-sweep's draw. ``verify-cic``, ``moments`` and the samplers keep the
-Liouville route: on sector 0 the generators with and without H are one matrix.
+The Liouville route works on vec rho: its moment block is (2 d^2 + 1)
+square, exponentiated densely once per step length of a call below
+``ACTION_MIN_DIM``. From it up, where that pays (:func:`_action_pays`),
+exp(h B) acts on vectors by the truncated Taylor series of Al-Mohy and Higham
+(SIAM J. Sci. Comput. 33, 2011, Algorithm 3.2), B applied part by part. Degree
+and step count come from the exact 1-norm, so results repeat bit for bit;
+scipy's ``expm_multiply`` estimates it from numpy's global random state.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
-from .engine import _channel_sums, build_generator, propagated_state, unvec, vec
+from .engine import _channel_sums, build_generator, propagated_state, steady_state, unvec, vec
 from .operators import (
     LindbladModel,
     ModelValidationError,
@@ -195,7 +194,7 @@ class _BlockPieces:
         return self.steps[h]
 
 
-def _pieces(models, weights, coherent: bool, reduced=False) -> tuple:
+def _pieces(models, weights, coherent: bool, reduced: bool) -> tuple:
     """The d^2-square pieces of the block of each of ``models`` (one dimension
     and channel count), or if ``reduced`` the n0-square ones on their
     zero-frequency sectors: the generators, and stacks of J_c and rows R; for
@@ -234,7 +233,7 @@ def _layout(gens: np.ndarray, jumps, rows: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _block(model: LindbladModel, weights, coherent: bool, reduced=False) -> _BlockPieces:
+def _block(model: LindbladModel, weights, coherent: bool, reduced: bool) -> _BlockPieces:
     """The moment block of ``weights``, or for None the rows block (the
     activity row and, with ds, the entropy row): the pieces of
     :func:`_pieces` for a stack of one, on the zero-frequency sector if
@@ -346,9 +345,9 @@ def _act(block: _BlockPieces, h: float, y: np.ndarray) -> np.ndarray:
 
 
 def _route(model: LindbladModel, reduced: bool, rho: np.ndarray) -> tuple:
-    """The zero-frequency sector where ``reduced`` asks for it and the reduction holds, else
-    None (Liouville); ``rho``, or each of a stack, as that route's vector (sector 0 of it in
-    H's eigenbasis, or vec rho); the route's trace row."""
+    """The route rule: the zero-frequency sector where the reduction holds, unless
+    ``reduced`` is False (verify-cic), else None (Liouville); ``rho``, or each of a stack,
+    as that route's vector (sector 0 of it in H's eigenbasis, or vec rho); its trace row."""
     zero = model.zero_sector() if reduced else None
     if zero is None or zero.reason:
         return None, vec(rho), vec(np.eye(model.dim)).conj()
@@ -357,12 +356,8 @@ def _route(model: LindbladModel, reduced: bool, rho: np.ndarray) -> tuple:
 
 
 def counting_moments(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    obs: CountingObservable,
-    tau: float,
-    coherent: bool = True,
-    reduced: bool = False,
+    model: LindbladModel, rho0: np.ndarray, obs: CountingObservable, tau: float,
+    coherent: bool = True, reduced: bool = True,
 ) -> MomentResult:
     """Exact mean/variance of the windowed count up to ``tau`` (``reduced``: :func:`_route`)."""
     _check(model, obs.weights, tau)
@@ -381,7 +376,7 @@ def counting_moments(
 def stacked_moments(models, rhos, weights, taus) -> list:
     """The moments over [0, tau] of each of ``models`` (one build_stack) from its state,
     weight row and tau on its zero-frequency sector, which must hold: one stacked ``expm``
-    of the (2 n0 + 1)-square blocks B tau, with the bits of counting_moments(reduced=True)."""
+    of the (2 n0 + 1)-square blocks B tau, with the bits of counting_moments on the sector."""
     if not len(models):
         return []
     taus = np.asarray(taus, dtype=float)
@@ -391,12 +386,12 @@ def stacked_moments(models, rhos, weights, taus) -> list:
     return _moments((expm(blocks) @ _initial(x, len(trace))[..., None])[..., 0], trace)
 
 
-def _half_windows(model, rho0, obs, tau: float, coherent: bool, reduced=False) -> tuple:
+def _half_windows(model, rho0, obs, tau: float, coherent: bool) -> tuple:
     """Moments over [0, tau/2], [tau/2, tau] and [0, tau], and rho(tau), from
     exp(h B), h = tau/2, applied by :func:`_act` to y0 = (rho0, 0, 0), then
     to the pair (rho(tau/2), 0, 0) and exp(h B) y0. ``obs.window`` is ignored."""
     _check(model, obs.weights, tau)
-    zero, x, trace = _route(model, reduced, rho0)
+    zero, x, trace = _route(model, True, rho0)
     block = _block(model, obs.weights, coherent, zero is not None)
     n = len(trace)
     first = _act(block, tau / 2.0, _initial(x, n))
@@ -433,6 +428,23 @@ def _route_state(model, zero, top, rho0, tau: float, coherent: bool) -> np.ndarr
     return propagated_state(vec(basis @ out @ dagger(basis)))
 
 
+def evolve(model: LindbladModel, rho0: np.ndarray, t: float, coherent: bool = True) -> np.ndarray:
+    """rho(t) = exp(L t) rho0 on the route of :func:`_route`, validated at 1e-8."""
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"propagation time must be finite and nonnegative, got {t}")
+    zero, x, _ = _route(model, True, rho0)
+    gen = build_generator(model, coherent, zero is not None)
+    return _route_state(model, zero, expm(gen * t) @ x, rho0, t, coherent)
+
+
+def stationary(model: LindbladModel, coherent: bool = True) -> np.ndarray:
+    """The unique steady state, :func:`qtur.engine.steady_state` on the route of
+    :func:`_route`: on the sector (with or without H, one matrix) rotated back."""
+    zero = _route(model, True, np.eye(model.dim))[0]  # the identity stands in for a state
+    sector = () if zero is None else (zero.pairs, model.spectrum()[1])
+    return steady_state(build_generator(model, coherent, zero is not None), *sector)
+
+
 def mean_rate(model: LindbladModel, rho_t: np.ndarray, obs: CountingObservable) -> float:
     """Instantaneous weighted jump rate sum_m c_m Tr[L_m rho L_m^dag]."""
     return float(np.dot(obs.weights, channel_rates(model, rho_t)))
@@ -444,14 +456,14 @@ def channel_rates(model: LindbladModel, rho_t: np.ndarray) -> np.ndarray:
     return (model.jump_norms.reshape(-1, x.size) @ x).real
 
 
-def activity_at(model, rho0: np.ndarray, times, coherent: bool = True, reduced=False) -> tuple:
+def activity_at(model, rho0, times, coherent: bool = True, reduced: bool = True) -> tuple:
     """A(t) and the entropy flow Phi(t) as float arrays (Phi None unless
     every channel has ds), and the Hermitian parts of rho(t) as a (k, d, d)
     array, exact to rounding at each of ``times`` (nonnegative, any order):
     the rows block [[L, 0], [R, 0]] taken through the sorted times, one
     :func:`_act` step per gap. The states are not validated;
     :func:`sigma_from` and the samplers check what they read. ``reduced`` is
-    as in counting_moments; its route gives no states."""
+    as in counting_moments; the sector route gives no states."""
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("times must be finite and nonnegative")

@@ -1,20 +1,20 @@
-"""Deterministic propagation: generator, steady state, no-jump family.
+"""Deterministic pieces: generator, steady-state solve, no-jump family.
 
 Density matrices are column-vectorized (Fortran order), so a superoperator
 rho -> A rho B maps to the matrix kron(B.T, A). With K = -i H - Gamma / 2
 the generator is kron(I, K) + kron(conj(K), I) + sum_m kron(conj(L_m), L_m):
 a channel sum that is one GEMM over the model's stack of jump operators,
 with K and conj(K) added in place where the two Kronecker products put
-them, so neither product is formed. Generators are time homogeneous and
-tiny, so the dense matrix exponential is exact enough and cheaper to trust
-than ODE stepping; :func:`build_generator` assembles one per call, or gives
-L on H's zero-frequency sector (``reduced``), which holds no H. The steady
-state is one LU of the generator bordered by its trace row, scaled by
-||L||_1: the factors give the state, and their reciprocal condition number
-judges its uniqueness without a time unit. :func:`steady_states` takes a
-stack of generators, on vec rho or on H's zero-frequency sector (a sweep's
-draws), and checks them once over the stack, where a failure marks only its
-own entry.
+them, so neither product is formed. :func:`build_generator` assembles one
+per call, or gives L on H's zero-frequency sector (``reduced``), which
+holds no H. The steady state is one LU of the generator bordered by its
+trace row, scaled by ||L||_1: the factors give the state, and their
+reciprocal condition number judges its uniqueness without a time unit.
+:func:`steady_states` takes a stack of generators, on vec rho or on H's
+zero-frequency sector (a sweep's draws), and checks them once over the
+stack, where a failure marks only its own entry. Which of the two a
+command takes, for rho(t) too, is :mod:`qtur.counting`'s one route rule
+(``stationary``, ``evolve``): the sector wherever it holds.
 
 The no-jump propagator family exposes the three operators
 
@@ -122,13 +122,6 @@ def _trace_errors(gens: np.ndarray, trace: np.ndarray) -> list:
             for ok, r in zip((residual <= scale).tolist(), residual.tolist())]
 
 
-def propagate(gen: np.ndarray, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Return exp(L t) rho0, validated as a density matrix at 1e-8."""
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"propagation time must be finite and nonnegative, got {t}")
-    return propagated_state(expm(gen * t) @ vec(rho0))
-
-
 def propagated_state(x: np.ndarray) -> np.ndarray:
     """The density matrix of a propagated vector ``x``: the Hermitian part
     of unvec(x), validated at 1e-8."""
@@ -140,9 +133,9 @@ def propagated_state(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def steady_state(gen: np.ndarray) -> np.ndarray:
+def steady_state(gen: np.ndarray, pairs=None, basis=None) -> np.ndarray:
     """Unique trace-one null state of the generator: :func:`steady_states` of one."""
-    (rho,) = steady_states([gen])
+    (rho,) = steady_states([gen], pairs, basis)
     if isinstance(rho, Exception):
         raise rho
     return rho

@@ -10,7 +10,7 @@ is what the coherent contribution buys.
 One range function serves both sweeps, with a table of what differs per
 experiment. Over a range of RANGE draws it reads the parameters, builds and
 checks the models, and takes the steady states and moments on H's
-zero-frequency sector (:mod:`qtur.counting`'s reduced route: on a built-in
+zero-frequency sector (:mod:`qtur.counting`'s sector route: on a built-in
 model, 5 real entries of rho, its populations and |e1><e2| coherences), each
 as one stack; then it judges the range as columns: the rate split off rho_ss
 is a stacked matmul, and each cost's sides and verdict one array pass by the
@@ -363,11 +363,7 @@ def _rel_diff(a, b):
 
 
 def run_cic_suite(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    tau: float,
-    budget: int = 10_000,
-    seed: int = 0,
+    model: LindbladModel, rho0: np.ndarray, tau: float, budget: int = 10_000, seed: int = 0,
     workers: int | None = None,
 ) -> CicReport:
     """Verify that monitored-jump statistics do not depend on the Hamiltonian.
@@ -385,9 +381,10 @@ def run_cic_suite(
     checks = []
     obs = default_observable(model)
 
-    activity, flow, (rho_tau, _) = activity_at(model, rho0, [tau, 2 * tau], coherent=False)
-    with_h = counting_moments(model, rho0, obs, tau, coherent=True)
-    without_h = counting_moments(model, rho0, obs, tau, coherent=False)
+    # the Liouville route: on H's zero-frequency sector with and without H is one matrix
+    activity, flow, (rho_tau, _) = activity_at(model, rho0, [tau, 2 * tau], False, reduced=False)
+    with_h = counting_moments(model, rho0, obs, tau, coherent=True, reduced=False)
+    without_h = counting_moments(model, rho0, obs, tau, coherent=False, reduced=False)
     dm = float(_rel_diff(with_h.mean, without_h.mean))
     dv = float(_rel_diff(with_h.variance, without_h.variance))
     # two means that differ by rounding noise at the observable's scale agree
@@ -419,7 +416,7 @@ def run_cic_suite(
     )
 
     if model.has_entropy_weights:
-        _, flow_coherent, (rho_coherent,) = activity_at(model, rho0, [tau], coherent=True)
+        _, flow_coherent, (rho_coherent,) = activity_at(model, rho0, [tau], reduced=False)
         sigma_coherent = sigma_from(rho0, rho_coherent, flow_coherent[0])
         sigma_incoherent = sigma_from(rho0, rho_tau, flow[0])
         diff = abs(sigma_coherent - sigma_incoherent)
@@ -466,7 +463,8 @@ def _backward_check(model, rho0, tau, obs, records, window_activity: float) -> C
     mc_mean, mc_mean_err = -est.mean, est.stderr_mean
     mc_var, mc_var_err = est.variance, est.stderr_variance
 
-    late = counting_moments(model, rho0, obs.with_window((tau, 2 * tau)), 2 * tau, False)
+    late = counting_moments(model, rho0, obs.with_window((tau, 2 * tau)), 2 * tau, False,
+                            reduced=False)
     # a target mean that is rounding noise at the window's scale is not judged
     scale = observable_scale(obs, window_activity)
     noise = rounding_noise(abs(late.mean), scale)

@@ -65,8 +65,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .counting import CountingObservable
-from .engine import build_generator, propagate
+from .counting import CountingObservable, evolve
 from .operators import (
     EIGENVALUE_CLIP,
     LindbladModel,
@@ -270,9 +269,12 @@ class PathWeights:
     Holds the decay eigenbasis, where the no-jump damping is diagonal; the
     jump operators and their norms L^dag L rotated into it; the
     Hamiltonian eigensystem for coherent stretches; and the spectral
-    decompositions of rho0 and of the Hamiltonian-free state at tau.
-    Every pricing method takes a batch of records that end at tau (else a
-    ValueError); one record is a batch of one.
+    decompositions of rho0 and of the Hamiltonian-free state at tau, which
+    :func:`qtur.counting.evolve` takes on H's zero-frequency sector where
+    it holds: they only label records and price entropies, judged against
+    sampling error, while verify-cic's exact checks keep the Liouville
+    route. Every pricing method takes a batch of records that end at tau
+    (else a ValueError); one record is a batch of one.
     """
 
     def __init__(self, model: LindbladModel, rho0: np.ndarray, tau: float):
@@ -289,8 +291,7 @@ class PathWeights:
         self._jump_norms = dagger(self._jump_ops) @ self._jump_ops
 
         start = spectral_decompose(np.asarray(rho0, complex))
-        gen0 = build_generator(model, coherent=False)
-        final = spectral_decompose(propagate(gen0, rho0, tau)) if tau > 0 else start
+        final = spectral_decompose(evolve(model, rho0, tau, coherent=False)) if tau > 0 else start
         self.q0 = start.probabilities
         self.qtau = final.probabilities
         self._states0 = dagger(w) @ start.vectors

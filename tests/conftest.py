@@ -13,9 +13,11 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.linalg import expm
 
 import qtur.counting
 from qtur import build_da_model, build_ep_model, build_poisson_model
+from qtur.engine import build_generator, propagated_state, vec
 from qtur.operators import LindbladModel
 
 # Examples that run matrix exponentials take a variable time on a loaded
@@ -204,6 +206,12 @@ def liouville_route(model, reduced, rho):
     """A stand-in for ``qtur.counting._route`` that always takes the
     Liouville route, which battery takes where the reduction does not hold."""
     return _ROUTE(model, False, rho)
+
+
+def liouville_state(model, rho0, t, coherent=True):
+    """rho(t) on the Liouville route, exp(L t) vec rho0 from the d^2-square
+    generator: the reference for ``qtur.counting.evolve``."""
+    return propagated_state(expm(build_generator(model, coherent) * t) @ vec(rho0))
 
 
 def assert_close(got, want, scale=0.0, rel=1e-12):

@@ -18,9 +18,10 @@ from qtur.counting import (
     activity_at,
     counting_moments,
     entropy_production_rate,
+    evolve,
     mean_rate,
 )
-from qtur.engine import build_generator, propagate, steady_state, survival_probability
+from qtur.engine import build_generator, steady_state, survival_probability
 from qtur.models import build_da_model, build_ep_model, build_poisson_model
 from qtur.sweeps import SweepConfig, csv_lines, run_sweep
 from qtur.trajectories import (
@@ -67,8 +68,8 @@ def test_criterion_02_cic_exact_moments():
         )
         obs = CountingObservable(tuple(rng.uniform(0.0, 1.0, 4)))
         tau = float(rng.uniform(0.1, 10.0))
-        a = counting_moments(model, rho0, obs, tau, coherent=True)
-        b = counting_moments(model, rho0, obs, tau, coherent=False)
+        a = counting_moments(model, rho0, obs, tau, coherent=True, reduced=False)
+        b = counting_moments(model, rho0, obs, tau, coherent=False, reduced=False)
         worst = max(
             worst,
             abs(a.mean - b.mean) / max(abs(a.mean), 1e-300),
@@ -186,8 +187,7 @@ def test_criterion_08_backward_statistics():
 
     # backward process: forward sampling from the horizon state with every
     # channel read through its reverse partner (sign flip for a current)
-    gen0 = build_generator(model, coherent=False)
-    rho_tau = propagate(gen0, rho, tau)
+    rho_tau = evolve(model, rho, tau, coherent=False)
     records = TrajectorySampler(model, rho_tau, tau).ensemble(n, SeedPolicy(808), workers=2)
     values = -np.array([record_observable(r, obs) for r in records])
     mc_mean = float(values.mean())

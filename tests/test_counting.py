@@ -19,16 +19,18 @@ from qtur.counting import (
     counting_moments,
     decompose_activity,
     entropy_production_rate,
+    evolve,
     mean_rate,
     rate_split,
     sigma_from,
     stacked_moments,
+    stationary,
     _half_windows,
 )
 from qtur.engine import (
+    SteadyStateError,
     _channel_sums,
     build_generator,
-    propagate,
     steady_state,
     steady_states,
     unvec,
@@ -42,6 +44,7 @@ from conftest import (
     ground_state,
     ladder_model,
     liouville_route,
+    liouville_state,
     random_da_model,
     random_detailed_balance_model,
     random_eigenoperator_model,
@@ -112,8 +115,7 @@ class TestMomentHierarchy:
         up = counting_moments(da_generic, rho0, obs, tau + h).mean
         down = counting_moments(da_generic, rho0, obs, tau - h).mean
         deriv = (up - down) / (2 * h)
-        gen = build_generator(da_generic, coherent=True)
-        rate = mean_rate(da_generic, propagate(gen, rho0, tau), obs)
+        rate = mean_rate(da_generic, evolve(da_generic, rho0, tau), obs)
         assert deriv == pytest.approx(rate, rel=1e-6)
 
     def test_moments_match_without_hamiltonian(self):
@@ -131,8 +133,8 @@ class TestMomentHierarchy:
             weights = tuple(rng.uniform(0.0, 1.0, model.n_channels))
             tau = float(rng.uniform(0.1, 3.0))
             obs = CountingObservable(weights)
-            a = counting_moments(model, rho0, obs, tau, coherent=True)
-            b = counting_moments(model, rho0, obs, tau, coherent=False)
+            a = counting_moments(model, rho0, obs, tau, coherent=True, reduced=False)
+            b = counting_moments(model, rho0, obs, tau, coherent=False, reduced=False)
             assert a.mean == pytest.approx(b.mean, rel=1e-8, abs=1e-10)
             assert a.variance == pytest.approx(b.variance, rel=1e-8, abs=1e-10)
 
@@ -179,20 +181,20 @@ PINNED_ACTIVITY = {
 
 def entropy_production(model, rho0, tau, coherent=True):
     """Sigma(tau) from one :func:`activity_at` step and the von Neumann end terms."""
-    _, flow, states = activity_at(model, rho0, [tau], coherent)
+    _, flow, states = activity_at(model, rho0, [tau], coherent, reduced=False)
     return sigma_from(rho0, states[0], flow if flow is None else flow[0])
 
 
 class TestActivityCurve:
     def test_stationary_curve_is_linear(self, da_equal):
         rho = steady_state(build_generator(da_equal, coherent=True))
-        activity, flow, states = activity_at(da_equal, rho, TIMES)
+        activity, flow, states = activity_at(da_equal, rho, TIMES, reduced=False)
         np.testing.assert_allclose(activity, 1.2 * np.array(TIMES), rtol=1e-12, atol=0)
         assert activity[1] == 0.0 and flow is None
         assert np.abs(states - rho).max() < 1e-12
 
     def test_poisson_closed_form_at_any_times(self, poisson, scalar_one):
-        activity, flow, states = activity_at(poisson, scalar_one, TIMES)
+        activity, flow, states = activity_at(poisson, scalar_one, TIMES, reduced=False)
         np.testing.assert_allclose(activity, 0.7 * np.array(TIMES), rtol=1e-13, atol=0)
         assert flow is None and np.all(states == 1.0)
 
@@ -210,8 +212,8 @@ class TestActivityCurve:
 
     def test_activity_curves_match_without_hamiltonian(self, da_generic):
         rho0 = ground_state()
-        with_h, _, _ = activity_at(da_generic, rho0, TIMES, coherent=True)
-        without_h, _, _ = activity_at(da_generic, rho0, TIMES, coherent=False)
+        with_h, _, _ = activity_at(da_generic, rho0, TIMES, coherent=True, reduced=False)
+        without_h, _, _ = activity_at(da_generic, rho0, TIMES, coherent=False, reduced=False)
         assert np.abs(with_h - without_h).max() < 1e-9
 
     def test_activity_nondecreasing(self, ep_generic):
@@ -232,7 +234,7 @@ class TestActivityCurve:
         rho0 = random_pure_state(dim, rng)
         calls, action = [], counting._taylor_action
         monkeypatch.setattr(counting, "_taylor_action", lambda *a: calls.append(a) or action(*a))
-        activity, flow, states = activity_at(model, rho0, times, coherent)
+        activity, flow, states = activity_at(model, rho0, times, coherent, reduced=False)
         assert len(calls) == actions
         data = activity.tobytes() + flow.tobytes() + states.tobytes()
         assert hashlib.sha256(data).hexdigest() == digest
@@ -243,9 +245,9 @@ class TestActivityCurve:
         model = ladder_model(ACTION_MIN_DIM, np.random.default_rng(9))
         rho0 = random_pure_state(ACTION_MIN_DIM, np.random.default_rng(10))
         times = (0.05, 2.0, 0.7, 7.5)
-        got = activity_at(model, rho0, times)
+        got = activity_at(model, rho0, times, reduced=False)
         monkeypatch.setattr(counting, "ACTION_MIN_DIM", ACTION_MIN_DIM + 1)
-        want = activity_at(model, rho0, times)
+        want = activity_at(model, rho0, times, reduced=False)
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
@@ -287,7 +289,7 @@ def moment_route_entropy(model, rho0, tau):
     """Sigma by an independent exact route: the mean of the ds-weighted
     count plus the von Neumann end terms of a separately propagated state."""
     flow = counting_moments(model, rho0, CountingObservable(model.entropy_weights()), tau).mean
-    rho_tau = propagate(build_generator(model, coherent=True), rho0, tau)
+    rho_tau = liouville_state(model, rho0, tau)
     return von_neumann_trace_term(rho0) - von_neumann_trace_term(rho_tau) + flow
 
 
@@ -325,10 +327,9 @@ class TestExactKernel:
 
     def test_curve_samples_are_exact(self, ep_generic):
         rho0 = ground_state()
-        activity, flow, states = activity_at(ep_generic, rho0, TIMES)
+        activity, flow, states = activity_at(ep_generic, rho0, TIMES, reduced=False)
         count = CountingObservable.total_count(6)
         entropy = CountingObservable(ep_generic.entropy_weights())
-        gen = build_generator(ep_generic)
         for k, t in enumerate(TIMES):
             assert activity[k] == pytest.approx(
                 counting_moments(ep_generic, rho0, count, t).mean, rel=1e-12
@@ -336,7 +337,8 @@ class TestExactKernel:
             assert flow[k] == pytest.approx(
                 counting_moments(ep_generic, rho0, entropy, t).mean, rel=1e-12, abs=1e-15
             )
-            np.testing.assert_allclose(states[k], propagate(gen, rho0, t), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(states[k], liouville_state(ep_generic, rho0, t), rtol=0,
+                                       atol=1e-13)
 
     def test_final_activity_matches_the_count_mean(self, da_generic, ep_generic):
         for model in (da_generic, ep_generic):
@@ -404,8 +406,8 @@ class TestMemoisedStep:
                 *got, rho_tau = _half_windows(model, rho0, obs, 1.7, flag)
                 for g, v in zip(got, want):
                     assert_moments_close(g, v, 1e-12)
-                gen = build_generator(model, coherent=flag)
-                np.testing.assert_allclose(rho_tau, propagate(gen, rho0, 1.7), rtol=0, atol=1e-12)
+                reference = liouville_state(model, rho0, 1.7, flag)
+                np.testing.assert_allclose(rho_tau, reference, rtol=0, atol=1e-12)
 
 
 class TestNoStateOnTheModel:
@@ -428,7 +430,7 @@ class TestNoStateOnTheModel:
                 build_generator(model, coherent)
                 counting_moments(model, rho0, obs.with_window((0.5, 2.0)), 2.0, coherent, reduced)
                 activity_at(model, rho0, [0.5, 2.0], coherent, reduced)
-                _half_windows(model, rho0, obs, 2.0, coherent, reduced)
+                _half_windows(model, rho0, obs, 2.0, coherent)
                 bounds.battery(model, rho0, obs, 2.0, coherent)
             build_generator(model, reduced=True)
         assert act.called == (case == "action")
@@ -548,7 +550,7 @@ def _block_norm(model, weights, coherent):
     reduced[:, 2 * n] = 0.0
     mu = np.trace(block[:n, :n]) / n
     norm = np.abs(reduced - mu * np.eye(2 * n + 1)).sum(axis=0).max()
-    assert counting._block(model, weights, coherent).norm == pytest.approx(norm, rel=1e-13)
+    assert counting._block(model, weights, coherent, False).norm == pytest.approx(norm, rel=1e-13)
     return block, norm
 
 
@@ -587,9 +589,10 @@ class TestBlockAction:
         rho0 = random_pure_state(dim, rng)
         values = []
         for coherent in (True, False):
-            activity, flow, states = activity_at(model, rho0, [tau], coherent)
-            sigma = sigma_from(rho0, states[0], flow[0])
-            angle = half_angle_integral(model, rho0, tau / 2, tau, coherent)
+            with mock.patch.object(counting, "_route", liouville_route):  # one matrix on sector 0
+                activity, flow, states = activity_at(model, rho0, [tau], coherent)
+                sigma = sigma_from(rho0, states[0], flow[0])
+                angle = half_angle_integral(model, rho0, tau / 2, tau, coherent)
             values.append((activity[0], sigma, angle))
         for a, b in zip(*values):
             assert a == pytest.approx(b, rel=1e-9, abs=1e-13)
@@ -615,11 +618,11 @@ class TestBlockAction:
         rng = np.random.default_rng(seed)
         model = random_detailed_balance_model(dim, rng)
         rho0 = random_pure_state(dim, rng)
-        span = scale / counting._block(model, None, coherent).norm
+        span = scale / counting._block(model, None, coherent, False).norm
         times = [0.0, span, fractions[0] * span] + [f * span for f in fractions]
         times = rng.permutation(times)
         with mock.patch.object(counting, "_taylor_action", wraps=counting._taylor_action) as act:
-            activity, flow, states = activity_at(model, rho0, times, coherent)
+            activity, flow, states = activity_at(model, rho0, times, coherent, reduced=False)
         assert act.call_count == len(set(times) - {0.0})
         n = dim * dim
         block = reference_rows_block(model, coherent)
@@ -651,11 +654,11 @@ class TestBlockAction:
         start = traced(y, dim)
         # the action and the dense step at every drawn dimension, and
         # whichever path _act picks
-        held = counting._block(model, weights, coherent)
+        held = counting._block(model, weights, coherent, False)
         for got in (
             counting._taylor_action(held.shifted, held.mu, held.norm, h, start),
             held.step(h) @ start,
-            counting._act(counting._block(model, weights, coherent), h, start),
+            counting._act(counting._block(model, weights, coherent, False), h, start),
         ):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -674,8 +677,8 @@ class TestBlockAction:
         tau = float(np.exp(log_scale) / norm)
         obs = CountingObservable(weights, window=(start * tau, tau))
         rho0 = random_pure_state(dim, rng)
-        a = counting_moments(model, rho0, obs, tau, coherent=True)
-        b = counting_moments(model, rho0, obs, tau, coherent=False)
+        a = counting_moments(model, rho0, obs, tau, coherent=True, reduced=False)
+        b = counting_moments(model, rho0, obs, tau, coherent=False, reduced=False)
         assert a.mean == pytest.approx(b.mean, rel=1e-8, abs=1e-10)
         assert a.variance == pytest.approx(b.variance, rel=1e-8, abs=1e-10)
         # each against the reference hierarchy, at the scale of the state
@@ -692,11 +695,11 @@ class TestBlockAction:
         y = np.zeros(2 * dim**2 + 1, dtype=complex)
         y[0] = 1.0
         state = np.random.get_state()
-        block = counting._block(model, weights, True)
+        block = counting._block(model, weights, True, False)
         first = counting._act(block, 3.0, y)
         assert not block.steps  # the action, not a dense step
         for again in (counting._act(block, 3.0, y),
-                      counting._act(counting._block(model, weights, True), 3.0, y)):
+                      counting._act(counting._block(model, weights, True, False), 3.0, y)):
             assert again.tobytes() == first.tobytes()
         after = np.random.get_state()
         assert after[0] == state[0] and np.array_equal(after[1], state[1])
@@ -710,7 +713,7 @@ class TestBlockAction:
         dim = 8
         model = ladder_model(dim, np.random.default_rng(5))
         weights = model.entropy_weights()
-        block = counting._block(model, weights, True)
+        block = counting._block(model, weights, True, False)
         h = 200.0 / block.norm
         assert not counting._action_pays(dim, h * block.norm)
         y = np.zeros(2 * dim * dim + 1, dtype=complex)
@@ -722,7 +725,7 @@ class TestBlockAction:
         assert np.abs(got[0] - want).max() <= 1e-12 * np.abs(want).max()
         monkeypatch.setattr(counting, "DENSE_MAX_DIM", dim - 1)
         shapes.clear()
-        fresh = counting._block(model, weights, True)
+        fresh = counting._block(model, weights, True, False)
         assert counting._act(fresh, h, y).tobytes() == want.tobytes()
         assert shapes == [] and not fresh.steps
 
@@ -747,6 +750,14 @@ def route_model(kind: str, rng: np.random.Generator) -> LindbladModel:
     return rotate_model(random_ep_model(rng), rng)  # |e1>, |e2> degenerate: n0 = 5
 
 
+def _or_error(solve, model, coherent):
+    """``solve(model, coherent)``, or the SteadyStateError it raises."""
+    try:
+        return solve(model, coherent)
+    except SteadyStateError as exc:
+        return exc
+
+
 class TestZeroSector:
     @settings(max_examples=24)
     @given(seed=SEEDS, kind=st.sampled_from(["ladder", "rotated", "evenly_spaced", "degenerate"]),
@@ -754,9 +765,10 @@ class TestZeroSector:
     # a flow of 8.9e-6 off by 2.2e-17: 2.5e-12 of itself, 2e-17 of its terms
     @example(seed=151, kind="degenerate", tau=3.5, coherent=False)
     def test_reduced_route_matches_the_liouville_route(self, seed, kind, tau, coherent):
-        # the same statistics from the zero-frequency sector as from the
-        # d^2-square generator, from a random pure state with weight in
-        # every Bohr sector
+        # the same statistics, steady states and rho(t) from the zero-frequency
+        # sector as from the d^2-square generator, from a random pure state
+        # with weight in every Bohr sector; a model whose sector does not hold
+        # takes the d^2-square generator for every one of them
         rng = np.random.default_rng(seed)
         model = route_model(kind, rng)
         rho0 = random_pure_state(model.dim, rng)
@@ -770,8 +782,15 @@ class TestZeroSector:
             assert (zero.generator.dtype == float) == (levels == model.dim)
         obs = CountingObservable(rng.uniform(-1.0, 1.0, model.n_channels))
         times = np.sort(rng.uniform(0.0, tau, 5))
-        reduced = activity_at(model, rho0, times, coherent, reduced=True)
-        full = activity_at(model, rho0, times, coherent)
+        window = obs.with_window((tau / 3, tau))
+        with mock.patch.object(engine, "_assemble", wraps=engine._assemble) as assemble:
+            reduced = activity_at(model, rho0, times, coherent)
+            halves = _half_windows(model, rho0, obs, tau, coherent)
+            mean = counting_moments(model, rho0, window, tau, coherent).mean
+            states = [evolve(model, rho0, tau, flag) for flag in (True, False)]
+            steady = [_or_error(stationary, model, flag) for flag in (True, False)]
+        assert assemble.called == bool(zero.reason)
+        full = activity_at(model, rho0, times, coherent, reduced=False)
         assert (reduced[2] is None) == (zero.reason == "")
         assert_close(reduced[0], full[0])
         if full[1] is not None:
@@ -779,16 +798,23 @@ class TestZeroSector:
             # bounds.entropy_scale, and can cancel far below them
             assert_close(reduced[1], full[1], np.abs(model.entropy_weights()).max() * full[0])
         scale = np.abs(obs.weights).max() * full[0][-1]
-        halves = _half_windows(model, rho0, obs, tau, coherent, reduced=True)
-        for got, want in zip(halves, _half_windows(model, rho0, obs, tau, coherent)):
+        with mock.patch.object(counting, "_route", liouville_route):
+            want_halves = _half_windows(model, rho0, obs, tau, coherent)
+        for got, want in zip(halves, want_halves):
             if isinstance(want, np.ndarray):  # rho(tau)
                 assert_close(got, want, scale=1.0)
             else:
                 assert_close(got.mean, want.mean, scale)
                 assert_close(got.variance, want.variance)
-        window = obs.with_window((tau / 3, tau))
-        assert_close(counting_moments(model, rho0, window, tau, coherent, reduced=True).mean,
-                     counting_moments(model, rho0, window, tau, coherent).mean, scale)
+        assert_close(mean, counting_moments(model, rho0, window, tau, coherent, reduced=False).mean,
+                     scale)
+        for flag, got, rho in zip((True, False), states, steady):
+            assert_close(got, liouville_state(model, rho0, tau, flag), scale=1.0)
+            want = _or_error(lambda m, c: steady_state(build_generator(m, c)), model, flag)
+            if isinstance(want, Exception):
+                assert type(rho) is type(want)
+            else:
+                assert_close(rho, want, scale=1.0)
 
     @pytest.mark.parametrize("kind", ["ladder", "degenerate"])
     def test_battery_reports_match_the_liouville_route(self, kind, monkeypatch):
@@ -821,7 +847,14 @@ class TestZeroSector:
             reports = bounds.battery(model, rho0, obs, 2.0)
         assert assemble.called  # the Liouville route's coherent generators
         assert {call.args[1] for call in assemble.call_args_list} == {True}
-        want = counting_moments(model, rho0, obs, 2.0)
-        assert counting_moments(model, rho0, obs, 2.0, reduced=True) == want
+        want = counting_moments(model, rho0, obs, 2.0, reduced=False)
+        assert counting_moments(model, rho0, obs, 2.0) == want
         total = _half_windows(model, rho0, obs, 2.0, True)[2]
         assert reports[0].inputs["variance"].value == total.variance
+        # rho(t) and the steady state, with and without H, on the d^2-square generator
+        for coherent in (True, False):
+            with mock.patch.object(engine, "_assemble", wraps=engine._assemble) as assemble:
+                rho_t, rho_ss = evolve(model, rho0, 2.0, coherent), stationary(model, coherent)
+            assert [call.args[1] for call in assemble.call_args_list] == [coherent] * 2
+            assert np.array_equal(rho_t, liouville_state(model, rho0, 2.0, coherent))
+            assert np.array_equal(rho_ss, steady_state(build_generator(model, coherent)))

@@ -7,18 +7,19 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtur import engine
+from qtur import counting, engine
+from qtur.counting import evolve, stationary
 from qtur.engine import (
     DegenerateSteadyStateError,
     build_generator,
     no_jump_family,
-    propagate,
     steady_state,
     steady_states,
     survival_probability,
@@ -31,6 +32,8 @@ from conftest import (
     da_steady_state_closed_form,
     ground_state,
     ladder_model,
+    liouville_route,
+    liouville_state,
     random_da_model,
     random_detailed_balance_model,
     random_eigenoperator_model,
@@ -220,61 +223,59 @@ class TestStackedDraws:
 
 
 class TestPropagate:
+    # rho(t) from counting.evolve, on the zero-frequency sector where it holds
+    # and, with the route patched, on the d^2-square generator
     def test_fixed_point(self, da_generic):
-        gen = build_generator(da_generic, coherent=True)
-        rho = steady_state(gen)
-        out = propagate(gen, rho, 3.7)
+        rho = stationary(da_generic)
+        out = evolve(da_generic, rho, 3.7)
         assert np.abs(out - rho).max() < 1e-9
 
     def test_commuting_state_is_static_without_channels(self):
         h = np.diag([0.0, 1.0, 2.0]).astype(complex)
         model = LindbladModel.build(h, [])
-        gen = build_generator(model, coherent=True)
         rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        assert np.abs(propagate(gen, rho0, 2.0) - rho0).max() < 1e-12
+        assert np.abs(evolve(model, rho0, 2.0) - rho0).max() < 1e-12
 
     def test_scalar_model_stays_normalized(self, poisson, scalar_one):
-        gen = build_generator(poisson, coherent=True)
         for t in (0.1, 1.0, 10.0):
-            assert propagate(gen, scalar_one, t)[0, 0] == pytest.approx(1.0, abs=1e-12)
+            assert evolve(poisson, scalar_one, t)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_time_rejected(self, da_generic):
-        gen = build_generator(da_generic, coherent=True)
         with pytest.raises(ValueError):
-            propagate(gen, np.eye(3, dtype=complex) / 3, -0.1)
+            evolve(da_generic, np.eye(3, dtype=complex) / 3, -0.1)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_nonfinite_time_rejected(self, t, da_generic):
-        gen = build_generator(da_generic, coherent=True)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            propagate(gen, np.eye(3, dtype=complex) / 3, t)
+            evolve(da_generic, np.eye(3, dtype=complex) / 3, t)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(11)
-        for _ in range(5):
-            model = random_da_model(rng)
-            gen = build_generator(model, coherent=True)
-            rho0 = random_pure_state(3, rng)
-            t1, t2 = rng.uniform(0.05, 2.0, 2)
-            once = propagate(gen, rho0, t1 + t2)
-            twice = propagate(gen, propagate(gen, rho0, t1), t2)
-            assert np.abs(once - twice).max() < 1e-9
+        for route in (counting._route, liouville_route):
+            with mock.patch.object(counting, "_route", route):
+                for _ in range(5):
+                    model = random_da_model(rng)
+                    rho0 = random_pure_state(3, rng)
+                    t1, t2 = rng.uniform(0.05, 2.0, 2)
+                    once = evolve(model, rho0, t1 + t2)
+                    twice = evolve(model, evolve(model, rho0, t1), t2)
+                    assert np.abs(once - twice).max() < 1e-9
 
     def test_trace_one_on_log_grid(self, da_generic):
-        gen = build_generator(da_generic, coherent=True)
         rho0 = ground_state()
         for t in np.logspace(-3, 1, 9):
-            assert propagate(gen, rho0, t).trace().real == pytest.approx(1.0, abs=1e-9)
+            assert evolve(da_generic, rho0, t).trace().real == pytest.approx(1.0, abs=1e-9)
+            assert liouville_state(da_generic, rho0, t).trace().real == pytest.approx(1.0, abs=1e-9)
 
     def test_states_related_by_rotation(self):
         rng = np.random.default_rng(23)
         model = rotate_model(random_da_model(rng), rng)
         rho0 = random_pure_state(3, rng)
         t = 1.3
-        with_h = propagate(build_generator(model, True), rho0, t)
-        without_h = propagate(build_generator(model, False), rho0, t)
         u = no_jump_family(model, t).unitary
-        assert np.abs(with_h - u @ without_h @ dagger(u)).max() < 1e-9
+        for state in (evolve, liouville_state):
+            with_h, without_h = state(model, rho0, t, True), state(model, rho0, t, False)
+            assert np.abs(with_h - u @ without_h @ dagger(u)).max() < 1e-9
 
 
 # prints one digest of the steady states of 20 random three-level models,

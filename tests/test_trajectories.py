@@ -674,7 +674,7 @@ class TestPathDensities:
         pw = PathWeights(ep_generic, rho0, tau)
         entropies = pw.entropies(records)
         assert not np.isnan(entropies).any()
-        _, flow, states = activity_at(ep_generic, rho0, [tau], coherent=False)
+        _, flow, states = activity_at(ep_generic, rho0, [tau], coherent=False, reduced=False)
         target = sigma_from(rho0, states[0], flow[0])
         stderr = entropies.std(ddof=1) / np.sqrt(len(entropies))
         assert abs(entropies.mean() - target) <= 4 * stderr
